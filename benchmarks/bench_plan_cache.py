@@ -1,11 +1,11 @@
-"""Plan-cache + fusion benchmarks (the PR's execution-speed subsystem).
+"""Plan-cache + pipeline-stage benchmarks (the execution-speed subsystem).
 
 Three measurements:
 
 * repeated ``tdp.sql.query(...)`` with the plan cache vs. cold
   parse→bind→optimize→lower on every call (TQP-style compiled-program reuse);
-* fused Filter→Project execution vs. the unfused one-materialisation-per-
-  operator cascade, on the A2 ablation workload shape;
+* single-stage Filter→Project execution on the A2 ablation workload shape,
+  checked against the miniduck oracle;
 * ``execute_many`` batches sharing one scan vs. statement-at-a-time runs
   with a device transfer each.
 """
@@ -73,28 +73,27 @@ class TestPlanCache:
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-class TestOperatorFusion:
-    def test_fused_filter_project_beats_cascade(self, benchmark):
-        """Acceptance: fused Filter→Project measurably faster than unfused."""
+class TestPipelineStage:
+    def test_filter_project_stage(self, benchmark):
+        """Filter→Project as one pipeline stage (three conjuncts, one mask,
+        one gather), checked against the outside oracle."""
+        from repro.baselines.miniduck import MiniDuck
         session = _session(N_ROWS)
         sql = ("SELECT v + w AS s, v * 2 AS d FROM t "
                "WHERE v > 0.25 AND w < 0.75 AND v < w")
-        fused_q = session.sql.query(sql)
-        unfused_q = session.sql.query(sql, extra_config={"fuse_operators": False})
-        assert fused_q.run(toPandas=True).equals(
-            unfused_q.run(toPandas=True), atol=1e-5)
-        fused_s = time_call(fused_q.run, repeat=5)
-        unfused_s = time_call(unfused_q.run, repeat=5)
+        query = session.sql.query(sql)
+        assert query.explain().count("Pipeline[") == 1
+        duck = MiniDuck()
+        duck.register("t", session.sql.query("SELECT k, v, w FROM t").run(toPandas=True))
+        assert query.run(toPandas=True).equals(duck.execute(sql), atol=1e-5)
+        stage_s = time_call(query.run, repeat=5)
         print_table(
-            f"operator fusion: Filter->Project on {N_ROWS} rows",
-            ["pipeline", "seconds", "speedup"],
-            [["unfused cascade", unfused_s, 1.0],
-             ["fused single pass", fused_s, unfused_s / fused_s]],
+            f"pipeline stage: Filter->Project on {N_ROWS} rows",
+            ["pipeline", "seconds"], [["single stage", stage_s]],
         )
-        assert fused_s < unfused_s
-        benchmark.pedantic(fused_q.run, rounds=3, iterations=1, warmup_rounds=1)
+        benchmark.pedantic(query.run, rounds=3, iterations=1, warmup_rounds=1)
 
-    def test_fused_conjunct_filter(self, benchmark):
+    def test_conjunct_filter_stage(self, benchmark):
         session = _session(N_ROWS)
         q = session.sql.query(
             "SELECT k, v, w FROM t WHERE v > 0.2 AND w > 0.2 AND k > 5")

@@ -9,7 +9,7 @@ heuristics live in ``_pick_aggregate`` / ``_maybe_fuse_topk``.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.errors import PlanError
 from repro.core.compiled_query import CompiledQuery, ExecNode
@@ -18,14 +18,11 @@ from repro.core.operators import (
     CreateIndexExec,
     DistinctExec,
     DropIndexExec,
-    FilterExec,
-    FusedFilterExec,
-    FusedFilterProjectExec,
     HashAggregateExec,
     IndexScanExec,
     JoinExec,
     LimitExec,
-    ProjectExec,
+    PipelineExec,
     ScanExec,
     ShowIndexesExec,
     SoftAggregateExec,
@@ -35,16 +32,10 @@ from repro.core.operators import (
     TVFExec,
     TopKExec,
 )
-from repro.core.kernels.compiler import compile_filter, compile_projection
-from repro.core.operators.compiled import (
-    CompiledFilterExec,
-    CompiledFusedFilterExec,
-    CompiledFusedFilterProjectExec,
-    CompiledPipelineExec,
-    CompiledProjectExec,
-)
-from repro.core.operators.fused import can_substitute, substitute_columns
+from repro.core.kernels.compiler import compile_stage
+from repro.sql import bound as b
 from repro.sql import logical
+from repro.sql.optimizer.pushdown import split_conjuncts
 from repro.tcr.device import as_device
 
 
@@ -83,12 +74,6 @@ class Compiler:
             metrics = self.session.metrics if self.session is not None else None
             root = insert_exchanges(root, self.config, self.shard_pool,
                                     ExecNode, metrics)
-        if self._pipelining:
-            # Whole-pipeline codegen: fuse maximal breaker-free
-            # scan→filter→project[→aggregate] subtrees into one compiled
-            # callable (sharded drivers keep their shape and gain a fused
-            # per-shard body; serial chains collapse into one operator).
-            root = self._fuse_pipelines(root)
         aggregate_outputs = _aggregate_output_slots(plan)
         query = CompiledQuery(
             root=root,
@@ -120,16 +105,13 @@ class Compiler:
             op = TVFExec(plan.udf, plan.arg_exprs, [name for name, _ in plan.schema])
             return ExecNode(op, [child])
 
-        if isinstance(plan, logical.Filter):
-            if self.config.trainable and self.config.soft_filter:
-                child = self._lower(plan.input)
-                op = SoftFilterExec(plan.predicate, self.config.soft_temperature)
-                return ExecNode(op, [child])
-            predicates, bottom = self._collect_filters(plan)
-            return self._lower_filter_pipeline(predicates, bottom)
+        if isinstance(plan, logical.Filter) and self._soft_filtering:
+            child = self._lower(plan.input)
+            op = SoftFilterExec(plan.predicate, self.config.soft_temperature)
+            return ExecNode(op, [child])
 
-        if isinstance(plan, logical.Project):
-            return self._lower_project(plan)
+        if isinstance(plan, (logical.Filter, logical.Project)):
+            return self._lower_pipeline(plan)
 
         if isinstance(plan, logical.Aggregate):
             child = self._lower(plan.input)
@@ -183,7 +165,7 @@ class Compiler:
         raise PlanError(f"cannot lower {type(plan).__name__}")
 
     # ------------------------------------------------------------------
-    # Filter/Project fusion
+    # Flag combinations
     # ------------------------------------------------------------------
     @property
     def _sharding(self) -> bool:
@@ -202,10 +184,8 @@ class Compiler:
                 and not self.config.trainable)
 
     @property
-    def _fusing(self) -> bool:
-        # Trainable compilations keep the one-module-per-operator shape the
-        # soft/differentiable machinery assumes; everything else fuses by default.
-        return self.config.fuse_operators and not self.config.trainable
+    def _soft_filtering(self) -> bool:
+        return self.config.trainable and self.config.soft_filter
 
     @property
     def _compiling(self) -> bool:
@@ -213,145 +193,47 @@ class Compiler:
         # always stay on the interpreter (gradients flow through tcr ops).
         return self.config.compile_exprs and not self.config.trainable
 
-    @property
-    def _pipelining(self) -> bool:
-        # Pipeline fusion builds on the expression kernels and shares their
-        # autograd caveat; both knobs must be on for whole-pipeline codegen.
-        return (self.config.compile_pipelines and self.config.compile_exprs
-                and not self.config.trainable)
+    # ------------------------------------------------------------------
+    # Row-wise pipelines (Filter/Project chains)
+    # ------------------------------------------------------------------
+    def _lower_pipeline(self, plan: logical.LogicalPlan) -> ExecNode:
+        """Lower a maximal Filter/Project chain to :class:`PipelineExec` stages.
 
-    def _fuse_pipelines(self, node: ExecNode) -> ExecNode:
-        """Post-lowering pass: attach/substitute compiled whole pipelines.
-
-        Sharded drivers keep their operator (the partition/merge machinery
-        is theirs) and gain a ``compiled_pipeline`` body run per shard;
-        serial Scan→row-wise[→SortAggregate] chains are replaced by a
-        :class:`CompiledPipelineExec` leaf. Anything that fails a breaker
-        rule is left on the per-operator path untouched.
+        Links are taken in *execution* order (innermost first: an inner
+        filter guards the predicates stacked above it) and the conjunct
+        order is kept as given, since cost ordering is the optimizer's job.
+        Each link is inlined onto the current stage's input columns
+        (classic projection merging), so a whole chain is normally one
+        stage; ``_breaks_stage`` says where a second one must start.
         """
-        from repro.core.kernels.pipeline import compile_pipeline
-        from repro.core.operators.sharded import _ShardedBase, _match_chain
+        chain: List[logical.LogicalPlan] = []
+        while isinstance(plan, logical.Project) or (
+                isinstance(plan, logical.Filter) and not self._soft_filtering):
+            chain.append(plan)
+            plan = plan.input
+        node = self._lower(plan)
+        stage = _Stage()
+        for link in reversed(chain):
+            if isinstance(link, logical.Project):
+                if _breaks_stage(stage):
+                    node, stage = self._stage_node(stage, node), _Stage()
+                stage.exprs = [stage.inline(e) for e in link.exprs]
+                stage.names = [name for name, _ in link.schema]
+                continue
+            for conjunct in split_conjuncts(link.predicate):
+                if _breaks_stage(stage, conjunct):
+                    node, stage = self._stage_node(stage, node), _Stage()
+                stage.conjuncts.append(stage.inline(conjunct))
+        return self._stage_node(stage, node)
 
-        op = node.op
-        if isinstance(op, _ShardedBase):
-            # Per-shard body only: the driver still computes/merges partial
-            # states itself, so the aggregate (if any) is not fused here.
-            op.compiled_pipeline = compile_pipeline(op.pipeline)
-            return node
-        if type(op) is SortAggregateExec and len(node._children_nodes) == 1:
-            chain = _match_chain(node._children_nodes[0])
-            if chain is not None and chain[1]:
-                scan, pipeline = chain
-                compiled = compile_pipeline(pipeline, aggregate=op)
-                if compiled is not None:
-                    return ExecNode(
-                        CompiledPipelineExec(scan, pipeline, op, compiled), [])
-        chain = _match_chain(node)
-        if chain is not None:
-            scan, pipeline = chain
-            compiled = compile_pipeline(pipeline) if len(pipeline) >= 2 else None
-            if compiled is not None:
-                return ExecNode(
-                    CompiledPipelineExec(scan, pipeline, None, compiled), [])
-            return node     # chains bottom out at the scan; nothing below
-        children = [self._fuse_pipelines(c) for c in node._children_nodes]
-        if all(new is old for new, old in zip(children, node._children_nodes)):
-            return node
-        return ExecNode(op, children)
-
-    # Kernel-compiling operator factories: each tries to lower the expression
-    # list into a vectorized kernel and silently keeps the interpreter
-    # operator when any expression shape is unsupported (the plan shows the
-    # choice: compiled operators describe() with a "Compiled" prefix).
-    def _make_filter(self, predicate) -> FilterExec:
+    def _stage_node(self, stage: "_Stage", child: ExecNode) -> ExecNode:
+        # The one row-wise decision: kernel body when every expression of
+        # the stage lowers, interpreter body otherwise (EXPLAIN shows which).
+        kernel = None
         if self._compiling:
-            kernel = compile_filter([predicate])
-            if kernel is not None:
-                return CompiledFilterExec(predicate, kernel)
-        return FilterExec(predicate)
-
-    def _make_fused_filter(self, predicates) -> FusedFilterExec:
-        if self._compiling:
-            kernel = compile_filter(predicates)
-            if kernel is not None:
-                return CompiledFusedFilterExec(predicates, kernel)
-        return FusedFilterExec(predicates)
-
-    def _make_fused_filter_project(self, predicates, exprs, names) -> FusedFilterProjectExec:
-        if self._compiling:
-            filter_kernel = compile_filter(predicates)
-            project_kernel = compile_projection(exprs, names)
-            if filter_kernel is not None and project_kernel is not None:
-                return CompiledFusedFilterProjectExec(
-                    predicates, exprs, names, filter_kernel, project_kernel)
-        return FusedFilterProjectExec(predicates, exprs, names)
-
-    def _make_project(self, exprs, names) -> ProjectExec:
-        if self._compiling:
-            kernel = compile_projection(exprs, names)
-            if kernel is not None:
-                return CompiledProjectExec(exprs, names, kernel)
-        return ProjectExec(exprs, names)
-
-    def _collect_filters(self, plan: logical.Filter):
-        """Flatten a chain of Filter nodes into its conjunct list + input.
-
-        Conjuncts are returned in *execution* order (innermost node first):
-        an inner filter guards the predicates stacked above it.
-        """
-        from repro.sql.optimizer.pushdown import split_conjuncts
-        groups: List[List] = []
-        node: logical.LogicalPlan = plan
-        while isinstance(node, logical.Filter):
-            groups.append(split_conjuncts(node.predicate))
-            node = node.input
-        predicates = [p for group in reversed(groups) for p in group]
-        return predicates, node
-
-    def _lower_filter_pipeline(self, predicates, bottom: logical.LogicalPlan) -> ExecNode:
-        """Lower a conjunct list: fuse the UDF-free prefix into one pass.
-
-        Cost ordering is the optimizer's job, so the conjunct order is kept
-        as given: the leading UDF-free conjuncts evaluate as a single mask +
-        gather, and everything from the first UDF-bearing conjunct on stays a
-        cascade so user code still only sees pre-filtered rows.
-        """
-        node = self._lower(bottom)
-        if not self._fusing:
-            for conjunct in predicates:
-                node = ExecNode(self._make_filter(conjunct), [node])
-            return node
-        prefix_len = 0
-        while prefix_len < len(predicates) and not predicates[prefix_len].contains_udf():
-            prefix_len += 1
-        prefix, rest = predicates[:prefix_len], predicates[prefix_len:]
-        if len(prefix) == 1:
-            node = ExecNode(self._make_filter(prefix[0]), [node])
-        elif prefix:
-            node = ExecNode(self._make_fused_filter(prefix), [node])
-        for conjunct in rest:
-            node = ExecNode(self._make_filter(conjunct), [node])
-        return node
-
-    def _lower_project(self, plan: logical.Project) -> ExecNode:
-        exprs = list(plan.exprs)
-        names = [name for name, _ in plan.schema]
-        node: logical.LogicalPlan = plan.input
-        if self._fusing:
-            # Project→Project: merge by inlining the inner projection.
-            while isinstance(node, logical.Project) and can_substitute(exprs, node.exprs):
-                exprs = [substitute_columns(e, node.exprs) for e in exprs]
-                node = node.input
-            # Filter→Project: one mask pass + lazy per-column gather, when no
-            # conjunct carries a UDF (UDF conjuncts must see filtered rows).
-            if isinstance(node, logical.Filter):
-                predicates, bottom = self._collect_filters(node)
-                if not any(p.contains_udf() for p in predicates):
-                    child = self._lower(bottom)
-                    op = self._make_fused_filter_project(predicates, exprs, names)
-                    return ExecNode(op, [child])
-        child = self._lower(node)
-        return ExecNode(self._make_project(exprs, names), [child])
+            kernel = compile_stage(stage.conjuncts, stage.exprs, stage.names)
+        op = PipelineExec(stage.conjuncts, stage.exprs, stage.names, kernel)
+        return ExecNode(op, [child])
 
     # ------------------------------------------------------------------
     # Implementation choices (flags + heuristics)
@@ -384,6 +266,56 @@ class Compiler:
         return ExecNode(op, [child])
 
 
+class _Stage:
+    """A :class:`PipelineExec` under construction: conjuncts and outputs,
+    both written against the stage's *input* columns."""
+
+    def __init__(self):
+        self.conjuncts: List[b.BoundExpr] = []
+        self.exprs: Optional[List[b.BoundExpr]] = None     # None = identity
+        self.names: Optional[List[str]] = None
+
+    def inline(self, expr: b.BoundExpr) -> b.BoundExpr:
+        if self.exprs is None:
+            return expr
+        return b.substitute_columns(expr, self.exprs)
+
+
+def _position_dependent(expr: b.BoundExpr) -> bool:
+    """True when evaluating ``expr`` over a different row subset could
+    change its per-row values: two-argument ROUND reads element 0 of its
+    evaluated digits operand, so unless that operand is a literal the
+    result depends on which row happens to be first."""
+    return any(isinstance(node, b.BBuiltin) and node.name == "ROUND"
+               and len(node.args) == 2
+               and not isinstance(node.args[1], b.BLiteral)
+               for node in expr.walk())
+
+
+def _breaks_stage(stage: _Stage, conjunct: Optional[b.BoundExpr] = None) -> bool:
+    """Must the next link (``conjunct``, or a projection when None) start a
+    new stage instead of being inlined into ``stage``? The three breakers:
+
+    1. a UDF-bearing conjunct must see only the rows that survive the
+       conjuncts before it (user code, micro-batch shapes and the
+       materialization cache are all row-set visible);
+    2. a projection holding a UDF is never inlined: that would duplicate
+       the call, or move it across a selection;
+    3. a two-argument ROUND with non-literal digits is not moved across a
+       selection, neither as a later conjunct (it would read all input
+       rows) nor as an output below one (it would read only survivors).
+    """
+    outputs = stage.exprs or []
+    if any(e.contains_udf() for e in outputs):
+        return True
+    if conjunct is None:
+        return False
+    if stage.conjuncts and (conjunct.contains_udf()
+                            or _position_dependent(conjunct)):
+        return True
+    return any(_position_dependent(e) for e in outputs)
+
+
 def _aggregate_output_slots(plan: logical.LogicalPlan) -> List[int]:
     """Output column indexes that carry aggregate values (for trainable runs).
 
@@ -398,7 +330,6 @@ def _aggregate_output_slots(plan: logical.LogicalPlan) -> List[int]:
             agg_slots = set(range(num_groups, num_groups + len(node.aggregates)))
             return [i for i, src in enumerate(mapping) if src in agg_slots]
         if isinstance(node, logical.Project):
-            from repro.sql import bound as b
             new_mapping = []
             for out_idx, src in enumerate(mapping):
                 expr = node.exprs[src] if 0 <= src < len(node.exprs) else None

@@ -20,7 +20,6 @@ class constants:
     SOFT_TEMPERATURE = "soft_temperature"  # sigmoid sharpness for soft filters
     # Execution-speed subsystem.
     PLAN_CACHE = "plan_cache"              # reuse compiled plans across calls
-    FUSE_OPERATORS = "fuse_operators"      # collapse Filter/Project pipelines
     TENSOR_CACHE = "tensor_cache"          # reuse UDF/embedding materializations
     # Vector-index subsystem.
     NPROBE = "nprobe"                      # per-query IVF probe-width hint
@@ -30,8 +29,7 @@ class constants:
     PARALLEL_MIN_ROWS = "parallel_min_rows"  # don't shard smaller inputs ("auto" adapts)
     EXCHANGE = "exchange"                  # hash-repartition joins/grouped aggregates
     # Expression codegen (TQP-style kernel compilation).
-    COMPILE_EXPRS = "compile_exprs"        # compile Filter/Project expression kernels
-    COMPILE_PIPELINES = "compile_pipelines"  # fuse whole scan→filter→project→agg subtrees
+    COMPILE_EXPRS = "compile_exprs"        # pipeline-stage body: kernels (True) or interpreter
     # Observability.
     TELEMETRY = "telemetry"                # trace every run (EXPLAIN ANALYZE forces it)
     SLOW_QUERY_SECONDS = "slow_query_seconds"  # slow-log threshold (None = session default)
@@ -53,7 +51,6 @@ _DEFAULTS = {
     constants.SOFT_FILTER: False,
     constants.SOFT_TEMPERATURE: 25.0,
     constants.PLAN_CACHE: True,
-    constants.FUSE_OPERATORS: True,
     constants.TENSOR_CACHE: True,
     constants.NPROBE: None,
     constants.PARALLEL_SCAN: True,
@@ -61,7 +58,6 @@ _DEFAULTS = {
     constants.PARALLEL_MIN_ROWS: 64,
     constants.EXCHANGE: True,
     constants.COMPILE_EXPRS: True,
-    constants.COMPILE_PIPELINES: True,
     constants.TELEMETRY: False,
     constants.SLOW_QUERY_SECONDS: None,
     constants.SCHEDULER_WORKERS: None,
@@ -123,10 +119,6 @@ class QueryConfig:
     @property
     def plan_cache(self) -> bool:
         return bool(self._values[constants.PLAN_CACHE])
-
-    @property
-    def fuse_operators(self) -> bool:
-        return bool(self._values[constants.FUSE_OPERATORS])
 
     @property
     def tensor_cache(self) -> bool:
@@ -198,10 +190,6 @@ class QueryConfig:
     @property
     def compile_exprs(self) -> bool:
         return bool(self._values[constants.COMPILE_EXPRS])
-
-    @property
-    def compile_pipelines(self) -> bool:
-        return bool(self._values[constants.COMPILE_PIPELINES])
 
     @property
     def telemetry(self) -> bool:

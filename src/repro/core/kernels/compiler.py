@@ -25,15 +25,15 @@ Bit-identity contract: for every supported shape the kernel reproduces
 * UDF calls delegate to the operator's ``ExpressionEvaluator`` — the
   tensor-cache keys, content tags and micro-batching are untouched.
 
-``UnsupportedExpr`` at plan time means the operator stays on the
+``UnsupportedExpr`` at plan time means the pipeline stage stays on the
 interpreter; ``KernelFallback`` at run time (a batch violating a
 compile-time assumption, e.g. a string value without a dictionary) makes
-the compiled operator re-run its inherited interpreter forward.
+the stage re-run on the interpreter.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class UnsupportedExpr(Exception):
 
 class KernelFallback(Exception):
     """Run-time: batch data violates a compile-time assumption; the
-    compiled operator falls back to its interpreter forward."""
+    pipeline stage re-runs on the interpreter."""
 
 
 _MISSING = object()
@@ -742,3 +742,27 @@ def compile_projection(exprs: Sequence[b.BoundExpr],
     except UnsupportedExpr:
         return None
     return ProjectKernel(fns)
+
+
+class StageKernel(NamedTuple):
+    """The compiled body of one pipeline stage; a part the stage does not
+    have (no conjuncts, or no projection) is None."""
+    filter: Optional[FilterKernel]
+    project: Optional[ProjectKernel]
+
+
+def compile_stage(predicates: Sequence[b.BoundExpr],
+                  exprs: Optional[Sequence[b.BoundExpr]],
+                  names: Optional[Sequence[str]]) -> Optional[StageKernel]:
+    """Compile one pipeline stage; None (the stage stays on the interpreter)
+    when any of its expressions is unsupported."""
+    filter_kernel = project_kernel = None
+    if predicates:
+        filter_kernel = compile_filter(predicates)
+        if filter_kernel is None:
+            return None
+    if exprs is not None:
+        project_kernel = compile_projection(exprs, names)
+        if project_kernel is None:
+            return None
+    return StageKernel(filter_kernel, project_kernel)

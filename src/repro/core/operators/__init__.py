@@ -2,8 +2,7 @@
 
 from repro.core.operators.aggregate import HashAggregateExec, SortAggregateExec
 from repro.core.operators.base import Operator, Relation
-from repro.core.operators.filter import FilterExec, SoftFilterExec
-from repro.core.operators.fused import FusedFilterExec, FusedFilterProjectExec
+from repro.core.operators.filter import SoftFilterExec
 from repro.core.operators.index_scan import (
     CreateIndexExec,
     DropIndexExec,
@@ -17,7 +16,8 @@ from repro.core.operators.exchange import (
     RangePartitioner,
 )
 from repro.core.operators.join import JoinExec, equi_join_indices
-from repro.core.operators.project import ProjectExec, TVFExec
+from repro.core.operators.pipeline import PipelineExec
+from repro.core.operators.project import TVFExec
 from repro.core.operators.scan import ScanExec, shared_scans
 from repro.core.operators.sharded import ShardedAggregateExec, ShardedScanExec
 from repro.core.operators.soft_aggregate import SoftAggregateExec
@@ -25,10 +25,9 @@ from repro.core.operators.sort import DistinctExec, LimitExec, SortExec, TopKExe
 
 __all__ = [
     "CreateIndexExec", "DistinctExec", "DropIndexExec",
-    "ExchangeGroupedAggregateExec", "FilterExec", "FusedFilterExec",
-    "FusedFilterProjectExec", "HashAggregateExec", "HashPartitioner",
+    "ExchangeGroupedAggregateExec", "HashAggregateExec", "HashPartitioner",
     "IndexScanExec", "JoinExec", "LimitExec", "Operator",
-    "PartitionedJoinExec", "ProjectExec", "RangePartitioner", "Relation",
+    "PartitionedJoinExec", "PipelineExec", "RangePartitioner", "Relation",
     "ScanExec", "ShardedAggregateExec", "ShardedScanExec", "ShowIndexesExec",
     "SoftAggregateExec", "SoftFilterExec", "SortAggregateExec", "SortExec",
     "TVFExec", "TopKExec", "equi_join_indices", "shared_scans",

@@ -424,9 +424,9 @@ class SortAggregateExec(_AggregateBase):
                             device, table_name: str) -> Relation:
         """Aggregate already-evaluated key/argument columns.
 
-        Split out of ``forward`` so the fused-pipeline path can feed columns
-        evaluated over a selection view without materialising the projected
-        relation first — the computation is identical by construction.
+        Split out of ``forward`` so the exchange driver can feed columns it
+        evaluated serially and partitioned itself — the computation is
+        identical by construction.
         """
         if not keys:
             return self._global_aggregate(agg_inputs, n, device, table_name)

@@ -60,36 +60,6 @@ class Operator(Module):
 
 
 def _collect_udfs(expr: b.BoundExpr) -> List[object]:
-    found = []
-
-    def walk(node):
-        if isinstance(node, b.BCall):
-            found.append(node.udf)
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, b.BBinary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, b.BUnary):
-            walk(node.operand)
-        elif isinstance(node, b.BBuiltin):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, b.BBetween):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, (b.BIn, b.BLike, b.BIsNull)):
-            walk(node.operand)
-        elif isinstance(node, b.BCase):
-            for cond, value in node.whens:
-                walk(cond)
-                walk(value)
-            if node.else_ is not None:
-                walk(node.else_)
-        elif isinstance(node, b.BCast):
-            walk(node.operand)
-
-    if expr is not None:
-        walk(expr)
-    return found
+    if expr is None:
+        return []
+    return [node.udf for node in expr.walk() if isinstance(node, b.BCall)]

@@ -1,33 +1,13 @@
-"""Filter operator: exact boolean selection or soft row weighting."""
+"""Soft filter operator: differentiable row weighting (exact selection
+is :class:`~repro.core.operators.pipeline.PipelineExec`)."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.expr_eval import ExpressionEvaluator
 from repro.core.operators.base import Operator, Relation
+from repro.core.operators.pipeline import PipelineExec
 from repro.core.soft.relaxations import soft_predicate
 from repro.sql import bound as b
-
-
-class FilterExec(Operator):
-    """Exact filter: evaluate the predicate to a mask and gather rows."""
-
-    def __init__(self, predicate: b.BoundExpr):
-        super().__init__()
-        self.predicate = predicate
-        self._register_expr_udfs([predicate])
-
-    def forward(self, relation: Relation) -> Relation:
-        evaluator = ExpressionEvaluator(relation.table)
-        mask = evaluator.evaluate_mask(self.predicate)
-        indices = np.flatnonzero(mask)
-        table = relation.table.take(indices)
-        weights = relation.weights[indices] if relation.weights is not None else None
-        return Relation(table, weights)
-
-    def describe(self) -> str:
-        return f"Filter({self.predicate})"
 
 
 class SoftFilterExec(Operator):
@@ -45,7 +25,7 @@ class SoftFilterExec(Operator):
 
     def forward(self, relation: Relation) -> Relation:
         if not self.training:
-            return FilterExec(self.predicate)(relation)
+            return PipelineExec([self.predicate])(relation)
         evaluator = ExpressionEvaluator(relation.table)
         weights = soft_predicate(self.predicate, evaluator, self.temperature)
         if relation.weights is not None:

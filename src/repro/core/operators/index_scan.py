@@ -29,8 +29,7 @@ import numpy as np
 from repro.errors import CatalogError, ExecutionError
 from repro.core.expr_eval import ExpressionEvaluator
 from repro.core.operators.base import Operator, Relation
-from repro.core.operators.filter import FilterExec
-from repro.core.operators.project import ProjectExec
+from repro.core.operators.pipeline import PipelineExec
 from repro.core.operators.sort import TopKExec
 from repro.core.telemetry import annotate
 from repro.sql import bound as b
@@ -112,7 +111,7 @@ class IndexScanExec(Operator):
                 ids = self._apply_residual(relation, ids)
         chosen = ids[self.offset:want]
         subset = Relation(relation.table.take(chosen))
-        return ProjectExec(self.exprs, self.names)(subset)
+        return PipelineExec([], self.exprs, self.names)(subset)
 
     def _apply_residual(self, relation: Relation, ids: np.ndarray) -> np.ndarray:
         """Keep candidate ids (already score-ordered) passing the residual."""
@@ -125,9 +124,9 @@ class IndexScanExec(Operator):
     def _exact(self, relation: Relation) -> Relation:
         """Unindexed fallback: Filter -> exact TopK by sim_expr -> Project."""
         if self.residual is not None:
-            relation = FilterExec(self.residual)(relation)
+            relation = PipelineExec([self.residual])(relation)
         top = TopKExec([(self.sim_expr, False)], self.k, self.offset)(relation)
-        return ProjectExec(self.exprs, self.names)(top)
+        return PipelineExec([], self.exprs, self.names)(top)
 
     def describe(self) -> str:
         if self.nprobe_hint is not None:

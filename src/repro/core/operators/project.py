@@ -1,4 +1,4 @@
-"""Projection and table-valued-function operators."""
+"""Table-valued-function operator."""
 
 from __future__ import annotations
 
@@ -9,25 +9,6 @@ from repro.core.operators.base import Operator, Relation
 from repro.sql import bound as b
 from repro.storage.encodings import PlainEncoding
 from repro.storage.table import Table
-
-
-class ProjectExec(Operator):
-    def __init__(self, exprs: List[b.BoundExpr], names: List[str]):
-        super().__init__()
-        self.exprs = exprs
-        self.names = names
-        self._register_expr_udfs(exprs)
-
-    def forward(self, relation: Relation) -> Relation:
-        evaluator = ExpressionEvaluator(relation.table)
-        columns = [
-            evaluator.evaluate_column(expr, name)
-            for expr, name in zip(self.exprs, self.names)
-        ]
-        return Relation(Table(relation.table.name, columns), relation.weights)
-
-    def describe(self) -> str:
-        return f"Project({', '.join(self.names)})"
 
 
 class TVFExec(Operator):

@@ -3,7 +3,8 @@
 The compiler (via :func:`parallelize`) rewrites lowered operator trees when
 the query runs with ``shards > 1``:
 
-* ``Scan → {Filter | FusedFilter | FusedFilterProject | Project}*`` prefixes
+* ``Scan → Pipeline*`` prefixes (the row-wise stages of
+  :class:`~repro.core.operators.pipeline.PipelineExec`)
   become one :class:`ShardedScanExec`, which resolves the scan once, splits
   its rows into contiguous shards (boundaries aligned to the device's
   micro-batch granularity when the prefix evaluates UDFs), runs the prefix
@@ -27,7 +28,6 @@ import time
 from typing import List, Optional
 
 from repro.core import tensor_cache as tc
-from repro.core.kernels.compiler import KernelFallback
 from repro.core.scheduler import new_encode_scope
 from repro.core.operators.aggregate import (
     HashAggregateExec,
@@ -39,29 +39,13 @@ from repro.core.operators.aggregate import (
     spec_mergeable,
 )
 from repro.core.operators.base import Operator, Relation
-from repro.core.operators.filter import FilterExec, SoftFilterExec
-from repro.core.operators.fused import FusedFilterExec, FusedFilterProjectExec
-from repro.core.operators.project import ProjectExec
+from repro.core.operators.filter import SoftFilterExec
+from repro.core.operators.pipeline import PipelineExec
 from repro.core.operators.scan import ScanExec, shard_slices
 from repro.core.partition import plan_shards, run_sharded, stitch_relations
 from repro.core.expr_eval import ExpressionEvaluator
 from repro.core.telemetry import annotate, span, tracing
 from repro.storage.table import Table
-
-_ROW_WISE_OPS = (FilterExec, FusedFilterExec, FusedFilterProjectExec, ProjectExec)
-
-
-def _op_exprs(op: Operator) -> list:
-    if isinstance(op, FilterExec):
-        return [op.predicate]
-    if isinstance(op, FusedFilterExec):
-        return list(op.predicates)
-    if isinstance(op, FusedFilterProjectExec):
-        return list(op.predicates) + list(op.exprs)
-    if isinstance(op, ProjectExec):
-        return list(op.exprs)
-    return []
-
 
 def _exprs_contain_udf(exprs) -> bool:
     return any(e is not None and e.contains_udf() for e in exprs)
@@ -91,7 +75,7 @@ def _finish_batcher_statement() -> None:
         batcher.statement_finished()
 
 
-def _post_filter_udf(pipeline: List[Operator]) -> bool:
+def _post_filter_udf(pipeline: List[PipelineExec]) -> bool:
     """Does any UDF in the pipeline evaluate over an already-*selected* row
     stream? Such a UDF's per-shard micro-batch lengths are the shard's
     filtered remnant — not multiples of the device batch size — so on a
@@ -99,24 +83,17 @@ def _post_filter_udf(pipeline: List[Operator]) -> bool:
     could not match serial execution's and sharding must be declined."""
     selected = False
     for op in pipeline:
-        if isinstance(op, (FilterExec, FusedFilterExec)):
-            if selected and _exprs_contain_udf(_op_exprs(op)):
-                return True
-            selected = True
-        elif isinstance(op, FusedFilterProjectExec):
-            if selected and _exprs_contain_udf(op.predicates):
-                return True
-            # The projection expressions always see post-filter rows.
-            if _exprs_contain_udf(op.exprs):
-                return True
-            selected = True
-        elif selected and _exprs_contain_udf(_op_exprs(op)):
+        if selected and _exprs_contain_udf(op.predicates):
+            return True
+        selected = selected or bool(op.predicates)
+        # A stage's outputs always see its post-filter rows.
+        if selected and _exprs_contain_udf(op.exprs or []):
             return True
     return False
 
 
 class _ShardedBase(Operator):
-    def __init__(self, scan: ScanExec, pipeline: List[Operator], pool,
+    def __init__(self, scan: ScanExec, pipeline: List[PipelineExec], pool,
                  shards: int, min_rows: int):
         super().__init__()
         self.scan = scan
@@ -124,20 +101,14 @@ class _ShardedBase(Operator):
         self.pool = pool
         self.shards = int(shards)
         self.min_rows = int(min_rows)
-        # Optional whole-pipeline kernel (attached by the compiler's
-        # pipeline-fusion pass): runs the row-wise body as one fused
-        # callable per shard, with the per-operator loop as runtime oracle.
-        self.compiled_pipeline = None
         self.register_module("scan_op", scan)
         for i, op in enumerate(self.pipeline):
             self.register_module(f"stage{i}", op)
         self._pipeline_has_udf = any(
-            _exprs_contain_udf(_op_exprs(op)) for op in self.pipeline)
-        self._post_filter_udf = _post_filter_udf(self.pipeline)
-        self._pipeline_filters = any(
-            isinstance(op, (FilterExec, FusedFilterExec,
-                            FusedFilterProjectExec))
+            _exprs_contain_udf(op.predicates + list(op.exprs or []))
             for op in self.pipeline)
+        self._post_filter_udf = _post_filter_udf(self.pipeline)
+        self._pipeline_filters = any(op.predicates for op in self.pipeline)
 
     def _bounds(self, num_rows: int, extra_udf: bool = False):
         from repro.core.partition import default_shards
@@ -157,20 +128,12 @@ class _ShardedBase(Operator):
         return plan_shards(num_rows, shards, self.min_rows, align)
 
     def _run_pipeline(self, relation: Relation) -> Relation:
-        if self.compiled_pipeline is not None:
-            try:
-                result = self.compiled_pipeline.run(relation)
-            except KernelFallback:
-                annotate(path="fallback")
-            else:
-                annotate(path="pipeline")
-                return result
         if not tracing():
             for op in self.pipeline:
                 relation = op(relation)
             return relation
-        # Traced: time each fused stage so EXPLAIN ANALYZE can attribute
-        # kernel-vs-fallback paths (annotated by the compiled operators)
+        # Traced: time each stage so EXPLAIN ANALYZE can attribute
+        # kernel-vs-fallback paths (annotated by the stage itself)
         # stage by stage, inside whichever shard span is open.
         for op in self.pipeline:
             with span("shard_op", op=op.describe(),
@@ -181,10 +144,7 @@ class _ShardedBase(Operator):
 
     def _pipeline_text(self) -> str:
         parts = [self.scan.describe()] + [op.describe() for op in self.pipeline]
-        text = " -> ".join(parts)
-        if self.compiled_pipeline is not None:
-            return f"fused[{text}]"
-        return text
+        return " -> ".join(parts)
 
 
 class ShardedScanExec(_ShardedBase):
@@ -242,7 +202,7 @@ class ShardedAggregateExec(_ShardedBase):
     aggregating the whole relation (see ``spec_mergeable``).
     """
 
-    def __init__(self, agg, scan: ScanExec, pipeline: List[Operator], pool,
+    def __init__(self, agg, scan: ScanExec, pipeline: List[PipelineExec], pool,
                  shards: int, min_rows: int):
         super().__init__(scan, pipeline, pool, shards, min_rows)
         self.agg = agg                      # the serial aggregate operator
@@ -307,7 +267,7 @@ class ShardedGroupedAggregateExec(_ShardedBase):
     """
 
     def __init__(self, agg: SortAggregateExec, scan: ScanExec,
-                 pipeline: List[Operator], pool, shards: int, min_rows: int):
+                 pipeline: List[PipelineExec], pool, shards: int, min_rows: int):
         super().__init__(scan, pipeline, pool, shards, min_rows)
         self.agg = agg                      # the serial aggregate operator
         self.register_module("agg_op", agg)
@@ -369,11 +329,11 @@ def tree_has_soft(node) -> bool:
 
 
 def _match_chain(node) -> Optional[tuple]:
-    """``(scan_op, [row-wise ops bottom-up])`` when ``node`` roots a
+    """``(scan_op, [pipeline stages bottom-up])`` when ``node`` roots a
     shardable pipeline prefix, else None."""
-    ops: List[Operator] = []
+    ops: List[PipelineExec] = []
     current = node
-    while isinstance(current.op, _ROW_WISE_OPS):
+    while isinstance(current.op, PipelineExec):
         children = current._children_nodes
         if len(children) != 1:
             return None

@@ -9,7 +9,7 @@ The engine's expression evaluator interprets bound trees against tables.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.storage import types as dt
 
@@ -23,8 +23,30 @@ class BoundExpr:
         """Set of input column indexes this expression reads."""
         raise NotImplementedError
 
+    def children(self) -> Iterator["BoundExpr"]:
+        """Direct sub-expressions, in field order (generic over node kinds:
+        every bound node is a dataclass whose expression-valued fields are
+        BoundExpr instances, lists of them, or BCase's (cond, value) pairs)."""
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if isinstance(value, BoundExpr):
+                yield value
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, BoundExpr):
+                        yield item
+                    elif isinstance(item, tuple):
+                        yield from (sub for sub in item
+                                    if isinstance(sub, BoundExpr))
+
+    def walk(self) -> Iterator["BoundExpr"]:
+        """Depth-first, pre-order walk over the expression tree."""
+        yield self
+        for child in self.children():
+            yield from child.walk()
+
     def contains_udf(self) -> bool:
-        return False
+        return any(isinstance(node, BCall) for node in self.walk())
 
 
 @dataclasses.dataclass
@@ -62,9 +84,6 @@ class BBinary(BoundExpr):
     def references(self) -> set:
         return self.left.references() | self.right.references()
 
-    def contains_udf(self) -> bool:
-        return self.left.contains_udf() or self.right.contains_udf()
-
     def __str__(self):
         return f"({self.left} {self.op} {self.right})"
 
@@ -77,9 +96,6 @@ class BUnary(BoundExpr):
 
     def references(self) -> set:
         return self.operand.references()
-
-    def contains_udf(self) -> bool:
-        return self.operand.contains_udf()
 
     def __str__(self):
         return f"({self.op} {self.operand})"
@@ -98,9 +114,6 @@ class BCall(BoundExpr):
             refs |= arg.references()
         return refs
 
-    def contains_udf(self) -> bool:
-        return True
-
     def __str__(self):
         return f"{self.udf.name}({', '.join(str(a) for a in self.args)})"
 
@@ -117,9 +130,6 @@ class BBuiltin(BoundExpr):
             refs |= arg.references()
         return refs
 
-    def contains_udf(self) -> bool:
-        return any(a.contains_udf() for a in self.args)
-
     def __str__(self):
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
 
@@ -135,8 +145,9 @@ class BBetween(BoundExpr):
     def references(self) -> set:
         return self.operand.references() | self.low.references() | self.high.references()
 
-    def contains_udf(self) -> bool:
-        return self.operand.contains_udf()
+    def __str__(self):
+        negation = "NOT " if self.negated else ""
+        return f"({self.operand} {negation}BETWEEN {self.low} AND {self.high})"
 
 
 @dataclasses.dataclass
@@ -149,8 +160,10 @@ class BIn(BoundExpr):
     def references(self) -> set:
         return self.operand.references()
 
-    def contains_udf(self) -> bool:
-        return self.operand.contains_udf()
+    def __str__(self):
+        negation = "NOT " if self.negated else ""
+        values = ", ".join(repr(v) for v in self.values)
+        return f"({self.operand} {negation}IN ({values}))"
 
 
 @dataclasses.dataclass
@@ -163,6 +176,10 @@ class BLike(BoundExpr):
     def references(self) -> set:
         return self.operand.references()
 
+    def __str__(self):
+        negation = "NOT " if self.negated else ""
+        return f"({self.operand} {negation}LIKE {self.pattern!r})"
+
 
 @dataclasses.dataclass
 class BIsNull(BoundExpr):
@@ -172,6 +189,10 @@ class BIsNull(BoundExpr):
 
     def references(self) -> set:
         return self.operand.references()
+
+    def __str__(self):
+        negation = "NOT " if self.negated else ""
+        return f"({self.operand} IS {negation}NULL)"
 
 
 @dataclasses.dataclass
@@ -188,10 +209,10 @@ class BCase(BoundExpr):
             refs |= self.else_.references()
         return refs
 
-    def contains_udf(self) -> bool:
-        if any(c.contains_udf() or v.contains_udf() for c, v in self.whens):
-            return True
-        return self.else_ is not None and self.else_.contains_udf()
+    def __str__(self):
+        whens = " ".join(f"WHEN {c} THEN {v}" for c, v in self.whens)
+        else_ = f" ELSE {self.else_}" if self.else_ is not None else ""
+        return f"CASE {whens}{else_} END"
 
 
 @dataclasses.dataclass
@@ -202,8 +223,8 @@ class BCast(BoundExpr):
     def references(self) -> set:
         return self.operand.references()
 
-    def contains_udf(self) -> bool:
-        return self.operand.contains_udf()
+    def __str__(self):
+        return f"CAST({self.operand} AS {self.data_type})"
 
 
 AGGREGATE_FUNCTIONS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
@@ -224,37 +245,44 @@ class AggSpec:
         return f"{self.func}({prefix}{inner})"
 
 
+def map_columns(expr: BoundExpr,
+                fn: Callable[[BColumn], BoundExpr]) -> BoundExpr:
+    """Rebuild ``expr`` with every ``BColumn`` leaf replaced by ``fn(leaf)``
+    (generic over node kinds, on the same field walk as ``children``)."""
+    if isinstance(expr, BColumn):
+        return fn(expr)
+
+    def rebuild(value):
+        if isinstance(value, BoundExpr):
+            return map_columns(value, fn)
+        if isinstance(value, tuple):
+            return tuple(rebuild(item) for item in value)
+        return value
+
+    changes = {}
+    for name in expr.__dataclass_fields__:
+        value = getattr(expr, name)
+        if isinstance(value, BoundExpr):
+            changes[name] = map_columns(value, fn)
+        elif isinstance(value, list):
+            changes[name] = [rebuild(item) for item in value]
+    return dataclasses.replace(expr, **changes) if changes else expr
+
+
 def remap_columns(expr: BoundExpr, mapping) -> BoundExpr:
     """Rewrite BColumn indexes through ``mapping`` (dict old->new).
 
     Used by optimizer rules when expressions move across projections.
     """
-    if isinstance(expr, BColumn):
-        return BColumn(mapping[expr.index], expr.name, expr.data_type)
-    if isinstance(expr, BLiteral):
-        return expr
-    if isinstance(expr, BBinary):
-        return BBinary(expr.op, remap_columns(expr.left, mapping),
-                       remap_columns(expr.right, mapping), expr.data_type)
-    if isinstance(expr, BUnary):
-        return BUnary(expr.op, remap_columns(expr.operand, mapping), expr.data_type)
-    if isinstance(expr, BCall):
-        return BCall(expr.udf, [remap_columns(a, mapping) for a in expr.args], expr.data_type)
-    if isinstance(expr, BBuiltin):
-        return BBuiltin(expr.name, [remap_columns(a, mapping) for a in expr.args], expr.data_type)
-    if isinstance(expr, BBetween):
-        return BBetween(remap_columns(expr.operand, mapping), remap_columns(expr.low, mapping),
-                        remap_columns(expr.high, mapping), expr.negated)
-    if isinstance(expr, BIn):
-        return BIn(remap_columns(expr.operand, mapping), expr.values, expr.negated)
-    if isinstance(expr, BLike):
-        return BLike(remap_columns(expr.operand, mapping), expr.pattern, expr.negated)
-    if isinstance(expr, BIsNull):
-        return BIsNull(remap_columns(expr.operand, mapping), expr.negated)
-    if isinstance(expr, BCase):
-        whens = [(remap_columns(c, mapping), remap_columns(v, mapping)) for c, v in expr.whens]
-        else_ = remap_columns(expr.else_, mapping) if expr.else_ is not None else None
-        return BCase(whens, else_, expr.data_type)
-    if isinstance(expr, BCast):
-        return BCast(remap_columns(expr.operand, mapping), expr.data_type)
-    raise TypeError(f"cannot remap {type(expr).__name__}")
+    return map_columns(
+        expr, lambda col: BColumn(mapping[col.index], col.name, col.data_type))
+
+
+def substitute_columns(expr: BoundExpr, inner_exprs: List[BoundExpr]) -> BoundExpr:
+    """Inline an inner projection: replace ``BColumn(i)`` with ``inner_exprs[i]``.
+
+    This is classic projection merging — the substituted expression evaluates
+    directly against the inner projection's *input*, removing one
+    materialisation.
+    """
+    return map_columns(expr, lambda col: inner_exprs[col.index])

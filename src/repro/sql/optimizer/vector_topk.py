@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.errors import ExecutionError
 from repro.sql import bound as b
 from repro.sql import logical
 from repro.sql.optimizer.pushdown import combine, split_conjuncts
@@ -50,8 +49,6 @@ def _similarity_call(expr: b.BoundExpr) -> Optional[Tuple[object, str, int]]:
 def _match(plan: logical.LogicalPlan, indexes) -> Optional[logical.LogicalPlan]:
     if not isinstance(plan, logical.Limit) or plan.count is None:
         return None
-    from repro.core.operators.fused import substitute_columns
-
     # Walk Project/Sort/Filter chains down to the Scan, keeping the final
     # output expressions (`post`), the descending sort key (`key_expr`) and
     # collected filter conjuncts rebound against the current node's input.
@@ -64,13 +61,10 @@ def _match(plan: logical.LogicalPlan, indexes) -> Optional[logical.LogicalPlan]:
     while True:
         if isinstance(node, logical.Project):
             inner = node.exprs
-            try:
-                post = [substitute_columns(e, inner) for e in post]
-                if key_expr is not None:
-                    key_expr = substitute_columns(key_expr, inner)
-                conjuncts = [substitute_columns(c, inner) for c in conjuncts]
-            except ExecutionError:
-                return None
+            post = [b.substitute_columns(e, inner) for e in post]
+            if key_expr is not None:
+                key_expr = b.substitute_columns(key_expr, inner)
+            conjuncts = [b.substitute_columns(c, inner) for c in conjuncts]
             node = node.input
         elif isinstance(node, logical.Sort):
             if key_expr is not None or len(node.keys) != 1:

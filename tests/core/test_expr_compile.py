@@ -5,10 +5,11 @@ Covers the contracts the differential harness cannot pin down one by one:
 * the char-code LIKE kernel against a ground-truth SQL LIKE oracle,
   including the newline behaviour the old regex lowering (no ``DOTALL``)
   got wrong, wildcards, and regex metacharacters in patterns;
-* plan-time fallback — unsupported expression shapes compile to the plain
-  interpreted operators (no ``Compiled*`` in the plan) with equal results;
+* plan-time fallback — a stage with an unsupported expression shape keeps
+  the interpreter body (``Pipeline[interp]`` in the plan) with equal results;
 * runtime fallback — a kernel raising :class:`KernelFallback` mid-query
-  silently re-runs the interpreted operator, bit-identically;
+  re-runs the same stage on the interpreter, bit-identically, and the
+  trace says ``path=fallback``;
 * ``compile_exprs`` enters the plan-cache fingerprint, so flipping it can
   never serve a plan compiled under the other mode;
 * the session memo for ``encode_text`` (satellite of the kernel work);
@@ -131,22 +132,29 @@ def _numbers_session(n=32):
     return session
 
 
+def _paths(query):
+    """The ``path=`` annotation of every operator span of the last run."""
+    return [span.attrs["path"] for span in query.last_trace().find("operator")
+            if "path" in span.attrs]
+
+
 class TestFallbacks:
-    def test_compiled_operators_appear_in_plan(self):
+    def test_stage_body_appears_in_plan(self):
         session = _numbers_session()
         query = session.sql.query(
             "SELECT id, x + 1 AS v FROM t WHERE x > 0",
             extra_config={"compile_exprs": True})
-        assert "Compiled" in query.explain()
+        assert "Pipeline[kernel]" in query.explain()
         off = session.sql.query(
             "SELECT id, x + 1 AS v FROM t WHERE x > 0",
             extra_config={"compile_exprs": False})
-        assert "Compiled" not in off.explain()
+        assert "Pipeline[kernel]" not in off.explain()
+        assert "Pipeline[interp]" in off.explain()
 
     def test_plan_time_fallback_on_unsupported_projection(self):
         """SUBSTR with a non-constant start has no kernel lowering (the
         kernel folds bounds at plan time): the planner must keep the
-        interpreted operator rather than emit a broken kernel. The
+        stage on the interpreter rather than emit a broken kernel. The
         engine-wide contract (interpreter included) is constant bounds, so
         both paths surface the same ExecutionError at run time."""
         session = _numbers_session()
@@ -154,11 +162,10 @@ class TestFallbacks:
                 "WHERE x > 0")
         compiled = session.sql.query(stmt,
                                      extra_config={"compile_exprs": True})
-        # The operator producing `sx` stays interpreted; inner pruning
-        # projections without the substring may still compile.
+        # The stage producing `sx` stays interpreted.
         sx_ops = [line for line in compiled.explain().splitlines()
                   if "sx" in line and "(" in line]
-        assert sx_ops and all("Compiled" not in line for line in sx_ops), \
+        assert sx_ops and all("[kernel]" not in line for line in sx_ops), \
             compiled.explain()
         for extra in ({"compile_exprs": True}, {"compile_exprs": False}):
             with pytest.raises(ExecutionError, match="constant"):
@@ -171,7 +178,7 @@ class TestFallbacks:
         stmt = "SELECT id, CAST(x AS STRING) AS sx FROM t WHERE x > 0"
         compiled = session.sql.query(stmt,
                                      extra_config={"compile_exprs": True})
-        assert "Compiled" in compiled.explain()
+        assert "Pipeline[kernel]" in compiled.explain()
         base = session.sql.query(stmt, extra_config={"compile_exprs": False})
         _assert_equal_results(_snapshot(base.run()),
                               _snapshot(compiled.run()), stmt)
@@ -183,26 +190,31 @@ class TestFallbacks:
         stmt = "SELECT id, CAST(x AS STRING) AS sx FROM t WHERE x > 0"
         compiled = session.sql.query(stmt,
                                      extra_config={"compile_exprs": True})
-        assert "Compiled" in compiled.explain()
+        assert "Pipeline[kernel]" in compiled.explain()
         base = session.sql.query(stmt, extra_config={"compile_exprs": False})
         _assert_equal_results(_snapshot(base.run()),
                               _snapshot(compiled.run()), stmt)
 
     def test_runtime_filter_fallback(self, monkeypatch):
         """A KernelFallback raised while the query runs re-executes the
-        interpreted operator — same bits, no error."""
+        stage on the interpreter — same bits, no error, and the trace
+        records the fallback."""
         session = _numbers_session()
         stmt = "SELECT id, x * 2 AS v FROM t WHERE x > 0 AND s = 'ant'"
         expected = _snapshot(session.sql.query(
             stmt, extra_config={"compile_exprs": False}).run())
-        query = session.sql.query(stmt, extra_config={"compile_exprs": True})
-        assert "Compiled" in query.explain()
+        query = session.sql.query(
+            stmt, extra_config={"compile_exprs": True, "telemetry": True})
+        assert "Pipeline[kernel]" in query.explain()
+        _assert_equal_results(expected, _snapshot(query.run()), stmt)
+        assert _paths(query) == ["kernel"]
 
         def boom(self, evaluator):
             raise KernelFallback("forced by test")
 
         monkeypatch.setattr(FilterKernel, "mask", boom)
         _assert_equal_results(expected, _snapshot(query.run()), stmt)
+        assert _paths(query) == ["fallback"]
 
     def test_runtime_project_fallback(self, monkeypatch):
         session = _numbers_session()
@@ -230,8 +242,8 @@ class TestPlanCacheFingerprint:
         q_off = session.compile_query(stmt,
                                       extra_config={"compile_exprs": False})
         assert q_on is not q_off
-        assert "Compiled" in q_on.explain()
-        assert "Compiled" not in q_off.explain()
+        assert "Pipeline[kernel]" in q_on.explain()
+        assert "Pipeline[kernel]" not in q_off.explain()
         # Both plans are cached under distinct keys and re-served.
         assert session.compile_query(
             stmt, extra_config={"compile_exprs": True}) is q_on

@@ -2,8 +2,8 @@
 
 Four algebraic contracts the execution engine relies on:
 
-* **Fusion transparency** — fused Filter/Project pipelines produce exactly
-  what the unfused operator cascade produces (`fuse_operators` on vs. off).
+* **Pipeline transparency** — the fixed statement suite below gives the
+  same bits on the default (kernel) leg as on the interpreter leg.
 * **Partial-aggregate soundness** — merging per-shard partial states equals
   aggregating the whole relation, for every exact-mergeable aggregate and
   every split of the input (including empty and single-row shards).
@@ -14,10 +14,8 @@ Four algebraic contracts the execution engine relies on:
   (`compile_exprs` on) reproduce the tree-walking interpreter bit-for-bit
   over randomized expression trees (arithmetic, comparisons, CASE, CAST,
   builtins, LIKE/IN/BETWEEN/IS NULL, NULL/NaN data, empty and single-row
-  tables, dictionary- and char-code-encoded string columns), serial and
-  sharded — and the same law over *whole-pipeline* callables
-  (`compile_pipelines` on): fused scan→filter→project[→grouped aggregate]
-  kernels at shards 1/3/4, including the sharded grouped-partial merge.
+  tables, dictionary- and char-code-encoded string columns) at shards
+  1/3/4, including the sharded grouped-partial merge.
 """
 
 import numpy as np
@@ -96,18 +94,17 @@ STATEMENTS = [
 
 
 # ----------------------------------------------------------------------
-# Fused vs. unfused
+# Default leg vs. interpreter leg
 # ----------------------------------------------------------------------
 @settings(**SETTINGS)
 @given(data=tables())
-def test_fused_equals_unfused(data):
+def test_statements_equal_interpreter_leg(data):
     session = _register(data)
     for stmt in STATEMENTS:
-        fused = _snapshot(session.sql.query(
-            stmt, extra_config={"fuse_operators": True}).run())
-        unfused = _snapshot(session.sql.query(
-            stmt, extra_config={"fuse_operators": False}).run())
-        _assert_bitwise(fused, unfused, stmt)
+        default = _snapshot(session.sql.query(stmt).run())
+        interpreted = _snapshot(session.sql.query(
+            stmt, extra_config={"compile_exprs": False}).run())
+        _assert_bitwise(default, interpreted, stmt)
 
 
 # ----------------------------------------------------------------------
@@ -219,19 +216,13 @@ def test_partial_merge_equals_whole_int(values, cuts, func):
 # ----------------------------------------------------------------------
 # Compiled kernels ≡ interpreter
 # ----------------------------------------------------------------------
-INTERP_CONFIG = {"compile_exprs": False, "compile_pipelines": False}
+INTERP_CONFIG = {"compile_exprs": False}
 KERNEL_CONFIGS = (
-    {"compile_exprs": True, "compile_pipelines": False},
-    {"compile_exprs": True, "compile_pipelines": False,
-     "shards": 3, "parallel_min_rows": 2},
-    # Whole-pipeline codegen (PR 8): the same law over fused callables,
-    # serial and sharded (odd and even shard counts — unequal and equal
+    # Serial and sharded (odd and even shard counts — unequal and equal
     # grouped-partial splits).
-    {"compile_exprs": True, "compile_pipelines": True},
-    {"compile_exprs": True, "compile_pipelines": True,
-     "shards": 3, "parallel_min_rows": 2},
-    {"compile_exprs": True, "compile_pipelines": True,
-     "shards": 4, "parallel_min_rows": 2},
+    {"compile_exprs": True},
+    {"compile_exprs": True, "shards": 3, "parallel_min_rows": 2},
+    {"compile_exprs": True, "shards": 4, "parallel_min_rows": 2},
 )
 
 _NUM_LEAVES = ("id", "x", "y", "3", "0.5", "-2")
@@ -358,8 +349,8 @@ def test_compiled_equals_interpreted(data, num, cond):
 @settings(**SETTINGS)
 @given(data=tables(), num=num_exprs(), cond=bool_exprs())
 def test_pipeline_grouped_aggregate_law(data, num, cond):
-    """The compiled ≡ interpreted law over whole-pipeline callables ending
-    in a grouped aggregate (filter → project → GROUP BY). Int aggregates
+    """The compiled ≡ interpreted law over pipelines ending in a grouped
+    aggregate (filter → project → GROUP BY). Int aggregates
     shard through exact-mergeable grouped partials; AVG over a float
     expression is non-mergeable and must keep the merge barrier — both
     sides of that plan-time split have to hold the law bit-for-bit."""

@@ -12,16 +12,11 @@ plus the miniduck oracle.
    expression kernels): compiled execution must be bitwise-indistinguishable
    from the interpreter at every shard count. These legs are skipped when
    ``REPRO_COMPILE_EXPRS=0`` (the CI matrix runs both settings);
-5.–7. ``compile_pipelines=True`` at shards 1, 3 and 4 (whole-pipeline
-   codegen with sharded grouped-aggregate partials, PR 8): the fused
-   callables must also be bitwise-indistinguishable from the serial
-   interpreter. Skipped when ``REPRO_COMPILE_PIPELINES=0`` (or when the
-   kernel legs are off — fusion builds on the expression kernels);
-8. & 9. the exchange legs: the hash-repartitioned join/grouped-aggregate
+5. & 6. the exchange legs: the hash-repartitioned join/grouped-aggregate
    drivers at shards=3 and the explicit ``exchange=False`` off-path at
    shards=4 — both always run, while ``REPRO_EXCHANGE=0/1`` flips the knob
    in the default sharded legs above (the CI matrix runs both settings);
-10. the ``baselines.miniduck`` oracle — compared after order normalisation
+7. the ``baselines.miniduck`` oracle — compared after order normalisation
    on the statement's exact-typed key columns, NaN-aware, with the float
    tolerance documented in ``ALLOWLIST``.
 
@@ -67,35 +62,20 @@ from repro.errors import TdpError  # noqa: E402
 # sides of the knob keep full-stream coverage.
 _EXCHANGE_ON = os.environ.get("REPRO_EXCHANGE", "1") != "0"
 
-SERIAL_CONFIG = {"compile_exprs": False, "compile_pipelines": False}
+SERIAL_CONFIG = {"compile_exprs": False}
 SHARD_CONFIG = {"shards": 4, "parallel_min_rows": 2, "compile_exprs": False,
-                "compile_pipelines": False, "exchange": _EXCHANGE_ON}
-KERNEL_CONFIG = {"compile_exprs": True, "compile_pipelines": False}
+                "exchange": _EXCHANGE_ON}
+KERNEL_CONFIG = {"compile_exprs": True}
 KERNEL_SHARD_CONFIG = {"shards": 4, "parallel_min_rows": 2,
-                       "compile_exprs": True, "compile_pipelines": False,
-                       "exchange": _EXCHANGE_ON}
-# Whole-pipeline codegen legs (PR 8): fused scan→filter→project[→aggregate]
-# callables, serial and sharded (including the odd shard count, which
-# exercises unequal grouped-partial splits).
-PIPELINE_CONFIGS = [
-    ("pipelines shards=1", {"compile_exprs": True, "compile_pipelines": True}),
-    ("pipelines shards=3", {"shards": 3, "parallel_min_rows": 2,
-                            "compile_exprs": True, "compile_pipelines": True,
-                            "exchange": _EXCHANGE_ON}),
-    ("pipelines shards=4", {"shards": 4, "parallel_min_rows": 2,
-                            "compile_exprs": True, "compile_pipelines": True,
-                            "exchange": _EXCHANGE_ON}),
-]
+                       "compile_exprs": True, "exchange": _EXCHANGE_ON}
 # Exchange legs: the repartitioned join/grouped-aggregate drivers at an odd
 # shard count, plus the explicit off-path — both must stay bitwise equal to
 # the serial interpreter regardless of how REPRO_EXCHANGE set the legs above.
 EXCHANGE_CONFIGS = [
     ("exchange shards=3", {"shards": 3, "parallel_min_rows": 2,
-                           "compile_exprs": False, "compile_pipelines": False,
-                           "exchange": True}),
+                           "compile_exprs": False, "exchange": True}),
     ("no-exchange shards=4", {"shards": 4, "parallel_min_rows": 2,
-                              "compile_exprs": False,
-                              "compile_pipelines": False, "exchange": False}),
+                              "compile_exprs": False, "exchange": False}),
 ]
 FLOAT_RTOL = 1e-4
 FLOAT_ATOL = 1e-6
@@ -103,13 +83,6 @@ FLOAT_ATOL = 1e-6
 
 def _kernel_legs_enabled() -> bool:
     return os.environ.get("REPRO_COMPILE_EXPRS", "1") != "0"
-
-
-def _pipeline_legs_enabled() -> bool:
-    # Pipeline fusion builds on the expression kernels: the legs only run
-    # when both knobs are on (CI runs a 0/1 matrix on each).
-    return (_kernel_legs_enabled()
-            and os.environ.get("REPRO_COMPILE_PIPELINES", "1") != "0")
 
 
 class Divergence(Exception):
@@ -230,10 +203,8 @@ def run_differential(seed: int, count: int = 120,
         duck.register(name, dict(data))
     statements = gen_statements(seed, count)
     kernel_legs = _kernel_legs_enabled()
-    pipeline_legs = _pipeline_legs_enabled()
     stats = {"statements": 0, "oracle_checked": 0, "oracle_skipped": 0,
-             "engine_only": 0, "kernel_checked": 0, "pipeline_checked": 0,
-             "exchange_checked": 0}
+             "engine_only": 0, "kernel_checked": 0, "exchange_checked": 0}
     for case, stmt in enumerate(statements):
         if only_case is not None and case != only_case:
             continue
@@ -246,8 +217,6 @@ def run_differential(seed: int, count: int = 120,
             if kernel_legs:
                 legs += [("kernels shards=1", KERNEL_CONFIG),
                          ("kernels shards=4", KERNEL_SHARD_CONFIG)]
-            if pipeline_legs:
-                legs += PIPELINE_CONFIGS
             for label, extra in legs:
                 other = _engine_result(session, stmt.sql, extra)
                 detail = compare_engine_runs(serial, other, label)
@@ -255,8 +224,6 @@ def run_differential(seed: int, count: int = 120,
                     raise Divergence(seed, case, stmt, detail)
                 if "kernels" in label:
                     stats["kernel_checked"] += 1
-                elif "pipelines" in label:
-                    stats["pipeline_checked"] += 1
                 elif "exchange" in label:
                     stats["exchange_checked"] += 1
         except TdpError as exc:

@@ -10,9 +10,6 @@ the environment:
 * ``REPRO_DIFF_STATEMENTS`` — statements per seed (default ``60``)
 * ``REPRO_COMPILE_EXPRS`` — ``0`` skips the compiled-kernel legs (CI runs
   a 0/1 matrix so both engine modes keep full-stream coverage)
-* ``REPRO_COMPILE_PIPELINES`` — ``0`` skips the whole-pipeline codegen legs
-  (shards 1/3/4 with ``compile_pipelines=True``); they also require the
-  kernel legs to be on
 * ``REPRO_EXCHANGE`` — ``0`` turns the exchange rewrite off in the default
   sharded legs (the explicit exchange-on/off legs always run)
 """
@@ -52,6 +49,3 @@ def test_differential_seed(seed):
     assert stats["exchange_checked"] == 2 * _count(), stats
     if os.environ.get("REPRO_COMPILE_EXPRS", "1") != "0":
         assert stats["kernel_checked"] == 2 * _count(), stats
-        # Whole-pipeline codegen legs (shards 1/3/4) ride on the kernels.
-        if os.environ.get("REPRO_COMPILE_PIPELINES", "1") != "0":
-            assert stats["pipeline_checked"] == 3 * _count(), stats
