@@ -9,7 +9,7 @@ vs sort+limit, and the device micro-batch sweep behind the Fig 2 gap.
 
 import numpy as np
 
-from repro.bench.harness import print_table, record_metric, scaled, time_call
+from repro.bench.harness import print_table, scaled, time_call
 from repro.core.session import Session
 
 N_ROWS = scaled(300_000)
@@ -62,77 +62,6 @@ class TestGroupByImplementations:
         q = session.spark.query("SELECT k, COUNT(*) FROM t GROUP BY k",
                                 extra_config={"groupby_impl": "sort"})
         benchmark.pedantic(q.run, rounds=3, iterations=1, warmup_rounds=1)
-
-
-def _session_with_strings(n=None):
-    n = N_ROWS if n is None else n
-    rng = np.random.default_rng(7)
-    vocab = np.asarray(
-        [f"word{i:03d}ing" if i % 3 else f"Apple{i:03d}" for i in range(200)],
-        dtype=object)
-    session = Session()
-    session.sql.register_dict({
-        "s": vocab[rng.integers(0, len(vocab), size=n)],
-        "x": rng.integers(-50, 50, size=n),
-        "y": rng.normal(size=n).astype(np.float32),
-    }, "t")
-    return session
-
-
-class TestExprCompilation:
-    """compile_exprs on vs. off — the TQP-style codegen ablation.
-
-    The interpreter re-materialises UPPER/LOWER results per batch (decode,
-    ``np.char`` transform, re-encode), while the compiled kernels transform
-    the dictionary once and gather codes; both paths share the char-code
-    LIKE kernel. Cross-run caches are disabled so the measurement is the
-    expression work itself.
-    """
-
-    STRING_SQL = ("SELECT COUNT(*) AS c FROM t WHERE UPPER(s) LIKE 'A%1%' "
-                  "OR (LENGTH(s) > 8 AND LOWER(s) LIKE '%2%ing')")
-    NUMERIC_SQL = ("SELECT COUNT(*) AS c FROM t WHERE (x * 2 + y) / 3 > 1 "
-                   "AND x % 7 != 2 AND y BETWEEN -1.5 AND 1.5")
-    OFF = {"compile_exprs": False, "tensor_cache": False}
-    ON = {"compile_exprs": True, "tensor_cache": False}
-
-    def _time_pair(self, session, sql):
-        off_q = session.spark.query(sql, extra_config=self.OFF)
-        on_q = session.spark.query(sql, extra_config=self.ON)
-        assert off_q.run(toPandas=True).equals(on_q.run(toPandas=True))
-        off_s = time_call(off_q.run, repeat=5)
-        on_s = time_call(on_q.run, repeat=5)
-        return off_s, on_s
-
-    def test_string_predicates_speedup(self, benchmark):
-        session = _session_with_strings()
-        off_s, on_s = self._time_pair(session, self.STRING_SQL)
-        speedup = off_s / on_s
-        print_table(
-            f"A2: LIKE/UPPER-heavy filter over {N_ROWS} rows",
-            ["engine", "seconds"],
-            [["interpreter", off_s], ["compiled kernels", on_s],
-             ["speedup", f"{speedup:.2f}x"]],
-        )
-        record_metric("expr_compile_string", interpreter_s=round(off_s, 5),
-                      compiled_s=round(on_s, 5), speedup=round(speedup, 2))
-        assert speedup >= 1.5, f"string-kernel speedup {speedup:.2f}x < 1.5x"
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-    def test_numeric_statements_no_regression(self, benchmark):
-        session = _session_with_strings()
-        off_s, on_s = self._time_pair(session, self.NUMERIC_SQL)
-        print_table(
-            f"A2: numeric-only filter over {N_ROWS} rows",
-            ["engine", "seconds"],
-            [["interpreter", off_s], ["compiled kernels", on_s]],
-        )
-        record_metric("expr_compile_numeric", interpreter_s=round(off_s, 5),
-                      compiled_s=round(on_s, 5),
-                      speedup=round(off_s / on_s, 2))
-        # Codegen must never cost on the numeric hot path (noise margin).
-        assert on_s <= off_s * 1.15, (on_s, off_s)
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
 class TestTopKImplementations:

@@ -32,7 +32,7 @@ from repro.core.operators import (
     TVFExec,
     TopKExec,
 )
-from repro.core.kernels.compiler import compile_stage
+from repro.core.kernels.compiler import NUMPY, TCR, ExprCompiler
 from repro.sql import bound as b
 from repro.sql import logical
 from repro.sql.optimizer.pushdown import split_conjuncts
@@ -49,6 +49,11 @@ class Compiler:
         self.tensor_cache = tensor_cache  # the session's TensorCache (or None)
         self.shard_pool = shard_pool    # the session's ShardPool (or None)
         self.session = session          # back-reference for telemetry (or None)
+        # The one expression-engine decision: numpy kernels on detached data
+        # for exact plans, the same lowering over tcr ops where autograd must
+        # flow (trainable) or was asked for (compile_exprs=False).
+        self.lowering = ExprCompiler(
+            NUMPY if config.compile_exprs and not config.trainable else TCR)
 
     def compile(self, plan: logical.LogicalPlan, sql_text: str) -> CompiledQuery:
         explain_mode = None
@@ -102,12 +107,14 @@ class Compiler:
 
         if isinstance(plan, logical.TVFScan):
             child = self._lower(plan.input)
-            op = TVFExec(plan.udf, plan.arg_exprs, [name for name, _ in plan.schema])
+            op = TVFExec(plan.udf, plan.arg_exprs,
+                         [name for name, _ in plan.schema], self.lowering)
             return ExecNode(op, [child])
 
         if isinstance(plan, logical.Filter) and self._soft_filtering:
             child = self._lower(plan.input)
-            op = SoftFilterExec(plan.predicate, self.config.soft_temperature)
+            op = SoftFilterExec(plan.predicate, self.config.soft_temperature,
+                                self.lowering)
             return ExecNode(op, [child])
 
         if isinstance(plan, (logical.Filter, logical.Project)):
@@ -124,7 +131,7 @@ class Compiler:
             left_names = [name for name, _ in plan.left.schema]
             right_names = [name for name, _ in plan.right.schema]
             op = JoinExec(plan.kind, plan.left_keys, plan.right_keys, plan.residual,
-                          left_names, right_names)
+                          left_names, right_names, self.lowering)
             return ExecNode(op, [left, right])
 
         if isinstance(plan, logical.Limit):
@@ -136,7 +143,7 @@ class Compiler:
 
         if isinstance(plan, logical.Sort):
             child = self._lower(plan.input)
-            return ExecNode(SortExec(plan.keys), [child])
+            return ExecNode(SortExec(plan.keys, self.lowering), [child])
 
         if isinstance(plan, logical.Distinct):
             child = self._lower(plan.input)
@@ -147,7 +154,7 @@ class Compiler:
                 raise PlanError("TopKSimilarity requires a session IndexManager")
             child = self._lower(plan.input)
             op = IndexScanExec(
-                self.indexes, plan, nprobe=self.config.nprobe,
+                self.indexes, plan, self.lowering, nprobe=self.config.nprobe,
                 use_tensor_cache=self.config.tensor_cache,
                 shard_pool=self.shard_pool if self._sharding else None)
             return ExecNode(op, [child])
@@ -187,12 +194,6 @@ class Compiler:
     def _soft_filtering(self) -> bool:
         return self.config.trainable and self.config.soft_filter
 
-    @property
-    def _compiling(self) -> bool:
-        # Kernel codegen detaches from autograd, so trainable compilations
-        # always stay on the interpreter (gradients flow through tcr ops).
-        return self.config.compile_exprs and not self.config.trainable
-
     # ------------------------------------------------------------------
     # Row-wise pipelines (Filter/Project chains)
     # ------------------------------------------------------------------
@@ -227,12 +228,8 @@ class Compiler:
         return self._stage_node(stage, node)
 
     def _stage_node(self, stage: "_Stage", child: ExecNode) -> ExecNode:
-        # The one row-wise decision: kernel body when every expression of
-        # the stage lowers, interpreter body otherwise (EXPLAIN shows which).
-        kernel = None
-        if self._compiling:
-            kernel = compile_stage(stage.conjuncts, stage.exprs, stage.names)
-        op = PipelineExec(stage.conjuncts, stage.exprs, stage.names, kernel)
+        op = PipelineExec(stage.conjuncts, stage.exprs, stage.names,
+                          self.lowering)
         return ExecNode(op, [child])
 
     # ------------------------------------------------------------------
@@ -240,19 +237,21 @@ class Compiler:
     # ------------------------------------------------------------------
     def _pick_aggregate(self, plan: logical.Aggregate):
         impl = self.config.groupby_impl
+        args = (plan.group_exprs, plan.group_names, plan.aggregates,
+                self.lowering)
         if impl == "soft" or (impl == "auto" and self.config.trainable and plan.group_exprs):
-            return SoftAggregateExec(plan.group_exprs, plan.group_names, plan.aggregates)
+            return SoftAggregateExec(*args)
         if impl == "hash":
-            return HashAggregateExec(plan.group_exprs, plan.group_names, plan.aggregates)
+            return HashAggregateExec(*args)
         if impl == "sort":
-            return SortAggregateExec(plan.group_exprs, plan.group_names, plan.aggregates)
+            return SortAggregateExec(*args)
         if impl != "auto":
             raise PlanError(f"unknown groupby_impl {impl!r}")
         # Heuristic measured in bench_ablation_operators (A2): the TQP-style
         # sort/segment algorithm dominates the unique(axis=0) hash variant on
         # this runtime at every cardinality we tested, so `auto` lowers to
         # sort; hash remains available behind the GROUPBY_IMPL flag.
-        return SortAggregateExec(plan.group_exprs, plan.group_names, plan.aggregates)
+        return SortAggregateExec(*args)
 
     def _maybe_fuse_topk(self, plan: logical.Limit):
         if not isinstance(plan.input, logical.Sort):
@@ -262,7 +261,7 @@ class Compiler:
             return None
         sort_plan = plan.input
         child = self._lower(sort_plan.input)
-        op = TopKExec(sort_plan.keys, plan.count, plan.offset)
+        op = TopKExec(sort_plan.keys, plan.count, plan.offset, self.lowering)
         return ExecNode(op, [child])
 
 

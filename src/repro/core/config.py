@@ -29,7 +29,7 @@ class constants:
     PARALLEL_MIN_ROWS = "parallel_min_rows"  # don't shard smaller inputs ("auto" adapts)
     EXCHANGE = "exchange"                  # hash-repartition joins/grouped aggregates
     # Expression codegen (TQP-style kernel compilation).
-    COMPILE_EXPRS = "compile_exprs"        # pipeline-stage body: kernels (True) or interpreter
+    COMPILE_EXPRS = "compile_exprs"        # exact plans' expression namespace: numpy (True) or tcr ops
     # Observability.
     TELEMETRY = "telemetry"                # trace every run (EXPLAIN ANALYZE forces it)
     SLOW_QUERY_SECONDS = "slow_query_seconds"  # slow-log threshold (None = session default)

@@ -1,35 +1,26 @@
-"""Interpret bound expressions against tables as tensor programs.
+"""The run-time side of expression evaluation: one table's context.
 
-Each bound node lowers to TCR ops, so float arithmetic stays differentiable
-(gradients flow through projected expressions into UDF parameters), while
-string predicates exploit the order-preserving dictionary encoding to run on
-integer codes without decoding.
+Bound expressions are lowered once, at plan time, by
+:class:`repro.core.kernels.compiler.ExprCompiler` into closures
+``fn(ctx) -> value``. ``ctx`` is an :class:`ExpressionEvaluator`: the input
+table's columns, the per-pass CSE slot table, the output boundary
+(``materialize``) and the UDF call site with its tensor-cache / batcher
+protocol. Nothing here walks an expression tree.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-import re
 from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.core import tensor_cache as tc
-from repro.core.kernels import dates as date_kernels
 from repro.core.telemetry import count as tel_count
-from repro.core.kernels import strings as string_kernels
 from repro.errors import ExecutionError
 from repro.sql import bound as b
-from repro.storage import types as dt
 from repro.storage.column import Column
-from repro.storage.encodings import (
-    CharCodeEncoding,
-    DatetimeEncoding,
-    DictionaryEncoding,
-    EncodedTensor,
-    PlainEncoding,
-)
+from repro.storage.encodings import CharCodeEncoding, EncodedTensor, PlainEncoding
 from repro.storage.table import Table
 from repro.tcr import ops
 from repro.tcr.tensor import Tensor
@@ -37,152 +28,61 @@ from repro.tcr.tensor import Tensor
 
 @dataclasses.dataclass
 class Scalar:
-    """A constant produced during evaluation (broadcasts against columns)."""
+    """A plan-time constant (broadcasts against columns)."""
     value: object
 
 
 Value = Union[Column, Scalar]
 
-_NUMERIC_OPS = {
-    "+": ops.add,
-    "-": ops.sub,
-    "*": ops.mul,
-    "/": ops.div,
-    "%": ops.remainder,
-}
-_COMPARE_OPS = {
-    "=": ops.eq,
-    "!=": ops.ne,
-    "<": ops.lt,
-    "<=": ops.le,
-    ">": ops.gt,
-    ">=": ops.ge,
-}
-
 
 class ExpressionEvaluator:
-    """Evaluates bound expressions against one input table.
+    """Per-table context the lowered closures of one operator pass run in.
 
-    A per-pass structural-hash memo gives common-subexpression elimination:
-    fused SELECT/WHERE/ORDER BY lists sharing one evaluator compute each
-    deterministic subtree (especially UDF calls) exactly once.
+    ``slots`` gives common-subexpression elimination: closures lowered from
+    structurally identical deterministic subtrees (UDF calls above all)
+    share a slot, so conjuncts, outputs and sort keys evaluated against one
+    context compute each such subtree exactly once.
     """
 
     def __init__(self, table: Table):
         self.table = table
         self.num_rows = table.num_rows
         self.device = table.device
-        self._memo: dict = {}
+        self.slots: dict = {}
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def evaluate(self, expr: b.BoundExpr) -> Value:
-        key = _structural_key(expr)
-        if key is not None:
-            cached = self._memo.get(key)
-            if cached is not None:
-                return cached
-        method = getattr(self, f"_eval_{type(expr).__name__}", None)
-        if method is None:
-            raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
-        value = method(expr)
-        if key is not None:
-            self._memo[key] = value
-        return value
-
-    def evaluate_column(self, expr: b.BoundExpr, name: str = "") -> Column:
-        value = self.evaluate(expr)
-        return self.materialize(value, name)
-
-    def evaluate_mask(self, expr: b.BoundExpr) -> np.ndarray:
-        """Evaluate a predicate to a boolean numpy mask."""
-        value = self.evaluate(expr)
-        if isinstance(value, Scalar):
-            return np.full(self.num_rows, bool(value.value))
-        data = value.tensor.detach().data
-        if data.dtype.kind != "b":
-            raise ExecutionError(f"predicate evaluated to {data.dtype}, expected bool")
-        return data
-
-    def materialize(self, value: Value, name: str = "") -> Column:
+    def materialize(self, value, name: str = "") -> Column:
+        """The output boundary: any lowered value as a full-length column."""
         if isinstance(value, Column):
             return value.rename(name) if name else value
-        constant = value.value
-        if isinstance(constant, str):
-            return Column.from_values(name, np.array([constant] * self.num_rows, dtype=object),
-                                      device=self.device)
-        if isinstance(constant, bool):
-            array = np.full(self.num_rows, constant, dtype=bool)
-        elif isinstance(constant, int):
-            array = np.full(self.num_rows, constant, dtype=np.int64)
-        elif constant is None:
-            array = np.full(self.num_rows, np.nan, dtype=np.float32)
-        else:
-            array = np.full(self.num_rows, float(constant), dtype=np.float32)
-        return Column(name, EncodedTensor(Tensor(array, device=self.device), PlainEncoding()))
+        if isinstance(value, Scalar):
+            constant = value.value
+            if isinstance(constant, str):
+                return Column.from_values(
+                    name, np.array([constant] * self.num_rows, dtype=object),
+                    device=self.device)
+            value = literal_array(constant)
+        if not (isinstance(value, Tensor) and value.shape[0] == self.num_rows):
+            data = broadcast_rows(
+                value.data if isinstance(value, Tensor) else value, self.num_rows)
+            # dtype pinned: the bare constructor would canonicalize float64.
+            value = Tensor(data, device=self.device, dtype=data.dtype)
+        return Column(name, EncodedTensor(value, PlainEncoding()))
 
-    # ------------------------------------------------------------------
-    # Leaves
-    # ------------------------------------------------------------------
-    def _eval_BColumn(self, expr: b.BColumn) -> Value:
+    def _stored(self, index: int) -> Column:
         columns = self.table.columns
-        if expr.index >= len(columns):
+        if index >= len(columns):
             raise ExecutionError(
-                f"column index {expr.index} out of range for table with "
+                f"column index {index} out of range for table with "
                 f"{len(columns)} columns"
             )
-        return normalize_strings(columns[expr.index])
+        return columns[index]
 
-    def _eval_BLiteral(self, expr: b.BLiteral) -> Value:
-        return Scalar(expr.value)
+    def _eval_BColumn(self, expr: b.BColumn) -> Column:
+        return normalize_strings(self._stored(expr.index))
 
-    # ------------------------------------------------------------------
-    # Operators
-    # ------------------------------------------------------------------
-    def _eval_BBinary(self, expr: b.BBinary) -> Value:
-        left = self.evaluate(expr.left)
-        right = self.evaluate(expr.right)
-        op = expr.op
-
-        if isinstance(left, Scalar) and isinstance(right, Scalar):
-            return self._fold_scalars(op, left, right)
-
-        if op in ("AND", "OR"):
-            lt_ = self._bool_tensor(left)
-            rt_ = self._bool_tensor(right)
-            fn = ops.logical_and if op == "AND" else ops.logical_or
-            return self._plain(fn(lt_, rt_))
-
-        if op in _COMPARE_OPS:
-            return self._compare(op, left, right)
-
-        # Arithmetic: tensors with broadcasting (differentiable).
-        lt_ = self._numeric_tensor(left)
-        rt_ = self._numeric_tensor(right)
-        return self._plain(_NUMERIC_OPS[op](lt_, rt_))
-
-    def _eval_BUnary(self, expr: b.BUnary) -> Value:
-        operand = self.evaluate(expr.operand)
-        if expr.op == "NOT":
-            if isinstance(operand, Scalar):
-                return Scalar(not bool(operand.value))
-            return self._plain(ops.logical_not(self._bool_tensor(operand)))
-        if isinstance(operand, Scalar):
-            return Scalar(-operand.value)
-        return self._plain(ops.neg(self._numeric_tensor(operand)))
-
-    def _eval_BCall(self, expr: b.BCall) -> Value:
+    def _eval_BCall(self, expr: b.BCall, values: List[Value]) -> Column:
         udf = expr.udf
-        values = [self.evaluate(arg) for arg in expr.args]
-        args = []
-        for value in values:
-            if isinstance(value, Scalar):
-                args.append(value.value)
-            elif udf.encoded_io or not isinstance(value.encoding, PlainEncoding):
-                args.append(value.encoded)
-            else:
-                args.append(value.tensor)
+        args = udf_arguments(udf, values)
 
         # Materialization cache: deterministic UDFs outside grad recording
         # consult the session cache. A full hit skips inference entirely; a
@@ -237,292 +137,40 @@ class ExpressionEvaluator:
             cache.udf_put(key, columns)
         return column
 
-    def _eval_BBuiltin(self, expr: b.BBuiltin) -> Value:
-        name = expr.name
-        values = [self.evaluate(a) for a in expr.args]
-        if name in ("UPPER", "LOWER", "LENGTH", "TRIM"):
-            return self._string_builtin(name, values[0])
-        if name in ("SUBSTR", "SUBSTRING"):
-            return self._substr(values)
-        if name == "COALESCE":
-            result = self._numeric_tensor(values[0])
-            for value in values[1:]:
-                if result.dtype.kind != "f":
-                    break   # non-float carries no NULLs; later args unreachable
-                mask = Tensor(np.isnan(result.detach().data), device=self.device)
-                result = ops.where(mask, self._numeric_tensor(value), result)
-            return self._plain(result)
-        tensors = [self._numeric_tensor(v) for v in values]
-        if name == "ABS":
-            return self._plain(ops.abs(tensors[0]))
-        if name == "SQRT":
-            return self._plain(ops.sqrt(self._to_float(tensors[0])))
-        if name == "EXP":
-            return self._plain(ops.exp(self._to_float(tensors[0])))
-        if name in ("LN", "LOG"):
-            return self._plain(ops.log(self._to_float(tensors[0])))
-        if name in ("POW", "POWER"):
-            return self._plain(ops.pow(self._to_float(tensors[0]), tensors[1]))
-        if name == "ROUND":
-            if len(tensors) == 2:
-                digits_data = tensors[1].data.reshape(-1)
-                # Zero-row inputs materialize an empty digits column; any
-                # factor yields the same empty output.
-                digits = float(digits_data[0]) if digits_data.size else 0.0
-                factor = 10.0 ** digits
-                return self._plain(ops.div(ops.round(ops.mul(tensors[0], factor)), factor))
-            return self._plain(ops.round(tensors[0]))
-        if name == "FLOOR":
-            return self._plain(ops.floor(tensors[0]))
-        if name == "CEIL":
-            return self._plain(ops.ceil(tensors[0]))
-        if name == "LEAST":
-            result = tensors[0]
-            for t in tensors[1:]:
-                result = ops.minimum(result, t)
-            return self._plain(result)
-        if name == "GREATEST":
-            result = tensors[0]
-            for t in tensors[1:]:
-                result = ops.maximum(result, t)
-            return self._plain(result)
-        if name == "SIGMOID":
-            return self._plain(ops.sigmoid(self._to_float(tensors[0])))
-        raise ExecutionError(f"unknown builtin {name}")
 
-    def _eval_BBetween(self, expr: b.BBetween) -> Value:
-        operand = self.evaluate(expr.operand)
-        low = self.evaluate(expr.low)
-        high = self.evaluate(expr.high)
-        low_ok = self._compare(">=", operand, low)
-        high_ok = self._compare("<=", operand, high)
-        combined = ops.logical_and(self._bool_tensor(low_ok), self._bool_tensor(high_ok))
-        if expr.negated:
-            combined = ops.logical_not(combined)
-        return self._plain(combined)
+def literal_array(v) -> np.ndarray:
+    """A numeric literal as a shape-``(1,)`` array (bool / int64 / float32,
+    NULL as float32 NaN). NumPy promotion between arrays does not depend on
+    shape, so computing with ``(1,)`` gives the bits a full column would."""
+    if isinstance(v, bool):
+        return np.full(1, v)
+    if isinstance(v, int):
+        return np.full(1, v, dtype=np.int64)
+    if v is None:
+        return np.full(1, np.nan, dtype=np.float32)
+    return np.full(1, float(v), dtype=np.float32)
 
-    def _eval_BIn(self, expr: b.BIn) -> Value:
-        operand = self.evaluate(expr.operand)
-        if isinstance(operand, Scalar):
-            result = operand.value in expr.values
-            return Scalar(result != expr.negated)
-        column = operand
-        if isinstance(column.encoding, DictionaryEncoding):
-            codes = [column.encoding.code_for(str(v)) for v in expr.values]
-            codes = [c for c in codes if c is not None]
-            mask = np.isin(column.tensor.detach().data, np.asarray(codes, dtype=np.int64))
-        else:
-            mask = np.isin(column.tensor.detach().data, np.asarray(expr.values))
-        if expr.negated:
-            mask = ~mask
-        return self._plain(Tensor(mask, device=self.device))
 
-    def _eval_BLike(self, expr: b.BLike) -> Value:
-        column = self.evaluate(expr.operand)
-        if isinstance(column, Scalar):
-            matched = _like_to_regex(expr.pattern).fullmatch(str(column.value)) is not None
-            return Scalar(matched != expr.negated)
-        if not isinstance(column.encoding, DictionaryEncoding):
-            raise ExecutionError("LIKE requires a string (dictionary-encoded) column")
-        # Prefix patterns stay a code-range check; everything else runs the
-        # char-code matrix NFA over the dictionary (shared with compiled
-        # kernels, so the two paths are bit-identical by construction).
-        mask = string_kernels.like_mask(column.encoding,
-                                        column.tensor.detach().data,
-                                        expr.pattern)
-        if expr.negated:
-            mask = ~mask
-        return self._plain(Tensor(mask, device=self.device))
-
-    def _eval_BIsNull(self, expr: b.BIsNull) -> Value:
-        operand = self.evaluate(expr.operand)
-        if isinstance(operand, Scalar):
-            is_null = operand.value is None
-            return Scalar(is_null != expr.negated)
-        data = operand.tensor.detach().data
-        if data.dtype.kind == "f":
-            mask = np.isnan(data)
-            if data.ndim > 1:
-                mask = mask.reshape(data.shape[0], -1).any(axis=1)
-        else:
-            mask = np.zeros(operand.num_rows, dtype=bool)
-        if expr.negated:
-            mask = ~mask
-        return self._plain(Tensor(mask, device=self.device))
-
-    def _eval_BCase(self, expr: b.BCase) -> Value:
-        result: Optional[Tensor] = None
-        taken = None
-        for cond, value in expr.whens:
-            mask = Tensor(self.evaluate_mask(cond), device=self.device)
-            branch = self._numeric_tensor(self.evaluate(value))
-            if result is None:
-                result = ops.where(mask, branch, ops.mul(branch, 0.0))
-                taken = mask
-            else:
-                fresh = ops.logical_and(mask, ops.logical_not(taken))
-                result = ops.where(fresh, branch, result)
-                taken = ops.logical_or(taken, mask)
-        if expr.else_ is not None:
-            else_tensor = self._numeric_tensor(self.evaluate(expr.else_))
-            result = ops.where(taken, result, else_tensor)
-        return self._plain(result)
-
-    def _eval_BCast(self, expr: b.BCast) -> Value:
-        operand = self.evaluate(expr.operand)
-        target = expr.data_type
-        if isinstance(operand, Scalar):
-            return Scalar(_cast_scalar(operand.value, target))
-        if target.kind == "string":
-            decoded = operand.decode()
-            strings = np.asarray([str(v) for v in decoded], dtype=object)
-            return Column.from_values("", strings, device=self.device)
-        np_dtype = {"int": np.int64, "float": np.float32, "bool": np.bool_}[target.kind]
-        if isinstance(operand.encoding, DictionaryEncoding):
-            decoded = operand.decode()
-            array = decoded.astype(np.float64).astype(np_dtype)
-            return self._plain(Tensor(array, device=self.device))
-        return self._plain(ops.astype(operand.tensor, np_dtype))
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _plain(self, tensor: Tensor) -> Column:
-        return Column("", EncodedTensor(tensor, PlainEncoding()))
-
-    def _bool_tensor(self, value: Value) -> Tensor:
-        if isinstance(value, Scalar):
-            return Tensor(np.full(self.num_rows, bool(value.value)), device=self.device)
-        data = value.tensor
-        if data.dtype.kind != "b":
-            raise ExecutionError(f"expected boolean operand, got {data.dtype}")
+def broadcast_rows(data: np.ndarray, num_rows: int) -> np.ndarray:
+    """Literal-derived ``(1,)``-shaped results broadcast to the batch length
+    (only at the output boundary and in predicate masks)."""
+    if data.shape[0] == num_rows:
         return data
+    return np.full((num_rows,) + data.shape[1:], data[0], dtype=data.dtype)
 
-    def _numeric_tensor(self, value: Value) -> Tensor:
+
+def udf_arguments(udf, values: List[Value]) -> List[object]:
+    """Evaluated argument values in the form the UDF's signature takes:
+    python constants, bare tensors, or encoded tensors."""
+    args = []
+    for value in values:
         if isinstance(value, Scalar):
-            v = value.value
-            if isinstance(v, bool):
-                array = np.full(self.num_rows, v)
-            elif isinstance(v, int):
-                array = np.full(self.num_rows, v, dtype=np.int64)
-            elif v is None:
-                array = np.full(self.num_rows, np.nan, dtype=np.float32)
-            else:
-                array = np.full(self.num_rows, float(v), dtype=np.float32)
-            return Tensor(array, device=self.device)
-        if isinstance(value.encoding, DictionaryEncoding):
-            raise ExecutionError("arithmetic on string columns is not supported")
-        return value.tensor
-
-    @staticmethod
-    def _to_float(tensor: Tensor) -> Tensor:
-        if tensor.dtype.kind != "f":
-            return ops.astype(tensor, np.float32)
-        return tensor
-
-    def _fold_scalars(self, op: str, left: Scalar, right: Scalar) -> Scalar:
-        return Scalar(fold_scalars(op, left.value, right.value))
-
-    def _compare(self, op: str, left: Value, right: Value) -> Column:
-        # Dictionary fast paths: run the comparison on integer codes.
-        if isinstance(left, Column) and isinstance(left.encoding, DictionaryEncoding):
-            if isinstance(right, Scalar) and isinstance(right.value, str):
-                return self._compare_dict_literal(op, left, right.value)
-            if isinstance(right, Column) and isinstance(right.encoding, DictionaryEncoding):
-                return self._compare_dict_columns(op, left, right)
-        if isinstance(right, Column) and isinstance(right.encoding, DictionaryEncoding) \
-                and isinstance(left, Scalar) and isinstance(left.value, str):
-            flipped = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-            return self._compare_dict_literal(flipped[op], right, left.value)
-        # Datetime fast paths: parse the ISO literal once, compare epoch nanos.
-        if isinstance(left, Column) and isinstance(left.encoding, DatetimeEncoding) \
-                and isinstance(right, Scalar) and isinstance(right.value, str):
-            mask = date_kernels.compare_datetime_literal(
-                left.tensor.detach().data, op, right.value)
-            return self._plain(Tensor(mask, device=self.device))
-        if isinstance(right, Column) and isinstance(right.encoding, DatetimeEncoding) \
-                and isinstance(left, Scalar) and isinstance(left.value, str):
-            flipped = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-            mask = date_kernels.compare_datetime_literal(
-                right.tensor.detach().data, flipped[op], left.value)
-            return self._plain(Tensor(mask, device=self.device))
-        lt_ = self._numeric_tensor(left)
-        rt_ = self._numeric_tensor(right)
-        return self._plain(_COMPARE_OPS[op](lt_, rt_))
-
-    def _compare_dict_literal(self, op: str, column: Column, literal: str) -> Column:
-        encoding: DictionaryEncoding = column.encoding
-        codes = column.tensor.detach().data
-        if op in ("=", "!="):
-            code = encoding.code_for(literal)
-            if code is None:
-                mask = np.zeros(column.num_rows, dtype=bool)
-            else:
-                mask = codes == code
-            if op == "!=":
-                mask = ~mask
+            args.append(value.value)
+        elif udf.encoded_io or not isinstance(value.encoding, PlainEncoding):
+            args.append(value.encoded)
         else:
-            boundary = encoding.range_for(literal, side="left" if op in ("<", ">=") else "right")
-            if op == "<":
-                mask = codes < boundary
-            elif op == ">=":
-                mask = codes >= boundary
-            elif op == "<=":
-                mask = codes < boundary
-            else:  # >
-                mask = codes >= boundary
-        return self._plain(Tensor(mask, device=self.device))
-
-    def _compare_dict_columns(self, op: str, left: Column, right: Column) -> Column:
-        if left.encoding == right.encoding:
-            return self._plain(_COMPARE_OPS[op](left.tensor, right.tensor))
-        left_strings = left.decode().astype(str)
-        right_strings = right.decode().astype(str)
-        np_op = {"=": np.equal, "!=": np.not_equal, "<": np.less, "<=": np.less_equal,
-                 ">": np.greater, ">=": np.greater_equal}[op]
-        return self._plain(Tensor(np_op(left_strings, right_strings), device=self.device))
-
-    def _string_builtin(self, name: str, value: Value) -> Value:
-        if isinstance(value, Scalar):
-            text = str(value.value)
-            if name == "UPPER":
-                return Scalar(text.upper())
-            if name == "LOWER":
-                return Scalar(text.lower())
-            if name == "TRIM":
-                return Scalar(text.strip())
-            return Scalar(len(text))
-        strings = value.decode().astype(str)
-        if name == "UPPER":
-            return Column.from_values("", np.char.upper(strings).astype(object),
-                                      device=self.device)
-        if name == "LOWER":
-            return Column.from_values("", np.char.lower(strings).astype(object),
-                                      device=self.device)
-        if name == "TRIM":
-            # str.strip per row: the compiled kernel applies the same python
-            # function per distinct dictionary string, so both legs agree.
-            trimmed = np.asarray([t.strip() for t in strings], dtype=object)
-            return Column.from_values("", trimmed, device=self.device)
-        lengths = np.char.str_len(strings).astype(np.int64)
-        return self._plain(Tensor(lengths, device=self.device))
-
-    def _substr(self, values: List[Value]) -> Value:
-        start = values[1]
-        length = values[2] if len(values) > 2 else None
-        if not isinstance(start, Scalar) \
-                or not (length is None or isinstance(length, Scalar)):
-            raise ExecutionError("SUBSTR start/length must be constant expressions")
-        begin = int(start.value)
-        count = None if length is None else int(length.value)
-        value = values[0]
-        if isinstance(value, Scalar):
-            return Scalar(string_kernels.substr_value(str(value.value), begin, count))
-        strings = value.decode().astype(str)
-        out = np.asarray(
-            [string_kernels.substr_value(t, begin, count) for t in strings],
-            dtype=object)
-        return Column.from_values("", out, device=self.device)
+            args.append(value.tensor)
+    return args
 
 
 def normalize_strings(column: Column) -> Column:
@@ -535,46 +183,6 @@ def normalize_strings(column: Column) -> Column:
     if isinstance(column.encoding, CharCodeEncoding):
         return column.to_dictionary()
     return column
-
-
-def fold_scalars(op: str, lv, rv):
-    """Constant-fold one binary op over python scalar values (shared by the
-    interpreter and the expression compiler so folding cannot drift)."""
-    table = {
-        "+": lambda: lv + rv, "-": lambda: lv - rv, "*": lambda: lv * rv,
-        "/": lambda: lv / rv, "%": lambda: lv % rv,
-        "=": lambda: lv == rv, "!=": lambda: lv != rv,
-        "<": lambda: lv < rv, "<=": lambda: lv <= rv,
-        ">": lambda: lv > rv, ">=": lambda: lv >= rv,
-        "AND": lambda: bool(lv) and bool(rv), "OR": lambda: bool(lv) or bool(rv),
-    }
-    return table[op]()
-
-
-def _cast_scalar(value, target: dt.DataType):
-    if target.kind == "int":
-        return int(value)
-    if target.kind == "float":
-        return float(value)
-    if target.kind == "bool":
-        return bool(value)
-    return str(value)
-
-
-@functools.lru_cache(maxsize=256)
-def _like_to_regex(pattern: str) -> "re.Pattern":
-    # DOTALL: SQL's % and _ match any character including newlines (the
-    # char-code LIKE kernel has no newline special case; the regex path —
-    # scalar operands and the tests' oracle — must agree).
-    out = []
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return re.compile("".join(out), re.DOTALL)
 
 
 # ----------------------------------------------------------------------

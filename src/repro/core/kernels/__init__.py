@@ -1,13 +1,9 @@
-"""Vectorized tensor kernels compiled from bound expression trees.
+"""The expression engine: bound expression trees lowered to tensor programs.
 
-TQP-style codegen (PAPERS.md): instead of interpreting the expression tree
-node-by-node per batch, each Filter/Project pipeline prefix is lowered once
-at plan time into a single Python callable composed purely of vectorized
-numpy tensor ops. ``ExpressionEvaluator`` remains the fallback interpreter
-and the bit-identity oracle for every kernel (docs/KERNEL_COMPILATION.md).
-
-Import submodules directly (``repro.core.kernels.compiler``,
-``.strings``, ``.dates``): the interpreter itself uses ``strings``/``dates``
-for its string and date kernels, so a re-exporting package init would cycle
-through ``compiler`` back into ``expr_eval``.
+TQP-style codegen (PAPERS.md): ``compiler.ExprCompiler`` lowers each bound
+expression once, at plan time, into a closure composed of vectorized tensor
+ops over an array namespace — numpy on detached data for exact plans,
+``repro.tcr.ops`` where gradients must flow. ``strings`` and ``dates`` hold
+the dictionary-code and epoch-nanosecond kernels both namespaces share
+(docs/KERNEL_COMPILATION.md).
 """

@@ -1,544 +1,467 @@
-"""Compile bound expression trees into vectorized tensor kernels.
+"""Lower bound expression trees to tensor programs: the one expression engine.
 
-TQP-style codegen: ``ExprCompiler`` recursively lowers a bound expression
-tree — arithmetic, comparisons, boolean logic, IN, BETWEEN, LIKE, CASE,
-IS NULL, casts, builtins, with UDF call sites as opaque column inputs —
-into closures over plain numpy arrays. All per-node dispatch (method
-lookup, scalar folding, dtype-strategy selection, literal materialisation)
-happens once at plan time; per-batch execution is the fused chain of
-vectorized ops.
+TQP-style codegen: ``ExprCompiler`` maps every bound node (arithmetic,
+comparisons, boolean logic, IN, BETWEEN, LIKE, CASE, IS NULL, casts,
+builtins, UDF call sites) to a stateless closure ``fn(ctx) -> value`` once,
+at plan time; ``ctx`` is the operator's per-pass
+:class:`~repro.core.expr_eval.ExpressionEvaluator`. All per-node dispatch
+(method lookup, scalar folding, literal materialisation) happens while
+lowering; a batch runs the chain of vectorized ops.
 
-Bit-identity contract: for every supported shape the kernel reproduces
-``ExpressionEvaluator`` bit-for-bit. The load-bearing details:
+The closures are written against an array namespace ``xp`` carrying tcr's
+op names. ``NUMPY`` computes on detached ndarrays (exact plans); ``TCR`` is
+``repro.tcr.ops`` itself, so gradients flow (trainable plans, or
+``compile_exprs=False``). Both produce the same bits: the numpy namespace
+is the forward function of each tcr op.
 
-* Literals become shape-``(1,)`` arrays with the interpreter's exact dtype
-  rules (bool / int64 / float32, NULL → float32 NaN). NumPy dtype promotion
-  between arrays is shape-independent (NEP 50), so ``(1,)``-vs-full-``(n)``
-  operands give identical bits, and results broadcast to the batch length
-  only at the operator boundary.
-* Interpreter op sequences are mirrored literally: ``/`` on two integer
-  operands casts to float32 (tcr's ``div``), CASE multiplies the first
-  branch by a float64 ``0.0`` scalar-array, SIGMOID uses tcr's stable
-  formula, two-argument ROUND reproduces the multiply/round/divide chain.
-* String and date work runs on the shared kernels in ``strings``/``dates``
-  that the interpreter itself uses.
-* UDF calls delegate to the operator's ``ExpressionEvaluator`` — the
-  tensor-cache keys, content tags and micro-batching are untouched.
-
-``UnsupportedExpr`` at plan time means the pipeline stage stays on the
-interpreter; ``KernelFallback`` at run time (a batch violating a
-compile-time assumption, e.g. a string value without a dictionary) makes
-the stage re-run on the interpreter.
+* Numeric builtins live in one table, ``_BUILTINS`` (name -> function of
+  ``xp`` and the evaluated arguments).
+* Literals are shape-``(1,)`` arrays (see ``literal_array``); results
+  broadcast to the batch length only at ``ctx.materialize``.
+* Predicates on values that carry no gradient (dictionary and date
+  compares, IN, LIKE, IS NULL, the masks of CASE and COALESCE, non-float
+  casts) are computed with numpy on detached data under either namespace.
+* String work runs on dictionary codes through ``kernels.strings``; a
+  string value without a dictionary (char-code matrices, stringified
+  numbers) is dictionary-encoded on the spot.
+* A lowered value is an ``xp`` array (numeric/bool data), a ``Column``
+  (stored columns, string and UDF results) or, at plan time only, a folded
+  :class:`Scalar`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Sequence
+import functools
+import operator
+import types
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from repro.core.expr_eval import (
-    ExpressionEvaluator,
     Scalar,
-    _cast_scalar,
-    _like_to_regex,
     _structural_key,
-    fold_scalars,
+    broadcast_rows,
+    literal_array,
+    normalize_strings,
 )
 from repro.core.kernels import dates as date_kernels
 from repro.core.kernels import strings as string_kernels
 from repro.errors import ExecutionError
 from repro.sql import bound as b
+from repro.storage import types as dt
 from repro.storage.column import Column
 from repro.storage.encodings import (
     DatetimeEncoding,
     DictionaryEncoding,
     EncodedTensor,
-    PlainEncoding,
 )
-from repro.tcr.dtype import is_int
+from repro.tcr import ops as tcr_ops
+from repro.tcr.ops.activation import sigmoid_forward
+from repro.tcr.ops.elementwise import div_forward
 from repro.tcr.tensor import Tensor
 
+# ----------------------------------------------------------------------
+# The two array namespaces
+# ----------------------------------------------------------------------
+# ``lift`` makes detached data a namespace value, ``lower`` makes a stored
+# tensor one; ``label`` is what EXPLAIN prints for a stage body.
+NUMPY = types.SimpleNamespace(
+    label="kernel",
+    add=np.add, sub=np.subtract, mul=np.multiply, div=div_forward,
+    remainder=np.remainder, neg=np.negative, abs=np.abs, sqrt=np.sqrt,
+    exp=np.exp, log=np.log, pow=np.power, round=np.round, floor=np.floor,
+    ceil=np.ceil, minimum=np.minimum, maximum=np.maximum,
+    sigmoid=sigmoid_forward, where=np.where,
+    eq=np.equal, ne=np.not_equal, lt=np.less, le=np.less_equal,
+    gt=np.greater, ge=np.greater_equal,
+    logical_and=np.logical_and, logical_or=np.logical_or,
+    logical_not=np.logical_not,
+    astype=lambda array, dtype: array.astype(dtype),
+    lift=lambda array, device: array,
+    lower=lambda tensor: tensor.detach().data,
+)
+TCR = types.SimpleNamespace(
+    label="interp",
+    **{name: getattr(tcr_ops, name) for name in vars(NUMPY)
+       if name not in ("label", "lift", "lower")},
+    lift=lambda array, device: Tensor(array, device=device, dtype=array.dtype),
+    lower=lambda tensor: tensor,
+)
 
-class UnsupportedExpr(Exception):
-    """Plan-time: the expression shape is outside the compilable surface."""
-
-
-class KernelFallback(Exception):
-    """Run-time: batch data violates a compile-time assumption; the
-    pipeline stage re-runs on the interpreter."""
-
-
-_MISSING = object()
-
-_ARITH_NP = {"+": np.add, "-": np.subtract, "*": np.multiply, "%": np.remainder}
-_COMPARE_NP = {
-    "=": np.equal, "!=": np.not_equal, "<": np.less,
-    "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
-}
+_ARITH = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "remainder"}
+_COMPARE = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
 _FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-class KernelContext:
-    """Per-forward state: the operator's evaluator (UDF delegation and
-    column access, with its own memo) plus the kernel's CSE slot table."""
-
-    __slots__ = ("evaluator", "num_rows", "device", "slots")
-
-    def __init__(self, evaluator: ExpressionEvaluator):
-        self.evaluator = evaluator
-        self.num_rows = evaluator.num_rows
-        self.device = evaluator.device
-        self.slots = {}
+_FOLD = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "%": operator.mod,
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "AND": lambda lv, rv: bool(lv) and bool(rv),
+    "OR": lambda lv, rv: bool(lv) or bool(rv),
+}
+_CAST_SCALAR = {"int": int, "float": float, "bool": bool}    # else: str
+_CAST_DTYPE = {"int": np.int64, "float": np.float32, "bool": np.bool_}
+_STRING_FNS = {"UPPER": str.upper, "LOWER": str.lower, "TRIM": str.strip,
+               "LENGTH": len}
 
 
 # ----------------------------------------------------------------------
-# Runtime value helpers (mirror the interpreter's Value handling)
+# The builtin table: name -> fn(xp, *evaluated numeric arguments)
 # ----------------------------------------------------------------------
-def _expand(array: np.ndarray, num_rows: int) -> np.ndarray:
-    """Broadcast a literal-derived (1,)-shaped result to the batch length."""
-    if array.shape[0] == num_rows:
-        return array
-    return np.full((num_rows,) + array.shape[1:], array[0], dtype=array.dtype)
+def _to_float(xp, array):
+    return array if array.dtype.kind == "f" else xp.astype(array, np.float32)
 
 
-def _scalar_array(v) -> np.ndarray:
-    # Mirrors ExpressionEvaluator._numeric_tensor's Scalar materialisation,
-    # at shape (1,) instead of (n,).
-    if isinstance(v, bool):
-        return np.full(1, v)
-    if isinstance(v, int):
-        return np.full(1, v, dtype=np.int64)
-    if v is None:
-        return np.full(1, np.nan, dtype=np.float32)
-    return np.full(1, float(v), dtype=np.float32)
+def _round(xp, array, digits=None):
+    if digits is None:
+        return xp.round(array)
+    # The digits operand is read at row 0 (what makes non-literal digits a
+    # stage breaker); zero rows have no value to read and any factor gives
+    # the same empty output.
+    digits = _data(digits).reshape(-1)
+    factor = np.asarray(10.0 ** (float(digits[0]) if digits.size else 0.0),
+                        dtype=np.float32)
+    return xp.div(xp.round(xp.mul(array, factor)), factor)
 
 
-def _num(value) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return value
-    if isinstance(value.encoding, DictionaryEncoding):
-        raise ExecutionError("arithmetic on string columns is not supported")
-    return value.tensor.detach().data
+def _coalesce(xp, result, *rest):
+    for fill in rest:
+        if result.dtype.kind != "f":
+            break   # non-float carries no NULLs; later args unreachable
+        result = xp.where(np.isnan(_data(result)), fill, result)
+    return result
 
 
-def _bool_data(value) -> np.ndarray:
-    data = value.tensor.detach().data if isinstance(value, Column) else value
-    if data.dtype.kind != "b":
-        raise ExecutionError(f"expected boolean operand, got {data.dtype}")
-    return data
+_BUILTINS = {
+    "ABS": lambda xp, a: xp.abs(a),
+    "SQRT": lambda xp, a: xp.sqrt(_to_float(xp, a)),
+    "EXP": lambda xp, a: xp.exp(_to_float(xp, a)),
+    "LN": lambda xp, a: xp.log(_to_float(xp, a)),
+    "LOG": lambda xp, a: xp.log(_to_float(xp, a)),
+    "POW": lambda xp, a, e: xp.pow(_to_float(xp, a), e),
+    "POWER": lambda xp, a, e: xp.pow(_to_float(xp, a), e),
+    "ROUND": _round,
+    "FLOOR": lambda xp, a: xp.floor(a),
+    "CEIL": lambda xp, a: xp.ceil(a),
+    "LEAST": lambda xp, *args: functools.reduce(xp.minimum, args),
+    "GREATEST": lambda xp, *args: functools.reduce(xp.maximum, args),
+    "SIGMOID": lambda xp, a: xp.sigmoid(_to_float(xp, a)),
+    "COALESCE": _coalesce,
+}
 
 
-def _require_string_column(value) -> Column:
-    if not isinstance(value, Column):
-        raise KernelFallback("string kernel on non-column value")
-    return value
+# ----------------------------------------------------------------------
+# Run-time value helpers
+# ----------------------------------------------------------------------
+def _data(value) -> np.ndarray:
+    """The detached ndarray behind any lowered value."""
+    if isinstance(value, Column):
+        return value.tensor.data
+    return value.data if isinstance(value, Tensor) else value
 
 
-def _float32(array: np.ndarray) -> np.ndarray:
-    # Mirrors _to_float: ops.astype(tensor, float32) for non-float inputs.
-    if array.dtype.kind != "f":
-        return array.astype(np.float32)
-    return array
+def _dictionary(value) -> Optional[Column]:
+    """``value`` as a dictionary-coded string column (char-code matrices
+    re-encode losslessly), or None when it is not a string column."""
+    if isinstance(value, Column):
+        value = normalize_strings(value)
+        if isinstance(value.encoding, DictionaryEncoding):
+            return value
+    return None
 
 
-def _div(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Mirrors tcr ops.div: integer/integer division materialises float32.
-    if is_int(x.dtype) and is_int(y.dtype):
-        return np.true_divide(x, y).astype(np.float32)
-    return np.true_divide(x, y)
+def _strings(value, ctx) -> Column:
+    """The operand of a string function, which accepts everything: what
+    is not a string column becomes the dictionary of its stringified values."""
+    column = _dictionary(value)
+    if column is None:
+        strings = ctx.materialize(value).decode().astype(str).astype(object)
+        column = Column.from_values("", strings, device=ctx.device)
+    return column
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Mirrors tcr ops.sigmoid's numerically stable formula + dtype restore.
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return data.astype(x.dtype, copy=False)
-
-
-# Per-encoding memoised lookups (same values as DictionaryEncoding.code_for /
-# range_for, which rebuild a str-typed dictionary view per call).
-def _sorted_strs(encoding: DictionaryEncoding) -> np.ndarray:
-    strs = encoding.__dict__.get("_strs_memo")
-    if strs is None:
-        strs = encoding.strings.astype(str)
-        encoding.__dict__["_strs_memo"] = strs
-    return strs
-
-
-def _code_for(encoding: DictionaryEncoding, literal: str) -> Optional[int]:
-    memo = encoding.__dict__.setdefault("_code_memo", {})
-    hit = memo.get(literal, _MISSING)
-    if hit is _MISSING:
-        strs = _sorted_strs(encoding)
-        idx = int(np.searchsorted(strs, literal))
-        hit = idx if idx < encoding.cardinality and strs[idx] == literal else None
-        memo[literal] = hit
-    return hit
-
-
-def _range_for(encoding: DictionaryEncoding, literal: str, side: str) -> int:
-    memo = encoding.__dict__.setdefault("_range_memo", {})
-    key = (literal, side)
-    boundary = memo.get(key)
-    if boundary is None:
-        boundary = int(np.searchsorted(_sorted_strs(encoding), literal, side=side))
-        memo[key] = boundary
-    return boundary
-
-
-def _dict_literal_mask(column: Column, op: str, literal: str) -> np.ndarray:
-    # Mirrors _compare_dict_literal (including the <=/"right"-boundary and
-    # >/" >= boundary" asymmetries) plus the datetime literal path.
-    encoding = column.encoding
-    codes = column.tensor.detach().data
-    if isinstance(encoding, DatetimeEncoding):
+def _literal_mask(column: Column, op: str, literal: str) -> Optional[np.ndarray]:
+    """``column <op> 'literal'`` on the integer carrier of a dictionary or
+    datetime column (None for any other column): equality is one code,
+    ranges are a boundary in the sorted dictionary."""
+    codes = column.tensor.data
+    if isinstance(column.encoding, DatetimeEncoding):
         return date_kernels.compare_datetime_literal(codes, op, literal)
-    if not isinstance(encoding, DictionaryEncoding):
-        raise KernelFallback("string compare on non-dictionary column")
+    column = _dictionary(column)
+    if column is None:
+        return None
+    encoding, codes = column.encoding, column.tensor.data
     if op in ("=", "!="):
-        code = _code_for(encoding, literal)
-        if code is None:
-            mask = np.zeros(codes.shape[0], dtype=bool)
-        else:
-            mask = codes == code
-        if op == "!=":
-            mask = ~mask
-        return mask
-    boundary = _range_for(encoding, literal,
-                          "left" if op in ("<", ">=") else "right")
-    if op in ("<", "<="):
-        return codes < boundary
-    return codes >= boundary
+        code = encoding.code_for(literal)
+        mask = (np.zeros(codes.shape[0], dtype=bool) if code is None
+                else codes == code)
+        return ~mask if op == "!=" else mask
+    boundary = encoding.range_for(
+        literal, side="left" if op in ("<", ">=") else "right")
+    return codes < boundary if op in ("<", "<=") else codes >= boundary
 
 
-def _dict_columns_mask(op: str, left: Column, right: Column) -> np.ndarray:
-    left = _require_string_column(left)
-    right = _require_string_column(right)
-    if isinstance(left.encoding, DatetimeEncoding) \
-            and isinstance(right.encoding, DatetimeEncoding):
-        # The interpreter's numeric fall-through compares the nanos carriers.
-        return _COMPARE_NP[op](left.tensor.detach().data,
-                               right.tensor.detach().data)
-    if not isinstance(left.encoding, DictionaryEncoding) \
-            or not isinstance(right.encoding, DictionaryEncoding):
-        raise KernelFallback("string compare on non-dictionary columns")
-    if left.encoding == right.encoding:
-        return _COMPARE_NP[op](left.tensor.detach().data,
-                               right.tensor.detach().data)
-    return _COMPARE_NP[op](left.decode().astype(str), right.decode().astype(str))
+def _cast_array(data: np.ndarray, dtype) -> np.ndarray:
+    """Non-differentiable cast; CAST(NaN / +-inf AS INT) is 0."""
+    if dtype is np.int64 and data.dtype.kind == "f":
+        data = np.where(np.isfinite(data), data, 0)
+    return data.astype(dtype)
 
 
-def _in_codes(encoding: DictionaryEncoding, values) -> np.ndarray:
-    try:
-        key = tuple(values)
-        memo = encoding.__dict__.setdefault("_in_memo", {})
-        hit = memo.get(key)
-    except TypeError:
-        key, memo, hit = None, None, None
-    if hit is None:
-        codes = [_code_for(encoding, str(v)) for v in values]
-        hit = np.asarray([c for c in codes if c is not None], dtype=np.int64)
-        if memo is not None:
-            memo[key] = hit
-    return hit
+def _slotted(key, fn: Callable) -> Callable:
+    """Runtime CSE: closures sharing ``key`` evaluate once per context."""
+    if key is None:
+        return fn
 
-
-def _string_kind(expr: b.BoundExpr) -> bool:
-    data_type = getattr(expr, "data_type", None)
-    return getattr(data_type, "kind", None) == "string"
+    def cached(ctx):
+        try:
+            return ctx.slots[key]
+        except KeyError:
+            value = ctx.slots[key] = fn(ctx)
+            return value
+    return cached
 
 
 # ----------------------------------------------------------------------
 # The compiler
 # ----------------------------------------------------------------------
 class ExprCompiler:
-    """Lowers one bound expression tree to a closure ``fn(ctx) -> value``
-    where value is an ``np.ndarray`` (numeric/bool data) or a ``Column``
-    (string/UDF results). Compile-time constants stay :class:`Scalar` and
-    are materialised by the consumer exactly as the interpreter would."""
+    """Lowers bound expressions over one array namespace. ``column``,
+    ``mask`` and ``value`` are what operators hold; ``lower`` is the
+    recursive core and may return a plan-time :class:`Scalar`."""
 
-    def compile(self, expr: b.BoundExpr):
-        method = getattr(self, f"_compile_{type(expr).__name__}", None)
-        if method is None:
-            raise UnsupportedExpr(type(expr).__name__)
-        compiled = method(expr)
-        if isinstance(compiled, Scalar):
-            return compiled
-        return self._slotted(_structural_key(expr), compiled)
+    def __init__(self, xp=NUMPY):
+        self.xp = xp
 
-    @staticmethod
-    def _slotted(key, fn):
-        """Runtime CSE: structurally identical subtrees evaluate once per
-        forward, mirroring the interpreter's per-pass memo."""
-        if key is None:
-            return fn
+    def column(self, expr: b.BoundExpr, name: str = "") -> Callable:
+        """``fn(ctx) -> Column`` of ``ctx.num_rows`` rows, named ``name``."""
+        lowered = self.lower(expr)
+        if isinstance(lowered, Scalar):
+            return lambda ctx: ctx.materialize(lowered, name)
+        return lambda ctx: ctx.materialize(lowered(ctx), name)
 
-        def cached(ctx):
-            hit = ctx.slots.get(key, _MISSING)
-            if hit is _MISSING:
-                hit = fn(ctx)
-                ctx.slots[key] = hit
-            return hit
-        return cached
+    def value(self, expr: b.BoundExpr) -> Callable:
+        """``fn(ctx) -> Column | Scalar``: the form UDF arguments take."""
+        lowered = self.lower(expr)
+        if isinstance(lowered, Scalar):
+            return lambda ctx: lowered
+        return lambda ctx: ctx.materialize(lowered(ctx))
 
-    def _once(self, expr, compiled):
-        """Share one subtree's runtime value between two uses (BETWEEN),
-        even when it has no structural key (non-deterministic UDFs)."""
-        if isinstance(compiled, Scalar) or _structural_key(expr) is not None:
-            return compiled
-        return self._slotted(("once", id(compiled)), compiled)
-
-    # -- value adapters -------------------------------------------------
-    @staticmethod
-    def _num_fn(compiled) -> Callable:
-        if isinstance(compiled, Scalar):
-            value = compiled.value
-            try:
-                array = _scalar_array(value)
-            except (TypeError, ValueError):
-                # e.g. float('abc'): the interpreter raises while
-                # materialising at run time — defer, don't fail the plan.
-                return lambda ctx: _scalar_array(value)
-            return lambda ctx: array
-        return lambda ctx: _num(compiled(ctx))
-
-    @staticmethod
-    def _bool_fn(compiled) -> Callable:
-        if isinstance(compiled, Scalar):
-            array = np.full(1, bool(compiled.value))
-            return lambda ctx: array
-        return lambda ctx: _bool_data(compiled(ctx))
-
-    @staticmethod
-    def _mask_fn(compiled) -> Callable:
-        # Mirrors evaluate_mask (full-length mask, bool dtype enforced).
-        if isinstance(compiled, Scalar):
-            value = bool(compiled.value)
-            return lambda ctx: np.full(ctx.num_rows, value)
+    def mask(self, expr: b.BoundExpr) -> Callable:
+        """``fn(ctx) ->`` full-length boolean ndarray (a predicate)."""
+        lowered = self.lower(expr)
+        if isinstance(lowered, Scalar):
+            truth = bool(lowered.value)
+            return lambda ctx: np.full(ctx.num_rows, truth)
 
         def fn(ctx):
-            data = compiled(ctx)
-            data = data.tensor.detach().data if isinstance(data, Column) else data
+            data = _data(lowered(ctx))
             if data.dtype.kind != "b":
                 raise ExecutionError(
                     f"predicate evaluated to {data.dtype}, expected bool")
-            return _expand(data, ctx.num_rows)
+            return broadcast_rows(data, ctx.num_rows)
+        return fn
+
+    def numeric(self, expr: b.BoundExpr) -> Callable:
+        """``fn(ctx) -> xp array`` (possibly ``(1,)``-shaped for literals)."""
+        return self._num_fn(self.lower(expr))
+
+    def lower(self, expr: b.BoundExpr) -> Union[Scalar, Callable]:
+        method = getattr(self, f"_lower_{type(expr).__name__}", None)
+        if method is None:
+            raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
+        lowered = method(expr)
+        if isinstance(lowered, Scalar):
+            return lowered
+        return _slotted(_structural_key(expr), lowered)
+
+    # -- value adapters -------------------------------------------------
+    def _num(self, value):
+        if isinstance(value, Column):
+            if isinstance(value.encoding, DictionaryEncoding):
+                raise ExecutionError("arithmetic on string columns is not supported")
+            return self.xp.lower(value.tensor)
+        return value
+
+    def _num_fn(self, lowered) -> Callable:
+        if not isinstance(lowered, Scalar):
+            return lambda ctx: self._num(lowered(ctx))
+        lift, constant = self.xp.lift, lowered.value
+        try:
+            array = literal_array(constant)
+        except (TypeError, ValueError):
+            # float('abc'): a run-time error of the statement, not of the plan.
+            return lambda ctx: literal_array(constant)
+        return lambda ctx: lift(array, ctx.device)
+
+    def _bool_fn(self, lowered) -> Callable:
+        if isinstance(lowered, Scalar):
+            lift, array = self.xp.lift, np.full(1, bool(lowered.value))
+            return lambda ctx: lift(array, ctx.device)
+
+        def fn(ctx):
+            value = lowered(ctx)
+            if isinstance(value, Column):
+                value = self.xp.lower(value.tensor)
+            if value.dtype.kind != "b":
+                raise ExecutionError(f"expected boolean operand, got {value.dtype}")
+            return value
         return fn
 
     # -- leaves ---------------------------------------------------------
-    def _compile_BColumn(self, expr: b.BColumn):
-        # Column access goes through the evaluator: char-code normalisation,
-        # gather laziness (_GatherEvaluator) and lineage stay identical.
-        return lambda ctx: ctx.evaluator.evaluate(expr)
+    def _lower_BColumn(self, expr: b.BColumn):
+        return lambda ctx: ctx._eval_BColumn(expr)
 
-    def _compile_BLiteral(self, expr: b.BLiteral):
+    def _lower_BLiteral(self, expr: b.BLiteral):
         return Scalar(expr.value)
 
+    def _lower_BCall(self, expr: b.BCall):
+        # The context owns invocation, micro-batching and the
+        # materialization-cache protocol.
+        args = [self.value(arg) for arg in expr.args]
+        return lambda ctx: ctx._eval_BCall(expr, [arg(ctx) for arg in args])
+
     # -- operators ------------------------------------------------------
-    def _compile_BBinary(self, expr: b.BBinary):
+    def _lower_BBinary(self, expr: b.BBinary):
         op = expr.op
-        left = self.compile(expr.left)
-        right = self.compile(expr.right)
+        left, right = self.lower(expr.left), self.lower(expr.right)
         if isinstance(left, Scalar) and isinstance(right, Scalar):
-            return Scalar(fold_scalars(op, left.value, right.value))
+            return Scalar(_FOLD[op](left.value, right.value))
+        if op in _COMPARE:
+            return self._lower_compare(op, left, right)
         if op in ("AND", "OR"):
-            np_fn = np.logical_and if op == "AND" else np.logical_or
+            fn = self.xp.logical_and if op == "AND" else self.xp.logical_or
             lf, rf = self._bool_fn(left), self._bool_fn(right)
-            return lambda ctx: np_fn(lf(ctx), rf(ctx))
-        if op in _COMPARE_NP:
-            return self._compile_compare(op, expr.left, left, expr.right, right)
-        if op not in _ARITH_NP and op != "/":
-            raise UnsupportedExpr(f"binary op {op}")
-        lf, rf = self._num_fn(left), self._num_fn(right)
-        if op == "/":
-            return lambda ctx: _div(lf(ctx), rf(ctx))
-        np_fn = _ARITH_NP[op]
-        return lambda ctx: np_fn(lf(ctx), rf(ctx))
+        else:
+            fn = getattr(self.xp, _ARITH[op])
+            lf, rf = self._num_fn(left), self._num_fn(right)
+        return lambda ctx: fn(lf(ctx), rf(ctx))
 
-    def _compile_compare(self, op, left_expr, left, right_expr, right):
-        # Mirrors _compare's runtime dispatch, resolved at plan time via the
-        # binder's types; encoding mismatches at run time fall back.
-        left_str = _string_kind(left_expr)
-        right_str = _string_kind(right_expr)
-        if left_str and not isinstance(left, Scalar) \
-                and isinstance(right, Scalar) and isinstance(right.value, str):
+    def _lower_compare(self, op: str, left, right):
+        """Strings and dates compare on their integer carriers (against a
+        string literal, or column against column); which columns those
+        are is only known from the run-time encodings, and everything else
+        is a numeric compare."""
+        xp, name = self.xp, _COMPARE[op]
+        fn = getattr(xp, name)
+        if isinstance(left, Scalar) or isinstance(right, Scalar):
+            if isinstance(left, Scalar) and isinstance(left.value, str) \
+                    and not isinstance(right, Scalar):
+                return self._lower_compare(_FLIPPED[op], right, left)
+            lf, rf = self._num_fn(left), self._num_fn(right)
+            if isinstance(left, Scalar) or not isinstance(right.value, str):
+                return lambda ctx: fn(lf(ctx), rf(ctx))
             literal = right.value
-            return lambda ctx: _dict_literal_mask(
-                _require_string_column(left(ctx)), op, literal)
-        if left_str and right_str and not isinstance(left, Scalar) \
-                and not isinstance(right, Scalar):
-            return lambda ctx: _dict_columns_mask(op, left(ctx), right(ctx))
-        if right_str and not isinstance(right, Scalar) \
-                and isinstance(left, Scalar) and isinstance(left.value, str):
-            literal, flipped = left.value, _FLIPPED[op]
-            return lambda ctx: _dict_literal_mask(
-                _require_string_column(right(ctx)), flipped, literal)
-        lf, rf = self._num_fn(left), self._num_fn(right)
-        np_fn = _COMPARE_NP[op]
-        return lambda ctx: np_fn(lf(ctx), rf(ctx))
 
-    def _compile_BUnary(self, expr: b.BUnary):
-        operand = self.compile(expr.operand)
+            def column_literal(ctx):
+                value = left(ctx)
+                mask = (_literal_mask(value, op, literal)
+                        if isinstance(value, Column) else None)
+                if mask is None:
+                    return fn(self._num(value), rf(ctx))
+                return xp.lift(mask, ctx.device)
+            return column_literal
+
+        def column_column(ctx):
+            lv, rv = left(ctx), right(ctx)
+            ld, rd = _dictionary(lv), _dictionary(rv)
+            if ld is None or rd is None:
+                return fn(self._num(lv), self._num(rv))
+            codes = string_kernels.comparable_codes(ld, rd)
+            return xp.lift(getattr(NUMPY, name)(*codes), ctx.device)
+        return column_column
+
+    def _lower_BUnary(self, expr: b.BUnary):
+        operand = self.lower(expr.operand)
         if expr.op == "NOT":
             if isinstance(operand, Scalar):
                 return Scalar(not bool(operand.value))
-            of = self._bool_fn(operand)
-            return lambda ctx: np.logical_not(of(ctx))
-        if isinstance(operand, Scalar):
-            return Scalar(-operand.value)
-        of = self._num_fn(operand)
-        return lambda ctx: np.negative(of(ctx))
+            fn, of = self.xp.logical_not, self._bool_fn(operand)
+        else:
+            if isinstance(operand, Scalar):
+                return Scalar(-operand.value)
+            fn, of = self.xp.neg, self._num_fn(operand)
+        return lambda ctx: fn(of(ctx))
 
-    def _compile_BCall(self, expr: b.BCall):
-        # UDFs are opaque column inputs: the evaluator owns invocation,
-        # micro-batching and the materialization-cache protocol.
-        return lambda ctx: ctx.evaluator.evaluate(expr)
-
-    def _compile_BBuiltin(self, expr: b.BBuiltin):
-        name = expr.name
-        if name in ("UPPER", "LOWER", "LENGTH", "TRIM"):
-            return self._compile_string_builtin(name, expr.args[0])
+    def _lower_BBuiltin(self, expr: b.BBuiltin):
+        name, xp = expr.name, self.xp
+        if name in _STRING_FNS:
+            return self._lower_string_fn(name, expr.args[0])
         if name in ("SUBSTR", "SUBSTRING"):
-            return self._compile_substr(expr)
-        args = [self._num_fn(self.compile(a)) for a in expr.args]
-        if name == "COALESCE":
-            def coalesce(ctx):
-                result = args[0](ctx)
-                for fn in args[1:]:
-                    if result.dtype.kind != "f":
-                        break   # non-float carries no NULLs (interpreter parity)
-                    result = np.where(np.isnan(result), fn(ctx), result)
-                return result
-            return coalesce
-        if name == "ABS":
-            return lambda ctx: np.abs(args[0](ctx))
-        if name == "SQRT":
-            return lambda ctx: np.sqrt(_float32(args[0](ctx)))
-        if name == "EXP":
-            return lambda ctx: np.exp(_float32(args[0](ctx)))
-        if name in ("LN", "LOG"):
-            return lambda ctx: np.log(_float32(args[0](ctx)))
-        if name in ("POW", "POWER"):
-            return lambda ctx: np.power(_float32(args[0](ctx)), args[1](ctx))
-        if name == "ROUND":
-            if len(args) == 2:
-                def round2(ctx):
-                    digits_arr = args[1](ctx).reshape(-1)
-                    # Zero-row inputs have no digits value to read; any
-                    # factor yields the same empty output.
-                    digits = float(digits_arr[0]) if digits_arr.size else 0.0
-                    # float32 like tcr's ensure_tensor-wrapped python scalar,
-                    # so float32 operands stay float32.
-                    factor = np.asarray(10.0 ** digits, dtype=np.float32)
-                    return np.true_divide(
-                        np.round(np.multiply(args[0](ctx), factor)), factor)
-                return round2
-            return lambda ctx: np.round(args[0](ctx))
-        if name == "FLOOR":
-            return lambda ctx: np.floor(args[0](ctx))
-        if name == "CEIL":
-            return lambda ctx: np.ceil(args[0](ctx))
-        if name in ("LEAST", "GREATEST"):
-            np_fn = np.minimum if name == "LEAST" else np.maximum
+            return self._lower_substr(expr)
+        fn = _BUILTINS.get(name)
+        if fn is None:
+            raise ExecutionError(f"unknown builtin {name}")
+        args = [self._num_fn(self.lower(arg)) for arg in expr.args]
+        return lambda ctx: fn(xp, *[arg(ctx) for arg in args])
 
-            def chain(ctx):
-                result = args[0](ctx)
-                for fn in args[1:]:
-                    result = np_fn(result, fn(ctx))
-                return result
-            return chain
-        if name == "SIGMOID":
-            return lambda ctx: _sigmoid(_float32(args[0](ctx)))
-        raise UnsupportedExpr(f"builtin {name}")
-
-    def _compile_string_builtin(self, name: str, arg_expr: b.BoundExpr):
-        arg = self.compile(arg_expr)
+    def _lower_string_fn(self, name: str, arg_expr: b.BoundExpr):
+        arg = self.lower(arg_expr)
         if isinstance(arg, Scalar):
-            text = str(arg.value)
-            if name == "UPPER":
-                return Scalar(text.upper())
-            if name == "LOWER":
-                return Scalar(text.lower())
-            if name == "TRIM":
-                return Scalar(text.strip())
-            return Scalar(len(text))
-        if name == "TRIM":
-            def trim(ctx):
-                column = _require_string_column(arg(ctx))
-                if not isinstance(column.encoding, DictionaryEncoding):
-                    raise KernelFallback("TRIM on non-dictionary column")
-                encoding, remap = string_kernels.string_transform(
-                    column.encoding, "trim", lambda s: s.strip())
-                codes = remap[column.tensor.detach().data]
-                return Column("", EncodedTensor(
-                    Tensor(codes, device=ctx.device), encoding))
-            return trim
+            return Scalar(_STRING_FNS[name](str(arg.value)))
         if name == "LENGTH":
+            lift = self.xp.lift
+
             def length(ctx):
-                column = _require_string_column(arg(ctx))
-                if not isinstance(column.encoding, DictionaryEncoding):
-                    raise KernelFallback("LENGTH on non-dictionary column")
+                column = _strings(arg(ctx), ctx)
                 lengths = string_kernels.length_transform(column.encoding)
-                return lengths[column.tensor.detach().data]
+                return lift(lengths[column.tensor.data], ctx.device)
             return length
+        if name == "TRIM":
+            return self._recode(arg, lambda encoding: string_kernels.string_transform(
+                encoding, "trim", str.strip))
         upper = name == "UPPER"
+        return self._recode(arg, lambda encoding: string_kernels.case_transform(
+            encoding, upper))
 
-        def case(ctx):
-            column = _require_string_column(arg(ctx))
-            if not isinstance(column.encoding, DictionaryEncoding):
-                raise KernelFallback("UPPER/LOWER on non-dictionary column")
-            encoding, remap = string_kernels.case_transform(column.encoding, upper)
-            codes = remap[column.tensor.detach().data]
-            return Column("", EncodedTensor(Tensor(codes, device=ctx.device),
-                                            encoding))
-        return case
-
-    def _compile_substr(self, expr: b.BBuiltin):
-        arg = self.compile(expr.args[0])
-        params = [self.compile(a) for a in expr.args[1:]]
+    def _lower_substr(self, expr: b.BBuiltin):
+        arg = self.lower(expr.args[0])
+        params = [self.lower(a) for a in expr.args[1:]]
         if not all(isinstance(p, Scalar) for p in params):
-            # The interpreter rejects non-constant bounds too; no fallback
-            # would help, but plan-time rejection keeps the error message.
-            raise UnsupportedExpr("SUBSTR with non-constant start/length")
+            def reject(ctx):
+                raise ExecutionError(
+                    "SUBSTR start/length must be constant expressions")
+            return reject
         start = int(params[0].value)
         length = int(params[1].value) if len(params) > 1 else None
         if isinstance(arg, Scalar):
             return Scalar(string_kernels.substr_value(str(arg.value), start, length))
-        key = ("substr", start, length)
+        return self._recode(arg, lambda encoding: string_kernels.string_transform(
+            encoding, ("substr", start, length),
+            lambda s: string_kernels.substr_value(s, start, length)))
 
-        def substr(ctx):
-            column = _require_string_column(arg(ctx))
-            if not isinstance(column.encoding, DictionaryEncoding):
-                raise KernelFallback("SUBSTR on non-dictionary column")
-            encoding, remap = string_kernels.string_transform(
-                column.encoding, key,
-                lambda s: string_kernels.substr_value(s, start, length))
-            codes = remap[column.tensor.detach().data]
-            return Column("", EncodedTensor(
-                Tensor(codes, device=ctx.device), encoding))
-        return substr
-
-    def _compile_BBetween(self, expr: b.BBetween):
-        operand = self._once(expr.operand, self.compile(expr.operand))
-        low = self.compile(expr.low)
-        high = self.compile(expr.high)
-        # BETWEEN never folds (the interpreter compares materialised arrays
-        # even for all-scalar operands), so scalar operands materialise here.
-        low_ok = self._compile_compare(">=", expr.operand, operand,
-                                       expr.low, low)
-        high_ok = self._compile_compare("<=", expr.operand, operand,
-                                        expr.high, high)
-        negated = expr.negated
-
+    @staticmethod
+    def _recode(arg: Callable, transform: Callable) -> Callable:
+        """A per-distinct string function as a dictionary transform plus
+        one code gather (``transform(encoding) -> (new_encoding, remap)``)."""
         def fn(ctx):
-            mask = np.logical_and(low_ok(ctx), high_ok(ctx))
-            return np.logical_not(mask) if negated else mask
+            column = _strings(arg(ctx), ctx)
+            encoding, remap = transform(column.encoding)
+            codes = Tensor(remap[column.tensor.data], device=ctx.device)
+            return Column("", EncodedTensor(codes, encoding))
         return fn
 
-    def _compile_BIn(self, expr: b.BIn):
-        operand = self.compile(expr.operand)
-        negated = expr.negated
+    def _lower_BBetween(self, expr: b.BBetween):
+        operand = self.lower(expr.operand)
+        if not isinstance(operand, Scalar) \
+                and _structural_key(expr.operand) is None:
+            # Both bounds read one evaluation even of an unshareable
+            # operand (a non-deterministic UDF).
+            operand = _slotted(object(), operand)
+        # BETWEEN never folds: all-scalar operands compare as (1,) arrays.
+        low_ok = self._lower_compare(">=", operand, self.lower(expr.low))
+        high_ok = self._lower_compare("<=", operand, self.lower(expr.high))
+        xp, negated = self.xp, expr.negated
+
+        def fn(ctx):
+            mask = xp.logical_and(low_ok(ctx), high_ok(ctx))
+            return xp.logical_not(mask) if negated else mask
+        return fn
+
+    def _lower_BIn(self, expr: b.BIn):
+        operand = self.lower(expr.operand)
+        negated, lift = expr.negated, self.xp.lift
         if isinstance(operand, Scalar):
             return Scalar((operand.value in expr.values) != negated)
         values = list(expr.values)
@@ -546,223 +469,94 @@ class ExprCompiler:
 
         def fn(ctx):
             value = operand(ctx)
-            if isinstance(value, Column):
-                if isinstance(value.encoding, DictionaryEncoding):
-                    mask = np.isin(value.tensor.detach().data,
-                                   _in_codes(value.encoding, values))
-                else:
-                    mask = np.isin(value.tensor.detach().data, plain_values)
+            column = _dictionary(value)
+            if column is None:
+                mask = np.isin(_data(value), plain_values)
             else:
-                mask = np.isin(value, plain_values)
-            return ~mask if negated else mask
+                codes = [column.encoding.code_for(str(v)) for v in values]
+                mask = np.isin(column.tensor.data, np.asarray(
+                    [c for c in codes if c is not None], dtype=np.int64))
+            return lift(~mask if negated else mask, ctx.device)
         return fn
 
-    def _compile_BLike(self, expr: b.BLike):
-        operand = self.compile(expr.operand)
-        pattern, negated = expr.pattern, expr.negated
+    def _lower_BLike(self, expr: b.BLike):
+        operand = self.lower(expr.operand)
+        pattern, negated, lift = expr.pattern, expr.negated, self.xp.lift
         if isinstance(operand, Scalar):
-            matched = _like_to_regex(pattern).fullmatch(str(operand.value)) is not None
+            matched = string_kernels.like_value(str(operand.value), pattern)
             return Scalar(matched != negated)
 
         def fn(ctx):
-            column = _require_string_column(operand(ctx))
-            if not isinstance(column.encoding, DictionaryEncoding):
-                raise KernelFallback("LIKE on non-dictionary column")
+            column = _strings(operand(ctx), ctx)
             mask = string_kernels.like_mask(column.encoding,
-                                            column.tensor.detach().data, pattern)
-            return ~mask if negated else mask
+                                            column.tensor.data, pattern)
+            return lift(~mask if negated else mask, ctx.device)
         return fn
 
-    def _compile_BIsNull(self, expr: b.BIsNull):
-        operand = self.compile(expr.operand)
-        negated = expr.negated
+    def _lower_BIsNull(self, expr: b.BIsNull):
+        operand = self.lower(expr.operand)
+        negated, lift = expr.negated, self.xp.lift
         if isinstance(operand, Scalar):
             return Scalar((operand.value is None) != negated)
 
         def fn(ctx):
-            value = operand(ctx)
-            data = value.tensor.detach().data if isinstance(value, Column) else value
+            data = _data(operand(ctx))
             if data.dtype.kind == "f":
                 mask = np.isnan(data)
                 if data.ndim > 1:
                     mask = mask.reshape(data.shape[0], -1).any(axis=1)
             else:
                 mask = np.zeros(data.shape[0], dtype=bool)
-            return ~mask if negated else mask
+            return lift(~mask if negated else mask, ctx.device)
         return fn
 
-    def _compile_BCase(self, expr: b.BCase):
-        whens = [(self._mask_fn(self.compile(cond)),
-                  self._num_fn(self.compile(value)))
+    def _lower_BCase(self, expr: b.BCase):
+        whens = [(self.mask(cond), self.numeric(value))
                  for cond, value in expr.whens]
-        else_fn = None
-        if expr.else_ is not None:
-            else_fn = self._num_fn(self.compile(expr.else_))
-        # tcr's ensure_tensor canonicalizes the python 0.0 to a float32 0-d
-        # tensor, so a float32 branch stays float32 (and an int branch
-        # promotes to float64) exactly as under the interpreter.
-        zero = np.asarray(0.0, dtype=np.float32)
+        else_fn = None if expr.else_ is None else self.numeric(expr.else_)
+        # A float32 zero (what tcr makes of a python 0.0): a float32 branch
+        # stays float32, an int branch promotes to float64.
+        xp, zero = self.xp, np.asarray(0.0, dtype=np.float32)
 
         def fn(ctx):
-            result = None
-            taken = None
+            result = taken = None
             for cond_fn, branch_fn in whens:
-                mask = cond_fn(ctx)
-                branch = branch_fn(ctx)
+                mask, branch = cond_fn(ctx), branch_fn(ctx)
                 if result is None:
-                    result = np.where(mask, branch, np.multiply(branch, zero))
+                    result = xp.where(mask, branch, xp.mul(branch, zero))
                     taken = mask
                 else:
-                    fresh = np.logical_and(mask, np.logical_not(taken))
-                    result = np.where(fresh, branch, result)
-                    taken = np.logical_or(taken, mask)
+                    result = xp.where(mask & ~taken, branch, result)
+                    taken = taken | mask
             if else_fn is not None:
-                result = np.where(taken, result, else_fn(ctx))
+                result = xp.where(taken, result, else_fn(ctx))
             return result
         return fn
 
-    def _compile_BCast(self, expr: b.BCast):
-        operand = self.compile(expr.operand)
-        target = expr.data_type
+    def _lower_BCast(self, expr: b.BCast):
+        operand = self.lower(expr.operand)
+        target: dt.DataType = expr.data_type
         if isinstance(operand, Scalar):
-            return Scalar(_cast_scalar(operand.value, target))
+            return Scalar(_CAST_SCALAR.get(target.kind, str)(operand.value))
         if target.kind == "string":
-            # Mirror the interpreter exactly: decode (identity for plain
-            # numeric data, strings for dictionaries) then str() per row —
-            # same np scalar types in, so identical text out.
+            # str() per row of the decoded values (np scalar reprs).
             def to_string(ctx):
-                value = operand(ctx)
-                if isinstance(value, Column):
-                    decoded = value.decode()
-                else:
-                    # (1,)-shaped literal-derived arrays expand here; string
-                    # columns are always full-length already.
-                    decoded = _expand(value, ctx.num_rows)
+                decoded = ctx.materialize(operand(ctx)).decode()
                 strings = np.asarray([str(v) for v in decoded], dtype=object)
                 return Column.from_values("", strings, device=ctx.device)
             return to_string
-        np_dtype = {"int": np.int64, "float": np.float32,
-                    "bool": np.bool_}.get(target.kind)
-        if np_dtype is None:
-            raise UnsupportedExpr(f"CAST to {target.kind}")
+        xp, dtype = self.xp, _CAST_DTYPE.get(target.kind)
+        if dtype is None:
+            raise ExecutionError(f"cannot CAST to {target}")
 
         def fn(ctx):
             value = operand(ctx)
-            if isinstance(value, Column):
-                if isinstance(value.encoding, DictionaryEncoding):
-                    return value.decode().astype(np.float64).astype(np_dtype)
-                return value.tensor.detach().data.astype(np_dtype)
-            return value.astype(np_dtype)
+            column = _dictionary(value)
+            if column is not None:
+                data = column.decode().astype(np.float64)
+            elif dtype is np.float32:
+                return xp.astype(self._num(value), dtype)   # differentiable
+            else:
+                data = _data(value)
+            return xp.lift(_cast_array(data, dtype), ctx.device)
         return fn
-
-
-# ----------------------------------------------------------------------
-# Operator-level kernels
-# ----------------------------------------------------------------------
-class FilterKernel:
-    """A compiled conjunct list → one boolean row mask per forward."""
-
-    def __init__(self, mask_fns: List[Callable]):
-        self._mask_fns = mask_fns
-
-    def mask(self, evaluator: ExpressionEvaluator) -> np.ndarray:
-        ctx = KernelContext(evaluator)
-        mask = self._mask_fns[0](ctx)
-        for fn in self._mask_fns[1:]:
-            mask = mask & fn(ctx)
-        return mask
-
-
-class ProjectKernel:
-    """A compiled projection list → output columns per forward."""
-
-    def __init__(self, column_fns: List[Callable]):
-        self._column_fns = column_fns
-
-    def columns(self, evaluator: ExpressionEvaluator) -> List[Column]:
-        ctx = KernelContext(evaluator)
-        return [fn(ctx) for fn in self._column_fns]
-
-
-def _column_fn(compiled, name: str) -> Callable:
-    """Mirror evaluate_column/materialize for one projection item."""
-    if isinstance(compiled, Scalar):
-        constant = compiled.value
-        if isinstance(constant, str):
-            def str_fn(ctx):
-                values = np.array([constant] * ctx.num_rows, dtype=object)
-                return Column.from_values(name, values, device=ctx.device)
-            return str_fn
-        if isinstance(constant, bool):
-            dtype, value = np.bool_, constant
-        elif isinstance(constant, int):
-            dtype, value = np.int64, constant
-        elif constant is None:
-            dtype, value = np.float32, np.nan
-        else:
-            dtype, value = np.float32, float(constant)
-
-        def const_fn(ctx):
-            array = np.full(ctx.num_rows, value, dtype=dtype)
-            return Column(name, EncodedTensor(Tensor(array, device=ctx.device),
-                                              PlainEncoding()))
-        return const_fn
-
-    def fn(ctx):
-        value = compiled(ctx)
-        if isinstance(value, Column):
-            return value.rename(name) if name else value
-        array = _expand(value, ctx.num_rows)
-        # dtype pinned: the bare Tensor constructor canonicalizes float64 to
-        # float32, but interpreter results flow through Tensor._make, which
-        # preserves op output dtypes — the kernel must too.
-        return Column(name, EncodedTensor(
-            Tensor(array, device=ctx.device, dtype=array.dtype),
-            PlainEncoding()))
-    return fn
-
-
-def compile_filter(predicates: Sequence[b.BoundExpr]) -> Optional[FilterKernel]:
-    """Compile a conjunct list; None when any conjunct is unsupported."""
-    compiler = ExprCompiler()
-    try:
-        fns = [compiler._mask_fn(compiler.compile(p)) for p in predicates]
-    except UnsupportedExpr:
-        return None
-    return FilterKernel(fns)
-
-
-def compile_projection(exprs: Sequence[b.BoundExpr],
-                       names: Sequence[str]) -> Optional[ProjectKernel]:
-    """Compile a projection list; None when any expression is unsupported."""
-    compiler = ExprCompiler()
-    try:
-        fns = [_column_fn(compiler.compile(e), name)
-               for e, name in zip(exprs, names)]
-    except UnsupportedExpr:
-        return None
-    return ProjectKernel(fns)
-
-
-class StageKernel(NamedTuple):
-    """The compiled body of one pipeline stage; a part the stage does not
-    have (no conjuncts, or no projection) is None."""
-    filter: Optional[FilterKernel]
-    project: Optional[ProjectKernel]
-
-
-def compile_stage(predicates: Sequence[b.BoundExpr],
-                  exprs: Optional[Sequence[b.BoundExpr]],
-                  names: Optional[Sequence[str]]) -> Optional[StageKernel]:
-    """Compile one pipeline stage; None (the stage stays on the interpreter)
-    when any of its expressions is unsupported."""
-    filter_kernel = project_kernel = None
-    if predicates:
-        filter_kernel = compile_filter(predicates)
-        if filter_kernel is None:
-            return None
-    if exprs is not None:
-        project_kernel = compile_projection(exprs, names)
-        if project_kernel is None:
-            return None
-    return StageKernel(filter_kernel, project_kernel)

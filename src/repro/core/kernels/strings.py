@@ -63,6 +63,11 @@ def like_matrix_mask(matrix: np.ndarray, pattern: str) -> np.ndarray:
     return state[np.arange(rows), lengths]
 
 
+def like_value(text: str, pattern: str) -> bool:
+    """``text LIKE pattern`` for one constant: the same NFA, one row."""
+    return bool(like_matrix_mask(_strings_to_codepoints([text]), pattern)[0])
+
+
 def like_mask(encoding: DictionaryEncoding, codes: np.ndarray,
               pattern: str) -> np.ndarray:
     """Row mask for ``column LIKE pattern`` over dictionary codes.
@@ -80,6 +85,22 @@ def like_mask(encoding: DictionaryEncoding, codes: np.ndarray,
         dict_mask = like_matrix_mask(encoding.dictionary.detach().data, pattern)
         memo[pattern] = dict_mask
     return dict_mask[codes]
+
+
+def comparable_codes(left, right) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer codes of two dictionary-coded columns that compare (and
+    join) like their strings, across both sides. One shared dictionary:
+    the codes as they are. Two dictionaries: each is remapped onto the
+    sorted union, O(cardinality), never decoding a row."""
+    left_codes, right_codes = left.tensor.data, right.tensor.data
+    if left.encoding == right.encoding:
+        return left_codes, right_codes
+    split = left.encoding.cardinality
+    _, remap = np.unique(
+        np.concatenate([left.encoding.sorted_strings,
+                        right.encoding.sorted_strings]), return_inverse=True)
+    remap = remap.reshape(-1)
+    return remap[:split][left_codes], remap[split:][right_codes]
 
 
 def case_transform(encoding: DictionaryEncoding,

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.core.expr_eval import ExpressionEvaluator
+from repro.core.kernels.compiler import ExprCompiler
 from repro.core.operators.base import Operator, Relation
 from repro.sql.bound import AggSpec, BoundExpr
 from repro.storage.column import Column, concat_encoded
@@ -49,22 +50,23 @@ def _group_output_column(column: Column, row_indices: np.ndarray, name: str) -> 
 
 class _AggregateBase(Operator):
     def __init__(self, group_exprs: List[BoundExpr], group_names: List[str],
-                 aggregates: List[AggSpec]):
+                 aggregates: List[AggSpec], lowering: ExprCompiler):
         super().__init__()
         self.group_exprs = group_exprs
         self.group_names = group_names
         self.aggregates = aggregates
+        self._keys = [lowering.column(expr, name)
+                      for expr, name in zip(group_exprs, group_names)]
+        self._args = [None if spec.arg is None
+                      else lowering.column(spec.arg, spec.name)
+                      for spec in aggregates]
         self._register_expr_udfs(group_exprs + [s.arg for s in aggregates if s.arg is not None])
 
     def _evaluate_inputs(self, relation: Relation
                          ) -> Tuple[List[Column], List[Optional[Column]]]:
-        evaluator = ExpressionEvaluator(relation.table)
-        keys = [evaluator.evaluate_column(e, n)
-                for e, n in zip(self.group_exprs, self.group_names)]
-        agg_inputs = [
-            evaluator.evaluate_column(spec.arg, spec.name) if spec.arg is not None else None
-            for spec in self.aggregates
-        ]
+        ctx = ExpressionEvaluator(relation.table)
+        keys = [key(ctx) for key in self._keys]
+        agg_inputs = [None if arg is None else arg(ctx) for arg in self._args]
         return keys, agg_inputs
 
     def _global_aggregate(self, agg_inputs: List[Optional[Column]],

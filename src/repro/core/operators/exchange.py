@@ -187,7 +187,8 @@ class PartitionedJoinExec(JoinExec):
     def __init__(self, inner: JoinExec, pool, shards: int, min_rows: int,
                  metrics=None):
         super().__init__(inner.kind, inner.left_keys, inner.right_keys,
-                         inner.residual, inner.left_names, inner.right_names)
+                         inner.residual, inner.left_names, inner.right_names,
+                         inner.lowering)
         self.pool = pool
         self.shards = int(shards)
         self.min_rows = int(min_rows)

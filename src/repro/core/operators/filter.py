@@ -4,6 +4,7 @@ is :class:`~repro.core.operators.pipeline.PipelineExec`)."""
 from __future__ import annotations
 
 from repro.core.expr_eval import ExpressionEvaluator
+from repro.core.kernels.compiler import ExprCompiler
 from repro.core.operators.base import Operator, Relation
 from repro.core.operators.pipeline import PipelineExec
 from repro.core.soft.relaxations import soft_predicate
@@ -17,17 +18,18 @@ class SoftFilterExec(Operator):
     hard results (the paper's soft→exact swap at inference time).
     """
 
-    def __init__(self, predicate: b.BoundExpr, temperature: float):
+    def __init__(self, predicate: b.BoundExpr, temperature: float,
+                 lowering: ExprCompiler):
         super().__init__()
         self.predicate = predicate
         self.temperature = temperature
-        self._register_expr_udfs([predicate])
+        self.exact = PipelineExec([predicate], None, None, lowering)
+        self._weights = soft_predicate(predicate, lowering, temperature)
 
     def forward(self, relation: Relation) -> Relation:
         if not self.training:
-            return PipelineExec([self.predicate])(relation)
-        evaluator = ExpressionEvaluator(relation.table)
-        weights = soft_predicate(self.predicate, evaluator, self.temperature)
+            return self.exact(relation)
+        weights = self._weights(ExpressionEvaluator(relation.table))
         if relation.weights is not None:
             weights = weights * relation.weights
         return Relation(relation.table, weights)

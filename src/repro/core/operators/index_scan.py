@@ -11,8 +11,8 @@
    conjuncts (over-fetching first, escalating to a full probe when too few
    survive), and
 4. re-ranks/projects *exactly*: the final projection — including the
-   similarity expression itself — is evaluated by the ordinary expression
-   interpreter over just the chosen rows, so the emitted scores are
+   similarity expression itself — is evaluated by the ordinary
+   ``PipelineExec`` over just the chosen rows, so the emitted scores are
    bit-identical to the unindexed plan's.
 
 When the index cannot serve the query at run time (entry dropped, model
@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import CatalogError, ExecutionError
-from repro.core.expr_eval import ExpressionEvaluator
+from repro.core.kernels.compiler import ExprCompiler
 from repro.core.operators.base import Operator, Relation
 from repro.core.operators.pipeline import PipelineExec
 from repro.core.operators.sort import TopKExec
@@ -44,7 +44,8 @@ class IndexScanExec(Operator):
     # multiple of k, and escalate to an exhaustive probe if too few survive.
     OVERFETCH = 4
 
-    def __init__(self, manager, plan, nprobe: Optional[int] = None,
+    def __init__(self, manager, plan, lowering: ExprCompiler,
+                 nprobe: Optional[int] = None,
                  use_tensor_cache: bool = True, shard_pool=None):
         super().__init__()
         self.manager = manager
@@ -66,6 +67,15 @@ class IndexScanExec(Operator):
         # Per-query probe-width hint (extra_config={"nprobe": N}); None
         # falls back to the index's default.
         self.nprobe_hint = nprobe
+        # The exact Filter -> TopK -> Project plan this scan replaced; the
+        # index path reuses its projection and its filter's mask.
+        self.project = PipelineExec([], self.exprs, self.names, lowering)
+        self.exact_topk = TopKExec([(self.sim_expr, False)], self.k,
+                                   self.offset, lowering)
+        self.exact_filter = None
+        if self.residual is not None:
+            self.exact_filter = PipelineExec([self.residual], None, None,
+                                             lowering)
         self._register_expr_udfs(
             self.exprs + [self.sim_expr]
             + ([self.residual] if self.residual else []))
@@ -110,23 +120,19 @@ class IndexScanExec(Operator):
                                       pool=pool)
                 ids = self._apply_residual(relation, ids)
         chosen = ids[self.offset:want]
-        subset = Relation(relation.table.take(chosen))
-        return PipelineExec([], self.exprs, self.names)(subset)
+        return self.project(Relation(relation.table.take(chosen)))
 
     def _apply_residual(self, relation: Relation, ids: np.ndarray) -> np.ndarray:
         """Keep candidate ids (already score-ordered) passing the residual."""
         if ids.size == 0:
             return ids
-        candidates = relation.table.take(ids)
-        mask = ExpressionEvaluator(candidates).evaluate_mask(self.residual)
-        return ids[mask]
+        return ids[self.exact_filter.mask(relation.table.take(ids))]
 
     def _exact(self, relation: Relation) -> Relation:
         """Unindexed fallback: Filter -> exact TopK by sim_expr -> Project."""
-        if self.residual is not None:
-            relation = PipelineExec([self.residual])(relation)
-        top = TopKExec([(self.sim_expr, False)], self.k, self.offset)(relation)
-        return PipelineExec([], self.exprs, self.names)(top)
+        if self.exact_filter is not None:
+            relation = self.exact_filter(relation)
+        return self.project(self.exact_topk(relation))
 
     def describe(self) -> str:
         if self.nprobe_hint is not None:

@@ -8,6 +8,8 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.core.expr_eval import ExpressionEvaluator
+from repro.core.kernels.compiler import ExprCompiler
+from repro.core.kernels.strings import comparable_codes
 from repro.core.operators.base import Operator, Relation
 from repro.sql.bound import BoundExpr
 from repro.storage.column import Column
@@ -17,7 +19,10 @@ from repro.storage.table import Table
 
 def _join_codes(left: Column, right: Column) -> Tuple[np.ndarray, np.ndarray]:
     """Factorise a key pair into comparable integer codes."""
-    if isinstance(left.encoding, DictionaryEncoding) or isinstance(
+    if isinstance(left.encoding, DictionaryEncoding) and isinstance(
+            right.encoding, DictionaryEncoding):
+        left_vals, right_vals = comparable_codes(left, right)
+    elif isinstance(left.encoding, DictionaryEncoding) or isinstance(
             right.encoding, DictionaryEncoding):
         left_vals = left.decode().astype(str)
         right_vals = right.decode().astype(str)
@@ -113,7 +118,8 @@ def _null_fill_column(column: Column, indices: np.ndarray, name: str) -> Column:
 class JoinExec(Operator):
     def __init__(self, kind: str, left_keys: List[BoundExpr],
                  right_keys: List[BoundExpr], residual: Optional[BoundExpr],
-                 left_names: List[str], right_names: List[str]):
+                 left_names: List[str], right_names: List[str],
+                 lowering: ExprCompiler):
         super().__init__()
         self.kind = kind
         self.left_keys = left_keys
@@ -121,6 +127,10 @@ class JoinExec(Operator):
         self.residual = residual
         self.left_names = left_names
         self.right_names = right_names
+        self.lowering = lowering
+        self._left_keys = [lowering.column(key) for key in left_keys]
+        self._right_keys = [lowering.column(key) for key in right_keys]
+        self._residual = None if residual is None else lowering.mask(residual)
         self._register_expr_udfs(left_keys + right_keys + ([residual] if residual else []))
 
     def forward(self, left_rel: Relation, right_rel: Relation = None) -> Relation:
@@ -149,13 +159,11 @@ class JoinExec(Operator):
         which is also what makes them a sound hash-partitioning key for the
         exchange operator (see :mod:`repro.core.operators.exchange`).
         """
-        left_eval = ExpressionEvaluator(left)
-        right_eval = ExpressionEvaluator(right)
+        left_ctx = ExpressionEvaluator(left)
+        right_ctx = ExpressionEvaluator(right)
         left_code_cols, right_code_cols = [], []
-        for lk, rk in zip(self.left_keys, self.right_keys):
-            lcol = left_eval.evaluate_column(lk)
-            rcol = right_eval.evaluate_column(rk)
-            lcodes, rcodes = _join_codes(lcol, rcol)
+        for lk, rk in zip(self._left_keys, self._right_keys):
+            lcodes, rcodes = _join_codes(lk(left_ctx), rk(right_ctx))
             left_code_cols.append(lcodes)
             right_code_cols.append(rcodes)
         return _combine_key_codes(left_code_cols, right_code_cols)
@@ -190,8 +198,8 @@ class JoinExec(Operator):
         pass through untouched, and preserved-side rows whose every match
         fails the residual reappear as null-filled unmatched rows.
         """
-        mask = ExpressionEvaluator(self._gather(left, right, li, ri)) \
-            .evaluate_mask(self.residual)
+        mask = self._residual(
+            ExpressionEvaluator(self._gather(left, right, li, ri)))
         if self.kind == "LEFT":
             preserved, other = li, ri
         elif self.kind == "RIGHT":

@@ -22,100 +22,76 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.expr_eval import ExpressionEvaluator, normalize_strings
-from repro.core.kernels.compiler import KernelFallback, StageKernel
+from repro.core.kernels.compiler import ExprCompiler
 from repro.core.operators.base import Operator, Relation
 from repro.core.telemetry import annotate
-from repro.errors import ExecutionError
 from repro.sql import bound as b
 from repro.storage.table import Table
 
 
 class _GatherEvaluator(ExpressionEvaluator):
-    """Evaluator over a *row-filtered view* of a table.
+    """Context over a *row-filtered view* of a table.
 
-    Columns are gathered through the selection indices lazily, each at most
-    once — the stage never materialises columns its outputs do not read.
+    Columns are gathered through the selection indices lazily (each at most
+    once: column reads are CSE slots) — the stage never materialises
+    columns its outputs do not read.
     """
 
     def __init__(self, table: Table, indices: np.ndarray):
-        self.table = table
+        super().__init__(table)
         self.indices = indices
         self.num_rows = len(indices)
-        self.device = table.device
-        self._gathered = {}
-        self._memo = {}
 
     def _eval_BColumn(self, expr: b.BColumn):
-        column = self._gathered.get(expr.index)
-        if column is None:
-            columns = self.table.columns
-            if expr.index >= len(columns):
-                raise ExecutionError(
-                    f"column index {expr.index} out of range for table with "
-                    f"{len(columns)} columns"
-                )
-            column = normalize_strings(columns[expr.index].take(self.indices))
-            self._gathered[expr.index] = column
-        return column
+        return normalize_strings(self._stored(expr.index).take(self.indices))
 
 
 class PipelineExec(Operator):
     """Conjunct masks → index vector → gather-evaluated outputs.
 
     ``exprs is None`` means no projection: the selected rows are taken
-    whole. The body is ``kernel`` when the compiler built one and the
-    interpreter otherwise; a :class:`KernelFallback` (a batch that violates
-    a compile-time assumption) re-runs the same stage on the interpreter,
-    which is the kernel's bit-identity oracle by construction.
+    whole. ``lowering`` decides the body: numpy kernels on detached data
+    for exact plans, the same closures over tcr ops where gradients must
+    flow (EXPLAIN prints which).
     """
 
     def __init__(self, predicates: List[b.BoundExpr],
-                 exprs: Optional[List[b.BoundExpr]] = None,
-                 names: Optional[List[str]] = None,
-                 kernel: Optional[StageKernel] = None):
+                 exprs: Optional[List[b.BoundExpr]],
+                 names: Optional[List[str]], lowering: ExprCompiler):
         super().__init__()
         self.predicates = list(predicates)
         self.exprs = exprs
         self.names = names
-        self.kernel = kernel
+        self.body = lowering.xp.label
+        self._masks = [lowering.mask(p) for p in self.predicates]
+        self._outputs = None if exprs is None else [
+            lowering.column(expr, name) for expr, name in zip(exprs, names)]
         self._register_expr_udfs(self.predicates + list(exprs or []))
 
-    def forward(self, relation: Relation) -> Relation:
-        if self.kernel is None:
-            return self._run(relation, None)
-        try:
-            result = self._run(relation, self.kernel)
-        except KernelFallback:
-            annotate(path="fallback")
-            return self._run(relation, None)
-        annotate(path="kernel")
-        return result
+    def mask(self, table: Table) -> np.ndarray:
+        """The AND of the conjunct masks over ``table`` (needs a conjunct)."""
+        ctx = ExpressionEvaluator(table)
+        mask = self._masks[0](ctx)
+        for fn in self._masks[1:]:
+            mask = mask & fn(ctx)
+        return mask
 
-    def _run(self, relation: Relation, kernel: Optional[StageKernel]) -> Relation:
+    def forward(self, relation: Relation) -> Relation:
+        annotate(path=self.body)
         table, weights = relation.table, relation.weights
-        evaluator = ExpressionEvaluator(table)
-        if self.predicates:
-            if kernel is not None:
-                mask = kernel.filter.mask(evaluator)
-            else:
-                mask = evaluator.evaluate_mask(self.predicates[0])
-                for predicate in self.predicates[1:]:
-                    mask = mask & evaluator.evaluate_mask(predicate)
-            indices = np.flatnonzero(mask)
+        if self._masks:
+            indices = np.flatnonzero(self.mask(table))
             if weights is not None:
                 weights = weights[indices]
-            if self.exprs is None:
+            if self._outputs is None:
                 return Relation(table.take(indices), weights)
-            evaluator = _GatherEvaluator(table, indices)
-        if kernel is not None:
-            columns = kernel.project.columns(evaluator)
+            ctx = _GatherEvaluator(table, indices)
         else:
-            columns = [evaluator.evaluate_column(expr, name)
-                       for expr, name in zip(self.exprs, self.names)]
+            ctx = ExpressionEvaluator(table)
+        columns = [fn(ctx) for fn in self._outputs]
         return Relation(Table(table.name, columns), weights)
 
     def describe(self) -> str:
-        body = "kernel" if self.kernel is not None else "interp"
         conjuncts = " AND ".join(str(p) for p in self.predicates)
         outputs = "*" if self.exprs is None else ", ".join(self.names)
-        return f"Pipeline[{body}]([{conjuncts}] -> {outputs})"
+        return f"Pipeline[{self.body}]([{conjuncts}] -> {outputs})"

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.expr_eval import ExpressionEvaluator, Scalar, _invoke_batched
+from repro.core.expr_eval import (
+    ExpressionEvaluator,
+    _invoke_batched,
+    udf_arguments,
+)
+from repro.core.kernels.compiler import ExprCompiler
 from repro.core.operators.base import Operator, Relation
 from repro.sql import bound as b
-from repro.storage.encodings import PlainEncoding
 from repro.storage.table import Table
 
 
@@ -19,26 +23,20 @@ class TVFExec(Operator):
     programs" (paper §3) — so there is no data marshalling boundary.
     """
 
-    def __init__(self, udf, arg_exprs: List[b.BoundExpr], names: List[str]):
+    def __init__(self, udf, arg_exprs: List[b.BoundExpr], names: List[str],
+                 lowering: ExprCompiler):
         super().__init__()
         self.udf = udf
         self.arg_exprs = arg_exprs
         self.names = names
+        self._args = [lowering.value(expr) for expr in arg_exprs]
         for i, module in enumerate(udf.modules):
             self.register_module(f"udf_{udf.name}_{i}", module)
         self._register_expr_udfs(arg_exprs)
 
     def forward(self, relation: Relation) -> Relation:
-        evaluator = ExpressionEvaluator(relation.table)
-        args = []
-        for expr in self.arg_exprs:
-            value = evaluator.evaluate(expr)
-            if isinstance(value, Scalar):
-                args.append(value.value)
-            elif self.udf.encoded_io or not isinstance(value.encoding, PlainEncoding):
-                args.append(value.encoded)
-            else:
-                args.append(value.tensor)
+        ctx = ExpressionEvaluator(relation.table)
+        args = udf_arguments(self.udf, [arg(ctx) for arg in self._args])
         columns = _invoke_batched(self.udf, args, relation.num_rows, relation.device)
         renamed = [col.rename(name) for col, name in zip(columns, self.names)]
         out = Table(relation.table.name, renamed)

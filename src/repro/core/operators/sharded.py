@@ -43,7 +43,6 @@ from repro.core.operators.filter import SoftFilterExec
 from repro.core.operators.pipeline import PipelineExec
 from repro.core.operators.scan import ScanExec, shard_slices
 from repro.core.partition import plan_shards, run_sharded, stitch_relations
-from repro.core.expr_eval import ExpressionEvaluator
 from repro.core.telemetry import annotate, span, tracing
 from repro.storage.table import Table
 
@@ -225,14 +224,9 @@ class ShardedAggregateExec(_ShardedBase):
                 with span("shard", index=index, rows=table.num_rows):
                     try:
                         rel = self._run_pipeline(Relation(table))
-                        evaluator = ExpressionEvaluator(rel.table)
-                        partials = []
-                        for spec in specs:
-                            arg = (evaluator.evaluate_column(spec.arg, spec.name)
-                                   if spec.arg is not None else None)
-                            partials.append(
-                                global_partial(spec, arg, rel.num_rows))
-                        return partials
+                        _, agg_inputs = self.agg._evaluate_inputs(rel)
+                        return [global_partial(spec, arg, rel.num_rows)
+                                for spec, arg in zip(specs, agg_inputs)]
                     finally:
                         _finish_batcher_statement()
             return task

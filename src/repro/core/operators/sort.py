@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.core.expr_eval import ExpressionEvaluator
+from repro.core.kernels.compiler import ExprCompiler
 from repro.core.operators.base import Operator, Relation
 from repro.sql.bound import BoundExpr
 from repro.storage.column import Column
@@ -36,19 +37,20 @@ def _sort_array(column: Column, ascending: bool) -> np.ndarray:
 
 
 class SortExec(Operator):
-    def __init__(self, keys: List[Tuple[BoundExpr, bool]]):
+    def __init__(self, keys: List[Tuple[BoundExpr, bool]],
+                 lowering: ExprCompiler):
         super().__init__()
         self.keys = keys
+        self._keys = [(lowering.column(expr), ascending)
+                      for expr, ascending in keys]
         self._register_expr_udfs([e for e, _ in keys])
 
     def forward(self, relation: Relation) -> Relation:
         if relation.num_rows <= 1:
             return relation
-        evaluator = ExpressionEvaluator(relation.table)
-        arrays = [
-            _sort_array(evaluator.evaluate_column(expr), ascending)
-            for expr, ascending in self.keys
-        ]
+        ctx = ExpressionEvaluator(relation.table)
+        arrays = [_sort_array(key(ctx), ascending)
+                  for key, ascending in self._keys]
         order = np.lexsort(tuple(reversed(arrays)))
         table = relation.table.take(order)
         weights = relation.weights[order.tolist()] if relation.weights is not None else None
@@ -61,22 +63,22 @@ class SortExec(Operator):
 class TopKExec(Operator):
     """Fused ORDER BY + LIMIT using argpartition (avoids a full sort)."""
 
-    def __init__(self, keys: List[Tuple[BoundExpr, bool]], k: int, offset: int = 0):
+    def __init__(self, keys: List[Tuple[BoundExpr, bool]], k: int,
+                 offset: int, lowering: ExprCompiler):
         super().__init__()
         self.keys = keys
         self.k = k
         self.offset = offset
-        self._register_expr_udfs([e for e, _ in keys])
+        self.sort = SortExec(keys, lowering)     # registers the keys' UDFs
+        self.limit = LimitExec(k, offset)
 
     def forward(self, relation: Relation) -> Relation:
         n = relation.num_rows
         want = self.k + self.offset
         if n <= want or len(self.keys) > 1:
-            sorted_rel = SortExec(self.keys)(relation)
-            return LimitExec(self.k, self.offset)(sorted_rel)
-        evaluator = ExpressionEvaluator(relation.table)
-        expr, ascending = self.keys[0]
-        array = _sort_array(evaluator.evaluate_column(expr), ascending)
+            return self.limit(self.sort(relation))
+        key, ascending = self.sort._keys[0]
+        array = _sort_array(key(ExpressionEvaluator(relation.table)), ascending)
         candidates = np.argpartition(array, want - 1)[:want]
         candidates = candidates[np.argsort(array[candidates], kind="stable")]
         chosen = candidates[self.offset:self.offset + self.k]

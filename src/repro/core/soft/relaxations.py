@@ -8,65 +8,77 @@ maps to product/probabilistic-sum, the standard t-norm/t-conorm pair.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.core.expr_eval import ExpressionEvaluator
+from repro.core.kernels.compiler import ExprCompiler
 from repro.sql import bound as b
 from repro.tcr import ops
 from repro.tcr.tensor import Tensor
 
 
-def soft_predicate(expr: b.BoundExpr, evaluator: ExpressionEvaluator,
-                   temperature: float) -> Tensor:
-    """Evaluate a predicate as differentiable row weights in (0, 1)."""
+def soft_predicate(expr: b.BoundExpr, lowering: ExprCompiler,
+                   temperature: float) -> Callable:
+    """Lower a predicate to ``fn(ctx) -> Tensor`` of differentiable row
+    weights in (0, 1). ``lowering`` must be over tcr ops, or no gradient
+    reaches the operands."""
+    def relax(sub: b.BoundExpr) -> Callable:
+        return soft_predicate(sub, lowering, temperature)
+
     if isinstance(expr, b.BBinary):
-        if expr.op == "AND":
-            left = soft_predicate(expr.left, evaluator, temperature)
-            right = soft_predicate(expr.right, evaluator, temperature)
-            return left * right
-        if expr.op == "OR":
-            left = soft_predicate(expr.left, evaluator, temperature)
-            right = soft_predicate(expr.right, evaluator, temperature)
-            return left + right - left * right
+        if expr.op in ("AND", "OR"):
+            left, right = relax(expr.left), relax(expr.right)
+            if expr.op == "AND":
+                return lambda ctx: left(ctx) * right(ctx)
+
+            def either(ctx):
+                lw, rw = left(ctx), right(ctx)
+                return lw + rw - lw * rw
+            return either
         if expr.op in (">", ">=", "<", "<=", "=", "!="):
-            return _soft_compare(expr, evaluator, temperature)
+            return _soft_compare(expr, lowering, temperature)
         raise ExecutionError(f"cannot relax operator {expr.op!r}")
     if isinstance(expr, b.BUnary) and expr.op == "NOT":
-        return 1.0 - soft_predicate(expr.operand, evaluator, temperature)
+        operand = relax(expr.operand)
+        return lambda ctx: 1.0 - operand(ctx)
     if isinstance(expr, b.BBetween):
-        low = soft_predicate(
-            b.BBinary(">=", expr.operand, expr.low, expr.data_type), evaluator, temperature
-        )
-        high = soft_predicate(
-            b.BBinary("<=", expr.operand, expr.high, expr.data_type), evaluator, temperature
-        )
-        weight = low * high
-        return 1.0 - weight if expr.negated else weight
+        low = relax(b.BBinary(">=", expr.operand, expr.low, expr.data_type))
+        high = relax(b.BBinary("<=", expr.operand, expr.high, expr.data_type))
+        if expr.negated:
+            return lambda ctx: 1.0 - low(ctx) * high(ctx)
+        return lambda ctx: low(ctx) * high(ctx)
     # Fall back to the hard boolean result as 0/1 weights (no gradient).
-    mask = evaluator.evaluate_mask(expr)
-    return Tensor(mask.astype(np.float32), device=evaluator.device)
+    mask = lowering.mask(expr)
+    return lambda ctx: Tensor(mask(ctx).astype(np.float32), device=ctx.device)
 
 
-def _soft_compare(expr: b.BBinary, evaluator: ExpressionEvaluator,
-                  temperature: float) -> Tensor:
-    left = _float_tensor(evaluator, expr.left)
-    right = _float_tensor(evaluator, expr.right)
-    diff = left - right
-    if expr.op in (">", ">="):
-        return ops.sigmoid(diff * temperature)
-    if expr.op in ("<", "<="):
-        return ops.sigmoid(-diff * temperature)
-    # Equality: Gaussian kernel peaked at 0 difference.
-    closeness = ops.exp(-(diff * diff) * temperature)
-    if expr.op == "!=":
-        return 1.0 - closeness
-    return closeness
+def _soft_compare(expr: b.BBinary, lowering: ExprCompiler,
+                  temperature: float) -> Callable:
+    left = _float_tensor(lowering, expr.left)
+    right = _float_tensor(lowering, expr.right)
+    op = expr.op
+
+    def fn(ctx):
+        diff = left(ctx) - right(ctx)
+        if op in (">", ">="):
+            return ops.sigmoid(diff * temperature)
+        if op in ("<", "<="):
+            return ops.sigmoid(-diff * temperature)
+        # Equality: Gaussian kernel peaked at 0 difference.
+        closeness = ops.exp(-(diff * diff) * temperature)
+        return 1.0 - closeness if op == "!=" else closeness
+    return fn
 
 
-def _float_tensor(evaluator: ExpressionEvaluator, expr: b.BoundExpr) -> Tensor:
-    value = evaluator.evaluate(expr)
-    tensor = evaluator._numeric_tensor(value)
-    if tensor.dtype.kind != "f":
-        tensor = ops.astype(tensor, np.float32)
-    return tensor
+def _float_tensor(lowering: ExprCompiler, expr: b.BoundExpr) -> Callable:
+    """One compare operand as a full-length float tensor."""
+    numeric = lowering.numeric(expr)
+
+    def fn(ctx):
+        tensor = ctx.materialize(numeric(ctx)).tensor
+        if tensor.dtype.kind != "f":
+            tensor = ops.astype(tensor, np.float32)
+        return tensor
+    return fn

@@ -48,6 +48,9 @@ class DictionaryEncoding(Encoding):
             raise EncodingError("dictionary must be a 2-d code-point tensor")
         self.dictionary = dictionary
         self._strings = _codepoints_to_strings(dictionary.data)
+        # Sorted fixed-width view for binary search (the object array above
+        # is what decode gathers from); built once, dictionaries are immutable.
+        self._sorted = self._strings.astype(str)
 
     @property
     def cardinality(self) -> int:
@@ -56,6 +59,11 @@ class DictionaryEncoding(Encoding):
     @property
     def strings(self) -> np.ndarray:
         return self._strings
+
+    @property
+    def sorted_strings(self) -> np.ndarray:
+        """The dictionary as a fixed-width ``str`` array (binary-searchable)."""
+        return self._sorted
 
     def validate(self, tensor: Tensor) -> None:
         if tensor.ndim != 1:
@@ -71,14 +79,14 @@ class DictionaryEncoding(Encoding):
 
     def code_for(self, value: str) -> Optional[int]:
         """Exact-match lookup; None when the value is absent from the dictionary."""
-        idx = np.searchsorted(self._strings.astype(str), value)
-        if idx < self.cardinality and self._strings[idx] == value:
-            return int(idx)
+        idx = int(np.searchsorted(self._sorted, value))
+        if idx < self.cardinality and self._sorted[idx] == value:
+            return idx
         return None
 
     def range_for(self, value: str, side: str = "left") -> int:
         """Binary-search boundary so inequality predicates run on codes."""
-        return int(np.searchsorted(self._strings.astype(str), value, side=side))
+        return int(np.searchsorted(self._sorted, value, side=side))
 
     def prefix_range(self, prefix: str) -> Tuple[int, int]:
         """Code range [lo, hi) of strings starting with ``prefix`` (LIKE 'p%')."""

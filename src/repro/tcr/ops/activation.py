@@ -32,16 +32,21 @@ def leaky_relu(a: Tensor, negative_slope: float = 0.01) -> Tensor:
     return Tensor._make(data, (a,), backward, "leaky_relu", a.device)
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def sigmoid_forward(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a raw array, in the input's dtype."""
     # Numerically stable: never exponentiate a large positive number.
-    x = a.data
     data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    return data.astype(x.dtype, copy=False)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    data = sigmoid_forward(a.data)
 
     def backward(grad):
         return (grad * data * (1.0 - data),)
 
-    return Tensor._make(data.astype(x.dtype, copy=False), (a,), backward, "sigmoid", a.device)
+    return Tensor._make(data, (a,), backward, "sigmoid", a.device)
 
 
 def tanh(a: Tensor) -> Tensor:

@@ -40,13 +40,15 @@ def mul(a, b) -> Tensor:
                    lambda g, x, y, o: g * x)
 
 
-def div(a, b) -> Tensor:
-    def forward(x, y):
-        if dtypes.is_int(x.dtype) and dtypes.is_int(y.dtype):
-            return np.true_divide(x, y).astype(np.float32)
-        return np.true_divide(x, y)
+def div_forward(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x / y`` on raw arrays: integer / integer materialises float32."""
+    if dtypes.is_int(x.dtype) and dtypes.is_int(y.dtype):
+        return np.true_divide(x, y).astype(np.float32)
+    return np.true_divide(x, y)
 
-    return _binary(a, b, "div", forward,
+
+def div(a, b) -> Tensor:
+    return _binary(a, b, "div", div_forward,
                    lambda g, x, y, o: g / y,
                    lambda g, x, y, o: -g * x / (y * y))
 

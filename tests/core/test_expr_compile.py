@@ -1,15 +1,17 @@
-"""Targeted tests for the expression-kernel compiler (TQP-style codegen).
+"""Targeted tests for the expression lowering (TQP-style codegen).
 
 Covers the contracts the differential harness cannot pin down one by one:
 
 * the char-code LIKE kernel against a ground-truth SQL LIKE oracle,
   including the newline behaviour the old regex lowering (no ``DOTALL``)
   got wrong, wildcards, and regex metacharacters in patterns;
-* plan-time fallback — a stage with an unsupported expression shape keeps
-  the interpreter body (``Pipeline[interp]`` in the plan) with equal results;
-* runtime fallback — a kernel raising :class:`KernelFallback` mid-query
-  re-runs the same stage on the interpreter, bit-identically, and the
-  trace says ``path=fallback``;
+* the one lowering under both array namespaces (``compile_exprs`` on:
+  numpy, off: tcr ops): the stage label in the plan, SUBSTR's
+  constant-bounds contract, and string values that arrive without a
+  dictionary;
+* string functions in aggregate, sort and join keys run on dictionary
+  codes (no per-row decode);
+* ``CAST(<non-finite> AS INT)`` is 0, warning-free, on both namespaces;
 * ``compile_exprs`` enters the plan-cache fingerprint, so flipping it can
   never serve a plan compiled under the other mode;
 * the session memo for ``encode_text`` (satellite of the kernel work);
@@ -25,14 +27,10 @@ import pytest
 from repro.core.config import QueryConfig
 from repro.errors import ExecutionError
 from repro.core.kernels import strings as string_kernels
-from repro.core.kernels.compiler import (
-    FilterKernel,
-    KernelFallback,
-    ProjectKernel,
-)
 from repro.core.partition import ShardPool
 from repro.core.session import Session
 from repro.storage.column import Column
+from repro.storage.encodings import CharCodeEncoding, DictionaryEncoding
 from repro.tcr import nn
 from repro.tcr.tensor import Tensor
 
@@ -119,8 +117,11 @@ class TestLikeKernel:
 
 
 # ----------------------------------------------------------------------
-# Fallback contracts
+# One lowering, two namespaces
 # ----------------------------------------------------------------------
+NAMESPACES = ({"compile_exprs": True}, {"compile_exprs": False})
+
+
 def _numbers_session(n=32):
     session = Session()
     session.sql.register_dict({
@@ -132,13 +133,7 @@ def _numbers_session(n=32):
     return session
 
 
-def _paths(query):
-    """The ``path=`` annotation of every operator span of the last run."""
-    return [span.attrs["path"] for span in query.last_trace().find("operator")
-            if "path" in span.attrs]
-
-
-class TestFallbacks:
+class TestOneLowering:
     def test_stage_body_appears_in_plan(self):
         session = _numbers_session()
         query = session.sql.query(
@@ -151,83 +146,148 @@ class TestFallbacks:
         assert "Pipeline[kernel]" not in off.explain()
         assert "Pipeline[interp]" in off.explain()
 
-    def test_plan_time_fallback_on_unsupported_projection(self):
-        """SUBSTR with a non-constant start has no kernel lowering (the
-        kernel folds bounds at plan time): the planner must keep the
-        stage on the interpreter rather than emit a broken kernel. The
-        engine-wide contract (interpreter included) is constant bounds, so
-        both paths surface the same ExecutionError at run time."""
+    @pytest.mark.parametrize("extra", NAMESPACES)
+    def test_substr_bounds_must_be_constant(self, extra):
+        """SUBSTR folds its bounds at plan time (one dictionary transform
+        per statement): non-constant bounds are the statement's error, at
+        run time, on either namespace."""
         session = _numbers_session()
-        stmt = ("SELECT id, SUBSTR(s, 1 + x % 2, 2) AS sx FROM t "
-                "WHERE x > 0")
-        compiled = session.sql.query(stmt,
-                                     extra_config={"compile_exprs": True})
-        # The stage producing `sx` stays interpreted.
-        sx_ops = [line for line in compiled.explain().splitlines()
-                  if "sx" in line and "(" in line]
-        assert sx_ops and all("[kernel]" not in line for line in sx_ops), \
-            compiled.explain()
-        for extra in ({"compile_exprs": True}, {"compile_exprs": False}):
-            with pytest.raises(ExecutionError, match="constant"):
-                session.sql.query(stmt, extra_config=extra).run()
-
-    def test_cast_to_string_now_compiles(self):
-        """CAST to STRING gained a kernel lowering (PR 8): it compiles and
-        stays bit-identical with the interpreter."""
-        session = _numbers_session()
-        stmt = "SELECT id, CAST(x AS STRING) AS sx FROM t WHERE x > 0"
-        compiled = session.sql.query(stmt,
-                                     extra_config={"compile_exprs": True})
-        assert "Pipeline[kernel]" in compiled.explain()
-        base = session.sql.query(stmt, extra_config={"compile_exprs": False})
-        _assert_equal_results(_snapshot(base.run()),
-                              _snapshot(compiled.run()), stmt)
-
-    def test_cast_to_string_now_compiles(self):
-        """CAST to STRING gained a kernel lowering (PR 8): it compiles and
-        stays bit-identical with the interpreter."""
-        session = _numbers_session()
-        stmt = "SELECT id, CAST(x AS STRING) AS sx FROM t WHERE x > 0"
-        compiled = session.sql.query(stmt,
-                                     extra_config={"compile_exprs": True})
-        assert "Pipeline[kernel]" in compiled.explain()
-        base = session.sql.query(stmt, extra_config={"compile_exprs": False})
-        _assert_equal_results(_snapshot(base.run()),
-                              _snapshot(compiled.run()), stmt)
-
-    def test_runtime_filter_fallback(self, monkeypatch):
-        """A KernelFallback raised while the query runs re-executes the
-        stage on the interpreter — same bits, no error, and the trace
-        records the fallback."""
-        session = _numbers_session()
-        stmt = "SELECT id, x * 2 AS v FROM t WHERE x > 0 AND s = 'ant'"
-        expected = _snapshot(session.sql.query(
-            stmt, extra_config={"compile_exprs": False}).run())
         query = session.sql.query(
-            stmt, extra_config={"compile_exprs": True, "telemetry": True})
-        assert "Pipeline[kernel]" in query.explain()
-        _assert_equal_results(expected, _snapshot(query.run()), stmt)
-        assert _paths(query) == ["kernel"]
+            "SELECT id, SUBSTR(s, 1 + x % 2, 2) AS sx FROM t WHERE x > 0",
+            extra_config=extra)
+        with pytest.raises(ExecutionError, match="constant"):
+            query.run()
 
-        def boom(self, evaluator):
-            raise KernelFallback("forced by test")
-
-        monkeypatch.setattr(FilterKernel, "mask", boom)
-        _assert_equal_results(expected, _snapshot(query.run()), stmt)
-        assert _paths(query) == ["fallback"]
-
-    def test_runtime_project_fallback(self, monkeypatch):
+    def test_cast_to_string_agrees_across_namespaces(self):
         session = _numbers_session()
-        stmt = "SELECT id, x * 2 AS v FROM t WHERE x > 0"
-        expected = _snapshot(session.sql.query(
-            stmt, extra_config={"compile_exprs": False}).run())
-        query = session.sql.query(stmt, extra_config={"compile_exprs": True})
+        stmt = "SELECT id, CAST(x AS STRING) AS sx FROM t WHERE x > 0"
+        compiled = session.sql.query(stmt,
+                                     extra_config={"compile_exprs": True})
+        assert "Pipeline[kernel]" in compiled.explain()
+        base = session.sql.query(stmt, extra_config={"compile_exprs": False})
+        _assert_equal_results(_snapshot(base.run()),
+                              _snapshot(compiled.run()), stmt)
 
-        def boom(self, evaluator):
-            raise KernelFallback("forced by test")
+    @pytest.mark.parametrize("extra", NAMESPACES)
+    def test_strings_without_a_dictionary(self, extra):
+        """A UDF may hand back strings as a char-code matrix (no
+        dictionary). Every string function takes them directly and
+        answers what python's str methods answer."""
+        session = _numbers_session(12)
+        texts = [f" Row{i % 4}x " for i in range(12)]
 
-        monkeypatch.setattr(ProjectKernel, "columns", boom)
-        _assert_equal_results(expected, _snapshot(query.run()), stmt)
+        @session.udf("string", name="tag", encoded_io=True)
+        def tag(ids):
+            return CharCodeEncoding.encode(
+                [texts[int(i)] for i in ids.tensor.data])
+
+        got = session.sql.query(
+            "SELECT id, UPPER(tag(id)) AS u, LENGTH(tag(id)) AS n, "
+            "TRIM(tag(id)) AS t, SUBSTR(tag(id), 2, 3) AS sub FROM t "
+            "WHERE tag(id) LIKE '%ow1%' OR tag(id) LIKE ' Row2_ '",
+            extra_config=extra).run()
+        keep = [i for i, text in enumerate(texts)
+                if "ow1" in text or text.startswith(" Row2")]
+        assert keep and got.column("id").tolist() == keep
+        assert got.column("u").tolist() == [texts[i].upper() for i in keep]
+        assert got.column("n").tolist() == [len(texts[i]) for i in keep]
+        assert got.column("t").tolist() == [texts[i].strip() for i in keep]
+        assert got.column("sub").tolist() == [texts[i][1:4] for i in keep]
+
+    @pytest.mark.parametrize("extra", NAMESPACES)
+    def test_cast_non_finite_to_int_is_zero(self, extra):
+        """docs/KERNEL_COMPILATION.md: NaN and +-inf cast to integer 0 (a
+        bare numpy astype is platform-dependent and warns)."""
+        import warnings
+        session = Session()
+        session.sql.register_dict(
+            {"v": np.array([1.9, np.nan, np.inf, -np.inf, -2.5],
+                           dtype=np.float32)}, "t")
+        session.sql.register_dict({"v": np.zeros(0, dtype=np.float32)}, "e")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = session.sql.query("SELECT CAST(v AS INT) AS i FROM t",
+                                    extra_config=extra).run().column("i")
+            empty = session.sql.query("SELECT CAST(v AS INT) AS i FROM e",
+                                      extra_config=extra).run().column("i")
+            total = session.sql.query(
+                "SELECT SUM(CAST(v AS INT)) AS s FROM t",
+                extra_config=extra).run().scalar()
+        assert got.dtype == np.int64 and got.tolist() == [1, 0, 0, 0, -2]
+        assert empty.dtype == np.int64 and len(empty) == 0
+        assert total == -1
+
+
+class TestStringKeysRunOnCodes:
+    """String functions in group, sort and join keys transform the
+    dictionary once and gather codes; no operator decodes the row-length
+    carrier back to python strings."""
+
+    ROWS, OTHER = 60, 25
+
+    @pytest.fixture
+    def session(self):
+        rng = np.random.default_rng(5)
+        words = np.asarray(["Ant", "bEE", "Cat", "dog", "ANT", "bee"],
+                           dtype=object)
+        session = Session()
+        self.s = words[rng.integers(0, len(words), self.ROWS)]
+        self.v = rng.integers(0, 100, self.ROWS)
+        self.r = words[rng.integers(0, len(words), self.OTHER)]
+        session.sql.register_dict({"s": self.s, "v": self.v}, "t")
+        session.sql.register_dict(
+            {"s": self.r, "k": np.arange(self.OTHER)}, "o")
+        return session
+
+    def _run_counting_decodes(self, monkeypatch, query):
+        lengths = []
+        original = DictionaryEncoding.decode
+
+        def counting(encoding, tensor):
+            lengths.append(tensor.shape[0])
+            return original(encoding, tensor)
+
+        monkeypatch.setattr(DictionaryEncoding, "decode", counting)
+        result = query.run()
+        monkeypatch.setattr(DictionaryEncoding, "decode", original)
+        # Dictionary-sized decodes are fine; nothing at row scale.
+        assert all(n < self.OTHER for n in lengths), lengths
+        return result
+
+    def test_group_by_upper(self, session, monkeypatch):
+        query = session.sql.query(
+            "SELECT UPPER(s) AS u, COUNT(*) AS c, SUM(v) AS total FROM t "
+            "GROUP BY UPPER(s) ORDER BY u")
+        got = self._run_counting_decodes(monkeypatch, query)
+        want = {}
+        for text, value in zip(self.s, self.v):
+            count, total = want.get(text.upper(), (0, 0))
+            want[text.upper()] = (count + 1, total + int(value))
+        assert got.column("u").tolist() == sorted(want)
+        assert got.column("c").tolist() == [want[u][0] for u in sorted(want)]
+        assert got.column("total").tolist() == [want[u][1] for u in sorted(want)]
+
+    def test_order_by_substr(self, session, monkeypatch):
+        query = session.sql.query(
+            "SELECT s, v FROM t ORDER BY SUBSTR(s, 2, 3), v, s")
+        got = self._run_counting_decodes(monkeypatch, query)
+        want = sorted(zip(self.s, self.v),
+                      key=lambda row: (row[0][1:4], row[1], row[0]))
+        assert list(zip(got.column("s"), got.column("v"))) == want
+
+    @pytest.mark.parametrize("on, fold", [
+        ("LOWER(t.s) = LOWER(o.s)", str.lower),      # residual compare
+        ("t.s = o.s", str),                          # equi-join key codes
+    ])
+    def test_join_on_strings_of_two_dictionaries(self, session, monkeypatch,
+                                                 on, fold):
+        query = session.sql.query(
+            f"SELECT t.v AS v, o.k AS k FROM t JOIN o ON {on} ORDER BY v, k")
+        got = self._run_counting_decodes(monkeypatch, query)
+        want = sorted((int(v), k) for text, v in zip(self.s, self.v)
+                      for k, other in enumerate(self.r)
+                      if fold(text) == fold(other))
+        assert want and list(zip(got.column("v"), got.column("k"))) == want
 
 
 # ----------------------------------------------------------------------

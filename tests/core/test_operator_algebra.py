@@ -3,15 +3,15 @@
 Four algebraic contracts the execution engine relies on:
 
 * **Pipeline transparency** — the fixed statement suite below gives the
-  same bits on the default (kernel) leg as on the interpreter leg.
+  same bits on the default (numpy) leg as on the tcr-ops leg.
 * **Partial-aggregate soundness** — merging per-shard partial states equals
   aggregating the whole relation, for every exact-mergeable aggregate and
   every split of the input (including empty and single-row shards).
 * **Shard-count invariance** — `shards ∈ {1, 2, 3, 7}` produce bit-identical
   results over randomized tables, including empty tables, all-NULL columns
   and shards that degenerate to single rows.
-* **Compiled ≡ interpreted** — the vectorized expression kernels
-  (`compile_exprs` on) reproduce the tree-walking interpreter bit-for-bit
+* **numpy ≡ tcr** — the one expression lowering gives the same bits in
+  numpy on detached data (`compile_exprs` on) as over tcr ops (off),
   over randomized expression trees (arithmetic, comparisons, CASE, CAST,
   builtins, LIKE/IN/BETWEEN/IS NULL, NULL/NaN data, empty and single-row
   tables, dictionary- and char-code-encoded string columns) at shards

@@ -159,6 +159,7 @@ class TestTopKWeights:
         # The seed's TopK fast path rebuilt the Relation without weights,
         # silently dropping soft-filter multiplicities; the sort fallback
         # (multi-key or k >= n) kept them.
+        from repro.core.kernels.compiler import ExprCompiler
         from repro.core.operators.base import Relation
         from repro.core.operators.sort import TopKExec
         from repro.sql import bound as b
@@ -170,7 +171,7 @@ class TestTopKWeights:
         weights = Tensor(np.array([0.5, 0.1, 0.4, 0.2, 0.3], dtype=np.float32))
         relation = Relation(Table.from_dict("t", {"v": values}), weights)
         key = b.BColumn(0, "v", dt.FLOAT)
-        out = TopKExec([(key, False)], k=2)(relation)   # fast path: n > k
+        out = TopKExec([(key, False)], 2, 0, ExprCompiler())(relation)   # fast path: n > k
         assert out.table.column("v").decode().tolist() == [5.0, 4.0]
         assert out.weights is not None
         assert out.weights.data.tolist() == pytest.approx([0.5, 0.4])

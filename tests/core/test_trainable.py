@@ -169,17 +169,11 @@ class TestSoftFilter:
 
 
 class TestTrainablePipelineGradient:
-    def test_gradcheck_through_filter_project_stage(self):
-        """Trainable Filter→Project lowers to one interpreter-bodied
-        ``PipelineExec``; the gradient of its output w.r.t. a UDF's
-        parameters (mask → index vector → gather → evaluate) matches
-        central differences."""
-        import os
-        import sys
-        sys.path.insert(0, os.path.join(os.path.dirname(
-            os.path.abspath(__file__)), "..", "tcr"))
-        from gradcheck import numeric_grad
+    """Trainable plans run the one expression lowering over tcr ops; the
+    gradient w.r.t. a UDF's parameters matches central differences."""
 
+    @staticmethod
+    def _scored_session():
         session = Session()
         model = nn.Linear(1, 1)
         model.weight.data = np.array([[0.7]], dtype=np.float32)
@@ -191,21 +185,49 @@ class TestTrainablePipelineGradient:
 
         session.sql.register_dict(
             {"x": np.array([-1.0, 0.5, 1.5, -0.3, 2.0], dtype=np.float32)}, "t")
-        query = session.spark.query(
-            "SELECT score(x) * x AS v FROM t WHERE x > 0",
-            extra_config={constants.TRAINABLE: True})
-        physical = query.explain().split("== Physical operators ==")[1]
-        assert physical.strip().splitlines() == [
-            "Pipeline[interp]([(x > 0)] -> v)", "  Scan(t)"]
+        return session, model
+
+    @staticmethod
+    def _assert_gradcheck(query, model, shape):
+        import os
+        import sys
+        sys.path.insert(0, os.path.join(os.path.dirname(
+            os.path.abspath(__file__)), "..", "tcr"))
+        from gradcheck import numeric_grad
 
         def loss(*_params):
             out = query.run()
             return (out * out).sum()
 
         value = loss()
-        assert value.requires_grad and query.run().shape == (3,)
+        assert value.requires_grad and query.run().shape == shape
         value.backward()
         for param in (model.weight, model.bias):
             expected = numeric_grad(loss, [model.weight, model.bias],
                                     0 if param is model.weight else 1)
+            assert np.abs(expected).max() > 1e-3        # a real dependence
             np.testing.assert_allclose(param.grad, expected, rtol=1e-2, atol=1e-3)
+
+    def test_gradcheck_through_filter_project_stage(self):
+        """mask → index vector → gather → evaluate, in one stage."""
+        session, model = self._scored_session()
+        query = session.spark.query(
+            "SELECT score(x) * x AS v FROM t WHERE x > 0",
+            extra_config={constants.TRAINABLE: True})
+        physical = query.explain().split("== Physical operators ==")[1]
+        assert physical.strip().splitlines() == [
+            "Pipeline[interp]([(x > 0)] -> v)", "  Scan(t)"]
+        self._assert_gradcheck(query, model, (3,))
+
+    def test_gradcheck_through_aggregate_argument_and_op_table(self):
+        """An aggregate argument is lowered like any other expression: CASE
+        (literal first branch, UDF else), COALESCE with a literal fill and
+        a two-argument ROUND all compute against ``(1,)``-shaped literals,
+        and tcr's backward un-broadcasts them."""
+        session, model = self._scored_session()
+        query = session.spark.query(
+            "SELECT SUM(CASE WHEN x > 1 THEN 1.5 ELSE score(x) * 2.0 END "
+            "+ COALESCE(score(x), 1.0) * ROUND(x, 1)) AS total, "
+            "AVG(CASE WHEN x > 0 THEN score(x) ELSE 0.25 END) AS mean FROM t",
+            extra_config={constants.TRAINABLE: True})
+        self._assert_gradcheck(query, model, (1, 2))

@@ -1,17 +1,17 @@
-"""Multi-way differential runner: engine interpreter/kernels × serial/sharded,
+"""Multi-way differential runner: both expression namespaces × serial/sharded,
 plus the miniduck oracle.
 
 ``run_differential(seed, count)`` executes every generated statement:
 
-1. engine ``shards=1`` with ``compile_exprs=False`` (the serial interpreter —
-   the base every other engine leg is compared **bitwise** against),
-2. engine ``shards=4`` (interpreter) with a tiny ``parallel_min_rows`` so
+1. engine ``shards=1`` with ``compile_exprs=False`` (the one expression
+   lowering over tcr ops, serial — the base every other engine leg is
+   compared **bitwise** against),
+2. engine ``shards=4`` (tcr ops) with a tiny ``parallel_min_rows`` so
    even small tables actually split: sharded execution must be
    indistinguishable from serial;
-3. & 4. the same two configurations with ``compile_exprs=True`` (vectorized
-   expression kernels): compiled execution must be bitwise-indistinguishable
-   from the interpreter at every shard count. These legs are skipped when
-   ``REPRO_COMPILE_EXPRS=0`` (the CI matrix runs both settings);
+3. & 4. the same two configurations with ``compile_exprs=True`` (the same
+   lowering over numpy on detached data, the default): the two namespaces
+   must be bitwise-indistinguishable at every shard count;
 5. & 6. the exchange legs: the hash-repartitioned join/grouped-aggregate
    drivers at shards=3 and the explicit ``exchange=False`` off-path at
    shards=4 — both always run, while ``REPRO_EXCHANGE=0/1`` flips the knob
@@ -70,7 +70,7 @@ KERNEL_SHARD_CONFIG = {"shards": 4, "parallel_min_rows": 2,
                        "compile_exprs": True, "exchange": _EXCHANGE_ON}
 # Exchange legs: the repartitioned join/grouped-aggregate drivers at an odd
 # shard count, plus the explicit off-path — both must stay bitwise equal to
-# the serial interpreter regardless of how REPRO_EXCHANGE set the legs above.
+# the serial base regardless of how REPRO_EXCHANGE set the legs above.
 EXCHANGE_CONFIGS = [
     ("exchange shards=3", {"shards": 3, "parallel_min_rows": 2,
                            "compile_exprs": False, "exchange": True}),
@@ -79,10 +79,6 @@ EXCHANGE_CONFIGS = [
 ]
 FLOAT_RTOL = 1e-4
 FLOAT_ATOL = 1e-6
-
-
-def _kernel_legs_enabled() -> bool:
-    return os.environ.get("REPRO_COMPILE_EXPRS", "1") != "0"
 
 
 class Divergence(Exception):
@@ -202,7 +198,6 @@ def run_differential(seed: int, count: int = 120,
         session.sql.register_dict(dict(data), name)
         duck.register(name, dict(data))
     statements = gen_statements(seed, count)
-    kernel_legs = _kernel_legs_enabled()
     stats = {"statements": 0, "oracle_checked": 0, "oracle_skipped": 0,
              "engine_only": 0, "kernel_checked": 0, "exchange_checked": 0}
     for case, stmt in enumerate(statements):
@@ -213,10 +208,9 @@ def run_differential(seed: int, count: int = 120,
             print(f"[{seed}:{case}] {stmt.sql}")
         try:
             serial = _engine_result(session, stmt.sql, SERIAL_CONFIG)
-            legs = [("shards=4", SHARD_CONFIG)] + EXCHANGE_CONFIGS
-            if kernel_legs:
-                legs += [("kernels shards=1", KERNEL_CONFIG),
-                         ("kernels shards=4", KERNEL_SHARD_CONFIG)]
+            legs = [("shards=4", SHARD_CONFIG)] + EXCHANGE_CONFIGS + [
+                ("kernels shards=1", KERNEL_CONFIG),
+                ("kernels shards=4", KERNEL_SHARD_CONFIG)]
             for label, extra in legs:
                 other = _engine_result(session, stmt.sql, extra)
                 detail = compare_engine_runs(serial, other, label)

@@ -1,15 +1,13 @@
 """Differential-testing entry point (see README.md in this directory).
 
 Each seed drives a full stream of generated statements through
-``diffrun.run_differential``: engine interpreter/kernels × serial/sharded
-(all bitwise against the serial interpreter) plus the miniduck oracle. The
+``diffrun.run_differential``: both expression namespaces × serial/sharded
+(all bitwise against the serial tcr-ops leg) plus the miniduck oracle. The
 default budget keeps tier-1 fast; CI's ``differential`` job widens it via
 the environment:
 
 * ``REPRO_DIFF_SEEDS``  — comma-separated seed list (default ``1,2``)
 * ``REPRO_DIFF_STATEMENTS`` — statements per seed (default ``60``)
-* ``REPRO_COMPILE_EXPRS`` — ``0`` skips the compiled-kernel legs (CI runs
-  a 0/1 matrix so both engine modes keep full-stream coverage)
 * ``REPRO_EXCHANGE`` — ``0`` turns the exchange rewrite off in the default
   sharded legs (the explicit exchange-on/off legs always run)
 """
@@ -42,10 +40,8 @@ def test_differential_seed(seed):
     oracle_eligible = stats["oracle_checked"] + stats["oracle_skipped"]
     assert stats["oracle_checked"] >= 0.8 * max(oracle_eligible, 1), stats
     assert stats["oracle_checked"] > 0
-    # Compiled-kernel legs (serial + sharded) run per statement unless the
-    # CI matrix disabled them for this job.
-    # Exchange legs (on at shards=3, explicitly off at shards=4) run for
-    # every statement regardless of the REPRO_EXCHANGE matrix setting.
+    # Exchange legs (on at shards=3, explicitly off at shards=4) and the
+    # numpy-namespace legs (serial + sharded) run for every statement
+    # regardless of the REPRO_EXCHANGE matrix setting.
     assert stats["exchange_checked"] == 2 * _count(), stats
-    if os.environ.get("REPRO_COMPILE_EXPRS", "1") != "0":
-        assert stats["kernel_checked"] == 2 * _count(), stats
+    assert stats["kernel_checked"] == 2 * _count(), stats
