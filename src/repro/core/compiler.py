@@ -4,7 +4,10 @@ This is the physical planning stage the paper describes in §2: "For each
 physical operator, we can have more than one [tensor] implementation, and at
 compilation time we use a mix of flags (e.g., Listing 6) and heuristics to
 pick which one to use." Flags arrive through :class:`QueryConfig`; the
-heuristics live in ``_pick_aggregate`` / ``_maybe_fuse_topk``.
+heuristics live in ``_pick_aggregate`` / ``_maybe_fuse_topk``. Partition
+drivers are one more implementation choice made here, while lowering: with
+``shards != 1``, ``_lower_pipeline`` and ``_sharded_aggregate`` build the
+sharded drivers, and no pass rewrites the tree afterwards.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from repro.core.operators import (
     LimitExec,
     PipelineExec,
     ScanExec,
+    ShardedAggregateExec,
+    ShardedGroupedAggregateExec,
+    ShardedScanExec,
     ShowIndexesExec,
     SoftAggregateExec,
     SoftFilterExec,
@@ -33,6 +39,7 @@ from repro.core.operators import (
     TopKExec,
 )
 from repro.core.kernels.compiler import NUMPY, TCR, ExprCompiler
+from repro.core.operators.aggregate import spec_mergeable
 from repro.sql import bound as b
 from repro.sql import logical
 from repro.sql.optimizer.pushdown import split_conjuncts
@@ -63,31 +70,14 @@ class Compiler:
             explain_mode = "analyze" if plan.analyze else "plan"
             inner_sql = plan.sql
             plan = plan.input
-        root = self._lower(plan)
-        if self._sharding:
-            # Intra-query parallelism: rewrite shardable pipeline prefixes
-            # (Scan → row-wise operators, plus mergeable global aggregates)
-            # into partition drivers over the session's shard pool.
-            from repro.core.operators.sharded import parallelize
-            root = parallelize(root, self.config, self.shard_pool, ExecNode)
-        if self._exchanging:
-            # Exchange pass: hash-repartition key-equi joins and the grouped
-            # aggregates the sharded rewrite stayed away from (non-mergeable
-            # specs, aggregates above joins). Runs after parallelize so the
-            # sharded drivers keep their (cheaper) partial-merge shape.
-            from repro.core.operators.exchange import insert_exchanges
-            metrics = self.session.metrics if self.session is not None else None
-            root = insert_exchanges(root, self.config, self.shard_pool,
-                                    ExecNode, metrics)
-        aggregate_outputs = _aggregate_output_slots(plan)
         query = CompiledQuery(
-            root=root,
+            root=self._lower(plan),
             config=self.config,
             device=self.device,
             sql_text=sql_text,
             plan_text=plan.pretty(),
             output_schema=plan.schema,
-            aggregate_outputs=aggregate_outputs,
+            aggregate_outputs=_aggregate_output_slots(plan),
             tensor_cache=self.tensor_cache,
             session=self.session,
         )
@@ -123,7 +113,7 @@ class Compiler:
         if isinstance(plan, logical.Aggregate):
             child = self._lower(plan.input)
             op = self._pick_aggregate(plan)
-            return ExecNode(op, [child])
+            return self._sharded_aggregate(op, child) or ExecNode(op, [child])
 
         if isinstance(plan, logical.JoinPlan):
             left = self._lower(plan.left)
@@ -176,19 +166,12 @@ class Compiler:
     # ------------------------------------------------------------------
     @property
     def _sharding(self) -> bool:
-        # Trainable compilations keep the exact differentiable shape; a
-        # shard count of 1 (the default) is serial execution by definition.
-        return (self.config.parallel_scan and self.config.shards != 1
-                and not self.config.trainable)
-
-    @property
-    def _exchanging(self) -> bool:
-        # The exchange rewrite shares sharding's preconditions (a shard
-        # count to partition over, exact non-trainable execution) behind
-        # its own knob, which enters the plan-cache fingerprint like every
-        # other flag.
-        return (self.config.exchange and self.config.shards != 1
-                and not self.config.trainable)
+        # A shard count of 1 (the default) is serial execution by
+        # definition. Trainable compilations keep the exact differentiable
+        # shape, and soft aggregates carry per-row weights the stitch
+        # barrier cannot merge, so both lower serially.
+        return (self.config.shards != 1 and not self.config.trainable
+                and self.config.groupby_impl != "soft")
 
     @property
     def _soft_filtering(self) -> bool:
@@ -205,7 +188,9 @@ class Compiler:
         order is kept as given, since cost ordering is the optimizer's job.
         Each link is inlined onto the current stage's input columns
         (classic projection merging), so a whole chain is normally one
-        stage; ``_breaks_stage`` says where a second one must start.
+        stage; ``_breaks_stage`` says where a second one must start. With
+        sharding on, a chain over a base-table scan becomes one
+        :class:`ShardedScanExec` holding the scan and the stages.
         """
         chain: List[logical.LogicalPlan] = []
         while isinstance(plan, logical.Project) or (
@@ -213,24 +198,61 @@ class Compiler:
             chain.append(plan)
             plan = plan.input
         node = self._lower(plan)
+        stages: List[PipelineExec] = []
         stage = _Stage()
         for link in reversed(chain):
             if isinstance(link, logical.Project):
                 if _breaks_stage(stage):
-                    node, stage = self._stage_node(stage, node), _Stage()
+                    stages.append(self._stage_op(stage))
+                    stage = _Stage()
                 stage.exprs = [stage.inline(e) for e in link.exprs]
                 stage.names = [name for name, _ in link.schema]
                 continue
             for conjunct in split_conjuncts(link.predicate):
                 if _breaks_stage(stage, conjunct):
-                    node, stage = self._stage_node(stage, node), _Stage()
+                    stages.append(self._stage_op(stage))
+                    stage = _Stage()
                 stage.conjuncts.append(stage.inline(conjunct))
-        return self._stage_node(stage, node)
+        stages.append(self._stage_op(stage))
+        if self._sharding and isinstance(plan, logical.Scan):
+            return ExecNode(ShardedScanExec(node.op, stages, *self._shard_args),
+                            [])
+        for op in stages:
+            node = ExecNode(op, [node])
+        return node
 
-    def _stage_node(self, stage: "_Stage", child: ExecNode) -> ExecNode:
-        op = PipelineExec(stage.conjuncts, stage.exprs, stage.names,
-                          self.lowering)
-        return ExecNode(op, [child])
+    def _stage_op(self, stage: "_Stage") -> PipelineExec:
+        return PipelineExec(stage.conjuncts, stage.exprs, stage.names,
+                            self.lowering)
+
+    @property
+    def _shard_args(self) -> tuple:
+        return (self.shard_pool, self.config.shards,
+                self.config.parallel_min_rows)
+
+    def _sharded_aggregate(self, op, child: ExecNode) -> Optional[ExecNode]:
+        """An aggregate driver over the sharded chain ``child``, or None.
+
+        Global aggregates shard on either exact implementation, grouped
+        ones only on the sort implementation (the grouped-partial merge
+        reruns the sort-aggregate core, so group order and representative
+        rows match that operator), and only when every spec merges
+        bit-identically (``spec_mergeable``). Otherwise the aggregate runs
+        serially over the stitched chain.
+        """
+        if (not self._sharding
+                or not all(spec_mergeable(s) for s in op.aggregates)
+                or (op.group_exprs and not isinstance(op, SortAggregateExec))):
+            return None
+        if isinstance(child.op, ShardedScanExec):
+            scan, stages = child.op.scan, child.op.pipeline
+        elif isinstance(child.op, ScanExec):
+            scan, stages = child.op, []
+        else:
+            return None
+        driver = (ShardedGroupedAggregateExec if op.group_exprs
+                  else ShardedAggregateExec)
+        return ExecNode(driver(scan, stages, *self._shard_args, agg=op), [])
 
     # ------------------------------------------------------------------
     # Implementation choices (flags + heuristics)
@@ -255,9 +277,6 @@ class Compiler:
 
     def _maybe_fuse_topk(self, plan: logical.Limit):
         if not isinstance(plan.input, logical.Sort):
-            return None
-        impl = self.config.topk_impl
-        if impl == "sort":
             return None
         sort_plan = plan.input
         child = self._lower(sort_plan.input)

@@ -11,8 +11,6 @@ class constants:
     TRAINABLE = "trainable"
     # Operator implementation choices ("auto" lets heuristics decide).
     GROUPBY_IMPL = "groupby_impl"          # auto | sort | hash | soft
-    JOIN_IMPL = "join_impl"                # auto | lookup | sortmerge
-    TOPK_IMPL = "topk_impl"                # auto | sort | partition
     # Optimizer control.
     DISABLE_RULES = "disable_rules"        # iterable of {fold, pushdown, prune, vector_index}
     # Soft-operator hyperparameters.
@@ -24,10 +22,8 @@ class constants:
     # Vector-index subsystem.
     NPROBE = "nprobe"                      # per-query IVF probe-width hint
     # Intra-query parallelism (sharded scans).
-    PARALLEL_SCAN = "parallel_scan"        # enable the sharded-scan rewrite
     SHARDS = "shards"                      # shard count (1 = serial, 0 = auto)
     PARALLEL_MIN_ROWS = "parallel_min_rows"  # don't shard smaller inputs ("auto" adapts)
-    EXCHANGE = "exchange"                  # hash-repartition joins/grouped aggregates
     # Expression codegen (TQP-style kernel compilation).
     COMPILE_EXPRS = "compile_exprs"        # exact plans' expression namespace: numpy (True) or tcr ops
     # Observability.
@@ -45,18 +41,14 @@ class constants:
 _DEFAULTS = {
     constants.TRAINABLE: False,
     constants.GROUPBY_IMPL: "auto",
-    constants.JOIN_IMPL: "auto",
-    constants.TOPK_IMPL: "auto",
     constants.DISABLE_RULES: (),
     constants.SOFT_FILTER: False,
     constants.SOFT_TEMPERATURE: 25.0,
     constants.PLAN_CACHE: True,
     constants.TENSOR_CACHE: True,
     constants.NPROBE: None,
-    constants.PARALLEL_SCAN: True,
     constants.SHARDS: 1,
     constants.PARALLEL_MIN_ROWS: 64,
-    constants.EXCHANGE: True,
     constants.COMPILE_EXPRS: True,
     constants.TELEMETRY: False,
     constants.SLOW_QUERY_SECONDS: None,
@@ -97,14 +89,6 @@ class QueryConfig:
         return str(self._values[constants.GROUPBY_IMPL])
 
     @property
-    def join_impl(self) -> str:
-        return str(self._values[constants.JOIN_IMPL])
-
-    @property
-    def topk_impl(self) -> str:
-        return str(self._values[constants.TOPK_IMPL])
-
-    @property
     def disable_rules(self):
         return tuple(self._values[constants.DISABLE_RULES])
 
@@ -134,10 +118,6 @@ class QueryConfig:
         if value < 1:
             raise ValueError(f"nprobe must be >= 1, got {value}")
         return value
-
-    @property
-    def parallel_scan(self) -> bool:
-        return bool(self._values[constants.PARALLEL_SCAN])
 
     @property
     def shards(self) -> int:
@@ -181,11 +161,6 @@ class QueryConfig:
         resolved._values = dict(self._values)
         resolved._values[constants.PARALLEL_MIN_ROWS] = int(value)
         return resolved
-
-    @property
-    def exchange(self) -> bool:
-        """Hash-repartitioned joins and grouped aggregates (shards > 1)."""
-        return bool(self._values[constants.EXCHANGE])
 
     @property
     def compile_exprs(self) -> bool:

@@ -9,26 +9,23 @@ from repro.core.operators.index_scan import (
     IndexScanExec,
     ShowIndexesExec,
 )
-from repro.core.operators.exchange import (
-    ExchangeGroupedAggregateExec,
-    HashPartitioner,
-    PartitionedJoinExec,
-    RangePartitioner,
-)
 from repro.core.operators.join import JoinExec, equi_join_indices
 from repro.core.operators.pipeline import PipelineExec
 from repro.core.operators.project import TVFExec
 from repro.core.operators.scan import ScanExec, shared_scans
-from repro.core.operators.sharded import ShardedAggregateExec, ShardedScanExec
+from repro.core.operators.sharded import (
+    ShardedAggregateExec,
+    ShardedGroupedAggregateExec,
+    ShardedScanExec,
+)
 from repro.core.operators.soft_aggregate import SoftAggregateExec
 from repro.core.operators.sort import DistinctExec, LimitExec, SortExec, TopKExec
 
 __all__ = [
-    "CreateIndexExec", "DistinctExec", "DropIndexExec",
-    "ExchangeGroupedAggregateExec", "HashAggregateExec", "HashPartitioner",
-    "IndexScanExec", "JoinExec", "LimitExec", "Operator",
-    "PartitionedJoinExec", "PipelineExec", "RangePartitioner", "Relation",
-    "ScanExec", "ShardedAggregateExec", "ShardedScanExec", "ShowIndexesExec",
+    "CreateIndexExec", "DistinctExec", "DropIndexExec", "HashAggregateExec",
+    "IndexScanExec", "JoinExec", "LimitExec", "Operator", "PipelineExec",
+    "Relation", "ScanExec", "ShardedAggregateExec",
+    "ShardedGroupedAggregateExec", "ShardedScanExec", "ShowIndexesExec",
     "SoftAggregateExec", "SoftFilterExec", "SortAggregateExec", "SortExec",
     "TVFExec", "TopKExec", "equi_join_indices", "shared_scans",
 ]

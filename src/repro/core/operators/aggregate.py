@@ -418,18 +418,8 @@ class SortAggregateExec(_AggregateBase):
                 "query with TRAINABLE to use soft operators"
             )
         keys, agg_inputs = self._evaluate_inputs(relation)
-        return self.aggregate_evaluated(keys, agg_inputs, relation.num_rows,
-                                        relation.device, relation.table.name)
-
-    def aggregate_evaluated(self, keys: List[Column],
-                            agg_inputs: List[Optional[Column]], n: int,
-                            device, table_name: str) -> Relation:
-        """Aggregate already-evaluated key/argument columns.
-
-        Split out of ``forward`` so the exchange driver can feed columns it
-        evaluated serially and partitioned itself — the computation is
-        identical by construction.
-        """
+        n, device, table_name = (relation.num_rows, relation.device,
+                                 relation.table.name)
         if not keys:
             return self._global_aggregate(agg_inputs, n, device, table_name)
         if n == 0:

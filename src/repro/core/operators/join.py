@@ -144,41 +144,25 @@ class JoinExec(Operator):
             li = np.repeat(np.arange(left.num_rows), right.num_rows)
             ri = np.tile(np.arange(right.num_rows), left.num_rows)
         else:
-            combined_left, combined_right = self._evaluate_key_codes(left, right)
-            li, ri = self._join_indices(combined_left, combined_right)
+            # Factorise each key pair jointly, so equal values share a code
+            # across sides, then collapse the key columns to one code.
+            left_ctx = ExpressionEvaluator(left)
+            right_ctx = ExpressionEvaluator(right)
+            codes = [_join_codes(lk(left_ctx), rk(right_ctx))
+                     for lk, rk in zip(self._left_keys, self._right_keys)]
+            combined_left, combined_right = _combine_key_codes(
+                [lc for lc, _ in codes], [rc for _, rc in codes])
+            if self.kind == "RIGHT":
+                ri, li = equi_join_indices(combined_right, combined_left,
+                                           keep_unmatched_left=True)
+            else:
+                li, ri = equi_join_indices(
+                    combined_left, combined_right,
+                    keep_unmatched_left=(self.kind == "LEFT"))
 
         if self.residual is not None:
             li, ri = self._apply_residual(left, right, li, ri)
         return Relation(self._gather(left, right, li, ri))
-
-    def _evaluate_key_codes(self, left: Table, right: Table
-                            ) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate the key expressions and jointly factorise both sides.
-
-        The codes are comparable *across* sides (equal values share a code),
-        which is also what makes them a sound hash-partitioning key for the
-        exchange operator (see :mod:`repro.core.operators.exchange`).
-        """
-        left_ctx = ExpressionEvaluator(left)
-        right_ctx = ExpressionEvaluator(right)
-        left_code_cols, right_code_cols = [], []
-        for lk, rk in zip(self._left_keys, self._right_keys):
-            lcodes, rcodes = _join_codes(lk(left_ctx), rk(right_ctx))
-            left_code_cols.append(lcodes)
-            right_code_cols.append(rcodes)
-        return _combine_key_codes(left_code_cols, right_code_cols)
-
-    def _join_indices(self, combined_left: np.ndarray,
-                      combined_right: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Serial sorted-lookup dispatch over pre-factorised key codes."""
-        if self.kind == "RIGHT":
-            ri, li = equi_join_indices(combined_right, combined_left,
-                                       keep_unmatched_left=True)
-        else:
-            li, ri = equi_join_indices(combined_left, combined_right,
-                                       keep_unmatched_left=(self.kind == "LEFT"))
-        return li, ri
 
     def _gather(self, left: Table, right: Table, li: np.ndarray,
                 ri: np.ndarray) -> Table:

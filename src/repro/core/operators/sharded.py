@@ -1,50 +1,52 @@
 """Sharded-scan executors: intra-query parallelism over contiguous row shards.
 
-The compiler (via :func:`parallelize`) rewrites lowered operator trees when
-the query runs with ``shards > 1``:
+``Compiler._lower`` builds these drivers directly when the query runs with
+``shards != 1`` (exact, non-trainable, no soft aggregates):
 
-* ``Scan → Pipeline*`` prefixes (the row-wise stages of
-  :class:`~repro.core.operators.pipeline.PipelineExec`)
-  become one :class:`ShardedScanExec`, which resolves the scan once, splits
-  its rows into contiguous shards (boundaries aligned to the device's
-  micro-batch granularity when the prefix evaluates UDFs), runs the prefix
-  per shard on the session's :class:`~repro.core.partition.ShardPool`, and
-  stitches outputs back in shard order — bit-identical with serial
-  execution by construction (see :mod:`repro.core.partition`).
+* a ``Scan → Pipeline*`` chain (the row-wise stages of
+  :class:`~repro.core.operators.pipeline.PipelineExec`) becomes one
+  :class:`ShardedScanExec`, which resolves the scan once, splits its rows
+  into contiguous shards (boundaries aligned to the device's micro-batch
+  granularity when the chain evaluates UDFs), runs the stages per shard on
+  the session's :class:`~repro.core.partition.ShardPool`, and stitches
+  outputs back in shard order — bit-identical with serial execution by
+  construction (see :mod:`repro.core.partition`);
 
-* Global (group-less) exact aggregates over such a prefix become a
-  :class:`ShardedAggregateExec` when every aggregate is *exact-mergeable*
-  (COUNT, MIN/MAX, integer SUM/AVG): each shard computes partial states and
-  the driver merges them, skipping the stitched materialisation entirely.
-  Non-mergeable aggregates (float sums, DISTINCT), GROUP BY, joins, sorts,
-  TVFs and trainable pipelines execute after the deterministic merge
-  barrier, over the stitched relation — which is bitwise the relation
-  serial execution would have produced.
+* an aggregate over such a chain becomes a :class:`ShardedAggregateExec`
+  (global) or :class:`ShardedGroupedAggregateExec` (GROUP BY, sort
+  implementation) when every aggregate is *exact-mergeable* (COUNT,
+  MIN/MAX, integer SUM/AVG): each shard computes partial states and the
+  driver merges them, skipping the stitched materialisation entirely.
+  Non-mergeable aggregates (float sums, DISTINCT), joins, sorts and TVFs
+  execute serially above the stitch barrier, over the stitched relation —
+  which is bitwise the relation serial execution would have produced.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List
 
 from repro.core import tensor_cache as tc
 from repro.core.scheduler import new_encode_scope
 from repro.core.operators.aggregate import (
-    HashAggregateExec,
-    SortAggregateExec,
     global_partial,
     grouped_partial,
     merge_global_partials,
     merge_grouped_partials,
-    spec_mergeable,
 )
 from repro.core.operators.base import Operator, Relation
-from repro.core.operators.filter import SoftFilterExec
 from repro.core.operators.pipeline import PipelineExec
 from repro.core.operators.scan import ScanExec, shard_slices
-from repro.core.partition import plan_shards, run_sharded, stitch_relations
+from repro.core.partition import (
+    default_shards,
+    plan_shards,
+    run_sharded,
+    stitch_relations,
+)
 from repro.core.telemetry import annotate, span, tracing
 from repro.storage.table import Table
+
 
 def _exprs_contain_udf(exprs) -> bool:
     return any(e is not None and e.contains_udf() for e in exprs)
@@ -92,33 +94,79 @@ def _post_filter_udf(pipeline: List[PipelineExec]) -> bool:
 
 
 class _ShardedBase(Operator):
+    """One partition driver: a scan plus its row-wise stages, run per
+    contiguous shard on the pool and merged at one barrier.
+
+    Subclasses say what a shard computes (``_shard``), how the per-shard
+    results merge (``_merge``, inside the ``MERGE_SPAN`` span) and what
+    unsplit execution is (``_serial``). ``agg`` is the serial aggregate the
+    driver replaces, if any; its expressions take part in shard alignment.
+    """
+
+    MERGE_SPAN = "merge"
+
     def __init__(self, scan: ScanExec, pipeline: List[PipelineExec], pool,
-                 shards: int, min_rows: int):
+                 shards: int, min_rows: int, agg=None):
         super().__init__()
         self.scan = scan
         self.pipeline = list(pipeline)
         self.pool = pool
         self.shards = int(shards)
         self.min_rows = int(min_rows)
+        self.agg = agg
         self.register_module("scan_op", scan)
         for i, op in enumerate(self.pipeline):
             self.register_module(f"stage{i}", op)
+        agg_exprs = []
+        if agg is not None:
+            self.register_module("agg_op", agg)
+            agg_exprs = list(agg.group_exprs) + [s.arg for s in agg.aggregates]
+        self._agg_has_udf = _exprs_contain_udf(agg_exprs)
         self._pipeline_has_udf = any(
             _exprs_contain_udf(op.predicates + list(op.exprs or []))
             for op in self.pipeline)
         self._post_filter_udf = _post_filter_udf(self.pipeline)
         self._pipeline_filters = any(op.predicates for op in self.pipeline)
 
-    def _bounds(self, num_rows: int, extra_udf: bool = False):
-        from repro.core.partition import default_shards
+    def forward(self, relation=None) -> Relation:
+        base = self.scan(None)
+        bounds = self._bounds(base.num_rows)
+        annotate(shards=len(bounds), base_rows=base.num_rows)
+        if len(bounds) <= 1:
+            return self._serial(base)
+        tables = shard_slices(base.table, bounds)
+        # The barrier span covers submit → all shards done (the coordinator
+        # helps run tasks, so its duration is the true stitch barrier wait).
+        with span("shard_barrier", shards=len(tables)):
+            results = run_sharded(
+                self.pool, [self._task(t, i) for i, t in enumerate(tables)])
+        with span(self.MERGE_SPAN, shards=len(results)):
+            return self._merge(base, results)
+
+    def _task(self, table: Table, index: int):
+        def task():
+            _begin_batcher_scope()
+            # Shard tasks run under a copy of the submitter's context, so
+            # this span nests inside the barrier span even on a helper thread.
+            with span("shard", index=index, rows=table.num_rows):
+                try:
+                    return self._shard(Relation(table))
+                finally:
+                    _finish_batcher_statement()
+        return task
+
+    def _serial(self, base: Relation) -> Relation:
+        return self.agg(self._run_pipeline(base))
+
+    def _bounds(self, num_rows: int):
         shards = self.shards if self.shards > 0 else default_shards()
         align = 1
-        if self._pipeline_has_udf or extra_udf:
+        if self._pipeline_has_udf or self._agg_has_udf:
             # Shard boundaries land on micro-batch multiples so per-shard
             # UDF dispatch reproduces serial execution's kernel shapes.
             align = self.scan.device.profile.exec_batch_rows
         if align > 1 and (self._post_filter_udf
-                          or (extra_udf and self._pipeline_filters)):
+                          or (self._agg_has_udf and self._pipeline_filters)):
             # A UDF over a *filtered* stream (including aggregate arguments
             # evaluated after a filtering pipeline) batches over remnant
             # lengths no boundary alignment can control: on a row-batching
@@ -147,45 +195,23 @@ class _ShardedBase(Operator):
 
 
 class ShardedScanExec(_ShardedBase):
-    """Partition driver for a row-wise pipeline prefix rooted at a scan."""
+    """Partition driver for a row-wise pipeline chain rooted at a scan."""
 
-    def forward(self, relation=None) -> Relation:
-        base = self.scan(None)
-        bounds = self._bounds(base.num_rows)
-        annotate(shards=len(bounds), base_rows=base.num_rows)
+    MERGE_SPAN = "stitch"
+
+    def _shard(self, relation: Relation) -> Relation:
         # Every pipeline execution (serial or per shard) feeds the pool's
         # per-row cost EMA, which resolves parallel_min_rows="auto".
-        if len(bounds) <= 1:
-            start = time.perf_counter()
-            result = self._run_pipeline(base)
-            self.pool.observe_pipeline(base.num_rows,
-                                       time.perf_counter() - start)
-            return result
-        tables = shard_slices(base.table, bounds)
+        start = time.perf_counter()
+        result = self._run_pipeline(relation)
+        self.pool.observe_pipeline(relation.num_rows,
+                                   time.perf_counter() - start)
+        return result
 
-        def make_task(table, index):
-            def task():
-                _begin_batcher_scope()
-                start = time.perf_counter()
-                # Shard tasks run under a copy of the submitter's context,
-                # so this span nests inside the sharded operator's span
-                # (via the barrier span) even on a helper thread.
-                with span("shard", index=index, rows=table.num_rows):
-                    try:
-                        return self._run_pipeline(Relation(table))
-                    finally:
-                        self.pool.observe_pipeline(
-                            table.num_rows, time.perf_counter() - start)
-                        _finish_batcher_statement()
-            return task
+    _serial = _shard
 
-        # The barrier span covers submit → all shards done (the coordinator
-        # helps run tasks, so its duration is the true stitch barrier wait).
-        with span("shard_barrier", shards=len(tables)):
-            results = run_sharded(
-                self.pool, [make_task(t, i) for i, t in enumerate(tables)])
-        with span("stitch", shards=len(results)):
-            return stitch_relations(results, base_rows=base.num_rows)
+    def _merge(self, base: Relation, results) -> Relation:
+        return stitch_relations(results, base_rows=base.num_rows)
 
     def describe(self) -> str:
         return (f"ShardedScan(shards={self.shards}, "
@@ -193,54 +219,26 @@ class ShardedScanExec(_ShardedBase):
 
 
 class ShardedAggregateExec(_ShardedBase):
-    """Global algebraic aggregation over a sharded pipeline prefix.
+    """Global algebraic aggregation over a sharded pipeline chain.
 
-    Each shard runs the row-wise prefix, evaluates the aggregate inputs,
+    Each shard runs the row-wise chain, evaluates the aggregate inputs,
     and reduces them to partial states; the driver merges the partials.
     Only lowered for spec lists where the merge is bit-identical with
     aggregating the whole relation (see ``spec_mergeable``).
     """
 
-    def __init__(self, agg, scan: ScanExec, pipeline: List[PipelineExec], pool,
-                 shards: int, min_rows: int):
-        super().__init__(scan, pipeline, pool, shards, min_rows)
-        self.agg = agg                      # the serial aggregate operator
-        self.register_module("agg_op", agg)
-        self._agg_has_udf = _exprs_contain_udf(
-            [spec.arg for spec in agg.aggregates])
+    def _shard(self, relation: Relation) -> list:
+        relation = self._run_pipeline(relation)
+        _, agg_inputs = self.agg._evaluate_inputs(relation)
+        return [global_partial(spec, arg, relation.num_rows)
+                for spec, arg in zip(self.agg.aggregates, agg_inputs)]
 
-    def forward(self, relation=None) -> Relation:
-        base = self.scan(None)
-        bounds = self._bounds(base.num_rows, extra_udf=self._agg_has_udf)
-        annotate(shards=len(bounds), base_rows=base.num_rows)
-        if len(bounds) <= 1:
-            return self.agg(self._run_pipeline(base))
-        tables = shard_slices(base.table, bounds)
-        specs = self.agg.aggregates
-
-        def make_task(table, index):
-            def task():
-                _begin_batcher_scope()
-                with span("shard", index=index, rows=table.num_rows):
-                    try:
-                        rel = self._run_pipeline(Relation(table))
-                        _, agg_inputs = self.agg._evaluate_inputs(rel)
-                        return [global_partial(spec, arg, rel.num_rows)
-                                for spec, arg in zip(specs, agg_inputs)]
-                    finally:
-                        _finish_batcher_statement()
-            return task
-
-        with span("shard_barrier", shards=len(tables)):
-            shard_partials = run_sharded(
-                self.pool, [make_task(t, i) for i, t in enumerate(tables)])
-        with span("merge", shards=len(shard_partials)):
-            columns = [
-                merge_global_partials(spec, [p[i] for p in shard_partials],
-                                      base.device)
-                for i, spec in enumerate(specs)
-            ]
-            return Relation(Table(base.table.name, columns))
+    def _merge(self, base: Relation, partials) -> Relation:
+        columns = [
+            merge_global_partials(spec, [p[i] for p in partials], base.device)
+            for i, spec in enumerate(self.agg.aggregates)
+        ]
+        return Relation(Table(base.table.name, columns))
 
     def describe(self) -> str:
         aggs = ", ".join(str(s) for s in self.agg.aggregates)
@@ -249,9 +247,9 @@ class ShardedAggregateExec(_ShardedBase):
 
 
 class ShardedGroupedAggregateExec(_ShardedBase):
-    """Grouped (GROUP BY) aggregation over a sharded pipeline prefix.
+    """Grouped (GROUP BY) aggregation over a sharded pipeline chain.
 
-    Each shard runs the row-wise prefix and reduces its rows to per-group
+    Each shard runs the row-wise chain and reduces its rows to per-group
     partial states with the sort-aggregate core; the driver merges the
     per-shard ``(representative keys, partial vectors)`` at the barrier —
     bit-identical with the serial sort aggregate because shard-major
@@ -260,131 +258,18 @@ class ShardedGroupedAggregateExec(_ShardedBase):
     lowered for the sort implementation with every spec exact-mergeable.
     """
 
-    def __init__(self, agg: SortAggregateExec, scan: ScanExec,
-                 pipeline: List[PipelineExec], pool, shards: int, min_rows: int):
-        super().__init__(scan, pipeline, pool, shards, min_rows)
-        self.agg = agg                      # the serial aggregate operator
-        self.register_module("agg_op", agg)
-        self._agg_has_udf = _exprs_contain_udf(
-            list(agg.group_exprs) + [spec.arg for spec in agg.aggregates])
+    def _shard(self, relation: Relation):
+        relation = self._run_pipeline(relation)
+        keys, agg_inputs = self.agg._evaluate_inputs(relation)
+        return grouped_partial(self.agg.aggregates, keys, self.agg.group_names,
+                               agg_inputs, relation.num_rows)
 
-    def forward(self, relation=None) -> Relation:
-        base = self.scan(None)
-        bounds = self._bounds(base.num_rows, extra_udf=self._agg_has_udf)
-        annotate(shards=len(bounds), base_rows=base.num_rows)
-        if len(bounds) <= 1:
-            return self.agg(self._run_pipeline(base))
-        tables = shard_slices(base.table, bounds)
-        agg = self.agg
-
-        def make_task(table, index):
-            def task():
-                _begin_batcher_scope()
-                with span("shard", index=index, rows=table.num_rows):
-                    try:
-                        rel = self._run_pipeline(Relation(table))
-                        keys, agg_inputs = agg._evaluate_inputs(rel)
-                        return grouped_partial(agg.aggregates, keys,
-                                               agg.group_names, agg_inputs,
-                                               rel.num_rows)
-                    finally:
-                        _finish_batcher_statement()
-            return task
-
-        with span("shard_barrier", shards=len(tables)):
-            shard_partials = run_sharded(
-                self.pool, [make_task(t, i) for i, t in enumerate(tables)])
-        with span("merge", shards=len(shard_partials),
-                  groups=sum(p.groups for p in shard_partials)):
-            return merge_grouped_partials(agg, shard_partials, base.device,
-                                          base.table.name)
+    def _merge(self, base: Relation, partials) -> Relation:
+        annotate(groups=sum(p.groups for p in partials))
+        return merge_grouped_partials(self.agg, partials, base.device,
+                                      base.table.name)
 
     def describe(self) -> str:
         aggs = ", ".join(str(s) for s in self.agg.aggregates)
         return (f"ShardedGroupedAggregate(groups={self.agg.group_names}, "
                 f"[{aggs}], shards={self.shards}): {self._pipeline_text()}")
-
-
-# ----------------------------------------------------------------------
-# The plan transform
-# ----------------------------------------------------------------------
-def tree_has_soft(node) -> bool:
-    """Does any operator in the tree produce or consume soft row weights?
-
-    Soft pipelines carry per-row weight tensors that the deterministic
-    stitch barrier cannot merge (``stitch_relations`` raises on them at
-    runtime); the parallelize/exchange rewrites consult this at plan time
-    so a weighted plan executes serially instead of erroring mid-flight.
-    """
-    from repro.core.operators.soft_aggregate import SoftAggregateExec
-    if isinstance(node.op, (SoftFilterExec, SoftAggregateExec)):
-        return True
-    return any(tree_has_soft(child) for child in node._children_nodes)
-
-
-def _match_chain(node) -> Optional[tuple]:
-    """``(scan_op, [pipeline stages bottom-up])`` when ``node`` roots a
-    shardable pipeline prefix, else None."""
-    ops: List[PipelineExec] = []
-    current = node
-    while isinstance(current.op, PipelineExec):
-        children = current._children_nodes
-        if len(children) != 1:
-            return None
-        ops.append(current.op)
-        current = children[0]
-    if not isinstance(current.op, ScanExec) or current._children_nodes:
-        return None
-    return current.op, list(reversed(ops))
-
-
-def parallelize(root, config, pool, exec_node_cls):
-    """Rewrite a lowered tree for intra-query parallelism.
-
-    ``exec_node_cls`` is :class:`repro.core.compiled_query.ExecNode`
-    (passed in to keep this module import-light). Aggregate nodes with
-    mergeable specs become partial-aggregate drivers; remaining shardable
-    prefixes become sharded scans; everything else is rebuilt unchanged
-    around the recursion.
-    """
-    if tree_has_soft(root):
-        # Weighted/soft pipelines must never reach the stitch barrier (it
-        # raises on per-row weights at runtime): decline sharding entirely.
-        return root
-    shards = config.shards
-    min_rows = config.parallel_min_rows
-
-    def visit(node):
-        op = node.op
-        if isinstance(op, (SortAggregateExec, HashAggregateExec)) \
-                and not op.group_exprs \
-                and all(spec_mergeable(s) for s in op.aggregates) \
-                and len(node._children_nodes) == 1:
-            chain = _match_chain(node._children_nodes[0])
-            if chain is not None:
-                scan, pipeline = chain
-                return exec_node_cls(
-                    ShardedAggregateExec(op, scan, pipeline, pool,
-                                         shards, min_rows), [])
-        # Grouped aggregates shard only on the sort implementation: the
-        # grouped-partial merge reruns the sort-aggregate core, so its
-        # group order and representative-row selection match that operator
-        # (the hash variant behind GROUPBY_IMPL stays serial).
-        if type(op) is SortAggregateExec \
-                and op.group_exprs \
-                and all(spec_mergeable(s) for s in op.aggregates) \
-                and len(node._children_nodes) == 1:
-            chain = _match_chain(node._children_nodes[0])
-            if chain is not None:
-                scan, pipeline = chain
-                return exec_node_cls(
-                    ShardedGroupedAggregateExec(op, scan, pipeline, pool,
-                                                shards, min_rows), [])
-        chain = _match_chain(node)
-        if chain is not None and chain[1]:
-            scan, pipeline = chain
-            return exec_node_cls(
-                ShardedScanExec(scan, pipeline, pool, shards, min_rows), [])
-        return exec_node_cls(op, [visit(c) for c in node._children_nodes])
-
-    return visit(root)

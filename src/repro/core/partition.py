@@ -2,10 +2,13 @@
 
 "Query Processing on Tensor Computation Runtimes" (He et al.) shows that
 data-parallel partitioning is how a tensor-runtime engine saturates
-multi-core hardware; PR 4 parallelized *across* statements, this layer
-parallelizes *within* one: a statement's base-table rows split into K
-contiguous shards, the row-wise pipeline prefix runs per shard, and results
-stitch back in shard order.
+multi-core hardware. The scheduler runs statements side by side; this layer
+splits one statement: its base-table rows split into K contiguous shards,
+the row-wise pipeline chain runs per shard, and results stitch back in shard
+order. Contiguous row ranges are the only partitioning and ``shards`` the
+only switch (``parallel_min_rows`` just keeps small inputs whole); the
+drivers in :mod:`repro.core.operators.sharded` are chosen while the plan is
+lowered.
 
 Two invariants make sharded execution bit-identical with serial execution:
 

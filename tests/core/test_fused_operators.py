@@ -138,11 +138,13 @@ class TestPipelinePlanShape:
             stages = sum(line.lstrip().startswith("Pipeline[") for line in lines)
             assert 1 <= stages <= row_wise_before[name], plan
 
-    @pytest.mark.parametrize("key", ["fuse_operators", "compile_pipelines"])
+    @pytest.mark.parametrize("key", ["fuse_operators", "compile_pipelines",
+                                     "parallel_scan", "exchange", "join_impl",
+                                     "topk_impl"])
     def test_removed_knobs_are_unknown_keys(self, key):
         with pytest.raises(ValueError, match="unknown config key"):
             QueryConfig({key: False})
-        assert len(QueryConfig().fingerprint()) == 23
+        assert len(QueryConfig().fingerprint()) == 19
 
 
 def _udf_session(seen):

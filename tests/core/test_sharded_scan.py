@@ -1,6 +1,8 @@
 """Unit tests for the intra-query parallel execution subsystem (PR 5):
 partition planning, the shard pool, plan lowering, knobs, and cache keys."""
 
+import os
+import sys
 import threading
 
 import numpy as np
@@ -12,6 +14,13 @@ from repro.core.operators.base import Relation
 from repro.core.session import Session
 from repro.storage.table import Table
 from repro.storage.column import Column
+
+# The benchmark's statement generator (rel_analytic / rel_sharded).
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "..", "benchmarks", "e2e"))
+
+SERIAL = {"shards": 1}
+SHARDED = {"shards": 4, "parallel_min_rows": 2}
 
 
 def _session(rows=400):
@@ -158,10 +167,21 @@ class TestLowering:
             "SELECT SUM(y) FROM t WHERE x > 10",
             extra_config={"shards": 4, "trainable": True}).explain()
 
-    def test_parallel_scan_off_disables_rewrite(self):
-        assert "Sharded" not in _session().sql.query(
-            "SELECT id FROM t WHERE x > 10",
-            extra_config={"shards": 4, "parallel_scan": False}).explain()
+    def test_suite_plans_have_only_sharded_drivers(self):
+        """The benchmark's five TPC-H-shaped statements at ``shards=2``:
+        contiguous sharded drivers only, no repartitioning operator."""
+        import datagen
+        orders = datagen.make_orders(1, 0.01)
+        session = Session()
+        session.sql.register_dict(datagen.make_lineitem(1, orders, 0.01),
+                                  "lineitem")
+        session.sql.register_dict(orders, "orders")
+        statements = datagen.suite_statements(datagen.suite_params(1))
+        assert len(statements) == 5
+        for sql in statements.values():
+            plan = session.sql.query(sql, extra_config={"shards": 2}).explain()
+            assert "Sharded" in plan, plan
+            assert "Partitioned" not in plan and "Exchange" not in plan, plan
 
 
 class TestKnobs:
@@ -286,6 +306,38 @@ class TestExecutionParity:
                 else:
                     assert np.array_equal(av, bv)
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT x.id, x.f, d.w, d.label FROM t x JOIN dim d ON x.b = d.b",
+        "SELECT x.id, x.f, d.w, d.label FROM t x LEFT JOIN dim d ON x.b = d.b",
+        "SELECT x.id, d.w FROM t x JOIN dim d ON x.b = d.b AND x.k = d.k",
+        "SELECT x.id, d.w FROM t x LEFT JOIN dim d "
+        "ON x.b = d.b AND d.w > 10 WHERE x.k < 4",
+        "SELECT s, SUM(f) AS sf FROM t GROUP BY s",
+        "SELECT b, AVG(g) AS ag FROM t GROUP BY b",
+        "SELECT s, b, COUNT(DISTINCT k) AS cd FROM t GROUP BY s, b",
+        "SELECT g, COUNT(*) AS c, SUM(f) AS sf FROM t GROUP BY g",
+        "SELECT k, SUM(f * 2.0) AS sf FROM t WHERE b < 20 GROUP BY k",
+        "SELECT d.label, SUM(x.f) AS sf, AVG(x.g) AS ag "
+        "FROM t x JOIN dim d ON x.b = d.b GROUP BY d.label",
+    ], ids=["join", "left-join", "multi-key-join", "residual-where",
+            "float-sum", "nan-avg", "count-distinct", "nan-keys",
+            "filtered-expr-sum", "above-join"])
+    def test_joins_and_groups(self, sql):
+        """Joins and non-mergeable grouped aggregates run serially above
+        the stitch barrier of their sharded scans: bitwise serial."""
+        session = _join_session()
+        serial = session.sql.query(sql, extra_config=SERIAL).run()
+        sharded = session.sql.query(sql, extra_config=SHARDED).run()
+        _assert_bitwise(serial, sharded, sql)
+
+    def test_small_input_stays_serial(self):
+        session = _join_session(n=8)
+        sql = "SELECT x.id, d.w FROM t x JOIN dim d ON x.b = d.b"
+        big_min = {"shards": 4, "parallel_min_rows": 100000}
+        serial = session.sql.query(sql, extra_config=SERIAL).run()
+        _assert_bitwise(serial,
+                        session.sql.query(sql, extra_config=big_min).run())
+
     def test_execute_many_shares_shard_slices(self):
         session = _session()
         stmts = ["SELECT COUNT(*) FROM t WHERE x > 10",
@@ -294,3 +346,80 @@ class TestExecutionParity:
         sharded = [q.scalar() for q in session.execute_many(
             stmts, extra_config={"shards": 4, "parallel_min_rows": 2})]
         assert serial == sharded
+
+
+def _assert_bitwise(result_a, result_b, context=""):
+    assert result_a.column_names == result_b.column_names, context
+    for name in result_a.column_names:
+        a = np.asarray(result_a.column(name))
+        b = np.asarray(result_b.column(name))
+        assert a.dtype == b.dtype, (context, name, a.dtype, b.dtype)
+        assert a.shape == b.shape, (context, name, a.shape, b.shape)
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), (context, name)
+
+
+def _join_session(n=600, seed=7, dim_rows=23):
+    """A fact table (duplicate, NaN and string keys) and a dimension."""
+    rng = np.random.default_rng(seed)
+    session = Session()
+    session.sql.register_dict({
+        "id": np.arange(n, dtype=np.int64),
+        "b": rng.integers(0, dim_rows + 8, n).astype(np.int64),
+        "k": rng.integers(0, 5, n).astype(np.int64),
+        "f": np.round(rng.normal(size=n), 3),
+        "g": np.where(rng.random(n) < 0.25, np.nan, rng.normal(size=n)),
+        "s": np.array([["alpha", "beta", "gamma", "delta"][i]
+                       for i in rng.integers(0, 4, n)], dtype=object),
+    }, "t")
+    session.sql.register_dict({
+        "b": np.arange(dim_rows, dtype=np.int64),
+        "k": (np.arange(dim_rows, dtype=np.int64) % 5),
+        "w": rng.integers(0, 50, dim_rows).astype(np.int64),
+        "label": np.array([["x", "y", "z"][i % 3] for i in range(dim_rows)],
+                          dtype=object),
+    }, "dim")
+    return session
+
+
+def _soft_session(rows=64):
+    from repro.storage.encodings import PEEncoding
+    from repro.tcr import nn
+    from repro.tcr.tensor import Tensor
+
+    session = Session()
+    model = nn.Linear(2, 2)
+
+    @session.udf("Label float", name="classify", modules=[model])
+    def classify(x):
+        return PEEncoding.encode(model(x), domain=[0, 1])
+
+    rng = np.random.default_rng(0)
+    features = rng.normal(size=(rows, 2)).astype(np.float32)
+    session.sql.register_tensor(Tensor(features), "bag")
+    return session
+
+
+class TestSoftDecline:
+    """Soft aggregates carry per-row weights the stitch barrier cannot
+    merge, so ``groupby_impl="soft"`` lowers serially at any shard count."""
+
+    SQL = "SELECT Label, COUNT(*) AS c FROM classify(bag) GROUP BY Label"
+
+    def test_soft_aggregate_runs_serially(self):
+        session = _soft_session()
+        soft_serial = {"shards": 1, "groupby_impl": "soft"}
+        soft_sharded = {"shards": 4, "parallel_min_rows": 2,
+                        "groupby_impl": "soft"}
+        serial = session.sql.query(self.SQL, extra_config=soft_serial).run()
+        sharded = session.sql.query(self.SQL, extra_config=soft_sharded).run()
+        _assert_bitwise(serial, sharded)
+
+    def test_soft_plan_has_no_partition_drivers(self):
+        session = _soft_session()
+        plan = session.sql.query(
+            "EXPLAIN " + self.SQL,
+            extra_config={"shards": 4, "parallel_min_rows": 2,
+                          "groupby_impl": "soft"}).run()
+        text = "\n".join(str(v) for v in np.asarray(plan.column("plan")))
+        assert "SoftAggregate" in text
+        assert "Sharded" not in text

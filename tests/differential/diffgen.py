@@ -379,7 +379,7 @@ def _join_stmt(r: random.Random) -> DiffStatement:
 
 
 def _multikey_join_stmt(r: random.Random) -> DiffStatement:
-    """Engine-only: joins through the awkward key shapes the exchange legs
+    """Engine-only: joins through the awkward key shapes the sharded legs
     must keep bit-identical — composite keys, duplicate build keys that fan
     rows out, float keys carrying NaNs, and empty build/probe sides."""
     table = r.choice(["t0", "t1", "t_tiny", "t_one", "t_empty"])

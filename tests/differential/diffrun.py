@@ -9,14 +9,12 @@ plus the miniduck oracle.
 2. engine ``shards=4`` (tcr ops) with a tiny ``parallel_min_rows`` so
    even small tables actually split: sharded execution must be
    indistinguishable from serial;
-3. & 4. the same two configurations with ``compile_exprs=True`` (the same
-   lowering over numpy on detached data, the default): the two namespaces
-   must be bitwise-indistinguishable at every shard count;
-5. & 6. the exchange legs: the hash-repartitioned join/grouped-aggregate
-   drivers at shards=3 and the explicit ``exchange=False`` off-path at
-   shards=4 — both always run, while ``REPRO_EXCHANGE=0/1`` flips the knob
-   in the default sharded legs above (the CI matrix runs both settings);
-7. the ``baselines.miniduck`` oracle — compared after order normalisation
+3. engine ``shards=3`` (tcr ops): an odd shard count, so shard boundaries
+   fall at uneven row offsets;
+4. & 5. the configurations of 1. and 2. with ``compile_exprs=True`` (the
+   same lowering over numpy on detached data, the default): the two
+   namespaces must be bitwise-indistinguishable at every shard count;
+6. the ``baselines.miniduck`` oracle — compared after order normalisation
    on the statement's exact-typed key columns, NaN-aware, with the float
    tolerance documented in ``ALLOWLIST``.
 
@@ -57,25 +55,17 @@ from repro.baselines.miniduck import MiniDuck  # noqa: E402
 from repro.core.session import Session  # noqa: E402
 from repro.errors import TdpError  # noqa: E402
 
-# REPRO_EXCHANGE=0 turns the exchange rewrite (hash-repartitioned joins and
-# grouped aggregates) off in every sharded leg; CI runs a 0/1 matrix so both
-# sides of the knob keep full-stream coverage.
-_EXCHANGE_ON = os.environ.get("REPRO_EXCHANGE", "1") != "0"
-
 SERIAL_CONFIG = {"compile_exprs": False}
-SHARD_CONFIG = {"shards": 4, "parallel_min_rows": 2, "compile_exprs": False,
-                "exchange": _EXCHANGE_ON}
+SHARD_CONFIG = {"shards": 4, "parallel_min_rows": 2, "compile_exprs": False}
+ODD_SHARD_CONFIG = {"shards": 3, "parallel_min_rows": 2, "compile_exprs": False}
 KERNEL_CONFIG = {"compile_exprs": True}
 KERNEL_SHARD_CONFIG = {"shards": 4, "parallel_min_rows": 2,
-                       "compile_exprs": True, "exchange": _EXCHANGE_ON}
-# Exchange legs: the repartitioned join/grouped-aggregate drivers at an odd
-# shard count, plus the explicit off-path — both must stay bitwise equal to
-# the serial base regardless of how REPRO_EXCHANGE set the legs above.
-EXCHANGE_CONFIGS = [
-    ("exchange shards=3", {"shards": 3, "parallel_min_rows": 2,
-                           "compile_exprs": False, "exchange": True}),
-    ("no-exchange shards=4", {"shards": 4, "parallel_min_rows": 2,
-                              "compile_exprs": False, "exchange": False}),
+                       "compile_exprs": True}
+ENGINE_LEGS = [
+    ("shards=4", SHARD_CONFIG),
+    ("odd shards=3", ODD_SHARD_CONFIG),
+    ("kernels shards=1", KERNEL_CONFIG),
+    ("kernels shards=4", KERNEL_SHARD_CONFIG),
 ]
 FLOAT_RTOL = 1e-4
 FLOAT_ATOL = 1e-6
@@ -199,7 +189,7 @@ def run_differential(seed: int, count: int = 120,
         duck.register(name, dict(data))
     statements = gen_statements(seed, count)
     stats = {"statements": 0, "oracle_checked": 0, "oracle_skipped": 0,
-             "engine_only": 0, "kernel_checked": 0, "exchange_checked": 0}
+             "engine_only": 0, "kernel_checked": 0, "odd_shards_checked": 0}
     for case, stmt in enumerate(statements):
         if only_case is not None and case != only_case:
             continue
@@ -208,18 +198,15 @@ def run_differential(seed: int, count: int = 120,
             print(f"[{seed}:{case}] {stmt.sql}")
         try:
             serial = _engine_result(session, stmt.sql, SERIAL_CONFIG)
-            legs = [("shards=4", SHARD_CONFIG)] + EXCHANGE_CONFIGS + [
-                ("kernels shards=1", KERNEL_CONFIG),
-                ("kernels shards=4", KERNEL_SHARD_CONFIG)]
-            for label, extra in legs:
+            for label, extra in ENGINE_LEGS:
                 other = _engine_result(session, stmt.sql, extra)
                 detail = compare_engine_runs(serial, other, label)
                 if detail is not None:
                     raise Divergence(seed, case, stmt, detail)
                 if "kernels" in label:
                     stats["kernel_checked"] += 1
-                elif "exchange" in label:
-                    stats["exchange_checked"] += 1
+                elif "odd" in label:
+                    stats["odd_shards_checked"] += 1
         except TdpError as exc:
             raise Divergence(seed, case, stmt,
                              f"engine rejected generated statement: {exc}")

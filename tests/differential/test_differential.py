@@ -8,8 +8,6 @@ the environment:
 
 * ``REPRO_DIFF_SEEDS``  — comma-separated seed list (default ``1,2``)
 * ``REPRO_DIFF_STATEMENTS`` — statements per seed (default ``60``)
-* ``REPRO_EXCHANGE`` — ``0`` turns the exchange rewrite off in the default
-  sharded legs (the explicit exchange-on/off legs always run)
 """
 
 import os
@@ -40,8 +38,7 @@ def test_differential_seed(seed):
     oracle_eligible = stats["oracle_checked"] + stats["oracle_skipped"]
     assert stats["oracle_checked"] >= 0.8 * max(oracle_eligible, 1), stats
     assert stats["oracle_checked"] > 0
-    # Exchange legs (on at shards=3, explicitly off at shards=4) and the
-    # numpy-namespace legs (serial + sharded) run for every statement
-    # regardless of the REPRO_EXCHANGE matrix setting.
-    assert stats["exchange_checked"] == 2 * _count(), stats
+    # The odd shard-count leg and the numpy-namespace legs (serial +
+    # sharded) run for every statement.
+    assert stats["odd_shards_checked"] == _count(), stats
     assert stats["kernel_checked"] == 2 * _count(), stats
