@@ -3,64 +3,63 @@
 The paper (§2): "For each physical operator, we can have more than one
 [tensor] implementation, and at compilation time we use a mix of flags and
 heuristics to pick which one to use." These benches measure the choices the
-planner makes: hash vs sort group-by across key cardinalities, fused top-k
-vs a full sort, and the device micro-batch sweep behind the Fig 2 gap.
+planner makes: the one grouped aggregate across key shapes, fused top-k vs a
+full sort, and the device micro-batch sweep behind the Fig 2 gap.
 """
 
 import numpy as np
 
+from repro.baselines.miniduck import MiniDuck
 from repro.bench.harness import print_table, scaled, time_call
 from repro.core.session import Session
 
 N_ROWS = scaled(300_000)
 
 
-def _session_with_keys(cardinality):
-    rng = np.random.default_rng(cardinality)
+def _keys(shape, rng):
+    """Group keys of one shape: dense ints of a given cardinality, sparse
+    ints (the same count spread over a wide range), or floats."""
+    if shape == "sparse":
+        return rng.integers(0, 1_000, size=N_ROWS) * 1_000_003
+    if shape == "float":
+        return (rng.integers(0, 1_000, size=N_ROWS) / 8).astype(np.float32)
+    return rng.integers(0, shape, size=N_ROWS)
+
+
+def _data_with_keys(shape):
+    rng = np.random.default_rng(7)
+    return {"k": _keys(shape, rng),
+            "v": rng.normal(size=N_ROWS).astype(np.float32)}
+
+
+def _session_with_keys(shape):
     session = Session()
-    session.sql.register_dict({
-        "k": rng.integers(0, cardinality, size=N_ROWS),
-        "v": rng.normal(size=N_ROWS).astype(np.float32),
-    }, "t")
+    session.sql.register_dict(_data_with_keys(shape), "t")
     return session
 
 
 class TestGroupByImplementations:
-    def test_hash_vs_sort_across_cardinalities(self, benchmark):
-        sql = "SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k"
+    def test_grouped_aggregate_across_key_shapes(self, benchmark):
+        """Dense keys at three cardinalities, sparse ints and float keys,
+        each checked against miniduck; the times are informative."""
+        sql = "SELECT k, COUNT(*), SUM(v), MIN(v) FROM t GROUP BY k ORDER BY k"
         rows = []
-        for cardinality in [10, 1_000, 100_000]:
-            session = _session_with_keys(cardinality)
-            hash_q = session.spark.query(sql, extra_config={"groupby_impl": "hash"})
-            sort_q = session.spark.query(sql, extra_config={"groupby_impl": "sort"})
-            hash_s = time_call(hash_q.run, repeat=3)
-            sort_s = time_call(sort_q.run, repeat=3)
-            rows.append([cardinality, hash_s, sort_s])
-        print_table(
-            f"A2: group-by implementations ({N_ROWS} rows)",
-            ["key cardinality", "hash (s)", "sort (s)"], rows,
-        )
-        # Both implementations must agree; times are informative.
-        session = _session_with_keys(1_000)
-        hash_out = session.spark.query(
-            sql + " ORDER BY k", extra_config={"groupby_impl": "hash"}
-        ).run(toPandas=True)
-        sort_out = session.spark.query(
-            sql + " ORDER BY k", extra_config={"groupby_impl": "sort"}
-        ).run(toPandas=True)
-        assert hash_out.equals(sort_out, atol=1e-2)
+        for shape in [10, 1_000, 100_000, "sparse", "float"]:
+            data = _data_with_keys(shape)
+            session = Session()
+            session.sql.register_dict(dict(data), "t")
+            query = session.spark.query(sql)
+            duck = MiniDuck()
+            duck.register("t", dict(data))
+            assert query.run(toPandas=True).equals(duck.execute(sql), atol=1e-2), shape
+            rows.append([shape, time_call(query.run, repeat=3)])
+        print_table(f"A2: grouped aggregate by key shape ({N_ROWS} rows)",
+                    ["keys", "seconds"], rows)
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-    def test_groupby_hash(self, benchmark):
+    def test_groupby(self, benchmark):
         session = _session_with_keys(1_000)
-        q = session.spark.query("SELECT k, COUNT(*) FROM t GROUP BY k",
-                                extra_config={"groupby_impl": "hash"})
-        benchmark.pedantic(q.run, rounds=3, iterations=1, warmup_rounds=1)
-
-    def test_groupby_sort(self, benchmark):
-        session = _session_with_keys(1_000)
-        q = session.spark.query("SELECT k, COUNT(*) FROM t GROUP BY k",
-                                extra_config={"groupby_impl": "sort"})
+        q = session.spark.query("SELECT k, COUNT(*) FROM t GROUP BY k")
         benchmark.pedantic(q.run, rounds=3, iterations=1, warmup_rounds=1)
 
 

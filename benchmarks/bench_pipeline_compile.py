@@ -129,6 +129,6 @@ class TestPipelineCompile:
                   and "((x - b) > 35)" in line and "(x > -48)" in line]
         assert len(stages) == 1, text
         at = stages[0]
-        assert lines[at - 1].lstrip().startswith("SortAggregate"), text
+        assert lines[at - 1].lstrip().startswith("GroupedAggregate"), text
         assert lines[at + 1].lstrip().startswith("Scan(t)"), text
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -21,7 +21,7 @@ from repro.core.operators import (
     CreateIndexExec,
     DistinctExec,
     DropIndexExec,
-    HashAggregateExec,
+    GroupedAggregateExec,
     IndexScanExec,
     JoinExec,
     LimitExec,
@@ -33,7 +33,6 @@ from repro.core.operators import (
     ShowIndexesExec,
     SoftAggregateExec,
     SoftFilterExec,
-    SortAggregateExec,
     SortExec,
     TVFExec,
     TopKExec,
@@ -233,16 +232,14 @@ class Compiler:
     def _sharded_aggregate(self, op, child: ExecNode) -> Optional[ExecNode]:
         """An aggregate driver over the sharded chain ``child``, or None.
 
-        Global aggregates shard on either exact implementation, grouped
-        ones only on the sort implementation (the grouped-partial merge
-        reruns the sort-aggregate core, so group order and representative
-        rows match that operator), and only when every spec merges
-        bit-identically (``spec_mergeable``). Otherwise the aggregate runs
-        serially over the stitched chain.
+        The exact aggregate shards only when every spec merges
+        bit-identically (``spec_mergeable``); the grouped-partial merge
+        reruns the operator's own ``key_ids`` grouping, so group order and
+        representative rows match it. Otherwise the aggregate runs serially
+        over the stitched chain.
         """
         if (not self._sharding
-                or not all(spec_mergeable(s) for s in op.aggregates)
-                or (op.group_exprs and not isinstance(op, SortAggregateExec))):
+                or not all(spec_mergeable(s) for s in op.aggregates)):
             return None
         if isinstance(child.op, ShardedScanExec):
             scan, stages = child.op.scan, child.op.pipeline
@@ -261,19 +258,11 @@ class Compiler:
         impl = self.config.groupby_impl
         args = (plan.group_exprs, plan.group_names, plan.aggregates,
                 self.lowering)
-        if impl == "soft" or (impl == "auto" and self.config.trainable and plan.group_exprs):
-            return SoftAggregateExec(*args)
-        if impl == "hash":
-            return HashAggregateExec(*args)
-        if impl == "sort":
-            return SortAggregateExec(*args)
-        if impl != "auto":
+        if impl not in ("auto", "soft"):
             raise PlanError(f"unknown groupby_impl {impl!r}")
-        # Heuristic measured in bench_ablation_operators (A2): the TQP-style
-        # sort/segment algorithm dominates the unique(axis=0) hash variant on
-        # this runtime at every cardinality we tested, so `auto` lowers to
-        # sort; hash remains available behind the GROUPBY_IMPL flag.
-        return SortAggregateExec(*args)
+        if impl == "soft" or (self.config.trainable and plan.group_exprs):
+            return SoftAggregateExec(*args)
+        return GroupedAggregateExec(*args)
 
     def _maybe_fuse_topk(self, plan: logical.Limit):
         if not isinstance(plan.input, logical.Sort):

@@ -10,7 +10,7 @@ class constants:
 
     TRAINABLE = "trainable"
     # Operator implementation choices ("auto" lets heuristics decide).
-    GROUPBY_IMPL = "groupby_impl"          # auto | sort | hash | soft
+    GROUPBY_IMPL = "groupby_impl"          # auto (exact unless trainable) | soft
     # Optimizer control.
     DISABLE_RULES = "disable_rules"        # iterable of {fold, pushdown, prune, vector_index}
     # Soft-operator hyperparameters.

@@ -1,6 +1,6 @@
 """Physical operators (each one an ``nn.Module`` — paper §2)."""
 
-from repro.core.operators.aggregate import HashAggregateExec, SortAggregateExec
+from repro.core.operators.aggregate import GroupedAggregateExec, key_ids
 from repro.core.operators.base import Operator, Relation
 from repro.core.operators.filter import SoftFilterExec
 from repro.core.operators.index_scan import (
@@ -9,7 +9,7 @@ from repro.core.operators.index_scan import (
     IndexScanExec,
     ShowIndexesExec,
 )
-from repro.core.operators.join import JoinExec, equi_join_indices
+from repro.core.operators.join import JoinExec, direct_join_indices
 from repro.core.operators.pipeline import PipelineExec
 from repro.core.operators.project import TVFExec
 from repro.core.operators.scan import ScanExec, shared_scans
@@ -22,10 +22,10 @@ from repro.core.operators.soft_aggregate import SoftAggregateExec
 from repro.core.operators.sort import DistinctExec, LimitExec, SortExec, TopKExec
 
 __all__ = [
-    "CreateIndexExec", "DistinctExec", "DropIndexExec", "HashAggregateExec",
+    "CreateIndexExec", "DistinctExec", "DropIndexExec", "GroupedAggregateExec",
     "IndexScanExec", "JoinExec", "LimitExec", "Operator", "PipelineExec",
     "Relation", "ScanExec", "ShardedAggregateExec",
     "ShardedGroupedAggregateExec", "ShardedScanExec", "ShowIndexesExec",
-    "SoftAggregateExec", "SoftFilterExec", "SortAggregateExec", "SortExec",
-    "TVFExec", "TopKExec", "equi_join_indices", "shared_scans",
+    "SoftAggregateExec", "SoftFilterExec", "SortExec", "TVFExec", "TopKExec",
+    "direct_join_indices", "key_ids", "shared_scans",
 ]

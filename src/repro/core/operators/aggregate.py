@@ -1,8 +1,13 @@
-"""Group-by aggregation: exact sort-based, exact hash-based, and dense-PE.
+"""Exact aggregation over dense key ids.
 
-The sort-based implementation is the TQP-style tensor algorithm the paper
-builds on [13]: lexsort the group keys, find segment boundaries, and reduce
-each segment with ``reduceat``-backed tensor ops.
+Group identity comes from :func:`key_ids`, which reads the integer codes the
+key columns already carry (sorted-dictionary codes, bools, small integer
+ranges) and pays one 1-d ``np.unique`` only for a column that carries none —
+TQP's data representation, where operators run on small integers. COUNT,
+SUM and AVG are then ``np.bincount`` over the ids; MIN/MAX, and integer SUMs
+float64 could round, reduce segments of one stable sort of the id vector.
+The serial operator, the per-shard partials and their merge all run the same
+code, so the three paths cannot drift.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from repro.errors import ExecutionError
 from repro.core.expr_eval import ExpressionEvaluator
 from repro.core.kernels.compiler import ExprCompiler
 from repro.core.operators.base import Operator, Relation
+from repro.core.telemetry import annotate
 from repro.sql.bound import AggSpec, BoundExpr
 from repro.storage.column import Column, concat_encoded
 from repro.storage.encodings import (
@@ -26,17 +32,209 @@ from repro.storage.encodings import (
 from repro.storage.table import Table
 from repro.tcr import ops
 
+# An integer key whose value range is below this multiple of the row count is
+# addressed as ``value - min``; a combined domain above it is compacted.
+DENSE_FACTOR = 4
+_INT64_LIMIT = 2 ** 63
+_FLOAT64_EXACT = 2 ** 53
 
-def _key_array(column: Column) -> np.ndarray:
-    """Sortable 1-d array for a group key (dictionary codes sort like strings)."""
-    if isinstance(column.encoding, ProbabilityEncoding):
-        return column.encoding.hard_codes(column.tensor)
-    data = column.tensor.detach().data
-    if data.ndim != 1:
+
+# ----------------------------------------------------------------------
+# Key ids
+# ----------------------------------------------------------------------
+def _key_codes(key, n: int) -> Tuple[np.ndarray, int]:
+    """One key's int64 codes, in value order, and their range."""
+    if isinstance(key, Column):
+        if isinstance(key.encoding, ProbabilityEncoding):
+            return key.encoding.hard_codes(key.tensor), key.encoding.num_classes
+        data = key.tensor.detach().data
+        if isinstance(key.encoding, DictionaryEncoding):    # sorted dictionary
+            return data.astype(np.int64, copy=False), key.encoding.cardinality
+        key = data
+    if key.ndim != 1:
         raise ExecutionError("cannot group by a multi-dimensional column")
-    if data.dtype.kind == "b":
-        return data.astype(np.int8)
-    return data
+    if key.dtype.kind == "b":
+        return key.astype(np.int64), 2
+    if key.dtype.kind in "iu":
+        low = key.min()
+        span = int(key.max()) - int(low)          # Python ints: cannot overflow
+        if span < DENSE_FACTOR * n:
+            # Subtract in int64: a narrow dtype would wrap. int64 wraps too
+            # (uint64 above 2^63), but the true difference fits, so it is exact.
+            return key.astype(np.int64, copy=False) - low.astype(np.int64), span + 1
+    nan = np.isnan(key) if key.dtype.kind == "f" else None
+    if nan is None or not nan.any():
+        return _compact(key)
+    # Every NaN is its own key, after all values, in row order.
+    uniques, inverse = np.unique(key[~nan], return_inverse=True)
+    nans = n - len(inverse)
+    codes = np.empty(n, dtype=np.int64)
+    codes[~nan] = inverse
+    codes[nan] = len(uniques) + np.arange(nans)
+    return codes, len(uniques) + nans
+
+
+def _compact(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    uniques, inverse = np.unique(values, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64, copy=False), len(uniques)
+
+
+def key_ids(keys: Sequence) -> Tuple[np.ndarray, int]:
+    """Dense int64 row ids over key columns (``Column``s or 1-d arrays).
+
+    Ids lie in ``[0, domain)`` and id order is the lexicographic order of
+    the key values, so it is also group order. A dictionary column gives
+    its codes (range: its cardinality), a bool column two values, an
+    integer column ``value - min`` when its range is under
+    ``DENSE_FACTOR`` × rows; any other column pays one 1-d ``np.unique``,
+    where each NaN gets its own trailing id, in row order. Columns combine
+    by mixed radix; a partial domain that would overflow int64, or a final
+    one above ``DENSE_FACTOR`` × rows, is compacted with ``np.unique``.
+    """
+    first = keys[0]
+    n = first.num_rows if isinstance(first, Column) else len(first)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    ids, domain = None, 1
+    for key in keys:
+        codes, radix = _key_codes(key, n)
+        if ids is None:
+            ids, domain = codes, radix
+            continue
+        if domain * radix >= _INT64_LIMIT:
+            ids, domain = _compact(ids)
+            if domain * radix >= _INT64_LIMIT:
+                codes, radix = _compact(codes)
+        ids = ids * radix + codes
+        domain *= radix
+    if domain > DENSE_FACTOR * n:
+        ids, domain = _compact(ids)
+    return ids, domain
+
+
+class _Groups:
+    """The groups of one batch, in id (= key) order."""
+
+    def __init__(self, keys: Sequence):
+        self.ids, self.domain = key_ids(keys)
+        counts = np.bincount(self.ids, minlength=self.domain)
+        self.slots = np.flatnonzero(counts)         # the ids that occur
+        self.lengths = counts[self.slots]
+        self._order = None
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def total(self, values: np.ndarray) -> np.ndarray:
+        """Per-group float64 sums, accumulated in row order."""
+        sums = np.bincount(self.ids, weights=values, minlength=self.domain)
+        return sums[self.slots]
+
+    def reduce(self, ufunc, values: np.ndarray) -> np.ndarray:
+        """``ufunc`` over each group's rows, in row order (one stable sort)."""
+        if self._order is None:
+            self._order = np.argsort(self.ids, kind="stable")
+        starts = np.cumsum(self.lengths) - self.lengths
+        return ufunc.reduceat(values[self._order], starts, axis=0)
+
+    def first_rows(self) -> np.ndarray:
+        """Each group's first row: its representative."""
+        first = np.full(self.domain, len(self.ids), dtype=np.int64)
+        np.minimum.at(first, self.ids, np.arange(len(self.ids)))
+        return first[self.slots]
+
+    def index(self) -> np.ndarray:
+        """Each row's group position."""
+        position = np.zeros(self.domain, dtype=np.int64)
+        position[self.slots] = np.arange(len(self.slots))
+        return position[self.ids]
+
+
+# ----------------------------------------------------------------------
+# Per-group reductions
+# ----------------------------------------------------------------------
+def _sum_dtype(data: np.ndarray) -> np.dtype:
+    """SUM's result dtype: ``np.add.reduce``'s (bools and small ints widen
+    to int64)."""
+    return np.add.reduce(data[:0], axis=0).dtype
+
+
+def _sum(groups: _Groups, data: np.ndarray) -> np.ndarray:
+    """Per-group SUM in :func:`_sum_dtype`; integer sums stay exact."""
+    dtype = _sum_dtype(data)
+    if data.ndim == 1 and (dtype.kind == "f" or _float64_exact(data)):
+        return groups.total(data).astype(dtype)
+    return groups.reduce(np.add, data.astype(dtype, copy=False))
+
+
+def _float64_exact(data: np.ndarray) -> bool:
+    """Is every partial sum of these integers exact in float64?"""
+    return max(-int(data.min()), int(data.max())) * len(data) < _FLOAT64_EXACT
+
+
+def _extreme(func: str, groups: _Groups, data: np.ndarray) -> np.ndarray:
+    return groups.reduce(np.minimum if func == "MIN" else np.maximum, data)
+
+
+def _distinct_counts(groups: _Groups, values: np.ndarray) -> np.ndarray:
+    """Distinct values per group. A group's NaNs count as one value, as the
+    global path's ``np.unique`` counts them."""
+    _, codes = np.unique(values, return_inverse=True)
+    width = int(codes.max()) + 1
+    pairs = np.unique(groups.index() * width + codes.reshape(-1))
+    return np.bincount(pairs // width, minlength=len(groups))
+
+
+def _distinct_codes(column: Column) -> np.ndarray:
+    data = column.tensor.detach().data
+    return data if data.ndim == 1 else data.reshape(data.shape[0], -1)[:, 0]
+
+
+def _arg_data(spec: AggSpec, arg: Optional[Column]) -> np.ndarray:
+    if arg is None:
+        raise ExecutionError(f"{spec.func} requires an argument")
+    if isinstance(arg.encoding, DictionaryEncoding):
+        raise ExecutionError(f"{spec.func} over string columns is not supported")
+    return arg.tensor.detach().data
+
+
+def _state(spec: AggSpec, arg: Optional[Column], groups: _Groups) -> tuple:
+    """One aggregate's per-group state: aligned arrays, one entry per group."""
+    if spec.func == "COUNT":
+        if spec.distinct:
+            return (_distinct_counts(groups, _distinct_codes(arg)),)
+        return (groups.lengths,)
+    data = _arg_data(spec, arg)
+    if spec.func == "SUM":
+        return (_sum(groups, data),)
+    if spec.func == "AVG":
+        return (groups.total(data), groups.lengths)
+    return (_extreme(spec.func, groups, data),)
+
+
+def _empty_state(spec: AggSpec, arg: Optional[Column]) -> tuple:
+    if spec.func == "COUNT":
+        return (np.zeros(0, dtype=np.int64),)
+    if arg is None:
+        raise ExecutionError(f"{spec.func} requires an argument")
+    if spec.func == "AVG":
+        return (np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int64))
+    data = arg.tensor.detach().data
+    dtype = _sum_dtype(data) if spec.func == "SUM" else data.dtype
+    return (np.zeros(0, dtype=dtype),)
+
+
+def _merge_state(spec: AggSpec, arrays: tuple, groups: _Groups) -> tuple:
+    """Combine concatenated states: counts and sums add, MIN/MAX reduce."""
+    if spec.func in ("MIN", "MAX"):
+        return (_extreme(spec.func, groups, arrays[0]),)
+    return tuple(_sum(groups, array) for array in arrays)
+
+
+def _final(spec: AggSpec, state: tuple) -> np.ndarray:
+    if spec.func == "AVG":
+        return (state[0] / state[1]).astype(np.float32)
+    return state[0]
 
 
 def _group_output_column(column: Column, row_indices: np.ndarray, name: str) -> Column:
@@ -48,6 +246,18 @@ def _group_output_column(column: Column, row_indices: np.ndarray, name: str) -> 
     return column.take(row_indices).rename(name)
 
 
+def _grouped_relation(specs: Sequence[AggSpec], keys: List[Column],
+                      states: List[tuple], device, table_name: str) -> Relation:
+    columns = list(keys)
+    for spec, state in zip(specs, states):
+        columns.append(Column.from_values(spec.name, _final(spec, state),
+                                          device=device))
+    return Relation(Table(table_name, columns))
+
+
+# ----------------------------------------------------------------------
+# Operators
+# ----------------------------------------------------------------------
 class _AggregateBase(Operator):
     def __init__(self, group_exprs: List[BoundExpr], group_names: List[str],
                  aggregates: List[AggSpec], lowering: ExprCompiler):
@@ -69,35 +279,31 @@ class _AggregateBase(Operator):
         agg_inputs = [None if arg is None else arg(ctx) for arg in self._args]
         return keys, agg_inputs
 
-    def _global_aggregate(self, agg_inputs: List[Optional[Column]],
-                          n: int, device, table_name: str) -> Relation:
-        columns = []
-        for spec, arg in zip(self.aggregates, agg_inputs):
-            columns.append(_global_agg_column(spec, arg, n, device))
-        return Relation(Table(table_name, columns))
 
-    def _empty_group_result(self, keys: List[Column],
-                            agg_inputs: List[Optional[Column]],
-                            device, table_name: str) -> Relation:
-        """Zero groups for zero input rows, with dtype-correct agg columns
-        (shared by the sort and hash implementations)."""
-        columns = [k.take(np.zeros(0, dtype=np.int64)) for k in keys]
-        for spec, arg in zip(self.aggregates, agg_inputs):
-            columns.append(Column.from_values(
-                spec.name, np.zeros(0, dtype=_agg_output_dtype(spec, arg)),
-                device=device))
-        return Relation(Table(table_name, columns))
+class GroupedAggregateExec(_AggregateBase):
+    """Exact GROUP BY (and global) aggregation over :func:`key_ids`."""
 
+    def forward(self, relation: Relation) -> Relation:
+        if relation.weights is not None:
+            raise ExecutionError(
+                "exact aggregation cannot consume soft filter weights; compile the "
+                "query with TRAINABLE to use soft operators"
+            )
+        keys, agg_inputs = self._evaluate_inputs(relation)
+        n, device, table_name = (relation.num_rows, relation.device,
+                                 relation.table.name)
+        if not keys:
+            columns = [_global_agg_column(spec, arg, n, device)
+                       for spec, arg in zip(self.aggregates, agg_inputs)]
+            return Relation(Table(table_name, columns))
+        partial = grouped_partial(self.aggregates, keys, self.group_names,
+                                  agg_inputs, n)
+        annotate(groups=partial.groups, domain=partial.domain)
+        return _grouped_relation(self.aggregates, partial.keys, partial.states,
+                                 device, table_name)
 
-def _agg_output_dtype(spec: AggSpec, arg: Optional[Column]) -> np.dtype:
-    """The dtype the non-empty aggregation paths would produce."""
-    if spec.func == "COUNT":
-        return np.dtype(np.int64)
-    if spec.func == "AVG":
-        return np.dtype(np.float32)
-    if arg is None:
-        raise ExecutionError(f"{spec.func} requires an argument")
-    return arg.tensor.detach().data.dtype
+    def describe(self) -> str:
+        return f"GroupedAggregate(groups={self.group_names})"
 
 
 def _global_agg_column(spec: AggSpec, arg: Optional[Column], n: int, device) -> Column:
@@ -120,9 +326,9 @@ def _global_agg_column(spec: AggSpec, arg: Optional[Column], n: int, device) -> 
         result = ops.sum(tensor).reshape(1)
     elif spec.func == "AVG":
         # SUM/COUNT formulation with a float64 accumulator, matching the
-        # grouped (reduceat) AVG path — and exactly what the partial-
-        # aggregate merge computes, so sharded global AVG over integer
-        # inputs stays bit-identical with serial execution.
+        # grouped AVG path — and exactly what the partial-aggregate merge
+        # computes, so sharded global AVG over integer inputs stays
+        # bit-identical with serial execution.
         total = ops.sum(ops.astype(tensor, np.float64))
         result = ops.astype(ops.div(total, float(n)), np.float32).reshape(1)
     elif spec.func == "MIN":
@@ -132,38 +338,6 @@ def _global_agg_column(spec: AggSpec, arg: Optional[Column], n: int, device) -> 
     if isinstance(arg.encoding, DictionaryEncoding):
         raise ExecutionError(f"{spec.func} over string columns is not supported")
     return Column(spec.name, EncodedTensor(result, PlainEncoding()))
-
-
-def distinct_counts(group_ids: np.ndarray, values: np.ndarray,
-                    num_groups: int,
-                    starts: Optional[np.ndarray] = None) -> np.ndarray:
-    """Distinct values per group, NaN-aware: all NaNs in a group count as
-    ONE value, matching the global path's ``np.unique`` (which collapses
-    NaNs). Shared by the sort- and hash-aggregate COUNT(DISTINCT) paths so
-    the two implementations cannot drift."""
-    if len(values) == 0:
-        return np.zeros(num_groups, dtype=np.int64)
-    order = np.lexsort((values, group_ids))
-    g = group_ids[order]
-    v = values[order]
-    new_run = np.ones(len(v), dtype=np.int64)
-    same_g = g[1:] == g[:-1]
-    same_v = v[1:] == v[:-1]
-    if v.dtype.kind == "f":
-        # NaN != NaN would make every NULL its own "distinct" value; NaNs
-        # sort to the end of each group, so run-collapsing them is exact.
-        same_v = same_v | (np.isnan(v[1:]) & np.isnan(v[:-1]))
-    new_run[1:] = ~(same_g & same_v)
-    if starts is not None:
-        # Sort-aggregate path: groups are contiguous segments over `order`.
-        return np.add.reduceat(new_run, starts).astype(np.int64)
-    return np.bincount(g, weights=new_run,
-                       minlength=num_groups).astype(np.int64)
-
-
-def _distinct_codes(column: Column) -> np.ndarray:
-    data = column.tensor.detach().data
-    return data if data.ndim == 1 else data.reshape(data.shape[0], -1)[:, 0]
 
 
 # ----------------------------------------------------------------------
@@ -243,80 +417,47 @@ def merge_global_partials(spec: AggSpec, partials: Sequence[tuple],
 
 
 # ----------------------------------------------------------------------
-# Grouped (GROUP BY) partials — the sort-aggregate core run per shard, then
-# once more over the per-shard representatives at the merge barrier. Exactness
-# mirrors the global-partial policy above (`spec_mergeable`): COUNT partials
-# add in int64, SUM/AVG partials only exist for integer/bool inputs (exact in
-# int64/float64), MIN/MAX combine with the same NaN-propagating comparisons.
-# Bit-identity of the *grouping* comes from shard-major concatenation: shards
-# are contiguous row ranges, so concatenating each shard's representative
-# keys in shard order reproduces the original relative row order, and the
-# same stable lexsort + change-point pass then selects exactly the groups,
-# group order and representative rows serial execution selects.
+# Grouped (GROUP BY) partials. The serial operator is one partial,
+# finalised; a sharded run takes one partial per shard and merges them.
+# Exactness mirrors the global-partial policy above (`spec_mergeable`):
+# COUNT partials add in int64, SUM/AVG partials only exist for integer/bool
+# inputs (exact in int64/float64), MIN/MAX combine with the same
+# NaN-propagating comparisons. Bit-identity of the *grouping* comes from
+# shard-major concatenation: shards are contiguous row ranges, so each
+# shard's representatives in shard order keep the original relative row
+# order, and `key_ids` over them yields the groups, group order and
+# representative rows serial execution yields (NaN keys included: each is
+# its own group, in row order).
 # ----------------------------------------------------------------------
 class GroupedPartial:
-    """One shard's grouped-aggregate state: representative key columns plus
+    """One batch's grouped-aggregate state: representative key columns plus
     one partial-state vector (a tuple of aligned arrays) per aggregate spec,
-    each with one entry per group found in the shard."""
+    each with one entry per group found in the batch."""
 
-    __slots__ = ("keys", "states", "groups")
+    __slots__ = ("keys", "states", "groups", "domain")
 
-    def __init__(self, keys: List[Column], states: List[tuple], groups: int):
+    def __init__(self, keys: List[Column], states: List[tuple], groups: int,
+                 domain: int):
         self.keys = keys
         self.states = states
         self.groups = groups
-
-
-def _empty_grouped_state(spec: AggSpec, arg: Optional[Column]) -> tuple:
-    if spec.func == "COUNT":
-        return (np.zeros(0, dtype=np.int64),)
-    if arg is None:
-        raise ExecutionError(f"{spec.func} requires an argument")
-    dtype = arg.tensor.detach().data.dtype
-    if spec.func == "AVG":
-        return (np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int64))
-    return (np.zeros(0, dtype=dtype),)
-
-
-def _grouped_state(spec: AggSpec, arg: Optional[Column], order: np.ndarray,
-                   starts: np.ndarray, lengths: np.ndarray) -> tuple:
-    """Per-group partial vectors, computed exactly as the serial segment
-    reductions compute them (same reduceat calls, same dtypes)."""
-    if spec.func == "COUNT":
-        return (lengths.astype(np.int64),)
-    if arg is None:
-        raise ExecutionError(f"{spec.func} requires an argument")
-    if isinstance(arg.encoding, DictionaryEncoding):
-        raise ExecutionError(f"{spec.func} over string columns is not supported")
-    data = arg.tensor.detach().data[order]
-    if spec.func == "SUM":
-        return (np.add.reduceat(data, starts, axis=0),)
-    if spec.func == "AVG":
-        return (np.add.reduceat(data.astype(np.float64), starts, axis=0),
-                lengths.astype(np.int64))
-    if spec.func == "MIN":
-        return (np.minimum.reduceat(data, starts, axis=0),)
-    return (np.maximum.reduceat(data, starts, axis=0),)
+        self.domain = domain
 
 
 def grouped_partial(specs: Sequence[AggSpec], keys: List[Column],
                     group_names: Sequence[str],
                     agg_inputs: List[Optional[Column]], n: int) -> GroupedPartial:
-    """One shard's grouped partial state (requires every spec mergeable)."""
+    """One batch's grouped partial state."""
     if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        rep_cols = [_group_output_column(k, empty, name)
-                    for k, name in zip(keys, group_names)]
-        states = [_empty_grouped_state(spec, arg)
-                  for spec, arg in zip(specs, agg_inputs)]
-        return GroupedPartial(rep_cols, states, 0)
-    key_arrays = [_key_array(k) for k in keys]
-    order, _, starts, lengths, rep_rows = sort_group_segments(key_arrays, n)
-    rep_cols = [_group_output_column(k, rep_rows, name)
+        rows, domain = np.zeros(0, dtype=np.int64), 0
+        states = [_empty_state(spec, arg) for spec, arg in zip(specs, agg_inputs)]
+    else:
+        groups = _Groups(keys)
+        rows, domain = groups.first_rows(), groups.domain
+        states = [_state(spec, arg, groups) for spec, arg in zip(specs, agg_inputs)]
+    rep_cols = [_group_output_column(k, rows, name)
                 for k, name in zip(keys, group_names)]
-    states = [_grouped_state(spec, arg, order, starts, lengths)
-              for spec, arg in zip(specs, agg_inputs)]
-    return GroupedPartial(rep_cols, states, len(starts))
+    return GroupedPartial(rep_cols, states, len(rows), domain)
 
 
 def _concat_rep_columns(pieces: Sequence[Column]) -> Column:
@@ -329,232 +470,26 @@ def _concat_rep_columns(pieces: Sequence[Column]) -> Column:
     return Column(pieces[0].name, encoded)
 
 
-def _combine_grouped_state(spec: AggSpec, arrays: tuple, order: np.ndarray,
-                           starts: np.ndarray) -> np.ndarray:
-    """Reduce concatenated per-shard partial vectors segment-wise."""
-    if spec.func == "COUNT":
-        return np.add.reduceat(arrays[0][order], starts).astype(np.int64)
-    if spec.func == "SUM":
-        return np.add.reduceat(arrays[0][order], starts, axis=0)
-    if spec.func == "AVG":
-        # float64 partial sums / int64 partial counts: the same
-        # sums-over-lengths division (and final float32 narrowing) the
-        # serial segment AVG performs.
-        sums = np.add.reduceat(arrays[0][order], starts, axis=0)
-        counts = np.add.reduceat(arrays[1][order], starts)
-        return (sums / counts).astype(np.float32)
-    if spec.func == "MIN":
-        return np.minimum.reduceat(arrays[0][order], starts, axis=0)
-    return np.maximum.reduceat(arrays[0][order], starts, axis=0)
-
-
-def _merged_empty_state(spec: AggSpec, arrays: tuple) -> np.ndarray:
-    if spec.func == "AVG":
-        return np.zeros(0, dtype=np.float32)
-    return arrays[0]
-
-
 def merge_grouped_partials(agg, partials: Sequence[GroupedPartial],
                            device, table_name: str) -> Relation:
     """Combine shard grouped-partials into the final GROUP BY relation,
-    bit-identical with ``SortAggregateExec`` over the unsharded input."""
+    bit-identical with ``GroupedAggregateExec`` over the unsharded input."""
     specs = agg.aggregates
-    names = agg.group_names
     key_cols = [
         _concat_rep_columns([p.keys[i] for p in partials])
-        for i in range(len(names))
+        for i in range(len(agg.group_names))
     ]
-    state_arrays = [
+    states = [
         tuple(np.concatenate([p.states[i][j] for p in partials])
               for j in range(len(partials[0].states[i])))
         for i in range(len(specs))
     ]
-    total = sum(p.groups for p in partials)
-    if total == 0:
-        columns = list(key_cols)
-        for spec, arrays in zip(specs, state_arrays):
-            columns.append(Column.from_values(
-                spec.name, _merged_empty_state(spec, arrays), device=device))
-        return Relation(Table(table_name, columns))
-    key_arrays = [_key_array(c) for c in key_cols]
-    order, _, starts, _, rep_rows = sort_group_segments(key_arrays, total)
-    columns = [_group_output_column(c, rep_rows, name)
-               for c, name in zip(key_cols, names)]
-    for spec, arrays in zip(specs, state_arrays):
-        columns.append(Column.from_values(
-            spec.name, _combine_grouped_state(spec, arrays, order, starts),
-            device=device))
-    return Relation(Table(table_name, columns))
-
-
-def sort_group_segments(key_arrays: List[np.ndarray], n: int) -> tuple:
-    """Stable lexsort + segment-boundary detection: the sort-aggregate core.
-
-    Returns ``(order, sorted_keys, starts, lengths, rep_rows)``. Shared by
-    the serial sort aggregate, the per-shard grouped partials and the
-    grouped-partial merge, so the three paths cannot drift (NaN keys each
-    form their own group under the ``!=`` change-point rule; the stable sort
-    keeps them — and every group's representative row — in input order).
-    """
-    order = np.lexsort(tuple(reversed(key_arrays)))
-    sorted_keys = [arr[order] for arr in key_arrays]
-    change = np.zeros(n, dtype=bool)
-    change[0] = True
-    for arr in sorted_keys:
-        change[1:] |= arr[1:] != arr[:-1]
-    starts = np.flatnonzero(change)
-    lengths = np.diff(np.append(starts, n))
-    rep_rows = order[starts]
-    return order, sorted_keys, starts, lengths, rep_rows
-
-
-class SortAggregateExec(_AggregateBase):
-    """Sort → segment boundaries → reduceat (works for any key cardinality)."""
-
-    def forward(self, relation: Relation) -> Relation:
-        if relation.weights is not None:
-            raise ExecutionError(
-                "exact aggregation cannot consume soft filter weights; compile the "
-                "query with TRAINABLE to use soft operators"
-            )
-        keys, agg_inputs = self._evaluate_inputs(relation)
-        n, device, table_name = (relation.num_rows, relation.device,
-                                 relation.table.name)
-        if not keys:
-            return self._global_aggregate(agg_inputs, n, device, table_name)
-        if n == 0:
-            return self._empty_group_result(keys, agg_inputs, device, table_name)
-
-        key_arrays = [_key_array(k) for k in keys]
-        order, sorted_keys, starts, lengths, rep_rows = \
-            sort_group_segments(key_arrays, n)
-
-        columns = [
-            _group_output_column(k, rep_rows, name)
-            for k, name in zip(keys, self.group_names)
-        ]
-        for spec, arg in zip(self.aggregates, agg_inputs):
-            columns.append(_segment_agg_column(spec, arg, order, starts, lengths,
-                                               sorted_keys, device))
-        return Relation(Table(table_name, columns))
-
-    def describe(self) -> str:
-        return f"SortAggregate(groups={self.group_names})"
-
-
-def _segment_agg_column(spec: AggSpec, arg: Optional[Column], order: np.ndarray,
-                        starts: np.ndarray, lengths: np.ndarray,
-                        sorted_keys: List[np.ndarray], device) -> Column:
-    if spec.func == "COUNT" and spec.arg is None:
-        return Column.from_values(spec.name, lengths.astype(np.int64), device=device)
-    if arg is None:
-        raise ExecutionError(f"{spec.func} requires an argument")
-    data = arg.tensor.detach().data[order]
-    if spec.func == "COUNT":
-        if spec.distinct:
-            # Sort values within segments and count distinct runs per segment.
-            seg_ids = np.repeat(np.arange(len(starts)), lengths)
-            counts = distinct_counts(seg_ids, data, len(starts),
-                                     starts=starts)
-            return Column.from_values(spec.name, counts, device=device)
-        return Column.from_values(spec.name, lengths.astype(np.int64), device=device)
-    if isinstance(arg.encoding, DictionaryEncoding):
-        raise ExecutionError(f"{spec.func} over string columns is not supported")
-    if spec.func == "SUM":
-        result = np.add.reduceat(data, starts, axis=0)
-    elif spec.func == "AVG":
-        result = np.add.reduceat(data.astype(np.float64), starts, axis=0) / lengths
-        result = result.astype(np.float32)
-    elif spec.func == "MIN":
-        result = np.minimum.reduceat(data, starts, axis=0)
-    else:  # MAX
-        result = np.maximum.reduceat(data, starts, axis=0)
-    return Column.from_values(spec.name, result, device=device)
-
-
-class HashAggregateExec(_AggregateBase):
-    """Factorise keys with np.unique(axis=0), accumulate with bincount/add.at."""
-
-    def forward(self, relation: Relation) -> Relation:
-        if relation.weights is not None:
-            raise ExecutionError(
-                "exact aggregation cannot consume soft filter weights; compile the "
-                "query with TRAINABLE to use soft operators"
-            )
-        keys, agg_inputs = self._evaluate_inputs(relation)
-        if not keys:
-            return self._global_aggregate(agg_inputs, relation.num_rows,
-                                          relation.device, relation.table.name)
-        n = relation.num_rows
-        if n == 0:
-            return self._empty_group_result(keys, agg_inputs, relation.device,
-                                            relation.table.name)
-
-        # Factorise each key column on its own dtype, then combine the int64
-        # codes: stacking mixed int/float keys directly would promote int64
-        # to float64 and collapse distinct keys above 2^53.
-        key_arrays = [_key_array(k) for k in keys]
-        if len(key_arrays) == 1:
-            uniques, first_pos, inverse = np.unique(
-                key_arrays[0], return_index=True, return_inverse=True)
-            inverse = inverse.reshape(-1)
-        else:
-            code_cols = []
-            for arr in key_arrays:
-                _, codes = np.unique(arr, return_inverse=True)
-                code_cols.append(codes.reshape(-1).astype(np.int64))
-            uniques, inverse, first_pos = _factorize_rows(np.stack(code_cols, axis=1))
-        num_groups = uniques.shape[0]
-
-        columns = [
-            _group_output_column(k, first_pos, name)
-            for k, name in zip(keys, self.group_names)
-        ]
-        for spec, arg in zip(self.aggregates, agg_inputs):
-            columns.append(_hash_agg_column(spec, arg, inverse, num_groups, relation.device))
-        return Relation(Table(relation.table.name, columns))
-
-    def describe(self) -> str:
-        return f"HashAggregate(groups={self.group_names})"
-
-
-def _factorize_rows(stacked: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unique rows + inverse codes + first occurrence row of each unique."""
-    uniques, index, inverse = np.unique(stacked, axis=0, return_index=True,
-                                        return_inverse=True)
-    return uniques, inverse.reshape(-1), index
-
-
-def _hash_agg_column(spec: AggSpec, arg: Optional[Column], inverse: np.ndarray,
-                     num_groups: int, device) -> Column:
-    if spec.func == "COUNT" and spec.arg is None:
-        counts = np.bincount(inverse, minlength=num_groups)
-        return Column.from_values(spec.name, counts.astype(np.int64), device=device)
-    if arg is None:
-        raise ExecutionError(f"{spec.func} requires an argument")
-    data = arg.tensor.detach().data
-    if spec.func == "COUNT":
-        if spec.distinct:
-            counts = distinct_counts(inverse.astype(np.int64),
-                                     data.astype(np.float64), num_groups)
-            return Column.from_values(spec.name, counts, device=device)
-        counts = np.bincount(inverse, minlength=num_groups)
-        return Column.from_values(spec.name, counts.astype(np.int64), device=device)
-    if spec.func == "SUM":
-        result = np.zeros(num_groups, dtype=np.float64)
-        np.add.at(result, inverse, data.astype(np.float64))
-        result = result.astype(data.dtype if data.dtype.kind == "i" else np.float32)
-    elif spec.func == "AVG":
-        sums = np.zeros(num_groups, dtype=np.float64)
-        np.add.at(sums, inverse, data.astype(np.float64))
-        counts = np.bincount(inverse, minlength=num_groups)
-        result = (sums / np.maximum(counts, 1)).astype(np.float32)
-    elif spec.func == "MIN":
-        result = np.full(num_groups, np.inf)
-        np.minimum.at(result, inverse, data.astype(np.float64))
-        result = result.astype(data.dtype if data.dtype.kind == "i" else np.float32)
-    else:  # MAX
-        result = np.full(num_groups, -np.inf)
-        np.maximum.at(result, inverse, data.astype(np.float64))
-        result = result.astype(data.dtype if data.dtype.kind == "i" else np.float32)
-    return Column.from_values(spec.name, result, device=device)
+    if sum(p.groups for p in partials):
+        groups = _Groups(key_cols)
+        rows = groups.first_rows()
+        key_cols = [_group_output_column(c, rows, name)
+                    for c, name in zip(key_cols, agg.group_names)]
+        states = [_merge_state(spec, state, groups)
+                  for spec, state in zip(specs, states)]
+        annotate(groups=len(groups), domain=groups.domain)
+    return _grouped_relation(specs, key_cols, states, device, table_name)

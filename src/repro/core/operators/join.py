@@ -1,4 +1,5 @@
-"""Join operators: sorted-lookup equi-join (TQP-style) and cross join."""
+"""Join operators: equi-join through a direct-address table over dense key
+ids, and cross join."""
 
 from __future__ import annotations
 
@@ -10,83 +11,70 @@ from repro.errors import ExecutionError
 from repro.core.expr_eval import ExpressionEvaluator
 from repro.core.kernels.compiler import ExprCompiler
 from repro.core.kernels.strings import comparable_codes
+from repro.core.operators.aggregate import key_ids
 from repro.core.operators.base import Operator, Relation
+from repro.core.telemetry import annotate
 from repro.sql.bound import BoundExpr
 from repro.storage.column import Column
 from repro.storage.encodings import DictionaryEncoding
 from repro.storage.table import Table
 
 
-def _join_codes(left: Column, right: Column) -> Tuple[np.ndarray, np.ndarray]:
-    """Factorise a key pair into comparable integer codes."""
+def _key_values(left: Column, right: Column) -> Tuple[np.ndarray, np.ndarray]:
+    """One key pair as two arrays whose values compare like the keys'."""
     if isinstance(left.encoding, DictionaryEncoding) and isinstance(
             right.encoding, DictionaryEncoding):
-        left_vals, right_vals = comparable_codes(left, right)
-    elif isinstance(left.encoding, DictionaryEncoding) or isinstance(
+        return comparable_codes(left, right)
+    if isinstance(left.encoding, DictionaryEncoding) or isinstance(
             right.encoding, DictionaryEncoding):
-        left_vals = left.decode().astype(str)
-        right_vals = right.decode().astype(str)
-    else:
-        left_vals = left.tensor.detach().data
-        right_vals = right.tensor.detach().data
-        if left_vals.ndim != 1 or right_vals.ndim != 1:
-            raise ExecutionError("join keys must be scalar columns")
-    combined = np.concatenate([left_vals, right_vals])
-    _, inverse = np.unique(combined, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    return inverse[:len(left_vals)], inverse[len(left_vals):]
+        return left.decode().astype(str), right.decode().astype(str)
+    left_vals = left.tensor.detach().data
+    right_vals = right.tensor.detach().data
+    if left_vals.ndim != 1 or right_vals.ndim != 1:
+        raise ExecutionError("join keys must be scalar columns")
+    return left_vals, right_vals
 
 
-def equi_join_indices(left_codes: np.ndarray, right_codes: np.ndarray,
-                      keep_unmatched_left: bool = False
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Matching row index pairs for an equi-join.
+def join_ids(pairs: List[Tuple[np.ndarray, np.ndarray]]
+             ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(left ids, right ids, domain)`` over the joint key range.
 
-    Sort the right side once; for each left row, binary-search its matching
-    range — the vectorised sorted-lookup join TQP lowers hash joins to.
-    Unmatched left rows appear with right index -1 when requested (LEFT JOIN).
+    Integer, bool and dictionary keys go straight to :func:`key_ids`. Float
+    and string keys are factorized first with ``np.unique``, whose equality
+    (NaN matches NaN, -0.0 matches 0.0) is the join's. Either way the ids
+    are dense: ``domain`` is at most ``DENSE_FACTOR`` slots per row.
     """
-    if len(left_codes) == 0 or (len(right_codes) == 0 and not keep_unmatched_left):
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy()
-    order = np.argsort(right_codes, kind="stable")
-    sorted_right = right_codes[order]
-    lo = np.searchsorted(sorted_right, left_codes, side="left")
-    hi = np.searchsorted(sorted_right, left_codes, side="right")
-    counts = hi - lo
-    if keep_unmatched_left:
-        out_counts = np.maximum(counts, 1)
-    else:
-        out_counts = counts
-    total = int(out_counts.sum())
-    left_idx = np.repeat(np.arange(len(left_codes)), out_counts)
-    # Offsets within each left row's output block.
-    block_starts = np.concatenate([[0], np.cumsum(out_counts)[:-1]])
-    within = np.arange(total) - np.repeat(block_starts, out_counts)
-    right_sorted_pos = np.repeat(lo, out_counts) + within
-    matched = np.repeat(counts > 0, out_counts)
-    right_idx = np.full(total, -1, dtype=np.int64)
-    right_idx[matched] = order[right_sorted_pos[matched]]
-    return left_idx, right_idx
+    n_left = len(pairs[0][0])
+    joint = [values if values.dtype.kind in "biu"
+             else np.unique(values, return_inverse=True)[1].reshape(-1)
+             for values in (np.concatenate(pair) for pair in pairs)]
+    ids, domain = key_ids(joint)
+    return ids[:n_left], ids[n_left:], domain
 
 
-def _combine_key_codes(left_codes: List[np.ndarray], right_codes: List[np.ndarray]
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """Collapse per-key code columns into one comparable code per row.
+def direct_join_indices(probe_ids: np.ndarray, build_ids: np.ndarray,
+                        domain: int, keep_unmatched: bool = False
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Equi-join row pairs through a direct-address table over dense ids:
+    build-side counts per id, their running offsets, and the build rows in
+    stable id order; a probe row reads its match range with two gathers.
 
-    Radix arithmetic (``combined * radix + codes``) silently wraps int64 for
-    high-cardinality composite keys, so stack the code columns and
-    re-factorise the rows with ``np.unique(axis=0)`` — lossless at any
-    cardinality.
+    Pairs come in probe-row order, each row's matches in build-row order;
+    an unmatched probe row pairs with -1 when ``keep_unmatched``.
     """
-    if len(left_codes) == 1:
-        return left_codes[0], right_codes[0]
-    n_left = len(left_codes[0])
-    stacked = np.concatenate([np.stack(left_codes, axis=1),
-                              np.stack(right_codes, axis=1)], axis=0)
-    _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    return inverse[:n_left], inverse[n_left:]
+    table = np.bincount(build_ids, minlength=domain)
+    order = np.argsort(build_ids, kind="stable")
+    lo = (np.cumsum(table) - table)[probe_ids]
+    counts = table[probe_ids]
+    out = np.maximum(counts, 1) if keep_unmatched else counts
+    probe = np.repeat(np.arange(len(out)), out)
+    position = np.arange(len(probe)) + np.repeat(lo - (np.cumsum(out) - out), out)
+    if not keep_unmatched:
+        return probe, order[position]
+    build = np.full(len(probe), -1, dtype=np.int64)
+    hit = np.repeat(counts > 0, out)
+    build[hit] = order[position[hit]]
+    return probe, build
 
 
 def _null_fill_column(column: Column, indices: np.ndarray, name: str) -> Column:
@@ -144,21 +132,20 @@ class JoinExec(Operator):
             li = np.repeat(np.arange(left.num_rows), right.num_rows)
             ri = np.tile(np.arange(right.num_rows), left.num_rows)
         else:
-            # Factorise each key pair jointly, so equal values share a code
-            # across sides, then collapse the key columns to one code.
+            # One id per row over both sides' joint key range, so equal keys
+            # share an id across sides.
             left_ctx = ExpressionEvaluator(left)
             right_ctx = ExpressionEvaluator(right)
-            codes = [_join_codes(lk(left_ctx), rk(right_ctx))
-                     for lk, rk in zip(self._left_keys, self._right_keys)]
-            combined_left, combined_right = _combine_key_codes(
-                [lc for lc, _ in codes], [rc for _, rc in codes])
-            if self.kind == "RIGHT":
-                ri, li = equi_join_indices(combined_right, combined_left,
-                                           keep_unmatched_left=True)
-            else:
-                li, ri = equi_join_indices(
-                    combined_left, combined_right,
-                    keep_unmatched_left=(self.kind == "LEFT"))
+            left_ids, right_ids, domain = join_ids(
+                [_key_values(lk(left_ctx), rk(right_ctx))
+                 for lk, rk in zip(self._left_keys, self._right_keys)])
+            annotate(domain=domain)
+            # A RIGHT join probes with the right side and keeps its rows.
+            flip = self.kind == "RIGHT"
+            probe, build = (right_ids, left_ids) if flip else (left_ids, right_ids)
+            keep = self.kind in ("LEFT", "RIGHT")
+            pairs = direct_join_indices(probe, build, domain, keep)
+            li, ri = pairs[::-1] if flip else pairs
 
         if self.residual is not None:
             li, ri = self._apply_residual(left, right, li, ri)

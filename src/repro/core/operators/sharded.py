@@ -13,10 +13,10 @@
   construction (see :mod:`repro.core.partition`);
 
 * an aggregate over such a chain becomes a :class:`ShardedAggregateExec`
-  (global) or :class:`ShardedGroupedAggregateExec` (GROUP BY, sort
-  implementation) when every aggregate is *exact-mergeable* (COUNT,
-  MIN/MAX, integer SUM/AVG): each shard computes partial states and the
-  driver merges them, skipping the stitched materialisation entirely.
+  (global) or :class:`ShardedGroupedAggregateExec` (GROUP BY) when every
+  aggregate is *exact-mergeable* (COUNT, MIN/MAX, integer SUM/AVG): each
+  shard computes partial states and the driver merges them, skipping the
+  stitched materialisation entirely.
   Non-mergeable aggregates (float sums, DISTINCT), joins, sorts and TVFs
   execute serially above the stitch barrier, over the stitched relation —
   which is bitwise the relation serial execution would have produced.
@@ -250,12 +250,12 @@ class ShardedGroupedAggregateExec(_ShardedBase):
     """Grouped (GROUP BY) aggregation over a sharded pipeline chain.
 
     Each shard runs the row-wise chain and reduces its rows to per-group
-    partial states with the sort-aggregate core; the driver merges the
-    per-shard ``(representative keys, partial vectors)`` at the barrier —
-    bit-identical with the serial sort aggregate because shard-major
-    concatenation preserves row order and the merge reruns the identical
-    stable sort + change-point grouping over the representatives. Only
-    lowered for the sort implementation with every spec exact-mergeable.
+    partial states with the serial operator's own code (``grouped_partial``);
+    the driver merges the per-shard ``(representative keys, partial
+    vectors)`` at the barrier — bit-identical with the serial aggregate
+    because shard-major concatenation preserves row order and the merge
+    groups the representatives with the same ``key_ids``. Only lowered with
+    every spec exact-mergeable.
     """
 
     def _shard(self, relation: Relation):
@@ -265,7 +265,6 @@ class ShardedGroupedAggregateExec(_ShardedBase):
                                agg_inputs, relation.num_rows)
 
     def _merge(self, base: Relation, partials) -> Relation:
-        annotate(groups=sum(p.groups for p in partials))
         return merge_grouped_partials(self.agg, partials, base.device,
                                       base.table.name)
 

@@ -153,17 +153,15 @@ def test_shard_invariance_all_null_column(n):
 
 def test_count_distinct_collapses_nans_consistently():
     """All NULLs (NaNs) count as one distinct value, identically in the
-    sort, hash and global aggregate implementations (review finding: the
-    run-comparison paths treated every NaN as its own value)."""
+    grouped and global aggregates (review finding: the run-comparison paths
+    treated every NaN as its own value)."""
     session = _register({
         "k": np.asarray([0, 0, 0, 1, 1], dtype=np.int64),
         "y": np.asarray([np.nan, np.nan, 1.0, np.nan, 2.0], dtype=np.float32),
     })
-    for impl in ("sort", "hash"):
-        result = session.sql.query(
-            "SELECT k, COUNT(DISTINCT y) AS c FROM t GROUP BY k",
-            extra_config={"groupby_impl": impl}).run()
-        assert result.column("c").tolist() == [2, 2], impl
+    result = session.sql.query(
+        "SELECT k, COUNT(DISTINCT y) AS c FROM t GROUP BY k").run()
+    assert result.column("c").tolist() == [2, 2]
     top = session.sql.query("SELECT COUNT(DISTINCT y) AS c FROM t").run()
     assert top.scalar() == 3
 

@@ -9,13 +9,17 @@ Each test failed on the seed implementations:
 * ``HashAggregateExec`` stacked mixed-dtype group keys through float64,
   collapsing distinct int keys above 2^53;
 * empty-input aggregation emitted int64 columns regardless of the
-  aggregate's real output dtype.
+  aggregate's real output dtype;
+* ``groupby_impl="hash"`` merged NaN group keys into one group while the
+  default kept each NaN key its own group.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines.miniduck import MiniDuck
 from repro.core.session import Session
+from repro.errors import PlanError
 
 
 class TestMultiKeyJoinOverflow:
@@ -113,45 +117,64 @@ class TestHashAggregateMixedKeys:
              "v": np.array([1.0, 2.0, 4.0], dtype=np.float32)}, "t")
         out = session.spark.query(
             "SELECT k1, k2, COUNT(*), SUM(v) FROM t GROUP BY k1, k2 ORDER BY k1",
-            extra_config={"groupby_impl": "hash"},
         ).run(toPandas=True)
         # Seed promoted k1 to float64 (2^53 == 2^53+1) and returned 1 group.
         assert out["k1"].tolist() == [2**53, 2**53 + 1]
         assert out["COUNT(*)"].tolist() == [2, 1]
         assert out["SUM(v)"].tolist() == [5.0, 2.0]
 
-    def test_hash_matches_sort_on_mixed_keys(self):
+    def test_mixed_keys_match_miniduck(self):
         rng = np.random.default_rng(3)
+        data = {"ki": rng.integers(0, 5, size=50),
+                "kf": rng.integers(0, 3, size=50).astype(np.float32) / 2.0,
+                "v": rng.normal(size=50).astype(np.float32)}
         session = Session()
-        session.sql.register_dict(
-            {"ki": rng.integers(0, 5, size=50),
-             "kf": rng.integers(0, 3, size=50).astype(np.float32) / 2.0,
-             "v": rng.normal(size=50).astype(np.float32)}, "t")
+        session.sql.register_dict(dict(data), "t")
+        duck = MiniDuck()
+        duck.register("t", dict(data))
         sql = "SELECT ki, kf, COUNT(*), SUM(v) FROM t GROUP BY ki, kf ORDER BY ki, kf"
-        hash_out = session.spark.query(
-            sql, extra_config={"groupby_impl": "hash"}).run(toPandas=True)
-        sort_out = session.spark.query(
-            sql, extra_config={"groupby_impl": "sort"}).run(toPandas=True)
-        assert hash_out.equals(sort_out, atol=1e-4)
+        got = session.spark.query(sql).run(toPandas=True)
+        assert got.equals(duck.execute(sql), atol=1e-4)
 
 
 class TestEmptyAggregateDtypes:
-    @pytest.mark.parametrize("impl", ["sort", "hash"])
-    def test_empty_input_matches_nonempty_dtypes(self, impl):
+    def test_empty_input_matches_nonempty_dtypes(self):
         session = Session()
         session.sql.register_dict(
             {"k": np.array([1, 2], dtype=np.int64),
-             "v": np.array([1.5, 2.5], dtype=np.float32)}, "t")
-        sql_tail = "SUM(v), AVG(v), MIN(v), MAX(v), COUNT(*) FROM t {} GROUP BY k"
+             "v": np.array([1.5, 2.5], dtype=np.float32),
+             "b": np.array([True, False]),
+             "i": np.array([3, -4], dtype=np.int32)}, "t")
+        sql_tail = ("SUM(v), AVG(v), MIN(v), MAX(v), COUNT(*), SUM(b), SUM(i) "
+                    "FROM t {} GROUP BY k")
         empty = session.spark.query(
-            "SELECT k, " + sql_tail.format("WHERE k < 0"),
-            extra_config={"groupby_impl": impl}).run()
-        full = session.spark.query(
-            "SELECT k, " + sql_tail.format(""),
-            extra_config={"groupby_impl": impl}).run()
+            "SELECT k, " + sql_tail.format("WHERE k < 0")).run()
+        full = session.spark.query("SELECT k, " + sql_tail.format("")).run()
         assert len(empty) == 0
         for name in empty.column_names:
             assert empty.column(name).dtype == full.column(name).dtype, name
+
+
+class TestNanGroupKeys:
+    def test_each_nan_key_is_its_own_group_under_every_plan(self):
+        # The seed's hash implementation returned 3 groups here (one NaN
+        # group), the default 4. Only the default's behaviour remains: every
+        # NaN key is its own group, after all values, in row order.
+        session = Session()
+        session.sql.register_dict(
+            {"g": np.array([1.0, np.nan, np.nan, 2.0], dtype=np.float32),
+             "v": np.array([1, 2, 4, 8], dtype=np.int64)}, "t")
+        sql = "SELECT g, COUNT(*) AS c, SUM(v) AS s FROM t GROUP BY g"
+        for extra in (None, {"shards": 3, "parallel_min_rows": 0},
+                      {"compile_exprs": False}):
+            out = session.sql.query(sql, extra_config=extra).run()
+            g = np.asarray(out.column("g"))
+            assert g[:2].tolist() == [1.0, 2.0] and np.isnan(g[2:]).all(), extra
+            assert out.column("c").tolist() == [1, 1, 1, 1], extra
+            assert out.column("s").tolist() == [1, 8, 2, 4], extra
+        for removed in ("hash", "sort"):
+            with pytest.raises(PlanError, match="unknown groupby_impl"):
+                session.sql.query(sql, extra_config={"groupby_impl": removed})
 
 
 class TestTopKWeights:

@@ -116,25 +116,21 @@ class TestAggregates:
         assert out["MIN(salary)"][0] == 60.0
         assert out["MAX(salary)"][0] == 110.0 + 10.0
 
-    def test_group_by_with_sort_impl(self, s):
-        out = s.spark.query(
-            "SELECT dept, COUNT(*), AVG(salary) FROM emp GROUP BY dept "
-            "ORDER BY dept",
-            extra_config={"groupby_impl": "sort"},
-        ).run(toPandas=True)
+    def test_group_by_string_key(self, s):
+        out = run(s, "SELECT dept, COUNT(*), AVG(salary) FROM emp GROUP BY dept "
+                     "ORDER BY dept")
         assert out["dept"].tolist() == ["eng", "hr", "sales"]
         assert out["COUNT(*)"].tolist() == [3, 1, 2]
 
-    def test_group_by_with_hash_impl(self, s):
-        sort_out = s.spark.query(
-            "SELECT dept, SUM(salary) FROM emp GROUP BY dept ORDER BY dept",
-            extra_config={"groupby_impl": "sort"},
-        ).run(toPandas=True)
-        hash_out = s.spark.query(
-            "SELECT dept, SUM(salary) FROM emp GROUP BY dept ORDER BY dept",
-            extra_config={"groupby_impl": "hash"},
-        ).run(toPandas=True)
-        assert sort_out.equals(hash_out)
+    def test_group_by_sum_matches_numpy(self, s):
+        # Without ORDER BY: groups come out in key (dictionary-code) order.
+        out = run(s, "SELECT dept, SUM(salary) FROM emp GROUP BY dept")
+        dept = np.asarray(["eng", "eng", "sales", "sales", "hr", "eng"])
+        salary = np.asarray([100.0, 120.0, 80.0, 85.0, 60.0, 110.0])
+        keys, inverse = np.unique(dept, return_inverse=True)
+        want = np.bincount(inverse, weights=salary).astype(np.float32)
+        assert out["dept"].tolist() == keys.tolist()
+        assert out["SUM(salary)"].tolist() == want.tolist()
 
     def test_having(self, s):
         out = run(s, "SELECT dept, COUNT(*) AS c FROM emp GROUP BY dept "

@@ -8,9 +8,11 @@ and the registry's consistency contract (counters reconcile exactly under
 a concurrent serving workload).
 """
 
+import importlib.util
 import json
 import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +163,35 @@ class TestExplainAnalyze:
         # events cover the run: the root query span plus its operators.
         assert {"query", "operator"} <= {e["cat"] for e in events}
         assert payload["otherData"]["statement"] == FILTER_SQL
+
+    def test_grouping_and_join_domain_labels(self):
+        """Each exact GROUP BY reports its group count and key-id domain,
+        and each equi-join its direct-address table's domain, on the
+        benchmark's five TPC-H-shaped statements (small scale)."""
+        path = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "datagen.py"
+        spec = importlib.util.spec_from_file_location("e2e_datagen", path)
+        datagen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(datagen)
+        orders = datagen.make_orders(1, 0.01)
+        session = Session()
+        session.sql.register_dict(datagen.make_lineitem(1, orders, 0.01), "lineitem")
+        session.sql.register_dict(orders, "orders")
+        statements = datagen.suite_statements(datagen.suite_params(1))
+        labelled = {"GroupedAggregate(groups=[": r"groups=\d+ domain=\d+",
+                    "Join(INNER)": r"domain=\d+"}
+        seen = {op: 0 for op in labelled}
+        for sql in statements.values():
+            plan = _plan_text(session.sql.query(f"EXPLAIN {sql}").run())
+            text = _plan_text(session.sql.query(f"EXPLAIN ANALYZE {sql}").run())
+            assert "GroupedAggregate(groups=[" in plan or "GROUP BY" not in sql
+            for line in text.splitlines():
+                op, _, stats = line.strip().partition("  [")
+                for prefix, label in labelled.items():
+                    if op.startswith(prefix) and op != "GroupedAggregate(groups=[])":
+                        assert re.search(label, stats), line
+                        seen[prefix] += 1
+        # q1, q3 and q12 group; q3 and q12 join.
+        assert seen == {"GroupedAggregate(groups=[": 3, "Join(INNER)": 2}
 
 
 # ---------------------------------------------------------------------------
