@@ -2,11 +2,10 @@
 
 Runs the paper's 'KFC Receipt' top-k similarity search, then:
 
-1. ``EXPLAIN ANALYZE`` — per-operator rows/wall-time, shard timings,
-   kernel-vs-fallback paths and cache attribution, cold vs cache-warm;
+1. ``EXPLAIN ANALYZE`` — per-operator rows/wall-time, kernel paths and
+   cache attribution, cold vs cache-warm;
 2. dumps a Chrome ``trace_event`` JSON of the run (open in
-   chrome://tracing or https://ui.perfetto.dev to see the shard-pool and
-   batcher concurrency per thread);
+   chrome://tracing or https://ui.perfetto.dev, one lane per thread);
 3. prints the session-wide metrics snapshot and the slow-query log.
 
 Run:  python examples/profile_multimodal.py
@@ -18,7 +17,6 @@ from repro.apps.multimodal import fig2_queries, setup_multimodal
 from repro.core.session import Session
 from repro.datasets.attachments import make_attachments
 
-SHARDS = {"shards": 4, "parallel_min_rows": 8}
 TRACE_PATH = "multimodal_topk_trace.json"
 
 
@@ -33,8 +31,7 @@ def main() -> None:
     topk_q = fig2_queries()[2]
 
     # [1] Cold profile: first execution pays compilation and inference.
-    explain = session.sql.query(f"EXPLAIN ANALYZE {topk_q}",
-                                extra_config=SHARDS)
+    explain = session.sql.query(f"EXPLAIN ANALYZE {topk_q}")
     print("=== cold run ===")
     print(plan_text(explain.run()))
 
@@ -54,7 +51,7 @@ def main() -> None:
     print("\n=== Session.metrics.snapshot() (selected) ===")
     for key in sorted(snapshot):
         if key.startswith(("plan_cache.", "tensor_cache.hits",
-                           "tensor_cache.misses", "shard_pool.")):
+                           "tensor_cache.misses")):
             print(f"  {key} = {snapshot[key]}")
     latency = snapshot["query.latency_seconds"]
     print(f"  query.latency_seconds: count={latency['count']} "

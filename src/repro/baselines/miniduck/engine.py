@@ -199,12 +199,15 @@ class _Executor:
             counts = np.bincount(inverse, minlength=num_groups)
             return sums / np.maximum(counts, 1)
         counts = np.bincount(inverse, minlength=num_groups)
-        if func == "MIN":
-            out = np.full(num_groups, np.inf)
-            np.minimum.at(out, inverse, values)
-        else:
-            out = np.full(num_groups, -np.inf)
-            np.maximum.at(out, inverse, values)
+        # A NaN value propagates into its group (as in the engine's
+        # reduceat); comparing against it is expected, not a warning.
+        with np.errstate(invalid="ignore"):
+            if func == "MIN":
+                out = np.full(num_groups, np.inf)
+                np.minimum.at(out, inverse, values)
+            else:
+                out = np.full(num_groups, -np.inf)
+                np.maximum.at(out, inverse, values)
         # MIN/MAX over zero rows is NULL (NaN), not the accumulator identity
         # (differential-harness finding: an empty global MAX returned -inf).
         out[counts == 0] = np.nan

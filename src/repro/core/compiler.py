@@ -6,8 +6,9 @@ compilation time we use a mix of flags (e.g., Listing 6) and heuristics to
 pick which one to use." Flags arrive through :class:`QueryConfig`; the
 heuristics live in ``_pick_aggregate`` / ``_maybe_fuse_topk``. Partition
 drivers are one more implementation choice made here, while lowering: with
-``shards != 1``, ``_lower_pipeline`` and ``_sharded_aggregate`` build the
-sharded drivers, and no pass rewrites the tree afterwards.
+``shards != 1`` and a statement that calls no user code, ``_lower_pipeline``
+and ``_sharded_aggregate`` build the sharded drivers, and no pass rewrites
+the tree afterwards.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ class Compiler:
         # flow (trainable) or was asked for (compile_exprs=False).
         self.lowering = ExprCompiler(
             NUMPY if config.compile_exprs and not config.trainable else TCR)
+        self._calls_udf = False         # set per statement by compile()
 
     def compile(self, plan: logical.LogicalPlan, sql_text: str) -> CompiledQuery:
         explain_mode = None
@@ -69,6 +71,7 @@ class Compiler:
             explain_mode = "analyze" if plan.analyze else "plan"
             inner_sql = plan.sql
             plan = plan.input
+        self._calls_udf = _calls_udf(plan)
         query = CompiledQuery(
             root=self._lower(plan),
             config=self.config,
@@ -144,8 +147,7 @@ class Compiler:
             child = self._lower(plan.input)
             op = IndexScanExec(
                 self.indexes, plan, self.lowering, nprobe=self.config.nprobe,
-                use_tensor_cache=self.config.tensor_cache,
-                shard_pool=self.shard_pool if self._sharding else None)
+                use_tensor_cache=self.config.tensor_cache)
             return ExecNode(op, [child])
 
         if isinstance(plan, (logical.CreateIndex, logical.DropIndex,
@@ -168,9 +170,12 @@ class Compiler:
         # A shard count of 1 (the default) is serial execution by
         # definition. Trainable compilations keep the exact differentiable
         # shape, and soft aggregates carry per-row weights the stitch
-        # barrier cannot merge, so both lower serially.
+        # barrier cannot merge, so both lower serially. So does a statement
+        # that calls user code anywhere: no UDF, TVF or similarity top-k
+        # ever reads a sliced or stitched column.
         return (self.config.shards != 1 and not self.config.trainable
-                and self.config.groupby_impl != "soft")
+                and self.config.groupby_impl != "soft"
+                and not self._calls_udf)
 
     @property
     def _soft_filtering(self) -> bool:
@@ -286,6 +291,27 @@ class _Stage:
         if self.exprs is None:
             return expr
         return b.substitute_columns(expr, self.exprs)
+
+
+def _calls_udf(plan: logical.LogicalPlan) -> bool:
+    """Does any node of ``plan`` run user code: a TVF, a similarity top-k,
+    or a scalar UDF in one of its expressions?"""
+    if isinstance(plan, (logical.TVFScan, logical.TopKSimilarity)):
+        return True
+    if isinstance(plan, logical.Filter):
+        exprs = [plan.predicate]
+    elif isinstance(plan, logical.Project):
+        exprs = plan.exprs
+    elif isinstance(plan, logical.Aggregate):
+        exprs = plan.group_exprs + [s.arg for s in plan.aggregates]
+    elif isinstance(plan, logical.JoinPlan):
+        exprs = plan.left_keys + plan.right_keys + [plan.residual]
+    elif isinstance(plan, logical.Sort):
+        exprs = [e for e, _ in plan.keys]
+    else:
+        exprs = []
+    return (any(e is not None and e.contains_udf() for e in exprs)
+            or any(_calls_udf(child) for child in plan.children()))
 
 
 def _position_dependent(expr: b.BoundExpr) -> bool:

@@ -23,7 +23,7 @@ class constants:
     NPROBE = "nprobe"                      # per-query IVF probe-width hint
     # Intra-query parallelism (sharded scans).
     SHARDS = "shards"                      # shard count (1 = serial, 0 = auto)
-    PARALLEL_MIN_ROWS = "parallel_min_rows"  # don't shard smaller inputs ("auto" adapts)
+    PARALLEL_MIN_ROWS = "parallel_min_rows"  # don't shard smaller inputs
     # Expression codegen (TQP-style kernel compilation).
     COMPILE_EXPRS = "compile_exprs"        # exact plans' expression namespace: numpy (True) or tcr ops
     # Observability.
@@ -133,34 +133,12 @@ class QueryConfig:
     @property
     def parallel_min_rows(self) -> int:
         value = self._values[constants.PARALLEL_MIN_ROWS]
-        if value == "auto":
-            # Unresolved adaptive threshold: the session resolves "auto" to a
-            # concrete observed value (see Session.compile_query) before plan
-            # construction; this static default only serves direct callers.
-            return int(_DEFAULTS[constants.PARALLEL_MIN_ROWS])
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(
-                f"parallel_min_rows must be an integer or 'auto', got {value!r}")
+                f"parallel_min_rows must be an integer, got {value!r}")
         if value < 0:
             raise ValueError(f"parallel_min_rows must be >= 0, got {value}")
         return value
-
-    @property
-    def adaptive_min_rows(self) -> bool:
-        return self._values[constants.PARALLEL_MIN_ROWS] == "auto"
-
-    def with_resolved_min_rows(self, value: int) -> "QueryConfig":
-        """Copy with ``parallel_min_rows`` pinned to a concrete observed value.
-
-        The resolved value (not the "auto" marker) enters ``fingerprint()``,
-        so plans compiled under different observed thresholds cache as
-        distinct entries and a threshold shift cannot resurrect a plan whose
-        sharding decision no longer matches.
-        """
-        resolved = QueryConfig.__new__(QueryConfig)
-        resolved._values = dict(self._values)
-        resolved._values[constants.PARALLEL_MIN_ROWS] = int(value)
-        return resolved
 
     @property
     def compile_exprs(self) -> bool:

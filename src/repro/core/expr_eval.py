@@ -105,8 +105,7 @@ class ExpressionEvaluator:
             key, full_key, rows, tags = _bcall_cache_plan(udf, values, args,
                                                           self, cache)
             if use_cache and key is not None:
-                cached = cache.udf_get(key, full_key, rows,
-                                       num_rows=self.num_rows)
+                cached = cache.udf_get(key, full_key, rows)
                 if cached is not None:
                     # Attribute the hit to the requesting query's open
                     # operator span (no-op when untraced).

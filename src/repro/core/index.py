@@ -51,11 +51,6 @@ def _kmeans(vectors: np.ndarray, num_cells: int, iterations: int,
     return centroids
 
 
-def candidate_count(cell_ids, probe) -> int:
-    """Total candidate vectors across the probed cells."""
-    return int(sum(len(cell_ids[c]) for c in probe))
-
-
 class IVFFlatIndex:
     """Inverted-file index with exact (flat) scoring inside probed cells.
 
@@ -109,20 +104,14 @@ class IVFFlatIndex:
         self._size = n
         return self
 
-    # Fan per-cell scoring out only when there is real work to split: below
-    # this many candidate vectors one gemv beats a pool dispatch.
-    PARALLEL_PROBE_MIN_ROWS = 2048
-
     def search(self, query: "np.ndarray | Tensor", k: int,
-               nprobe: int = 4, pool=None) -> Tuple[np.ndarray, np.ndarray]:
+               nprobe: int = 4) -> Tuple[np.ndarray, np.ndarray]:
         """Return (ids, scores) of the approximate top-k by inner product.
 
         Scoring runs per probed cell — a gemv is an independent dot product
         per row, so chunking the candidate matrix by cell and concatenating
         in probe order is bitwise identical to one gemv over the
-        concatenated candidates. That makes the ``pool`` fan-out (one task
-        per probed cell on the session's :class:`ShardPool`) exact by
-        construction; the driver keeps the rank-order tail serial.
+        concatenated candidates.
         """
         if not self.is_trained:
             raise ExecutionError("index must be built before searching")
@@ -136,22 +125,11 @@ class IVFFlatIndex:
             if len(probe) else np.zeros(0, dtype=np.int64)
         if candidate_ids.size == 0:
             return candidate_ids, np.zeros(0, dtype=np.float32)
-        scores = np.concatenate(self._probe_scores(query, probe, pool))
+        scores = np.concatenate([self._cell_vectors[c] @ query for c in probe])
         k = min(k, len(candidate_ids))
         top = np.argpartition(-scores, k - 1)[:k]
         top = top[np.argsort(-scores[top])]
         return candidate_ids[top], scores[top]
-
-    def _probe_scores(self, query: np.ndarray, probe: np.ndarray, pool) -> list:
-        """Per-cell score arrays, in probe order ((0,) for empty cells)."""
-        if pool is not None and len(probe) >= 2 \
-                and candidate_count(self._cell_ids, probe) >= self.PARALLEL_PROBE_MIN_ROWS:
-            from repro.core.partition import run_sharded
-
-            def cell_task(c):
-                return lambda: self._cell_vectors[c] @ query
-            return run_sharded(pool, [cell_task(c) for c in probe])
-        return [self._cell_vectors[c] @ query for c in probe]
 
     def recall_at_k(self, queries: np.ndarray, corpus: np.ndarray, k: int,
                     nprobe: int = 4) -> float:

@@ -46,16 +46,12 @@ class IndexScanExec(Operator):
 
     def __init__(self, manager, plan, lowering: ExprCompiler,
                  nprobe: Optional[int] = None,
-                 use_tensor_cache: bool = True, shard_pool=None):
+                 use_tensor_cache: bool = True):
         super().__init__()
         self.manager = manager
         # extra_config={"tensor_cache": False} also covers the lazy build
         # this operator may trigger (not just expression evaluation).
         self.use_tensor_cache = use_tensor_cache
-        # When intra-query parallelism is on, per-cell probe scoring fans
-        # out over the session pool (bit-identical either way; see
-        # IVFFlatIndex.search).
-        self.shard_pool = shard_pool
         self.index_name = plan.index_name
         self.query_text = plan.query_text
         self.sim_expr = plan.sim_expr
@@ -103,21 +99,18 @@ class IndexScanExec(Operator):
         n = relation.num_rows
         want = self.k + self.offset
         nprobe = min(self.nprobe_hint or entry.nprobe, index.num_lists)
-        pool = self.shard_pool
         if self.residual is None:
-            ids, _ = index.search(query_vec, want, nprobe=nprobe, pool=pool)
+            ids, _ = index.search(query_vec, want, nprobe=nprobe)
             if len(ids) < min(want, n):
                 # Probed cells were too sparse: escalate to a full probe.
-                ids, _ = index.search(query_vec, want, nprobe=index.num_lists,
-                                      pool=pool)
+                ids, _ = index.search(query_vec, want, nprobe=index.num_lists)
         else:
             fetch = min(n, max(self.OVERFETCH * want, want + 16))
-            ids, _ = index.search(query_vec, fetch, nprobe=nprobe, pool=pool)
+            ids, _ = index.search(query_vec, fetch, nprobe=nprobe)
             ids = self._apply_residual(relation, ids)
             if len(ids) < want and (fetch < n or nprobe < index.num_lists):
                 # Escalate: probe every cell and rescue the exact answer.
-                ids, _ = index.search(query_vec, n, nprobe=index.num_lists,
-                                      pool=pool)
+                ids, _ = index.search(query_vec, n, nprobe=index.num_lists)
                 ids = self._apply_residual(relation, ids)
         chosen = ids[self.offset:want]
         return self.project(Relation(relation.table.take(chosen)))

@@ -46,30 +46,13 @@ def shared_scans():
 
 
 def shard_slices(table: Table, bounds) -> list:
-    """Contiguous shard views of a resolved scan, memoised per batch.
+    """Contiguous shard views of a resolved scan (zero-copy column slices).
 
-    Outside a ``shared_scans`` block this just slices (column slices are
-    zero-copy views). Inside one, the slice list is memoised next to the
-    column memo, so a batch of sharded statements over the same resolved
-    table reuses one set of shard Column objects (and therefore one set of
-    identity/lineage tags) instead of rebuilding them per statement.
+    Compressed (RLE) columns are materialized once for the whole shard set:
+    slicing decodes per call, and K shards must share one decoded base
+    rather than decode K times. The decoded copy lives only as long as the
+    shard slices do.
     """
-    scan_memo = _SCAN_MEMO.get()
-    if scan_memo is None:
-        return _build_shard_slices(table, bounds)
-    key = ("shards", table, tuple(bounds))
-    cached = scan_memo.get(key)
-    if cached is None:
-        cached = _build_shard_slices(table, bounds)
-        scan_memo[key] = cached
-    return cached
-
-
-def _build_shard_slices(table: Table, bounds) -> list:
-    # Materialize compressed (RLE) columns once for the whole shard set:
-    # slicing decodes per call, and K shards must share one decoded base
-    # (one O(n) pass, one lineage token) rather than decode K times. The
-    # decoded copy lives only as long as the shard slices do.
     table = Table(table.name, [col.materialize() for col in table.columns])
     return [table.slice_rows(start, stop) for start, stop in bounds]
 

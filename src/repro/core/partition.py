@@ -8,21 +8,13 @@ the row-wise pipeline chain runs per shard, and results stitch back in shard
 order. Contiguous row ranges are the only partitioning and ``shards`` the
 only switch (``parallel_min_rows`` just keeps small inputs whole); the
 drivers in :mod:`repro.core.operators.sharded` are chosen while the plan is
-lowered.
+lowered, and only for statements that call no UDF, TVF or similarity
+top-k, so no user code ever runs on a shard.
 
-Two invariants make sharded execution bit-identical with serial execution:
-
-* **Deterministic stitch order** — shards are contiguous row ranges and the
-  driver concatenates their outputs in range order, so every downstream
-  operator sees exactly the rows (and row order) serial execution produces.
-
-* **Micro-batch alignment** — within a shard, UDFs still dispatch at the
-  device profile's ``exec_batch_rows`` granularity, and shard boundaries are
-  rounded to multiples of it. The set of kernel invocation shapes is then
-  *identical* to serial execution's, which is what keeps float outputs
-  bitwise equal (stacked BLAS calls of a different batch shape can flip
-  LSBs — the same reason the PR 4 inference batcher never reshapes a
-  request).
+One invariant makes sharded execution bit-identical with serial execution:
+**deterministic stitch order**. Shards are contiguous row ranges and the
+driver concatenates their outputs in range order, so every downstream
+operator sees exactly the rows (and row order) serial execution produces.
 
 The :class:`ShardPool` is the worker side: a small set of daemon helper
 threads shared by the whole session, plus *submitter helping* — the thread
@@ -43,8 +35,6 @@ import time
 from collections import deque
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.operators.base import Relation
 from repro.errors import ExecutionError
 from repro.storage.column import Column, concat_encoded
@@ -57,28 +47,18 @@ def default_shards() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
-def plan_shards(num_rows: int, shards: int, min_rows: int,
-                align: int = 1) -> List[Tuple[int, int]]:
+def plan_shards(num_rows: int, shards: int,
+                min_rows: int) -> List[Tuple[int, int]]:
     """Split ``[0, num_rows)`` into at most ``shards`` contiguous ranges.
 
     Returns a single full range (serial execution) when the input is too
-    small to be worth splitting (``num_rows < min_rows``) or cannot be split
-    without changing kernel shapes: with ``align > 1`` (a UDF-bearing
-    pipeline on a device that micro-batches at that granularity) every
-    boundary lands on an ``align`` multiple, so per-shard micro-batching
-    reproduces serial execution's exact invocation sequence.
+    small to be worth splitting (``num_rows < min_rows``).
     """
     if num_rows <= 0:
         return [(0, 0)]
     if shards <= 1 or num_rows < max(min_rows, 2):
         return [(0, num_rows)]
-    align = max(int(align), 1)
-    if align > 1 and num_rows <= align:
-        # Serial execution would run one un-split kernel; any partition
-        # would change its shape.
-        return [(0, num_rows)]
     chunk = -(-num_rows // shards)                 # ceil division
-    chunk = -(-chunk // align) * align             # round up to alignment
     bounds = []
     start = 0
     while start < num_rows:
@@ -91,15 +71,13 @@ def plan_shards(num_rows: int, shards: int, min_rows: int,
 # ----------------------------------------------------------------------
 # Stitching shard outputs back into one relation
 # ----------------------------------------------------------------------
-def _concat_columns(pieces: Sequence[Column], base_rows: Optional[int]) -> Column:
+def _concat_columns(pieces: Sequence[Column]) -> Column:
     """Concatenate one output column's shard pieces in shard order.
 
     Encodings must agree across pieces (they do by construction: every
     shard runs the same operator pipeline over slices of the same base
     columns, so dictionary/probability encodings are the *same object* and
-    computed columns are all plain). Lineage is stitched too, so the
-    materialization cache sees the concatenated column as the same row
-    subset serial execution would have produced.
+    computed columns are all plain).
     """
     first = pieces[0]
     encoded = concat_encoded(pieces)
@@ -108,26 +86,12 @@ def _concat_columns(pieces: Sequence[Column], base_rows: Optional[int]) -> Colum
             f"cannot stitch shard outputs of column {first.name!r}: "
             f"shards produced different encodings"
         )
-    lineage = None
-    parts = [p.lineage for p in pieces]
-    if all(p is not None for p in parts):
-        bases = {p[0] for p in parts}
-        if len(bases) == 1 and all(p[1] is not None for p in parts):
-            rows = np.concatenate([p[1] for p in parts])
-            if (base_rows is not None and rows.size == base_rows
-                    and rows.size > 0 and rows[0] == 0
-                    and rows[-1] == base_rows - 1
-                    and np.array_equal(rows, np.arange(base_rows))):
-                rows = None            # full coverage: this *is* the base column
-            lineage = (bases.pop(), rows)
-    return Column(first.name, encoded, lineage)
+    return Column(first.name, encoded)
 
 
-def stitch_relations(pieces: Sequence[Relation],
-                     base_rows: Optional[int] = None) -> Relation:
+def stitch_relations(pieces: Sequence[Relation]) -> Relation:
     """Merge per-shard output relations in shard order (the deterministic
-    merge barrier). ``base_rows`` is the pre-shard input cardinality, used
-    to recognise full-coverage outputs for cache lineage."""
+    merge barrier)."""
     pieces = [p for p in pieces if p is not None]
     if not pieces:
         raise ExecutionError("stitch_relations needs at least one shard output")
@@ -138,8 +102,7 @@ def stitch_relations(pieces: Sequence[Relation],
     first = pieces[0].table
     columns = []
     for idx in range(first.num_columns):
-        columns.append(_concat_columns([p.table.columns[idx] for p in pieces],
-                                       base_rows))
+        columns.append(_concat_columns([p.table.columns[idx] for p in pieces]))
     return Relation(Table(first.name, columns))
 
 
@@ -170,8 +133,8 @@ class ShardPool:
     """Daemon helper threads + submitter-helping execution of shard tasks.
 
     ``run(fns)`` executes every callable (each under its own copy of the
-    submitter's :mod:`contextvars` context, so the active tensor cache,
-    inference batcher and shared-scan memo propagate to helper threads) and
+    submitter's :mod:`contextvars` context, so the active trace propagates
+    to helper threads) and
     returns their results in order, re-raising the first exception by shard
     order after the whole batch has settled.
 
@@ -180,12 +143,6 @@ class ShardPool:
     block on an empty queue, and a submitter stuck waiting always finds its
     own unclaimed tasks to execute.
     """
-
-    # Rough fixed cost of dispatching one shard batch (task creation,
-    # context copy, queue signalling) — the break-even numerator for the
-    # adaptive min-rows threshold.
-    DISPATCH_COST_S = 2e-4
-    _EMA_WEIGHT = 0.2
 
     def __init__(self, workers: Optional[int] = None,
                  idle_timeout: float = 5.0):
@@ -197,43 +154,6 @@ class ShardPool:
         self.batches = 0
         self.tasks_run = 0
         self.helper_tasks = 0
-        # Observed per-row pipeline cost (seconds/row EMA) feeding the
-        # "auto" parallel_min_rows resolution.
-        self._cost_lock = threading.Lock()
-        self._per_row_cost: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    # Adaptive sharding threshold
-    # ------------------------------------------------------------------
-    def observe_pipeline(self, rows: int, seconds: float) -> None:
-        """Fold one pipeline execution into the per-row cost EMA."""
-        if rows <= 0 or seconds <= 0:
-            return
-        cost = seconds / rows
-        with self._cost_lock:
-            if self._per_row_cost is None:
-                self._per_row_cost = cost
-            else:
-                self._per_row_cost += self._EMA_WEIGHT * (cost - self._per_row_cost)
-
-    def adaptive_min_rows(self, default: int = 64) -> int:
-        """Break-even sharding threshold from the observed per-row cost.
-
-        The raw break-even point (dispatch cost / per-row cost) is rounded
-        *up* to a power of two and clamped to [16, 65536]: quantizing keeps
-        the resolved value — which enters plan-cache fingerprints — in a
-        handful of buckets instead of one per observation, so the cache
-        does not churn as the EMA drifts.
-        """
-        with self._cost_lock:
-            cost = self._per_row_cost
-        if cost is None or cost <= 0:
-            return int(default)
-        raw = self.DISPATCH_COST_S / cost
-        threshold = 16
-        while threshold < raw and threshold < 65536:
-            threshold <<= 1
-        return threshold
 
     # ------------------------------------------------------------------
     def _spawn_helpers(self, wanted: int) -> None:

@@ -83,7 +83,6 @@ re-enter ``submit``.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import threading
 import time
 from collections import OrderedDict, deque
@@ -96,23 +95,6 @@ from repro.core.telemetry import Ewma, span, tracing
 from repro.errors import QueryDeadlineExceeded, ServerOverloaded
 from repro.tcr import ops
 from repro.tcr.device import as_device
-
-# Batcher registration scope. Each statement — and each shard task, which
-# runs under a *copy* of the submitter's context — opens a fresh token, so
-# the batcher tracks encode streams per (thread, statement) rather than per
-# bare thread. Without the token, a coordinator thread helping run shard
-# tasks of statement A while also mid-encode in statement B would be one
-# conflated registry entry, and the shard task's ``statement_finished``
-# would deregister the thread entirely — the early-flush tradeoff PR 5
-# documented. A ``None`` token (direct batcher use outside the scheduler)
-# falls back to the bare thread ident.
-_ENCODE_SCOPE: "contextvars.ContextVar[Optional[object]]" = contextvars.ContextVar(
-    "repro_encode_scope", default=None)
-
-
-def new_encode_scope() -> None:
-    """Open a fresh batcher registration scope in the current context."""
-    _ENCODE_SCOPE.set(object())
 
 
 class _EncodeRequest:
@@ -178,10 +160,10 @@ class InferenceBatcher:
         self._cond = threading.Condition()
         self._pending: List[_EncodeRequest] = []
         self._inflight: dict = {}
-        # Both sets hold (thread, statement)-scope keys (see _scope_key):
-        # encode streams seen encoding, and streams currently waiting in
-        # encode(). One thread serving several streams — the coordinator
-        # helping with shard tasks — contributes one entry per stream.
+        # Both sets hold thread idents (see _scope_key): encode streams seen
+        # encoding, and streams currently waiting in encode(). A thread runs
+        # one statement at a time and shard tasks never encode, so a thread
+        # is one encode stream.
         self._encoders: set = set()
         self._blocked: set = set()
         self.requests = 0
@@ -195,21 +177,11 @@ class InferenceBatcher:
     # ------------------------------------------------------------------
     @staticmethod
     def _scope_key():
-        """Registration key for the calling encode stream.
-
-        ``(thread, statement-token)`` when a scope is open (scheduler
-        statements, shard tasks); the bare thread ident otherwise, so
-        direct batcher use keeps the original per-thread semantics."""
-        token = _ENCODE_SCOPE.get()
-        ident = threading.get_ident()
-        return ident if token is None else (ident, token)
+        """Registration key for the calling encode stream: its thread."""
+        return threading.get_ident()
 
     def statement_finished(self) -> None:
-        """The calling encode stream ended: stop waiting for it.
-
-        Retires exactly the caller's (thread, statement) scope — a shard
-        task finishing on a coordinator thread no longer deregisters the
-        coordinator's own statement mid-encode."""
+        """The calling encode stream ended: stop waiting for it."""
         key = self._scope_key()
         with self._cond:
             self._encoders.discard(key)
@@ -732,11 +704,6 @@ class QueryScheduler:
                  else contextlib.nullcontext())
         try:
             with scope:
-                if self.batcher is not None:
-                    # Fresh per-statement registration scope: shard tasks
-                    # copy it and then shadow it with their own (see
-                    # InferenceBatcher._scope_key).
-                    new_encode_scope()
                 query = self.session.compile_query(
                     job.statement, device=job.device,
                     extra_config=job.extra_config)

@@ -222,12 +222,6 @@ class Session:
         an ANN access path.
         """
         config = QueryConfig(extra_config)
-        if config.adaptive_min_rows:
-            # Resolve "auto" to the observed break-even threshold BEFORE the
-            # cache key is built: the concrete value enters the fingerprint,
-            # so plans compiled under different thresholds cache separately.
-            config = config.with_resolved_min_rows(
-                self.shard_pool.adaptive_min_rows())
         cacheable = (config.plan_cache and not config.trainable
                      and not _DDL_PREFIX.match(statement))
         # span() is the shared no-op singleton unless a trace is active

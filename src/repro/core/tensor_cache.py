@@ -39,12 +39,12 @@ versioned materialization:
 
 * **Micro-batch capture**: the CPU device profile dispatches UDFs in small
   micro-batches (the mechanism behind the paper's Fig 2 CPU/GPU gap), so
-  encoder calls inside a UDF see row *slices*. Slices are tagged with their
-  ``(parent, start, stop)`` lineage; the cache can later *assemble* a
-  full-corpus embedding from contiguous slice entries — which is how a
-  ``CREATE VECTOR INDEX`` build after a similarity query performs zero
-  additional corpus encodes (and a query after a build reuses the build's
-  embeddings slice by slice).
+  encoder calls inside a serial UDF pass see row *slices*. Slices are
+  tagged with their ``(parent, start, stop)`` lineage; the cache can later
+  *assemble* a full-corpus embedding from contiguous slice entries — which
+  is how a ``CREATE VECTOR INDEX`` build after a similarity query performs
+  zero additional corpus encodes (and a query after a build reuses the
+  build's embeddings slice by slice).
 
 Trainable compilations never activate the cache, and grad-enabled UDF
 invocations (plus models left in ``train()`` mode) always bypass it.
@@ -61,7 +61,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.storage.column import Column, concat_encoded, identity_token
+from repro.storage.column import Column, identity_token
 from repro.tcr import ops
 from repro.tcr.autograd import is_grad_enabled
 from repro.tcr.tensor import Tensor
@@ -179,11 +179,9 @@ def column_tag(column: Column) -> Optional[CacheTag]:
     base column, identity token of its carrier tensor otherwise.
 
     Contiguous row ranges canonicalise to the slice form ``(None, start,
-    stop)`` rather than an index digest. This is what unifies the shard
-    driver with micro-batch capture: a shard's slice of a base column keys
-    under exactly the form serial micro-batching would have produced, so
-    per-shard UDF/encoder entries written at ``shards=K`` are the entries a
-    ``shards=1`` run (or an index build) reads and assembles.
+    stop)`` rather than an index digest, the form micro-batch capture
+    writes, so a UDF over a contiguous row range keys like the same rows
+    micro-batched out of the full column.
     """
     lineage = getattr(column, "lineage", None)
     if lineage is not None:
@@ -205,9 +203,9 @@ def slice_tag(parent: CacheTag, start: int, stop: int) -> CacheTag:
 
     Slices of full columns and slices of slices both canonicalise to
     *absolute* base coordinates ``(None, base_start, base_stop)``: a
-    micro-batch inside shard ``[s, e)`` keys identically to the same rows
-    micro-batched by a serial pass, so cache entries and in-flight batcher
-    dedup keys agree across shard layouts.
+    micro-batch inside the contiguous range ``[s, e)`` keys identically to
+    the same rows micro-batched out of the full column, so cache entries
+    and in-flight batcher dedup keys agree.
     """
     if parent.rows is not None:
         rows = parent.rows[start:stop]
@@ -279,10 +277,6 @@ class TensorCache:
     def __init__(self, max_bytes: int = DEFAULT_TENSOR_CACHE_BYTES):
         self.max_bytes = int(max_bytes)
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
-        # Side index: UDF head -> keys of that UDF's *slice* entries, so the
-        # shard-assembly probe on a full-column miss touches only the few
-        # candidate entries instead of scanning the whole LRU under the lock.
-        self._udf_slices: dict = {}
         self._model_fps: dict = {}
         # One re-entrant lock guards entries, byte accounting, the
         # fingerprint memo AND the stat counters: hit/miss counts are bumped
@@ -369,29 +363,16 @@ class TensorCache:
             if old is not None:
                 self.current_bytes -= old.nbytes
             self._entries[key] = _Entry(value, nbytes)
-            if old is None and _is_udf_slice_key(key):
-                self._udf_slices.setdefault(key[0], set()).add(key)
             self.current_bytes += nbytes
             self.inserts += 1
             while self.current_bytes > self.max_bytes and self._entries:
-                evicted_key, evicted = self._entries.popitem(last=False)
+                _, evicted = self._entries.popitem(last=False)
                 self.current_bytes -= evicted.nbytes
                 self.evictions += 1
-                self._unindex(evicted_key)
-
-    def _unindex(self, key: tuple) -> None:
-        # Callers hold self._lock.
-        if _is_udf_slice_key(key):
-            keys = self._udf_slices.get(key[0])
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._udf_slices[key[0]]
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._udf_slices.clear()
             self._model_fps.clear()
             self.current_bytes = 0
 
@@ -417,18 +398,15 @@ class TensorCache:
     # UDF output entries
     # ------------------------------------------------------------------
     def udf_get(self, key: tuple, full_key: Optional[tuple],
-                rows: Optional[np.ndarray],
-                num_rows: Optional[int] = None) -> Optional[List[Column]]:
-        """Exact hit, or a row gather from a cached full-column entry, or —
-        for a full-column request — an assembly of per-shard slice entries.
+                rows: Optional[np.ndarray]) -> Optional[List[Column]]:
+        """Exact hit, or a row gather from a cached full-column entry.
 
-        The gather/assembly itself (a potentially large copy) happens after
-        the lock is released: entry values are immutable, so capturing the
-        reference under the lock is enough, and concurrent workers' lookups
-        must not serialize behind another worker's copy.
+        The gather itself (a potentially large copy) happens after the lock
+        is released: entry values are immutable, so capturing the reference
+        under the lock is enough, and concurrent workers' lookups must not
+        serialize behind another worker's copy.
         """
         full_value = None
-        pieces = None
         with self._lock:
             entry = self._touch(key)
             if entry is not None:
@@ -441,57 +419,11 @@ class TensorCache:
                     if rows.size == 0 or int(rows.max()) < n:
                         self.gather_hits += 1
                         full_value = full.value
-            if full_value is None and full_key is None and num_rows \
-                    and _is_full_udf_key(key):
-                pieces = self._udf_slice_pieces(key)
-            if full_value is None and not pieces:
+            if full_value is None:
                 self.misses += 1
         if full_value is not None:
             return [col.take(rows) for col in full_value]
-        if pieces:
-            assembled = _assemble_udf_columns(pieces, num_rows)
-            if assembled is not None:
-                nbytes = sum(int(col.tensor.data.nbytes) for col in assembled)
-                self.put(key, assembled, nbytes)
-                with self._lock:
-                    self.gather_hits += 1
-                return assembled
-            with self._lock:
-                self.misses += 1
         return None
-
-    def _udf_slice_pieces(self, full_key: tuple) -> list:
-        """Per-shard entries matching a full-column UDF key (callers hold
-        the lock). An entry matches when its key differs from ``full_key``
-        only by every full-column argument part carrying the *same*
-        contiguous slice window — the pattern the shard driver produces
-        (all column arguments of one shard are sliced identically)."""
-        pieces = []
-        for key in self._udf_slices.get(full_key[0], ()):
-            entry = self._entries.get(key)
-            if entry is None or len(key) != len(full_key):
-                continue
-            window = None
-            matched = True
-            for part, full_part in zip(key[1:], full_key[1:]):
-                if part == full_part:
-                    continue
-                if (_is_col_part(full_part) and full_part[2] is None
-                        and _is_col_part(part) and part[1] == full_part[1]
-                        and isinstance(part[2], tuple) and len(part[2]) == 3
-                        and part[2][0] is None):
-                    bounds = (part[2][1], part[2][2])
-                    if window is None:
-                        window = bounds
-                    elif window != bounds:
-                        matched = False
-                        break
-                else:
-                    matched = False
-                    break
-            if matched and window is not None:
-                pieces.append((window[0], window[1], entry.value))
-        return pieces
 
     def udf_put(self, key: tuple, columns: Sequence[Column]) -> None:
         nbytes = sum(int(col.tensor.data.nbytes) for col in columns)
@@ -582,68 +514,6 @@ class TensorCache:
             return None
         data = np.concatenate([np.asarray(c.data) for c in chunks], axis=0)
         return Tensor(data, device=chunks[0].device)
-
-
-# ----------------------------------------------------------------------
-# UDF-entry slice assembly helpers
-# ----------------------------------------------------------------------
-def _is_col_part(part) -> bool:
-    return isinstance(part, tuple) and len(part) == 3 and part[0] == "col"
-
-
-def _is_udf_slice_key(key: tuple) -> bool:
-    """A UDF-output key whose column arguments are contiguous slices — the
-    shape the shard driver produces and full-column assembly consumes."""
-    if not (isinstance(key, tuple) and key and isinstance(key[0], tuple)
-            and key[0] and key[0][0] == "udf"):
-        return False
-    return any(
-        _is_col_part(part) and isinstance(part[2], tuple)
-        and len(part[2]) == 3 and part[2][0] is None
-        for part in key[1:]
-    )
-
-
-def _is_full_udf_key(key: tuple) -> bool:
-    """True when ``key`` requests a UDF output over *whole* base columns
-    (at least one column argument, every column part without a row subset).
-    Only those requests can be answered by stitching shard entries."""
-    saw_column = False
-    for part in key[1:]:
-        if _is_col_part(part):
-            if part[2] is not None:
-                return False
-            saw_column = True
-    return saw_column
-
-
-def _assemble_udf_columns(pieces: list, num_rows: int) -> Optional[List[Column]]:
-    """Stitch full UDF output columns from contiguous per-shard entries
-    (runs outside the lock — the concatenation is a large copy)."""
-    pieces = sorted(pieces, key=lambda p: (p[0], p[1]))
-    cover = 0
-    chunks: List[List[Column]] = []
-    for start, stop, value in pieces:
-        if start == cover and stop > start:
-            chunks.append(value)
-            cover = stop
-        elif start < cover:
-            continue                      # overlap/duplicate: skip
-        else:
-            return None                   # gap: cannot assemble
-    if cover != num_rows or not chunks:
-        return None
-    width = len(chunks[0])
-    if any(len(chunk) != width for chunk in chunks):
-        return None
-    columns: List[Column] = []
-    for idx in range(width):
-        cols = [chunk[idx] for chunk in chunks]
-        encoded = concat_encoded(cols)
-        if encoded is None:
-            return None
-        columns.append(Column(cols[0].name, encoded))
-    return columns
 
 
 # ----------------------------------------------------------------------

@@ -65,8 +65,8 @@ def concat_encoded(columns: Sequence["Column"]) -> Optional[EncodedTensor]:
     (e.g. per-shard ``UPPER(...)`` outputs or string-literal broadcasts)
     are instead decoded and re-encoded over the union, which preserves the
     logical values exactly. Returns None only when no sound combination
-    exists. Shared by the shard stitcher and the tensor cache's slice
-    assembly so the compatibility rule cannot drift between them.
+    exists. Shared by the shard stitcher and the grouped-partial merge so
+    the compatibility rule cannot drift between them.
     """
     encoding = columns[0].encoding
     compatible = all(
@@ -202,23 +202,13 @@ class Column:
 
         The shard driver slices every scan column this way: a contiguous
         slice of a C-contiguous carrier is a numpy view (``take`` with the
-        equivalent ``arange`` would gather a copy per shard). Lineage is
-        recorded exactly as ``take(np.arange(start, stop))`` would record
-        it, so materialization-cache keys agree between the two paths.
+        equivalent ``arange`` would gather a copy per shard). No lineage is
+        recorded: lineage only keys UDF cache entries, and no UDF runs on
+        a shard.
         """
         col = self.materialize()
         sliced = ops.getitem(col.tensor, slice(start, stop))
-        lineage = None
-        base = col.lineage
-        if base is None:
-            token = identity_token(col.tensor)
-            base = (token, None) if token is not None else None
-        if base is not None:
-            base_token, base_rows = base
-            rows = (np.arange(start, stop) if base_rows is None
-                    else base_rows[start:stop])
-            lineage = (base_token, rows)
-        return Column(self.name, EncodedTensor(sliced, col.encoding), lineage)
+        return Column(self.name, EncodedTensor(sliced, col.encoding))
 
     def rename(self, name: str) -> "Column":
         return Column(name, self.encoded, self.lineage)

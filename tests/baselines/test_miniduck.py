@@ -1,5 +1,7 @@
 """MiniDuck engine: behaviour + differential testing against TDP."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,23 @@ class TestMiniDuck:
         out = duck.execute("SELECT k, COUNT(*) FROM t GROUP BY k "
                            "HAVING COUNT(*) > 1 ORDER BY k")
         assert out["k"].tolist() == ["a", "b"]
+
+    def test_grouped_min_max_propagate_nan_without_warning(self):
+        engine = MiniDuck()
+        engine.register("t", DataFrame({
+            "k": ["a", "b", "a", "c", "b"],
+            "v": [1.0, 2.0, np.nan, -3.0, 5.0],
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = engine.execute("SELECT k, MIN(v), MAX(v) FROM t GROUP BY k "
+                                 "ORDER BY k")
+        assert out["k"].tolist() == ["a", "b", "c"]
+        mins = np.asarray(out["MIN(v)"], dtype=np.float64)
+        maxs = np.asarray(out["MAX(v)"], dtype=np.float64)
+        assert np.isnan(mins[0]) and np.isnan(maxs[0])
+        assert mins[1:].tolist() == [2.0, -3.0]
+        assert maxs[1:].tolist() == [5.0, -3.0]
 
     def test_unknown_table_and_function(self, duck):
         with pytest.raises(BindError):

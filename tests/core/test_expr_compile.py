@@ -14,9 +14,7 @@ Covers the contracts the differential harness cannot pin down one by one:
 * ``CAST(<non-finite> AS INT)`` is 0, warning-free, on both namespaces;
 * ``compile_exprs`` enters the plan-cache fingerprint, so flipping it can
   never serve a plan compiled under the other mode;
-* the session memo for ``encode_text`` (satellite of the kernel work);
-* adaptive ``parallel_min_rows="auto"``: per-row cost EMA, power-of-two
-  quantization, and resolution *before* the plan-cache key is built.
+* the session memo for ``encode_text`` (satellite of the kernel work).
 """
 
 import re
@@ -27,7 +25,6 @@ import pytest
 from repro.core.config import QueryConfig
 from repro.errors import ExecutionError
 from repro.core.kernels import strings as string_kernels
-from repro.core.partition import ShardPool
 from repro.core.session import Session
 from repro.storage.column import Column
 from repro.storage.encodings import CharCodeEncoding, DictionaryEncoding
@@ -382,55 +379,3 @@ class TestEncodeTextMemo:
             return ops.matmul(emb, ops.reshape(txt, (-1, 1))).reshape(-1)
 
         assert model.encode_text is before
-
-
-# ----------------------------------------------------------------------
-# Adaptive parallel_min_rows (satellite)
-# ----------------------------------------------------------------------
-class TestAdaptiveMinRows:
-    def test_config_accepts_auto(self):
-        config = QueryConfig({"parallel_min_rows": "auto"})
-        assert config.adaptive_min_rows
-        assert config.parallel_min_rows == 64     # static default until resolved
-        resolved = config.with_resolved_min_rows(128)
-        assert not resolved.adaptive_min_rows
-        assert resolved.parallel_min_rows == 128
-        assert resolved.fingerprint() != config.fingerprint()
-
-    def test_pool_quantizes_to_power_of_two(self):
-        pool = ShardPool()
-        assert pool.adaptive_min_rows() == 64     # no observations: default
-        # Expensive rows: break-even at one row still floors at 16.
-        pool.observe_pipeline(10, 10 * ShardPool.DISPATCH_COST_S)
-        assert pool.adaptive_min_rows() == 16
-        # Cheap rows: raw break-even 2e5 rows clamps at 65536.
-        pool = ShardPool()
-        for _ in range(64):
-            pool.observe_pipeline(1_000_000, 1e-3)
-        assert pool.adaptive_min_rows() == 65536
-        # Mid-range cost lands on the enclosing power of two.
-        pool = ShardPool()
-        for _ in range(64):
-            pool.observe_pipeline(100, 100 * ShardPool.DISPATCH_COST_S / 48)
-        assert pool.adaptive_min_rows() == 64
-
-    def test_observation_guards(self):
-        pool = ShardPool()
-        pool.observe_pipeline(0, 1.0)
-        pool.observe_pipeline(10, 0.0)
-        assert pool.adaptive_min_rows() == 64     # garbage ignored
-
-    def test_auto_resolves_before_cache_key(self):
-        """Plans compiled under different observed thresholds must cache
-        separately — the resolved value enters the fingerprint."""
-        session = _numbers_session()
-        stmt = "SELECT id FROM t WHERE x > 0"
-        extra = {"parallel_min_rows": "auto", "shards": 2}
-        q1 = session.compile_query(stmt, extra_config=extra)
-        assert session.compile_query(stmt, extra_config=extra) is q1
-        # Drive the EMA far enough that "auto" resolves to a new bucket.
-        for _ in range(64):
-            session.shard_pool.observe_pipeline(1_000_000, 1e-3)
-        assert session.shard_pool.adaptive_min_rows() != 64
-        q2 = session.compile_query(stmt, extra_config=extra)
-        assert q2 is not q1

@@ -1,6 +1,7 @@
 """Unit tests for the intra-query parallel execution subsystem (PR 5):
 partition planning, the shard pool, plan lowering, knobs, and cache keys."""
 
+import collections
 import os
 import sys
 import threading
@@ -9,11 +10,14 @@ import numpy as np
 import pytest
 
 from repro.core.config import QueryConfig
-from repro.core.partition import ShardPool, plan_shards, stitch_relations
-from repro.core.operators.base import Relation
+from repro.core.partition import ShardPool, plan_shards
 from repro.core.session import Session
 from repro.storage.table import Table
 from repro.storage.column import Column
+from repro.tcr import nn
+from repro.tcr.tensor import Tensor
+# ``vec_session`` is a fixture: pytest finds it in this module's namespace.
+from test_vector_index import TOPK_SQL, vec_session  # noqa: F401
 
 # The benchmark's statement generator (rel_analytic / rel_sharded).
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -43,17 +47,6 @@ class TestPlanShards:
 
     def test_min_rows_disables_splitting(self):
         assert plan_shards(100, 4, min_rows=200) == [(0, 100)]
-
-    def test_alignment_rounds_boundaries(self):
-        bounds = plan_shards(1000, 3, min_rows=2, align=64)
-        assert all(start % 64 == 0 for start, _ in bounds)
-        assert bounds[-1][1] == 1000
-        covered = sum(stop - start for start, stop in bounds)
-        assert covered == 1000
-
-    def test_no_split_when_serial_would_single_batch(self):
-        # n <= align: serial execution runs one un-split kernel.
-        assert plan_shards(100, 4, min_rows=2, align=512) == [(0, 100)]
 
     def test_degenerate_inputs(self):
         assert plan_shards(0, 4, min_rows=0) == [(0, 0)]
@@ -97,28 +90,6 @@ class TestShardPool:
         for batch in out:
             i = batch[0][0]
             assert batch == [(i, j) for j in range(8)]
-
-
-class TestStitch:
-    def test_full_coverage_restores_base_lineage(self):
-        base = Column.from_values("v", np.arange(20, dtype=np.int64))
-        pieces = [Relation(Table("t", [base.slice_rows(0, 12)])),
-                  Relation(Table("t", [base.slice_rows(12, 20)]))]
-        merged = stitch_relations(pieces, base_rows=20)
-        token, rows = merged.table.columns[0].lineage
-        assert rows is None                      # recognised as the full column
-        assert np.array_equal(merged.table.columns[0].tensor.data,
-                              base.tensor.data)
-
-    def test_partial_coverage_keeps_row_lineage(self):
-        base = Column.from_values("v", np.arange(20, dtype=np.int64))
-        pieces = [Relation(Table("t", [base.slice_rows(0, 5)])),
-                  Relation(Table("t", [base.slice_rows(12, 20)]))]
-        merged = stitch_relations(pieces, base_rows=20)
-        token, rows = merged.table.columns[0].lineage
-        assert rows is not None
-        assert np.array_equal(rows, np.concatenate(
-            [np.arange(0, 5), np.arange(12, 20)]))
 
 
 class TestLowering:
@@ -183,6 +154,63 @@ class TestLowering:
             assert "Sharded" in plan, plan
             assert "Partitioned" not in plan and "Exchange" not in plan, plan
 
+    @pytest.mark.parametrize("device", ["cpu", "cuda"])
+    def test_user_code_statements_lower_serially(self, device, vec_session):  # noqa: F811
+        """A scalar UDF anywhere, a TVF or a similarity top-k makes the
+        whole statement lower serially at any ``shards``: no ``Sharded``
+        driver, results bitwise serial, and user code called as often as
+        serially. 1300 rows put a cuda micro-batch boundary (512 rows)
+        inside a would-be shard, and the UDF-after-filter statements feed
+        the UDF a filtered remnant on a row-batching device."""
+        session, _, _ = vec_session
+        model = session.functions.lookup("vec_sim").modules[0]
+        lin = nn.Linear(1, 1)
+        calls = collections.Counter()       # each body calls its module once
+        rows = 1300
+        rng = np.random.default_rng(5)
+        session.sql.register_dict(
+            {"id": np.arange(rows, dtype=np.int64),
+             "x": rng.integers(0, 50, rows).astype(np.int64),
+             "y": rng.normal(size=rows).astype(np.float32)}, "t")
+
+        @session.udf("float", name="aff", modules=[lin])
+        def aff(v: Tensor) -> Tensor:
+            calls["aff"] += 1
+            return lin(v.to(device="cpu").reshape(-1, 1)).reshape(-1)
+
+        @session.udf("z float", name="shift", modules=[lin])
+        def shift(id, x, y):
+            calls["shift"] += 1
+            return lin(y.to(device="cpu").reshape(-1, 1)).reshape(-1)
+
+        @session.udf("float", name="vec_sim", modules=[model],
+                     ann="inner_product")
+        def vec_sim(query: str, emb: Tensor) -> Tensor:
+            calls["vec_sim"] += 1
+            return model.similarity(query, emb.to(device="cpu"))
+
+        session.sql.query("CREATE VECTOR INDEX vidx ON vecs(emb)").run()
+        statements = [
+            "SELECT id FROM t WHERE aff(y) > 0",
+            "SELECT id, aff(y) AS a FROM t WHERE y > 0",
+            "SELECT x, MAX(aff(y)) AS m FROM t WHERE x > 10 GROUP BY x",
+            "SELECT shift(id, x, y) FROM t WHERE x > 10",
+            TOPK_SQL.format(q="q0", k=5),
+        ]
+        for sql in statements:
+            session.sql.query(sql, device=device).run()   # builds the index
+            runs = []
+            for config in (SERIAL, SHARDED):
+                session.tensor_cache.clear()
+                calls.clear()
+                query = session.sql.query(sql, device=device,
+                                          extra_config=config)
+                assert "Sharded" not in query.explain(), (device, sql)
+                runs.append((query.run(), sum(calls.values())))
+            (serial, serial_calls), (sharded, sharded_calls) = runs
+            _assert_bitwise(serial, sharded, (device, sql))
+            assert 0 < serial_calls == sharded_calls, (device, sql)
+
 
 class TestKnobs:
     def test_invalid_shards_rejected(self):
@@ -191,7 +219,7 @@ class TestKnobs:
                 QueryConfig({"shards": bad}).shards
 
     def test_invalid_min_rows_rejected(self):
-        for bad in (-1, True, "many"):
+        for bad in (-1, True, "many", "auto"):
             with pytest.raises(ValueError):
                 QueryConfig({"parallel_min_rows": bad}).parallel_min_rows
 
@@ -220,70 +248,22 @@ class TestReviewRegressions:
             for name in a.column_names:
                 assert np.array_equal(a.column(name), b.column(name)), (stmt, name)
 
-    def test_post_filter_udf_declines_sharding_on_batching_device(self):
-        """A UDF over a filtered stream batches over remnant lengths no
-        alignment controls: on a row-batching device (cuda profile) the
-        driver must fall back to serial execution, bitwise."""
-        session = _session(rows=2000)
-        from repro.tcr import nn
-        from repro.tcr.tensor import Tensor
-        lin = nn.Linear(1, 1)
-
-        @session.udf("float", name="aff", modules=[lin])
-        def aff(v: Tensor) -> Tensor:
-            return lin(v.to(device="cpu").reshape(-1, 1)).reshape(-1)
-
-        stmt = "SELECT id, aff(y) AS a FROM t WHERE y > 0"
-        for device in ("cpu", "cuda"):
-            a = session.sql.query(stmt, device=device).run()
-            b = session.sql.query(stmt, device=device, extra_config={
-                "shards": 3, "parallel_min_rows": 2}).run()
-            for name in a.column_names:
-                assert a.column(name).dtype == b.column(name).dtype
-                assert np.array_equal(a.column(name), b.column(name)), (device, name)
-        # A UDF over the *unfiltered* scan stays shardable on cuda too.
-        pre = "SELECT id FROM t WHERE aff(y) > 0"
-        a = session.sql.query(pre, device="cuda").run()
-        b = session.sql.query(pre, device="cuda", extra_config={
-            "shards": 3, "parallel_min_rows": 2}).run()
-        assert np.array_equal(a.column("id"), b.column("id"))
-
     def test_rle_columns_share_one_materialized_base(self):
         """The shard driver materializes an RLE column once for the whole
-        shard set: every shard slice records the same lineage base (cache
-        keys unify), instead of one full decode per shard. The decoded copy
-        is scoped to the shard set — Column itself never pins it."""
+        shard set: every shard slice is a view of one decoded buffer,
+        instead of one full decode per shard. The decoded copy is scoped to
+        the shard set — Column itself never pins it."""
         from repro.core.operators.scan import shard_slices
         from repro.storage.encodings import RunLengthEncoding
         col = Column("r", RunLengthEncoding.encode(np.repeat(np.arange(8), 50)))
         table = Table("t", [col])
         bounds = [(0, 100), (100, 200), (200, 300), (300, 400)]
-        tokens = {piece.columns[0].lineage[0]
-                  for piece in shard_slices(table, bounds)}
-        assert len(tokens) == 1
-        assert col.materialize() is not col                 # still RLE itself
-
-    def test_cuda_alignment_boundary_rounding(self):
-        """align > 1 (cuda profile, exec_batch_rows=512): shard boundaries
-        land on batch multiples for every shard count and odd row count,
-        and pre-filter UDF pipelines stay bitwise identical with serial."""
-        session = _session(rows=1300)
-        from repro.tcr import nn
-        from repro.tcr.tensor import Tensor
-        lin = nn.Linear(1, 1)
-
-        @session.udf("float", name="aff2", modules=[lin])
-        def aff2(v: Tensor) -> Tensor:
-            return lin(v.to(device="cpu").reshape(-1, 1)).reshape(-1)
-
-        bounds = plan_shards(1300, 3, min_rows=2, align=512)
-        assert bounds == [(0, 512), (512, 1024), (1024, 1300)]
-        stmt = "SELECT id FROM t WHERE aff2(y) > 0"
-        serial = session.sql.query(stmt, device="cuda").run()
-        for shards in (2, 3, 7):
-            sharded = session.sql.query(stmt, device="cuda", extra_config={
-                "shards": shards, "parallel_min_rows": 2}).run()
-            assert np.array_equal(serial.column("id"), sharded.column("id")), shards
+        pieces = [piece.columns[0].tensor.data
+                  for piece in shard_slices(table, bounds)]
+        decoded = pieces[0].base
+        assert decoded is not None and decoded.shape == (400,)
+        assert all(np.shares_memory(piece, decoded) for piece in pieces)
+        assert isinstance(col.encoding, RunLengthEncoding)  # still RLE itself
 
 
 class TestExecutionParity:
