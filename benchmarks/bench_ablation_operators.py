@@ -103,9 +103,7 @@ class TestDeviceBatchSweep:
 
         rows = []
         for batch_rows in [4, 32, 256, 2048]:
-            profile = DeviceProfile(exec_batch_rows=batch_rows,
-                                    supports_large_fusion=True)
-            _PROFILES["cuda"] = profile
+            _PROFILES["cuda"] = DeviceProfile(exec_batch_rows=batch_rows)
             try:
                 device = Device("cuda")
                 seconds = time_call(
@@ -113,8 +111,7 @@ class TestDeviceBatchSweep:
                     repeat=3,
                 )
             finally:
-                _PROFILES["cuda"] = DeviceProfile(exec_batch_rows=512,
-                                                  supports_large_fusion=True)
+                _PROFILES["cuda"] = DeviceProfile(exec_batch_rows=512)
             rows.append([batch_rows, seconds])
         print_table(
             "A2: UDF execution time vs micro-batch size (the Fig 2 mechanism)",

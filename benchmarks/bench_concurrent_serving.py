@@ -20,8 +20,7 @@ scheduler then buys, on any core count, is *work elimination*:
 Both mechanisms preserve results bit-for-bit: a coalesced duplicate gets
 the leader's result, and deduplicated encodes are the *same* single
 forward pass serialized execution would run (per-request shapes are never
-changed — batch fusion that stacks distinct requests is off by default
-precisely because stacked BLAS shapes can flip float LSBs).
+changed, so no stacked BLAS shape can flip a float LSB).
 
 Acceptance: >= 2x throughput at workers=4 over serialized execution, with
 bit-identical results (ids, counts and raw float scores).

@@ -33,15 +33,8 @@ the win in concurrent AI-database serving comes from scheduling inference
   scattered back through the existing TensorCache per-slice keys — PR 3's
   slice-entry machinery extended with an in-flight rendezvous. The effect
   is a convoy: N queries advance row by row over the corpus paying one
-  encode per row instead of N.
-
-  With ``fuse_batches=True`` the flush additionally concatenates
-  *different*-content requests for the same (model, device, shape) into one
-  stacked forward. Stacked forwards change BLAS batch shapes, so outputs can
-  differ from per-request forwards in float LSBs (exactly like an index
-  build's full-batch encode vs. query-time micro-batches); it is off by
-  default so concurrent serving stays bit-identical with serialized
-  execution.
+  encode per row instead of N. Distinct requests run their own forwards,
+  so concurrent serving stays bit-identical with serialized execution.
 
 * **Admission control** — the serving front door (``Session.aquery``,
   ``core/server.py``) cannot let an overloaded queue grow without bound:
@@ -93,7 +86,6 @@ from repro.core import tensor_cache as tc
 from repro.core.config import QueryConfig
 from repro.core.telemetry import Ewma, span, tracing
 from repro.errors import QueryDeadlineExceeded, ServerOverloaded
-from repro.tcr import ops
 from repro.tcr.device import as_device
 
 
@@ -145,7 +137,7 @@ class InferenceBatcher:
     inter-arrival times, clamped to [AUTO_WINDOW_MIN, AUTO_WINDOW_MAX]).
     """
 
-    def __init__(self, window=0.002, fuse: bool = False, session=None):
+    def __init__(self, window=0.002, session=None):
         self.auto_window = window == "auto"
         self.window = AUTO_WINDOW_SEED if self.auto_window else float(window)
         # Arrival-rate tracking for the adaptive window. _window_lock is a
@@ -153,7 +145,6 @@ class InferenceBatcher:
         self._window_lock = threading.Lock()
         self._arrivals = Ewma("batcher.interarrival_seconds")
         self._last_arrival: Optional[float] = None
-        self.fuse = bool(fuse)
         # The owning session, for mirroring lifetime counters into its
         # MetricsRegistry (read dynamically: Session.reset swaps registries).
         self._session = session
@@ -169,8 +160,6 @@ class InferenceBatcher:
         self.requests = 0
         self.joins = 0
         self.forwards = 0
-        self.fused_forwards = 0
-        self.fused_requests = 0
 
     # ------------------------------------------------------------------
     # Worker bookkeeping (called by QueryScheduler)
@@ -220,7 +209,7 @@ class InferenceBatcher:
 
     def encode(self, model, orig, images, tag, token, fp, cache):
         """Serve one encoder micro-batch, coalescing with concurrent
-        identical requests (and optionally fusing distinct ones)."""
+        identical requests."""
         if self.auto_window:
             self._observe_arrival()
         if not tracing():
@@ -313,40 +302,16 @@ class InferenceBatcher:
         # at the end: two flushers can run concurrently (a second batch
         # forms while the first computes), and unlocked `+=` would lose
         # updates.
-        forwards = fused_forwards = fused_requests = 0
+        forwards = 0
         try:
-            groups: dict = {}
+            # Independent forwards fail independently — one query's bad
+            # encode must not fail its batchmates.
             for req in batch:
-                shape = tuple(req.images.shape[1:]) if req.images.ndim else ()
-                groups.setdefault((req.token, str(req.images.device), shape),
-                                  []).append(req)
-            for group in groups.values():
-                if self.fuse and len(group) > 1:
-                    # One stacked forward: a failure here legitimately
-                    # poisons the whole group (it was one computation).
-                    try:
-                        stacked = ops.cat([r.images for r in group], dim=0)
-                        forwards += 1
-                        fused_forwards += 1
-                        fused_requests += len(group)
-                        out = group[0].orig(stacked)
-                        offset = 0
-                        for r in group:
-                            n = r.images.shape[0]
-                            r.result = out[offset:offset + n]
-                            offset += n
-                    except BaseException as exc:
-                        for r in group:
-                            r.exc = exc
-                else:
-                    # Independent forwards fail independently — one query's
-                    # bad encode must not fail its groupmates.
-                    for r in group:
-                        try:
-                            forwards += 1
-                            r.result = r.orig(r.images)
-                        except BaseException as exc:
-                            r.exc = exc
+                try:
+                    forwards += 1
+                    req.result = req.orig(req.images)
+                except BaseException as exc:
+                    req.exc = exc
             for req in batch:
                 if req.exc is None and req.cache is not None \
                         and req.fp is not None:
@@ -362,8 +327,6 @@ class InferenceBatcher:
             # forever on req.done.
             with self._cond:
                 self.forwards += forwards
-                self.fused_forwards += fused_forwards
-                self.fused_requests += fused_requests
                 for req in batch:
                     if req.exc is None and req.result is None:
                         req.exc = RuntimeError(
@@ -375,9 +338,6 @@ class InferenceBatcher:
             if metrics is not None:
                 # Outside the condition: Counter has its own leaf lock.
                 metrics.counter("batcher.forwards").inc(forwards)
-                if fused_forwards:
-                    metrics.counter("batcher.fused_forwards").inc(fused_forwards)
-                    metrics.counter("batcher.fused_requests").inc(fused_requests)
 
     @property
     def stats(self) -> dict:
@@ -385,8 +345,6 @@ class InferenceBatcher:
             return {
                 "requests": self.requests, "joins": self.joins,
                 "forwards": self.forwards,
-                "fused_forwards": self.fused_forwards,
-                "fused_requests": self.fused_requests,
                 "window_seconds": self.window,
                 "auto_window": self.auto_window,
             }
@@ -434,7 +392,7 @@ class QueryScheduler:
     """
 
     def __init__(self, session, workers: int = 4, coalesce: bool = True,
-                 batch_inference: bool = True, fuse_batches: bool = False,
+                 batch_inference: bool = True,
                  batch_window="auto", max_queue_depth: Optional[int] = None,
                  shed_policy: str = "reject"):
         self.session = session
@@ -446,8 +404,7 @@ class QueryScheduler:
             raise ValueError(
                 f"shed_policy must be 'reject' or 'oldest', got {shed_policy!r}")
         self.shed_policy = shed_policy
-        self.batcher = (InferenceBatcher(window=batch_window, fuse=fuse_batches,
-                                         session=session)
+        self.batcher = (InferenceBatcher(window=batch_window, session=session)
                         if batch_inference else None)
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)

@@ -383,14 +383,12 @@ class TensorCache:
     @property
     def stats(self) -> dict:
         # Unified stats vocabulary (docs/OBSERVABILITY.md): "size" is the
-        # canonical entry-count key across caches; "entries" remains as a
-        # deprecated alias for pre-telemetry callers.
+        # entry count, as in every other cache's stats.
         with self._lock:
-            size = len(self._entries)
             return {
                 "hits": self.hits, "misses": self.misses,
                 "gather_hits": self.gather_hits, "inserts": self.inserts,
-                "evictions": self.evictions, "size": size, "entries": size,
+                "evictions": self.evictions, "size": len(self._entries),
                 "bytes": self.current_bytes, "max_bytes": self.max_bytes,
             }
 

@@ -1,55 +1,18 @@
 """Synthetic datasets backing every experiment in the paper's evaluation."""
 
 from repro.datasets import fonts
-from repro.datasets.adult import (
-    LABEL_COL,
-    NUM_FEATURE_COLS,
-    AdultDataset,
-    make_adult,
-    train_test_split,
-)
-from repro.datasets.attachments import (
-    LOGO_NAMES,
-    PHOTO_SUBJECTS,
-    VENDORS,
-    AttachmentDataset,
-    make_attachments,
-)
-from repro.datasets.bags import Bag, laplace_counts, make_bags
-from repro.datasets.digits import (
-    IMAGE_SIZE,
-    LARGE,
-    SIZE_NAMES,
-    SMALL,
-    DigitDataset,
-    make_digits,
-    render_digit,
-)
-from repro.datasets.documents import (
-    DocumentDataset,
-    make_documents,
-    render_dataframe_image,
-)
+from repro.datasets.adult import make_adult, train_test_split
+from repro.datasets.attachments import make_attachments
+from repro.datasets.bags import laplace_counts, make_bags
+from repro.datasets.digits import LARGE, SMALL, make_digits, render_digit
+from repro.datasets.documents import make_documents
 from repro.datasets.iris import FEATURES as IRIS_FEATURES
-from repro.datasets.iris import SPECIES as IRIS_SPECIES
 from repro.datasets.iris import make_iris
-from repro.datasets.mnist_grid import (
-    GRID_SIZE,
-    GRID_TILES,
-    NUM_GROUPS,
-    MnistGridDataset,
-    group_index,
-    make_grids,
-    tiles_of,
-)
+from repro.datasets.mnist_grid import group_index, make_grids, tiles_of
 
 __all__ = [
-    "AdultDataset", "AttachmentDataset", "Bag", "DigitDataset",
-    "DocumentDataset", "GRID_SIZE", "GRID_TILES", "IMAGE_SIZE",
-    "IRIS_FEATURES", "IRIS_SPECIES", "LABEL_COL", "LARGE", "LOGO_NAMES",
-    "MnistGridDataset", "NUM_FEATURE_COLS", "NUM_GROUPS", "PHOTO_SUBJECTS",
-    "SIZE_NAMES", "SMALL", "VENDORS", "fonts", "group_index",
+    "IRIS_FEATURES", "LARGE", "SMALL", "fonts", "group_index",
     "laplace_counts", "make_adult", "make_attachments", "make_bags",
     "make_digits", "make_documents", "make_grids", "make_iris",
-    "render_dataframe_image", "render_digit", "tiles_of", "train_test_split",
+    "render_digit", "tiles_of", "train_test_split",
 ]

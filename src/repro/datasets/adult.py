@@ -17,9 +17,6 @@ import numpy as np
 
 from repro.storage.frame import DataFrame
 
-NUM_FEATURE_COLS = [
-    "age", "education_num", "hours_per_week", "capital_gain", "capital_loss",
-]
 LABEL_COL = "income_gt_50k"
 
 # Ground-truth logistic weights over standardised features.

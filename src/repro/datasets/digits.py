@@ -84,9 +84,6 @@ class DigitDataset:
     digits: np.ndarray
     sizes: np.ndarray
 
-    def __len__(self) -> int:
-        return self.images.shape[0]
-
 
 def make_digits(n: int, rng: Optional[np.random.Generator] = None,
                 size_class: Optional[int] = None) -> DigitDataset:

@@ -97,10 +97,6 @@ def render_text(text: str, scale: int = 1, spacing: int = 1) -> np.ndarray:
     return out
 
 
-def char_pitch(scale: int = 1, spacing: int = 1) -> int:
-    return (GLYPH_WIDTH + spacing) * scale
-
-
 def paste(canvas: np.ndarray, patch: np.ndarray, top: int, left: int,
           value: float = 1.0) -> None:
     """Blend a glyph patch onto a canvas at (top, left) (in-place, clipped)."""

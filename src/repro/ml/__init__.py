@@ -1,25 +1,1 @@
-"""``repro.ml`` — model zoo, training loops and metrics."""
-
-from repro.ml import metrics, train
-from repro.ml.models import (
-    CNN,
-    CNNSmall,
-    CharacterOCR,
-    LinearClassifier,
-    ResNet,
-    ResNet8,
-    ResNet18,
-    TableDetector,
-    TableExtractor,
-    TinyCLIP,
-    load_pretrained_clip,
-    preprocess_images,
-    train_tiny_clip,
-)
-
-__all__ = [
-    "CNN", "CNNSmall", "CharacterOCR", "LinearClassifier", "ResNet",
-    "ResNet8", "ResNet18", "TableDetector", "TableExtractor", "TinyCLIP",
-    "load_pretrained_clip", "metrics", "preprocess_images", "train",
-    "train_tiny_clip",
-]
+"""``repro.ml`` — model zoo and training loops."""

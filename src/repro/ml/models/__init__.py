@@ -1,20 +1,1 @@
 """Model zoo used by the paper's use cases."""
-
-from repro.ml.models.clip import (
-    TinyCLIP,
-    load_pretrained_clip,
-    preprocess_images,
-    text_features,
-    train_tiny_clip,
-)
-from repro.ml.models.cnn import CNN, CNNSmall
-from repro.ml.models.linear import LinearClassifier
-from repro.ml.models.ocr import CharacterOCR, TableDetector, TableExtractor
-from repro.ml.models.resnet import BasicBlock, ResNet, ResNet8, ResNet18
-
-__all__ = [
-    "BasicBlock", "CNN", "CNNSmall", "CharacterOCR", "LinearClassifier",
-    "ResNet", "ResNet8", "ResNet18", "TableDetector", "TableExtractor",
-    "TinyCLIP", "load_pretrained_clip", "preprocess_images", "text_features",
-    "train_tiny_clip",
-]

@@ -33,10 +33,6 @@ class Band:
     start: int
     stop: int
 
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
 
 def _bands(profile: np.ndarray, threshold: float, min_gap: int = 2) -> List[Band]:
     """Contiguous runs where the ink profile exceeds ``threshold``."""

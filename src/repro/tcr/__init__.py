@@ -4,53 +4,33 @@ A from-scratch stand-in for PyTorch: numpy-backed tensors with reverse-mode
 autograd, a functional op library, ``nn`` modules, optimisers, einops-style
 ``rearrange`` and (simulated) device placement. The TDP engine (``repro.core``)
 compiles SQL to programs over this runtime, exactly as the paper compiles SQL
-to PyTorch programs.
+to PyTorch programs. It holds what the engine, the applications and the
+benchmarks run, not a general torch surface.
 """
 
-from repro.tcr import einops, nn, optim, ops
-from repro.tcr.autograd import enable_grad, grad_of, is_grad_enabled, no_grad
-from repro.tcr.device import CPU, CUDA, Device, DeviceProfile, as_device
-from repro.tcr.ops import (
-    cat,
-    matmul,
-    one_hot,
-    softmax,
-    stack,
-    where,
-)
+from repro.tcr import nn, optim, ops
+from repro.tcr.device import CPU, CUDA, as_device
 from repro.tcr.random import (
     bernoulli,
     fork_generator,
-    get_generator,
     manual_seed,
-    normal,
-    rand,
     randint,
     randn,
     randperm,
 )
-from repro.tcr.serialization import load_into, load_state, save_state
 from repro.tcr.tensor import (
-    Tensor,
     arange,
-    ensure_tensor,
     eye,
-    from_numpy,
     full,
     linspace,
     ones,
-    ones_like,
     tensor,
     zeros,
     zeros_like,
 )
 
 __all__ = [
-    "CPU", "CUDA", "Device", "DeviceProfile", "Tensor", "arange", "as_device",
-    "bernoulli", "cat", "einops", "enable_grad", "ensure_tensor", "eye",
-    "fork_generator", "from_numpy", "full", "get_generator", "grad_of",
-    "is_grad_enabled", "linspace", "load_into", "load_state", "manual_seed",
-    "matmul", "nn", "no_grad", "normal", "one_hot", "ones", "ones_like",
-    "ops", "optim", "rand", "randint", "randn", "randperm", "save_state",
-    "softmax", "stack", "tensor", "where", "zeros", "zeros_like",
+    "CPU", "CUDA", "arange", "as_device", "bernoulli", "eye",
+    "fork_generator", "full", "linspace", "manual_seed", "nn", "ones", "ops",
+    "optim", "randint", "randn", "randperm", "tensor", "zeros", "zeros_like",
 ]

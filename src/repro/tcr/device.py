@@ -27,12 +27,9 @@ class DeviceProfile:
             operator invocation. Large values amortise per-call overhead
             (accelerator-style), small values model cache-resident CPU
             micro-batching.
-        supports_large_fusion: whether the planner may fuse an entire
-            pipeline into a single batched kernel program.
     """
 
     exec_batch_rows: int
-    supports_large_fusion: bool
 
 
 _PROFILES = {
@@ -40,8 +37,8 @@ _PROFILES = {
     # classic engines use); the accelerator amortises dispatch over large
     # data-parallel batches. This asymmetry is the measurable mechanism
     # behind the paper's Fig 2 CPU/GPU gap (see DESIGN.md substitutions).
-    "cpu": DeviceProfile(exec_batch_rows=1, supports_large_fusion=False),
-    "cuda": DeviceProfile(exec_batch_rows=512, supports_large_fusion=True),
+    "cpu": DeviceProfile(exec_batch_rows=1),
+    "cuda": DeviceProfile(exec_batch_rows=512),
 }
 
 
@@ -81,9 +78,6 @@ class Device:
 
     def __hash__(self) -> int:
         return hash((self.type, self.index))
-
-    def __repr__(self) -> str:
-        return f"device(type={self.type!r}, index={self.index})"
 
     def __str__(self) -> str:
         return self.type if self.type == "cpu" else f"{self.type}:{self.index}"

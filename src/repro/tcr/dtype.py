@@ -2,20 +2,12 @@
 
 We follow PyTorch's defaults: Python floats and float arrays become
 ``float32``, Python ints become ``int64``, and bools stay ``bool``. numpy's
-own promotion rules apply inside kernels; :func:`result_type` is used where
-we need to decide a promotion explicitly.
+own promotion rules apply inside kernels.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-float32 = np.float32
-float64 = np.float64
-int32 = np.int32
-int64 = np.int64
-uint8 = np.uint8
-bool_ = np.bool_
 
 _FLOAT_KINDS = ("f",)
 _INT_KINDS = ("i", "u")
@@ -47,11 +39,3 @@ def is_float(dtype) -> bool:
 
 def is_int(dtype) -> bool:
     return np.dtype(dtype).kind in _INT_KINDS
-
-
-def is_bool(dtype) -> bool:
-    return np.dtype(dtype).kind == "b"
-
-
-def result_type(*dtypes) -> np.dtype:
-    return np.result_type(*dtypes)

@@ -1,22 +1,16 @@
 """Neural-network building blocks on top of the tensor runtime."""
 
-from repro.tcr.nn import functional, init
 from repro.tcr.nn.container import ModuleList, Sequential
 from repro.tcr.nn.layers import (
     AdaptiveAvgPool2d,
-    AvgPool2d,
     Conv2d,
     Dropout,
     Embedding,
     Flatten,
     Identity,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
 )
 from repro.tcr.nn.loss import (
     BCEWithLogitsLoss,
@@ -24,15 +18,13 @@ from repro.tcr.nn.loss import (
     KLDivLoss,
     L1Loss,
     MSELoss,
-    NLLLoss,
 )
 from repro.tcr.nn.module import Module, Parameter
 from repro.tcr.nn.norm import BatchNorm2d, LayerNorm
 
 __all__ = [
-    "AdaptiveAvgPool2d", "AvgPool2d", "BatchNorm2d", "BCEWithLogitsLoss",
-    "Conv2d", "CrossEntropyLoss", "Dropout", "Embedding", "Flatten",
-    "Identity", "KLDivLoss", "L1Loss", "LayerNorm", "LeakyReLU", "Linear",
-    "MaxPool2d", "Module", "ModuleList", "MSELoss", "NLLLoss", "Parameter",
-    "ReLU", "Sequential", "Sigmoid", "Softmax", "Tanh", "functional", "init",
+    "AdaptiveAvgPool2d", "BatchNorm2d", "BCEWithLogitsLoss", "Conv2d",
+    "CrossEntropyLoss", "Dropout", "Embedding", "Flatten", "Identity",
+    "KLDivLoss", "L1Loss", "LayerNorm", "Linear", "MaxPool2d", "Module",
+    "ModuleList", "MSELoss", "Parameter", "ReLU", "Sequential",
 ]

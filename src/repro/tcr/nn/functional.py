@@ -1,39 +1,6 @@
 """Functional interface (torch.nn.functional analogue)."""
 
-from repro.tcr.ops import (
-    adaptive_avg_pool2d,
-    avg_pool2d,
-    conv2d,
-    gelu,
-    leaky_relu,
-    log_softmax,
-    logsumexp,
-    max_pool2d,
-    one_hot,
-    pad2d,
-    relu,
-    sigmoid,
-    softmax,
-    tanh,
-)
 from repro.tcr.tensor import Tensor
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor = None) -> Tensor:
-    out = x.matmul(weight.T)
-    if bias is not None:
-        out = out + bias
-    return out
-
-
-def mse_loss(input: Tensor, target: Tensor) -> Tensor:
-    diff = input - target
-    return (diff * diff).mean()
-
-
-def cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
-    from repro.tcr.nn.loss import CrossEntropyLoss
-    return CrossEntropyLoss()(logits, target)
 
 
 def normalize(x: Tensor, dim: int = -1, eps: float = 1e-8) -> Tensor:
@@ -46,9 +13,4 @@ def cosine_similarity(a: Tensor, b: Tensor, dim: int = -1) -> Tensor:
     return (normalize(a, dim) * normalize(b, dim)).sum(dim=dim)
 
 
-__all__ = [
-    "adaptive_avg_pool2d", "avg_pool2d", "conv2d", "cosine_similarity",
-    "cross_entropy", "gelu", "leaky_relu", "linear", "log_softmax",
-    "logsumexp", "max_pool2d", "mse_loss", "normalize", "one_hot", "pad2d",
-    "relu", "sigmoid", "softmax", "tanh",
-]
+__all__ = ["cosine_similarity", "normalize"]

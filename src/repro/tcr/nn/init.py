@@ -1,25 +1,21 @@
-"""Weight initialisation schemes (kaiming/xavier/constant)."""
+"""Weight initialisation schemes (kaiming-uniform weights, uniform biases)."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.tcr.random import get_generator
 from repro.tcr.tensor import Tensor
 
 
-def _fan_in_out(tensor: Tensor) -> tuple:
+def _fan_in(tensor: Tensor) -> int:
     shape = tensor.shape
     if len(shape) < 2:
-        return shape[0], shape[0]
+        return shape[0]
     receptive = 1
     for n in shape[2:]:
         receptive *= n
-    fan_in = shape[1] * receptive
-    fan_out = shape[0] * receptive
-    return fan_in, fan_out
+    return shape[1] * receptive
 
 
 def uniform_(tensor: Tensor, low: float = 0.0, high: float = 1.0) -> Tensor:
@@ -32,41 +28,7 @@ def normal_(tensor: Tensor, mean: float = 0.0, std: float = 1.0) -> Tensor:
     return tensor
 
 
-def zeros_(tensor: Tensor) -> Tensor:
-    tensor.data = np.zeros_like(tensor.data)
-    return tensor
-
-
-def ones_(tensor: Tensor) -> Tensor:
-    tensor.data = np.ones_like(tensor.data)
-    return tensor
-
-
-def constant_(tensor: Tensor, value: float) -> Tensor:
-    tensor.data = np.full_like(tensor.data, value)
-    return tensor
-
-
 def kaiming_uniform_(tensor: Tensor, a: float = math.sqrt(5)) -> Tensor:
-    fan_in, _ = _fan_in_out(tensor)
     gain = math.sqrt(2.0 / (1 + a * a))
-    bound = gain * math.sqrt(3.0 / fan_in)
+    bound = gain * math.sqrt(3.0 / _fan_in(tensor))
     return uniform_(tensor, -bound, bound)
-
-
-def kaiming_normal_(tensor: Tensor) -> Tensor:
-    fan_in, _ = _fan_in_out(tensor)
-    std = math.sqrt(2.0 / fan_in)
-    return normal_(tensor, 0.0, std)
-
-
-def xavier_uniform_(tensor: Tensor, gain: float = 1.0) -> Tensor:
-    fan_in, fan_out = _fan_in_out(tensor)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return uniform_(tensor, -bound, bound)
-
-
-def xavier_normal_(tensor: Tensor, gain: float = 1.0) -> Tensor:
-    fan_in, fan_out = _fan_in_out(tensor)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return normal_(tensor, 0.0, std)

@@ -1,4 +1,4 @@
-"""Core layers: Linear, Conv2d, pooling, activations, dropout, flatten."""
+"""Core layers: Linear, Conv2d, pooling, ReLU, dropout, embedding, flatten."""
 
 from __future__ import annotations
 
@@ -36,10 +36,6 @@ class Linear(Module):
             out = out + self.bias
         return out
 
-    def __repr__(self) -> str:
-        return (f"Linear(in_features={self.in_features}, "
-                f"out_features={self.out_features}, bias={self.bias is not None})")
-
 
 class Conv2d(Module):
     """2-d convolution over (N, C, H, W) inputs."""
@@ -67,11 +63,6 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
-    def __repr__(self) -> str:
-        return (f"Conv2d({self.in_channels}, {self.out_channels}, "
-                f"kernel_size={self.kernel_size}, stride={self.stride}, "
-                f"padding={self.padding})")
-
 
 class MaxPool2d(Module):
     def __init__(self, kernel_size, stride=None):
@@ -81,16 +72,6 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size, stride=None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.avg_pool2d(x, self.kernel_size, self.stride)
 
 
 class AdaptiveAvgPool2d(Module):
@@ -105,34 +86,6 @@ class AdaptiveAvgPool2d(Module):
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.relu(x)
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.leaky_relu(x, self.negative_slope)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.sigmoid(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.tanh(x)
-
-
-class Softmax(Module):
-    def __init__(self, dim: int = -1):
-        super().__init__()
-        self.dim = dim
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.softmax(x, self.dim)
 
 
 class Flatten(Module):

@@ -8,7 +8,7 @@ UDF networks, soft operators, whole queries — shares this one abstraction.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -23,9 +23,6 @@ class Parameter(Tensor):
         if isinstance(data, Tensor):
             data = data.data
         super().__init__(data, requires_grad=requires_grad, device=device)
-
-    def __repr__(self) -> str:
-        return "Parameter containing:\n" + super().__repr__()
 
 
 class Module:
@@ -63,9 +60,6 @@ class Module:
         self._modules[name] = module
         object.__setattr__(self, name, module)
 
-    def add_module(self, name: str, module: "Module") -> None:
-        self.register_module(name, module)
-
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
@@ -94,33 +88,10 @@ class Module:
         for mod_name, module in self._modules.items():
             yield from module.named_buffers(prefix=f"{prefix}{mod_name}.")
 
-    def buffers(self) -> Iterator[Tensor]:
-        for _, buf in self.named_buffers():
-            yield buf
-
-    def children(self) -> Iterator["Module"]:
-        yield from self._modules.values()
-
-    def named_children(self) -> Iterator[Tuple[str, "Module"]]:
-        yield from self._modules.items()
-
     def modules(self) -> Iterator["Module"]:
         yield self
         for child in self._modules.values():
             yield from child.modules()
-
-    def apply(self, fn: Callable[["Module"], None]) -> "Module":
-        for module in self.modules():
-            fn(module)
-        return self
-
-    def num_parameters(self, trainable_only: bool = True) -> int:
-        """Total number of scalar parameters (paper quotes 850K / 11.1M)."""
-        total = 0
-        for param in self.parameters():
-            if not trainable_only or param.requires_grad:
-                total += param.data.size
-        return total
 
     # ------------------------------------------------------------------
     # Mode and gradient management
@@ -191,11 +162,3 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-    def __repr__(self) -> str:
-        lines = [f"{type(self).__name__}("]
-        for name, child in self._modules.items():
-            child_repr = repr(child).replace("\n", "\n  ")
-            lines.append(f"  ({name}): {child_repr}")
-        lines.append(")")
-        return "\n".join(lines) if len(lines) > 2 else f"{type(self).__name__}()"

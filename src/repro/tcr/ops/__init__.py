@@ -33,8 +33,6 @@ from repro.tcr.ops.elementwise import (
     floor,
     ge,
     gt,
-    isclose,
-    isnan,
     le,
     log,
     log1p,
@@ -51,7 +49,6 @@ from repro.tcr.ops.elementwise import (
     pow,
     remainder,
     round,
-    sign,
     sqrt,
     sub,
     to_device,
@@ -67,7 +64,7 @@ from repro.tcr.ops.indexing import (
     scatter_add,
     segment_sum,
 )
-from repro.tcr.ops.linalg import dot, einsum_pair, matmul, outer
+from repro.tcr.ops.linalg import einsum_pair, matmul
 from repro.tcr.ops.reduction import (
     all,
     any,
@@ -113,16 +110,16 @@ from repro.tcr.ops.sorting import (
 __all__ = [
     "abs", "adaptive_avg_pool2d", "add", "all", "any", "argmax", "argmin",
     "argsort", "astype", "avg_pool2d", "bincount", "broadcast_to", "cat",
-    "ceil", "chunk", "clamp", "clone", "conv2d", "cumsum", "div", "dot",
+    "ceil", "chunk", "clamp", "clone", "conv2d", "cumsum", "div",
     "einsum_pair", "eq", "exp", "flatten", "flip", "floor", "gather", "ge",
-    "gelu", "getitem", "gt", "index_select", "isclose", "isnan", "le",
-    "leaky_relu", "lexsort_rows", "log", "log1p", "log_softmax",
-    "logical_and", "logical_not", "logical_or", "logical_xor", "logsumexp",
-    "lt", "masked_select", "matmul", "max", "max_pool2d", "maximum", "mean",
-    "min", "minimum", "mul", "ne", "neg", "nonzero", "one_hot", "outer",
-    "pad2d", "permute", "pow", "prod", "relu", "remainder",
-    "repeat_interleave", "reshape", "round", "scatter_add", "searchsorted",
-    "segment_sum", "sigmoid", "sign", "softmax", "sort", "split", "sqrt",
-    "squeeze", "stack", "std", "sub", "sum", "tanh", "tile", "to_device",
-    "topk", "transpose", "unique", "unsqueeze", "var", "where",
+    "gelu", "getitem", "gt", "index_select", "le", "leaky_relu",
+    "lexsort_rows", "log", "log1p", "log_softmax", "logical_and",
+    "logical_not", "logical_or", "logical_xor", "logsumexp", "lt",
+    "masked_select", "matmul", "max", "max_pool2d", "maximum", "mean", "min",
+    "minimum", "mul", "ne", "neg", "nonzero", "one_hot", "pad2d", "permute",
+    "pow", "prod", "relu", "remainder", "repeat_interleave", "reshape",
+    "round", "scatter_add", "searchsorted", "segment_sum", "sigmoid",
+    "softmax", "sort", "split", "sqrt", "squeeze", "stack", "std", "sub",
+    "sum", "tanh", "tile", "to_device", "topk", "transpose", "unique",
+    "unsqueeze", "var", "where",
 ]

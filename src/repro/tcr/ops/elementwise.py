@@ -117,10 +117,6 @@ def abs(a: Tensor) -> Tensor:
     return _unary(a, "abs", np.abs, lambda g, x, o: g * np.sign(x))
 
 
-def sign(a: Tensor) -> Tensor:
-    return Tensor._make(np.sign(a.data), (a,), None, "sign", a.device)
-
-
 def floor(a: Tensor) -> Tensor:
     return Tensor._make(np.floor(a.data), (a,), None, "floor", a.device)
 
@@ -196,16 +192,6 @@ def gt(a, b) -> Tensor:
 
 def ge(a, b) -> Tensor:
     return _compare(a, b, "ge", np.greater_equal)
-
-
-def isclose(a, b, rtol=1e-5, atol=1e-8) -> Tensor:
-    a, b, device = coerce_pair(a, b)
-    return Tensor._make(np.isclose(a.data, b.data, rtol=rtol, atol=atol),
-                        (a, b), None, "isclose", device)
-
-
-def isnan(a: Tensor) -> Tensor:
-    return Tensor._make(np.isnan(a.data), (a,), None, "isnan", a.device)
 
 
 # ----------------------------------------------------------------------

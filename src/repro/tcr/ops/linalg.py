@@ -47,20 +47,6 @@ def matmul(a, b) -> Tensor:
     return Tensor._make(out, (a, b), backward, "matmul", device)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """1-d dot product (alias of matmul on vectors)."""
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeError("dot expects 1-d tensors")
-    return matmul(a, b)
-
-
-def outer(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeError("outer expects 1-d tensors")
-    from repro.tcr.ops.shape import reshape
-    return matmul(reshape(a, (-1, 1)), reshape(b, (1, -1)))
-
-
 def einsum_pair(equation: str, a: Tensor, b: Tensor) -> Tensor:
     """Two-operand einsum with autograd (used by n-way soft group-by).
 

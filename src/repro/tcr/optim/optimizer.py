@@ -26,6 +26,3 @@ class Optimizer:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
-
-    def step(self) -> None:
-        raise NotImplementedError

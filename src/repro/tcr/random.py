@@ -35,13 +35,6 @@ def randn(*shape, device=None, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad, device=device)
 
 
-def rand(*shape, device=None, requires_grad: bool = False) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    data = _generator.random(shape).astype(np.float32)
-    return Tensor(data, requires_grad=requires_grad, device=device)
-
-
 def randint(low: int, high: int, shape, device=None) -> Tensor:
     data = _generator.integers(low, high, size=tuple(shape), dtype=np.int64)
     return Tensor(data, device=device)
@@ -53,9 +46,4 @@ def randperm(n: int, device=None) -> Tensor:
 
 def bernoulli(p, shape, device=None) -> Tensor:
     data = (_generator.random(tuple(shape)) < p)
-    return Tensor(data, device=device)
-
-
-def normal(mean: float, std: float, shape, device=None) -> Tensor:
-    data = _generator.normal(mean, std, size=tuple(shape)).astype(np.float32)
     return Tensor(data, device=device)

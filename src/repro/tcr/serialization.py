@@ -30,8 +30,3 @@ def load_state(path: str) -> Dict[str, np.ndarray]:
         raise TdpError(f"no saved state at {path}")
     with np.load(path) as archive:
         return {key: archive[key] for key in archive.files}
-
-
-def load_into(module: Module, path: str, strict: bool = True) -> Module:
-    module.load_state_dict(load_state(path), strict=strict)
-    return module

@@ -1,9 +1,10 @@
 """The ``Tensor`` type: a numpy-backed, autograd-capable multi-d array.
 
-This mirrors the subset of ``torch.Tensor`` that the paper's listings use:
-arithmetic with broadcasting, matmul, reductions, shape ops, indexing,
-activations, ``backward()``, ``detach()``, ``item()``, device placement and
-dtype casts. Operator implementations live in :mod:`repro.tcr.ops`.
+This mirrors the subset of ``torch.Tensor`` that the engine and the paper's
+listings use: Python operators with broadcasting, indexing, ``backward()``,
+``detach()``, ``item()``, device placement, dtype casts and the few method
+forms (``sum``, ``mean``, ``sqrt``, ``reshape``/``view``) called as methods. Every
+other op is a function in :mod:`repro.tcr.ops`.
 """
 
 from __future__ import annotations
@@ -99,20 +100,8 @@ class Tensor:
             return self
         return ops.permute(self, tuple(reversed(range(self.ndim))))
 
-    @property
-    def is_leaf(self) -> bool:
-        return self._backward is None
-
     def numel(self) -> int:
         return self.data.size
-
-    def size(self, dim: Optional[int] = None):
-        if dim is None:
-            return self.data.shape
-        return self.data.shape[dim]
-
-    def dim(self) -> int:
-        return self.data.ndim
 
     def __len__(self) -> int:
         if self.ndim == 0:
@@ -157,10 +146,6 @@ class Tensor:
         out._op = "detach"
         return out
 
-    def clone(self) -> "Tensor":
-        from repro.tcr import ops
-        return ops.clone(self)
-
     def to(self, device=None, dtype=None) -> "Tensor":
         """Move to a device and/or cast dtype (differentiable for float casts)."""
         from repro.tcr import ops
@@ -173,27 +158,12 @@ class Tensor:
                 out = ops.to_device(out, target)
         return out
 
-    def cpu(self) -> "Tensor":
-        return self.to(device="cpu")
-
-    def cuda(self) -> "Tensor":
-        return self.to(device="cuda")
-
     def astype(self, dtype) -> "Tensor":
         from repro.tcr import ops
         return ops.astype(self, dtype)
 
-    def float(self) -> "Tensor":
-        return self.astype(np.float32)
-
-    def double(self) -> "Tensor":
-        return self.astype(np.float64)
-
     def long(self) -> "Tensor":
         return self.astype(np.int64)
-
-    def bool(self) -> "Tensor":
-        return self.astype(np.bool_)
 
     # ------------------------------------------------------------------
     # Autograd entry points
@@ -213,15 +183,6 @@ class Tensor:
                 f"gradient shape {seed.shape} does not match output shape {self.data.shape}"
             )
         run_backward(self, seed)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def requires_grad_(self, flag: bool = True) -> "Tensor":
-        if flag and not dtypes.is_float(self.dtype):
-            raise AutogradError("only floating-point tensors can require gradients")
-        self.requires_grad = flag
-        return self
 
     # ------------------------------------------------------------------
     # Arithmetic operators (delegating to ops)
@@ -333,59 +294,9 @@ class Tensor:
     # ------------------------------------------------------------------
     # Method forms of common ops
     # ------------------------------------------------------------------
-    def add(self, other):
-        return self + other
-
-    def mul(self, other):
-        return self * other
-
-    def matmul(self, other):
-        from repro.tcr import ops
-        return ops.matmul(self, other)
-
-    def mm(self, other):
-        from repro.tcr import ops
-        return ops.matmul(self, other)
-
-    def exp(self):
-        from repro.tcr import ops
-        return ops.exp(self)
-
-    def log(self):
-        from repro.tcr import ops
-        return ops.log(self)
-
     def sqrt(self):
         from repro.tcr import ops
         return ops.sqrt(self)
-
-    def abs(self):
-        from repro.tcr import ops
-        return ops.abs(self)
-
-    def clamp(self, min=None, max=None):
-        from repro.tcr import ops
-        return ops.clamp(self, min, max)
-
-    def sigmoid(self):
-        from repro.tcr import ops
-        return ops.sigmoid(self)
-
-    def tanh(self):
-        from repro.tcr import ops
-        return ops.tanh(self)
-
-    def relu(self):
-        from repro.tcr import ops
-        return ops.relu(self)
-
-    def softmax(self, dim: int = -1):
-        from repro.tcr import ops
-        return ops.softmax(self, dim)
-
-    def log_softmax(self, dim: int = -1):
-        from repro.tcr import ops
-        return ops.log_softmax(self, dim)
 
     def sum(self, dim=None, keepdim: bool = False):
         from repro.tcr import ops
@@ -395,42 +306,6 @@ class Tensor:
         from repro.tcr import ops
         return ops.mean(self, dim, keepdim)
 
-    def var(self, dim=None, keepdim: bool = False, unbiased: bool = True):
-        from repro.tcr import ops
-        return ops.var(self, dim, keepdim, unbiased)
-
-    def std(self, dim=None, keepdim: bool = False, unbiased: bool = True):
-        from repro.tcr import ops
-        return ops.std(self, dim, keepdim, unbiased)
-
-    def max(self, dim=None, keepdim: bool = False):
-        from repro.tcr import ops
-        return ops.max(self, dim, keepdim)
-
-    def min(self, dim=None, keepdim: bool = False):
-        from repro.tcr import ops
-        return ops.min(self, dim, keepdim)
-
-    def argmax(self, dim=None, keepdim: bool = False):
-        from repro.tcr import ops
-        return ops.argmax(self, dim, keepdim)
-
-    def argmin(self, dim=None, keepdim: bool = False):
-        from repro.tcr import ops
-        return ops.argmin(self, dim, keepdim)
-
-    def cumsum(self, dim: int = 0):
-        from repro.tcr import ops
-        return ops.cumsum(self, dim)
-
-    def all(self, dim=None):
-        from repro.tcr import ops
-        return ops.all(self, dim)
-
-    def any(self, dim=None):
-        from repro.tcr import ops
-        return ops.any(self, dim)
-
     def reshape(self, *shape):
         from repro.tcr import ops
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -439,75 +314,6 @@ class Tensor:
 
     def view(self, *shape):
         return self.reshape(*shape)
-
-    def transpose(self, dim0: int, dim1: int):
-        from repro.tcr import ops
-        return ops.transpose(self, dim0, dim1)
-
-    def permute(self, *dims):
-        from repro.tcr import ops
-        if len(dims) == 1 and isinstance(dims[0], (tuple, list)):
-            dims = tuple(dims[0])
-        return ops.permute(self, dims)
-
-    def squeeze(self, dim=None):
-        from repro.tcr import ops
-        return ops.squeeze(self, dim)
-
-    def unsqueeze(self, dim: int):
-        from repro.tcr import ops
-        return ops.unsqueeze(self, dim)
-
-    def flatten(self, start_dim: int = 0, end_dim: int = -1):
-        from repro.tcr import ops
-        return ops.flatten(self, start_dim, end_dim)
-
-    def expand(self, *shape):
-        from repro.tcr import ops
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return ops.broadcast_to(self, shape)
-
-    def broadcast_to(self, shape):
-        from repro.tcr import ops
-        return ops.broadcast_to(self, tuple(shape))
-
-    def repeat(self, *reps):
-        from repro.tcr import ops
-        if len(reps) == 1 and isinstance(reps[0], (tuple, list)):
-            reps = tuple(reps[0])
-        return ops.tile(self, reps)
-
-    def gather(self, dim: int, index: "Tensor"):
-        from repro.tcr import ops
-        return ops.gather(self, dim, index)
-
-    def index_select(self, dim: int, index: "Tensor"):
-        from repro.tcr import ops
-        return ops.index_select(self, dim, index)
-
-    def masked_select(self, mask: "Tensor"):
-        from repro.tcr import ops
-        return ops.masked_select(self, mask)
-
-    def sort(self, dim: int = -1, descending: bool = False):
-        from repro.tcr import ops
-        return ops.sort(self, dim, descending)
-
-    def argsort(self, dim: int = -1, descending: bool = False):
-        from repro.tcr import ops
-        return ops.argsort(self, dim, descending)
-
-    def topk(self, k: int, dim: int = -1, largest: bool = True):
-        from repro.tcr import ops
-        return ops.topk(self, k, dim, largest)
-
-    def unique(self, return_counts: bool = False):
-        from repro.tcr import ops
-        return ops.unique(self, return_counts=return_counts)
-
-
-TensorLike = "Tensor | np.ndarray | float | int | bool | list | tuple"
 
 
 def ensure_tensor(value, device: Optional[Device] = None, dtype=None) -> Tensor:
@@ -523,10 +329,6 @@ def ensure_tensor(value, device: Optional[Device] = None, dtype=None) -> Tensor:
 
 def tensor(data, dtype=None, device=None, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad, device=device, dtype=dtype)
-
-
-def from_numpy(array: np.ndarray, device=None) -> Tensor:
-    return Tensor(array, device=device)
 
 
 def zeros(*shape, dtype=np.float32, device=None, requires_grad: bool = False) -> Tensor:
@@ -548,10 +350,6 @@ def full(shape, fill_value, dtype=None, device=None) -> Tensor:
 
 def zeros_like(t: Tensor, dtype=None) -> Tensor:
     return Tensor(np.zeros_like(t.data, dtype=dtype), device=t.device)
-
-
-def ones_like(t: Tensor, dtype=None) -> Tensor:
-    return Tensor(np.ones_like(t.data, dtype=dtype), device=t.device)
 
 
 def arange(*args, dtype=None, device=None) -> Tensor:

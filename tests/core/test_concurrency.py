@@ -361,28 +361,6 @@ class TestInferenceBatcher:
         assert model.calls == [2]
         np.testing.assert_array_equal(results[0], results[1])
 
-    def test_fused_batches_match_unfused(self):
-        model = _CountingEncoder()
-        batcher = InferenceBatcher(window=0.05, fuse=True)
-        rng = np.random.default_rng(1)
-        chunks = [Tensor(rng.normal(size=(2, 4)).astype(np.float32))
-                  for _ in range(3)]
-        results = [None] * 3
-        barrier = threading.Barrier(3, timeout=30)
-
-        def worker(i):
-            barrier.wait()
-            self._request(batcher, model, chunks[i], 100 + i, None,
-                          results, i)
-            batcher.statement_finished()
-
-        _run_threads(3, worker)
-        assert sum(model.calls) == 6            # all rows encoded...
-        assert batcher.stats["fused_forwards"] >= 1   # ...in fused forwards
-        for i, chunk in enumerate(chunks):
-            expected = np.asarray(model.proj(chunk).data)
-            np.testing.assert_allclose(results[i], expected, rtol=1e-5)
-
     def test_tags_are_refcounted_across_sharers(self):
         """One query's cleanup must not strip another query's in-flight tag
         on a shared base-column tensor."""

@@ -6,7 +6,8 @@ Covers the contracts the differential harness cannot pin down one by one:
   including the newline behaviour the old regex lowering (no ``DOTALL``)
   got wrong, wildcards, and regex metacharacters in patterns;
 * the one lowering under both array namespaces (``compile_exprs`` on:
-  numpy, off: tcr ops): the stage label in the plan, SUBSTR's
+  numpy, off: tcr ops): the stage label in the plan, every builtin,
+  arithmetic and comparison giving the same values on both, SUBSTR's
   constant-bounds contract, and string values that arrive without a
   dictionary;
 * string functions in aggregate, sort and join keys run on dictionary
@@ -130,7 +131,43 @@ def _numbers_session(n=32):
     return session
 
 
+# One projection per builtin form and arithmetic operator; every name in
+# ``_BUILTINS`` must appear (``test_every_builtin_is_listed``).
+BUILTIN_AND_ARITH_EXPRS = [
+    "ABS(x)", "SQRT(p)", "SQRT(x * x)", "EXP(p)", "EXP(x)", "LN(p)",
+    "LOG(p * 2)", "POW(p, 2)", "POW(p, 0.5)", "POWER(p, x)",
+    "ROUND(p * 3.3)", "ROUND(p * 3.3, 1)", "FLOOR(p * 1.5)", "CEIL(p * 1.5)",
+    "LEAST(x, p, 2)", "GREATEST(x, p)", "SIGMOID(x)", "SIGMOID(p - 2)",
+    "COALESCE(f, p)", "COALESCE(f, f, 0)",
+    "x + p", "x - 2", "x * p", "x / p", "id / (x * x + 1)", "x % 3",
+    "p % 1.5", "-x", "-(p * x)",
+]
+COMPARE_PREDICATES = [
+    "x = 1", "x != p", "x < p", "x <= 2", "p > x", "p >= 2.0", "f < p",
+    "NOT (x = 2) AND (p < 3 OR x > 4)",
+]
+
+
+def _builtins_session(n=24):
+    """Integers with zeros and negatives, positive floats (LN/SQRT stay
+    warning-free) and a float column with NaNs (COALESCE has work)."""
+    i = np.arange(n, dtype=np.int64)
+    session = Session()
+    session.sql.register_dict({
+        "id": i,
+        "x": (i * 7) % 11 - 5,
+        "p": (0.25 + (i % 9) * 0.5).astype(np.float32),
+        "f": np.where(i % 4 == 0, np.nan, i * 0.3 - 2).astype(np.float32),
+    }, "t")
+    return session
+
+
 class TestOneLowering:
+    def test_every_builtin_is_listed(self):
+        from repro.core.kernels.compiler import _BUILTINS
+        calls = (re.match(r"([A-Z]+)\(", e) for e in BUILTIN_AND_ARITH_EXPRS)
+        assert {m.group(1) for m in calls if m} == set(_BUILTINS)
+
     def test_stage_body_appears_in_plan(self):
         session = _numbers_session()
         query = session.sql.query(
@@ -164,6 +201,29 @@ class TestOneLowering:
         base = session.sql.query(stmt, extra_config={"compile_exprs": False})
         _assert_equal_results(_snapshot(base.run()),
                               _snapshot(compiled.run()), stmt)
+
+    @pytest.mark.parametrize("projection", BUILTIN_AND_ARITH_EXPRS)
+    def test_builtins_and_arithmetic_agree_across_namespaces(self, projection):
+        """Every ``_BUILTINS`` entry and arithmetic operator gives the same
+        column over numpy and over tcr ops (LN/LOG, POW's float exponent
+        and SIGMOID included: each is one tcr op the interp leg needs)."""
+        stmt = f"SELECT id, {projection} AS v FROM t"
+        self._assert_namespaces_agree(_builtins_session(), stmt)
+
+    @pytest.mark.parametrize("predicate", COMPARE_PREDICATES)
+    def test_comparisons_agree_across_namespaces(self, predicate):
+        stmt = f"SELECT id, p FROM t WHERE {predicate}"
+        self._assert_namespaces_agree(_builtins_session(), stmt)
+
+    @staticmethod
+    def _assert_namespaces_agree(session, stmt):
+        kernel = session.sql.query(stmt, extra_config={"compile_exprs": True})
+        interp = session.sql.query(stmt, extra_config={"compile_exprs": False})
+        assert "Pipeline[kernel]" in kernel.explain()
+        assert "Pipeline[interp]" in interp.explain()
+        got, want = _snapshot(interp.run()), _snapshot(kernel.run())
+        assert len(want["id"]) > 0, stmt
+        _assert_equal_results(got, want, stmt)
 
     @pytest.mark.parametrize("extra", NAMESPACES)
     def test_strings_without_a_dictionary(self, extra):

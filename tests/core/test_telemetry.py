@@ -155,7 +155,8 @@ class TestExplainAnalyze:
         query.run()
         trace = query.last_trace()
         path = trace.dump_chrome(str(tmp_path / "trace.json"))
-        payload = json.loads(open(path).read())
+        with open(path) as handle:
+            payload = json.load(handle)
         events = payload["traceEvents"]
         assert events and all(e["ph"] == "X" for e in events)
         assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in events)

@@ -46,7 +46,7 @@ class TestUdfOutputCache:
         assert first["y"].tolist() == second["y"].tolist()
         stats = session.tensor_cache.stats
         assert stats["hits"] >= 1
-        assert stats["entries"] >= 1
+        assert stats["size"] >= 1
 
     def test_udf_duplicated_select_where_single_pass(self):
         """The acceptance criterion: SELECT f(x) ... WHERE f(x) > c invokes

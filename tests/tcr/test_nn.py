@@ -5,7 +5,7 @@ import pytest
 
 from repro import tcr
 from repro.errors import ShapeError, TdpError
-from repro.tcr import nn
+from repro.tcr import nn, ops
 from repro.tcr.nn import functional as F
 from repro.tcr.tensor import Tensor
 
@@ -17,7 +17,7 @@ class TestModuleSystem:
         lin = nn.Linear(3, 2)
         names = dict(lin.named_parameters())
         assert set(names) == {"weight", "bias"}
-        assert lin.num_parameters() == 3 * 2 + 2
+        assert sum(p.data.size for p in lin.parameters()) == 3 * 2 + 2
 
     def test_nested_modules_and_prefixes(self):
         model = nn.Sequential(nn.Linear(2, 4), nn.ReLU(), nn.Linear(4, 1))
@@ -122,9 +122,9 @@ class TestLayers:
 
     def test_sequential_getitem_append(self):
         model = nn.Sequential(nn.ReLU())
-        model.append(nn.Tanh())
+        model.append(nn.Identity())
         assert len(model) == 2
-        assert isinstance(model[1], nn.Tanh)
+        assert isinstance(model[1], nn.Identity)
 
     def test_module_list(self):
         ml = nn.ModuleList([nn.Linear(2, 2)])
@@ -198,7 +198,7 @@ class TestLosses:
 
     def test_kldiv_zero_for_equal_distributions(self):
         probs = tcr.tensor([[0.25, 0.75]])
-        loss = nn.KLDivLoss()(probs.log(), probs)
+        loss = nn.KLDivLoss()(ops.log(probs), probs)
         assert abs(loss.item()) < 1e-6
 
     def test_cross_entropy_grad(self):

@@ -6,7 +6,7 @@ import pytest
 from repro import tcr
 from repro.errors import TdpError
 from repro.tcr import nn
-from repro.tcr.serialization import load_into, load_state, save_state
+from repro.tcr.serialization import load_state, save_state
 
 
 class TestSerialization:
@@ -15,7 +15,7 @@ class TestSerialization:
         path = str(tmp_path / "model.npz")
         save_state(model, path)
         clone = nn.Sequential(nn.Linear(3, 4), nn.ReLU(), nn.Linear(4, 2))
-        load_into(clone, path)
+        clone.load_state_dict(load_state(path))
         x = tcr.randn(2, 3)
         np.testing.assert_array_equal(model(x).data, clone(x).data)
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro import tcr
 from repro.errors import AutogradError, DeviceError, ShapeError
+from repro.tcr import ops
 
 
 class TestConstruction:
@@ -53,7 +54,7 @@ class TestIntrospection:
         assert t.shape == (2, 3, 4)
         assert t.ndim == 3
         assert t.numel() == 24
-        assert t.size(1) == 3
+        assert t.shape[1] == 3
         assert len(t) == 2
 
     def test_len_of_scalar_raises(self):
@@ -89,7 +90,7 @@ class TestConversion:
 
     def test_clone_copies_buffer(self):
         t = tcr.tensor([1.0, 2.0])
-        c = t.clone()
+        c = ops.clone(t)
         assert c.data is not t.data
         np.testing.assert_array_equal(c.data, t.data)
 
@@ -97,8 +98,8 @@ class TestConversion:
         t = tcr.tensor([1.7, 2.2])
         assert t.long().dtype == np.int64
         assert t.long().data.tolist() == [1, 2]
-        assert t.bool().dtype == np.bool_
-        assert t.double().dtype == np.float64
+        assert t.astype(np.bool_).dtype == np.bool_
+        assert t.astype(np.float64).dtype == np.float64
 
     def test_tolist(self):
         assert tcr.tensor([[1, 2]]).tolist() == [[1, 2]]
@@ -110,10 +111,10 @@ class TestDevice:
 
     def test_to_cuda_and_back(self):
         t = tcr.tensor([1.0, 2.0])
-        gpu = t.cuda()
+        gpu = t.to(device="cuda")
         assert gpu.device == tcr.CUDA
         assert gpu is not t               # distinct tensor, retagged buffer
-        assert gpu.cpu().device == tcr.CPU
+        assert gpu.to(device="cpu").device == tcr.CPU
 
     def test_cross_device_op_rejected(self):
         a = tcr.tensor([1.0])
@@ -123,7 +124,7 @@ class TestDevice:
 
     def test_device_transfer_is_differentiable(self):
         t = tcr.tensor([1.0, 2.0], requires_grad=True)
-        (t.cuda() * 3.0).sum().backward()
+        (t.to(device="cuda") * 3.0).sum().backward()
         np.testing.assert_array_equal(t.grad, [3.0, 3.0])
 
     def test_unknown_device_rejected(self):
