@@ -1,13 +1,11 @@
 """Plan-cache + pipeline-stage benchmarks (the execution-speed subsystem).
 
-Three measurements:
+Two measurements:
 
 * repeated ``tdp.sql.query(...)`` with the plan cache vs. cold
   parse→bind→optimize→lower on every call (TQP-style compiled-program reuse);
 * single-stage Filter→Project execution on the A2 ablation workload shape,
-  checked against the miniduck oracle;
-* ``execute_many`` batches sharing one scan vs. statement-at-a-time runs
-  with a device transfer each.
+  checked against the miniduck oracle.
 """
 
 import numpy as np
@@ -99,31 +97,3 @@ class TestPipelineStage:
             "SELECT k, v, w FROM t WHERE v > 0.2 AND w > 0.2 AND k > 5")
         benchmark.pedantic(q.run, rounds=3, iterations=1, warmup_rounds=1)
 
-
-class TestBatchExecution:
-    def test_execute_many_shared_scan(self, benchmark):
-        session = _session(N_ROWS)
-        statements = [
-            "SELECT COUNT(*) FROM t",
-            "SELECT SUM(v) FROM t",
-            "SELECT AVG(w) FROM t",
-            "SELECT MIN(v), MAX(w) FROM t",
-        ]
-
-        def individually():
-            return [session.sql.query(s, device="cuda").run()
-                    for s in statements]
-
-        def batched():
-            return session.execute_many(statements, device="cuda")
-
-        single_s = time_call(individually, repeat=3)
-        batch_s = time_call(batched, repeat=3)
-        print_table(
-            f"batch execution: 4 statements over {N_ROWS} rows (cuda transfers)",
-            ["mode", "seconds"],
-            [["statement-at-a-time", single_s], ["execute_many shared scan", batch_s]],
-        )
-        # Shared scans can't lose: the batch pays each transfer at most once.
-        assert batch_s < single_s * 1.5
-        benchmark.pedantic(batched, rounds=3, iterations=1, warmup_rounds=1)

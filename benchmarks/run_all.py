@@ -2,7 +2,7 @@
 
 CI uploads the file as an artifact, so the repo's perf trajectory
 (plan-cache speedup, ANN recall/speedup, tensor-cache warm factor,
-concurrent-serving throughput, ...) is machine-readable per commit.
+serving admission, ...) is machine-readable per commit.
 
 Each bench contributes its headline numbers through
 ``repro.bench.harness.record_metric`` (activated by pointing

@@ -40,7 +40,7 @@ class ExecNode(Module):
         # Children evaluate before this operator's span opens, so operator
         # spans are siblings mirroring the tree rather than one deep nest;
         # each span contains only its operator's internal detail spans
-        # (shard tasks, batcher flushes, index probes, cache counts).
+        # (shard tasks, index probes, cache counts).
         inputs = [child() for child in self._children_nodes]
         if not tracing():
             return self.op(*inputs)
@@ -235,18 +235,6 @@ class CompiledQuery(Module):
                 or not self.config.tensor_cache):
             return contextlib.nullcontext()
         return cache.activate()
-
-    def run_many(self, others=(), toPandas: bool = False) -> list:
-        """Run this query plus ``others`` against shared scans.
-
-        All scans of the same table/device within the batch resolve once
-        (select + device transfer are paid once, not per statement). Returns
-        the per-query results in order, this query's first.
-        """
-        from repro.core.operators.scan import shared_scans
-        queries = [self, *others]
-        with shared_scans():
-            return [query.run(toPandas=toPandas) for query in queries]
 
     def _trainable_output(self, relation: Relation) -> Tensor:
         columns = relation.table.columns

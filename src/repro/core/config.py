@@ -31,9 +31,7 @@ class constants:
     SLOW_QUERY_SECONDS = "slow_query_seconds"  # slow-log threshold (None = session default)
     # Serving / admission control (the scheduler front door).
     SCHEDULER_WORKERS = "scheduler_workers"  # worker-pool size (None = scheduler default)
-    BATCH_WINDOW = "batch_window"          # inference-batch flush window ("auto" adapts)
     MAX_QUEUE_DEPTH = "max_queue_depth"    # queued-request cap (None = unbounded)
-    SHED_POLICY = "shed_policy"            # reject | oldest (what to drop when full)
     PRIORITY = "priority"                  # dequeue priority class (higher runs sooner)
     DEADLINE = "deadline"                  # per-request SLO budget in seconds (None = no SLO)
 
@@ -53,14 +51,10 @@ _DEFAULTS = {
     constants.TELEMETRY: False,
     constants.SLOW_QUERY_SECONDS: None,
     constants.SCHEDULER_WORKERS: None,
-    constants.BATCH_WINDOW: "auto",
     constants.MAX_QUEUE_DEPTH: None,
-    constants.SHED_POLICY: "reject",
     constants.PRIORITY: 0,
     constants.DEADLINE: None,
 }
-
-_SHED_POLICIES = ("reject", "oldest")
 
 
 class QueryConfig:
@@ -173,19 +167,6 @@ class QueryConfig:
         return value
 
     @property
-    def batch_window(self):
-        """Inference-batch flush window: seconds, or ``"auto"`` to size it
-        from the observed encode-request arrival rate (clamped EMA)."""
-        value = self._values[constants.BATCH_WINDOW]
-        if value == "auto":
-            return "auto"
-        window = float(value)
-        if not (0.0 <= window <= 1.0):
-            raise ValueError(
-                f"batch_window must be 'auto' or seconds in [0, 1], got {value!r}")
-        return window
-
-    @property
     def max_queue_depth(self) -> Optional[int]:
         value = self._values[constants.MAX_QUEUE_DEPTH]
         if value is None:
@@ -195,14 +176,6 @@ class QueryConfig:
         if value < 1:
             raise ValueError(f"max_queue_depth must be >= 1, got {value}")
         return value
-
-    @property
-    def shed_policy(self) -> str:
-        value = self._values[constants.SHED_POLICY]
-        if value not in _SHED_POLICIES:
-            raise ValueError(
-                f"shed_policy must be one of {_SHED_POLICIES}, got {value!r}")
-        return str(value)
 
     @property
     def priority(self) -> int:

@@ -4,8 +4,8 @@ Bound expressions are lowered once, at plan time, by
 :class:`repro.core.kernels.compiler.ExprCompiler` into closures
 ``fn(ctx) -> value``. ``ctx`` is an :class:`ExpressionEvaluator`: the input
 table's columns, the per-pass CSE slot table, the output boundary
-(``materialize``) and the UDF call site with its tensor-cache / batcher
-protocol. Nothing here walks an expression tree.
+(``materialize``) and the UDF call site with its tensor-cache protocol.
+Nothing here walks an expression tree.
 """
 
 from __future__ import annotations
@@ -87,24 +87,21 @@ class ExpressionEvaluator:
         # Materialization cache: deterministic UDFs outside grad recording
         # consult the session cache. A full hit skips inference entirely; a
         # subset (post-filter) evaluation gathers from a cached full-column
-        # entry; a miss computes and inserts. When a scheduler inference
-        # batcher is active, arguments are tagged even with the cache off so
-        # concurrent queries' encoder micro-batches can coalesce in flight.
+        # entry; a miss computes and inserts.
         cache = tc.active()
-        eligible = (getattr(udf, "deterministic", True)
-                    and not _udf_needs_grad(udf)
-                    # Modules left in train() mode may be stochastic
-                    # (dropout): never cache their outputs.
-                    and not any(getattr(m, "training", False)
-                                for m in udf.modules))
-        use_cache = cache is not None and eligible
-        want_tags = use_cache or (eligible and tc.active_batcher() is not None)
+        use_cache = (cache is not None
+                     and getattr(udf, "deterministic", True)
+                     and not _udf_needs_grad(udf)
+                     # Modules left in train() mode may be stochastic
+                     # (dropout): never cache their outputs.
+                     and not any(getattr(m, "training", False)
+                                 for m in udf.modules))
         key = None
         tags = ()
-        if want_tags:
+        if use_cache:
             key, full_key, rows, tags = _bcall_cache_plan(udf, values, args,
                                                           self, cache)
-            if use_cache and key is not None:
+            if key is not None:
                 cached = cache.udf_get(key, full_key, rows)
                 if cached is not None:
                     # Attribute the hit to the requesting query's open
@@ -274,14 +271,10 @@ def _bcall_cache_plan(udf, values, args, evaluator, cache):
     full-column key usable for a row gather (when every column argument is
     the same row subset of its base column); the subset row indices; and
     ``(tensor, tag)`` pairs to attach before invoking the UDF. ``key`` is
-    None when an argument has no stable content identity. ``cache`` may be
-    None (batcher-only tagging): tags are still computed, keys are not
-    usable for insertion but content identity is what in-flight encoder
-    dedup runs on.
+    None when an argument has no stable content identity.
     """
-    state_fp = cache.udf_state_fp(udf) if cache is not None else "nocache"
-    head = ("udf", udf.name.lower(), getattr(udf, "version", 0), state_fp,
-            str(evaluator.device))
+    head = ("udf", udf.name.lower(), getattr(udf, "version", 0),
+            cache.udf_state_fp(udf), str(evaluator.device))
     parts, full_parts, tags = [head], [head], []
     rows = None
     rows_fps = set()

@@ -12,7 +12,7 @@ from repro.core.operators.index_scan import (
 from repro.core.operators.join import JoinExec, direct_join_indices
 from repro.core.operators.pipeline import PipelineExec
 from repro.core.operators.project import TVFExec
-from repro.core.operators.scan import ScanExec, shared_scans
+from repro.core.operators.scan import ScanExec
 from repro.core.operators.sharded import (
     ShardedAggregateExec,
     ShardedGroupedAggregateExec,
@@ -27,5 +27,5 @@ __all__ = [
     "Relation", "ScanExec", "ShardedAggregateExec",
     "ShardedGroupedAggregateExec", "ShardedScanExec", "ShowIndexesExec",
     "SoftAggregateExec", "SoftFilterExec", "SortExec", "TVFExec", "TopKExec",
-    "direct_join_indices", "key_ids", "shared_scans",
+    "direct_join_indices", "key_ids",
 ]

@@ -7,42 +7,12 @@ a name rather than a table snapshot is what makes that work.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-from typing import List, Optional
+from typing import List
 
 from repro.errors import ExecutionError
 from repro.core.operators.base import Operator, Relation
 from repro.storage.table import Table
 from repro.tcr.device import Device
-
-# Active shared-scan memo (None outside a ``shared_scans`` block). Batch
-# execution opens one so that N statements over the same table pay the
-# select + device-transfer cost once. A ContextVar, not a module global:
-# concurrent ``execute_many`` batches on scheduler worker threads each get
-# their own memo and can never cross-pollinate mid-batch.
-_SCAN_MEMO: "contextvars.ContextVar[Optional[dict]]" = contextvars.ContextVar(
-    "tdp_scan_memo", default=None)
-
-
-@contextlib.contextmanager
-def shared_scans():
-    """Context manager: scans of the same table/device are resolved once.
-
-    Used by ``Session.execute_many`` / ``CompiledQuery.run_many``. Scan
-    results are immutable (operators gather into fresh tables), so sharing
-    the Relation across queries is safe. Nested blocks share the outermost
-    memo; the memo is scoped to the opening thread/context, so concurrent
-    batches stay isolated.
-    """
-    if _SCAN_MEMO.get() is not None:
-        yield
-        return
-    token = _SCAN_MEMO.set({})
-    try:
-        yield
-    finally:
-        _SCAN_MEMO.reset(token)
 
 
 def shard_slices(table: Table, bounds) -> list:
@@ -73,29 +43,10 @@ class ScanExec(Operator):
                 f"table {self.table_name!r} no longer has columns {missing} "
                 f"(re-registered with a different schema?)"
             )
-        scan_memo = _SCAN_MEMO.get()
-        if scan_memo is None:
-            ordered = table.select(self.column_names)
-            if ordered.device != self.device:
-                ordered = ordered.to(self.device)
-            return Relation(ordered)
-        # Shared-scan path: each column of the table is selected and moved to
-        # the target device at most once per batch, however many statements
-        # (with however many different pruned column subsets) reference it.
-        # Keyed on the Table object itself (identity hash + strong reference):
-        # an id()-based key could alias a recycled address if a table were
-        # dropped and replaced mid-batch.
-        memo = scan_memo.setdefault((table, str(self.device)), {})
-        columns = []
-        for name in self.column_names:
-            column = memo.get(name)
-            if column is None:
-                column = table.column(name)
-                if column.device != self.device:
-                    column = column.to(self.device)
-                memo[name] = column
-            columns.append(column)
-        return Relation(Table(table.name, columns))
+        ordered = table.select(self.column_names)
+        if ordered.device != self.device:
+            ordered = ordered.to(self.device)
+        return Relation(ordered)
 
     def describe(self) -> str:
         return f"Scan({self.table_name})"

@@ -1,10 +1,10 @@
-"""Concurrent query serving: worker pool, statement coalescing, and
-cross-query inference batching.
+"""Concurrent query serving: worker pool, statement coalescing, admission
+control and per-client fairness.
 
-The paper frames TDP as a *system* serving mixed AI+SQL workloads; NeurDB
-and "Towards Effective Orchestration of AI x DB Workloads" both argue that
-the win in concurrent AI-database serving comes from scheduling inference
-*across* queries, not just caching within one. This module is that layer:
+The paper frames TDP as a *system* serving mixed AI+SQL workloads. Inference
+batching is left to the tensor runtime: each UDF call already runs over a
+whole column micro-batch, so this layer schedules *statements*, not encoder
+calls:
 
 * :class:`QueryScheduler` — a worker pool behind ``Session.submit`` /
   ``Session.serve``. Statements execute exactly as ``compile_query().run()``
@@ -22,29 +22,14 @@ the win in concurrent AI-database serving comes from scheduling inference
   between two submissions (version stamp mismatch) disqualifies joining, so
   a follower never observes pre-DDL state submitted post-DDL.
 
-* :class:`InferenceBatcher` — the cross-query inference scheduler. The CPU
-  device profile dispatches UDFs row-at-a-time (the paper's Fig 2
-  mechanism), so N concurrent similarity queries over one corpus each
-  stream the same encoder micro-batches. The batcher intercepts encoder
-  calls (via the tensor-cache encoder memo) and holds each request briefly;
-  when every actively-encoding worker has a request pending (or a 2 ms
-  window lapses), the batch flushes: identical-content requests collapse
-  into **one forward pass** whose result is handed to every waiter and
-  scattered back through the existing TensorCache per-slice keys — PR 3's
-  slice-entry machinery extended with an in-flight rendezvous. The effect
-  is a convoy: N queries advance row by row over the corpus paying one
-  encode per row instead of N. Distinct requests run their own forwards,
-  so concurrent serving stays bit-identical with serialized execution.
-
 * **Admission control** — the serving front door (``Session.aquery``,
   ``core/server.py``) cannot let an overloaded queue grow without bound:
   unbounded queueing turns a 2x overload into unbounded p99 (every request
   waits behind the whole backlog). ``max_queue_depth`` caps the number of
-  *queued* (not yet running) requests; beyond it the scheduler sheds load
-  with a typed :class:`~repro.errors.ServerOverloaded` — either the new
-  request (``shed_policy="reject"``) or the oldest queued request of the
-  lowest priority class (``shed_policy="oldest"``). A request carrying a
-  ``deadline`` hint is also shed at admission when the observed
+  *queued* (not yet running) requests; beyond it the scheduler rejects the
+  new request with a typed :class:`~repro.errors.ServerOverloaded` (reason
+  ``queue_full``). A request carrying a ``deadline`` hint is also shed at
+  admission when the observed
   ``scheduler.queue_wait_seconds`` p95 already exceeds its budget, and
   dropped (``QueryDeadlineExceeded``) at dequeue if its budget lapsed while
   it waited — running a query whose client already timed out only steals
@@ -57,17 +42,8 @@ the win in concurrent AI-database serving comes from scheduling inference
   N}``; higher dequeues first, so an interactive request overtakes a bulk
   backlog without preempting running work).
 
-* **Adaptive batch window** — ``batch_window="auto"`` (the default) sizes
-  the batcher's flush window from an EMA of encode-request inter-arrival
-  times instead of the historical fixed 2 ms: busy convoys shrink the
-  window toward the arrival period (less added latency), sparse traffic
-  keeps a wider net. The chosen window is published as the
-  ``batcher.window_seconds`` gauge in ``Session.metrics``.
-
 Locking rules (engine-wide ordering, see ROADMAP "Concurrent serving"):
-scheduler lock and batcher condition are leaves — no engine lock is
-acquired while holding them, and the batcher computes forwards *outside*
-its condition so waiting threads only block on the GIL-released numpy work.
+the scheduler lock is a leaf — no engine lock is acquired while holding it.
 Future callbacks (``set_result``/``set_exception``) always fire outside the
 scheduler lock: an ``asyncio.wrap_future`` callback or user callback may
 re-enter ``submit``.
@@ -75,279 +51,15 @@ re-enter ``submit``.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional
 
-from repro.core import tensor_cache as tc
 from repro.core.config import QueryConfig
-from repro.core.telemetry import Ewma, span, tracing
 from repro.errors import QueryDeadlineExceeded, ServerOverloaded
 from repro.tcr.device import as_device
-
-
-class _EncodeRequest:
-    """One pending encoder micro-batch (a worker blocked on its result)."""
-
-    __slots__ = ("key", "model", "orig", "images", "tag", "token", "fp",
-                 "cache", "done", "taken", "result", "exc")
-
-    def __init__(self, key, model, orig, images, tag, token, fp, cache):
-        self.key = key
-        self.model = model
-        self.orig = orig
-        self.images = images
-        self.tag = tag
-        self.token = token
-        self.fp = fp
-        self.cache = cache
-        self.done = False
-        self.taken = False
-        self.result = None
-        self.exc = None
-
-
-# Adaptive-window clamp (seconds) and shaping for ``window="auto"``: the
-# flush deadline follows a few average inter-arrival gaps, so a convoy's
-# next request reliably lands inside the window while a lone query's
-# worst-case added latency stays bounded by AUTO_WINDOW_MAX.
-AUTO_WINDOW_SEED = 0.002      # until enough arrivals are observed
-AUTO_WINDOW_MIN = 0.0005
-AUTO_WINDOW_MAX = 0.008
-AUTO_WINDOW_GAPS = 4.0        # window covers ~this many average gaps
-_AUTO_MIN_SAMPLES = 4         # EMA warm-up before the window moves
-_AUTO_IDLE_GAP = 1.0          # gaps above this mean "no load", not "slow"
-
-
-class InferenceBatcher:
-    """Coalesce concurrent queries' encoder micro-batches for the same
-    (model, device) into one forward pass.
-
-    Requests rendezvous on a condition variable. A request flushes the
-    pending set when every worker currently known to be encoding is blocked
-    here (nothing new can arrive until someone is released) or when the
-    batch window lapses — so a lone query pays zero added latency, while N
-    lockstep queries pay one forward per distinct micro-batch.
-
-    ``window`` is either a fixed number of seconds or ``"auto"``: size the
-    window from the observed encode-request arrival rate (EMA of
-    inter-arrival times, clamped to [AUTO_WINDOW_MIN, AUTO_WINDOW_MAX]).
-    """
-
-    def __init__(self, window=0.002, session=None):
-        self.auto_window = window == "auto"
-        self.window = AUTO_WINDOW_SEED if self.auto_window else float(window)
-        # Arrival-rate tracking for the adaptive window. _window_lock is a
-        # leaf (never held while taking the condition or any engine lock).
-        self._window_lock = threading.Lock()
-        self._arrivals = Ewma("batcher.interarrival_seconds")
-        self._last_arrival: Optional[float] = None
-        # The owning session, for mirroring lifetime counters into its
-        # MetricsRegistry (read dynamically: Session.reset swaps registries).
-        self._session = session
-        self._cond = threading.Condition()
-        self._pending: List[_EncodeRequest] = []
-        self._inflight: dict = {}
-        # Both sets hold thread idents (see _scope_key): encode streams seen
-        # encoding, and streams currently waiting in encode(). A thread runs
-        # one statement at a time and shard tasks never encode, so a thread
-        # is one encode stream.
-        self._encoders: set = set()
-        self._blocked: set = set()
-        self.requests = 0
-        self.joins = 0
-        self.forwards = 0
-
-    # ------------------------------------------------------------------
-    # Worker bookkeeping (called by QueryScheduler)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _scope_key():
-        """Registration key for the calling encode stream: its thread."""
-        return threading.get_ident()
-
-    def statement_finished(self) -> None:
-        """The calling encode stream ended: stop waiting for it."""
-        key = self._scope_key()
-        with self._cond:
-            self._encoders.discard(key)
-            self._cond.notify_all()
-
-    # ------------------------------------------------------------------
-    # The rendezvous
-    # ------------------------------------------------------------------
-    @property
-    def _metrics(self):
-        return self._session.metrics if self._session is not None else None
-
-    def _observe_arrival(self) -> None:
-        """Fold one encode-request arrival into the adaptive window."""
-        now = time.monotonic()
-        with self._window_lock:
-            last = self._last_arrival
-            self._last_arrival = now
-            if last is None:
-                return
-            gap = now - last
-            if gap > _AUTO_IDLE_GAP:
-                # An idle stretch says nothing about the next convoy's
-                # arrival rate; restart the gap chain without polluting
-                # the EMA.
-                return
-            average = self._arrivals.observe(gap)
-            if self._arrivals.count < _AUTO_MIN_SAMPLES:
-                return
-            window = min(max(average * AUTO_WINDOW_GAPS, AUTO_WINDOW_MIN),
-                         AUTO_WINDOW_MAX)
-            self.window = window
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.gauge("batcher.window_seconds").set(window)
-
-    def encode(self, model, orig, images, tag, token, fp, cache):
-        """Serve one encoder micro-batch, coalescing with concurrent
-        identical requests."""
-        if self.auto_window:
-            self._observe_arrival()
-        if not tracing():
-            return self._encode(model, orig, images, tag, token, fp, cache)
-        rows = images.shape[0] if images.ndim else 1
-        # The span lands inside the requesting query's open operator span,
-        # so rendezvous wait is attributed to the operator that encoded.
-        with span("batcher_encode", rows=rows):
-            return self._encode(model, orig, images, tag, token, fp, cache)
-
-    def _encode(self, model, orig, images, tag, token, fp, cache):
-        scope = self._scope_key()
-        key = (token, str(images.device), tag.base, tag.rows_fp)
-        device = str(images.device)
-        batch = None
-        joined = None
-        with self._cond:
-            self.requests += 1
-            self._encoders.add(scope)
-            req = self._inflight.get(key)
-            if req is not None:
-                # In-flight dedup: the same (model, content) is pending or
-                # computing — wait for that single forward pass.
-                self.joins += 1
-                self._blocked.add(scope)
-                try:
-                    while not req.done:
-                        self._cond.wait(0.05)
-                finally:
-                    self._blocked.discard(scope)
-                joined = req
-            else:
-                req = _EncodeRequest(key, model, orig, images, tag, token,
-                                     fp, cache)
-                self._pending.append(req)
-                self._inflight[key] = req
-                self._blocked.add(scope)
-                deadline = time.monotonic() + self.window
-                try:
-                    while not req.done:
-                        if req.taken:
-                            # Another flusher owns the batch containing us.
-                            self._cond.wait(0.05)
-                            continue
-                        now = time.monotonic()
-                        if self._flush_due() or now >= deadline:
-                            batch = self._pending
-                            self._pending = []
-                            for r in batch:
-                                r.taken = True
-                            break
-                        self._cond.wait(min(self.window,
-                                            max(deadline - now, 1e-4)))
-                finally:
-                    self._blocked.discard(scope)
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.counter("batcher.requests").inc()
-        if joined is not None:
-            if metrics is not None:
-                metrics.counter("batcher.joins").inc()
-            # Cache write-back outside the condition (it takes the cache
-            # lock and may copy a tensor; the rendezvous must never block
-            # on it), and only when the computing request couldn't reach
-            # this cache itself (e.g. its query ran with the cache off).
-            if joined.exc is not None:
-                raise joined.exc
-            if cache is not None and fp is not None \
-                    and joined.cache is not cache:
-                cache.encoded_put(token, fp, tag, device,
-                                  joined.result.detach())
-            return joined.result
-        if batch is not None:
-            with span("batcher_flush", batch_size=len(batch)):
-                self._run_batch(batch)
-        if req.exc is not None:
-            raise req.exc
-        return req.result
-
-    def _flush_due(self) -> bool:
-        # Flush once everyone who could still contribute a micro-batch is
-        # already waiting here (callers hold the condition).
-        return bool(self._pending) and self._encoders <= self._blocked
-
-    # ------------------------------------------------------------------
-    # Execution (outside the condition: numpy releases the GIL)
-    # ------------------------------------------------------------------
-    def _run_batch(self, batch: List[_EncodeRequest]) -> None:
-        # Counter deltas accumulate locally and publish under the condition
-        # at the end: two flushers can run concurrently (a second batch
-        # forms while the first computes), and unlocked `+=` would lose
-        # updates.
-        forwards = 0
-        try:
-            # Independent forwards fail independently — one query's bad
-            # encode must not fail its batchmates.
-            for req in batch:
-                try:
-                    forwards += 1
-                    req.result = req.orig(req.images)
-                except BaseException as exc:
-                    req.exc = exc
-            for req in batch:
-                if req.exc is None and req.cache is not None \
-                        and req.fp is not None:
-                    try:
-                        req.cache.encoded_put(req.token, req.fp, req.tag,
-                                              str(req.images.device),
-                                              req.result.detach())
-                    except BaseException as exc:
-                        req.exc = exc
-        finally:
-            # Publish in a finally: if anything above raised, waiters must
-            # still be released (with the exception set) rather than spin
-            # forever on req.done.
-            with self._cond:
-                self.forwards += forwards
-                for req in batch:
-                    if req.exc is None and req.result is None:
-                        req.exc = RuntimeError(
-                            "inference batch aborted before this request ran")
-                    req.done = True
-                    self._inflight.pop(req.key, None)
-                self._cond.notify_all()
-            metrics = self._metrics
-            if metrics is not None:
-                # Outside the condition: Counter has its own leaf lock.
-                metrics.counter("batcher.forwards").inc(forwards)
-
-    @property
-    def stats(self) -> dict:
-        with self._cond:
-            return {
-                "requests": self.requests, "joins": self.joins,
-                "forwards": self.forwards,
-                "window_seconds": self.window,
-                "auto_window": self.auto_window,
-            }
 
 
 class _Job:
@@ -388,24 +100,16 @@ class QueryScheduler:
     The ready queue is priority-strict and client-fair: jobs dequeue from
     the highest priority class first, round-robin across the clients inside
     it. ``max_queue_depth`` bounds the queued backlog; over it, admission
-    sheds load according to ``shed_policy`` (see the module docstring).
+    rejects the new request (see the module docstring).
     """
 
     def __init__(self, session, workers: int = 4, coalesce: bool = True,
-                 batch_inference: bool = True,
-                 batch_window="auto", max_queue_depth: Optional[int] = None,
-                 shed_policy: str = "reject"):
+                 max_queue_depth: Optional[int] = None):
         self.session = session
         self.workers = max(1, int(workers))
         self.coalesce = bool(coalesce)
         self.max_queue_depth = (None if max_queue_depth is None
                                 else max(1, int(max_queue_depth)))
-        if shed_policy not in ("reject", "oldest"):
-            raise ValueError(
-                f"shed_policy must be 'reject' or 'oldest', got {shed_policy!r}")
-        self.shed_policy = shed_policy
-        self.batcher = (InferenceBatcher(window=batch_window, session=session)
-                        if batch_inference else None)
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         # priority -> OrderedDict[client, deque[_Job]]; dict order inside a
@@ -438,9 +142,8 @@ class QueryScheduler:
         ``client`` labels the submitting stream for round-robin fairness
         (``None`` pools into one shared anonymous stream). Raises
         :class:`ServerOverloaded` when admission control sheds the request;
-        a queued request displaced later (``shed_policy="oldest"``) or
-        expiring in the queue (``deadline``) receives the typed exception
-        through its future instead.
+        a queued request expiring in the queue (``deadline``) receives
+        :class:`QueryDeadlineExceeded` through its future instead.
         """
         config = QueryConfig(extra_config)   # validate at submission time
         priority = config.priority
@@ -465,7 +168,6 @@ class QueryScheduler:
             if hist.count >= _PREDICT_MIN_SAMPLES:
                 predicted_wait = hist.quantile(0.95)
         shed_reason = None
-        victim: Optional[_Job] = None
         with self._lock:
             if self.closed:
                 raise RuntimeError("scheduler is shut down")
@@ -475,23 +177,14 @@ class QueryScheduler:
                 shed_reason = "predicted_wait"
             elif self.max_queue_depth is not None \
                     and self._depth >= self.max_queue_depth:
-                if self.shed_policy == "oldest":
-                    victim = self._evict_oldest_locked(priority)
-                if victim is None:
-                    shed_reason = "queue_full"
+                shed_reason = "queue_full"
             if shed_reason is not None:
                 self.shed += 1
             else:
                 self._enqueue_locked(job)
                 self.admitted += 1
                 self._ready.notify()
-        # Future callbacks and metric increments happen outside the lock.
-        if victim is not None:
-            metrics.counter("scheduler.shed").inc()
-            victim.future.set_exception(ServerOverloaded(
-                f"request displaced from the queue by a newer submission "
-                f"(shed_policy='oldest', max_queue_depth="
-                f"{self.max_queue_depth})", reason="displaced"))
+        # Metric increments happen outside the lock.
         if shed_reason is not None:
             metrics.counter("scheduler.shed").inc()
             if shed_reason == "predicted_wait":
@@ -504,15 +197,6 @@ class QueryScheduler:
                 f"requests)", reason=shed_reason)
         metrics.counter("scheduler.admitted").inc()
         return future
-
-    def map(self, statements: Sequence[str], device: str = "cpu",
-            extra_config: Optional[Mapping[str, object]] = None,
-            toPandas: bool = False, client: Optional[str] = None) -> List[object]:
-        """Submit a batch and collect results in submission order."""
-        futures = [self.submit(s, device=device, extra_config=extra_config,
-                               toPandas=toPandas, client=client)
-                   for s in statements]
-        return [f.result() for f in futures]
 
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:
@@ -537,13 +221,10 @@ class QueryScheduler:
         # reader can never observe a torn (executed, coalesced) pair — the
         # stat-tear class PR 4 fixed in the caches.
         with self._lock:
-            out = {"executed": self.executed, "coalesced": self.coalesced,
-                   "workers": self.workers, "depth": self._depth,
-                   "admitted": self.admitted, "shed": self.shed,
-                   "deadline_missed": self.deadline_missed}
-        if self.batcher is not None:
-            out["batcher"] = self.batcher.stats
-        return out
+            return {"executed": self.executed, "coalesced": self.coalesced,
+                    "workers": self.workers, "depth": self._depth,
+                    "admitted": self.admitted, "shed": self.shed,
+                    "deadline_missed": self.deadline_missed}
 
     # ------------------------------------------------------------------
     # Ready queue (all helpers hold self._lock)
@@ -577,30 +258,6 @@ class QueryScheduler:
             if self.closed:
                 return None
             self._ready.wait()
-
-    def _evict_oldest_locked(self, new_priority: int) -> Optional[_Job]:
-        """Displace the oldest queued job of the lowest priority class.
-
-        Returns ``None`` (caller rejects the *new* request instead) when
-        everything queued outranks the incoming priority — load shedding
-        must never displace higher-priority work for lower.
-        """
-        if not self._depth:
-            return None
-        lowest = min(self._queues)
-        if lowest > new_priority:
-            return None
-        clients = self._queues[lowest]
-        # Deques are FIFO per client, so each head is that client's oldest.
-        client = min(clients, key=lambda c: clients[c][0].submitted)
-        queue = clients[client]
-        job = queue.popleft()
-        if not queue:
-            del clients[client]
-        if not clients:
-            del self._queues[lowest]
-        self._depth -= 1
-        return job
 
     # ------------------------------------------------------------------
     # Worker loop
@@ -657,17 +314,9 @@ class QueryScheduler:
             self._finish(job, result, None)
 
     def _execute(self, job: _Job):
-        scope = (tc.batching(self.batcher) if self.batcher is not None
-                 else contextlib.nullcontext())
-        try:
-            with scope:
-                query = self.session.compile_query(
-                    job.statement, device=job.device,
-                    extra_config=job.extra_config)
-                return query.run(toPandas=job.toPandas)
-        finally:
-            if self.batcher is not None:
-                self.batcher.statement_finished()
+        query = self.session.compile_query(
+            job.statement, device=job.device, extra_config=job.extra_config)
+        return query.run(toPandas=job.toPandas)
 
     def _finish(self, job: _Job, result, exc) -> None:
         followers: List[Future] = []

@@ -29,12 +29,15 @@ knob including the serving hints ``priority`` and ``deadline``.
 **Per-client state.** Each client is identified by the ``x-tdp-client``
 header (falling back to the connection's peer address), keyed into the
 scheduler's round-robin fairness and into a per-client table of pending
-``/submit`` futures. ``/result`` ids are scoped per client: one client can
-never read (or guess) another's results.
+``/submit`` futures. Only clients with undelivered results have a table:
+``/query`` and ``/explain`` keep no state, and a table is dropped once its
+last result is delivered or evicted. ``/result`` ids come from one
+server-wide counter (never reused) and are scoped per client: one client
+can never read (or guess) another's results.
 
 **Backpressure.** When admission control sheds a request the server
 answers ``503`` with a typed body ``{"error": {"type": "ServerOverloaded",
-"reason": "queue_full" | "predicted_wait" | "displaced"}}``; a deadline
+"reason": "queue_full" | "predicted_wait" | "too_many_pending"}}``; a deadline
 that lapses in the queue answers ``504 QueryDeadlineExceeded``. Clients
 are expected to back off and retry — the point of shedding is that the
 answer arrives *now*, not after the backlog.
@@ -54,23 +57,6 @@ from repro.errors import QueryDeadlineExceeded, ServerOverloaded, TdpError
 _MAX_HEADER_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 _SERVER_NAME = "tdp-serve"
-
-
-class _ClientState:
-    """Book-keeping for one logical client (may span connections)."""
-
-    __slots__ = ("client_id", "next_query_id", "pending", "submitted",
-                 "completed")
-
-    def __init__(self, client_id: str):
-        self.client_id = client_id
-        self.next_query_id = 1
-        # query_id -> (Future, monotonic submit time). Entries leave when the
-        # result is delivered once — or when the TTL sweep evicts a result
-        # the client abandoned (see TdpServer._evict_stale).
-        self.pending: Dict[int, Tuple[object, float]] = {}
-        self.submitted = 0
-        self.completed = 0
 
 
 def _json_default(value):
@@ -108,7 +94,6 @@ class TdpServer:
 
     def __init__(self, session, host: str = "127.0.0.1", port: int = 0,
                  workers: int = 4, max_queue_depth: Optional[int] = 64,
-                 shed_policy: str = "reject", batch_window="auto",
                  default_device: str = "cpu",
                  max_pending_per_client: int = 64,
                  result_ttl_seconds: float = 300.0):
@@ -125,9 +110,14 @@ class TdpServer:
         self.result_ttl_seconds = float(result_ttl_seconds)
         self.results_evicted = 0
         self.scheduler = QueryScheduler(
-            session, workers=workers, max_queue_depth=max_queue_depth,
-            shed_policy=shed_policy, batch_window=batch_window)
-        self._clients: Dict[str, _ClientState] = {}
+            session, workers=workers, max_queue_depth=max_queue_depth)
+        # client id -> {query_id: (Future, monotonic submit time)}, holding
+        # only clients with undelivered /submit results. Entries leave when
+        # the result is delivered once — or when the TTL sweep evicts a
+        # result the client abandoned (see _pending) — and a client
+        # leaves with its last entry. Only the event-loop thread touches it.
+        self._clients: Dict[str, Dict[int, Tuple[object, float]]] = {}
+        self._next_query_id = 1
         self._server: Optional[asyncio.AbstractServer] = None
 
     # ------------------------------------------------------------------
@@ -291,62 +281,57 @@ class TdpServer:
             raise ValueError('"extra_config" must be a JSON object')
         return statement, device, extra_config
 
-    def _client(self, client_id: str) -> _ClientState:
-        state = self._clients.get(client_id)
-        if state is None:
-            state = self._clients[client_id] = _ClientState(client_id)
-        return state
-
     def _submit(self, body: bytes, client_id: str):
         statement, device, extra_config = self._parse_statement_body(body)
-        state = self._client(client_id)
-        future = self.scheduler.submit(statement, device=device,
-                                       extra_config=extra_config,
-                                       client=client_id)
-        state.submitted += 1
-        return state, future
+        return self.scheduler.submit(statement, device=device,
+                                     extra_config=extra_config,
+                                     client=client_id)
 
     # ------------------------------------------------------------------
     # Endpoints
     # ------------------------------------------------------------------
     async def _post_query(self, body: bytes, client_id: str) -> Tuple[int, dict]:
-        state, future = self._submit(body, client_id)
-        result = await asyncio.wrap_future(future)
-        state.completed += 1
+        result = await asyncio.wrap_future(self._submit(body, client_id))
         return 200, _result_payload(result)
 
-    def _evict_stale(self, state: _ClientState) -> None:
-        """Reclaim pending entries the client abandoned (older than the TTL).
+    def _pending(self, client_id: str) -> dict:
+        """The client's undelivered results after the TTL sweep (empty if
+        none); a client left with no entries is dropped from the table.
 
-        Undelivered futures are cancelled (a no-op once running/done) so a
-        queued statement whose client walked away does not consume a worker.
+        Swept futures are cancelled (a no-op once running/done) so a queued
+        statement whose client walked away does not consume a worker.
         """
-        if self.result_ttl_seconds <= 0 or not state.pending:
-            return
-        now = time.monotonic()
-        stale = [qid for qid, (_, born) in state.pending.items()
-                 if now - born > self.result_ttl_seconds]
-        for qid in stale:
-            future, _ = state.pending.pop(qid)
-            if not future.done():
-                future.cancel()
-            self.results_evicted += 1
+        pending = self._clients.get(client_id)
+        if pending is None:
+            return {}
+        if self.result_ttl_seconds > 0:
+            now = time.monotonic()
+            stale = [qid for qid, (_, born) in pending.items()
+                     if now - born > self.result_ttl_seconds]
+            for qid in stale:
+                future, _ = pending.pop(qid)
+                if not future.done():
+                    future.cancel()
+                self.results_evicted += 1
+        if not pending:
+            del self._clients[client_id]
+        return pending
 
     def _post_submit(self, body: bytes, client_id: str) -> Tuple[int, dict]:
-        state = self._client(client_id)
-        self._evict_stale(state)
-        if len(state.pending) >= self.max_pending_per_client:
+        pending = self._pending(client_id)
+        if len(pending) >= self.max_pending_per_client:
             # Shed before scheduler.submit: work a client cannot collect
             # must never occupy the queue or a worker.
             raise ServerOverloaded(
-                f"client {client_id!r} has {len(state.pending)} undelivered "
+                f"client {client_id!r} has {len(pending)} undelivered "
                 f"results (cap {self.max_pending_per_client}); poll "
                 f"GET /result/<id> before submitting more",
                 reason="too_many_pending")
-        state, future = self._submit(body, client_id)
-        query_id = state.next_query_id
-        state.next_query_id += 1
-        state.pending[query_id] = (future, time.monotonic())
+        future = self._submit(body, client_id)
+        query_id = self._next_query_id
+        self._next_query_id += 1
+        self._clients.setdefault(client_id, pending)[query_id] = (
+            future, time.monotonic())
         return 202, {"query_id": query_id, "client": client_id}
 
     async def _get_result(self, path: str, client_id: str) -> Tuple[int, dict]:
@@ -354,9 +339,8 @@ class TdpServer:
             query_id = int(path[len("/result/"):])
         except ValueError:
             return 400, _error_body("BadRequest", f"bad result id in {path}")
-        state = self._client(client_id)
-        self._evict_stale(state)
-        entry = state.pending.get(query_id)
+        pending = self._pending(client_id)
+        entry = pending.get(query_id)
         if entry is None:
             return 404, _error_body(
                 "NotFound", f"no pending query {query_id} for this client "
@@ -364,14 +348,11 @@ class TdpServer:
         future, _ = entry
         if not future.done():
             return 200, {"status": "pending", "query_id": query_id}
-        del state.pending[query_id]
-        state.completed += 1
+        del pending[query_id]
+        if not pending:
+            del self._clients[client_id]
         exc = future.exception()
         if exc is not None:
-            if isinstance(exc, ServerOverloaded):
-                return 503, _error_body("ServerOverloaded", str(exc),
-                                        reason=exc.reason,
-                                        status="error", query_id=query_id)
             if isinstance(exc, QueryDeadlineExceeded):
                 return 504, _error_body("QueryDeadlineExceeded", str(exc),
                                         status="error", query_id=query_id)
@@ -386,13 +367,10 @@ class TdpServer:
         statement, device, extra_config = self._parse_statement_body(body)
         if not statement.lstrip().lower().startswith("explain"):
             statement = f"EXPLAIN {statement}"
-        state = self._client(client_id)
         future = self.scheduler.submit(statement, device=device,
                                        extra_config=extra_config,
                                        client=client_id)
-        state.submitted += 1
         result = await asyncio.wrap_future(future)
-        state.completed += 1
         lines = [str(v) for v in np.asarray(result.column("plan"))]
         return 200, {"plan": lines}
 

@@ -4,6 +4,11 @@
 >>> tdp.sql.register_df(data, "numbers", device="cuda")
 >>> q = tdp.sql.spark.query("SELECT ... FROM numbers ...", device="cuda")
 >>> result = q.run(toPandas=True)
+
+Statements run one at a time through ``compile_query(...).run()``, or
+concurrently through the session's worker pool (``submit`` / ``aquery`` /
+``serve``, see :mod:`repro.core.scheduler`); both paths share the plan
+cache and the tensor cache and return the same results.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from repro.core.compiled_query import CompiledQuery
 from repro.core.compiler import Compiler
 from repro.core.config import QueryConfig, constants
 from repro.core.indexes import IndexEntry, IndexManager
-from repro.core.operators.scan import shared_scans
 from repro.core.partition import ShardPool
 from repro.core.telemetry import MetricsRegistry, SlowQueryLog, span
 from repro.core.tensor_cache import DEFAULT_TENSOR_CACHE_BYTES, TensorCache
@@ -284,20 +288,6 @@ class Session:
     def drop_index(self, name: str, if_exists: bool = False) -> bool:
         return self.indexes.drop(name, if_exists=if_exists)
 
-    def execute_many(self, statements: Sequence[str], device: str = "cpu",
-                     extra_config: Optional[Mapping[str, object]] = None,
-                     toPandas: bool = False) -> List[object]:
-        """Compile (through the plan cache) and run a batch of statements.
-
-        All statements execute against shared scans: each referenced
-        table/device pair is resolved, column-selected, and transferred once
-        for the whole batch.
-        """
-        queries = [self.compile_query(s, device=device, extra_config=extra_config)
-                   for s in statements]
-        with shared_scans():
-            return [query.run(toPandas=toPandas) for query in queries]
-
     # ------------------------------------------------------------------
     # Concurrent serving (the PR 4 scheduler subsystem)
     # ------------------------------------------------------------------
@@ -305,9 +295,9 @@ class Session:
         """The session's shared worker pool, created lazily on first use.
 
         The creating call's serving knobs (``scheduler_workers``,
-        ``batch_window``, ``max_queue_depth``, ``shed_policy``) configure
-        the pool; later calls reuse it as-is. Per-request knobs
-        (``priority``, ``deadline``) keep applying per submission.
+        ``max_queue_depth``) configure the pool; later calls reuse it as-is.
+        Per-request knobs (``priority``, ``deadline``) keep applying per
+        submission.
         """
         from repro.core.scheduler import QueryScheduler
         with self._scheduler_lock:
@@ -315,9 +305,7 @@ class Session:
                 config = QueryConfig(extra_config)
                 self._scheduler = QueryScheduler(
                     self, workers=config.scheduler_workers or 4,
-                    batch_window=config.batch_window,
-                    max_queue_depth=config.max_queue_depth,
-                    shed_policy=config.shed_policy)
+                    max_queue_depth=config.max_queue_depth)
             return self._scheduler
 
     def submit(self, statement: str, device: str = "cpu",
@@ -328,9 +316,8 @@ class Session:
         Returns a ``concurrent.futures.Future`` resolving to the same value
         ``compile_query(...).run(...)`` would produce. The pool is created
         lazily on first use and shared by all ``submit`` calls; identical
-        in-flight statements coalesce into one execution and concurrent
-        queries' encoder micro-batches are served by the pool's inference
-        batcher (see :mod:`repro.core.scheduler`).
+        in-flight statements coalesce into one execution (see
+        :mod:`repro.core.scheduler`).
 
         ``client`` labels the submitting stream for the scheduler's
         round-robin fairness; admission control may raise
@@ -365,8 +352,8 @@ class Session:
         """Run a batch of statements concurrently from async code.
 
         All statements are submitted to the shared pool at once (fanning
-        into coalescing and inference batching) and gathered in submission
-        order; the first failure re-raises after all complete.
+        into coalescing) and gathered in submission order; the first failure
+        re-raises after all complete.
         """
         import asyncio
         return list(await asyncio.gather(*[
@@ -378,23 +365,19 @@ class Session:
     def serve(self, statements: Sequence[str], workers: int = 4,
               device: str = "cpu",
               extra_config: Optional[Mapping[str, object]] = None,
-              toPandas: bool = False, coalesce: bool = True,
-              batch_inference: bool = True) -> List[object]:
+              toPandas: bool = False, coalesce: bool = True) -> List[object]:
         """Serve a batch of statements on ``workers`` concurrent threads.
 
         Results come back in submission order (exceptions re-raise in
         order). Semantically equivalent to running the statements one by
-        one; throughput comes from in-flight coalescing of identical
-        statements and cross-query inference batching, both of which
-        preserve each statement's results.
+        one; throughput comes from running statements in parallel and from
+        in-flight coalescing of identical statements, which preserves each
+        statement's results.
         """
         from repro.core.scheduler import QueryScheduler
         config = QueryConfig(extra_config)
         scheduler = QueryScheduler(self, workers=workers, coalesce=coalesce,
-                                   batch_inference=batch_inference,
-                                   batch_window=config.batch_window,
-                                   max_queue_depth=config.max_queue_depth,
-                                   shed_policy=config.shed_policy)
+                                   max_queue_depth=config.max_queue_depth)
         try:
             futures = [scheduler.submit(s, device=device,
                                         extra_config=extra_config,

@@ -7,7 +7,7 @@ often did X happen" through an ad-hoc ``stats()`` dict, but none can answer
 
 * :mod:`spans` — nestable trace spans carried via :mod:`contextvars`
   (:class:`QueryTrace`), a zero-alloc no-op when no trace is active;
-* :mod:`metrics` — thread-safe counters/gauges/fixed-bucket histograms
+* :mod:`metrics` — thread-safe counters/fixed-bucket histograms
   behind one namespaced :class:`MetricsRegistry`
   (``Session.metrics.snapshot()``);
 * :mod:`explain` — the ``EXPLAIN ANALYZE`` renderer over a finished trace;
@@ -20,8 +20,6 @@ a query's result, and the disabled path must cost ~nothing (see
 
 from repro.core.telemetry.metrics import (
     Counter,
-    Ewma,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -38,7 +36,7 @@ from repro.core.telemetry.spans import (
 )
 
 __all__ = [
-    "Counter", "Ewma", "Gauge", "Histogram", "MetricsRegistry", "SlowQueryLog",
+    "Counter", "Histogram", "MetricsRegistry", "SlowQueryLog",
     "NULL_SPAN", "QueryTrace", "Span", "annotate", "count", "current_trace",
     "span", "tracing",
 ]

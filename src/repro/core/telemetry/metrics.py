@@ -1,4 +1,4 @@
-"""Thread-safe counters, gauges and mergeable fixed-bucket histograms,
+"""Thread-safe counters and mergeable fixed-bucket histograms,
 unified behind one namespaced :class:`MetricsRegistry`.
 
 The registry serves two constituencies:
@@ -10,7 +10,7 @@ The registry serves two constituencies:
   namespace (``plan_cache.hits``, ``tensor_cache.evictions``, ...).
 
 * **Registry-owned instruments** — per-query latency and queue-wait
-  histograms, scheduler/batcher lifetime totals. These survive the objects
+  histograms, scheduler lifetime totals. These survive the objects
   that produce them (``Session.serve`` creates a fresh scheduler per call;
   its counts land here and keep accumulating), which is what the ROADMAP's
   SLO-aware admission control needs to read.
@@ -64,67 +64,6 @@ class Counter:
     def value(self) -> int:
         with self._lock:
             return self._value
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Ewma:
-    """Exponentially-weighted moving average of a sampled quantity.
-
-    The serving layer uses it for encode-request inter-arrival times: the
-    adaptive inference-batch window follows the observed arrival rate
-    instead of a fixed 2 ms (``batch_window="auto"``). ``alpha`` is the
-    weight of each new sample; the first sample seeds the average directly.
-    """
-
-    __slots__ = ("name", "alpha", "_value", "_count", "_lock")
-
-    def __init__(self, name: str, alpha: float = 0.2):
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
-        self.name = name
-        self.alpha = float(alpha)
-        self._value = 0.0
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def observe(self, sample: float) -> float:
-        """Fold one sample in; returns the updated average."""
-        with self._lock:
-            if self._count == 0:
-                self._value = float(sample)
-            else:
-                self._value += self.alpha * (float(sample) - self._value)
-            self._count += 1
-            return self._value
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
 
 
 class Histogram:
@@ -235,7 +174,7 @@ class Histogram:
 class MetricsRegistry:
     """Namespaced metric store + collector of component ``stats()`` dicts.
 
-    ``counter``/``gauge``/``histogram`` get-or-create instruments by name
+    ``counter``/``histogram`` get-or-create instruments by name
     (dotted namespaces by convention: ``scheduler.executed``).
     ``register_provider(ns, fn)`` attaches a zero-arg callable returning a
     flat dict; ``snapshot()`` flattens everything into one
@@ -246,7 +185,6 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.RLock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._providers: Dict[str, Callable[[], dict]] = {}
 
@@ -258,13 +196,6 @@ class MetricsRegistry:
             instrument = self._counters.get(name)
             if instrument is None:
                 instrument = self._counters[name] = Counter(name)
-            return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(name)
             return instrument
 
     def histogram(self, name: str,
@@ -288,7 +219,6 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         with self._lock:
             counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
             histograms = list(self._histograms.values())
             providers = list(self._providers.items())
         out: Dict[str, object] = {}
@@ -301,8 +231,6 @@ class MetricsRegistry:
                 out[f"{namespace}.{key}"] = value
         for counter in counters:
             out[counter.name] = counter.value
-        for gauge in gauges:
-            out[gauge.name] = gauge.value
         for histogram in histograms:
             out[histogram.name] = histogram.snapshot()
         return out

@@ -255,7 +255,7 @@ class QueryTrace:
         """Spans as Chrome ``trace_event`` complete events.
 
         Load the JSON written by :meth:`dump_chrome` in ``chrome://tracing``
-        or https://ui.perfetto.dev to see shard/batcher concurrency laid out
+        or https://ui.perfetto.dev to see shard and worker concurrency laid out
         per thread. Timestamps are microseconds relative to the root span's
         start; ``tid`` is the OS thread ident that ran the span, which is
         exactly what makes shard-pool parallelism visible.

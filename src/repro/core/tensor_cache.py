@@ -68,41 +68,19 @@ from repro.tcr.tensor import Tensor
 
 DEFAULT_TENSOR_CACHE_BYTES = 256 * 1024 * 1024
 
-# The active cache (None outside a query run / index build). Mirrors the
-# shared-scan memo: plumbing a session handle through every operator would
-# touch each evaluator constructor; a scoped variable keeps the engine layers
-# decoupled while activation stays owned by CompiledQuery.run(). A
-# ContextVar (not a module global) so concurrent scheduler workers each see
-# only the activation of the query *they* are running.
+# The active cache (None outside a query run / index build). Plumbing a
+# session handle through every operator would touch each evaluator
+# constructor; a scoped variable keeps the engine layers decoupled while
+# activation stays owned by CompiledQuery.run(). A ContextVar (not a module
+# global) so concurrent scheduler workers each see only the activation of
+# the query *they* are running.
 _ACTIVE: "contextvars.ContextVar[Optional[TensorCache]]" = contextvars.ContextVar(
     "tdp_active_tensor_cache", default=None)
-
-# The active cross-query inference batcher (set by scheduler workers for the
-# duration of one statement execution; see repro.core.scheduler). Lives here
-# rather than in scheduler.py because the encoder memo below is its
-# interception point and must not import the scheduler.
-_BATCHER: "contextvars.ContextVar[Optional[object]]" = contextvars.ContextVar(
-    "tdp_active_inference_batcher", default=None)
 
 
 def active() -> Optional["TensorCache"]:
     """The cache activated by the currently running query, if any."""
     return _ACTIVE.get()
-
-
-def active_batcher() -> Optional[object]:
-    """The inference batcher installed by the scheduler worker, if any."""
-    return _BATCHER.get()
-
-
-@contextlib.contextmanager
-def batching(batcher) -> object:
-    """Route this thread's encoder micro-batches through ``batcher``."""
-    token = _BATCHER.set(batcher)
-    try:
-        yield batcher
-    finally:
-        _BATCHER.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +182,8 @@ def slice_tag(parent: CacheTag, start: int, stop: int) -> CacheTag:
     Slices of full columns and slices of slices both canonicalise to
     *absolute* base coordinates ``(None, base_start, base_stop)``: a
     micro-batch inside the contiguous range ``[s, e)`` keys identically to
-    the same rows micro-batched out of the full column, so cache entries
-    and in-flight batcher dedup keys agree.
+    the same rows micro-batched out of the full column, so their cache
+    entries agree.
     """
     if parent.rows is not None:
         rows = parent.rows[start:stop]
@@ -229,8 +207,8 @@ def tag_tensor(tensor, tag: CacheTag) -> None:
     *shared* base-column tensor tag it with identical content identity, and
     each invocation's cleanup must only release its own reference — a plain
     set/del would let the first query to finish strip the tag out from
-    under another query mid-flight (silently disabling the encoder memo and
-    the inference batcher for it).
+    under another query mid-flight (silently disabling the encoder memo
+    for it).
     """
     with _TAG_LOCK:
         try:
@@ -543,27 +521,19 @@ def _install_image_memo(model) -> None:
         cache = _ACTIVE.get()
         if cache is not None and cache.max_bytes <= 0:
             cache = None
-        batcher = _BATCHER.get()
-        if ((cache is None and batcher is None) or is_grad_enabled()
+        if (cache is None or is_grad_enabled()
                 or getattr(model, "training", False)):
             return orig(images)
         tag = getattr(images, "_cache_tag", None)
         if tag is None:
             return orig(images)
         token = identity_token(model)
-        fp = cache.model_state_fp(model) if cache is not None else None
+        fp = cache.model_state_fp(model)
         num_rows = images.shape[0] if images.ndim else 1
         device = str(images.device)
-        if cache is not None:
-            hit = cache.encoded_get(token, fp, tag, num_rows, device)
-            if hit is not None:
-                return hit
-        if batcher is not None:
-            # Cross-query path: identical in-flight micro-batches coalesce
-            # into one forward pass; the batcher scatters results back
-            # through this cache's per-slice keys (and those of the other
-            # waiting queries' caches).
-            return batcher.encode(model, orig, images, tag, token, fp, cache)
+        hit = cache.encoded_get(token, fp, tag, num_rows, device)
+        if hit is not None:
+            return hit
         out = orig(images)
         cache.encoded_put(token, fp, tag, device, out.detach())
         return out

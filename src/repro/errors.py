@@ -63,11 +63,9 @@ class ServerOverloaded(SchedulingError):
     """The request was shed by admission control.
 
     Raised synchronously by ``QueryScheduler.submit`` (and therefore by
-    ``Session.submit``/``aquery``) when the queue-depth cap is reached under
-    ``shed_policy="reject"``, or when the observed queue wait already
-    exceeds the request's ``deadline`` hint; set as the *future's* exception
-    when a queued request is displaced under ``shed_policy="oldest"``. The
-    network server maps it to an HTTP 503 with a typed JSON body.
+    ``Session.submit``/``aquery``) when the queue-depth cap is reached, or
+    when the observed queue wait already exceeds the request's ``deadline``
+    hint. The network server maps it to an HTTP 503 with a typed JSON body.
     """
 
     def __init__(self, message: str, reason: str = "queue_full"):

@@ -12,8 +12,8 @@ endpoints are immediately queryable::
          -d '{"statement": "SELECT COUNT(*) FROM Attachments"}'
 
 Admission knobs mirror the scheduler's: ``--workers`` sizes the pool,
-``--max-queue-depth``/``--shed-policy`` bound the backlog (0 disables the
-cap), ``--batch-window`` is seconds or ``auto``. See docs/SERVING.md.
+``--max-queue-depth`` bounds the backlog (0 disables the cap). See
+docs/SERVING.md.
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-queue-depth", type=int, default=64,
                         help="queued-request cap before shedding "
                              "(0 = unbounded; default 64)")
-    parser.add_argument("--shed-policy", choices=("reject", "oldest"),
-                        default="reject")
-    parser.add_argument("--batch-window", default="auto",
-                        help="inference-batch flush window in seconds, or "
-                             "'auto' (default) to adapt to the arrival rate")
     parser.add_argument("--demo", action="store_true",
                         help="pre-load the Fig 2 multimodal tables + model")
     return parser
@@ -62,18 +57,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 async def _amain(args) -> None:
     session = build_demo_session() if args.demo else Session()
-    window = args.batch_window
-    if window != "auto":
-        window = float(window)
     server = TdpServer(
         session, host=args.host, port=args.port, workers=args.workers,
-        max_queue_depth=args.max_queue_depth or None,
-        shed_policy=args.shed_policy, batch_window=window)
+        max_queue_depth=args.max_queue_depth or None)
     await server.start()
     print(f"[repro.serve] listening on http://{server.host}:{server.port} "
           f"(workers={args.workers}, max_queue_depth="
-          f"{args.max_queue_depth or 'unbounded'}, "
-          f"shed_policy={args.shed_policy})", flush=True)
+          f"{args.max_queue_depth or 'unbounded'})", flush=True)
     try:
         await server.serve_forever()
     finally:

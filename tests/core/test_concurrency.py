@@ -1,6 +1,6 @@
 """Concurrent query serving: thread-safety of the engine core, the
-scheduler/inference-batcher subsystem, and a randomized stress test over
-query/DDL/UDF-re-registration interleavings (the PR 4 tentpole)."""
+scheduler subsystem, and a randomized stress test over
+query/DDL/UDF-re-registration interleavings."""
 
 import os
 import threading
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import tensor_cache as tc
-from repro.core.scheduler import InferenceBatcher, QueryScheduler
+from repro.core.scheduler import QueryScheduler
 from repro.core.session import Session
 from repro.storage.column import Column
 from repro.tcr import nn
@@ -91,33 +91,6 @@ class TestParallelQueries:
         _run_threads(8, worker)
         for per_thread in outcomes:
             assert per_thread == expected
-
-    def test_parallel_execute_many_shared_scans_isolated(self):
-        """Concurrent execute_many batches keep private scan memos."""
-        session = _numeric_session()
-        expected = session.sql.query("SELECT SUM(v) FROM t").run().scalar()
-        results = [None] * 6
-
-        def worker(i):
-            batch = session.execute_many(
-                ["SELECT SUM(v) FROM t", "SELECT COUNT(*) FROM t"])
-            results[i] = (batch[0].scalar(), batch[1].scalar())
-
-        _run_threads(6, worker)
-        assert all(r == (expected, 64) for r in results)
-
-    def test_scan_memo_is_context_local(self):
-        from repro.core.operators.scan import _SCAN_MEMO, shared_scans
-        seen = {}
-        with shared_scans():
-            assert _SCAN_MEMO.get() is not None
-
-            def peek(_):
-                seen["inner"] = _SCAN_MEMO.get()
-
-            _run_threads(1, peek)
-        assert seen["inner"] is None      # other threads never see our memo
-        assert _SCAN_MEMO.get() is None   # and ours is restored
 
 
 class TestIndexBuildOnce:
@@ -216,6 +189,19 @@ class TestCacheConcurrency:
         assert lookups >= 60      # every run consulted the cache exactly once
         assert stats["bytes"] <= stats["max_bytes"]
 
+    def test_tags_are_refcounted_across_sharers(self):
+        """One query's cleanup must not strip another query's in-flight tag
+        on a shared base-column tensor."""
+        tensor = Tensor(np.zeros(3, dtype=np.float32))
+        tag = tc.CacheTag(5, None, None)
+        tc.tag_tensor(tensor, tag)      # query A
+        tc.tag_tensor(tensor, tag)      # query B (same shared tensor)
+        tc.untag_tensor(tensor)         # A finishes first
+        assert getattr(tensor, "_cache_tag", None) is tag   # B keeps its tag
+        tc.untag_tensor(tensor)         # B finishes
+        assert getattr(tensor, "_cache_tag", None) is None
+        tc.untag_tensor(tensor)         # extra release is harmless
+
 
 class TestScheduler:
     def test_submit_returns_future_with_query_result(self):
@@ -295,93 +281,60 @@ class TestScheduler:
             timeout=30).scalar() == 64
 
 
-class _CountingEncoder(nn.Module):
-    """Minimal encode_image-bearing module for batcher tests. The sleep
-    widens the in-flight window so concurrent requests reliably overlap."""
+class TestSimilarityServing:
+    """Concurrent similarity statements with the tensor cache off: every
+    statement pays its own encoder forwards on the worker that runs it, and
+    the served results are bit-identical to serial execution."""
 
-    def __init__(self, delay: float = 0.03):
-        super().__init__()
-        self.proj = nn.Linear(4, 2)
-        self.delay = delay
-        self.calls = []
+    # Exact plans only: whether a statement compiled before or after the
+    # CREATE INDEX would pick the ANN access path depends on scheduling.
+    CONFIG = {"disable_rules": ("vector_index",)}
 
-    def encode_image(self, images):
-        self.calls.append(int(images.shape[0]))
-        time.sleep(self.delay)
-        return self.proj(images)
+    @staticmethod
+    def _workload():
+        topk = [f"SELECT attachment_id, image_text_similarity('{text}', "
+                f"images) AS score FROM Attachments ORDER BY score DESC "
+                f"LIMIT 5" for text in ("receipt", "dog", "KFC Receipt")]
+        counts = [f"SELECT COUNT(*) FROM Attachments WHERE "
+                  f"image_text_similarity('{text}', images) > 0.8"
+                  for text in ("receipt", "logo")]
+        ddl = ["CREATE VECTOR INDEX serving_ivf ON Attachments(images) "
+               "WITH (cells=4, nprobe=2)",
+               "DROP INDEX IF EXISTS serving_ivf"]
+        statements = topk + counts
+        # Two client copies of the stream, with the index DDL in between.
+        workload = statements + [ddl[0]] + statements + [ddl[1]]
+        return workload, {len(statements), len(workload) - 1}
 
+    def test_serve_matches_serial_bit_identically(self):
+        from repro.apps.multimodal import setup_multimodal
+        from repro.datasets.attachments import make_attachments
+        from repro.ml.models.clip import TinyCLIP
 
-class TestInferenceBatcher:
-    MODEL_TOKEN = 77
+        data = make_attachments(12, 6, 6, rng=np.random.default_rng(0))
+        model = TinyCLIP()
+        model.calibrate(Tensor(data.images), data.captions)
+        workload, ddl = self._workload()
 
-    def _request(self, batcher, model, images, base_token, rows_fp, results,
-                 slot):
-        tag = tc.CacheTag(base_token, rows_fp,
-                          np.arange(2) if rows_fp is not None else None)
-        orig = model.encode_image
-        out = batcher.encode(model, orig, images, tag,
-                             self.MODEL_TOKEN, None, None)
-        results[slot] = np.asarray(out.data)
+        def run(serve):
+            session = Session(tensor_cache_bytes=0)
+            setup_multimodal(session, data, model)
+            if serve:
+                return session.serve(workload, workers=4,
+                                     extra_config=self.CONFIG)
+            return [session.sql.query(s, extra_config=self.CONFIG).run()
+                    for s in workload]
 
-    def test_identical_requests_share_one_forward(self):
-        model = _CountingEncoder()
-        batcher = InferenceBatcher(window=0.05)
-        images = Tensor(np.random.default_rng(0).normal(
-            size=(2, 4)).astype(np.float32))
-        results = [None] * 4
-        barrier = threading.Barrier(4, timeout=30)
-
-        def worker(i):
-            barrier.wait()
-            self._request(batcher, model, images, 42, ("fp", 0, 2),
-                          results, i)
-            batcher.statement_finished()
-
-        _run_threads(4, worker)
-        assert model.calls == [2]               # one forward pass total
-        for r in results[1:]:
-            np.testing.assert_array_equal(results[0], r)
-        stats = batcher.stats
-        assert stats["requests"] == 4 and stats["joins"] == 3
-        assert stats["forwards"] == 1
-
-    def test_staggered_identical_requests_join_the_running_forward(self):
-        """A duplicate arriving while the forward is computing still joins."""
-        model = _CountingEncoder(delay=0.1)
-        batcher = InferenceBatcher(window=0.01)
-        images = Tensor(np.zeros((2, 4), dtype=np.float32))
-        results = [None] * 2
-
-        def worker(i):
-            time.sleep(0.03 * i)    # second request lands mid-forward
-            self._request(batcher, model, images, 9, None, results, i)
-            batcher.statement_finished()
-
-        _run_threads(2, worker)
-        assert model.calls == [2]
-        np.testing.assert_array_equal(results[0], results[1])
-
-    def test_tags_are_refcounted_across_sharers(self):
-        """One query's cleanup must not strip another query's in-flight tag
-        on a shared base-column tensor."""
-        tensor = Tensor(np.zeros(3, dtype=np.float32))
-        tag = tc.CacheTag(5, None, None)
-        tc.tag_tensor(tensor, tag)      # query A
-        tc.tag_tensor(tensor, tag)      # query B (same shared tensor)
-        tc.untag_tensor(tensor)         # A finishes first
-        assert getattr(tensor, "_cache_tag", None) is tag   # B keeps its tag
-        tc.untag_tensor(tensor)         # B finishes
-        assert getattr(tensor, "_cache_tag", None) is None
-        tc.untag_tensor(tensor)         # extra release is harmless
-
-    def test_lone_query_pays_no_window_latency(self):
-        model = _CountingEncoder()
-        batcher = InferenceBatcher(window=5.0)   # would be visible if waited
-        images = Tensor(np.zeros((1, 4), dtype=np.float32))
-        start = time.perf_counter()
-        self._request(batcher, model, images, 7, None, [None], 0)
-        assert time.perf_counter() - start < 1.0
-        batcher.statement_finished()
+        serial, served = run(False), run(True)
+        for i, (a, b) in enumerate(zip(serial, served)):
+            if i in ddl:
+                continue           # DDL status text depends on ordering
+            sa = {n: np.asarray(a.column(n)) for n in a.column_names}
+            sb = {n: np.asarray(b.column(n)) for n in b.column_names}
+            assert list(sa) == list(sb)
+            for name in sa:
+                np.testing.assert_array_equal(sa[name], sb[name])
+        assert served[0].column("score").dtype == np.float32
 
 
 class TestStress:
@@ -446,9 +399,9 @@ class TestStress:
                     finally:
                         session.drop_index(name, if_exists=True)
                 elif op == 8:
-                    batch = session.execute_many(
-                        ["SELECT COUNT(*) FROM t", "SELECT SUM(v) FROM t"])
-                    assert batch[0].scalar() == 64
+                    assert session.sql.query(
+                        "SELECT COUNT(*) FROM t").run().scalar() == 64
+                    session.sql.query("SELECT SUM(v) FROM t").run()
                 else:
                     future = session.submit(QUERIES[0])
                     assert _snapshot(future.result(timeout=60)) == expected[0]

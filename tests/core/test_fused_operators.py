@@ -140,11 +140,12 @@ class TestPipelinePlanShape:
 
     @pytest.mark.parametrize("key", ["fuse_operators", "compile_pipelines",
                                      "parallel_scan", "exchange", "join_impl",
-                                     "topk_impl"])
+                                     "topk_impl", "batch_window",
+                                     "shed_policy"])
     def test_removed_knobs_are_unknown_keys(self, key):
         with pytest.raises(ValueError, match="unknown config key"):
             QueryConfig({key: False})
-        assert len(QueryConfig().fingerprint()) == 19
+        assert len(QueryConfig().fingerprint()) == 17
 
 
 def _udf_session(seen):

@@ -124,47 +124,6 @@ class TestPlanCachePolicy:
 
 
 class TestBatchExecution:
-    def test_execute_many_results_match_individual_runs(self, loaded_session):
-        statements = [
-            "SELECT k, SUM(v) FROM t GROUP BY k ORDER BY k",
-            "SELECT v FROM t WHERE v > 40 ORDER BY v",
-            "SELECT COUNT(*) FROM t",
-        ]
-        batch = loaded_session.execute_many(statements, toPandas=True)
-        for statement, result in zip(statements, batch):
-            alone = loaded_session.sql.query(statement).run(toPandas=True)
-            assert result.equals(alone)
-
-    def test_execute_many_shares_scans(self, loaded_session, monkeypatch):
-        from repro.storage.column import Column
-        transfers = []
-        original = Column.to
-
-        def counting_to(self, device):
-            transfers.append(self.name)
-            return original(self, device)
-
-        monkeypatch.setattr(Column, "to", counting_to)
-        loaded_session.execute_many(
-            ["SELECT SUM(v) FROM t", "SELECT AVG(v) FROM t",
-             "SELECT k, SUM(v) FROM t GROUP BY k"],
-            device="cuda")
-        # Three statements referencing v three times and k once, but each
-        # column crosses to the device exactly once for the whole batch.
-        assert sorted(transfers) == ["k", "v"]
-
-    def test_run_many_on_compiled_queries(self, loaded_session):
-        q1 = loaded_session.sql.query("SELECT COUNT(*) FROM t")
-        q2 = loaded_session.sql.query("SELECT SUM(v) FROM t")
-        r1, r2 = q1.run_many([q2])
-        assert r1.scalar() == 50
-        assert r2.scalar() == pytest.approx(np.arange(50, dtype=np.float32).sum())
-
-    def test_shared_scan_memo_does_not_leak(self, loaded_session):
-        from repro.core.operators import scan as scan_mod
-        loaded_session.execute_many(["SELECT COUNT(*) FROM t"])
-        assert scan_mod._SCAN_MEMO.get() is None
-
     def test_scans_resolve_fresh_outside_batches(self, loaded_session):
         q = loaded_session.sql.query("SELECT COUNT(*) FROM t")
         assert q.run().scalar() == 50

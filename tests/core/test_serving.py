@@ -9,10 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.scheduler import InferenceBatcher, QueryScheduler
+from repro.core.scheduler import QueryScheduler
 from repro.core.server import TdpServer
 from repro.core.session import Session
-from repro.core.telemetry import Ewma
 from repro.errors import QueryDeadlineExceeded, ServerOverloaded
 from repro.tcr.tensor import Tensor
 
@@ -142,26 +141,6 @@ class TestAdmissionControl:
             release.set()
             scheduler.shutdown()
 
-    def test_shed_policy_oldest_displaces_queued_request(self):
-        session = _numeric_session()
-        release = _register_gate(session)
-        scheduler = QueryScheduler(session, workers=1, max_queue_depth=1,
-                                   shed_policy="oldest", coalesce=False)
-        try:
-            blocker = scheduler.submit("SELECT SUM(gate(v)) FROM t")
-            time.sleep(0.05)
-            victim = scheduler.submit(STATEMENTS[0])
-            newer = scheduler.submit(STATEMENTS[1])
-            with pytest.raises(ServerOverloaded) as excinfo:
-                victim.result(timeout=5)
-            assert excinfo.value.reason == "displaced"
-            release.set()
-            assert newer.result(timeout=30) is not None
-            blocker.result(timeout=30)
-        finally:
-            release.set()
-            scheduler.shutdown()
-
     def test_deadline_lapsed_in_queue_is_dropped(self):
         session = _numeric_session()
         release = _register_gate(session)
@@ -241,74 +220,18 @@ class TestAdmissionControl:
     def test_serving_knob_validation(self):
         from repro.core.config import QueryConfig
         with pytest.raises(ValueError):
-            QueryConfig({"shed_policy": "coinflip"}).shed_policy
-        with pytest.raises(ValueError):
             QueryConfig({"max_queue_depth": 0}).max_queue_depth
         with pytest.raises(ValueError):
             QueryConfig({"priority": "high"}).priority
         with pytest.raises(ValueError):
             QueryConfig({"deadline": -1}).deadline
-        with pytest.raises(ValueError):
-            QueryConfig({"batch_window": 5.0}).batch_window
         config = QueryConfig({"priority": 3, "deadline": 0.5,
-                              "batch_window": "auto",
                               "scheduler_workers": 2})
         assert config.priority == 3
         assert config.deadline == 0.5
-        assert config.batch_window == "auto"
         assert config.scheduler_workers == 2
         # Serving knobs enter the fingerprint like every other knob.
         assert QueryConfig().fingerprint() != config.fingerprint()
-
-
-class TestAdaptiveBatchWindow:
-    def test_ewma_converges_toward_samples(self):
-        ewma = Ewma("x", alpha=0.5)
-        assert ewma.observe(1.0) == 1.0
-        for _ in range(20):
-            ewma.observe(3.0)
-        assert 2.9 < ewma.value <= 3.0
-        assert ewma.count == 21
-
-    def test_auto_window_follows_arrival_rate(self):
-        from repro.core import scheduler as sched
-        batcher = InferenceBatcher(window="auto")
-        assert batcher.auto_window
-        assert batcher.window == sched.AUTO_WINDOW_SEED
-        # Simulate a fast convoy: ~0.1ms inter-arrival gaps.
-        batcher._last_arrival = None
-        now = time.monotonic()
-        for i in range(12):
-            batcher._last_arrival = now - 1e-4 if i else None
-            batcher._observe_arrival()
-        assert sched.AUTO_WINDOW_MIN <= batcher.window < sched.AUTO_WINDOW_SEED
-        stats = batcher.stats
-        assert stats["auto_window"] is True
-        assert stats["window_seconds"] == batcher.window
-
-    def test_idle_gaps_do_not_pollute_the_window(self):
-        from repro.core import scheduler as sched
-        batcher = InferenceBatcher(window="auto")
-        now = time.monotonic()
-        for _ in range(8):
-            batcher._last_arrival = now - 5.0    # long idle stretch
-            batcher._observe_arrival()
-        assert batcher.window == sched.AUTO_WINDOW_SEED
-
-    def test_fixed_window_still_supported(self):
-        batcher = InferenceBatcher(window=0.05)
-        assert not batcher.auto_window
-        assert batcher.window == 0.05
-
-    def test_window_visible_in_session_metrics(self):
-        session = _numeric_session()
-        batcher = InferenceBatcher(window="auto", session=session)
-        now = time.monotonic()
-        for _ in range(8):
-            batcher._last_arrival = now - 1e-4
-            batcher._observe_arrival()
-        snap = session.metrics.snapshot()
-        assert snap["batcher.window_seconds"] == batcher.window
 
 
 async def _http(port, method, path, body=None, client=None):
@@ -525,7 +448,7 @@ class TestPendingResultHygiene:
                 assert status == 202
                 qid = accepted["query_id"]
                 # Wait for the result to materialize, then abandon it.
-                pending = server._clients["c1"].pending
+                pending = server._clients["c1"]
                 for _ in range(100):
                     if pending[qid][0].done():
                         break
@@ -538,6 +461,55 @@ class TestPendingResultHygiene:
                 assert qid not in pending
                 status, health = await _http(server.port, "GET", "/health")
                 assert status == 200 and health["results_evicted"] == 1
+                assert health["clients"] == 0
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+
+    def test_client_table_holds_only_undelivered_results(self):
+        """Anonymous clients are keyed by ip:port, so every connection is a
+        new client: /query must leave no state behind, and a /submit entry
+        leaves with its delivered result."""
+        session = _numeric_session()
+
+        async def run():
+            server = TdpServer(session, port=0, workers=2)
+            await server.start()
+            try:
+                for _ in range(50):
+                    status, _ = await _http(server.port, "POST", "/query",
+                                            {"statement": STATEMENTS[1]})
+                    assert status == 200
+                status, health = await _http(server.port, "GET", "/health")
+                assert status == 200 and health["clients"] == 0
+                # /result for an unknown client creates nothing.
+                status, _ = await _http(server.port, "GET", "/result/1",
+                                        client="ghost")
+                assert status == 404 and not server._clients
+
+                status, accepted = await _http(
+                    server.port, "POST", "/submit",
+                    {"statement": STATEMENTS[1]}, client="c1")
+                assert status == 202
+                first = accepted["query_id"]
+                _, health = await _http(server.port, "GET", "/health")
+                assert health["clients"] == 1
+                for _ in range(100):
+                    status, result = await _http(
+                        server.port, "GET", f"/result/{first}", client="c1")
+                    if result.get("status") == "done":
+                        break
+                    await asyncio.sleep(0.02)
+                assert status == 200 and result["status"] == "done"
+                _, health = await _http(server.port, "GET", "/health")
+                assert health["clients"] == 0
+                # Ids come from one server-wide counter: never reused after
+                # the client's entry was dropped.
+                status, accepted = await _http(
+                    server.port, "POST", "/submit",
+                    {"statement": STATEMENTS[1]}, client="c1")
+                assert status == 202 and accepted["query_id"] > first
             finally:
                 await server.stop()
 

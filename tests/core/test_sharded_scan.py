@@ -318,15 +318,6 @@ class TestExecutionParity:
         _assert_bitwise(serial,
                         session.sql.query(sql, extra_config=big_min).run())
 
-    def test_execute_many_shares_shard_slices(self):
-        session = _session()
-        stmts = ["SELECT COUNT(*) FROM t WHERE x > 10",
-                 "SELECT COUNT(*) FROM t WHERE x > 20"]
-        serial = [q.scalar() for q in session.execute_many(stmts)]
-        sharded = [q.scalar() for q in session.execute_many(
-            stmts, extra_config={"shards": 4, "parallel_min_rows": 2})]
-        assert serial == sharded
-
 
 def _assert_bitwise(result_a, result_b, context=""):
     assert result_a.column_names == result_b.column_names, context
