@@ -92,6 +92,42 @@ class TestParallelQueries:
         for per_thread in outcomes:
             assert per_thread == expected
 
+    def test_concurrent_reregistration_never_tears_a_scan(self):
+        """Each run resolves the table once: while another thread swaps
+        between two versions of ``t``, every run's COUNT and SUM come from
+        one version, never a mix."""
+        session = _numeric_session()
+        rng = np.random.default_rng(11)
+        versions = [
+            {"k": np.arange(rows, dtype=np.int64) % 8,
+             "v": rng.normal(size=rows).astype(np.float32),
+             "vec": rng.normal(size=(rows, 8)).astype(np.float32)}
+            for rows in (64, 32)]
+        sql = "SELECT COUNT(*) AS n, SUM(v) AS s FROM t"
+
+        def count_and_sum():
+            got = _snapshot(session.sql.query(sql).run())
+            return got["n"][0], got["s"][0]
+
+        expected = set()
+        for version in versions:
+            session.sql.register_dict(dict(version), "t")
+            expected.add(count_and_sum())
+        assert {n for n, _ in expected} == {64, 32}
+        seen = []
+
+        def worker(i):
+            if i == 0:
+                for j in range(40):
+                    session.sql.register_dict(dict(versions[j % 2]), "t")
+                return
+            for _ in range(40):
+                seen.append(count_and_sum())
+
+        _run_threads(4, worker)
+        assert len(seen) == 3 * 40
+        assert set(seen) <= expected
+
 
 class TestIndexBuildOnce:
     def test_concurrent_lazy_build_embeds_once(self):
@@ -282,59 +318,80 @@ class TestScheduler:
 
 
 class TestSimilarityServing:
-    """Concurrent similarity statements with the tensor cache off: every
-    statement pays its own encoder forwards on the worker that runs it, and
-    the served results are bit-identical to serial execution."""
+    """Concurrent similarity statements served by a worker pool return the
+    serial results bit for bit. With the tensor cache off every statement
+    pays its own encoder forwards on the worker that runs it; with it on,
+    concurrent statements share the encode memo."""
 
     # Exact plans only: whether a statement compiled before or after the
     # CREATE INDEX would pick the ANN access path depends on scheduling.
     CONFIG = {"disable_rules": ("vector_index",)}
 
-    @staticmethod
-    def _workload():
-        topk = [f"SELECT attachment_id, image_text_similarity('{text}', "
-                f"images) AS score FROM Attachments ORDER BY score DESC "
-                f"LIMIT 5" for text in ("receipt", "dog", "KFC Receipt")]
-        counts = [f"SELECT COUNT(*) FROM Attachments WHERE "
-                  f"image_text_similarity('{text}', images) > 0.8"
-                  for text in ("receipt", "logo")]
-        ddl = ["CREATE VECTOR INDEX serving_ivf ON Attachments(images) "
-               "WITH (cells=4, nprobe=2)",
-               "DROP INDEX IF EXISTS serving_ivf"]
-        statements = topk + counts
+    TOPK = [f"SELECT attachment_id, image_text_similarity('{text}', images) "
+            f"AS score FROM Attachments ORDER BY score DESC LIMIT 5"
+            for text in ("receipt", "dog", "KFC Receipt")]
+    COUNTS = [f"SELECT COUNT(*) FROM Attachments WHERE "
+              f"image_text_similarity('{text}', images) > 0.8"
+              for text in ("receipt", "logo")]
+    CREATE = ("CREATE VECTOR INDEX serving_ivf ON Attachments(images) "
+              "WITH (cells=4, nprobe=2)")
+    DROP = "DROP INDEX IF EXISTS serving_ivf"
+    WORKLOADS = {
+        "topk": TOPK * 2,
+        "count": COUNTS * 2,
+        "index_ddl": TOPK[:2] + [CREATE] + TOPK[:2] + [DROP] + TOPK[:2],
         # Two client copies of the stream, with the index DDL in between.
-        workload = statements + [ddl[0]] + statements + [ddl[1]]
-        return workload, {len(statements), len(workload) - 1}
+        "mixed": TOPK + COUNTS + [CREATE] + TOPK + COUNTS + [DROP],
+    }
 
-    def test_serve_matches_serial_bit_identically(self):
-        from repro.apps.multimodal import setup_multimodal
+    @pytest.fixture(scope="class")
+    def model_and_data(self):
         from repro.datasets.attachments import make_attachments
         from repro.ml.models.clip import TinyCLIP
 
         data = make_attachments(12, 6, 6, rng=np.random.default_rng(0))
         model = TinyCLIP()
         model.calibrate(Tensor(data.images), data.captions)
-        workload, ddl = self._workload()
+        return model, data
+
+    def _check(self, model_and_data, workload, cache_bytes):
+        from repro.apps.multimodal import setup_multimodal
+        model, data = model_and_data
 
         def run(serve):
-            session = Session(tensor_cache_bytes=0)
+            session = Session(tensor_cache_bytes=cache_bytes)
             setup_multimodal(session, data, model)
             if serve:
-                return session.serve(workload, workers=4,
-                                     extra_config=self.CONFIG)
-            return [session.sql.query(s, extra_config=self.CONFIG).run()
-                    for s in workload]
+                return session, session.serve(workload, workers=4,
+                                              extra_config=self.CONFIG)
+            return session, [session.sql.query(s, extra_config=self.CONFIG)
+                             .run() for s in workload]
 
-        serial, served = run(False), run(True)
-        for i, (a, b) in enumerate(zip(serial, served)):
-            if i in ddl:
+        (_, serial), (session, served) = run(False), run(True)
+        assert len(served) == len(workload)
+        for statement, a, b in zip(workload, serial, served):
+            if statement in (self.CREATE, self.DROP):
                 continue           # DDL status text depends on ordering
             sa = {n: np.asarray(a.column(n)) for n in a.column_names}
             sb = {n: np.asarray(b.column(n)) for n in b.column_names}
             assert list(sa) == list(sb)
             for name in sa:
                 np.testing.assert_array_equal(sa[name], sb[name])
-        assert served[0].column("score").dtype == np.float32
+            if "score" in sb:
+                assert sb["score"].dtype == np.float32
+        return session.tensor_cache.stats
+
+    @pytest.mark.parametrize("shape", list(WORKLOADS))
+    def test_serve_matches_serial_bit_identically(self, model_and_data,
+                                                   shape):
+        stats = self._check(model_and_data, self.WORKLOADS[shape],
+                            cache_bytes=0)
+        assert stats["inserts"] == 0 and stats["hits"] == 0
+
+    def test_serve_with_tensor_cache_matches_serial(self, model_and_data):
+        stats = self._check(model_and_data, self.WORKLOADS["mixed"],
+                            cache_bytes=64 << 20)
+        assert stats["hits"] > 0
 
 
 class TestStress:

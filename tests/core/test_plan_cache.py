@@ -131,3 +131,14 @@ class TestBatchExecution:
             {"k": np.zeros(3, dtype=np.int64),
              "v": np.ones(3, dtype=np.float32)}, "t")
         assert q.run().scalar() == 3   # runtime catalog resolution preserved
+
+    def test_device_scans_resolve_fresh_every_run(self, loaded_session):
+        """A scan that moves its columns to the device re-resolves and
+        re-transfers on every run: no run reads an earlier run's copy."""
+        q = loaded_session.sql.query("SELECT SUM(v) FROM t", device="cuda")
+        assert q.run().scalar() == pytest.approx(
+            np.arange(50, dtype=np.float32).sum())
+        loaded_session.sql.register_dict(
+            {"k": np.zeros(3, dtype=np.int64),
+             "v": np.full(3, 2.0, dtype=np.float32)}, "t")
+        assert q.run().scalar() == pytest.approx(6.0)

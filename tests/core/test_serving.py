@@ -141,6 +141,32 @@ class TestAdmissionControl:
             release.set()
             scheduler.shutdown()
 
+    def test_full_queue_never_displaces_a_queued_request(self):
+        """At the cap the newcomer is rejected; what already waits in the
+        queue keeps its place and completes with the serial result."""
+        session = _numeric_session()
+        release = _register_gate(session)
+        expected = _snapshot(session.sql.query(STATEMENTS[0]).run())
+        scheduler = QueryScheduler(session, workers=1, max_queue_depth=1,
+                                   coalesce=False)
+        try:
+            blocker = scheduler.submit("SELECT SUM(gate(v)) FROM t")
+            time.sleep(0.05)
+            queued = scheduler.submit(STATEMENTS[0])
+            with pytest.raises(ServerOverloaded) as excinfo:
+                scheduler.submit(STATEMENTS[1])
+            assert excinfo.value.reason == "queue_full"
+            release.set()
+            got = _snapshot(queued.result(timeout=30))
+            assert list(got) == list(expected)
+            for name in got:
+                np.testing.assert_array_equal(got[name], expected[name])
+            blocker.result(timeout=30)
+            assert scheduler.stats["shed"] == 1
+        finally:
+            release.set()
+            scheduler.shutdown()
+
     def test_deadline_lapsed_in_queue_is_dropped(self):
         session = _numeric_session()
         release = _register_gate(session)
@@ -467,50 +493,131 @@ class TestPendingResultHygiene:
 
         asyncio.run(run())
 
-    def test_client_table_holds_only_undelivered_results(self):
-        """Anonymous clients are keyed by ip:port, so every connection is a
-        new client: /query must leave no state behind, and a /submit entry
-        leaves with its delivered result."""
-        session = _numeric_session()
 
+async def _poll_done(port, query_id, client):
+    """Poll GET /result/<id> until it stops answering "pending"."""
+    for _ in range(200):
+        status, result = await _http(port, "GET", f"/result/{query_id}",
+                                     client=client)
+        if result.get("status") != "pending":
+            return status, result
+        await asyncio.sleep(0.02)
+    raise AssertionError(f"query {query_id} still pending")
+
+
+class TestClientTable:
+    """The server keeps per-client state only for clients with undelivered
+    /submit results. Anonymous clients are keyed by ip:port, so every
+    connection is a new client: anything else would grow without bound."""
+
+    @staticmethod
+    def _serve(session, scenario):
         async def run():
             server = TdpServer(session, port=0, workers=2)
             await server.start()
             try:
-                for _ in range(50):
-                    status, _ = await _http(server.port, "POST", "/query",
-                                            {"statement": STATEMENTS[1]})
-                    assert status == 200
-                status, health = await _http(server.port, "GET", "/health")
-                assert status == 200 and health["clients"] == 0
-                # /result for an unknown client creates nothing.
-                status, _ = await _http(server.port, "GET", "/result/1",
-                                        client="ghost")
-                assert status == 404 and not server._clients
-
-                status, accepted = await _http(
-                    server.port, "POST", "/submit",
-                    {"statement": STATEMENTS[1]}, client="c1")
-                assert status == 202
-                first = accepted["query_id"]
-                _, health = await _http(server.port, "GET", "/health")
-                assert health["clients"] == 1
-                for _ in range(100):
-                    status, result = await _http(
-                        server.port, "GET", f"/result/{first}", client="c1")
-                    if result.get("status") == "done":
-                        break
-                    await asyncio.sleep(0.02)
-                assert status == 200 and result["status"] == "done"
-                _, health = await _http(server.port, "GET", "/health")
-                assert health["clients"] == 0
-                # Ids come from one server-wide counter: never reused after
-                # the client's entry was dropped.
-                status, accepted = await _http(
-                    server.port, "POST", "/submit",
-                    {"statement": STATEMENTS[1]}, client="c1")
-                assert status == 202 and accepted["query_id"] > first
+                await scenario(server)
             finally:
                 await server.stop()
 
         asyncio.run(run())
+
+    def test_anonymous_queries_leave_no_client_state(self):
+        async def scenario(server):
+            for _ in range(50):
+                status, _ = await _http(server.port, "POST", "/query",
+                                        {"statement": STATEMENTS[1]})
+                assert status == 200
+            status, health = await _http(server.port, "GET", "/health")
+            assert status == 200 and health["clients"] == 0
+
+        self._serve(_numeric_session(), scenario)
+
+    def test_explain_leaves_no_client_state(self):
+        async def scenario(server):
+            status, _ = await _http(server.port, "POST", "/explain",
+                                    {"statement": STATEMENTS[0]}, client="c1")
+            assert status == 200
+            assert not server._clients
+
+        self._serve(_numeric_session(), scenario)
+
+    def test_result_for_unknown_client_is_404_without_state(self):
+        async def scenario(server):
+            status, payload = await _http(server.port, "GET", "/result/1",
+                                          client="ghost")
+            assert status == 404
+            assert payload["error"]["type"] == "NotFound"
+            assert not server._clients
+
+        self._serve(_numeric_session(), scenario)
+
+    def test_delivered_result_drops_the_client(self):
+        async def scenario(server):
+            status, accepted = await _http(
+                server.port, "POST", "/submit",
+                {"statement": STATEMENTS[1]}, client="c1")
+            assert status == 202
+            _, health = await _http(server.port, "GET", "/health")
+            assert health["clients"] == 1
+            status, result = await _poll_done(
+                server.port, accepted["query_id"], "c1")
+            assert status == 200 and result["status"] == "done"
+            _, health = await _http(server.port, "GET", "/health")
+            assert health["clients"] == 0
+
+        self._serve(_numeric_session(), scenario)
+
+    def test_failed_result_delivery_drops_the_client(self):
+        session = _numeric_session()
+
+        @session.udf("float", name="boom", deterministic=False)
+        def boom(v: Tensor) -> Tensor:
+            raise ValueError("boom")
+
+        async def scenario(server):
+            status, accepted = await _http(
+                server.port, "POST", "/submit",
+                {"statement": "SELECT SUM(boom(v)) FROM t"}, client="c1")
+            assert status == 202
+            status, result = await _poll_done(
+                server.port, accepted["query_id"], "c1")
+            assert status == 400 and result["status"] == "error"
+            assert not server._clients
+
+        self._serve(session, scenario)
+
+    def test_query_ids_are_never_reused(self):
+        """Ids come from one server-wide counter: a client whose entry was
+        dropped never sees an id it was already given, and two clients
+        never share one."""
+        async def scenario(server):
+            ids = []
+            for client in ("c1", "c2", "c1"):
+                status, accepted = await _http(
+                    server.port, "POST", "/submit",
+                    {"statement": STATEMENTS[1]}, client=client)
+                assert status == 202
+                ids.append(accepted["query_id"])
+                status, _ = await _poll_done(server.port, ids[-1], client)
+                assert status == 200
+            assert not server._clients
+            assert ids == sorted(set(ids))
+
+        self._serve(_numeric_session(), scenario)
+
+
+class TestServeCli:
+    def test_parser_defaults(self):
+        from repro.serve import make_parser
+        args = make_parser().parse_args([])
+        assert (args.host, args.port) == ("127.0.0.1", 8734)
+        assert args.workers == 4 and args.max_queue_depth == 64
+        assert not args.demo
+
+    @pytest.mark.parametrize("flag", ["--batch-window", "--shed-policy"])
+    def test_removed_flags_are_rejected(self, flag, capsys):
+        from repro.serve import make_parser
+        with pytest.raises(SystemExit):
+            make_parser().parse_args([flag, "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
