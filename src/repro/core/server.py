@@ -31,7 +31,9 @@ header (falling back to the connection's peer address), keyed into the
 scheduler's round-robin fairness and into a per-client table of pending
 ``/submit`` futures. Only clients with undelivered results have a table:
 ``/query`` and ``/explain`` keep no state, and a table is dropped once its
-last result is delivered or evicted. ``/result`` ids come from one
+last result is delivered or evicted. Eviction runs only on the client's
+own next ``/submit`` or ``/result``, so a client that never returns keeps
+its table: the map is not bounded. ``/result`` ids come from one
 server-wide counter (never reused) and are scoped per client: one client
 can never read (or guess) another's results.
 
@@ -104,8 +106,8 @@ class TdpServer:
         self.default_device = default_device
         # /submit hygiene: a client that never polls its results must not
         # grow an unbounded pending table (futures retain whole result
-        # sets). The cap sheds new submits with a typed 503; the TTL sweep
-        # reclaims results the client abandoned entirely.
+        # sets). The cap sheds new submits with a typed 503; the TTL sweep,
+        # run on the client's next call, reclaims results it abandoned.
         self.max_pending_per_client = int(max_pending_per_client)
         self.result_ttl_seconds = float(result_ttl_seconds)
         self.results_evicted = 0

@@ -381,17 +381,18 @@ class TestSimilarityServing:
                 assert sb["score"].dtype == np.float32
         return session.tensor_cache.stats
 
-    @pytest.mark.parametrize("shape", list(WORKLOADS))
+    @pytest.mark.parametrize(
+        "shape, cache_bytes",
+        [pytest.param(shape, 0, id=shape) for shape in WORKLOADS]
+        + [pytest.param("mixed", 64 << 20, id="mixed-cached")])
     def test_serve_matches_serial_bit_identically(self, model_and_data,
-                                                   shape):
+                                                   shape, cache_bytes):
         stats = self._check(model_and_data, self.WORKLOADS[shape],
-                            cache_bytes=0)
-        assert stats["inserts"] == 0 and stats["hits"] == 0
-
-    def test_serve_with_tensor_cache_matches_serial(self, model_and_data):
-        stats = self._check(model_and_data, self.WORKLOADS["mixed"],
-                            cache_bytes=64 << 20)
-        assert stats["hits"] > 0
+                            cache_bytes=cache_bytes)
+        if cache_bytes:
+            assert stats["hits"] > 0
+        else:
+            assert stats["inserts"] == 0 and stats["hits"] == 0
 
 
 class TestStress:

@@ -1,4 +1,5 @@
-"""Query-plan cache: hits, config/device keying, invalidation, batching."""
+"""Query-plan cache: hits, config/device keying, invalidation, and scans
+that resolve their tables on every run."""
 
 import numpy as np
 import pytest
@@ -123,19 +124,13 @@ class TestPlanCachePolicy:
         assert session.plan_cache.stats["hits"] == 0
 
 
-class TestBatchExecution:
-    def test_scans_resolve_fresh_outside_batches(self, loaded_session):
-        q = loaded_session.sql.query("SELECT COUNT(*) FROM t")
-        assert q.run().scalar() == 50
-        loaded_session.sql.register_dict(
-            {"k": np.zeros(3, dtype=np.int64),
-             "v": np.ones(3, dtype=np.float32)}, "t")
-        assert q.run().scalar() == 3   # runtime catalog resolution preserved
-
-    def test_device_scans_resolve_fresh_every_run(self, loaded_session):
-        """A scan that moves its columns to the device re-resolves and
-        re-transfers on every run: no run reads an earlier run's copy."""
-        q = loaded_session.sql.query("SELECT SUM(v) FROM t", device="cuda")
+class TestScanResolution:
+    @pytest.mark.parametrize("device", ["cpu", "cuda"])
+    def test_scans_resolve_fresh_every_run(self, loaded_session, device):
+        """A compiled scan resolves its table from the catalog on every run,
+        and a device scan re-transfers it: no run reads an earlier run's
+        copy."""
+        q = loaded_session.sql.query("SELECT SUM(v) FROM t", device=device)
         assert q.run().scalar() == pytest.approx(
             np.arange(50, dtype=np.float32).sum())
         loaded_session.sql.register_dict(

@@ -1,9 +1,9 @@
 """List the functions of ``src/repro`` that no traced process called.
 
-    python tools/calltrace/report.py DUMP_DIR [--packages core sql ...] [--list]
+    python tools/calltrace/report.py DUMP_DIR [--list]
 
 Reads every ``calls-*.json`` that ``sitecustomize.py`` (same directory)
-wrote into DUMP_DIR, enumerates each ``def`` of the chosen packages of
+wrote into DUMP_DIR, enumerates each ``def`` of the ``PACKAGES`` of
 ``src/repro`` (a package is a subdirectory or a top-level module such as
 ``serve.py``), and prints per package how many functions exist and how
 many no process entered. ``--list`` adds each never-called function as
@@ -22,8 +22,8 @@ from typing import Iterator, List, Set, Tuple
 ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
     "src", "repro")
-DEFAULT_PACKAGES = ("core", "sql", "storage", "apps", "baselines", "bench",
-                    "serve.py", "errors.py")
+PACKAGES = ("core", "sql", "storage", "apps", "baselines", "bench",
+            "serve.py", "errors.py")
 
 
 def functions(path: str) -> List[Tuple[int, str]]:
@@ -74,7 +74,6 @@ def called(dump_dir: str) -> Set[Tuple[str, int]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dump_dir")
-    parser.add_argument("--packages", nargs="+", default=list(DEFAULT_PACKAGES))
     parser.add_argument("--list", action="store_true",
                         help="print every never-called function")
     args = parser.parse_args(argv)
@@ -82,7 +81,7 @@ def main(argv=None) -> int:
     total = never = 0
     missing: List[str] = []
     print(f"{'package':12s} {'functions':>9s} {'called':>7s} {'never':>6s}")
-    for package in args.packages:
+    for package in PACKAGES:
         count = dead = 0
         for path in package_files(package):
             for line, name in functions(os.path.join(ROOT, path)):
