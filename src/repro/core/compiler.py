@@ -4,11 +4,12 @@ This is the physical planning stage the paper describes in §2: "For each
 physical operator, we can have more than one [tensor] implementation, and at
 compilation time we use a mix of flags (e.g., Listing 6) and heuristics to
 pick which one to use." Flags arrive through :class:`QueryConfig`; the
-heuristics live in ``_pick_aggregate`` / ``_maybe_fuse_topk``. Partition
-drivers are one more implementation choice made here, while lowering: with
-``shards != 1`` and a statement that calls no user code, ``_lower_pipeline``
-and ``_sharded_aggregate`` build the sharded drivers, and no pass rewrites
-the tree afterwards.
+heuristics live in ``_pick_aggregate`` / ``_maybe_fuse_topk``. The one
+partition driver is one more implementation choice made here, while
+lowering: with ``shards != 1`` and a statement that calls no user code,
+``_lower_pipeline`` builds a :class:`ShardedScanExec` for a Filter/Project
+chain over a base-table scan that is a direct input of a join. Every other
+shape lowers serially, and no pass rewrites the tree afterwards.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from repro.core.operators import (
     LimitExec,
     PipelineExec,
     ScanExec,
-    ShardedAggregateExec,
-    ShardedGroupedAggregateExec,
     ShardedScanExec,
     ShowIndexesExec,
     SoftAggregateExec,
@@ -39,7 +38,6 @@ from repro.core.operators import (
     TopKExec,
 )
 from repro.core.kernels.compiler import NUMPY, TCR, ExprCompiler
-from repro.core.operators.aggregate import spec_mergeable
 from repro.sql import bound as b
 from repro.sql import logical
 from repro.sql.optimizer.pushdown import split_conjuncts
@@ -91,7 +89,8 @@ class Compiler:
     # ------------------------------------------------------------------
     # Lowering
     # ------------------------------------------------------------------
-    def _lower(self, plan: logical.LogicalPlan) -> ExecNode:
+    def _lower(self, plan: logical.LogicalPlan,
+               join_input: bool = False) -> ExecNode:
         if isinstance(plan, logical.Scan):
             op = ScanExec(self.catalog, plan.table_name,
                           [name for name, _ in plan.schema], self.device)
@@ -110,16 +109,15 @@ class Compiler:
             return ExecNode(op, [child])
 
         if isinstance(plan, (logical.Filter, logical.Project)):
-            return self._lower_pipeline(plan)
+            return self._lower_pipeline(plan, join_input and self._sharding)
 
         if isinstance(plan, logical.Aggregate):
             child = self._lower(plan.input)
-            op = self._pick_aggregate(plan)
-            return self._sharded_aggregate(op, child) or ExecNode(op, [child])
+            return ExecNode(self._pick_aggregate(plan), [child])
 
         if isinstance(plan, logical.JoinPlan):
-            left = self._lower(plan.left)
-            right = self._lower(plan.right)
+            left = self._lower(plan.left, join_input=True)
+            right = self._lower(plan.right, join_input=True)
             left_names = [name for name, _ in plan.left.schema]
             right_names = [name for name, _ in plan.right.schema]
             op = JoinExec(plan.kind, plan.left_keys, plan.right_keys, plan.residual,
@@ -172,7 +170,8 @@ class Compiler:
         # shape, and soft aggregates carry per-row weights the stitch
         # barrier cannot merge, so both lower serially. So does a statement
         # that calls user code anywhere: no UDF, TVF or similarity top-k
-        # ever reads a sliced or stitched column.
+        # ever reads a sliced or stitched column. Even then only join
+        # inputs shard (see ``_lower_pipeline``).
         return (self.config.shards != 1 and not self.config.trainable
                 and self.config.groupby_impl != "soft"
                 and not self._calls_udf)
@@ -184,7 +183,8 @@ class Compiler:
     # ------------------------------------------------------------------
     # Row-wise pipelines (Filter/Project chains)
     # ------------------------------------------------------------------
-    def _lower_pipeline(self, plan: logical.LogicalPlan) -> ExecNode:
+    def _lower_pipeline(self, plan: logical.LogicalPlan,
+                        shard: bool = False) -> ExecNode:
         """Lower a maximal Filter/Project chain to :class:`PipelineExec` stages.
 
         Links are taken in *execution* order (innermost first: an inner
@@ -193,8 +193,12 @@ class Compiler:
         Each link is inlined onto the current stage's input columns
         (classic projection merging), so a whole chain is normally one
         stage; ``_breaks_stage`` says where a second one must start. With
-        sharding on, a chain over a base-table scan becomes one
-        :class:`ShardedScanExec` holding the scan and the stages.
+        ``shard`` set (the chain is a join input and sharding is on), a
+        chain over a base-table scan becomes one :class:`ShardedScanExec`
+        holding the scan and the stages. Measured at ``shards=2`` on two
+        cores, only that shape wins: a filtered scan feeding a join (TPC-H
+        Q3, Q12) runs faster split, while an aggregate or a top-k directly
+        over the split scan (Q1, Q6, top-k) runs slower than serial.
         """
         chain: List[logical.LogicalPlan] = []
         while isinstance(plan, logical.Project) or (
@@ -218,9 +222,9 @@ class Compiler:
                     stage = _Stage()
                 stage.conjuncts.append(stage.inline(conjunct))
         stages.append(self._stage_op(stage))
-        if self._sharding and isinstance(plan, logical.Scan):
-            return ExecNode(ShardedScanExec(node.op, stages, *self._shard_args),
-                            [])
+        if shard and isinstance(plan, logical.Scan):
+            return ExecNode(ShardedScanExec(node.op, stages, self.shard_pool,
+                                            self.config.shards), [])
         for op in stages:
             node = ExecNode(op, [node])
         return node
@@ -228,33 +232,6 @@ class Compiler:
     def _stage_op(self, stage: "_Stage") -> PipelineExec:
         return PipelineExec(stage.conjuncts, stage.exprs, stage.names,
                             self.lowering)
-
-    @property
-    def _shard_args(self) -> tuple:
-        return (self.shard_pool, self.config.shards,
-                self.config.parallel_min_rows)
-
-    def _sharded_aggregate(self, op, child: ExecNode) -> Optional[ExecNode]:
-        """An aggregate driver over the sharded chain ``child``, or None.
-
-        The exact aggregate shards only when every spec merges
-        bit-identically (``spec_mergeable``); the grouped-partial merge
-        reruns the operator's own ``key_ids`` grouping, so group order and
-        representative rows match it. Otherwise the aggregate runs serially
-        over the stitched chain.
-        """
-        if (not self._sharding
-                or not all(spec_mergeable(s) for s in op.aggregates)):
-            return None
-        if isinstance(child.op, ShardedScanExec):
-            scan, stages = child.op.scan, child.op.pipeline
-        elif isinstance(child.op, ScanExec):
-            scan, stages = child.op, []
-        else:
-            return None
-        driver = (ShardedGroupedAggregateExec if op.group_exprs
-                  else ShardedAggregateExec)
-        return ExecNode(driver(scan, stages, *self._shard_args, agg=op), [])
 
     # ------------------------------------------------------------------
     # Implementation choices (flags + heuristics)

@@ -21,9 +21,8 @@ class constants:
     TENSOR_CACHE = "tensor_cache"          # reuse UDF/embedding materializations
     # Vector-index subsystem.
     NPROBE = "nprobe"                      # per-query IVF probe-width hint
-    # Intra-query parallelism (sharded scans).
+    # Intra-query parallelism (sharded join inputs).
     SHARDS = "shards"                      # shard count (1 = serial, 0 = auto)
-    PARALLEL_MIN_ROWS = "parallel_min_rows"  # don't shard smaller inputs
     # Expression codegen (TQP-style kernel compilation).
     COMPILE_EXPRS = "compile_exprs"        # exact plans' expression namespace: numpy (True) or tcr ops
     # Observability.
@@ -46,7 +45,6 @@ _DEFAULTS = {
     constants.TENSOR_CACHE: True,
     constants.NPROBE: None,
     constants.SHARDS: 1,
-    constants.PARALLEL_MIN_ROWS: 64,
     constants.COMPILE_EXPRS: True,
     constants.TELEMETRY: False,
     constants.SLOW_QUERY_SECONDS: None,
@@ -122,16 +120,6 @@ class QueryConfig:
             raise ValueError(f"shards must be an integer, got {value!r}")
         if value < 0 or value > 256:
             raise ValueError(f"shards must be in [0, 256], got {value}")
-        return value
-
-    @property
-    def parallel_min_rows(self) -> int:
-        value = self._values[constants.PARALLEL_MIN_ROWS]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(
-                f"parallel_min_rows must be an integer, got {value!r}")
-        if value < 0:
-            raise ValueError(f"parallel_min_rows must be >= 0, got {value}")
         return value
 
     @property

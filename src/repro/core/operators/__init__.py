@@ -13,19 +13,14 @@ from repro.core.operators.join import JoinExec, direct_join_indices
 from repro.core.operators.pipeline import PipelineExec
 from repro.core.operators.project import TVFExec
 from repro.core.operators.scan import ScanExec
-from repro.core.operators.sharded import (
-    ShardedAggregateExec,
-    ShardedGroupedAggregateExec,
-    ShardedScanExec,
-)
+from repro.core.operators.sharded import ShardedScanExec
 from repro.core.operators.soft_aggregate import SoftAggregateExec
 from repro.core.operators.sort import DistinctExec, LimitExec, SortExec, TopKExec
 
 __all__ = [
     "CreateIndexExec", "DistinctExec", "DropIndexExec", "GroupedAggregateExec",
     "IndexScanExec", "JoinExec", "LimitExec", "Operator", "PipelineExec",
-    "Relation", "ScanExec", "ShardedAggregateExec",
-    "ShardedGroupedAggregateExec", "ShardedScanExec", "ShowIndexesExec",
+    "Relation", "ScanExec", "ShardedScanExec", "ShowIndexesExec",
     "SoftAggregateExec", "SoftFilterExec", "SortExec", "TVFExec", "TopKExec",
     "direct_join_indices", "key_ids",
 ]

@@ -6,8 +6,6 @@ ranges) and pays one 1-d ``np.unique`` only for a column that carries none —
 TQP's data representation, where operators run on small integers. COUNT,
 SUM and AVG are then ``np.bincount`` over the ids; MIN/MAX, and integer SUMs
 float64 could round, reduce segments of one stable sort of the id vector.
-The serial operator, the per-shard partials and their merge all run the same
-code, so the three paths cannot drift.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from repro.core.kernels.compiler import ExprCompiler
 from repro.core.operators.base import Operator, Relation
 from repro.core.telemetry import annotate
 from repro.sql.bound import AggSpec, BoundExpr
-from repro.storage.column import Column, concat_encoded
+from repro.storage.column import Column
 from repro.storage.encodings import (
     DictionaryEncoding,
     EncodedTensor,
@@ -198,43 +196,32 @@ def _arg_data(spec: AggSpec, arg: Optional[Column]) -> np.ndarray:
     return arg.tensor.detach().data
 
 
-def _state(spec: AggSpec, arg: Optional[Column], groups: _Groups) -> tuple:
-    """One aggregate's per-group state: aligned arrays, one entry per group."""
+def _grouped_values(spec: AggSpec, arg: Optional[Column],
+                    groups: _Groups) -> np.ndarray:
+    """One aggregate's result per group, in group order."""
     if spec.func == "COUNT":
         if spec.distinct:
-            return (_distinct_counts(groups, _distinct_codes(arg)),)
-        return (groups.lengths,)
+            return _distinct_counts(groups, _distinct_codes(arg))
+        return groups.lengths
     data = _arg_data(spec, arg)
     if spec.func == "SUM":
-        return (_sum(groups, data),)
+        return _sum(groups, data)
     if spec.func == "AVG":
-        return (groups.total(data), groups.lengths)
-    return (_extreme(spec.func, groups, data),)
+        return (groups.total(data) / groups.lengths).astype(np.float32)
+    return _extreme(spec.func, groups, data)
 
 
-def _empty_state(spec: AggSpec, arg: Optional[Column]) -> tuple:
+def _empty_values(spec: AggSpec, arg: Optional[Column]) -> np.ndarray:
+    """The zero-group result column, in the dtype rows would have given."""
     if spec.func == "COUNT":
-        return (np.zeros(0, dtype=np.int64),)
+        return np.zeros(0, dtype=np.int64)
     if arg is None:
         raise ExecutionError(f"{spec.func} requires an argument")
     if spec.func == "AVG":
-        return (np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int64))
+        return np.zeros(0, dtype=np.float32)
     data = arg.tensor.detach().data
     dtype = _sum_dtype(data) if spec.func == "SUM" else data.dtype
-    return (np.zeros(0, dtype=dtype),)
-
-
-def _merge_state(spec: AggSpec, arrays: tuple, groups: _Groups) -> tuple:
-    """Combine concatenated states: counts and sums add, MIN/MAX reduce."""
-    if spec.func in ("MIN", "MAX"):
-        return (_extreme(spec.func, groups, arrays[0]),)
-    return tuple(_sum(groups, array) for array in arrays)
-
-
-def _final(spec: AggSpec, state: tuple) -> np.ndarray:
-    if spec.func == "AVG":
-        return (state[0] / state[1]).astype(np.float32)
-    return state[0]
+    return np.zeros(0, dtype=dtype)
 
 
 def _group_output_column(column: Column, row_indices: np.ndarray, name: str) -> Column:
@@ -244,15 +231,6 @@ def _group_output_column(column: Column, row_indices: np.ndarray, name: str) -> 
         values = column.encoding.domain[codes]
         return Column.from_values(name, values, device=column.device)
     return column.take(row_indices).rename(name)
-
-
-def _grouped_relation(specs: Sequence[AggSpec], keys: List[Column],
-                      states: List[tuple], device, table_name: str) -> Relation:
-    columns = list(keys)
-    for spec, state in zip(specs, states):
-        columns.append(Column.from_values(spec.name, _final(spec, state),
-                                          device=device))
-    return Relation(Table(table_name, columns))
 
 
 # ----------------------------------------------------------------------
@@ -296,11 +274,20 @@ class GroupedAggregateExec(_AggregateBase):
             columns = [_global_agg_column(spec, arg, n, device)
                        for spec, arg in zip(self.aggregates, agg_inputs)]
             return Relation(Table(table_name, columns))
-        partial = grouped_partial(self.aggregates, keys, self.group_names,
-                                  agg_inputs, n)
-        annotate(groups=partial.groups, domain=partial.domain)
-        return _grouped_relation(self.aggregates, partial.keys, partial.states,
-                                 device, table_name)
+        pairs = zip(self.aggregates, agg_inputs)
+        if n == 0:
+            rows, domain = np.zeros(0, dtype=np.int64), 0
+            values = [_empty_values(spec, arg) for spec, arg in pairs]
+        else:
+            groups = _Groups(keys)
+            rows, domain = groups.first_rows(), groups.domain
+            values = [_grouped_values(spec, arg, groups) for spec, arg in pairs]
+        annotate(groups=len(rows), domain=domain)
+        columns = [_group_output_column(key, rows, name)
+                   for key, name in zip(keys, self.group_names)]
+        columns += [Column.from_values(spec.name, value, device=device)
+                    for spec, value in zip(self.aggregates, values)]
+        return Relation(Table(table_name, columns))
 
     def describe(self) -> str:
         return f"GroupedAggregate(groups={self.group_names})"
@@ -326,9 +313,7 @@ def _global_agg_column(spec: AggSpec, arg: Optional[Column], n: int, device) -> 
         result = ops.sum(tensor).reshape(1)
     elif spec.func == "AVG":
         # SUM/COUNT formulation with a float64 accumulator, matching the
-        # grouped AVG path — and exactly what the partial-aggregate merge
-        # computes, so sharded global AVG over integer inputs stays
-        # bit-identical with serial execution.
+        # grouped AVG path.
         total = ops.sum(ops.astype(tensor, np.float64))
         result = ops.astype(ops.div(total, float(n)), np.float32).reshape(1)
     elif spec.func == "MIN":
@@ -338,158 +323,3 @@ def _global_agg_column(spec: AggSpec, arg: Optional[Column], n: int, device) -> 
     if isinstance(arg.encoding, DictionaryEncoding):
         raise ExecutionError(f"{spec.func} over string columns is not supported")
     return Column(spec.name, EncodedTensor(result, PlainEncoding()))
-
-
-# ----------------------------------------------------------------------
-# Partial (per-shard) global aggregation — the algebraic-aggregate half of
-# the sharded-scan subsystem. A spec is *exact-mergeable* when combining
-# per-shard partials is bit-identical with aggregating the whole relation:
-# COUNT always (integer addition), MIN/MAX always (order-insensitive exact
-# comparisons, NaN propagates identically), SUM and AVG only over
-# integer/bool inputs (integer partial sums are exact in int64/float64;
-# float partial sums would reorder the rounding). Everything else takes the
-# merge barrier and aggregates the stitched relation serially.
-# ----------------------------------------------------------------------
-_EMPTY_PARTIAL = ("empty",)
-
-
-def spec_mergeable(spec: AggSpec) -> bool:
-    """Can this aggregate be computed per shard and merged bit-identically?"""
-    if spec.distinct:
-        return False
-    if spec.func == "COUNT":
-        return True
-    data_type = getattr(spec.arg, "data_type", None) if spec.arg is not None else None
-    kind = getattr(data_type, "kind", None)
-    if spec.func in ("MIN", "MAX"):
-        return kind in ("int", "float", "bool")
-    if spec.func in ("SUM", "AVG"):
-        return kind in ("int", "bool")
-    return False
-
-
-def global_partial(spec: AggSpec, arg: Optional[Column], n: int) -> tuple:
-    """One shard's partial state for a mergeable global aggregate."""
-    if spec.func == "COUNT":
-        return ("count", n)
-    if arg is None:
-        raise ExecutionError(f"{spec.func} requires an argument")
-    if n == 0:
-        return _EMPTY_PARTIAL
-    data = arg.tensor.detach().data
-    if spec.func == "SUM":
-        return ("sum", np.sum(data))
-    if spec.func == "AVG":
-        return ("avg", np.sum(data.astype(np.float64)), n)
-    if spec.func == "MIN":
-        return ("min", np.min(data))
-    return ("max", np.max(data))
-
-
-def merge_global_partials(spec: AggSpec, partials: Sequence[tuple],
-                          device) -> Column:
-    """Combine shard partials into the single-row global aggregate column,
-    reproducing ``_global_agg_column``'s dtypes and empty-input fills."""
-    if spec.func == "COUNT":
-        total = sum(int(p[1]) for p in partials)
-        return Column.from_values(spec.name, np.asarray([total], dtype=np.int64),
-                                  device=device)
-    live = [p for p in partials if p is not _EMPTY_PARTIAL and p[0] != "empty"]
-    if not live:
-        fill = 0.0 if spec.func in ("SUM", "AVG") else np.nan
-        return Column.from_values(spec.name,
-                                  np.asarray([fill], dtype=np.float32),
-                                  device=device)
-    if spec.func == "AVG":
-        total = np.sum(np.asarray([p[1] for p in live], dtype=np.float64))
-        count = sum(int(p[2]) for p in live)
-        value = np.asarray([total / float(count)], dtype=np.float64)
-        return Column.from_values(spec.name, value.astype(np.float32),
-                                  device=device)
-    values = np.asarray([p[1] for p in live])
-    if spec.func == "SUM":
-        merged = np.sum(values)
-    elif spec.func == "MIN":
-        merged = np.min(values)
-    else:  # MAX
-        merged = np.max(values)
-    return Column.from_values(spec.name, np.asarray([merged]), device=device)
-
-
-# ----------------------------------------------------------------------
-# Grouped (GROUP BY) partials. The serial operator is one partial,
-# finalised; a sharded run takes one partial per shard and merges them.
-# Exactness mirrors the global-partial policy above (`spec_mergeable`):
-# COUNT partials add in int64, SUM/AVG partials only exist for integer/bool
-# inputs (exact in int64/float64), MIN/MAX combine with the same
-# NaN-propagating comparisons. Bit-identity of the *grouping* comes from
-# shard-major concatenation: shards are contiguous row ranges, so each
-# shard's representatives in shard order keep the original relative row
-# order, and `key_ids` over them yields the groups, group order and
-# representative rows serial execution yields (NaN keys included: each is
-# its own group, in row order).
-# ----------------------------------------------------------------------
-class GroupedPartial:
-    """One batch's grouped-aggregate state: representative key columns plus
-    one partial-state vector (a tuple of aligned arrays) per aggregate spec,
-    each with one entry per group found in the batch."""
-
-    __slots__ = ("keys", "states", "groups", "domain")
-
-    def __init__(self, keys: List[Column], states: List[tuple], groups: int,
-                 domain: int):
-        self.keys = keys
-        self.states = states
-        self.groups = groups
-        self.domain = domain
-
-
-def grouped_partial(specs: Sequence[AggSpec], keys: List[Column],
-                    group_names: Sequence[str],
-                    agg_inputs: List[Optional[Column]], n: int) -> GroupedPartial:
-    """One batch's grouped partial state."""
-    if n == 0:
-        rows, domain = np.zeros(0, dtype=np.int64), 0
-        states = [_empty_state(spec, arg) for spec, arg in zip(specs, agg_inputs)]
-    else:
-        groups = _Groups(keys)
-        rows, domain = groups.first_rows(), groups.domain
-        states = [_state(spec, arg, groups) for spec, arg in zip(specs, agg_inputs)]
-    rep_cols = [_group_output_column(k, rows, name)
-                for k, name in zip(keys, group_names)]
-    return GroupedPartial(rep_cols, states, len(rows), domain)
-
-
-def _concat_rep_columns(pieces: Sequence[Column]) -> Column:
-    encoded = concat_encoded(pieces)
-    if encoded is None:
-        raise ExecutionError(
-            f"cannot merge grouped partials of key {pieces[0].name!r}: "
-            f"shards produced different encodings"
-        )
-    return Column(pieces[0].name, encoded)
-
-
-def merge_grouped_partials(agg, partials: Sequence[GroupedPartial],
-                           device, table_name: str) -> Relation:
-    """Combine shard grouped-partials into the final GROUP BY relation,
-    bit-identical with ``GroupedAggregateExec`` over the unsharded input."""
-    specs = agg.aggregates
-    key_cols = [
-        _concat_rep_columns([p.keys[i] for p in partials])
-        for i in range(len(agg.group_names))
-    ]
-    states = [
-        tuple(np.concatenate([p.states[i][j] for p in partials])
-              for j in range(len(partials[0].states[i])))
-        for i in range(len(specs))
-    ]
-    if sum(p.groups for p in partials):
-        groups = _Groups(key_cols)
-        rows = groups.first_rows()
-        key_cols = [_group_output_column(c, rows, name)
-                    for c, name in zip(key_cols, agg.group_names)]
-        states = [_merge_state(spec, state, groups)
-                  for spec, state in zip(specs, states)]
-        annotate(groups=len(groups), domain=groups.domain)
-    return _grouped_relation(specs, key_cols, states, device, table_name)

@@ -3,13 +3,14 @@
 "Query Processing on Tensor Computation Runtimes" (He et al.) shows that
 data-parallel partitioning is how a tensor-runtime engine saturates
 multi-core hardware. The scheduler runs statements side by side; this layer
-splits one statement: its base-table rows split into K contiguous shards,
-the row-wise pipeline chain runs per shard, and results stitch back in shard
-order. Contiguous row ranges are the only partitioning and ``shards`` the
-only switch (``parallel_min_rows`` just keeps small inputs whole); the
-drivers in :mod:`repro.core.operators.sharded` are chosen while the plan is
-lowered, and only for statements that call no UDF, TVF or similarity
-top-k, so no user code ever runs on a shard.
+splits one statement's join inputs: a base-table scan that feeds a join
+splits into K contiguous row shards, its Filter/Project chain runs per
+shard, and the outputs stitch back in shard order. Contiguous row ranges
+are the only partitioning and ``shards`` the only switch; inputs under
+``PARALLEL_MIN_ROWS`` rows stay whole. The one driver,
+:class:`~repro.core.operators.sharded.ShardedScanExec`, is chosen while the
+plan is lowered, and only for statements that call no UDF, TVF or
+similarity top-k, so no user code ever runs on a shard.
 
 One invariant makes sharded execution bit-identical with serial execution:
 **deterministic stitch order**. Shards are contiguous row ranges and the
@@ -42,21 +43,24 @@ from repro.storage.table import Table
 from repro.tcr.autograd import no_grad
 
 
+# Inputs with fewer base rows are not worth splitting: they run serially.
+PARALLEL_MIN_ROWS = 64
+
+
 def default_shards() -> int:
     """Shard count for ``shards=0`` (auto): one per available core."""
     return max(os.cpu_count() or 1, 1)
 
 
-def plan_shards(num_rows: int, shards: int,
-                min_rows: int) -> List[Tuple[int, int]]:
+def plan_shards(num_rows: int, shards: int) -> List[Tuple[int, int]]:
     """Split ``[0, num_rows)`` into at most ``shards`` contiguous ranges.
 
     Returns a single full range (serial execution) when the input is too
-    small to be worth splitting (``num_rows < min_rows``).
+    small to be worth splitting (``num_rows < PARALLEL_MIN_ROWS``).
     """
     if num_rows <= 0:
         return [(0, 0)]
-    if shards <= 1 or num_rows < max(min_rows, 2):
+    if shards <= 1 or num_rows < max(PARALLEL_MIN_ROWS, 2):
         return [(0, num_rows)]
     chunk = -(-num_rows // shards)                 # ceil division
     bounds = []

@@ -31,11 +31,14 @@ header (falling back to the connection's peer address), keyed into the
 scheduler's round-robin fairness and into a per-client table of pending
 ``/submit`` futures. Only clients with undelivered results have a table:
 ``/query`` and ``/explain`` keep no state, and a table is dropped once its
-last result is delivered or evicted. Eviction runs only on the client's
-own next ``/submit`` or ``/result``, so a client that never returns keeps
-its table: the map is not bounded. ``/result`` ids come from one
-server-wide counter (never reused) and are scoped per client: one client
-can never read (or guess) another's results.
+last result is delivered or evicted. Results older than the TTL are
+evicted from every client's table on each ``/submit`` (and from the
+caller's on ``/result``). A client without the header is its connection,
+so its table is dropped, and its pending statements cancelled, when that
+connection closes: no later connection can present the same ``ip:port``.
+``/result`` ids come from one server-wide counter (never reused) and are
+scoped per client: one client can never read (or guess) another's
+results.
 
 **Backpressure.** When admission control sheds a request the server
 answers ``503`` with a typed body ``{"error": {"type": "ServerOverloaded",
@@ -107,7 +110,7 @@ class TdpServer:
         # /submit hygiene: a client that never polls its results must not
         # grow an unbounded pending table (futures retain whole result
         # sets). The cap sheds new submits with a typed 503; the TTL sweep,
-        # run on the client's next call, reclaims results it abandoned.
+        # run over every client on each /submit, reclaims abandoned results.
         self.max_pending_per_client = int(max_pending_per_client)
         self.result_ttl_seconds = float(result_ttl_seconds)
         self.results_evicted = 0
@@ -115,9 +118,10 @@ class TdpServer:
             session, workers=workers, max_queue_depth=max_queue_depth)
         # client id -> {query_id: (Future, monotonic submit time)}, holding
         # only clients with undelivered /submit results. Entries leave when
-        # the result is delivered once — or when the TTL sweep evicts a
-        # result the client abandoned (see _pending) — and a client
-        # leaves with its last entry. Only the event-loop thread touches it.
+        # the result is delivered once, when the TTL sweep evicts a result
+        # the client abandoned (see _sweep), or when an anonymous client's
+        # connection closes; a client leaves with its last entry. Only the
+        # event-loop thread touches it.
         self._clients: Dict[str, Dict[int, Tuple[object, float]]] = {}
         self._next_query_id = 1
         self._server: Optional[asyncio.AbstractServer] = None
@@ -150,6 +154,7 @@ class TdpServer:
                                  writer: asyncio.StreamWriter) -> None:
         peer = writer.get_extra_info("peername")
         peer_id = f"{peer[0]}:{peer[1]}" if peer else "unknown"
+        anonymous = False
         try:
             while True:
                 request = await self._read_request(reader)
@@ -157,6 +162,7 @@ class TdpServer:
                     break
                 method, path, headers, body = request
                 client_id = headers.get("x-tdp-client", peer_id)
+                anonymous = anonymous or client_id == peer_id
                 status, payload = await self._dispatch(
                     method, path, body, client_id)
                 keep_alive = headers.get("connection", "keep-alive") != "close"
@@ -179,6 +185,9 @@ class TdpServer:
             except ConnectionError:
                 pass
         finally:
+            if anonymous and peer_id in self._clients:
+                # Nobody can poll these results any more.
+                self._evict(peer_id, list(self._clients[peer_id]))
             writer.close()
             try:
                 await writer.wait_closed()
@@ -296,31 +305,35 @@ class TdpServer:
         result = await asyncio.wrap_future(self._submit(body, client_id))
         return 200, _result_payload(result)
 
-    def _pending(self, client_id: str) -> dict:
-        """The client's undelivered results after the TTL sweep (empty if
-        none); a client left with no entries is dropped from the table.
+    def _evict(self, client_id: str, query_ids) -> None:
+        """Drop these undelivered results, and the client with its last one.
 
-        Swept futures are cancelled (a no-op once running/done) so a queued
-        statement whose client walked away does not consume a worker.
+        Evicted futures are cancelled (a no-op once running/done) so a
+        queued statement whose client walked away does not consume a worker.
         """
-        pending = self._clients.get(client_id)
-        if pending is None:
-            return {}
-        if self.result_ttl_seconds > 0:
-            now = time.monotonic()
-            stale = [qid for qid, (_, born) in pending.items()
-                     if now - born > self.result_ttl_seconds]
-            for qid in stale:
-                future, _ = pending.pop(qid)
-                if not future.done():
-                    future.cancel()
-                self.results_evicted += 1
+        pending = self._clients[client_id]
+        for qid in query_ids:
+            future, _ = pending.pop(qid)
+            future.cancel()
+            self.results_evicted += 1
         if not pending:
             del self._clients[client_id]
-        return pending
+
+    def _sweep(self, client_ids) -> None:
+        """Evict these clients' results that are older than the TTL."""
+        if self.result_ttl_seconds <= 0:
+            return
+        now = time.monotonic()
+        for client_id in list(client_ids):
+            pending = self._clients.get(client_id)
+            if pending is not None:
+                self._evict(client_id, [
+                    qid for qid, (_, born) in pending.items()
+                    if now - born > self.result_ttl_seconds])
 
     def _post_submit(self, body: bytes, client_id: str) -> Tuple[int, dict]:
-        pending = self._pending(client_id)
+        self._sweep(self._clients)
+        pending = self._clients.get(client_id, {})
         if len(pending) >= self.max_pending_per_client:
             # Shed before scheduler.submit: work a client cannot collect
             # must never occupy the queue or a worker.
@@ -341,7 +354,8 @@ class TdpServer:
             query_id = int(path[len("/result/"):])
         except ValueError:
             return 400, _error_body("BadRequest", f"bad result id in {path}")
-        pending = self._pending(client_id)
+        self._sweep([client_id])
+        pending = self._clients.get(client_id, {})
         entry = pending.get(query_id)
         if entry is None:
             return 404, _error_body(

@@ -65,8 +65,7 @@ def concat_encoded(columns: Sequence["Column"]) -> Optional[EncodedTensor]:
     (e.g. per-shard ``UPPER(...)`` outputs or string-literal broadcasts)
     are instead decoded and re-encoded over the union, which preserves the
     logical values exactly. Returns None only when no sound combination
-    exists. Shared by the shard stitcher and the grouped-partial merge so
-    the compatibility rule cannot drift between them.
+    exists. The shard stitcher's one concatenation rule.
     """
     encoding = columns[0].encoding
     compatible = all(

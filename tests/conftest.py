@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import tcr
+from repro.core import partition
 from repro.core.session import Session
 
 
@@ -22,3 +23,10 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def session() -> Session:
     return Session()
+
+
+@pytest.fixture
+def tiny_shards(monkeypatch):
+    """Let sharded join inputs split tables of any size (the engine keeps
+    inputs under ``partition.PARALLEL_MIN_ROWS`` rows whole)."""
+    monkeypatch.setattr(partition, "PARALLEL_MIN_ROWS", 2)

@@ -68,6 +68,22 @@ QUERIES = [
     "SELECT SUM(v) FROM t",
     "SELECT k, v FROM t WHERE k = 3 ORDER BY v LIMIT 4",
 ]
+# Join statements: their filtered scans are the only shape that shards.
+JOIN_QUERIES = [
+    "SELECT a.k, b.v FROM t a JOIN t b ON a.k = b.k WHERE a.v > 0 "
+    "ORDER BY a.k, b.v LIMIT 20",
+    "SELECT a.k, COUNT(*) AS n FROM t a JOIN t b ON a.k = b.k "
+    "WHERE b.v < 0.5 GROUP BY a.k ORDER BY a.k",
+]
+
+
+def _join_expected(session, shards):
+    """Serial results of ``JOIN_QUERIES``, after checking that each one
+    lowers to sharded scans at ``shards``."""
+    for q in JOIN_QUERIES:
+        assert "ShardedScan(" in session.sql.query(
+            q, extra_config={"shards": shards}).explain(), q
+    return [_snapshot(session.sql.query(q).run()) for q in JOIN_QUERIES]
 
 
 def _snapshot(result):
@@ -404,7 +420,7 @@ class TestStress:
     registries churn underneath.
     """
 
-    def test_randomized_interleavings_survive(self):
+    def test_randomized_interleavings_survive(self, tiny_shards):
         session = _numeric_session()
         rng0 = np.random.default_rng(0)
         table_data = {
@@ -417,6 +433,7 @@ class TestStress:
         session.sql.register_dict(dict(table_data), "t")
         scale = session.functions.lookup("affine").modules[0]
         expected = [_snapshot(session.sql.query(q).run()) for q in QUERIES]
+        join_expected = _join_expected(session, shards=2)
         iterations = _scaled(25, minimum=5)
         probe = rng0.normal(size=8).astype(np.float32)
 
@@ -436,11 +453,11 @@ class TestStress:
                 elif op >= 10:
                     # Sharded statements interleave with whole-query work on
                     # the session shard pool without deadlock, bit-identical.
-                    j = int(rng.integers(0, len(QUERIES)))
-                    got = _snapshot(session.sql.query(QUERIES[j], extra_config={
-                        "shards": int(rng.integers(2, 5)),
-                        "parallel_min_rows": 2}).run())
-                    assert got == expected[j]
+                    j = int(rng.integers(0, len(JOIN_QUERIES)))
+                    got = _snapshot(session.sql.query(
+                        JOIN_QUERIES[j],
+                        extra_config={"shards": int(rng.integers(2, 5))}).run())
+                    assert got == join_expected[j]
                 elif op == 5:
                     session.sql.register_dict(dict(table_data), "t")
                 elif op == 6:
@@ -472,10 +489,11 @@ class TestStress:
         assert stats["hits"] + stats["misses"] >= iterations
         session.reset()
 
-    def test_stress_with_concurrent_serving(self):
+    def test_stress_with_concurrent_serving(self, tiny_shards):
         """serve() under concurrent direct queries from other threads."""
         session = _numeric_session()
         expected = [_snapshot(session.sql.query(q).run()) for q in QUERIES]
+        join_expected = _join_expected(session, shards=3)
         rounds = _scaled(6, minimum=2)
 
         def direct(i):
@@ -486,14 +504,16 @@ class TestStress:
 
         def serving(worker_idx):
             for round_idx in range(rounds):
-                extra = None
                 if (worker_idx + round_idx) % 2:
                     # Alternate rounds serve sharded statements: scheduler
                     # workers submit shard batches to the session pool while
                     # other scheduler workers run whole statements.
-                    extra = {"shards": 3, "parallel_min_rows": 2}
-                got = session.serve(QUERIES, workers=3, extra_config=extra)
-                assert [_snapshot(r) for r in got] == expected
+                    got = session.serve(JOIN_QUERIES, workers=3,
+                                        extra_config={"shards": 3})
+                    assert [_snapshot(r) for r in got] == join_expected
+                else:
+                    got = session.serve(QUERIES, workers=3)
+                    assert [_snapshot(r) for r in got] == expected
 
         def drive(i):
             (serving if i < 2 else direct)(i)

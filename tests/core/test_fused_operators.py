@@ -141,11 +141,11 @@ class TestPipelinePlanShape:
     @pytest.mark.parametrize("key", ["fuse_operators", "compile_pipelines",
                                      "parallel_scan", "exchange", "join_impl",
                                      "topk_impl", "batch_window",
-                                     "shed_policy"])
+                                     "shed_policy", "parallel_min_rows"])
     def test_removed_knobs_are_unknown_keys(self, key):
         with pytest.raises(ValueError, match="unknown config key"):
             QueryConfig({key: False})
-        assert len(QueryConfig().fingerprint()) == 17
+        assert len(QueryConfig().fingerprint()) == 16
 
 
 def _udf_session(seen):

@@ -1,36 +1,27 @@
 """Property-based operator-algebra tests (hypothesis).
 
-Four algebraic contracts the execution engine relies on:
+Three algebraic contracts the execution engine relies on:
 
 * **Pipeline transparency** — the fixed statement suite below gives the
   same bits on the default (numpy) leg as on the tcr-ops leg.
-* **Partial-aggregate soundness** — merging per-shard partial states equals
-  aggregating the whole relation, for every exact-mergeable aggregate and
-  every split of the input (including empty and single-row shards).
 * **Shard-count invariance** — `shards ∈ {1, 2, 3, 7}` produce bit-identical
   results over randomized tables, including empty tables, all-NULL columns
-  and shards that degenerate to single rows.
+  and shards that degenerate to single rows. Only a scan chain that feeds a
+  join shards, so these laws run join statements and check that their
+  plans hold a ``ShardedScan``.
 * **numpy ≡ tcr** — the one expression lowering gives the same bits in
   numpy on detached data (`compile_exprs` on) as over tcr ops (off),
   over randomized expression trees (arithmetic, comparisons, CASE, CAST,
   builtins, LIKE/IN/BETWEEN/IS NULL, NULL/NaN data, empty and single-row
   tables, dictionary- and char-code-encoded string columns) at shards
-  1/3/4, including the sharded grouped-partial merge.
+  1/3/4, with the filter evaluated on the shards of a join input.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.operators.aggregate import (
-    _global_agg_column,
-    global_partial,
-    merge_global_partials,
-    spec_mergeable,
-)
 from repro.core.session import Session
-from repro.sql.bound import AggSpec
-from repro.storage import types as dt
-from repro.storage.column import Column
 from repro.storage.table import Table
 
 SETTINGS = dict(max_examples=25, deadline=None)
@@ -60,6 +51,23 @@ def _register(data) -> Session:
     session = Session()
     session.sql.register_dict(dict(data), "t")
     return session
+
+
+def _register_keyed(data) -> Session:
+    """``t`` plus ``u``, a one-column table holding every ``t.id``: joining
+    ``t JOIN u ON id = uid`` keeps each row of ``t`` once, and leaves every
+    column name unambiguous."""
+    session = _register(data)
+    session.sql.register_dict({"uid": np.asarray(data["id"])}, "u")
+    return session
+
+
+def _run_sharded(session, stmt, extra):
+    """Run ``stmt`` under a sharded ``extra`` config, after checking that
+    the plan really splits a join input."""
+    query = session.sql.query(stmt, extra_config=extra)
+    assert "ShardedScan(" in query.explain(), stmt
+    return _snapshot(query.run())
 
 
 def _snapshot(result):
@@ -108,32 +116,48 @@ def test_statements_equal_interpreter_leg(data):
 
 
 # ----------------------------------------------------------------------
-# Shard-count invariance
+# Shard-count invariance (join statements: only join inputs shard)
 # ----------------------------------------------------------------------
+SELF_JOIN = "FROM t a JOIN t b ON a.id = b.id"
+JOIN_STATEMENTS = [
+    f"SELECT a.id, a.x * 2 - 1 AS v, b.y {SELF_JOIN} "
+    "WHERE a.x > -10 AND b.y < 50.0",
+    "SELECT a.id, b.id AS bid FROM t a JOIN t b ON a.x = b.x "
+    "WHERE a.s IN ('ant', 'dog') AND b.x BETWEEN -20 AND 20",
+    f"SELECT COUNT(*) AS c, MIN(b.x) AS mn, MAX(b.x) AS mx, SUM(a.x) AS sm, "
+    f"AVG(a.x) AS av {SELF_JOIN} WHERE b.y IS NOT NULL",
+    f"SELECT a.s, COUNT(*) AS c, SUM(b.x) AS sm {SELF_JOIN} GROUP BY a.s",
+    f"SELECT a.id, b.x {SELF_JOIN} ORDER BY b.x DESC, a.id LIMIT 7",
+    "SELECT a.id, b.y FROM t a LEFT JOIN t b ON a.x = b.id AND b.y > 0 "
+    "WHERE a.s LIKE '%t' OR a.x % 3 = 0",
+]
+
+
+@pytest.mark.usefixtures("tiny_shards")
 @settings(**SETTINGS)
 @given(data=tables())
 def test_shard_count_invariance(data):
     session = _register(data)
-    for stmt in STATEMENTS:
+    for stmt in JOIN_STATEMENTS:
         serial = _snapshot(session.sql.query(stmt).run())
         for shards in (2, 3, 7):
-            sharded = _snapshot(session.sql.query(stmt, extra_config={
-                "shards": shards, "parallel_min_rows": 2}).run())
+            sharded = _run_sharded(session, stmt, {"shards": shards})
             _assert_bitwise(serial, sharded, (stmt, shards))
 
 
+@pytest.mark.usefixtures("tiny_shards")
 @settings(**SETTINGS)
 @given(data=tables(min_rows=0, max_rows=3))
 def test_shard_invariance_degenerate_tables(data):
     """Empty tables, single rows, and shard counts exceeding the row count."""
     session = _register(data)
-    for stmt in STATEMENTS:
+    for stmt in JOIN_STATEMENTS:
         serial = _snapshot(session.sql.query(stmt).run())
-        sharded = _snapshot(session.sql.query(stmt, extra_config={
-            "shards": 7, "parallel_min_rows": 0}).run())
+        sharded = _run_sharded(session, stmt, {"shards": 7})
         _assert_bitwise(serial, sharded, stmt)
 
 
+@pytest.mark.usefixtures("tiny_shards")
 @settings(**SETTINGS)
 @given(n=st.integers(0, 40))
 def test_shard_invariance_all_null_column(n):
@@ -142,12 +166,13 @@ def test_shard_invariance_all_null_column(n):
         "x": np.arange(n, dtype=np.int64) % 5,
         "y": np.full(n, np.nan, dtype=np.float32),
     })
-    for stmt in ("SELECT id, y FROM t WHERE y IS NULL",
-                 "SELECT COUNT(*) AS c, MIN(y) AS mn, MAX(y) AS mx FROM t",
-                 "SELECT x, COUNT(*) AS c FROM t GROUP BY x"):
+    for stmt in (f"SELECT a.id, b.y {SELF_JOIN} WHERE b.y IS NULL",
+                 f"SELECT COUNT(*) AS c, MIN(b.y) AS mn, MAX(a.y) AS mx "
+                 f"{SELF_JOIN}",
+                 "SELECT a.x, COUNT(*) AS c FROM t a JOIN t b ON a.x = b.x "
+                 "GROUP BY a.x"):
         serial = _snapshot(session.sql.query(stmt).run())
-        sharded = _snapshot(session.sql.query(stmt, extra_config={
-            "shards": 4, "parallel_min_rows": 2}).run())
+        sharded = _run_sharded(session, stmt, {"shards": 4})
         _assert_bitwise(serial, sharded, stmt)
 
 
@@ -167,61 +192,21 @@ def test_count_distinct_collapses_nans_consistently():
 
 
 # ----------------------------------------------------------------------
-# Partial-aggregate merge == whole-relation aggregate
-# ----------------------------------------------------------------------
-def _spec(func, arg_kind=None):
-    arg = None
-    if arg_kind is not None:
-        from repro.sql.bound import BColumn
-        data_type = dt.INT if arg_kind == "int" else dt.FLOAT
-        arg = BColumn(0, "v", data_type)
-    out_type = dt.INT if func == "COUNT" else (
-        dt.FLOAT if func == "AVG" else
-        (dt.INT if arg_kind == "int" else dt.FLOAT))
-    return AggSpec(func=func, arg=arg, distinct=False, name="out",
-                   data_type=out_type)
-
-
-@settings(**SETTINGS)
-@given(
-    values=st.lists(st.integers(-1000, 1000), max_size=60),
-    cuts=st.lists(st.integers(0, 60), max_size=5),
-    func=st.sampled_from(["COUNT", "SUM", "MIN", "MAX", "AVG"]),
-)
-def test_partial_merge_equals_whole_int(values, cuts, func):
-    data = np.asarray(values, dtype=np.int64)
-    n = len(data)
-    spec = _spec(func, None if func == "COUNT" else "int")
-    assert spec_mergeable(spec)
-    column = Column.from_values("v", data)
-    whole = _global_agg_column(spec, None if spec.arg is None else column,
-                               n, column.device)
-    bounds = sorted({min(c, n) for c in cuts} | {0, n})
-    partials = []
-    for start, stop in zip(bounds, bounds[1:] or [n]):
-        piece = column.slice_rows(start, stop)
-        partials.append(global_partial(
-            spec, None if spec.arg is None else piece, stop - start))
-    if not partials:
-        partials.append(global_partial(
-            spec, None if spec.arg is None else column.slice_rows(0, 0), 0))
-    merged = merge_global_partials(spec, partials, column.device)
-    a, b = whole.tensor.detach().data, merged.tensor.detach().data
-    assert a.dtype == b.dtype, (func, a.dtype, b.dtype)
-    assert np.array_equal(a, b, equal_nan=True), (func, a, b)
-
-
-# ----------------------------------------------------------------------
 # Compiled kernels ≡ interpreter
 # ----------------------------------------------------------------------
 INTERP_CONFIG = {"compile_exprs": False}
 KERNEL_CONFIGS = (
     # Serial and sharded (odd and even shard counts — unequal and equal
-    # grouped-partial splits).
+    # splits of the join input).
     {"compile_exprs": True},
-    {"compile_exprs": True, "shards": 3, "parallel_min_rows": 2},
-    {"compile_exprs": True, "shards": 4, "parallel_min_rows": 2},
+    {"compile_exprs": True, "shards": 3},
+    {"compile_exprs": True, "shards": 4},
 )
+# Every law statement filters ``t`` below this identity join, so the
+# sharded configs evaluate the filter per shard and stitch the survivors.
+# The always-true ``id >= 0`` keeps a filter on ``t``'s side even when the
+# generated condition folds to a constant.
+KEYED_JOIN = "FROM t JOIN u ON id = uid WHERE id >= 0 AND"
 
 _NUM_LEAVES = ("id", "x", "y", "3", "0.5", "-2")
 _STR_LITERALS = ("ant", "bee", "cat", "dog", "", "a%t")
@@ -329,35 +314,39 @@ def num_exprs(draw, depth=2):
 def _assert_compiled_law(session, stmt):
     base = _snapshot(session.sql.query(stmt, extra_config=INTERP_CONFIG).run())
     for extra in KERNEL_CONFIGS:
-        compiled = _snapshot(session.sql.query(stmt, extra_config=extra).run())
+        if "shards" in extra:
+            compiled = _run_sharded(session, stmt, extra)
+        else:
+            compiled = _snapshot(session.sql.query(stmt, extra_config=extra).run())
         _assert_bitwise(base, compiled, (stmt, tuple(sorted(extra.items()))))
 
 
+@pytest.mark.usefixtures("tiny_shards")
 @settings(**SETTINGS)
 @given(data=tables(), num=num_exprs(), cond=bool_exprs())
 def test_compiled_equals_interpreted(data, num, cond):
     """Vectorized expression kernels are bit-identical to the interpreter
     over randomized trees, serial and sharded (NaN NULLs, empty tables and
     single rows come from the `tables()` strategy)."""
-    session = _register(data)
-    stmt = f"SELECT id, {num} AS e0, s FROM t WHERE {cond}"
+    session = _register_keyed(data)
+    stmt = f"SELECT id, {num} AS e0, s {KEYED_JOIN} {cond}"
     _assert_compiled_law(session, stmt)
 
 
+@pytest.mark.usefixtures("tiny_shards")
 @settings(**SETTINGS)
 @given(data=tables(), num=num_exprs(), cond=bool_exprs())
 def test_pipeline_grouped_aggregate_law(data, num, cond):
     """The compiled ≡ interpreted law over pipelines ending in a grouped
-    aggregate (filter → project → GROUP BY). Int aggregates
-    shard through exact-mergeable grouped partials; AVG over a float
-    expression is non-mergeable and must keep the merge barrier — both
-    sides of that plan-time split have to hold the law bit-for-bit."""
-    session = _register(data)
+    aggregate (filter → join → project → GROUP BY), with integer and float
+    aggregates over the stitched join input."""
+    session = _register_keyed(data)
     stmt = (f"SELECT s, COUNT(*) AS c, SUM(x + 1) AS sm, MIN({num}) AS mn, "
-            f"AVG(y) AS av FROM t WHERE {cond} GROUP BY s")
+            f"AVG(y) AS av {KEYED_JOIN} {cond} GROUP BY s")
     _assert_compiled_law(session, stmt)
 
 
+@pytest.mark.usefixtures("tiny_shards")
 @settings(**SETTINGS)
 @given(data=tables(), cond=bool_exprs())
 def test_compiled_equals_interpreted_char_codes(data, cond):
@@ -366,38 +355,7 @@ def test_compiled_equals_interpreted_char_codes(data, cond):
     table = Table.from_dict("t", dict(data))
     columns = [col.to_char_codes() if col.name == "s" else col
                for col in table.columns]
-    session = Session()
+    session = _register_keyed(data)
     session.sql.register_table(Table("t", columns))
-    stmt = f"SELECT id, s FROM t WHERE {cond}"
+    stmt = f"SELECT id, s {KEYED_JOIN} {cond}"
     _assert_compiled_law(session, stmt)
-
-
-@settings(**SETTINGS)
-@given(
-    values=st.lists(st.one_of(st.floats(-50, 50, width=32),
-                              st.just(float("nan"))), max_size=40),
-    cut=st.integers(0, 40),
-    func=st.sampled_from(["MIN", "MAX", "COUNT"]),
-)
-def test_partial_merge_equals_whole_float(values, cut, func):
-    """Floats: only order-insensitive aggregates are mergeable (and the
-    planner must agree)."""
-    data = np.asarray(values, dtype=np.float32)
-    n = len(data)
-    spec = _spec(func, None if func == "COUNT" else "float")
-    assert spec_mergeable(spec)
-    for bad in ("SUM", "AVG"):
-        assert not spec_mergeable(_spec(bad, "float"))
-    column = Column.from_values("v", data)
-    whole = _global_agg_column(spec, None if spec.arg is None else column,
-                               n, column.device)
-    cut = min(cut, n)
-    partials = [
-        global_partial(spec, None if spec.arg is None
-                       else column.slice_rows(0, cut), cut),
-        global_partial(spec, None if spec.arg is None
-                       else column.slice_rows(cut, n), n - cut),
-    ]
-    merged = merge_global_partials(spec, partials, column.device)
-    a, b = whole.tensor.detach().data, merged.tensor.detach().data
-    assert np.array_equal(a, b, equal_nan=True), (func, a, b)

@@ -165,8 +165,7 @@ class TestNanGroupKeys:
             {"g": np.array([1.0, np.nan, np.nan, 2.0], dtype=np.float32),
              "v": np.array([1, 2, 4, 8], dtype=np.int64)}, "t")
         sql = "SELECT g, COUNT(*) AS c, SUM(v) AS s FROM t GROUP BY g"
-        for extra in (None, {"shards": 3, "parallel_min_rows": 0},
-                      {"compile_exprs": False}):
+        for extra in (None, {"compile_exprs": False}):
             out = session.sql.query(sql, extra_config=extra).run()
             g = np.asarray(out.column("g"))
             assert g[:2].tolist() == [1.0, 2.0] and np.isnan(g[2:]).all(), extra

@@ -508,12 +508,13 @@ async def _poll_done(port, query_id, client):
 class TestClientTable:
     """The server keeps per-client state only for clients with undelivered
     /submit results. Anonymous clients are keyed by ip:port, so every
-    connection is a new client: anything else would grow without bound."""
+    connection is a new client, dropped when it closes: anything else would
+    grow without bound."""
 
     @staticmethod
-    def _serve(session, scenario):
+    def _serve(session, scenario, **server_args):
         async def run():
-            server = TdpServer(session, port=0, workers=2)
+            server = TdpServer(session, port=0, workers=2, **server_args)
             await server.start()
             try:
                 await scenario(server)
@@ -532,6 +533,39 @@ class TestClientTable:
             assert status == 200 and health["clients"] == 0
 
         self._serve(_numeric_session(), scenario)
+
+    def test_anonymous_submits_leave_with_their_connections(self):
+        async def scenario(server):
+            for _ in range(20):      # never polled; each connection closes
+                status, _ = await _http(server.port, "POST", "/submit",
+                                        {"statement": STATEMENTS[1]})
+                assert status == 202
+            status, health = await _http(server.port, "GET", "/health")
+            assert status == 200 and health["clients"] == 0
+            assert health["results_evicted"] == 20
+
+        self._serve(_numeric_session(), scenario)
+
+    def test_abandoned_result_swept_by_another_clients_submit(self):
+        async def scenario(server):
+            status, accepted = await _http(
+                server.port, "POST", "/submit",
+                {"statement": STATEMENTS[1]}, client="c1")
+            assert status == 202
+            future, _ = server._clients["c1"][accepted["query_id"]]
+            for _ in range(100):
+                if future.done():
+                    break
+                await asyncio.sleep(0.02)
+            await asyncio.sleep(0.1)              # let the TTL lapse
+            status, _ = await _http(server.port, "POST", "/submit",
+                                    {"statement": STATEMENTS[1]}, client="c2")
+            assert status == 202
+            assert list(server._clients) == ["c2"]
+            _, health = await _http(server.port, "GET", "/health")
+            assert health["clients"] == 1 and health["results_evicted"] == 1
+
+        self._serve(_numeric_session(), scenario, result_ttl_seconds=0.05)
 
     def test_explain_leaves_no_client_state(self):
         async def scenario(server):

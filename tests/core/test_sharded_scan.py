@@ -1,5 +1,6 @@
-"""Unit tests for the intra-query parallel execution subsystem (PR 5):
-partition planning, the shard pool, plan lowering, knobs, and cache keys."""
+"""Unit tests for intra-query parallel execution: partition planning, the
+shard pool, the lowering rule (only a scan chain that feeds a join shards),
+the ``shards`` knob, and cache keys."""
 
 import collections
 import os
@@ -10,7 +11,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import QueryConfig
-from repro.core.partition import ShardPool, plan_shards
+from repro.core.operators.base import Relation
+from repro.core.partition import (
+    PARALLEL_MIN_ROWS,
+    ShardPool,
+    plan_shards,
+    stitch_relations,
+)
 from repro.core.session import Session
 from repro.storage.table import Table
 from repro.storage.column import Column
@@ -24,7 +31,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "..", "benchmarks", "e2e"))
 
 SERIAL = {"shards": 1}
-SHARDED = {"shards": 4, "parallel_min_rows": 2}
+SHARDED = {"shards": 4}
+SELF_JOIN = "FROM t a JOIN t b ON a.id = b.id"
 
 
 def _session(rows=400):
@@ -42,16 +50,17 @@ def _session(rows=400):
 
 class TestPlanShards:
     def test_splits_into_contiguous_cover(self):
-        bounds = plan_shards(100, 4, min_rows=2)
+        bounds = plan_shards(100, 4)
         assert bounds == [(0, 25), (25, 50), (50, 75), (75, 100)]
 
     def test_min_rows_disables_splitting(self):
-        assert plan_shards(100, 4, min_rows=200) == [(0, 100)]
+        rows = PARALLEL_MIN_ROWS - 1
+        assert plan_shards(rows, 4) == [(0, rows)]
 
-    def test_degenerate_inputs(self):
-        assert plan_shards(0, 4, min_rows=0) == [(0, 0)]
-        assert plan_shards(1, 4, min_rows=0) == [(0, 1)]
-        assert len(plan_shards(3, 7, min_rows=0)) <= 3
+    def test_degenerate_inputs(self, tiny_shards):
+        assert plan_shards(0, 4) == [(0, 0)]
+        assert plan_shards(1, 4) == [(0, 1)]
+        assert plan_shards(3, 7) == [(0, 1), (1, 2), (2, 3)]
 
 
 class TestShardPool:
@@ -92,76 +101,89 @@ class TestShardPool:
             assert batch == [(i, j) for j in range(8)]
 
 
+def _physical(plan_text: str):
+    return plan_text.split("== Physical operators ==\n", 1)[1].splitlines()
+
+
+def _parents(lines, prefix):
+    """The operator line directly above each line that starts with
+    ``prefix`` in an EXPLAIN tree (the nearest less-indented line)."""
+    parents = []
+    for i, line in enumerate(lines):
+        if not line.lstrip().startswith(prefix):
+            continue
+        depth = len(line) - len(line.lstrip())
+        above = next(up for up in reversed(lines[:i])
+                     if len(up) - len(up.lstrip()) < depth)
+        parents.append(above.strip())
+    return parents
+
+
 class TestLowering:
-    def test_pipeline_prefix_becomes_sharded_scan(self):
+    def test_join_input_chains_become_sharded_scans(self):
         q = _session().sql.query(
-            "SELECT id, x * 2 AS v FROM t WHERE x > 10",
+            f"SELECT a.id, b.x * 2 AS v {SELF_JOIN} WHERE a.x > 10",
             extra_config={"shards": 4})
-        assert "ShardedScan(shards=4" in q.explain()
+        parents = _parents(_physical(q.explain()), "ShardedScan(shards=4)")
+        assert parents == ["Join(INNER)", "Join(INNER)"], q.explain()
 
-    def test_mergeable_global_aggregate_lowered_to_partials(self):
-        q = _session().sql.query(
-            "SELECT COUNT(*), MIN(x), MAX(x), SUM(x), AVG(x) FROM t "
-            "WHERE x > 10", extra_config={"shards": 4})
-        assert "ShardedAggregate(" in q.explain()
-
-    def test_float_sum_takes_merge_barrier(self):
-        # Float partial sums would reorder rounding: the aggregate stays
-        # serial, only the pipeline below it shards.
-        q = _session().sql.query(
-            "SELECT SUM(y) FROM t WHERE x > 10", extra_config={"shards": 4})
-        text = q.explain()
-        assert "ShardedAggregate(" not in text
-        assert "ShardedScan(" in text
-
-    def test_group_by_lowered_to_grouped_partials(self):
-        q = _session().sql.query(
-            "SELECT s, COUNT(*) FROM t WHERE x > 10 GROUP BY s",
-            extra_config={"shards": 4})
-        assert "ShardedGroupedAggregate(" in q.explain()
-
-    def test_float_sum_group_by_takes_merge_barrier(self):
-        # Float partial sums would reorder rounding even per group: the
-        # grouped aggregate stays serial, only the pipeline below it shards.
-        q = _session().sql.query(
-            "SELECT s, SUM(y) FROM t WHERE x > 10 GROUP BY s",
-            extra_config={"shards": 4})
-        text = q.explain()
-        assert "ShardedGroupedAggregate(" not in text
-        assert "ShardedScan(" in text
+    @pytest.mark.parametrize("sql", [
+        "SELECT id, x * 2 AS v FROM t WHERE x > 10",
+        "SELECT COUNT(*), MIN(x), MAX(x), SUM(x), AVG(x) FROM t WHERE x > 10",
+        "SELECT SUM(y) FROM t WHERE x > 10",
+        "SELECT s, COUNT(*) FROM t WHERE x > 10 GROUP BY s",
+        "SELECT s, SUM(y) FROM t WHERE x > 10 GROUP BY s",
+        "SELECT id, y FROM t ORDER BY y DESC LIMIT 5",
+    ], ids=["pipeline", "global-agg", "float-sum", "group-by",
+            "float-sum-group-by", "topk"])
+    def test_other_shapes_lower_serially(self, sql):
+        """Without a join, ``shards`` changes nothing: the physical plan is
+        the serial one, byte for byte."""
+        session = _session()
+        serial = session.sql.query(sql).explain()
+        assert session.sql.query(sql, extra_config=SHARDED).explain() == serial
+        assert "Sharded" not in serial
 
     def test_shards_1_and_trainable_stay_serial(self):
         session = _session()
+        sql = f"SELECT SUM(a.y) {SELF_JOIN} WHERE a.x > 10"
+        assert "ShardedScan" in session.sql.query(
+            sql, extra_config=SHARDED).explain()
+        assert "Sharded" not in session.sql.query(sql).explain()
         assert "Sharded" not in session.sql.query(
-            "SELECT id FROM t WHERE x > 10").explain()
-        assert "Sharded" not in session.sql.query(
-            "SELECT SUM(y) FROM t WHERE x > 10",
-            extra_config={"shards": 4, "trainable": True}).explain()
+            sql, extra_config={"shards": 4, "trainable": True}).explain()
 
-    def test_suite_plans_have_only_sharded_drivers(self):
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_suite_shards_only_join_inputs(self, seed):
         """The benchmark's five TPC-H-shaped statements at ``shards=2``:
-        contiguous sharded drivers only, no repartitioning operator."""
+        sharded scans sit only directly beneath q3's and q12's joins, and
+        q1, q6 and topk print the serial plan text byte for byte."""
         import datagen
-        orders = datagen.make_orders(1, 0.01)
+        orders = datagen.make_orders(seed, 0.01)
         session = Session()
-        session.sql.register_dict(datagen.make_lineitem(1, orders, 0.01),
+        session.sql.register_dict(datagen.make_lineitem(seed, orders, 0.01),
                                   "lineitem")
         session.sql.register_dict(orders, "orders")
-        statements = datagen.suite_statements(datagen.suite_params(1))
-        assert len(statements) == 5
-        for sql in statements.values():
-            plan = session.sql.query(sql, extra_config={"shards": 2}).explain()
-            assert "Sharded" in plan, plan
-            assert "Partitioned" not in plan and "Exchange" not in plan, plan
+        statements = datagen.suite_statements(datagen.suite_params(seed))
+        assert sorted(statements) == ["q1", "q12", "q3", "q6", "topk"]
+        for name, sql in statements.items():
+            sharded = session.sql.query(sql, extra_config={"shards": 2}).explain()
+            parents = _parents(_physical(sharded), "ShardedScan(")
+            if name in ("q3", "q12"):
+                assert parents == ["Join(INNER)", "Join(INNER)"], sharded
+            else:
+                assert sharded == session.sql.query(sql).explain(), name
+                assert not parents, sharded
 
     @pytest.mark.parametrize("device", ["cpu", "cuda"])
     def test_user_code_statements_lower_serially(self, device, vec_session):  # noqa: F811
         """A scalar UDF anywhere, a TVF or a similarity top-k makes the
-        whole statement lower serially at any ``shards``: no ``Sharded``
-        driver, results bitwise serial, and user code called as often as
-        serially. 1300 rows put a cuda micro-batch boundary (512 rows)
-        inside a would-be shard, and the UDF-after-filter statements feed
-        the UDF a filtered remnant on a row-batching device."""
+        whole statement lower serially at any ``shards``, join inputs
+        included: no ``Sharded`` driver, results bitwise serial, and user
+        code called as often as serially. 1300 rows put a cuda micro-batch
+        boundary (512 rows) inside a would-be shard, and the
+        UDF-after-filter statements feed the UDF a filtered remnant on a
+        row-batching device."""
         session, _, _ = vec_session
         model = session.functions.lookup("vec_sim").modules[0]
         lin = nn.Linear(1, 1)
@@ -190,11 +212,16 @@ class TestLowering:
             return model.similarity(query, emb.to(device="cpu"))
 
         session.sql.query("CREATE VECTOR INDEX vidx ON vecs(emb)").run()
+        # The same join without user code shards.
+        assert "ShardedScan" in session.sql.query(
+            f"SELECT a.id {SELF_JOIN} WHERE a.y > 0", device=device,
+            extra_config=SHARDED).explain()
         statements = [
-            "SELECT id FROM t WHERE aff(y) > 0",
-            "SELECT id, aff(y) AS a FROM t WHERE y > 0",
-            "SELECT x, MAX(aff(y)) AS m FROM t WHERE x > 10 GROUP BY x",
-            "SELECT shift(id, x, y) FROM t WHERE x > 10",
+            f"SELECT a.id {SELF_JOIN} WHERE aff(a.y) > 0",
+            f"SELECT a.id, aff(a.y) AS a {SELF_JOIN} WHERE a.y > 0",
+            f"SELECT a.x, MAX(aff(b.y)) AS m {SELF_JOIN} WHERE a.x > 10 "
+            "GROUP BY a.x",
+            f"SELECT shift(a.id, a.x, b.y) {SELF_JOIN} WHERE a.x > 10",
             TOPK_SQL.format(q="q0", k=5),
         ]
         for sql in statements:
@@ -218,14 +245,9 @@ class TestKnobs:
             with pytest.raises(ValueError):
                 QueryConfig({"shards": bad}).shards
 
-    def test_invalid_min_rows_rejected(self):
-        for bad in (-1, True, "many", "auto"):
-            with pytest.raises(ValueError):
-                QueryConfig({"parallel_min_rows": bad}).parallel_min_rows
-
     def test_knobs_fold_into_plan_cache_fingerprint(self):
         session = _session()
-        stmt = "SELECT id FROM t WHERE x > 10"
+        stmt = f"SELECT a.id {SELF_JOIN} WHERE a.x > 10"
         q1 = session.sql.query(stmt)
         q4 = session.sql.query(stmt, extra_config={"shards": 4})
         q1_again = session.sql.query(stmt)
@@ -239,14 +261,13 @@ class TestReviewRegressions:
     def test_computed_string_columns_stitch(self):
         """Per-shard dictionary encodings (string builtins / literals)
         decode and re-encode at the stitch instead of failing."""
-        session = _session()
-        for stmt in ("SELECT UPPER(s) AS u FROM t WHERE x >= 0",
-                     "SELECT 'tag' AS c, x FROM t WHERE x >= 0"):
-            a = session.sql.query(stmt).run()
-            b = session.sql.query(stmt, extra_config={
-                "shards": 4, "parallel_min_rows": 2}).run()
-            for name in a.column_names:
-                assert np.array_equal(a.column(name), b.column(name)), (stmt, name)
+        pieces = [Relation(Table("t", [Column.from_values(
+            "u", np.array(words, dtype=object))]))
+            for words in (["b", "a"], ["c"], ["a", "d"])]
+        encodings = {id(p.table.columns[0].encoding) for p in pieces}
+        assert len(encodings) == 3            # one dictionary per shard
+        stitched = stitch_relations(pieces).table.columns[0]
+        assert list(stitched.decode()) == ["b", "a", "c", "a", "d"]
 
     def test_rle_columns_share_one_materialized_base(self):
         """The shard driver materializes an RLE column once for the whole
@@ -267,24 +288,17 @@ class TestReviewRegressions:
 
 
 class TestExecutionParity:
-    def test_limit_offset_and_distinct_over_sharded_prefix(self):
+    def test_limit_offset_and_distinct_above_sharded_join(self):
         session = _session()
         for stmt in (
-            "SELECT id, y FROM t WHERE x > 5 ORDER BY y DESC, id LIMIT 9 OFFSET 3",
-            "SELECT DISTINCT s FROM t WHERE x < 40",
-            "SELECT s, AVG(x) AS m FROM t GROUP BY s ORDER BY s",
+            f"SELECT a.id, b.y {SELF_JOIN} WHERE a.x > 5 "
+            "ORDER BY b.y DESC, a.id LIMIT 9 OFFSET 3",
+            f"SELECT DISTINCT a.s {SELF_JOIN} WHERE b.x < 40",
+            f"SELECT a.s, AVG(b.x) AS m {SELF_JOIN} GROUP BY a.s ORDER BY a.s",
         ):
-            a = session.sql.query(stmt).run()
-            b = session.sql.query(stmt, extra_config={
-                "shards": 5, "parallel_min_rows": 2}).run()
-            assert a.column_names == b.column_names
-            for name in a.column_names:
-                av, bv = a.column(name), b.column(name)
-                assert av.dtype == bv.dtype
-                if av.dtype.kind == "f":
-                    assert np.array_equal(av, bv, equal_nan=True)
-                else:
-                    assert np.array_equal(av, bv)
+            sharded = session.sql.query(stmt, extra_config={"shards": 5})
+            assert "ShardedScan(shards=5)" in sharded.explain(), stmt
+            _assert_bitwise(session.sql.query(stmt).run(), sharded.run(), stmt)
 
     @pytest.mark.parametrize("sql", [
         "SELECT x.id, x.f, d.w, d.label FROM t x JOIN dim d ON x.b = d.b",
@@ -292,31 +306,39 @@ class TestExecutionParity:
         "SELECT x.id, d.w FROM t x JOIN dim d ON x.b = d.b AND x.k = d.k",
         "SELECT x.id, d.w FROM t x LEFT JOIN dim d "
         "ON x.b = d.b AND d.w > 10 WHERE x.k < 4",
-        "SELECT s, SUM(f) AS sf FROM t GROUP BY s",
-        "SELECT b, AVG(g) AS ag FROM t GROUP BY b",
-        "SELECT s, b, COUNT(DISTINCT k) AS cd FROM t GROUP BY s, b",
-        "SELECT g, COUNT(*) AS c, SUM(f) AS sf FROM t GROUP BY g",
-        "SELECT k, SUM(f * 2.0) AS sf FROM t WHERE b < 20 GROUP BY k",
+        "SELECT x.s, SUM(x.f) AS sf FROM t x JOIN dim d ON x.b = d.b "
+        "GROUP BY x.s",
+        "SELECT x.b, AVG(x.g) AS ag FROM t x JOIN dim d ON x.b = d.b "
+        "GROUP BY x.b",
+        "SELECT x.s, x.b, COUNT(DISTINCT x.k) AS cd "
+        "FROM t x JOIN dim d ON x.b = d.b GROUP BY x.s, x.b",
+        "SELECT x.g, COUNT(*) AS c, SUM(x.f) AS sf "
+        "FROM t x LEFT JOIN dim d ON x.b = d.b GROUP BY x.g",
+        "SELECT x.k, SUM(x.f * 2.0) AS sf FROM t x JOIN dim d ON x.b = d.b "
+        "WHERE x.b < 20 GROUP BY x.k",
         "SELECT d.label, SUM(x.f) AS sf, AVG(x.g) AS ag "
         "FROM t x JOIN dim d ON x.b = d.b GROUP BY d.label",
     ], ids=["join", "left-join", "multi-key-join", "residual-where",
             "float-sum", "nan-avg", "count-distinct", "nan-keys",
             "filtered-expr-sum", "above-join"])
-    def test_joins_and_groups(self, sql):
-        """Joins and non-mergeable grouped aggregates run serially above
-        the stitch barrier of their sharded scans: bitwise serial."""
+    def test_joins_and_groups(self, sql, tiny_shards):
+        """Joins and the grouped aggregates above them run serially over
+        the stitched outputs of their sharded scans: bitwise serial."""
         session = _join_session()
+        sharded = session.sql.query(sql, extra_config=SHARDED)
+        assert "ShardedScan(" in sharded.explain(), sql
         serial = session.sql.query(sql, extra_config=SERIAL).run()
-        sharded = session.sql.query(sql, extra_config=SHARDED).run()
-        _assert_bitwise(serial, sharded, sql)
+        _assert_bitwise(serial, sharded.run(), sql)
 
     def test_small_input_stays_serial(self):
         session = _join_session(n=8)
         sql = "SELECT x.id, d.w FROM t x JOIN dim d ON x.b = d.b"
-        big_min = {"shards": 4, "parallel_min_rows": 100000}
+        tasks = session.shard_pool.stats["tasks"]
+        sharded = session.sql.query(sql, extra_config=SHARDED)
+        assert "ShardedScan(" in sharded.explain()
         serial = session.sql.query(sql, extra_config=SERIAL).run()
-        _assert_bitwise(serial,
-                        session.sql.query(sql, extra_config=big_min).run())
+        _assert_bitwise(serial, sharded.run())
+        assert session.shard_pool.stats["tasks"] == tasks
 
 
 def _assert_bitwise(result_a, result_b, context=""):
@@ -379,8 +401,7 @@ class TestSoftDecline:
     def test_soft_aggregate_runs_serially(self):
         session = _soft_session()
         soft_serial = {"shards": 1, "groupby_impl": "soft"}
-        soft_sharded = {"shards": 4, "parallel_min_rows": 2,
-                        "groupby_impl": "soft"}
+        soft_sharded = {"shards": 4, "groupby_impl": "soft"}
         serial = session.sql.query(self.SQL, extra_config=soft_serial).run()
         sharded = session.sql.query(self.SQL, extra_config=soft_sharded).run()
         _assert_bitwise(serial, sharded)
@@ -389,8 +410,7 @@ class TestSoftDecline:
         session = _soft_session()
         plan = session.sql.query(
             "EXPLAIN " + self.SQL,
-            extra_config={"shards": 4, "parallel_min_rows": 2,
-                          "groupby_impl": "soft"}).run()
+            extra_config={"shards": 4, "groupby_impl": "soft"}).run()
         text = "\n".join(str(v) for v in np.asarray(plan.column("plan")))
         assert "SoftAggregate" in text
         assert "Sharded" not in text

@@ -27,8 +27,11 @@ from repro.sql.binder import Binder
 from repro.sql.parser import parse
 
 ROWS = 512
-SHARD_CONFIG = {"shards": 4, "parallel_min_rows": 8}
+SHARD_CONFIG = {"shards": 4}
 FILTER_SQL = "SELECT k, v FROM t WHERE v > 0.0"
+# Only a scan chain that feeds a join shards: ``t``'s filtered scan splits,
+# the 8-row dimension ``d`` stays whole (under the partition row floor).
+JOIN_SQL = "SELECT k, v, w FROM t JOIN d ON k = dk WHERE v > 0.0"
 
 
 def _numeric_session(rows: int = ROWS) -> Session:
@@ -39,6 +42,13 @@ def _numeric_session(rows: int = ROWS) -> Session:
          "v": rng.normal(size=rows).astype(np.float32)},
         "t",
     )
+    return session
+
+
+def _join_session() -> Session:
+    session = _numeric_session()
+    session.sql.register_dict({"dk": np.arange(8, dtype=np.int64),
+                               "w": np.arange(8, dtype=np.float32)}, "d")
     return session
 
 
@@ -112,17 +122,18 @@ class TestExplainAnalyze:
         statement the report shows per-operator rows/time, per-shard
         timings, the kernel path and plan-cache attribution — and the
         reported row counts equal the actual result cardinalities."""
-        session = _numeric_session()
-        explain = session.sql.query(f"EXPLAIN ANALYZE {FILTER_SQL}",
+        session = _join_session()
+        explain = session.sql.query(f"EXPLAIN ANALYZE {JOIN_SQL}",
                                     extra_config=SHARD_CONFIG)
 
         first = _plan_text(explain.run())
         assert "plan_cache=miss" in first
-        direct = session.sql.query(FILTER_SQL, extra_config=SHARD_CONFIG).run()
+        direct = session.sql.query(JOIN_SQL, extra_config=SHARD_CONFIG).run()
         warm = _plan_text(explain.run())     # inner plan now cached
         assert "plan_cache=hit" in warm
 
-        assert warm.startswith(f"EXPLAIN ANALYZE {FILTER_SQL}")
+        assert warm.startswith(f"EXPLAIN ANALYZE {JOIN_SQL}")
+        assert "ShardedScan(shards=4): Scan(t)" in warm
         assert re.search(r"total: \d+\.\d{3}ms  device=cpu", warm)
         assert re.search(r"compile: \d+\.\d{3}ms", warm)
 
@@ -134,8 +145,8 @@ class TestExplainAnalyze:
         root_rows = re.search(r"rows_out=(\d+)", op_lines[0])
         assert root_rows and int(root_rows.group(1)) == len(direct)
 
-        # Sharded execution detail: one line per shard with its own timing
-        # and row count, summing to the base table.
+        # Sharded execution detail: one line per shard of ``t`` with its
+        # own timing and row count, summing to the base table.
         shard_rows = [int(m.group(1)) for m in
                       re.finditer(r"\+ shard \d+: time=\d+\.\d{3}ms .*?rows=(\d+)",
                                   warm)]
@@ -217,9 +228,10 @@ class TestSpans:
         assert query.last_trace() is None  # telemetry off by default
 
     def test_shard_spans_nest_under_their_operator(self):
-        session = _numeric_session()
+        session = _join_session()
         config = dict(SHARD_CONFIG, telemetry=True)
-        query = session.sql.query(FILTER_SQL, extra_config=config)
+        query = session.sql.query(JOIN_SQL, extra_config=config)
+        assert "ShardedScan(" in query.explain()
         query.run()
         trace = query.last_trace()
         shards = trace.find("shard")

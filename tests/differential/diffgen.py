@@ -303,11 +303,10 @@ def _group_agg_stmt(r: random.Random) -> DiffStatement:
 
 
 def _pipeline_group_stmt(r: random.Random) -> DiffStatement:
-    """Filter → (computed) project → GROUP BY: the exact shape PR 8's
-    whole-pipeline compiler fuses (and lowers to grouped partials under
-    shards), with expression-valued aggregate arguments so the fused
-    projection feeds the aggregate. Miniduck evaluates expression
-    aggregates, so this stays oracle-covered."""
+    """Filter → (computed) project → GROUP BY: the shape the pipeline
+    lowering fuses into one stage, with expression-valued aggregate
+    arguments so the fused projection feeds the aggregate. Miniduck
+    evaluates expression aggregates, so this stays oracle-covered."""
     table = _pick_table(r)
     keys = r.choice([["s"], ["a"], ["b"], ["s", "b"]])
     items = list(keys)

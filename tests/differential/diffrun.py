@@ -6,9 +6,11 @@ plus the miniduck oracle.
 1. engine ``shards=1`` with ``compile_exprs=False`` (the one expression
    lowering over tcr ops, serial — the base every other engine leg is
    compared **bitwise** against),
-2. engine ``shards=4`` (tcr ops) with a tiny ``parallel_min_rows`` so
-   even small tables actually split: sharded execution must be
-   indistinguishable from serial;
+2. engine ``shards=4`` (tcr ops): only the scans that feed a join shard,
+   and the caller lowers ``partition.PARALLEL_MIN_ROWS`` so even small
+   tables actually split. Sharded execution must be indistinguishable from
+   serial; ``sharded_checked`` counts the statements whose shard legs
+   really split a scan;
 3. engine ``shards=3`` (tcr ops): an odd shard count, so shard boundaries
    fall at uneven row offsets;
 4. & 5. the configurations of 1. and 2. with ``compile_exprs=True`` (the
@@ -52,15 +54,15 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from diffgen import DiffStatement, gen_statements, gen_tables  # noqa: E402
 
 from repro.baselines.miniduck import MiniDuck  # noqa: E402
+from repro.core import partition  # noqa: E402
 from repro.core.session import Session  # noqa: E402
 from repro.errors import TdpError  # noqa: E402
 
 SERIAL_CONFIG = {"compile_exprs": False}
-SHARD_CONFIG = {"shards": 4, "parallel_min_rows": 2, "compile_exprs": False}
-ODD_SHARD_CONFIG = {"shards": 3, "parallel_min_rows": 2, "compile_exprs": False}
+SHARD_CONFIG = {"shards": 4, "compile_exprs": False}
+ODD_SHARD_CONFIG = {"shards": 3, "compile_exprs": False}
 KERNEL_CONFIG = {"compile_exprs": True}
-KERNEL_SHARD_CONFIG = {"shards": 4, "parallel_min_rows": 2,
-                       "compile_exprs": True}
+KERNEL_SHARD_CONFIG = {"shards": 4, "compile_exprs": True}
 ENGINE_LEGS = [
     ("shards=4", SHARD_CONFIG),
     ("odd shards=3", ODD_SHARD_CONFIG),
@@ -189,7 +191,8 @@ def run_differential(seed: int, count: int = 120,
         duck.register(name, dict(data))
     statements = gen_statements(seed, count)
     stats = {"statements": 0, "oracle_checked": 0, "oracle_skipped": 0,
-             "engine_only": 0, "kernel_checked": 0, "odd_shards_checked": 0}
+             "engine_only": 0, "kernel_checked": 0, "odd_shards_checked": 0,
+             "sharded_checked": 0}
     for case, stmt in enumerate(statements):
         if only_case is not None and case != only_case:
             continue
@@ -198,6 +201,7 @@ def run_differential(seed: int, count: int = 120,
             print(f"[{seed}:{case}] {stmt.sql}")
         try:
             serial = _engine_result(session, stmt.sql, SERIAL_CONFIG)
+            batches = session.shard_pool.stats["batches"]
             for label, extra in ENGINE_LEGS:
                 other = _engine_result(session, stmt.sql, extra)
                 detail = compare_engine_runs(serial, other, label)
@@ -207,6 +211,8 @@ def run_differential(seed: int, count: int = 120,
                     stats["kernel_checked"] += 1
                 elif "odd" in label:
                     stats["odd_shards_checked"] += 1
+            if session.shard_pool.stats["batches"] > batches:
+                stats["sharded_checked"] += 1
         except TdpError as exc:
             raise Divergence(seed, case, stmt,
                              f"engine rejected generated statement: {exc}")
@@ -238,6 +244,7 @@ def main(argv=None) -> int:
                         help="run only this case index (reproduction)")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
+    partition.PARALLEL_MIN_ROWS = 2     # as the tests' ``tiny_shards`` fixture
     try:
         stats = run_differential(args.seed, args.count, only_case=args.case,
                                  verbose=args.verbose)

@@ -2,7 +2,8 @@
 
 Each seed drives a full stream of generated statements through
 ``diffrun.run_differential``: both expression namespaces × serial/sharded
-(all bitwise against the serial tcr-ops leg) plus the miniduck oracle. The
+(all bitwise against the serial tcr-ops leg; the sharded legs split join
+inputs only) plus the miniduck oracle. The
 default budget keeps tier-1 fast; CI's ``differential`` job widens it via
 the environment:
 
@@ -29,7 +30,7 @@ def _count():
 
 
 @pytest.mark.parametrize("seed", _seeds())
-def test_differential_seed(seed):
+def test_differential_seed(seed, tiny_shards):
     stats = run_differential(seed, _count())
     assert stats["statements"] == _count()
     # The oracle comparison must retain real coverage: grammar drift that
@@ -42,3 +43,6 @@ def test_differential_seed(seed):
     # sharded) run for every statement.
     assert stats["odd_shards_checked"] == _count(), stats
     assert stats["kernel_checked"] == 2 * _count(), stats
+    # Only join inputs shard: the shard legs must still split some scans,
+    # or they would silently compare serial plans with serial plans.
+    assert stats["sharded_checked"] > 0, stats
