@@ -130,6 +130,10 @@ JOIN_STATEMENTS = [
     f"SELECT a.id, b.x {SELF_JOIN} ORDER BY b.x DESC, a.id LIMIT 7",
     "SELECT a.id, b.y FROM t a LEFT JOIN t b ON a.x = b.id AND b.y > 0 "
     "WHERE a.s LIKE '%t' OR a.x % 3 = 0",
+    # A derived table below the join: its projections run per shard.
+    "SELECT a.id, a.v, a.c, a.k, b.y FROM (SELECT id, CASE WHEN y > 0 "
+    "THEN x * 2 ELSE -x END AS v, UPPER(s) AS c, CAST(y AS INT) AS k FROM t "
+    "WHERE x > -10) a JOIN t b ON a.id = b.id",
 ]
 
 
@@ -327,9 +331,12 @@ def _assert_compiled_law(session, stmt):
 def test_compiled_equals_interpreted(data, num, cond):
     """Vectorized expression kernels are bit-identical to the interpreter
     over randomized trees, serial and sharded (NaN NULLs, empty tables and
-    single rows come from the `tables()` strategy)."""
+    single rows come from the `tables()` strategy). The expression is
+    computed in a derived table below the join, so the sharded legs
+    evaluate it per shard."""
     session = _register_keyed(data)
-    stmt = f"SELECT id, {num} AS e0, s {KEYED_JOIN} {cond}"
+    stmt = (f"SELECT id, e0, s FROM (SELECT id, {num} AS e0, s FROM t "
+            f"WHERE id >= 0 AND {cond}) a JOIN u ON id = uid")
     _assert_compiled_law(session, stmt)
 
 
@@ -338,11 +345,13 @@ def test_compiled_equals_interpreted(data, num, cond):
 @given(data=tables(), num=num_exprs(), cond=bool_exprs())
 def test_pipeline_grouped_aggregate_law(data, num, cond):
     """The compiled ≡ interpreted law over pipelines ending in a grouped
-    aggregate (filter → join → project → GROUP BY), with integer and float
-    aggregates over the stitched join input."""
+    aggregate (filter → project → join → GROUP BY), with integer and float
+    aggregates over the stitched join input; the projection runs per
+    shard."""
     session = _register_keyed(data)
-    stmt = (f"SELECT s, COUNT(*) AS c, SUM(x + 1) AS sm, MIN({num}) AS mn, "
-            f"AVG(y) AS av {KEYED_JOIN} {cond} GROUP BY s")
+    stmt = (f"SELECT s, COUNT(*) AS c, SUM(x1) AS sm, MIN(e0) AS mn, "
+            f"AVG(y) AS av FROM (SELECT s, x + 1 AS x1, {num} AS e0, y, id "
+            f"FROM t WHERE id >= 0 AND {cond}) a JOIN u ON id = uid GROUP BY s")
     _assert_compiled_law(session, stmt)
 
 

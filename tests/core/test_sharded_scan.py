@@ -260,7 +260,16 @@ class TestKnobs:
 class TestReviewRegressions:
     def test_computed_string_columns_stitch(self):
         """Per-shard dictionary encodings (string builtins / literals)
-        decode and re-encode at the stitch instead of failing."""
+        decode and re-encode at the stitch instead of failing. A derived
+        table that feeds a join computes both per shard."""
+        session = _session()
+        stmt = ("SELECT a.u, a.c, b.y FROM (SELECT UPPER(s) AS u, 'tag' AS c, "
+                "id FROM t WHERE x >= 0) a JOIN t b ON a.id = b.id")
+        sharded = session.sql.query(stmt, extra_config=SHARDED)
+        assert "ShardedScan(" in sharded.explain()
+        _assert_bitwise(session.sql.query(stmt).run(), sharded.run(), stmt)
+
+    def test_stitch_reencodes_per_shard_dictionaries(self):
         pieces = [Relation(Table("t", [Column.from_values(
             "u", np.array(words, dtype=object))]))
             for words in (["b", "a"], ["c"], ["a", "d"])]

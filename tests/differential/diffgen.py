@@ -338,7 +338,9 @@ def _pipeline_group_stmt(r: random.Random) -> DiffStatement:
 def _builtin_stmt(r: random.Random) -> DiffStatement:
     """Engine-only: scalar builtins/CAST the oracle has no functions for
     (PR 8's TRIM/SUBSTR/COALESCE and CAST-to-string kernel lowerings).
-    Checked for shard- and kernel-invariance like every statement."""
+    Checked for shard- and kernel-invariance like every statement. Half
+    the statements compute the builtins in a derived table that feeds a
+    join, so the shard legs run the kernels per shard and stitch them."""
     table = _pick_table(r)
     makers = [
         lambda: f"TRIM({STRING_COL})",
@@ -354,11 +356,17 @@ def _builtin_stmt(r: random.Random) -> DiffStatement:
     ]
     items = ["id"] + [f"{maker()} AS e{i}"
                       for i, maker in enumerate(r.sample(makers, r.randint(1, 3)))]
-    sql = f"SELECT {', '.join(items)} FROM {table}"
-    if r.random() < 0.7:
-        sql += f" WHERE {_predicate(r)}"
-    if r.random() < 0.3:
-        sql += " ORDER BY id"
+    where = f" WHERE {_predicate(r)}" if r.random() < 0.7 else ""
+    order = r.random() < 0.3
+    if r.random() < 0.5:
+        # dim holds each b once, so the LEFT JOIN keeps every row once.
+        names = ["x.id"] + [f"x.e{i}" for i in range(len(items) - 1)]
+        sql = (f"SELECT {', '.join(names)}, d.w FROM (SELECT {', '.join(items)}, "
+               f"b FROM {table}{where}) x LEFT JOIN dim d ON x.b = d.b")
+        sql += " ORDER BY x.id" if order else ""
+    else:
+        sql = f"SELECT {', '.join(items)} FROM {table}{where}"
+        sql += " ORDER BY id" if order else ""
     return DiffStatement(sql, table, ["id"], ordered="ORDER BY" in sql,
                          oracle=False)
 
