@@ -3,8 +3,8 @@
 The paper (§2): "For each physical operator, we can have more than one
 [tensor] implementation, and at compilation time we use a mix of flags and
 heuristics to pick which one to use." These benches measure the choices the
-planner makes: the one grouped aggregate across key shapes, fused top-k vs a
-full sort, and the device micro-batch sweep behind the Fig 2 gap.
+planner makes: the one grouped aggregate across key shapes and fused top-k vs
+a full sort.
 """
 
 import numpy as np
@@ -84,40 +84,3 @@ class TestTopKImplementations:
         session = _session_with_keys(10)
         q = session.spark.query("SELECT v FROM t ORDER BY v DESC LIMIT 10")
         benchmark.pedantic(q.run, rounds=3, iterations=1, warmup_rounds=1)
-
-
-class TestDeviceBatchSweep:
-    def test_udf_batch_amortisation(self, benchmark):
-        """The Fig 2 mechanism, isolated: same UDF, different micro-batches."""
-        from repro.core.expr_eval import _invoke_batched
-        from repro.core.udf import UdfInfo, parse_output_schema
-        from repro.tcr.device import Device, _PROFILES, DeviceProfile
-        from repro.tcr import nn
-        from repro.tcr.tensor import Tensor
-
-        model = nn.Sequential(nn.Linear(64, 128), nn.ReLU(), nn.Linear(128, 1))
-        info = UdfInfo("f", lambda x: model(x).reshape(-1),
-                       parse_output_schema("float"), [])
-        data = Tensor(np.random.default_rng(0).normal(
-            size=(scaled(4096), 64)).astype(np.float32))
-
-        rows = []
-        for batch_rows in [4, 32, 256, 2048]:
-            _PROFILES["cuda"] = DeviceProfile(exec_batch_rows=batch_rows)
-            try:
-                device = Device("cuda")
-                seconds = time_call(
-                    lambda: _invoke_batched(info, [data], data.shape[0], device),
-                    repeat=3,
-                )
-            finally:
-                _PROFILES["cuda"] = DeviceProfile(exec_batch_rows=512)
-            rows.append([batch_rows, seconds])
-        print_table(
-            "A2: UDF execution time vs micro-batch size (the Fig 2 mechanism)",
-            ["batch rows", "seconds"], rows,
-        )
-        times = [r[1] for r in rows]
-        # Bigger batches amortise dispatch overhead monotonically (roughly).
-        assert times[-1] < times[0]
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)

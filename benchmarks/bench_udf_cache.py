@@ -83,7 +83,7 @@ class TestUdfCache:
     def test_index_build_after_query_zero_corpus_encodes(
             self, benchmark, fig2_dataset, clip_model):
         """A CREATE VECTOR INDEX build after a similarity query reuses the
-        query's (micro-batch-captured) corpus embeddings."""
+        query's full-column corpus embedding."""
         session = Session()
         setup_multimodal(session, fig2_dataset, clip_model)
         n = len(fig2_dataset)
@@ -103,7 +103,7 @@ class TestUdfCache:
     def test_query_after_index_build_zero_corpus_encodes(
             self, benchmark, fig2_dataset, clip_model):
         """An exact similarity scan after an index build reuses the build's
-        embeddings slice by slice (CPU micro-batched path)."""
+        full-column embedding."""
         session = Session()
         setup_multimodal(session, fig2_dataset, clip_model,
                          vector_index=True, index_cells=16, index_nprobe=4)

@@ -12,7 +12,9 @@ from repro.storage.frame import DataFrame
 def main() -> None:
     # --- Example 2.1: ingesting data --------------------------------------
     # A small table of digits with a size tag; in the paper this is a Pandas
-    # dataframe stored on GPU ("cuda" here is the simulated accelerator).
+    # dataframe stored on GPU. Here "cuda" only tags where the tensors live:
+    # they are numpy buffers, and the engine runs the same whole-column code
+    # on every device.
     rng = np.random.default_rng(0)
     data = DataFrame({
         "Digits": rng.integers(0, 10, size=1000),

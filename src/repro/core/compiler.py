@@ -307,8 +307,8 @@ def _breaks_stage(stage: _Stage, conjunct: Optional[b.BoundExpr] = None) -> bool
     new stage instead of being inlined into ``stage``? The three breakers:
 
     1. a UDF-bearing conjunct must see only the rows that survive the
-       conjuncts before it (user code, micro-batch shapes and the
-       materialization cache are all row-set visible);
+       conjuncts before it (user code, the argument shapes it is called
+       with and the materialization cache are all row-set visible);
     2. a projection holding a UDF is never inlined: that would duplicate
        the call, or move it across a selection;
     3. a two-argument ROUND with non-literal digits is not moved across a

@@ -22,7 +22,6 @@ from repro.sql import bound as b
 from repro.storage.column import Column
 from repro.storage.encodings import CharCodeEncoding, EncodedTensor, PlainEncoding
 from repro.storage.table import Table
-from repro.tcr import ops
 from repro.tcr.tensor import Tensor
 
 
@@ -119,7 +118,7 @@ class ExpressionEvaluator:
                     tc.tag_tensor(tensor, tag)
 
         try:
-            columns = _invoke_batched(udf, args, self.num_rows, self.device)
+            columns = _rehome(udf.invoke(args), self.device)
         finally:
             for tensor, _ in tags:
                 tc.untag_tensor(tensor)
@@ -307,56 +306,6 @@ def _bcall_cache_plan(udf, values, args, evaluator, cache):
     subset = (any_column and rows is not None and len(rows_fps) == 1)
     full_key = tuple(full_parts) if subset else None
     return key, full_key, (rows if subset else None), tags
-
-
-def _invoke_batched(udf, args: List[object], num_rows: int, device) -> List[Column]:
-    """Invoke a UDF, micro-batching row arguments per the device profile.
-
-    This is where the simulated device asymmetry becomes measurable: the CPU
-    profile dispatches many small kernels (one per micro-batch) while the
-    accelerator profile amortises Python/kernel overhead over large batches —
-    the mechanism behind the paper's Fig 2 CPU/GPU gap.
-    """
-    from repro.tcr.autograd import is_grad_enabled
-
-    batch_rows = device.profile.exec_batch_rows
-    needs_grad = is_grad_enabled() and any(
-        p.requires_grad for p in udf.parameters()
-    )
-    if num_rows <= batch_rows or needs_grad:
-        return _rehome(udf.invoke(args), device)
-
-    batched_results: List[List[Column]] = []
-    for start in range(0, num_rows, batch_rows):
-        stop = min(start + batch_rows, num_rows)
-        chunk_args = []
-        for arg in args:
-            if isinstance(arg, Tensor) and arg.ndim >= 1 and arg.shape[0] == num_rows:
-                chunk = arg[start:stop]
-                _tag_slice(arg, chunk, start, stop)
-                chunk_args.append(chunk)
-            elif isinstance(arg, EncodedTensor) and arg.num_rows == num_rows:
-                chunk = arg.tensor[start:stop]
-                _tag_slice(arg.tensor, chunk, start, stop)
-                chunk_args.append(EncodedTensor(chunk, arg.encoding))
-            else:
-                chunk_args.append(arg)
-        batched_results.append(udf.invoke(chunk_args))
-
-    stitched: List[Column] = []
-    for col_idx in range(len(udf.output_schema)):
-        pieces = [chunk[col_idx] for chunk in batched_results]
-        tensor = ops.cat([p.tensor for p in pieces], dim=0)
-        stitched.append(Column(pieces[0].name, EncodedTensor(tensor, pieces[0].encoding)))
-    return _rehome(stitched, device)
-
-
-def _tag_slice(parent: Tensor, chunk: Tensor, start: int, stop: int) -> None:
-    """Propagate content identity onto a micro-batch slice, so encoder memos
-    inside the UDF can capture/reuse per-slice embeddings."""
-    tag = getattr(parent, "_cache_tag", None)
-    if tag is not None:
-        tc.tag_tensor(chunk, tc.slice_tag(tag, start, stop))
 
 
 def _rehome(columns: List[Column], device) -> List[Column]:

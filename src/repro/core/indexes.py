@@ -312,10 +312,9 @@ class IndexManager:
         """Read/populate the session materialization cache for a corpus encode.
 
         Query-time similarity UDFs and index builds meet here: a build after
-        an (accelerable) query reuses the embeddings the query's encoder memo
-        captured — assembled from micro-batch slices if need be — and a query
-        after a build reuses the build's full-corpus entry. Models left in
-        training mode never share (their outputs may be stochastic).
+        a query reuses the full-column embedding the query's encoder memo
+        stored, and a query after a build reuses the build's entry. Models
+        left in training mode never share (their outputs may be stochastic).
         """
         from repro.core import tensor_cache as tc
         cache = self.tensor_cache
@@ -329,7 +328,7 @@ class IndexManager:
             return None
         fp = cache.model_state_fp(model)
         device = str(column.tensor.device)
-        hit = cache.encoded_get(token, fp, tag, column.num_rows, device)
+        hit = cache.encoded_get(token, fp, tag, device)
         if hit is None:
             orig = getattr(model.encode_image, "__tdp_encoder_orig__", None)
             encode = orig if orig is not None else model.encode_image

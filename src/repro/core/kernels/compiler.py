@@ -317,7 +317,7 @@ class ExprCompiler:
         return Scalar(expr.value)
 
     def _lower_BCall(self, expr: b.BCall):
-        # The context owns invocation, micro-batching and the
+        # The context owns invocation, device re-homing and the
         # materialization-cache protocol.
         args = [self.value(arg) for arg in expr.args]
         return lambda ctx: ctx._eval_BCall(expr, [arg(ctx) for arg in args])

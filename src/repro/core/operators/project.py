@@ -6,7 +6,7 @@ from typing import List
 
 from repro.core.expr_eval import (
     ExpressionEvaluator,
-    _invoke_batched,
+    _rehome,
     udf_arguments,
 )
 from repro.core.kernels.compiler import ExprCompiler
@@ -37,7 +37,7 @@ class TVFExec(Operator):
     def forward(self, relation: Relation) -> Relation:
         ctx = ExpressionEvaluator(relation.table)
         args = udf_arguments(self.udf, [arg(ctx) for arg in self._args])
-        columns = _invoke_batched(self.udf, args, relation.num_rows, relation.device)
+        columns = _rehome(self.udf.invoke(args), relation.device)
         renamed = [col.rename(name) for col, name in zip(columns, self.names)]
         out = Table(relation.table.name, renamed)
         # TVFs may change cardinality (one grid image becomes nine tile rows,

@@ -2,8 +2,8 @@
 control and per-client fairness.
 
 The paper frames TDP as a *system* serving mixed AI+SQL workloads. Inference
-batching is left to the tensor runtime: each UDF call already runs over a
-whole column micro-batch, so this layer schedules *statements*, not encoder
+batching is left to the tensor runtime: each UDF call already runs once
+over the whole column, so this layer schedules *statements*, not encoder
 calls:
 
 * :class:`QueryScheduler` — a worker pool behind ``Session.submit`` /

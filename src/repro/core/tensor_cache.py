@@ -32,19 +32,15 @@ versioned materialization:
 * **Row-subset reuse**: a UDF evaluated over a filtered subset of a column
   it has already scored in full is answered by *gathering* from the cached
   full-column entry — this is what makes a UDF duplicated between SELECT and
-  WHERE/ORDER BY invoke the model exactly once per statement. The engine's
-  existing micro-batching contract (UDFs are row-wise: outputs for row ``i``
-  depend only on inputs of row ``i``) is exactly what makes the gather
-  sound.
+  WHERE/ORDER BY invoke the model exactly once per statement. UDFs are
+  row-wise (outputs for row ``i`` depend only on inputs of row ``i``),
+  which is what makes the gather sound.
 
-* **Micro-batch capture**: the CPU device profile dispatches UDFs in small
-  micro-batches (the mechanism behind the paper's Fig 2 CPU/GPU gap), so
-  encoder calls inside a serial UDF pass see row *slices*. Slices are
-  tagged with their ``(parent, start, stop)`` lineage; the cache can later
-  *assemble* a full-corpus embedding from contiguous slice entries — which
-  is how a ``CREATE VECTOR INDEX`` build after a similarity query performs
-  zero additional corpus encodes (and a query after a build reuses the
-  build's embeddings slice by slice).
+* **One encode per column**: a UDF call receives the whole column it is
+  evaluated over, so the encoder memo inside it sees the full corpus and
+  stores one full-column embedding. A ``CREATE VECTOR INDEX`` build after
+  a similarity query reads that entry and encodes nothing (and a query
+  after a build reuses the build's entry the same way).
 
 Trainable compilations never activate the cache, and grad-enabled UDF
 invocations (plus models left in ``train()`` mode) always bypass it.
@@ -90,10 +86,10 @@ class CacheTag:
     """Content identity of one tensor argument.
 
     ``base`` is the identity token of the full base-column tensor;
-    ``rows_fp`` is ``None`` for the full column, a digest string for a
-    row gather, or ``(parent_fp, start, stop)`` for a micro-batch slice;
-    ``rows`` holds the actual base-row indices behind ``rows_fp`` (``None``
-    for the full column) so cached full entries can be gathered from.
+    ``rows_fp`` is ``None`` for the full column or a digest string for a
+    row gather; ``rows`` holds the actual base-row indices behind
+    ``rows_fp`` (``None`` for the full column) so cached full entries can
+    be gathered from.
     """
 
     __slots__ = ("base", "rows_fp", "rows")
@@ -138,63 +134,19 @@ def state_fingerprint(modules: Sequence[object]) -> str:
     return h.hexdigest() if count else "stateless"
 
 
-def _contiguous_bounds(rows: np.ndarray) -> Optional[tuple]:
-    """``(start, stop)`` when ``rows`` is ``arange(start, stop)``, else None."""
-    n = rows.size
-    if n == 0 or rows.ndim != 1:
-        return None
-    start = int(rows[0])
-    stop = int(rows[-1]) + 1
-    if stop - start != n:
-        return None
-    if n > 2 and not np.array_equal(rows, np.arange(start, stop)):
-        return None
-    return (start, stop)
-
-
 def column_tag(column: Column) -> Optional[CacheTag]:
     """Content identity of a column: lineage when it is a row gather of a
-    base column, identity token of its carrier tensor otherwise.
-
-    Contiguous row ranges canonicalise to the slice form ``(None, start,
-    stop)`` rather than an index digest, the form micro-batch capture
-    writes, so a UDF over a contiguous row range keys like the same rows
-    micro-batched out of the full column.
-    """
+    base column, identity token of its carrier tensor otherwise."""
     lineage = getattr(column, "lineage", None)
     if lineage is not None:
         base, rows = lineage
         if rows is None:
             return CacheTag(base, None, None)
-        bounds = _contiguous_bounds(rows)
-        if bounds is not None:
-            return CacheTag(base, (None, bounds[0], bounds[1]), rows)
         return CacheTag(base, rows_digest(rows), rows)
     token = identity_token(column.tensor)
     if token is None:
         return None
     return CacheTag(token, None, None)
-
-
-def slice_tag(parent: CacheTag, start: int, stop: int) -> CacheTag:
-    """Tag for rows ``[start:stop)`` of an already-tagged tensor.
-
-    Slices of full columns and slices of slices both canonicalise to
-    *absolute* base coordinates ``(None, base_start, base_stop)``: a
-    micro-batch inside the contiguous range ``[s, e)`` keys identically to
-    the same rows micro-batched out of the full column, so their cache
-    entries agree.
-    """
-    if parent.rows is not None:
-        rows = parent.rows[start:stop]
-    else:
-        rows = np.arange(start, stop)
-    fp = parent.rows_fp
-    if fp is None:
-        return CacheTag(parent.base, (None, start, stop), rows)
-    if isinstance(fp, tuple) and len(fp) == 3 and fp[0] is None:
-        return CacheTag(parent.base, (None, fp[1] + start, fp[1] + stop), rows)
-    return CacheTag(parent.base, (fp, start, stop), rows)
 
 
 _TAG_LOCK = threading.Lock()
@@ -409,15 +361,12 @@ class TensorCache:
     # Encoder (embedding) entries
     # ------------------------------------------------------------------
     def encoded_get(self, model_token: int, model_fp: str, tag: CacheTag,
-                    num_rows: int, device: str) -> Optional[Tensor]:
-        """Exact hit; else derive a subset/slice from the full-column entry;
-        else (when asked for the full column) assemble from contiguous
-        micro-batch slice entries. ``device`` is the input tensor's device:
-        parameterless encoders follow it, so entries are per-device (like
-        UDF-output keys)."""
+                    device: str) -> Optional[Tensor]:
+        """Exact hit, or a row gather from the full-column entry.
+        ``device`` is the input tensor's device: parameterless encoders
+        follow it, so entries are per-device (like UDF-output keys)."""
         key = ("enc", model_token, model_fp, device, tag.base, tag.rows_fp)
         full_value = None
-        pieces = None
         with self._lock:
             entry = self._touch(key)
             if entry is not None:
@@ -431,65 +380,19 @@ class TensorCache:
                     if rows.size == 0 or int(rows.max()) < full.value.shape[0]:
                         self.gather_hits += 1
                         full_value = full.value
-            else:
-                pieces = self._slice_pieces(model_token, model_fp, tag, device)
-            if full_value is None and not pieces:
+            if full_value is None:
                 self.misses += 1
-        # Copies happen outside the lock: entry tensors are immutable, so a
-        # captured reference stays valid, and other workers' lookups must
-        # not serialize behind this worker's gather/assembly.
+        # The gather happens outside the lock: entry tensors are immutable,
+        # so a captured reference stays valid, and other workers' lookups
+        # must not serialize behind this worker's copy.
         if full_value is not None:
             return ops.getitem(full_value, tag.rows)
-        if pieces:
-            assembled = self._assemble_encoded(pieces, num_rows)
-            if assembled is not None:
-                self.put(("enc", model_token, model_fp, device, tag.base,
-                          None), assembled, assembled.data.nbytes)
-                with self._lock:
-                    self.gather_hits += 1
-                return assembled
-            with self._lock:
-                self.misses += 1
         return None
 
     def encoded_put(self, model_token: int, model_fp: str, tag: CacheTag,
                     device: str, value: Tensor) -> None:
         key = ("enc", model_token, model_fp, device, tag.base, tag.rows_fp)
         self.put(key, value, value.data.nbytes)
-
-    def _slice_pieces(self, model_token: int, model_fp: str, tag: CacheTag,
-                      device: str) -> list:
-        """Collect micro-batch slice entries for one base column (callers
-        hold the lock; values are captured by reference, copied later)."""
-        pieces = []
-        for key, entry in self._entries.items():
-            if (len(key) == 6 and key[0] == "enc" and key[1] == model_token
-                    and key[2] == model_fp and key[3] == device
-                    and key[4] == tag.base):
-                rf = key[5]
-                if isinstance(rf, tuple) and len(rf) == 3 and rf[0] is None:
-                    pieces.append((rf[1], rf[2], entry.value))
-        return pieces
-
-    @staticmethod
-    def _assemble_encoded(pieces: list, num_rows: int) -> Optional[Tensor]:
-        """Stitch a full-column embedding from contiguous slice entries
-        captured during a micro-batched UDF pass (runs outside the lock —
-        the concatenation is a large copy)."""
-        pieces = sorted(pieces, key=lambda p: (p[0], p[1]))
-        cover, chunks = 0, []
-        for start, stop, value in pieces:
-            if start == cover and stop > start:
-                chunks.append(value)
-                cover = stop
-            elif start < cover:
-                continue                      # overlap/duplicate: skip
-            else:
-                return None                   # gap: cannot assemble
-        if cover != num_rows or not chunks:
-            return None
-        data = np.concatenate([np.asarray(c.data) for c in chunks], axis=0)
-        return Tensor(data, device=chunks[0].device)
 
 
 # ----------------------------------------------------------------------
@@ -529,9 +432,8 @@ def _install_image_memo(model) -> None:
             return orig(images)
         token = identity_token(model)
         fp = cache.model_state_fp(model)
-        num_rows = images.shape[0] if images.ndim else 1
         device = str(images.device)
-        hit = cache.encoded_get(token, fp, tag, num_rows, device)
+        hit = cache.encoded_get(token, fp, tag, device)
         if hit is not None:
             return hit
         out = orig(images)

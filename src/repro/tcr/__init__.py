@@ -2,9 +2,10 @@
 
 A from-scratch stand-in for PyTorch: numpy-backed tensors with reverse-mode
 autograd, a functional op library, ``nn`` modules, optimisers, einops-style
-``rearrange`` and (simulated) device placement. The TDP engine (``repro.core``)
-compiles SQL to programs over this runtime, exactly as the paper compiles SQL
-to PyTorch programs. It holds what the engine, the applications and the
+``rearrange`` and device tags (``cpu`` and a simulated ``cuda``: placement
+only, both on numpy). The TDP engine (``repro.core``) compiles SQL to
+programs over this runtime, exactly as the paper compiles SQL to PyTorch
+programs. It holds what the engine, the applications and the
 benchmarks run, not a general torch surface.
 """
 

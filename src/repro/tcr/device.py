@@ -2,45 +2,14 @@
 
 The paper runs TDP on CPU and on an NVIDIA V100 GPU. This environment has no
 GPU, so ``cuda`` is a *simulated accelerator*: tensors tagged ``cuda`` hold
-ordinary numpy buffers, but the engine consults the device's
-:class:`DeviceProfile` to decide how work is batched. The profile models the
-one mechanism behind the paper's CPU/GPU gap (Fig 2): accelerators amortise
-kernel dispatch over large batches, CPUs process small micro-batches. The
-operator code is identical on both devices — only the batching granularity
-differs — so measured speedups come from real wall-clock behaviour of the
-same code path, not from a hard-coded constant.
+ordinary numpy buffers. The tag is placement only — the engine runs the same
+whole-column operators and UDF calls on every device — and tensors on
+different devices still refuse to mix, as in PyTorch.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.errors import DeviceError
-
-
-@dataclasses.dataclass(frozen=True)
-class DeviceProfile:
-    """Execution characteristics the engine uses when planning for a device.
-
-    Attributes:
-        exec_batch_rows: number of table rows the engine fuses into one
-            operator invocation. Large values amortise per-call overhead
-            (accelerator-style), small values model cache-resident CPU
-            micro-batching.
-    """
-
-    exec_batch_rows: int
-
-
-_PROFILES = {
-    # CPU: row-at-a-time streaming execution (the Volcano-style granularity
-    # classic engines use); the accelerator amortises dispatch over large
-    # data-parallel batches. This asymmetry is the measurable mechanism
-    # behind the paper's Fig 2 CPU/GPU gap (see DESIGN.md substitutions).
-    "cpu": DeviceProfile(exec_batch_rows=1),
-    "cuda": DeviceProfile(exec_batch_rows=512),
-}
-
 
 class Device:
     """A compute device tag (``cpu`` or ``cuda[:index]``)."""
@@ -55,16 +24,12 @@ class Device:
         if not isinstance(spec, str):
             raise DeviceError(f"device spec must be str or Device, got {type(spec).__name__}")
         name, _, idx = spec.partition(":")
-        if name not in _PROFILES:
+        if name not in ("cpu", "cuda"):
             raise DeviceError(f"unknown device {spec!r}; expected 'cpu' or 'cuda[:N]'")
         if idx and not idx.isdigit():
             raise DeviceError(f"invalid device index in {spec!r}")
         self.type = name
         self.index = int(idx) if idx else 0
-
-    @property
-    def profile(self) -> DeviceProfile:
-        return _PROFILES[self.type]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, str):

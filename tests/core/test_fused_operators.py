@@ -200,7 +200,7 @@ class TestStageBreakers:
         sql = "SELECT a FROM t WHERE k < 5 AND probe(a)"
         out = session.sql.query(sql).run(toPandas=True)
         # The cheap k<5 conjunct must prune rows before the UDF runs: the
-        # (micro-batched) probe invocations together see < 500 rows.
+        # probe invocations together see < 500 rows.
         assert 0 < sum(seen_rows) < 500
         interpreted = session.sql.query(
             sql, extra_config=INTERPRETED).run(toPandas=True)

@@ -1,5 +1,5 @@
-"""Physical operators: key ids, grouped aggregation, joins, batched UDF
-execution."""
+"""Physical operators: key ids, grouped aggregation, joins, whole-column UDF
+execution on each device."""
 
 import numpy as np
 import pytest
@@ -378,14 +378,9 @@ class TestDeviceBatchedUdf:
                                   device=device).run(toPandas=True)
         return out, calls
 
-    def test_cpu_uses_micro_batches(self):
-        out, calls = self._run("cpu")
-        assert len(calls) > 1                       # chunked execution
-        assert max(calls) <= tcr.CPU.profile.exec_batch_rows
-        np.testing.assert_allclose(out["y"], np.arange(40) * 2.0)
-
-    def test_cuda_uses_one_large_batch(self):
-        out, calls = self._run("cuda")
+    @pytest.mark.parametrize("device", ["cpu", "cuda"])
+    def test_one_call_per_statement(self, device):
+        out, calls = self._run(device)
         assert calls == [40]
         np.testing.assert_allclose(out["y"], np.arange(40) * 2.0)
 

@@ -175,15 +175,12 @@ class TestLowering:
                 assert sharded == session.sql.query(sql).explain(), name
                 assert not parents, sharded
 
-    @pytest.mark.parametrize("device", ["cpu", "cuda"])
-    def test_user_code_statements_lower_serially(self, device, vec_session):  # noqa: F811
+    def test_user_code_statements_lower_serially(self, vec_session):  # noqa: F811
         """A scalar UDF anywhere, a TVF or a similarity top-k makes the
         whole statement lower serially at any ``shards``, join inputs
         included: no ``Sharded`` driver, results bitwise serial, and user
-        code called as often as serially. 1300 rows put a cuda micro-batch
-        boundary (512 rows) inside a would-be shard, and the
-        UDF-after-filter statements feed the UDF a filtered remnant on a
-        row-batching device."""
+        code called as often as serially. The UDF-after-filter statements
+        feed the UDF a filtered remnant."""
         session, _, _ = vec_session
         model = session.functions.lookup("vec_sim").modules[0]
         lin = nn.Linear(1, 1)
@@ -198,23 +195,23 @@ class TestLowering:
         @session.udf("float", name="aff", modules=[lin])
         def aff(v: Tensor) -> Tensor:
             calls["aff"] += 1
-            return lin(v.to(device="cpu").reshape(-1, 1)).reshape(-1)
+            return lin(v.reshape(-1, 1)).reshape(-1)
 
         @session.udf("z float", name="shift", modules=[lin])
         def shift(id, x, y):
             calls["shift"] += 1
-            return lin(y.to(device="cpu").reshape(-1, 1)).reshape(-1)
+            return lin(y.reshape(-1, 1)).reshape(-1)
 
         @session.udf("float", name="vec_sim", modules=[model],
                      ann="inner_product")
         def vec_sim(query: str, emb: Tensor) -> Tensor:
             calls["vec_sim"] += 1
-            return model.similarity(query, emb.to(device="cpu"))
+            return model.similarity(query, emb)
 
         session.sql.query("CREATE VECTOR INDEX vidx ON vecs(emb)").run()
         # The same join without user code shards.
         assert "ShardedScan" in session.sql.query(
-            f"SELECT a.id {SELF_JOIN} WHERE a.y > 0", device=device,
+            f"SELECT a.id {SELF_JOIN} WHERE a.y > 0",
             extra_config=SHARDED).explain()
         statements = [
             f"SELECT a.id {SELF_JOIN} WHERE aff(a.y) > 0",
@@ -225,18 +222,17 @@ class TestLowering:
             TOPK_SQL.format(q="q0", k=5),
         ]
         for sql in statements:
-            session.sql.query(sql, device=device).run()   # builds the index
+            session.sql.query(sql).run()                  # builds the index
             runs = []
             for config in (SERIAL, SHARDED):
                 session.tensor_cache.clear()
                 calls.clear()
-                query = session.sql.query(sql, device=device,
-                                          extra_config=config)
-                assert "Sharded" not in query.explain(), (device, sql)
+                query = session.sql.query(sql, extra_config=config)
+                assert "Sharded" not in query.explain(), sql
                 runs.append((query.run(), sum(calls.values())))
             (serial, serial_calls), (sharded, sharded_calls) = runs
-            _assert_bitwise(serial, sharded, (device, sql))
-            assert 0 < serial_calls == sharded_calls, (device, sql)
+            _assert_bitwise(serial, sharded, sql)
+            assert 0 < serial_calls == sharded_calls, sql
 
 
 class TestKnobs:

@@ -50,7 +50,7 @@ class TestUdfOutputCache:
 
     def test_udf_duplicated_select_where_single_pass(self):
         """The acceptance criterion: SELECT f(x) ... WHERE f(x) > c invokes
-        the model exactly once (cuda profile: one batched invocation)."""
+        the model exactly once (one whole-column invocation)."""
         session = Session()
         n = _register_numbers(session, n=40, device="cuda")
         calls = _counting_probe(session)
@@ -225,16 +225,20 @@ class TestEmbeddingSharing:
     EXACT = {"disable_rules": ("vector_index",)}
 
     def test_index_build_after_query_reuses_embeddings(self, rng):
+        """A cold exact top-k on the default device calls vec_sim once on
+        the whole column: one corpus encode, and the cache holds the UDF
+        output, the corpus and the query text, not an entry per row."""
         session, encoded_rows = self._session(rng)
         exact = session.sql.query(self.SQL).run()
-        assert sum(encoded_rows) == 64           # cold: corpus encoded once
+        assert encoded_rows == [64]              # cold: one whole-column call
+        assert len(session.tensor_cache) <= 3
         session.sql.query(
             "CREATE VECTOR INDEX vidx ON vecs(emb) WITH (cells=4, nprobe=4)"
         ).run()
         indexed = session.sql.query(self.SQL)
         assert "IndexScan" in indexed.explain()
         got = indexed.run()                      # triggers the lazy build
-        assert sum(encoded_rows) == 64           # zero additional encodes
+        assert encoded_rows == [64]              # zero additional encodes
         assert got.column("id").tolist() == exact.column("id").tolist()
         np.testing.assert_array_equal(got.column("score"),
                                       exact.column("score"))

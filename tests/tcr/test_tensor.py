@@ -131,9 +131,6 @@ class TestDevice:
         with pytest.raises(DeviceError):
             tcr.as_device("tpu")
 
-    def test_device_profiles(self):
-        assert tcr.CUDA.profile.exec_batch_rows > tcr.CPU.profile.exec_batch_rows
-
 
 class TestInplaceAssignment:
     def test_setitem_on_plain_tensor(self):
