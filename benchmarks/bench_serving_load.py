@@ -17,9 +17,11 @@ Three legs:
    asserts shedding halves the admitted p99 and that the bound scales with
    the cap, not the burst.
 
-3. **Async-surface bit-identity** — ``await session.aquery(...)`` over a
-   mixed Fig-2 workload (top-k similarity + filters + aggregates) returns
-   bit-identical results to the synchronous ``query().run()`` path.
+3. **Async bit-identity** — statements awaited on an event loop through
+   ``asyncio.wrap_future(scheduler.submit(...))`` (what the HTTP server's
+   ``/query`` does) over a mixed Fig-2 workload (top-k similarity + filters
+   + aggregates) return bit-identical results to the synchronous
+   ``query().run()`` path.
 """
 
 import asyncio
@@ -78,8 +80,7 @@ class TestServingLoad:
         rows = []
         for clients in (1, 4, 8):
             session = _serving_session()
-            scheduler = QueryScheduler(session, workers=WORKERS,
-                                       coalesce=False)
+            scheduler = QueryScheduler(session, workers=WORKERS)
             all_latencies = []
             threads = []
             errors = []
@@ -126,7 +127,6 @@ class TestServingLoad:
         def overload(max_queue_depth):
             session = _serving_session()
             scheduler = QueryScheduler(session, workers=WORKERS,
-                                       coalesce=False,
                                        max_queue_depth=max_queue_depth)
             starts = {}
             latencies = []
@@ -182,10 +182,10 @@ class TestServingLoad:
         assert p_bnd["p99"] <= (cap + WORKERS) * SERVICE_SLEEP * 1e3 * 8.0
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-    def test_aquery_bit_identical_on_fig2_workload(self, benchmark,
+    def test_awaited_bit_identical_on_fig2_workload(self, benchmark,
                                                    fig2_dataset, clip_model):
-        """``aquery`` returns byte-for-byte what ``query().run()`` returns
-        on the mixed Fig-2 workload (acceptance criterion)."""
+        """Awaited scheduler results are byte-for-byte what
+        ``query().run()`` returns on the mixed Fig-2 workload."""
         config = {"disable_rules": ("vector_index",)}
         statements = []
         for text in ["KFC Receipt", "beach sunset",
@@ -206,11 +206,17 @@ class TestServingLoad:
         async_session = Session()
         setup_multimodal(async_session, fig2_dataset, clip_model)
 
-        async def run():
-            return await async_session.aserve(statements * 2,
-                                              extra_config=config)
+        scheduler = QueryScheduler(async_session, workers=WORKERS)
 
-        async_results = asyncio.run(run())
+        async def run():
+            return await asyncio.gather(*[
+                asyncio.wrap_future(scheduler.submit(s, extra_config=config))
+                for s in statements * 2])
+
+        try:
+            async_results = asyncio.run(run())
+        finally:
+            scheduler.shutdown()
         for i, result in enumerate(async_results):
             expected = sync_results[i % len(statements)]
             assert result.column_names == expected.column_names

@@ -108,6 +108,9 @@ class CompiledQuery(Module):
         self.session = session          # owning Session, for telemetry sinks
         self.explain_mode = None        # None | "plan" | "analyze"
         self.explain_sql = ""           # inner statement text for EXPLAIN
+        # False when the plan calls a deterministic=False UDF or TVF: then
+        # two runs may differ, so no run may stand in for another.
+        self.deterministic = True
         self._last_trace: Optional[QueryTrace] = None
         # Trainable queries start in training mode (soft operators active);
         # everything else starts deployed/eval (exact operators).

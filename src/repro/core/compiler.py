@@ -69,7 +69,8 @@ class Compiler:
             explain_mode = "analyze" if plan.analyze else "plan"
             inner_sql = plan.sql
             plan = plan.input
-        self._calls_udf = _calls_udf(plan)
+        udfs = _called_udfs(plan)
+        self._calls_udf = bool(udfs)
         query = CompiledQuery(
             root=self._lower(plan),
             config=self.config,
@@ -81,6 +82,7 @@ class Compiler:
             tensor_cache=self.tensor_cache,
             session=self.session,
         )
+        query.deterministic = all(udf.deterministic for udf in udfs)
         if explain_mode is not None:
             query.explain_mode = explain_mode
             query.explain_sql = inner_sql
@@ -270,12 +272,16 @@ class _Stage:
         return b.substitute_columns(expr, self.exprs)
 
 
-def _calls_udf(plan: logical.LogicalPlan) -> bool:
-    """Does any node of ``plan`` run user code: a TVF, a similarity top-k,
-    or a scalar UDF in one of its expressions?"""
-    if isinstance(plan, (logical.TVFScan, logical.TopKSimilarity)):
-        return True
-    if isinstance(plan, logical.Filter):
+def _called_udfs(plan: logical.LogicalPlan) -> list:
+    """The user code any node of ``plan`` runs: its TVFs, and the scalar
+    UDFs in its expressions (a similarity top-k's ranking call included)."""
+    udfs = []
+    if isinstance(plan, logical.TVFScan):
+        udfs.append(plan.udf)
+        exprs = plan.arg_exprs
+    elif isinstance(plan, logical.TopKSimilarity):
+        exprs = [plan.sim_expr, plan.residual, *plan.exprs]
+    elif isinstance(plan, logical.Filter):
         exprs = [plan.predicate]
     elif isinstance(plan, logical.Project):
         exprs = plan.exprs
@@ -287,8 +293,11 @@ def _calls_udf(plan: logical.LogicalPlan) -> bool:
         exprs = [e for e, _ in plan.keys]
     else:
         exprs = []
-    return (any(e is not None and e.contains_udf() for e in exprs)
-            or any(_calls_udf(child) for child in plan.children()))
+    udfs += [node.udf for e in exprs if e is not None
+             for node in e.walk() if isinstance(node, b.BCall)]
+    for child in plan.children():
+        udfs += _called_udfs(child)
+    return udfs
 
 
 def _position_dependent(expr: b.BoundExpr) -> bool:

@@ -28,11 +28,6 @@ class constants:
     # Observability.
     TELEMETRY = "telemetry"                # trace every run (EXPLAIN ANALYZE forces it)
     SLOW_QUERY_SECONDS = "slow_query_seconds"  # slow-log threshold (None = session default)
-    # Serving / admission control (the scheduler front door).
-    SCHEDULER_WORKERS = "scheduler_workers"  # worker-pool size (None = scheduler default)
-    MAX_QUEUE_DEPTH = "max_queue_depth"    # queued-request cap (None = unbounded)
-    PRIORITY = "priority"                  # dequeue priority class (higher runs sooner)
-    DEADLINE = "deadline"                  # per-request SLO budget in seconds (None = no SLO)
 
 
 _DEFAULTS = {
@@ -48,10 +43,6 @@ _DEFAULTS = {
     constants.COMPILE_EXPRS: True,
     constants.TELEMETRY: False,
     constants.SLOW_QUERY_SECONDS: None,
-    constants.SCHEDULER_WORKERS: None,
-    constants.MAX_QUEUE_DEPTH: None,
-    constants.PRIORITY: 0,
-    constants.DEADLINE: None,
 }
 
 
@@ -139,50 +130,6 @@ class QueryConfig:
         if threshold < 0:
             raise ValueError(f"slow_query_seconds must be >= 0, got {value!r}")
         return threshold
-
-    # ------------------------------------------------------------------
-    # Serving / admission control
-    # ------------------------------------------------------------------
-    @property
-    def scheduler_workers(self) -> Optional[int]:
-        value = self._values[constants.SCHEDULER_WORKERS]
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"scheduler_workers must be an integer, got {value!r}")
-        if value < 1 or value > 64:
-            raise ValueError(f"scheduler_workers must be in [1, 64], got {value}")
-        return value
-
-    @property
-    def max_queue_depth(self) -> Optional[int]:
-        value = self._values[constants.MAX_QUEUE_DEPTH]
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"max_queue_depth must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"max_queue_depth must be >= 1, got {value}")
-        return value
-
-    @property
-    def priority(self) -> int:
-        value = self._values[constants.PRIORITY]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"priority must be an integer, got {value!r}")
-        if value < -100 or value > 100:
-            raise ValueError(f"priority must be in [-100, 100], got {value}")
-        return value
-
-    @property
-    def deadline(self) -> Optional[float]:
-        value = self._values[constants.DEADLINE]
-        if value is None:
-            return None
-        deadline = float(value)
-        if deadline <= 0:
-            raise ValueError(f"deadline must be > 0 seconds, got {value!r}")
-        return deadline
 
     def as_mapping(self) -> dict:
         """The effective flag values as a plain ``extra_config``-shaped dict.

@@ -4,49 +4,43 @@ control and per-client fairness.
 The paper frames TDP as a *system* serving mixed AI+SQL workloads. Inference
 batching is left to the tensor runtime: each UDF call already runs once
 over the whole column, so this layer schedules *statements*, not encoder
-calls:
-
-* :class:`QueryScheduler` — a worker pool behind ``Session.submit`` /
-  ``Session.serve``. Statements execute exactly as ``compile_query().run()``
-  would (same plan cache, same tensor cache, same locks), so results are
-  identical to serialized execution.
+calls. :class:`QueryScheduler` is the worker pool behind the HTTP server
+(``core/server.py``); tests and apps that want concurrency construct one
+over their session. Statements execute exactly as
+``compile_query().run()`` would (same plan cache, same tensor cache, same
+locks), so results are identical to serialized execution.
 
 * **Statement coalescing** — identical statements in flight at the same
-  catalog/UDF/index versions share one execution: the first submission
-  becomes the *leader*, later duplicates attach their futures and receive
-  the leader's result object (the request-collapse technique CDNs use
-  against thundering herds). This is what keeps throughput up in the
-  eviction-bound regime where the working set exceeds the materialization
-  cache: concurrent demand is served once even when nothing can be
-  retained. DDL and trainable statements never coalesce; a registry change
-  between two submissions (version stamp mismatch) disqualifies joining, so
-  a follower never observes pre-DDL state submitted post-DDL.
+  catalog/UDF/index versions share one execution: a submission whose plan
+  calls no non-deterministic UDF or TVF becomes the *leader* once it has
+  compiled, and later duplicates attach their futures and receive the
+  leader's result object (the request-collapse technique CDNs use against
+  thundering herds). This keeps throughput up in the eviction-bound regime
+  where the working set exceeds the materialization cache: concurrent
+  demand is served once even when nothing can be retained. DDL, trainable
+  and ``toPandas`` statements never coalesce, and neither does a statement
+  calling a ``deterministic=False`` function (two serialized runs would
+  invoke it twice). A registry change between two submissions (version
+  stamp mismatch) disqualifies joining, so a follower never observes
+  pre-DDL state submitted post-DDL.
 
-* **Admission control** — the serving front door (``Session.aquery``,
-  ``core/server.py``) cannot let an overloaded queue grow without bound:
+* **Admission control** — an overloaded queue must not grow without bound:
   unbounded queueing turns a 2x overload into unbounded p99 (every request
   waits behind the whole backlog). ``max_queue_depth`` caps the number of
   *queued* (not yet running) requests; beyond it the scheduler rejects the
   new request with a typed :class:`~repro.errors.ServerOverloaded` (reason
-  ``queue_full``). A request carrying a ``deadline`` hint is also shed at
-  admission when the observed
-  ``scheduler.queue_wait_seconds`` p95 already exceeds its budget, and
-  dropped (``QueryDeadlineExceeded``) at dequeue if its budget lapsed while
-  it waited — running a query whose client already timed out only steals
-  capacity from requests that can still meet their SLO.
+  ``queue_full``).
 
-* **Per-client fairness + priority** — the queue is not FIFO across
-  requests: it is round-robin across *clients* within a priority class
-  (one greedy client submitting 100 statements cannot starve a client
-  submitting 1), and strict across classes (``extra_config={"priority":
-  N}``; higher dequeues first, so an interactive request overtakes a bulk
-  backlog without preempting running work).
+* **Per-client fairness** — the queue is not FIFO across requests: it is
+  round-robin across *clients*, so one greedy client submitting 100
+  statements cannot starve a client submitting 1. A client's queue leaves
+  the rotation with its last queued job, so the table never holds more
+  clients than queued jobs.
 
-Locking rules (engine-wide ordering, see ROADMAP "Concurrent serving"):
-the scheduler lock is a leaf — no engine lock is acquired while holding it.
-Future callbacks (``set_result``/``set_exception``) always fire outside the
-scheduler lock: an ``asyncio.wrap_future`` callback or user callback may
-re-enter ``submit``.
+Locking rules: the scheduler lock is a leaf — no engine lock is acquired
+while holding it. Future callbacks (``set_result``/``set_exception``) always
+fire outside the scheduler lock: an ``asyncio.wrap_future`` callback or user
+callback may re-enter ``submit``.
 """
 
 from __future__ import annotations
@@ -58,17 +52,16 @@ from concurrent.futures import Future
 from typing import List, Mapping, Optional
 
 from repro.core.config import QueryConfig
-from repro.errors import QueryDeadlineExceeded, ServerOverloaded
+from repro.errors import ServerOverloaded
 from repro.tcr.device import as_device
 
 
 class _Job:
     __slots__ = ("statement", "device", "extra_config", "toPandas", "future",
-                 "key", "stamp", "followers", "submitted", "client",
-                 "priority", "deadline")
+                 "key", "stamp", "followers", "submitted", "client")
 
     def __init__(self, statement, device, extra_config, toPandas, future, key,
-                 client=None, priority=0, deadline=None):
+                 client=None):
         self.statement = statement
         self.device = device
         self.extra_config = extra_config
@@ -79,13 +72,6 @@ class _Job:
         self.followers: List[Future] = []
         self.submitted = time.monotonic()
         self.client = client
-        self.priority = priority
-        self.deadline = deadline
-
-
-# Minimum queue-wait observations before the histogram's p95 is trusted for
-# deadline-aware admission (a handful of samples predicts nothing).
-_PREDICT_MIN_SAMPLES = 16
 
 
 class QueryScheduler:
@@ -97,24 +83,21 @@ class QueryScheduler:
     scheduled statement's result is the result serialized execution would
     produce.
 
-    The ready queue is priority-strict and client-fair: jobs dequeue from
-    the highest priority class first, round-robin across the clients inside
-    it. ``max_queue_depth`` bounds the queued backlog; over it, admission
-    rejects the new request (see the module docstring).
+    The ready queue is client-fair: jobs dequeue round-robin across the
+    clients with queued work. ``max_queue_depth`` bounds the queued backlog;
+    over it, admission rejects the new request (see the module docstring).
     """
 
-    def __init__(self, session, workers: int = 4, coalesce: bool = True,
+    def __init__(self, session, workers: int = 4,
                  max_queue_depth: Optional[int] = None):
         self.session = session
         self.workers = max(1, int(workers))
-        self.coalesce = bool(coalesce)
         self.max_queue_depth = (None if max_queue_depth is None
                                 else max(1, int(max_queue_depth)))
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
-        # priority -> OrderedDict[client, deque[_Job]]; dict order inside a
-        # priority class is the round-robin rotation.
-        self._queues: dict = {}
+        # client -> deque[_Job]; dict order is the round-robin rotation.
+        self._queues: "OrderedDict[object, deque]" = OrderedDict()
         self._depth = 0
         self._inflight: dict = {}
         self.closed = False
@@ -122,7 +105,6 @@ class QueryScheduler:
         self.coalesced = 0
         self.admitted = 0
         self.shed = 0
-        self.deadline_missed = 0
         self._threads = [
             threading.Thread(target=self._worker, daemon=True,
                              name=f"tdp-serve-{i}")
@@ -141,60 +123,37 @@ class QueryScheduler:
 
         ``client`` labels the submitting stream for round-robin fairness
         (``None`` pools into one shared anonymous stream). Raises
-        :class:`ServerOverloaded` when admission control sheds the request;
-        a queued request expiring in the queue (``deadline``) receives
-        :class:`QueryDeadlineExceeded` through its future instead.
+        :class:`ServerOverloaded` when admission control sheds the request.
         """
         config = QueryConfig(extra_config)   # validate at submission time
-        priority = config.priority
-        deadline = config.deadline
         key = None
         # toPandas results are mutable DataFrames a client may edit in
         # place: those never coalesce (each caller gets its own run), so
         # serving stays observably equivalent to serialized execution.
-        if self.coalesce and not config.trainable and not toPandas \
+        if not config.trainable and not toPandas \
                 and not _ddl_statement(statement):
             key = (statement, str(as_device(device)), config.fingerprint())
         future: Future = Future()
         job = _Job(statement, device, extra_config, toPandas, future, key,
-                   client=client, priority=priority, deadline=deadline)
+                   client=client)
         metrics = self.session.metrics
-        # Deadline-aware admission reads the queue-wait histogram *before*
-        # taking the scheduler lock (the estimate may be a submission stale;
-        # admission is a heuristic, the dequeue-time check is the backstop).
-        predicted_wait = None
-        if deadline is not None:
-            hist = metrics.histogram("scheduler.queue_wait_seconds")
-            if hist.count >= _PREDICT_MIN_SAMPLES:
-                predicted_wait = hist.quantile(0.95)
-        shed_reason = None
         with self._lock:
             if self.closed:
                 raise RuntimeError("scheduler is shut down")
-            if deadline is not None and predicted_wait is not None \
-                    and self._depth >= self.workers \
-                    and predicted_wait > deadline:
-                shed_reason = "predicted_wait"
-            elif self.max_queue_depth is not None \
-                    and self._depth >= self.max_queue_depth:
-                shed_reason = "queue_full"
-            if shed_reason is not None:
+            shed = (self.max_queue_depth is not None
+                    and self._depth >= self.max_queue_depth)
+            if shed:
                 self.shed += 1
             else:
                 self._enqueue_locked(job)
                 self.admitted += 1
                 self._ready.notify()
         # Metric increments happen outside the lock.
-        if shed_reason is not None:
+        if shed:
             metrics.counter("scheduler.shed").inc()
-            if shed_reason == "predicted_wait":
-                raise ServerOverloaded(
-                    f"observed queue wait p95 ({predicted_wait:.3f}s) exceeds "
-                    f"the request deadline ({deadline:.3f}s)",
-                    reason=shed_reason)
             raise ServerOverloaded(
                 f"ready queue is full ({self.max_queue_depth} queued "
-                f"requests)", reason=shed_reason)
+                f"requests)")
         metrics.counter("scheduler.admitted").inc()
         return future
 
@@ -223,36 +182,29 @@ class QueryScheduler:
         with self._lock:
             return {"executed": self.executed, "coalesced": self.coalesced,
                     "workers": self.workers, "depth": self._depth,
-                    "admitted": self.admitted, "shed": self.shed,
-                    "deadline_missed": self.deadline_missed}
+                    "admitted": self.admitted, "shed": self.shed}
 
     # ------------------------------------------------------------------
     # Ready queue (all helpers hold self._lock)
     # ------------------------------------------------------------------
     def _enqueue_locked(self, job: _Job) -> None:
-        clients = self._queues.setdefault(job.priority, OrderedDict())
-        queue = clients.get(job.client)
+        queue = self._queues.get(job.client)
         if queue is None:
-            queue = clients[job.client] = deque()
+            queue = self._queues[job.client] = deque()
         queue.append(job)
         self._depth += 1
 
     def _dequeue_locked(self) -> Optional[_Job]:
-        """Highest priority class first; round-robin across its clients."""
+        """Round-robin across the clients with queued jobs."""
         while True:
             if self._depth:
-                priority = max(self._queues)
-                clients = self._queues[priority]
-                client = next(iter(clients))
-                queue = clients[client]
+                client, queue = next(iter(self._queues.items()))
                 job = queue.popleft()
-                # Rotate the client to the back of its class: the next
-                # dequeue at this priority serves a different client.
-                clients.move_to_end(client)
+                # Rotate the client to the back: the next dequeue serves a
+                # different client.
+                self._queues.move_to_end(client)
                 if not queue:
-                    del clients[client]
-                if not clients:
-                    del self._queues[priority]
+                    del self._queues[client]
                 self._depth -= 1
                 return job
             if self.closed:
@@ -278,45 +230,46 @@ class QueryScheduler:
     def _run_job(self, job: _Job) -> None:
         if not job.future.set_running_or_notify_cancel():
             return
-        metrics = self.session.metrics
         # Every dequeued job observes queue wait (coalesced ones included):
-        # the histogram's count equals total jobs dequeued, which the
-        # admission-control consumer reads against executed + coalesced.
-        waited = time.monotonic() - job.submitted
-        metrics.histogram("scheduler.queue_wait_seconds").observe(waited)
-        if job.deadline is not None and waited > job.deadline:
-            # The budget lapsed in the queue: drop rather than execute.
-            with self._lock:
-                self.deadline_missed += 1
-            metrics.counter("scheduler.deadline_missed").inc()
-            job.future.set_exception(QueryDeadlineExceeded(
-                f"queued for {waited:.3f}s, past the {job.deadline:.3f}s "
-                f"deadline"))
+        # the histogram's count equals total jobs dequeued.
+        self.session.metrics.histogram("scheduler.queue_wait_seconds").observe(
+            time.monotonic() - job.submitted)
+        if job.key is not None and self._join_leader(job):
             return
-        if job.key is not None:
-            with self._lock:
-                leader = self._inflight.get(job.key)
-                if leader is not None and leader.stamp == self._version_stamp():
-                    # Coalesce: ride the in-flight execution. The follower
-                    # receives the leader's result object, exactly as a
-                    # second serialized run would receive an equal result.
-                    leader.followers.append(job.future)
-                    self.coalesced += 1
-                    metrics.counter("scheduler.coalesced").inc()
-                    return
-                job.stamp = self._version_stamp()
-                self._inflight[job.key] = job
         try:
-            result = self._execute(job)
+            stamp = self._version_stamp()
+            query = self.session.compile_query(
+                job.statement, device=job.device,
+                extra_config=job.extra_config)
+            # Only a plan whose every run returns the same result may lead:
+            # a follower receives the leader's result in place of its own run.
+            if job.key is not None and query.deterministic \
+                    and self._join_leader(job, lead_stamp=stamp):
+                return
+            result = query.run(toPandas=job.toPandas)
         except BaseException as exc:
             self._finish(job, None, exc)
         else:
             self._finish(job, result, None)
 
-    def _execute(self, job: _Job):
-        query = self.session.compile_query(
-            job.statement, device=job.device, extra_config=job.extra_config)
-        return query.run(toPandas=job.toPandas)
+    def _join_leader(self, job: _Job, lead_stamp=None) -> bool:
+        """Attach ``job`` to an in-flight identical statement at the current
+        versions and return True. Otherwise return False, after registering
+        ``job`` as the leader for its key when ``lead_stamp`` (the versions
+        it compiled at) is given."""
+        with self._lock:
+            leader = self._inflight.get(job.key)
+            if leader is None or leader.stamp != self._version_stamp():
+                if lead_stamp is not None:
+                    job.stamp = lead_stamp
+                    self._inflight[job.key] = job
+                return False
+            # The follower receives the leader's result object, exactly as
+            # a second serialized run would receive an equal result.
+            leader.followers.append(job.future)
+            self.coalesced += 1
+        self.session.metrics.counter("scheduler.coalesced").inc()
+        return True
 
     def _finish(self, job: _Job, result, exc) -> None:
         followers: List[Future] = []

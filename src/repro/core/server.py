@@ -2,12 +2,11 @@
 
 The embedded engine becomes a servable system here: a single-threaded
 asyncio accept loop parses HTTP/1.1 requests, admits statements into the
-session's :class:`~repro.core.scheduler.QueryScheduler` (which owns the
-worker threads, admission control, per-client fairness and priority/SLO
-dequeue), and bridges each ``concurrent.futures.Future`` back onto the
-event loop with ``asyncio.wrap_future`` — so thousands of in-flight
-requests ride on a bounded thread pool and the accept loop never blocks on
-query execution.
+server's :class:`~repro.core.scheduler.QueryScheduler` (which owns the
+worker threads, admission control and per-client fairness), and bridges
+each ``concurrent.futures.Future`` back onto the event loop with
+``asyncio.wrap_future`` — so thousands of in-flight requests ride on a
+bounded thread pool and the accept loop never blocks on query execution.
 
 Protocol (JSON request/response bodies; see docs/SERVING.md):
 
@@ -15,53 +14,41 @@ Protocol (JSON request/response bodies; see docs/SERVING.md):
 method    path               effect
 ========  =================  ==============================================
 POST      /query             run a statement to completion, return columns
-POST      /submit            enqueue, return ``{"query_id": N}``
-GET       /result/<id>       poll: pending / done (with columns) / error
 POST      /explain           EXPLAIN (or EXPLAIN ANALYZE) a statement
 GET       /metrics           ``Session.metrics.snapshot()``
-GET       /health            liveness + queue depth
+GET       /health            ``{"status": "ok", "queue_depth": N}``
 ========  =================  ==============================================
 
 Request bodies for the POST endpoints: ``{"statement": "...", "device":
-"cpu", "extra_config": {...}}`` — ``extra_config`` accepts every engine
-knob including the serving hints ``priority`` and ``deadline``.
+"cpu", "extra_config": {...}}``; ``extra_config`` takes the engine's config
+keys, and any other top-level key is rejected with a 400.
 
-**Per-client state.** Each client is identified by the ``x-tdp-client``
-header (falling back to the connection's peer address), keyed into the
-scheduler's round-robin fairness and into a per-client table of pending
-``/submit`` futures. Only clients with undelivered results have a table:
-``/query`` and ``/explain`` keep no state, and a table is dropped once its
-last result is delivered or evicted. Results older than the TTL are
-evicted from every client's table on each ``/submit`` (and from the
-caller's on ``/result``). A client without the header is its connection,
-so its table is dropped, and its pending statements cancelled, when that
-connection closes: no later connection can present the same ``ip:port``.
-``/result`` ids come from one server-wide counter (never reused) and are
-scoped per client: one client can never read (or guess) another's
-results.
+**Per-client state: none.** The ``x-tdp-client`` header (falling back to
+the connection's peer address) labels the request for the scheduler's
+round-robin fairness; the scheduler forgets a client with its last queued
+request, and the server keeps nothing per client.
 
 **Backpressure.** When admission control sheds a request the server
 answers ``503`` with a typed body ``{"error": {"type": "ServerOverloaded",
-"reason": "queue_full" | "predicted_wait" | "too_many_pending"}}``; a deadline
-that lapses in the queue answers ``504 QueryDeadlineExceeded``. Clients
-are expected to back off and retry — the point of shedding is that the
-answer arrives *now*, not after the backlog.
+"reason": "queue_full"}}``. Clients are expected to back off and retry —
+the point of shedding is that the answer arrives *now*, not after the
+backlog.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import time
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import QueryDeadlineExceeded, ServerOverloaded, TdpError
+from repro.errors import ServerOverloaded, TdpError
 
 _MAX_HEADER_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 _SERVER_NAME = "tdp-serve"
+_BODY_KEYS = ("statement", "device", "extra_config")
 
 
 def _json_default(value):
@@ -91,39 +78,22 @@ def _result_payload(result) -> dict:
 class TdpServer:
     """One listening socket serving one :class:`Session`.
 
-    The server owns a dedicated scheduler (its worker pool is the serving
-    capacity; ``Session.submit``'s lazy pool stays untouched for embedded
-    callers). ``port=0`` binds an ephemeral port, exposed as ``self.port``
-    after :meth:`start` — tests bind 0 and read it back.
+    The server owns a dedicated scheduler: its worker pool is the serving
+    capacity and ``max_queue_depth`` its admission bound. ``port=0`` binds
+    an ephemeral port, exposed as ``self.port`` after :meth:`start` — tests
+    bind 0 and read it back.
     """
 
     def __init__(self, session, host: str = "127.0.0.1", port: int = 0,
                  workers: int = 4, max_queue_depth: Optional[int] = 64,
-                 default_device: str = "cpu",
-                 max_pending_per_client: int = 64,
-                 result_ttl_seconds: float = 300.0):
+                 default_device: str = "cpu"):
         from repro.core.scheduler import QueryScheduler
         self.session = session
         self.host = host
         self.port = port
         self.default_device = default_device
-        # /submit hygiene: a client that never polls its results must not
-        # grow an unbounded pending table (futures retain whole result
-        # sets). The cap sheds new submits with a typed 503; the TTL sweep,
-        # run over every client on each /submit, reclaims abandoned results.
-        self.max_pending_per_client = int(max_pending_per_client)
-        self.result_ttl_seconds = float(result_ttl_seconds)
-        self.results_evicted = 0
         self.scheduler = QueryScheduler(
             session, workers=workers, max_queue_depth=max_queue_depth)
-        # client id -> {query_id: (Future, monotonic submit time)}, holding
-        # only clients with undelivered /submit results. Entries leave when
-        # the result is delivered once, when the TTL sweep evicts a result
-        # the client abandoned (see _sweep), or when an anonymous client's
-        # connection closes; a client leaves with its last entry. Only the
-        # event-loop thread touches it.
-        self._clients: Dict[str, Dict[int, Tuple[object, float]]] = {}
-        self._next_query_id = 1
         self._server: Optional[asyncio.AbstractServer] = None
 
     # ------------------------------------------------------------------
@@ -154,7 +124,6 @@ class TdpServer:
                                  writer: asyncio.StreamWriter) -> None:
         peer = writer.get_extra_info("peername")
         peer_id = f"{peer[0]}:{peer[1]}" if peer else "unknown"
-        anonymous = False
         try:
             while True:
                 request = await self._read_request(reader)
@@ -162,7 +131,6 @@ class TdpServer:
                     break
                 method, path, headers, body = request
                 client_id = headers.get("x-tdp-client", peer_id)
-                anonymous = anonymous or client_id == peer_id
                 status, payload = await self._dispatch(
                     method, path, body, client_id)
                 keep_alive = headers.get("connection", "keep-alive") != "close"
@@ -185,9 +153,6 @@ class TdpServer:
             except ConnectionError:
                 pass
         finally:
-            if anonymous and peer_id in self._clients:
-                # Nobody can poll these results any more.
-                self._evict(peer_id, list(self._clients[peer_id]))
             writer.close()
             try:
                 await writer.wait_closed()
@@ -226,9 +191,8 @@ class TdpServer:
     async def _write_response(self, writer: asyncio.StreamWriter, status: int,
                               payload: dict, keep_alive: bool) -> None:
         body = json.dumps(payload, default=_json_default).encode()
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 500: "Internal Server Error",
-                  503: "Service Unavailable", 504: "Gateway Timeout",
+        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
+                  500: "Internal Server Error", 503: "Service Unavailable",
                   405: "Method Not Allowed"}.get(status, "OK")
         head = (f"HTTP/1.1 {status} {reason}\r\n"
                 f"server: {_SERVER_NAME}\r\n"
@@ -247,28 +211,20 @@ class TdpServer:
         try:
             if method == "POST" and path == "/query":
                 return await self._post_query(body, client_id)
-            if method == "POST" and path == "/submit":
-                return self._post_submit(body, client_id)
-            if method == "GET" and path.startswith("/result/"):
-                return await self._get_result(path, client_id)
             if method == "POST" and path == "/explain":
                 return await self._post_explain(body, client_id)
             if method == "GET" and path == "/metrics":
                 return 200, _sanitize(self.session.metrics.snapshot())
             if method == "GET" and path == "/health":
                 return 200, {"status": "ok",
-                             "queue_depth": self.scheduler.queue_depth,
-                             "clients": len(self._clients),
-                             "results_evicted": self.results_evicted}
-            if path in ("/query", "/submit", "/explain", "/metrics", "/health"):
+                             "queue_depth": self.scheduler.queue_depth}
+            if path in ("/query", "/explain", "/metrics", "/health"):
                 return 405, _error_body("MethodNotAllowed",
                                         f"{method} not allowed on {path}")
             return 404, _error_body("NotFound", f"unknown path {path}")
         except ServerOverloaded as exc:
             return 503, _error_body("ServerOverloaded", str(exc),
                                     reason=exc.reason)
-        except QueryDeadlineExceeded as exc:
-            return 504, _error_body("QueryDeadlineExceeded", str(exc))
         except _BadRequest as exc:
             return 400, _error_body("BadRequest", str(exc))
         except (ValueError, KeyError, TypeError, TdpError) as exc:
@@ -283,6 +239,11 @@ class TdpServer:
             raise _BadRequest(f"invalid JSON body: {exc}")
         if not isinstance(payload, dict) or "statement" not in payload:
             raise ValueError('body must be a JSON object with a "statement" key')
+        unknown = sorted(set(payload) - set(_BODY_KEYS))
+        if unknown:
+            raise ValueError(f"unknown body keys {unknown}; valid keys: "
+                             f"{list(_BODY_KEYS)} (engine config goes in "
+                             f'"extra_config")')
         statement = payload["statement"]
         if not isinstance(statement, str) or not statement.strip():
             raise ValueError('"statement" must be a non-empty string')
@@ -292,92 +253,15 @@ class TdpServer:
             raise ValueError('"extra_config" must be a JSON object')
         return statement, device, extra_config
 
-    def _submit(self, body: bytes, client_id: str):
-        statement, device, extra_config = self._parse_statement_body(body)
-        return self.scheduler.submit(statement, device=device,
-                                     extra_config=extra_config,
-                                     client=client_id)
-
     # ------------------------------------------------------------------
     # Endpoints
     # ------------------------------------------------------------------
     async def _post_query(self, body: bytes, client_id: str) -> Tuple[int, dict]:
-        result = await asyncio.wrap_future(self._submit(body, client_id))
-        return 200, _result_payload(result)
-
-    def _evict(self, client_id: str, query_ids) -> None:
-        """Drop these undelivered results, and the client with its last one.
-
-        Evicted futures are cancelled (a no-op once running/done) so a
-        queued statement whose client walked away does not consume a worker.
-        """
-        pending = self._clients[client_id]
-        for qid in query_ids:
-            future, _ = pending.pop(qid)
-            future.cancel()
-            self.results_evicted += 1
-        if not pending:
-            del self._clients[client_id]
-
-    def _sweep(self, client_ids) -> None:
-        """Evict these clients' results that are older than the TTL."""
-        if self.result_ttl_seconds <= 0:
-            return
-        now = time.monotonic()
-        for client_id in list(client_ids):
-            pending = self._clients.get(client_id)
-            if pending is not None:
-                self._evict(client_id, [
-                    qid for qid, (_, born) in pending.items()
-                    if now - born > self.result_ttl_seconds])
-
-    def _post_submit(self, body: bytes, client_id: str) -> Tuple[int, dict]:
-        self._sweep(self._clients)
-        pending = self._clients.get(client_id, {})
-        if len(pending) >= self.max_pending_per_client:
-            # Shed before scheduler.submit: work a client cannot collect
-            # must never occupy the queue or a worker.
-            raise ServerOverloaded(
-                f"client {client_id!r} has {len(pending)} undelivered "
-                f"results (cap {self.max_pending_per_client}); poll "
-                f"GET /result/<id> before submitting more",
-                reason="too_many_pending")
-        future = self._submit(body, client_id)
-        query_id = self._next_query_id
-        self._next_query_id += 1
-        self._clients.setdefault(client_id, pending)[query_id] = (
-            future, time.monotonic())
-        return 202, {"query_id": query_id, "client": client_id}
-
-    async def _get_result(self, path: str, client_id: str) -> Tuple[int, dict]:
-        try:
-            query_id = int(path[len("/result/"):])
-        except ValueError:
-            return 400, _error_body("BadRequest", f"bad result id in {path}")
-        self._sweep([client_id])
-        pending = self._clients.get(client_id, {})
-        entry = pending.get(query_id)
-        if entry is None:
-            return 404, _error_body(
-                "NotFound", f"no pending query {query_id} for this client "
-                            f"(results are delivered once)")
-        future, _ = entry
-        if not future.done():
-            return 200, {"status": "pending", "query_id": query_id}
-        del pending[query_id]
-        if not pending:
-            del self._clients[client_id]
-        exc = future.exception()
-        if exc is not None:
-            if isinstance(exc, QueryDeadlineExceeded):
-                return 504, _error_body("QueryDeadlineExceeded", str(exc),
-                                        status="error", query_id=query_id)
-            return 400, _error_body(type(exc).__name__, str(exc),
-                                    status="error", query_id=query_id)
-        payload = _result_payload(future.result())
-        payload["status"] = "done"
-        payload["query_id"] = query_id
-        return 200, payload
+        statement, device, extra_config = self._parse_statement_body(body)
+        future = self.scheduler.submit(statement, device=device,
+                                       extra_config=extra_config,
+                                       client=client_id)
+        return 200, _result_payload(await asyncio.wrap_future(future))
 
     async def _post_explain(self, body: bytes, client_id: str) -> Tuple[int, dict]:
         statement, device, extra_config = self._parse_statement_body(body)
@@ -396,9 +280,7 @@ class _BadRequest(Exception):
 
 
 def _error_body(kind: str, message: str, **extra) -> dict:
-    body = {"error": {"type": kind, "message": message, **extra}}
-    body.update({k: v for k, v in extra.items() if k in ("status", "query_id")})
-    return body
+    return {"error": {"type": kind, "message": message, **extra}}
 
 
 def _sanitize(value):

@@ -5,10 +5,11 @@
 >>> q = tdp.sql.spark.query("SELECT ... FROM numbers ...", device="cuda")
 >>> result = q.run(toPandas=True)
 
-Statements run one at a time through ``compile_query(...).run()``, or
-concurrently through the session's worker pool (``submit`` / ``aquery`` /
-``serve``, see :mod:`repro.core.scheduler`); both paths share the plan
-cache and the tensor cache and return the same results.
+Statements run through ``compile_query(...).run()``. For concurrency,
+build a :class:`~repro.core.scheduler.QueryScheduler` over the session (the
+HTTP server in :mod:`repro.core.server` owns one); its workers run the
+same path, share the plan cache and the tensor cache, and return the same
+results.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import OrderedDict
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -197,10 +198,6 @@ class Session:
         # ``shards != 1``; shard tasks from concurrent statements interleave
         # on the one pool.
         self.shard_pool = ShardPool()
-        # Default scheduler for Session.submit (created lazily; Session.serve
-        # spins up a dedicated pool per call instead).
-        self._scheduler = None
-        self._scheduler_lock = threading.Lock()
         # Observability: one registry unifying every subsystem's stats
         # (Session.metrics.snapshot()), plus the slow-statement ring buffer.
         self.metrics = MetricsRegistry()
@@ -288,111 +285,8 @@ class Session:
     def drop_index(self, name: str, if_exists: bool = False) -> bool:
         return self.indexes.drop(name, if_exists=if_exists)
 
-    # ------------------------------------------------------------------
-    # Concurrent serving (the PR 4 scheduler subsystem)
-    # ------------------------------------------------------------------
-    def scheduler(self, extra_config: Optional[Mapping[str, object]] = None):
-        """The session's shared worker pool, created lazily on first use.
-
-        The creating call's serving knobs (``scheduler_workers``,
-        ``max_queue_depth``) configure the pool; later calls reuse it as-is.
-        Per-request knobs (``priority``, ``deadline``) keep applying per
-        submission.
-        """
-        from repro.core.scheduler import QueryScheduler
-        with self._scheduler_lock:
-            if self._scheduler is None or self._scheduler.closed:
-                config = QueryConfig(extra_config)
-                self._scheduler = QueryScheduler(
-                    self, workers=config.scheduler_workers or 4,
-                    max_queue_depth=config.max_queue_depth)
-            return self._scheduler
-
-    def submit(self, statement: str, device: str = "cpu",
-               extra_config: Optional[Mapping[str, object]] = None,
-               toPandas: bool = False, client: Optional[str] = None):
-        """Submit one statement to the session's worker pool.
-
-        Returns a ``concurrent.futures.Future`` resolving to the same value
-        ``compile_query(...).run(...)`` would produce. The pool is created
-        lazily on first use and shared by all ``submit`` calls; identical
-        in-flight statements coalesce into one execution (see
-        :mod:`repro.core.scheduler`).
-
-        ``client`` labels the submitting stream for the scheduler's
-        round-robin fairness; admission control may raise
-        :class:`~repro.errors.ServerOverloaded` instead of queueing.
-        """
-        return self.scheduler(extra_config).submit(
-            statement, device=device, extra_config=extra_config,
-            toPandas=toPandas, client=client)
-
-    async def aquery(self, statement: str, device: str = "cpu",
-                     extra_config: Optional[Mapping[str, object]] = None,
-                     toPandas: bool = False, client: Optional[str] = None):
-        """``await``-able ``query(...).run(...)`` over the worker pool.
-
-        Bridges the scheduler's ``concurrent.futures.Future`` onto the
-        running event loop without blocking it, so an asyncio server can
-        keep thousands of requests in flight over a bounded thread pool.
-        Results are identical to the synchronous path — same plan cache,
-        tensor cache and locks (``tests/core/test_serving.py`` pins result
-        identity against ``query().run()``).
-        """
-        import asyncio
-        future = self.submit(statement, device=device,
-                             extra_config=extra_config, toPandas=toPandas,
-                             client=client)
-        return await asyncio.wrap_future(future)
-
-    async def aserve(self, statements: Sequence[str], device: str = "cpu",
-                     extra_config: Optional[Mapping[str, object]] = None,
-                     toPandas: bool = False,
-                     client: Optional[str] = None) -> List[object]:
-        """Run a batch of statements concurrently from async code.
-
-        All statements are submitted to the shared pool at once (fanning
-        into coalescing) and gathered in submission order; the first failure
-        re-raises after all complete.
-        """
-        import asyncio
-        return list(await asyncio.gather(*[
-            self.aquery(s, device=device, extra_config=extra_config,
-                        toPandas=toPandas, client=client)
-            for s in statements
-        ]))
-
-    def serve(self, statements: Sequence[str], workers: int = 4,
-              device: str = "cpu",
-              extra_config: Optional[Mapping[str, object]] = None,
-              toPandas: bool = False, coalesce: bool = True) -> List[object]:
-        """Serve a batch of statements on ``workers`` concurrent threads.
-
-        Results come back in submission order (exceptions re-raise in
-        order). Semantically equivalent to running the statements one by
-        one; throughput comes from running statements in parallel and from
-        in-flight coalescing of identical statements, which preserves each
-        statement's results.
-        """
-        from repro.core.scheduler import QueryScheduler
-        config = QueryConfig(extra_config)
-        scheduler = QueryScheduler(self, workers=workers, coalesce=coalesce,
-                                   max_queue_depth=config.max_queue_depth)
-        try:
-            futures = [scheduler.submit(s, device=device,
-                                        extra_config=extra_config,
-                                        toPandas=toPandas)
-                       for s in statements]
-            return [f.result() for f in futures]
-        finally:
-            scheduler.shutdown()
-
     def reset(self) -> None:
         """Drop all registered tables, functions and indexes (test isolation)."""
-        with self._scheduler_lock:
-            if self._scheduler is not None:
-                self._scheduler.shutdown()
-                self._scheduler = None
         self.catalog.clear()
         self.functions.clear()
         self.indexes.clear()

@@ -11,17 +11,15 @@ The registry serves two constituencies:
 
 * **Registry-owned instruments** — per-query latency and queue-wait
   histograms, scheduler lifetime totals. These survive the objects
-  that produce them (``Session.serve`` creates a fresh scheduler per call;
-  its counts land here and keep accumulating), which is what the ROADMAP's
-  SLO-aware admission control needs to read.
+  that produce them: every ``QueryScheduler`` over a session counts into
+  the session's registry, which keeps accumulating after it shuts down.
 
 Histograms use *fixed* bucket boundaries so two histograms with the same
 boundaries merge by adding counts — the property that lets per-worker or
 per-shard observations combine without quantile sketches. Quantiles are
 estimated by linear interpolation inside the owning bucket; with the
 default log-spaced latency boundaries the estimate is within one bucket's
-resolution, which is what an admission controller needs (not exact order
-statistics).
+resolution (not exact order statistics).
 """
 
 from __future__ import annotations
@@ -123,12 +121,8 @@ class Histogram:
     # ------------------------------------------------------------------
     # Quantiles
     # ------------------------------------------------------------------
-    def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile (0..1) by intra-bucket interpolation."""
-        with self._lock:
-            return self._quantile_locked(q)
-
     def _quantile_locked(self, q: float) -> float:
+        """Estimated ``q``-quantile (0..1) by intra-bucket interpolation."""
         if self._count == 0:
             return 0.0
         q = min(max(q, 0.0), 1.0)
@@ -148,11 +142,6 @@ class Histogram:
                 return lo + (hi - lo) * min(max(frac, 0.0), 1.0)
             seen += c
         return self._max if self._max != float("-inf") else 0.0
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
 
     def snapshot(self) -> dict:
         """Summary dict (seconds for latency histograms; see OBSERVABILITY.md)."""

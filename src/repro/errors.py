@@ -55,28 +55,12 @@ class ExecutionError(TdpError):
     """Raised when a compiled query fails at run time."""
 
 
-class SchedulingError(TdpError):
-    """Base class for serving/admission failures (see repro.core.scheduler)."""
-
-
-class ServerOverloaded(SchedulingError):
+class ServerOverloaded(TdpError):
     """The request was shed by admission control.
 
-    Raised synchronously by ``QueryScheduler.submit`` (and therefore by
-    ``Session.submit``/``aquery``) when the queue-depth cap is reached, or
-    when the observed queue wait already exceeds the request's ``deadline``
-    hint. The network server maps it to an HTTP 503 with a typed JSON body.
+    Raised synchronously by ``QueryScheduler.submit`` when the queued
+    backlog is at its ``max_queue_depth`` cap. The network server maps it
+    to an HTTP 503 with a typed JSON body.
     """
 
-    def __init__(self, message: str, reason: str = "queue_full"):
-        super().__init__(message)
-        self.reason = reason
-
-
-class QueryDeadlineExceeded(SchedulingError):
-    """The request's ``deadline`` hint lapsed while it waited in the queue.
-
-    Deadline-expired work is dropped at dequeue time instead of executed:
-    running a query whose client has already timed out only steals capacity
-    from requests that can still meet their SLO.
-    """
+    reason = "queue_full"

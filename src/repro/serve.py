@@ -11,8 +11,9 @@ endpoints are immediately queryable::
          -H 'x-tdp-client: me' \
          -d '{"statement": "SELECT COUNT(*) FROM Attachments"}'
 
-Admission knobs mirror the scheduler's: ``--workers`` sizes the pool,
-``--max-queue-depth`` bounds the backlog (0 disables the cap). See
+The server's two deployment settings are its scheduler's: ``--workers``
+sizes the worker pool, ``--max-queue-depth`` bounds the queued backlog (0
+disables the cap). No per-query config key changes either. See
 docs/SERVING.md.
 """
 

@@ -90,6 +90,18 @@ def _snapshot(result):
     return {name: result.column(name).tolist() for name in result.column_names}
 
 
+def _serve(session, statements, workers=4, extra_config=None):
+    """Run ``statements`` on a fresh ``workers``-thread scheduler; results
+    in submission order (the first failure re-raises)."""
+    scheduler = QueryScheduler(session, workers=workers)
+    try:
+        futures = [scheduler.submit(s, extra_config=extra_config)
+                   for s in statements]
+        return [f.result(timeout=60) for f in futures]
+    finally:
+        scheduler.shutdown()
+
+
 class TestParallelQueries:
     def test_parallel_queries_match_serial(self):
         """8 threads hammering one session produce the serial results."""
@@ -258,13 +270,17 @@ class TestCacheConcurrency:
 class TestScheduler:
     def test_submit_returns_future_with_query_result(self):
         session = _numeric_session()
-        future = session.submit("SELECT COUNT(*) FROM t")
-        assert future.result(timeout=30).scalar() == 64
+        scheduler = QueryScheduler(session, workers=2)
+        try:
+            future = scheduler.submit("SELECT COUNT(*) FROM t")
+            assert future.result(timeout=30).scalar() == 64
+        finally:
+            scheduler.shutdown()
 
     def test_serve_matches_serial_in_order(self):
         session = _numeric_session()
         expected = [_snapshot(session.sql.query(q).run()) for q in QUERIES]
-        served = session.serve(QUERIES * 3, workers=4)
+        served = _serve(session, QUERIES * 3, workers=4)
         assert [_snapshot(r) for r in served] == expected * 3
 
     def test_identical_inflight_statements_coalesce(self):
@@ -272,7 +288,7 @@ class TestScheduler:
         invocations = []
         barrier = threading.Barrier(4, timeout=30)
 
-        @session.udf("float", name="slowfn", deterministic=False)
+        @session.udf("float", name="slowfn")
         def slowfn(v: Tensor) -> Tensor:
             invocations.append(1)
             time.sleep(0.05)
@@ -289,17 +305,53 @@ class TestScheduler:
 
             warm = [scheduler.submit("SELECT sync(v) FROM t WHERE k = %d" % i)
                     for i in range(4)]
-            dupes = [scheduler.submit("SELECT SUM(slowfn(v)) FROM t")
+            dupes = [scheduler.submit("SELECT SUM(slowfn(v)) FROM t",
+                                      extra_config={"tensor_cache": False})
                      for _ in range(8)]
             for f in warm + dupes:
                 f.result(timeout=30)
             values = {f.result().scalar() for f in dupes}
             assert len(values) == 1
             assert scheduler.stats["coalesced"] >= 1
-            # deterministic=False disables the tensor cache for slowfn, so
-            # every non-coalesced duplicate re-invokes it, once per statement.
+            # With the tensor cache off every non-coalesced duplicate
+            # re-invokes slowfn, once per statement.
             assert len(invocations) == scheduler.stats["executed"] - 4
         finally:
+            scheduler.shutdown()
+
+    def test_nondeterministic_statements_never_coalesce(self):
+        """Two identical in-flight statements over a deterministic=False
+        UDF each run it, as two serialized runs would."""
+        session = _numeric_session()
+        invocations = []
+        release = threading.Event()
+
+        @session.udf("float", name="counted", deterministic=False)
+        def counted(v: Tensor) -> Tensor:
+            invocations.append(1)
+            assert release.wait(timeout=30), "never released"
+            return v
+
+        scheduler = QueryScheduler(session, workers=2)
+        try:
+            statement = "SELECT SUM(counted(v)) FROM t"
+            first = scheduler.submit(statement)
+            for _ in range(500):        # until the first run is inside
+                if invocations:
+                    break
+                time.sleep(0.01)
+            second = scheduler.submit(statement)
+            for _ in range(200):        # the second runs too, or coalesced
+                if len(invocations) == 2:
+                    break
+                time.sleep(0.01)
+            release.set()
+            assert first.result(timeout=30).scalar() == \
+                second.result(timeout=30).scalar()
+            assert len(invocations) == 2
+            assert scheduler.stats["coalesced"] == 0
+        finally:
+            release.set()
             scheduler.shutdown()
 
     def test_ddl_never_coalesces_and_registry_change_disqualifies(self):
@@ -323,12 +375,16 @@ class TestScheduler:
 
     def test_errors_propagate_through_futures(self):
         session = _numeric_session()
-        future = session.submit("SELECT nope FROM t")
-        with pytest.raises(Exception):
-            future.result(timeout=30)
-        # The pool survives the failure.
-        assert session.submit("SELECT COUNT(*) FROM t").result(
-            timeout=30).scalar() == 64
+        scheduler = QueryScheduler(session, workers=2)
+        try:
+            future = scheduler.submit("SELECT nope FROM t")
+            with pytest.raises(Exception):
+                future.result(timeout=30)
+            # The pool survives the failure.
+            assert scheduler.submit("SELECT COUNT(*) FROM t").result(
+                timeout=30).scalar() == 64
+        finally:
+            scheduler.shutdown()
 
 
 class TestSimilarityServing:
@@ -376,8 +432,8 @@ class TestSimilarityServing:
             session = Session(tensor_cache_bytes=cache_bytes)
             setup_multimodal(session, data, model)
             if serve:
-                return session, session.serve(workload, workers=4,
-                                              extra_config=self.CONFIG)
+                return session, _serve(session, workload, workers=4,
+                                       extra_config=self.CONFIG)
             return session, [session.sql.query(s, extra_config=self.CONFIG)
                              .run() for s in workload]
 
@@ -434,6 +490,7 @@ class TestStress:
         join_expected = _join_expected(session, shards=2)
         iterations = _scaled(25, minimum=5)
         probe = rng0.normal(size=8).astype(np.float32)
+        scheduler = QueryScheduler(session, workers=4)
 
         def reregister_udf():
             @session.udf("float", name="affine", modules=[scale])
@@ -476,10 +533,13 @@ class TestStress:
                         "SELECT COUNT(*) FROM t").run().scalar() == 64
                     session.sql.query("SELECT SUM(v) FROM t").run()
                 else:
-                    future = session.submit(QUERIES[0])
+                    future = scheduler.submit(QUERIES[0])
                     assert _snapshot(future.result(timeout=60)) == expected[0]
 
-        _run_threads(6, worker)
+        try:
+            _run_threads(6, worker)
+        finally:
+            scheduler.shutdown()
         # The engine is still coherent afterwards.
         for q, want in zip(QUERIES, expected):
             assert _snapshot(session.sql.query(q).run()) == want
@@ -488,7 +548,8 @@ class TestStress:
         session.reset()
 
     def test_stress_with_concurrent_serving(self, tiny_shards):
-        """serve() under concurrent direct queries from other threads."""
+        """Scheduled batches under concurrent direct queries from other
+        threads."""
         session = _numeric_session()
         expected = [_snapshot(session.sql.query(q).run()) for q in QUERIES]
         join_expected = _join_expected(session, shards=3)
@@ -506,11 +567,11 @@ class TestStress:
                     # Alternate rounds serve sharded statements: scheduler
                     # workers submit shard batches to the session pool while
                     # other scheduler workers run whole statements.
-                    got = session.serve(JOIN_QUERIES, workers=3,
-                                        extra_config={"shards": 3})
+                    got = _serve(session, JOIN_QUERIES, workers=3,
+                                 extra_config={"shards": 3})
                     assert [_snapshot(r) for r in got] == join_expected
                 else:
-                    got = session.serve(QUERIES, workers=3)
+                    got = _serve(session, QUERIES, workers=3)
                     assert [_snapshot(r) for r in got] == expected
 
         def drive(i):

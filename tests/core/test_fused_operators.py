@@ -141,11 +141,13 @@ class TestPipelinePlanShape:
     @pytest.mark.parametrize("key", ["fuse_operators", "compile_pipelines",
                                      "parallel_scan", "exchange", "join_impl",
                                      "topk_impl", "batch_window",
-                                     "shed_policy", "parallel_min_rows"])
+                                     "shed_policy", "parallel_min_rows",
+                                     "priority", "deadline",
+                                     "scheduler_workers", "max_queue_depth"])
     def test_removed_knobs_are_unknown_keys(self, key):
         with pytest.raises(ValueError, match="unknown config key"):
             QueryConfig({key: False})
-        assert len(QueryConfig().fingerprint()) == 16
+        assert len(QueryConfig().fingerprint()) == 12
 
 
 def _udf_session(seen):

@@ -1,5 +1,5 @@
-"""The serving front door: async surface, admission control, fairness,
-priority/SLO dequeue, and the asyncio HTTP/JSON server (ROADMAP item 3)."""
+"""The serving front door: the scheduler bridged onto an event loop,
+admission control, per-client fairness, and the asyncio HTTP/JSON server."""
 
 import asyncio
 import json
@@ -12,7 +12,7 @@ import pytest
 from repro.core.scheduler import QueryScheduler
 from repro.core.server import TdpServer
 from repro.core.session import Session
-from repro.errors import QueryDeadlineExceeded, ServerOverloaded
+from repro.errors import ServerOverloaded
 from repro.tcr.tensor import Tensor
 
 
@@ -53,14 +53,20 @@ STATEMENTS = [
 ]
 
 
+async def _gather(scheduler, statements):
+    """Await every statement on the running loop, as ``/query`` does."""
+    return await asyncio.gather(*[asyncio.wrap_future(scheduler.submit(s))
+                                  for s in statements])
+
+
 class TestAsyncSurface:
-    def test_aquery_matches_sync_query(self):
+    def test_awaited_results_match_sync_query(self):
         session = _numeric_session()
-
-        async def run():
-            return [await session.aquery(s) for s in STATEMENTS]
-
-        async_results = asyncio.run(run())
+        scheduler = QueryScheduler(session, workers=4)
+        try:
+            async_results = asyncio.run(_gather(scheduler, STATEMENTS))
+        finally:
+            scheduler.shutdown()
         sync_results = [session.sql.query(s).run() for s in STATEMENTS]
         for a, b in zip(async_results, sync_results):
             sa, sb = _snapshot(a), _snapshot(b)
@@ -68,16 +74,16 @@ class TestAsyncSurface:
             for name in sa:
                 np.testing.assert_array_equal(sa[name], sb[name])
 
-    def test_concurrent_aquery_fan_in(self):
-        """Many aquery coroutines in flight at once on one event loop all
+    def test_concurrent_awaits_fan_in(self):
+        """Many awaited statements in flight at once on one event loop all
         land, in order, with per-statement-correct results."""
         session = _numeric_session()
         expected = [session.sql.query(s).run() for s in STATEMENTS]
-
-        async def run():
-            return await session.aserve(STATEMENTS * 8)
-
-        results = asyncio.run(run())
+        scheduler = QueryScheduler(session, workers=4)
+        try:
+            results = asyncio.run(_gather(scheduler, STATEMENTS * 8))
+        finally:
+            scheduler.shutdown()
         assert len(results) == len(STATEMENTS) * 8
         for i, result in enumerate(results):
             sa = _snapshot(result)
@@ -86,9 +92,9 @@ class TestAsyncSurface:
             for name in sa:
                 np.testing.assert_array_equal(sa[name], sb[name])
 
-    def test_aquery_does_not_block_the_loop(self):
-        """While a slow statement runs on the pool, the event loop keeps
-        ticking (the bridge must never run the query on the loop thread)."""
+    def test_query_does_not_block_the_loop(self):
+        """While a slow statement runs on the pool, the server's event loop
+        keeps ticking (it must never run the query on the loop thread)."""
         session = _numeric_session()
 
         @session.udf("float", name="naptime", deterministic=False)
@@ -104,12 +110,18 @@ class TestAsyncSurface:
                 await asyncio.sleep(0.01)
 
         async def run():
-            query = session.aquery("SELECT SUM(naptime(v)) FROM t")
-            result, _ = await asyncio.gather(query, ticker())
-            return result
+            server = TdpServer(session, port=0, workers=1)
+            await server.start()
+            try:
+                query = _http(server.port, "POST", "/query",
+                              {"statement": "SELECT SUM(naptime(v)) FROM t"})
+                (status, payload), _ = await asyncio.gather(query, ticker())
+                return status, payload
+            finally:
+                await server.stop()
 
-        result = asyncio.run(run())
-        assert len(result) == 1
+        status, payload = asyncio.run(run())
+        assert status == 200 and payload["rows"] == 1
         assert len(ticks) == 10
         # The loop ticked during the 200ms sleep: gaps stay ~10ms, not one
         # 200ms stall.
@@ -121,8 +133,7 @@ class TestAdmissionControl:
     def test_queue_depth_cap_sheds_with_reject(self):
         session = _numeric_session()
         release = _register_gate(session)
-        scheduler = QueryScheduler(session, workers=1, max_queue_depth=2,
-                                   coalesce=False)
+        scheduler = QueryScheduler(session, workers=1, max_queue_depth=2)
         try:
             blocker = scheduler.submit("SELECT SUM(gate(v)) FROM t")
             time.sleep(0.05)          # let the worker pick the blocker up
@@ -147,8 +158,7 @@ class TestAdmissionControl:
         session = _numeric_session()
         release = _register_gate(session)
         expected = _snapshot(session.sql.query(STATEMENTS[0]).run())
-        scheduler = QueryScheduler(session, workers=1, max_queue_depth=1,
-                                   coalesce=False)
+        scheduler = QueryScheduler(session, workers=1, max_queue_depth=1)
         try:
             blocker = scheduler.submit("SELECT SUM(gate(v)) FROM t")
             time.sleep(0.05)
@@ -167,48 +177,37 @@ class TestAdmissionControl:
             release.set()
             scheduler.shutdown()
 
-    def test_deadline_lapsed_in_queue_is_dropped(self):
+    def test_client_table_is_bounded_by_the_queue(self):
+        """Ten clients against a four-deep queue: four are admitted, six
+        are shed, and the per-client table never holds more clients than
+        queued jobs; it empties once the backlog drains."""
         session = _numeric_session()
         release = _register_gate(session)
-        scheduler = QueryScheduler(session, workers=1, coalesce=False)
+        scheduler = QueryScheduler(session, workers=1, max_queue_depth=4)
         try:
-            blocker = scheduler.submit("SELECT SUM(gate(v)) FROM t")
-            time.sleep(0.05)
-            doomed = scheduler.submit(STATEMENTS[0],
-                                      extra_config={"deadline": 0.01})
-            time.sleep(0.1)           # let the budget lapse while queued
+            blocker = scheduler.submit("SELECT SUM(gate(v)) FROM t",
+                                       client="blocker")
+            for _ in range(500):      # until the worker holds the blocker
+                if scheduler.queue_depth == 0:
+                    break
+                time.sleep(0.01)
+            admitted, shed = [], []
+            for i in range(10):
+                try:
+                    admitted.append(scheduler.submit(
+                        STATEMENTS[i % len(STATEMENTS)], client=f"c{i}"))
+                except ServerOverloaded as exc:
+                    shed.append(exc.reason)
+                assert len(scheduler._queues) <= 4
+            assert len(admitted) == 4
+            assert shed == ["queue_full"] * 6
+            assert scheduler.stats["shed"] == 6
+            assert session.metrics.snapshot()["scheduler.shed"] == 6
             release.set()
-            with pytest.raises(QueryDeadlineExceeded):
-                doomed.result(timeout=30)
-            blocker.result(timeout=30)
-            assert scheduler.stats["deadline_missed"] == 1
-            assert session.metrics.snapshot()["scheduler.deadline_missed"] == 1
-        finally:
-            release.set()
-            scheduler.shutdown()
-
-    def test_priority_request_overtakes_bulk_backlog(self):
-        session = _numeric_session()
-        release = _register_gate(session)
-        scheduler = QueryScheduler(session, workers=1, coalesce=False)
-        order = []
-        try:
-            blocker = scheduler.submit("SELECT SUM(gate(v)) FROM t")
-            time.sleep(0.05)
-            bulk = []
-            for i in range(4):
-                f = scheduler.submit(STATEMENTS[i % len(STATEMENTS)])
-                f.add_done_callback(
-                    lambda _f, i=i: order.append(("bulk", i)))
-                bulk.append(f)
-            urgent = scheduler.submit(STATEMENTS[0],
-                                      extra_config={"priority": 5})
-            urgent.add_done_callback(lambda _f: order.append(("urgent", 0)))
-            release.set()
-            for f in [blocker, urgent, *bulk]:
+            for f in [blocker, *admitted]:
                 f.result(timeout=30)
-            # The priority-5 request was submitted last but dequeued first.
-            assert order[0] == ("urgent", 0)
+            assert scheduler.queue_depth == 0
+            assert not scheduler._queues
         finally:
             release.set()
             scheduler.shutdown()
@@ -219,7 +218,7 @@ class TestAdmissionControl:
         statement, not after all of them."""
         session = _numeric_session()
         release = _register_gate(session)
-        scheduler = QueryScheduler(session, workers=1, coalesce=False)
+        scheduler = QueryScheduler(session, workers=1)
         order = []
         try:
             blocker = scheduler.submit("SELECT SUM(gate(v)) FROM t",
@@ -242,22 +241,6 @@ class TestAdmissionControl:
         finally:
             release.set()
             scheduler.shutdown()
-
-    def test_serving_knob_validation(self):
-        from repro.core.config import QueryConfig
-        with pytest.raises(ValueError):
-            QueryConfig({"max_queue_depth": 0}).max_queue_depth
-        with pytest.raises(ValueError):
-            QueryConfig({"priority": "high"}).priority
-        with pytest.raises(ValueError):
-            QueryConfig({"deadline": -1}).deadline
-        config = QueryConfig({"priority": 3, "deadline": 0.5,
-                              "scheduler_workers": 2})
-        assert config.priority == 3
-        assert config.deadline == 0.5
-        assert config.scheduler_workers == 2
-        # Serving knobs enter the fingerprint like every other knob.
-        assert QueryConfig().fingerprint() != config.fingerprint()
 
 
 async def _http(port, method, path, body=None, client=None):
@@ -296,43 +279,12 @@ class TestHttpServer:
                     np.asarray(expected.column("s")), rtol=1e-6)
 
                 status, health = await _http(server.port, "GET", "/health")
-                assert status == 200 and health["status"] == "ok"
+                assert status == 200
+                assert health == {"status": "ok", "queue_depth": 0}
 
                 status, metrics = await _http(server.port, "GET", "/metrics")
                 assert status == 200
                 assert metrics["scheduler.admitted"] >= 1
-            finally:
-                await server.stop()
-
-        asyncio.run(run())
-
-    def test_submit_then_poll_result(self):
-        session = _numeric_session()
-
-        async def run():
-            server = TdpServer(session, port=0, workers=2)
-            await server.start()
-            try:
-                status, accepted = await _http(
-                    server.port, "POST", "/submit",
-                    {"statement": "SELECT COUNT(*) FROM t"}, client="c1")
-                assert status == 202
-                qid = accepted["query_id"]
-                for _ in range(100):
-                    status, result = await _http(
-                        server.port, "GET", f"/result/{qid}", client="c1")
-                    if result.get("status") == "done":
-                        break
-                    await asyncio.sleep(0.02)
-                assert status == 200 and result["status"] == "done"
-                assert result["columns"]["COUNT(*)"] == [64]
-                # Results deliver once; ids are scoped per client.
-                status, again = await _http(
-                    server.port, "GET", f"/result/{qid}", client="c1")
-                assert status == 404
-                status, other = await _http(
-                    server.port, "GET", f"/result/{qid}", client="c2")
-                assert status == 404
             finally:
                 await server.stop()
 
@@ -414,107 +366,55 @@ class TestHttpServer:
         asyncio.run(run())
 
 
-class TestPendingResultHygiene:
-    """Regression: undelivered /submit results must not accumulate forever
-    for clients that never poll (per-client cap + TTL eviction)."""
+class TestRequestBody:
+    """A body carries ``statement``, ``device`` and ``extra_config``; any
+    other key is an error, and ``extra_config`` reaches the engine."""
 
-    def test_pending_cap_returns_typed_503(self):
-        session = _numeric_session()
-
+    @staticmethod
+    def _post(session, body):
         async def run():
-            server = TdpServer(session, port=0, workers=2,
-                               max_pending_per_client=3,
-                               result_ttl_seconds=300.0)
+            server = TdpServer(session, port=0, workers=1)
             await server.start()
             try:
-                for _ in range(3):
-                    status, _ = await _http(
-                        server.port, "POST", "/submit",
-                        {"statement": "SELECT COUNT(*) FROM t"}, client="c1")
-                    assert status == 202
-                status, payload = await _http(
-                    server.port, "POST", "/submit",
-                    {"statement": "SELECT COUNT(*) FROM t"}, client="c1")
-                assert status == 503
-                assert payload["error"]["type"] == "ServerOverloaded"
-                assert payload["error"]["reason"] == "too_many_pending"
-                # The cap is per client: a polite client is unaffected.
-                status, _ = await _http(
-                    server.port, "POST", "/submit",
-                    {"statement": "SELECT COUNT(*) FROM t"}, client="c2")
-                assert status == 202
-                # Draining one result frees the slot.
-                for _ in range(100):
-                    status, result = await _http(
-                        server.port, "GET", "/result/1", client="c1")
-                    if result.get("status") == "done":
-                        break
-                    await asyncio.sleep(0.02)
-                assert status == 200
-                status, _ = await _http(
-                    server.port, "POST", "/submit",
-                    {"statement": "SELECT COUNT(*) FROM t"}, client="c1")
-                assert status == 202
+                return await _http(server.port, "POST", "/query", body)
             finally:
                 await server.stop()
 
-        asyncio.run(run())
+        return asyncio.run(run())
 
-    def test_abandoned_results_are_ttl_evicted(self):
+    def test_unknown_body_key_is_rejected(self):
+        status, payload = self._post(_numeric_session(), {
+            "statement": STATEMENTS[1], "config": {"plan_cache": False}})
+        assert status == 400
+        message = payload["error"]["message"]
+        assert "'config'" in message
+        for key in ("statement", "device", "extra_config"):
+            assert key in message
+
+    def test_extra_config_reaches_the_engine(self):
+        status, payload = self._post(_numeric_session(), {
+            "statement": STATEMENTS[1], "extra_config": {"no_such_key": 1}})
+        assert status == 400
+        assert "unknown config key" in payload["error"]["message"]
+
+    def test_valid_extra_config_is_accepted(self):
         session = _numeric_session()
-
-        async def run():
-            server = TdpServer(session, port=0, workers=2,
-                               result_ttl_seconds=0.05)
-            await server.start()
-            try:
-                status, accepted = await _http(
-                    server.port, "POST", "/submit",
-                    {"statement": "SELECT COUNT(*) FROM t"}, client="c1")
-                assert status == 202
-                qid = accepted["query_id"]
-                # Wait for the result to materialize, then abandon it.
-                pending = server._clients["c1"]
-                for _ in range(100):
-                    if pending[qid][0].done():
-                        break
-                    await asyncio.sleep(0.02)
-                await asyncio.sleep(0.1)   # let the TTL lapse
-                status, payload = await _http(
-                    server.port, "GET", f"/result/{qid}", client="c1")
-                assert status == 404
-                assert server.results_evicted == 1
-                assert qid not in pending
-                status, health = await _http(server.port, "GET", "/health")
-                assert status == 200 and health["results_evicted"] == 1
-                assert health["clients"] == 0
-            finally:
-                await server.stop()
-
-        asyncio.run(run())
-
-
-async def _poll_done(port, query_id, client):
-    """Poll GET /result/<id> until it stops answering "pending"."""
-    for _ in range(200):
-        status, result = await _http(port, "GET", f"/result/{query_id}",
-                                     client=client)
-        if result.get("status") != "pending":
-            return status, result
-        await asyncio.sleep(0.02)
-    raise AssertionError(f"query {query_id} still pending")
+        status, payload = self._post(session, {
+            "statement": STATEMENTS[1], "device": "cpu",
+            "extra_config": {"plan_cache": False}})
+        assert status == 200
+        assert payload["columns"]["COUNT(*)"] == [
+            session.sql.query(STATEMENTS[1]).run().scalar()]
 
 
 class TestClientTable:
-    """The server keeps per-client state only for clients with undelivered
-    /submit results. Anonymous clients are keyed by ip:port, so every
-    connection is a new client, dropped when it closes: anything else would
-    grow without bound."""
+    """The server keeps no per-client state: the ``x-tdp-client`` label
+    lives in the scheduler's queue only while that client has queued work."""
 
     @staticmethod
-    def _serve(session, scenario, **server_args):
+    def _serve(session, scenario):
         async def run():
-            server = TdpServer(session, port=0, workers=2, **server_args)
+            server = TdpServer(session, port=0, workers=2)
             await server.start()
             try:
                 await scenario(server)
@@ -530,113 +430,30 @@ class TestClientTable:
                                         {"statement": STATEMENTS[1]})
                 assert status == 200
             status, health = await _http(server.port, "GET", "/health")
-            assert status == 200 and health["clients"] == 0
+            assert status == 200
+            assert health == {"status": "ok", "queue_depth": 0}
+            assert not server.scheduler._queues
 
         self._serve(_numeric_session(), scenario)
-
-    def test_anonymous_submits_leave_with_their_connections(self):
-        async def scenario(server):
-            for _ in range(20):      # never polled; each connection closes
-                status, _ = await _http(server.port, "POST", "/submit",
-                                        {"statement": STATEMENTS[1]})
-                assert status == 202
-            status, health = await _http(server.port, "GET", "/health")
-            assert status == 200 and health["clients"] == 0
-            assert health["results_evicted"] == 20
-
-        self._serve(_numeric_session(), scenario)
-
-    def test_abandoned_result_swept_by_another_clients_submit(self):
-        async def scenario(server):
-            status, accepted = await _http(
-                server.port, "POST", "/submit",
-                {"statement": STATEMENTS[1]}, client="c1")
-            assert status == 202
-            future, _ = server._clients["c1"][accepted["query_id"]]
-            for _ in range(100):
-                if future.done():
-                    break
-                await asyncio.sleep(0.02)
-            await asyncio.sleep(0.1)              # let the TTL lapse
-            status, _ = await _http(server.port, "POST", "/submit",
-                                    {"statement": STATEMENTS[1]}, client="c2")
-            assert status == 202
-            assert list(server._clients) == ["c2"]
-            _, health = await _http(server.port, "GET", "/health")
-            assert health["clients"] == 1 and health["results_evicted"] == 1
-
-        self._serve(_numeric_session(), scenario, result_ttl_seconds=0.05)
 
     def test_explain_leaves_no_client_state(self):
         async def scenario(server):
             status, _ = await _http(server.port, "POST", "/explain",
                                     {"statement": STATEMENTS[0]}, client="c1")
             assert status == 200
-            assert not server._clients
+            assert not server.scheduler._queues
 
         self._serve(_numeric_session(), scenario)
 
-    def test_result_for_unknown_client_is_404_without_state(self):
+    @pytest.mark.parametrize("method, path", [("POST", "/submit"),
+                                              ("GET", "/result/1")])
+    def test_polling_endpoints_are_gone(self, method, path):
         async def scenario(server):
-            status, payload = await _http(server.port, "GET", "/result/1",
-                                          client="ghost")
+            status, payload = await _http(server.port, method, path,
+                                          {"statement": STATEMENTS[1]},
+                                          client="c1")
             assert status == 404
             assert payload["error"]["type"] == "NotFound"
-            assert not server._clients
-
-        self._serve(_numeric_session(), scenario)
-
-    def test_delivered_result_drops_the_client(self):
-        async def scenario(server):
-            status, accepted = await _http(
-                server.port, "POST", "/submit",
-                {"statement": STATEMENTS[1]}, client="c1")
-            assert status == 202
-            _, health = await _http(server.port, "GET", "/health")
-            assert health["clients"] == 1
-            status, result = await _poll_done(
-                server.port, accepted["query_id"], "c1")
-            assert status == 200 and result["status"] == "done"
-            _, health = await _http(server.port, "GET", "/health")
-            assert health["clients"] == 0
-
-        self._serve(_numeric_session(), scenario)
-
-    def test_failed_result_delivery_drops_the_client(self):
-        session = _numeric_session()
-
-        @session.udf("float", name="boom", deterministic=False)
-        def boom(v: Tensor) -> Tensor:
-            raise ValueError("boom")
-
-        async def scenario(server):
-            status, accepted = await _http(
-                server.port, "POST", "/submit",
-                {"statement": "SELECT SUM(boom(v)) FROM t"}, client="c1")
-            assert status == 202
-            status, result = await _poll_done(
-                server.port, accepted["query_id"], "c1")
-            assert status == 400 and result["status"] == "error"
-            assert not server._clients
-
-        self._serve(session, scenario)
-
-    def test_query_ids_are_never_reused(self):
-        """Ids come from one server-wide counter: a client whose entry was
-        dropped never sees an id it was already given, and two clients
-        never share one."""
-        async def scenario(server):
-            ids = []
-            for client in ("c1", "c2", "c1"):
-                status, accepted = await _http(
-                    server.port, "POST", "/submit",
-                    {"statement": STATEMENTS[1]}, client=client)
-                assert status == 202
-                ids.append(accepted["query_id"])
-                status, _ = await _poll_done(server.port, ids[-1], client)
-                assert status == 200
-            assert not server._clients
-            assert ids == sorted(set(ids))
 
         self._serve(_numeric_session(), scenario)
 

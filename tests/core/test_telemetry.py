@@ -268,15 +268,20 @@ class TestSpans:
         _run_threads(2, work)
 
     def test_traced_serving_under_scheduler(self):
-        """serve(workers=4) with telemetry on: every query still returns
+        """A 4-worker scheduler with telemetry on: every query still returns
         the right result and the engine survives concurrent tracing."""
         session = _numeric_session()
         statements = ["SELECT COUNT(*) FROM t WHERE v > 0",
                       "SELECT SUM(v) FROM t",
                       "SELECT COUNT(*) FROM t"] * 4
         expected = [session.sql.query(s).run().scalar() for s in statements]
-        served = session.serve(statements, workers=4,
-                               extra_config={"telemetry": True})
+        scheduler = QueryScheduler(session, workers=4)
+        try:
+            futures = [scheduler.submit(s, extra_config={"telemetry": True})
+                       for s in statements]
+            served = [f.result(timeout=60) for f in futures]
+        finally:
+            scheduler.shutdown()
         assert [r.scalar() for r in served] == expected
 
 
@@ -313,7 +318,6 @@ class TestHistogram:
 
     def test_empty_snapshot(self):
         assert Histogram("x").snapshot() == {"count": 0, "sum": 0.0}
-        assert Histogram("x").quantile(0.5) == 0.0
 
     def test_concurrent_observes_are_exact(self):
         h = Histogram("lat")
