@@ -445,6 +445,40 @@ class TestClientTable:
 
         self._serve(_numeric_session(), scenario)
 
+    def test_delivered_result_drops_the_client(self):
+        async def scenario(server):
+            status, payload = await _http(server.port, "POST", "/query",
+                                          {"statement": STATEMENTS[1]},
+                                          client="c1")
+            assert status == 200 and "COUNT(*)" in payload["columns"]
+            assert not server.scheduler._queues
+            _, health = await _http(server.port, "GET", "/health")
+            assert health == {"status": "ok", "queue_depth": 0}
+
+        self._serve(_numeric_session(), scenario)
+
+    def test_failed_result_delivery_drops_the_client(self):
+        session = _numeric_session()
+
+        @session.udf("float", name="boom", deterministic=False)
+        def boom(v: Tensor) -> Tensor:
+            raise ValueError("boom")
+
+        async def scenario(server):
+            status, payload = await _http(
+                server.port, "POST", "/query",
+                {"statement": "SELECT SUM(boom(v)) FROM t"}, client="c1")
+            assert status == 400
+            assert payload["error"]["type"] == "UdfError"
+            assert not server.scheduler._queues
+            # The failure leaves the server serving the next request.
+            status, _ = await _http(server.port, "POST", "/query",
+                                    {"statement": STATEMENTS[1]}, client="c1")
+            assert status == 200
+            assert not server.scheduler._queues
+
+        self._serve(session, scenario)
+
     @pytest.mark.parametrize("method, path", [("POST", "/submit"),
                                               ("GET", "/result/1")])
     def test_polling_endpoints_are_gone(self, method, path):
