@@ -2,7 +2,6 @@
 
 * Dictionary string predicates run on integer codes; the ablation decodes to
   Python strings first (what a naive engine would do).
-* RLE aggregates sorted columns from run metadata without decompression.
 * PE soft counts vs exact counts: the approximation error the paper's
   inference-time swap eliminates.
 """
@@ -13,7 +12,7 @@ import pytest
 from repro.bench.harness import print_table, scaled, time_call
 from repro.core.session import Session
 from repro.core.soft import soft_count
-from repro.storage.encodings import PEEncoding, RunLengthEncoding
+from repro.storage.encodings import PEEncoding
 
 N_ROWS = scaled(200_000)
 
@@ -58,29 +57,6 @@ class TestDictionaryPredicates:
         want = int((values.astype(str) < "customer_0100").sum())
         assert got == want
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-class TestRunLength:
-    def test_rle_sum_without_decompression(self, benchmark):
-        values = np.repeat(np.arange(scaled(2_000), dtype=np.float32), 100)
-        encoded = RunLengthEncoding.encode(values)
-
-        fast = encoded.encoding.sum_fast(encoded.tensor)
-        assert fast == pytest.approx(float(values.sum()), rel=1e-6)
-
-        fast_seconds = time_call(
-            lambda: encoded.encoding.sum_fast(encoded.tensor), repeat=5)
-        slow_seconds = time_call(lambda: float(encoded.decode().sum()), repeat=5)
-        print_table(
-            "A1: SUM over RLE column",
-            ["strategy", "seconds"],
-            [["run metadata (no decode)", fast_seconds],
-             ["decompress then sum", slow_seconds]],
-        )
-        assert fast_seconds < slow_seconds
-        benchmark.pedantic(
-            lambda: encoded.encoding.sum_fast(encoded.tensor),
-            rounds=5, iterations=1)
 
 
 class TestPEApproximation:

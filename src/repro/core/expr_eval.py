@@ -20,7 +20,7 @@ from repro.core.telemetry import count as tel_count
 from repro.errors import ExecutionError
 from repro.sql import bound as b
 from repro.storage.column import Column
-from repro.storage.encodings import CharCodeEncoding, EncodedTensor, PlainEncoding
+from repro.storage.encodings import EncodedTensor, PlainEncoding
 from repro.storage.table import Table
 from repro.tcr.tensor import Tensor
 
@@ -77,7 +77,7 @@ class ExpressionEvaluator:
         return columns[index]
 
     def _eval_BColumn(self, expr: b.BColumn) -> Column:
-        return normalize_strings(self._stored(expr.index))
+        return self._stored(expr.index)
 
     def _eval_BCall(self, expr: b.BCall, values: List[Value]) -> Column:
         udf = expr.udf
@@ -166,18 +166,6 @@ def udf_arguments(udf, values: List[Value]) -> List[object]:
         else:
             args.append(value.tensor)
     return args
-
-
-def normalize_strings(column: Column) -> Column:
-    """Normalise char-code string columns to dictionary form on first touch.
-
-    Every string kernel (LIKE, UPPER/LOWER, code compares) runs on sorted
-    dictionaries; the round-trip is lossless, and the per-pass evaluator
-    memo makes the conversion happen at most once per operator pass.
-    """
-    if isinstance(column.encoding, CharCodeEncoding):
-        return column.to_dictionary()
-    return column
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,10 @@ is the forward function of each tcr op.
 * Predicates on values that carry no gradient (dictionary and date
   compares, IN, LIKE, IS NULL, the masks of CASE and COALESCE, non-float
   casts) are computed with numpy on detached data under either namespace.
-* String work runs on dictionary codes through ``kernels.strings``; a
-  string value without a dictionary (char-code matrices, stringified
-  numbers) is dictionary-encoded on the spot.
+* String work runs on dictionary codes through ``kernels.strings``: a
+  sorted dictionary is the one stored form of strings, and a string
+  function over a non-string value dictionary-encodes its stringified
+  values on the spot.
 * A lowered value is an ``xp`` array (numeric/bool data), a ``Column``
   (stored columns, string and UDF results) or, at plan time only, a folded
   :class:`Scalar`.
@@ -43,7 +44,6 @@ from repro.core.expr_eval import (
     _structural_key,
     broadcast_rows,
     literal_array,
-    normalize_strings,
 )
 from repro.core.kernels import dates as date_kernels
 from repro.core.kernels import strings as string_kernels
@@ -162,12 +162,9 @@ def _data(value) -> np.ndarray:
 
 
 def _dictionary(value) -> Optional[Column]:
-    """``value`` as a dictionary-coded string column (char-code matrices
-    re-encode losslessly), or None when it is not a string column."""
-    if isinstance(value, Column):
-        value = normalize_strings(value)
-        if isinstance(value.encoding, DictionaryEncoding):
-            return value
+    """``value`` when it is a dictionary-coded string column, else None."""
+    if isinstance(value, Column) and isinstance(value.encoding, DictionaryEncoding):
+        return value
     return None
 
 

@@ -40,8 +40,8 @@ def like_matrix_mask(matrix: np.ndarray, pattern: str) -> np.ndarray:
     row ``i``. ``%`` closes over any suffix via a left-to-right or-scan;
     ``_`` and literals shift the frontier by one (valid) character. A row
     matches when its final state covers exactly its unpadded length.
-    Padding zeros mark end-of-string (the dictionary codec never stores
-    NUL), and — unlike the old regex lowering of ``%``/``_`` to ``.*``/``.``
+    Padding zeros mark end-of-string (the dictionary codec rejects NUL
+    at encode), and — unlike the old regex lowering of ``%``/``_`` to ``.*``/``.``
     without DOTALL — wildcards here match newlines, as SQL requires.
     """
     rows, width = matrix.shape

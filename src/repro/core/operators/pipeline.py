@@ -21,7 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.expr_eval import ExpressionEvaluator, normalize_strings
+from repro.core.expr_eval import ExpressionEvaluator
 from repro.core.kernels.compiler import ExprCompiler
 from repro.core.operators.base import Operator, Relation
 from repro.core.telemetry import annotate
@@ -43,7 +43,7 @@ class _GatherEvaluator(ExpressionEvaluator):
         self.num_rows = len(indices)
 
     def _eval_BColumn(self, expr: b.BColumn):
-        return normalize_strings(self._stored(expr.index).take(self.indices))
+        return self._stored(expr.index).take(self.indices)
 
 
 class PipelineExec(Operator):

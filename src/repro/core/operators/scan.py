@@ -11,20 +11,7 @@ from typing import List
 
 from repro.errors import ExecutionError
 from repro.core.operators.base import Operator, Relation
-from repro.storage.table import Table
 from repro.tcr.device import Device
-
-
-def shard_slices(table: Table, bounds) -> list:
-    """Contiguous shard views of a resolved scan (zero-copy column slices).
-
-    Compressed (RLE) columns are materialized once for the whole shard set:
-    slicing decodes per call, and K shards must share one decoded base
-    rather than decode K times. The decoded copy lives only as long as the
-    shard slices do.
-    """
-    table = Table(table.name, [col.materialize() for col in table.columns])
-    return [table.slice_rows(start, stop) for start, stop in bounds]
 
 
 class ScanExec(Operator):

@@ -20,7 +20,7 @@ from typing import List
 
 from repro.core.operators.base import Operator, Relation
 from repro.core.operators.pipeline import PipelineExec
-from repro.core.operators.scan import ScanExec, shard_slices
+from repro.core.operators.scan import ScanExec
 from repro.core.partition import (
     default_shards,
     plan_shards,
@@ -53,7 +53,7 @@ class ShardedScanExec(Operator):
         annotate(shards=len(bounds), base_rows=base.num_rows)
         if len(bounds) <= 1:
             return self._run_pipeline(base)
-        tables = shard_slices(base.table, bounds)
+        tables = [base.table.slice_rows(start, stop) for start, stop in bounds]
         # The barrier span covers submit → all shards done (the coordinator
         # helps run tasks, so its duration is the true stitch barrier wait).
         with span("shard_barrier", shards=len(tables)):

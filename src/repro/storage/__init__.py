@@ -9,7 +9,6 @@ from repro.storage.encodings import (
     PEEncoding,
     PlainEncoding,
     ProbabilityEncoding,
-    RunLengthEncoding,
 )
 from repro.storage.frame import DataFrame
 from repro.storage.io import load_table, read_csv, save_table, write_csv
@@ -19,6 +18,5 @@ from repro.storage import types
 __all__ = [
     "Catalog", "Column", "DataFrame", "DictionaryEncoding", "EncodedTensor",
     "Encoding", "PEEncoding", "PlainEncoding", "ProbabilityEncoding",
-    "RunLengthEncoding", "Table", "load_table", "read_csv", "save_table",
-    "types", "write_csv",
+    "Table", "load_table", "read_csv", "save_table", "types", "write_csv",
 ]

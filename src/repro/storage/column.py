@@ -15,14 +15,12 @@ import numpy as np
 
 from repro.storage import types as dt
 from repro.storage.encodings import (
-    CharCodeEncoding,
     DatetimeEncoding,
     DictionaryEncoding,
     EncodedTensor,
     Encoding,
     PlainEncoding,
     ProbabilityEncoding,
-    RunLengthEncoding,
 )
 from repro.tcr import ops
 from repro.tcr.tensor import Tensor
@@ -145,7 +143,7 @@ class Column:
     @property
     def data_type(self) -> dt.DataType:
         enc = self.encoding
-        if isinstance(enc, (DictionaryEncoding, CharCodeEncoding)):
+        if isinstance(enc, DictionaryEncoding):
             return dt.STRING
         if isinstance(enc, DatetimeEncoding):
             # Datetimes bind as strings (comparisons against ISO literals);
@@ -153,8 +151,6 @@ class Column:
             return dt.STRING
         if isinstance(enc, ProbabilityEncoding):
             return dt.prob_type(enc.num_classes)
-        if isinstance(enc, RunLengthEncoding):
-            return dt.dtype_to_data_type(self.tensor.dtype)
         row_shape = self.tensor.shape[1:]
         if row_shape:
             return dt.tensor_type(row_shape)
@@ -167,34 +163,21 @@ class Column:
         """Logical values as a numpy array (strings for dictionary columns)."""
         return self.encoded.decode()
 
-    def materialize(self) -> "Column":
-        """Decompress RLE columns to plain (other encodings pass through).
-
-        Deliberately not memoised on the instance: a resident decoded copy
-        would outlive every cache budget. Callers that fan one column out
-        into many slices (the shard driver's ``shard_slices``) materialize
-        once up front instead.
-        """
-        if isinstance(self.encoding, RunLengthEncoding):
-            return Column(self.name, PlainEncoding.encode(self.decode(), device=self.device))
-        return self
-
     def take(self, indices) -> "Column":
         """Row-gather preserving the encoding (differentiable for float data)."""
-        col = self.materialize()
         idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
-        gathered = ops.getitem(col.tensor, idx)
+        gathered = ops.getitem(self.tensor, idx)
         lineage = None
         if idx.ndim == 1 and idx.dtype.kind in "iu":
-            base = col.lineage
+            base = self.lineage
             if base is None:
-                token = identity_token(col.tensor)
+                token = identity_token(self.tensor)
                 base = (token, None) if token is not None else None
             if base is not None:
                 base_token, base_rows = base
                 rows = idx if base_rows is None else base_rows[idx]
                 lineage = (base_token, rows)
-        return Column(self.name, EncodedTensor(gathered, col.encoding), lineage)
+        return Column(self.name, EncodedTensor(gathered, self.encoding), lineage)
 
     def slice_rows(self, start: int, stop: int) -> "Column":
         """Contiguous row range ``[start, stop)`` as a zero-copy view.
@@ -205,9 +188,8 @@ class Column:
         recorded: lineage only keys UDF cache entries, and no UDF runs on
         a shard.
         """
-        col = self.materialize()
-        sliced = ops.getitem(col.tensor, slice(start, stop))
-        return Column(self.name, EncodedTensor(sliced, col.encoding))
+        sliced = ops.getitem(self.tensor, slice(start, stop))
+        return Column(self.name, EncodedTensor(sliced, self.encoding))
 
     def rename(self, name: str) -> "Column":
         return Column(name, self.encoded, self.lineage)
@@ -224,27 +206,6 @@ class Column:
     def with_tensor(self, tensor: Tensor) -> "Column":
         """Replace the carrier tensor, keeping name and encoding."""
         return Column(self.name, EncodedTensor(tensor, self.encoding))
-
-    def to_char_codes(self) -> "Column":
-        """Re-encode a string column as a padded char-code matrix (lossless)."""
-        if isinstance(self.encoding, CharCodeEncoding):
-            return self
-        if not isinstance(self.encoding, DictionaryEncoding):
-            raise ValueError("to_char_codes requires a string column")
-        return Column(self.name, CharCodeEncoding.from_dictionary(self.encoded))
-
-    def to_dictionary(self) -> "Column":
-        """Re-encode a char-code string column as sorted-dictionary codes.
-
-        Lineage is preserved: the carrier changes representation, not the
-        logical row values, so materialization-cache keys stay valid.
-        """
-        if isinstance(self.encoding, DictionaryEncoding):
-            return self
-        if not isinstance(self.encoding, CharCodeEncoding):
-            raise ValueError("to_dictionary requires a string column")
-        return Column(self.name, self.encoding.to_dictionary(self.tensor),
-                      self.lineage)
 
     def __repr__(self) -> str:
         return f"Column({self.name!r}, type={self.data_type}, rows={self.num_rows})"

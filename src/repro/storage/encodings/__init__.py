@@ -1,15 +1,17 @@
-"""Column encodings (paper §2, "Data Encoding")."""
+"""Column encodings (paper §2, "Data Encoding").
+
+One stored form per value kind: plain tensors for numbers (any rank), a
+sorted dictionary for strings, epoch nanoseconds for datetimes, and
+probability-encoded (PE) columns for classifier outputs.
+"""
 
 from repro.storage.encodings.base import EncodedTensor, Encoding
-from repro.storage.encodings.charcodes import CharCodeEncoding
 from repro.storage.encodings.datetime import DatetimeEncoding
 from repro.storage.encodings.dictionary import DictionaryEncoding
 from repro.storage.encodings.plain import PlainEncoding
 from repro.storage.encodings.probability import PEEncoding, ProbabilityEncoding
-from repro.storage.encodings.runlength import RunLengthEncoding
 
 __all__ = [
-    "CharCodeEncoding",
     "DatetimeEncoding",
     "DictionaryEncoding",
     "EncodedTensor",
@@ -17,5 +19,4 @@ __all__ = [
     "PEEncoding",
     "PlainEncoding",
     "ProbabilityEncoding",
-    "RunLengthEncoding",
 ]

@@ -5,12 +5,15 @@ dictionary itself is a 2-dimensional plain tensor, storing one string-vector
 per row". We store each distinct string as a row of unicode code points
 (padded with zeros) in a ``uint32`` tensor; because the dictionary is built
 from the *sorted* distinct strings, integer code comparisons agree with
-lexicographic string comparisons, so range predicates and ORDER BY run
-directly on the codes without decoding.
+lexicographic (code point) string comparisons, so range predicates, LIKE
+prefixes and ORDER BY run directly on the codes without decoding. The
+dictionary is the one stored form of strings; NUL is its padding, so
+strings containing NUL are rejected at encode.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,15 +92,28 @@ class DictionaryEncoding(Encoding):
         return int(np.searchsorted(self._sorted, value, side=side))
 
     def prefix_range(self, prefix: str) -> Tuple[int, int]:
-        """Code range [lo, hi) of strings starting with ``prefix`` (LIKE 'p%')."""
+        """Code range [lo, hi) of strings starting with ``prefix`` (LIKE 'p%').
+
+        Strings order by code point, so the strings starting with ``prefix``
+        are those from ``prefix`` up to the first string past it: the prefix
+        with its last code point incremented. Trailing U+10FFFF characters
+        cannot be incremented and are dropped first; when nothing is left
+        (or the prefix is empty) the range runs to the end of the dictionary.
+        """
         lo = self.range_for(prefix, "left")
-        hi = self.range_for(prefix + "￿", "right")
-        return lo, hi
+        stem = prefix.rstrip(chr(sys.maxunicode))
+        if not stem:
+            return lo, self.cardinality
+        return lo, self.range_for(stem[:-1] + chr(ord(stem[-1]) + 1), "left")
 
     @staticmethod
     def encode(values: Iterable[str], device=None) -> EncodedTensor:
         values = ["" if v is None else str(v) for v in values]
         uniques = sorted(set(values))
+        if any("\x00" in s for s in uniques):
+            # NUL is the code matrix's padding: a stored NUL would decode
+            # away and alias another string.
+            raise EncodingError("strings must not contain NUL characters")
         if not uniques:
             uniques = [""]
         index = {s: i for i, s in enumerate(uniques)}

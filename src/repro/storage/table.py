@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -116,9 +116,6 @@ class Table:
 
     def select(self, names: Sequence[str]) -> "Table":
         return Table(self.name, [self.column(n) for n in names])
-
-    def with_columns(self, columns: Sequence[Column], name: Optional[str] = None) -> "Table":
-        return Table(name or self.name, list(columns))
 
     def to(self, device) -> "Table":
         return Table(self.name, [col.to(device) for col in self._columns])

@@ -30,14 +30,6 @@ class DataType:
         if self.kind not in valid:
             raise ValueError(f"unknown type kind {self.kind!r}")
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.kind in ("int", "float")
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.kind in ("int", "float", "bool", "string")
-
     def __str__(self) -> str:
         if self.kind == "tensor":
             return f"tensor{list(self.row_shape)}"

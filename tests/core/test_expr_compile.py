@@ -2,14 +2,14 @@
 
 Covers the contracts the differential harness cannot pin down one by one:
 
-* the char-code LIKE kernel against a ground-truth SQL LIKE oracle,
+* the dictionary LIKE kernel against a ground-truth SQL LIKE oracle,
   including the newline behaviour the old regex lowering (no ``DOTALL``)
-  got wrong, wildcards, and regex metacharacters in patterns;
+  got wrong, wildcards, regex metacharacters in patterns, and characters
+  at or past U+FFFF right after a LIKE prefix;
 * the one lowering under both array namespaces (``compile_exprs`` on:
   numpy, off: tcr ops): the stage label in the plan, every builtin,
   arithmetic and comparison giving the same values on both, SUBSTR's
-  constant-bounds contract, and string values that arrive without a
-  dictionary;
+  constant-bounds contract, and strings a UDF returns as values;
 * string functions in aggregate, sort and join keys run on dictionary
   codes (no per-row decode);
 * ``CAST(<non-finite> AS INT)`` is 0, warning-free, on both namespaces;
@@ -28,7 +28,7 @@ from repro.errors import ExecutionError
 from repro.core.kernels import strings as string_kernels
 from repro.core.session import Session
 from repro.storage.column import Column
-from repro.storage.encodings import CharCodeEncoding, DictionaryEncoding
+from repro.storage.encodings import DictionaryEncoding
 from repro.tcr import nn
 from repro.tcr.tensor import Tensor
 
@@ -50,11 +50,12 @@ def _assert_equal_results(a, b, context=""):
 
 
 # ----------------------------------------------------------------------
-# LIKE: char-code kernel vs. ground truth
+# LIKE: dictionary kernel vs. ground truth
 # ----------------------------------------------------------------------
 LIKE_CORPUS = [
     "", "a", "ant", "bee", "a%t", "a_t", "a\nb", "ab\ncd", "\n",
     "A.b", "a*b", "[ant]", "(a)", "a+b", "a\\b", "aa", "ant bee", "tt",
+    "a\U0001F600t", "a\uffff",
 ]
 LIKE_PATTERNS = [
     "%", "_", "", "a%", "%t", "a_t", "__", "%%", "a%_t", "%a%t%",
@@ -226,17 +227,16 @@ class TestOneLowering:
         _assert_equal_results(got, want, stmt)
 
     @pytest.mark.parametrize("extra", NAMESPACES)
-    def test_strings_without_a_dictionary(self, extra):
-        """A UDF may hand back strings as a char-code matrix (no
-        dictionary). Every string function takes them directly and
+    def test_strings_returned_by_a_udf(self, extra):
+        """A UDF may hand back strings as values (an object array); they
+        become a dictionary column. Every string function takes them and
         answers what python's str methods answer."""
         session = _numbers_session(12)
         texts = [f" Row{i % 4}x " for i in range(12)]
 
-        @session.udf("string", name="tag", encoded_io=True)
+        @session.udf("string", name="tag")
         def tag(ids):
-            return CharCodeEncoding.encode(
-                [texts[int(i)] for i in ids.tensor.data])
+            return np.asarray([texts[int(i)] for i in ids.data], dtype=object)
 
         got = session.sql.query(
             "SELECT id, UPPER(tag(id)) AS u, LENGTH(tag(id)) AS n, "

@@ -13,8 +13,8 @@ Three algebraic contracts the execution engine relies on:
   numpy on detached data (`compile_exprs` on) as over tcr ops (off),
   over randomized expression trees (arithmetic, comparisons, CASE, CAST,
   builtins, LIKE/IN/BETWEEN/IS NULL, NULL/NaN data, empty and single-row
-  tables, dictionary- and char-code-encoded string columns) at shards
-  1/3/4, with the filter evaluated on the shards of a join input.
+  tables, dictionary-encoded string columns) at shards 1/3/4, with the
+  filter evaluated on the shards of a join input.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.session import Session
-from repro.storage.table import Table
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -352,19 +351,4 @@ def test_pipeline_grouped_aggregate_law(data, num, cond):
     stmt = (f"SELECT s, COUNT(*) AS c, SUM(x1) AS sm, MIN(e0) AS mn, "
             f"AVG(y) AS av FROM (SELECT s, x + 1 AS x1, {num} AS e0, y, id "
             f"FROM t WHERE id >= 0 AND {cond}) a JOIN u ON id = uid GROUP BY s")
-    _assert_compiled_law(session, stmt)
-
-
-@pytest.mark.usefixtures("tiny_shards")
-@settings(**SETTINGS)
-@given(data=tables(), cond=bool_exprs())
-def test_compiled_equals_interpreted_char_codes(data, cond):
-    """The same law when the string column is stored as a padded char-code
-    matrix instead of sorted dictionary codes."""
-    table = Table.from_dict("t", dict(data))
-    columns = [col.to_char_codes() if col.name == "s" else col
-               for col in table.columns]
-    session = _register_keyed(data)
-    session.sql.register_table(Table("t", columns))
-    stmt = f"SELECT id, s {KEYED_JOIN} {cond}"
     _assert_compiled_law(session, stmt)

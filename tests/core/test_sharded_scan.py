@@ -274,23 +274,6 @@ class TestReviewRegressions:
         stitched = stitch_relations(pieces).table.columns[0]
         assert list(stitched.decode()) == ["b", "a", "c", "a", "d"]
 
-    def test_rle_columns_share_one_materialized_base(self):
-        """The shard driver materializes an RLE column once for the whole
-        shard set: every shard slice is a view of one decoded buffer,
-        instead of one full decode per shard. The decoded copy is scoped to
-        the shard set — Column itself never pins it."""
-        from repro.core.operators.scan import shard_slices
-        from repro.storage.encodings import RunLengthEncoding
-        col = Column("r", RunLengthEncoding.encode(np.repeat(np.arange(8), 50)))
-        table = Table("t", [col])
-        bounds = [(0, 100), (100, 200), (200, 300), (300, 400)]
-        pieces = [piece.columns[0].tensor.data
-                  for piece in shard_slices(table, bounds)]
-        decoded = pieces[0].base
-        assert decoded is not None and decoded.shape == (400,)
-        assert all(np.shares_memory(piece, decoded) for piece in pieces)
-        assert isinstance(col.encoding, RunLengthEncoding)  # still RLE itself
-
 
 class TestExecutionParity:
     def test_limit_offset_and_distinct_above_sharded_join(self):

@@ -27,7 +27,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-VOCAB = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "Theta", "io_ta"]
+VOCAB = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "Theta", "io_ta",
+         "al\U0001F600a"]
 LIKE_PATTERNS = ["al%", "%ta", "%et%", "_eta", "%a_a%", "zeta", "%o%"]
 
 INT_COLS = ("a", "b", "u")

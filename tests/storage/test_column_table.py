@@ -7,7 +7,7 @@ from repro import tcr
 from repro.errors import CatalogError, ShapeError
 from repro.storage import types as dt
 from repro.storage.column import Column
-from repro.storage.encodings import DictionaryEncoding, RunLengthEncoding, PEEncoding
+from repro.storage.encodings import DictionaryEncoding, PEEncoding
 from repro.storage.frame import DataFrame
 from repro.storage.table import Table
 
@@ -35,12 +35,6 @@ class TestColumn:
         col = Column.from_values("s", ["x", "y", "z"])
         taken = col.take(np.array([2, 0]))
         np.testing.assert_array_equal(taken.decode(), ["z", "x"])
-
-    def test_take_materializes_rle(self):
-        enc = RunLengthEncoding.encode(np.array([7, 7, 8]))
-        col = Column("r", enc)
-        taken = col.take(np.array([0, 2]))
-        np.testing.assert_array_equal(taken.decode(), [7, 8])
 
     def test_take_is_differentiable_for_float(self):
         t = tcr.tensor([1.0, 2.0, 3.0], requires_grad=True)
