@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import QueryConfig
-from repro.errors import ExecutionError
+from repro.errors import EncodingError, ExecutionError
 from repro.core.kernels import strings as string_kernels
 from repro.core.session import Session
 from repro.storage.column import Column
@@ -250,6 +250,24 @@ class TestOneLowering:
         assert got.column("n").tolist() == [len(texts[i]) for i in keep]
         assert got.column("t").tolist() == [texts[i].strip() for i in keep]
         assert got.column("sub").tolist() == [texts[i][1:4] for i in keep]
+
+    def test_nul_strings_are_rejected_at_every_entry(self):
+        """NUL is the dictionary's padding: stored, 'a\\x00b' would read
+        back as 'ab', match ``= 'ab'`` and share its group. Registered
+        table data and UDF string outputs both refuse it."""
+        session = Session()
+        with pytest.raises(EncodingError):
+            session.sql.register_dict(
+                {"w": np.asarray(["a\x00b", "ab", "a\x00"], dtype=object)},
+                "t")
+        session = _numbers_session(3)
+
+        @session.udf("string", name="nul")
+        def nul(ids):
+            return np.asarray(["a\x00b", "ab", "a\x00"], dtype=object)
+
+        with pytest.raises(EncodingError):
+            session.sql.query("SELECT nul(id) AS w FROM t").run()
 
     @pytest.mark.parametrize("extra", NAMESPACES)
     def test_cast_non_finite_to_int_is_zero(self, extra):

@@ -13,8 +13,8 @@ Three algebraic contracts the execution engine relies on:
   numpy on detached data (`compile_exprs` on) as over tcr ops (off),
   over randomized expression trees (arithmetic, comparisons, CASE, CAST,
   builtins, LIKE/IN/BETWEEN/IS NULL, NULL/NaN data, empty and single-row
-  tables, dictionary-encoded string columns) at shards 1/3/4, with the
-  filter evaluated on the shards of a join input.
+  tables, dictionary-encoded string columns, characters past U+FFFF) at
+  shards 1/3/4, with the filter evaluated on the shards of a join input.
 """
 
 import numpy as np
@@ -30,13 +30,14 @@ SETTINGS = dict(max_examples=25, deadline=None)
 # Table strategies
 # ----------------------------------------------------------------------
 @st.composite
-def tables(draw, min_rows=0, max_rows=48):
+def tables(draw, min_rows=0, max_rows=48,
+           vocab=("ant", "bee", "cat", "dog", "")):
     n = draw(st.integers(min_rows, max_rows))
     ints = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
     floats = draw(st.lists(
         st.one_of(st.floats(-100, 100, width=32), st.just(float("nan"))),
         min_size=n, max_size=n))
-    words = draw(st.lists(st.sampled_from(["ant", "bee", "cat", "dog", ""]),
+    words = draw(st.lists(st.sampled_from(vocab),
                           min_size=n, max_size=n))
     return {
         "id": np.arange(n, dtype=np.int64),
@@ -351,4 +352,20 @@ def test_pipeline_grouped_aggregate_law(data, num, cond):
     stmt = (f"SELECT s, COUNT(*) AS c, SUM(x1) AS sm, MIN(e0) AS mn, "
             f"AVG(y) AS av FROM (SELECT s, x + 1 AS x1, {num} AS e0, y, id "
             f"FROM t WHERE id >= 0 AND {cond}) a JOIN u ON id = uid GROUP BY s")
+    _assert_compiled_law(session, stmt)
+
+
+# Characters at and past U+FFFF right after the LIKE prefixes 'a' and 'b'.
+WIDE_VOCAB = ("ant", "a\U0001F600t", "a\uffff", "b\U0010FFFFe", "bee", "")
+
+
+@pytest.mark.usefixtures("tiny_shards")
+@settings(**SETTINGS)
+@given(data=tables(vocab=WIDE_VOCAB), cond=bool_exprs())
+def test_compiled_equals_interpreted_wide_strings(data, cond):
+    """The same law when the string column holds characters outside the
+    basic multilingual plane: compares, LIKE prefixes and string functions
+    order and match by code point on both namespaces, serial and sharded."""
+    session = _register_keyed(data)
+    stmt = f"SELECT id, s {KEYED_JOIN} {cond}"
     _assert_compiled_law(session, stmt)

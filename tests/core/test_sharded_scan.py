@@ -275,6 +275,54 @@ class TestReviewRegressions:
         assert list(stitched.decode()) == ["b", "a", "c", "a", "d"]
 
 
+    def test_repeated_values_count_by_row(self):
+        """A column of long runs answers by row, serial and sharded: the
+        shards split rows, and every column of a table has its row count."""
+        session = Session()
+        session.sql.register_dict(
+            {"id": np.arange(400, dtype=np.int64),
+             "r": np.repeat(np.arange(8, dtype=np.int64), 50)}, "t")
+        cases = [
+            (f"SELECT COUNT(*) AS c {SELF_JOIN}", {"c": [400]}),
+            (f"SELECT SUM(a.r) AS total {SELF_JOIN}", {"total": [1400]}),
+            (f"SELECT a.r {SELF_JOIN} WHERE a.r > 6", {"r": [7] * 50}),
+        ]
+        for stmt, want in cases:
+            serial = session.sql.query(stmt, extra_config=SERIAL).run()
+            sharded = session.sql.query(stmt, extra_config=SHARDED)
+            assert "ShardedScan(" in sharded.explain(), stmt
+            got = sharded.run()
+            _assert_bitwise(serial, got, stmt)
+            for name, values in want.items():
+                assert got.column(name).tolist() == values, stmt
+
+    def test_shard_slices_are_views_of_the_scan_columns(self, monkeypatch):
+        """Each shard reads a zero-copy view of the scanned table's
+        columns under the stored encoding; no shard decodes or re-encodes
+        its slice."""
+        from repro.core.operators.sharded import ShardedScanExec
+        session = _session()
+        pieces = []
+        task = ShardedScanExec._task
+
+        def spy(op, table, index):
+            pieces.append(table)
+            return task(op, table, index)
+
+        monkeypatch.setattr(ShardedScanExec, "_task", spy)
+        stmt = f"SELECT a.s, b.y {SELF_JOIN} WHERE a.x > 10"
+        sharded = session.sql.query(stmt, extra_config=SHARDED)
+        _assert_bitwise(session.sql.query(stmt).run(), sharded.run(), stmt)
+        stored = session.catalog.get("t")
+        assert len(pieces) >= 4
+        assert sum(piece.num_rows for piece in pieces) % stored.num_rows == 0
+        for piece in pieces:
+            for col in piece.columns:
+                base = stored.column(col.name)
+                assert col.encoding is base.encoding, col.name
+                assert np.shares_memory(col.tensor.data, base.tensor.data)
+
+
 class TestExecutionParity:
     def test_limit_offset_and_distinct_above_sharded_join(self):
         session = _session()

@@ -7,7 +7,11 @@ from repro import tcr
 from repro.errors import CatalogError, ShapeError
 from repro.storage import types as dt
 from repro.storage.column import Column
-from repro.storage.encodings import DictionaryEncoding, PEEncoding
+from repro.storage.encodings import (
+    DatetimeEncoding,
+    DictionaryEncoding,
+    PEEncoding,
+)
 from repro.storage.frame import DataFrame
 from repro.storage.table import Table
 
@@ -35,6 +39,25 @@ class TestColumn:
         col = Column.from_values("s", ["x", "y", "z"])
         taken = col.take(np.array([2, 0]))
         np.testing.assert_array_equal(taken.decode(), ["z", "x"])
+
+    def test_slice_rows_is_a_view_sharing_the_encoding(self):
+        """The shard driver slices scan columns with ``slice_rows``: each
+        slice is a view of the stored codes under the same dictionary."""
+        col = Column.from_values("s", ["x", "y", "z", "x", "w"])
+        sliced = col.slice_rows(1, 4)
+        assert sliced.encoding is col.encoding
+        assert np.shares_memory(sliced.tensor.data, col.tensor.data)
+        assert sliced.decode().tolist() == ["y", "z", "x"]
+
+    def test_from_values_datetimes_keep_epoch_nanoseconds(self):
+        stamps = np.array(["2024-01-02", "1999-12-31T23:59"],
+                          dtype="datetime64[m]")
+        col = Column.from_values("d", stamps)
+        assert isinstance(col.encoding, DatetimeEncoding)
+        assert col.tensor.dtype == np.int64
+        assert col.data_type == dt.STRING      # binds against ISO literals
+        np.testing.assert_array_equal(
+            col.decode(), stamps.astype("datetime64[ns]"))
 
     def test_take_is_differentiable_for_float(self):
         t = tcr.tensor([1.0, 2.0, 3.0], requires_grad=True)
