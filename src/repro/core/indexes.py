@@ -311,10 +311,11 @@ class IndexManager:
     def _cached_model_embeddings(self, column, model) -> Optional[np.ndarray]:
         """Read/populate the session materialization cache for a corpus encode.
 
-        Query-time similarity UDFs and index builds meet here: a build after
-        a query reuses the full-column embedding the query's encoder memo
-        stored, and a query after a build reuses the build's entry. Models
-        left in training mode never share (their outputs may be stochastic).
+        Query-time similarity UDFs and index builds meet here, in
+        :meth:`TensorCache.encoded`: a build encodes only the rows no query
+        has embedded yet, and a query after a build reuses the build's
+        entry. Models left in training mode never share (their outputs may
+        be stochastic).
         """
         from repro.core import tensor_cache as tc
         cache = self.tensor_cache
@@ -326,16 +327,13 @@ class IndexManager:
         token = tc.identity_token(model)
         if token is None:
             return None
-        fp = cache.model_state_fp(model)
-        device = str(column.tensor.device)
-        hit = cache.encoded_get(token, fp, tag, device)
-        if hit is None:
-            orig = getattr(model.encode_image, "__tdp_encoder_orig__", None)
-            encode = orig if orig is not None else model.encode_image
-            with no_grad():
-                hit = encode(column.tensor).detach()
-            cache.encoded_put(token, fp, tag, device, hit)
-        return np.asarray(hit.data)
+        orig = getattr(model.encode_image, "__tdp_encoder_orig__", None)
+        encode = orig if orig is not None else model.encode_image
+        with no_grad():
+            embedded = cache.encoded(token, cache.model_state_fp(model), tag,
+                                     str(column.tensor.device), column.tensor,
+                                     encode)
+        return np.asarray(embedded.data)
 
     def embed_query(self, entry: IndexEntry, text: str) -> np.ndarray:
         """Embed a text query with the model the corpus was embedded by."""

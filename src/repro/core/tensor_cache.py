@@ -14,20 +14,22 @@ versioned materialization:
   - **UDF output columns**, keyed on ``(udf name, udf registration version,
     parameter-state fingerprint, per-argument content identity, device)``;
   - **encoder outputs** (``model.encode_image(...)`` of two-tower models),
-    keyed on ``(model identity, parameter-state fingerprint, input content
-    identity)`` — shared between query-time evaluation and
+    one entry per ``(model identity, parameter-state fingerprint, device,
+    base)`` filled row by row — shared between query-time evaluation and
     ``IndexManager._embed_corpus``, in both directions.
 
-* **Content identity** rides on object identity plus row lineage: every
-  stored tensor gets a process-unique token on first use
-  (:func:`repro.storage.column.identity_token`), and ``Column.take`` records
-  ``(base token, row indices)`` lineage. Because tables are immutable and
-  every ``register_*`` builds new tensors, identity tokens give exact
-  invalidation — the same machinery (``catalog.version`` /
-  ``functions.version`` object turnover) that invalidates the plan cache.
-  Re-registration never *hits* a stale entry; stale entries age out of the
-  LRU. In-place weight mutation (a training loop touching a UDF's modules
-  between statements) is caught by the parameter-state fingerprint.
+* **Content identity** rides on buffer identity plus row lineage. A
+  registered numpy array stored without a copy is named by its buffer and
+  row range (:func:`repro.storage.column.buffer_lineage`), and registration
+  marks that buffer read-only, so the name can never come to mean other
+  bytes. Every other stored tensor gets a process-unique token on first use
+  (:func:`repro.storage.column.identity_token`); registered tensors must not
+  be written in place while registered (docs/SEMANTICS.md).
+  ``Column.take`` records ``(base token, row indices)`` lineage. A
+  re-registration of other data never *hits* a stale entry; stale entries
+  age out of the LRU. In-place weight mutation (a training loop touching a
+  UDF's modules between statements) is caught by the parameter-state
+  fingerprint.
 
 * **Row-subset reuse**: a UDF evaluated over a filtered subset of a column
   it has already scored in full is answered by *gathering* from the cached
@@ -36,11 +38,14 @@ versioned materialization:
   row-wise (outputs for row ``i`` depend only on inputs of row ``i``),
   which is what makes the gather sound.
 
-* **One encode per column**: a UDF call receives the whole column it is
-  evaluated over, so the encoder memo inside it sees the full corpus and
-  stores one full-column embedding. A ``CREATE VECTOR INDEX`` build after
-  a similarity query reads that entry and encodes nothing (and a query
-  after a build reuses the build's entry the same way).
+* **Writes are deltas**: encoder outputs are kept per base buffer, one row
+  per base row, with a filled-row mask (:meth:`TensorCache.encoded`). A
+  lookup gathers the rows it has seen and runs the encoder once, on the
+  rows it has not. Registering ``images[:420]`` after ``images[:400]``
+  encodes 20 rows; a table over the whole buffer, embedded once by a
+  ``CREATE VECTOR INDEX`` build or a similarity query, serves every later
+  row range of it without encoding. Index builds and query-time encoder
+  memos share these entries in both directions.
 
 Trainable compilations never activate the cache, and grad-enabled UDF
 invocations (plus models left in ``train()`` mode) always bypass it.
@@ -219,6 +224,7 @@ class TensorCache:
         self.hits = 0
         self.misses = 0
         self.gather_hits = 0
+        self.rows_encoded = 0
         self.inserts = 0
         self.evictions = 0
 
@@ -285,13 +291,19 @@ class TensorCache:
         return entry
 
     def put(self, key: tuple, value, nbytes: int) -> None:
+        """Insert or replace ``key``, evicting least-recently-used entries
+        past the byte budget. A value larger than the whole budget is not
+        stored, and an older value under its key is evicted (an encoder
+        entry that grew past the budget)."""
         nbytes = int(nbytes)
-        if self.max_bytes <= 0 or nbytes > self.max_bytes:
-            return
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self.current_bytes -= old.nbytes
+            if self.max_bytes <= 0 or nbytes > self.max_bytes:
+                if old is not None:
+                    self.evictions += 1
+                return
             self._entries[key] = _Entry(value, nbytes)
             self.current_bytes += nbytes
             self.inserts += 1
@@ -318,6 +330,7 @@ class TensorCache:
             return {
                 "hits": self.hits, "misses": self.misses,
                 "gather_hits": self.gather_hits, "inserts": self.inserts,
+                "rows_encoded": self.rows_encoded,
                 "evictions": self.evictions, "size": len(self._entries),
                 "bytes": self.current_bytes, "max_bytes": self.max_bytes,
             }
@@ -360,39 +373,82 @@ class TensorCache:
     # ------------------------------------------------------------------
     # Encoder (embedding) entries
     # ------------------------------------------------------------------
-    def encoded_get(self, model_token: int, model_fp: str, tag: CacheTag,
-                    device: str) -> Optional[Tensor]:
-        """Exact hit, or a row gather from the full-column entry.
-        ``device`` is the input tensor's device: parameterless encoders
-        follow it, so entries are per-device (like UDF-output keys)."""
-        key = ("enc", model_token, model_fp, device, tag.base, tag.rows_fp)
-        full_value = None
+    def encoded(self, model_token: int, model_fp: str, tag: CacheTag,
+                device: str, images: Tensor, encode) -> Tensor:
+        """``encode(images)``, running the encoder only on rows it has never
+        seen. ``tag`` names the base buffer and the base row behind each row
+        of ``images``; ``device`` is the input's device (parameterless
+        encoders follow it, so entries are per-device, like UDF-output keys).
+
+        One entry per ``(model, state, device, base)`` holds embedded base
+        rows plus a filled-row mask. Rows already filled are gathered; the
+        rest are encoded in one call and scattered in.
+        """
+        n = images.shape[0]
+        if n == 0:
+            return encode(images)
+        rows = tag.rows if tag.rows is not None else np.arange(n)
+        key = ("enc", model_token, model_fp, device, tag.base)
         with self._lock:
             entry = self._touch(key)
-            if entry is not None:
-                self.hits += 1
-                return entry.value
-            if tag.rows_fp is not None:
-                full = self._touch(("enc", model_token, model_fp, device,
-                                    tag.base, None))
-                if full is not None and tag.rows is not None:
-                    rows = tag.rows
-                    if rows.size == 0 or int(rows.max()) < full.value.shape[0]:
-                        self.gather_hits += 1
-                        full_value = full.value
-            if full_value is None:
-                self.misses += 1
-        # The gather happens outside the lock: entry tensors are immutable,
-        # so a captured reference stays valid, and other workers' lookups
-        # must not serialize behind this worker's copy.
-        if full_value is not None:
-            return ops.getitem(full_value, tag.rows)
-        return None
+        # Entry values are replaced, never written (copy-on-write in
+        # _fill_encoded), so a captured reference stays valid outside the
+        # lock, and other workers' lookups do not serialize behind this
+        # worker's gather.
+        stored = entry.value if entry is not None else None
+        have = np.zeros(n, dtype=bool)
+        if stored is not None:
+            inside = rows < stored.filled.shape[0]
+            have[inside] = stored.filled[rows[inside]]
+        missing = np.flatnonzero(~have)
+        if missing.size == 0:
+            whole = tag.rows is None and stored.filled.shape[0] == n
+            with self._lock:
+                if whole:
+                    self.hits += 1
+                else:
+                    self.gather_hits += 1
+            return stored.value if whole else ops.getitem(stored.value, rows)
+        with self._lock:
+            self.misses += 1
+            self.rows_encoded += int(missing.size)
+        fresh = encode(images if missing.size == n
+                       else ops.getitem(images, missing)).detach()
+        embedded = self._fill_encoded(key, rows[missing], fresh)
+        return fresh if missing.size == n else ops.getitem(embedded, rows)
 
-    def encoded_put(self, model_token: int, model_fp: str, tag: CacheTag,
-                    device: str, value: Tensor) -> None:
-        key = ("enc", model_token, model_fp, device, tag.base, tag.rows_fp)
-        self.put(key, value, value.data.nbytes)
+    def _fill_encoded(self, key: tuple, rows: np.ndarray, fresh: Tensor) -> Tensor:
+        """Scatter encoded rows into the entry at base ``rows``, growing it
+        to the highest base row seen. Builds a new value each time, so
+        readers holding the old one are unaffected; returns its rows."""
+        with self._lock:
+            entry = self._entries.get(key)
+            old = entry.value if entry is not None else None
+            size = int(rows.max()) + 1
+            if old is not None:
+                size = max(size, old.filled.shape[0])
+            data = np.zeros((size,) + fresh.shape[1:], dtype=fresh.dtype)
+            filled = np.zeros(size, dtype=bool)
+            if old is not None:
+                kept = old.filled.shape[0]
+                data[:kept] = old.value.data
+                filled[:kept] = old.filled
+            data[rows] = fresh.data
+            filled[rows] = True
+            value = Tensor(data, device=fresh.device, dtype=data.dtype)
+            self.put(key, _Embedded(value, filled), data.nbytes + filled.nbytes)
+        return value
+
+
+class _Embedded:
+    """Encoder outputs for rows of one base: row ``i`` of ``value`` holds
+    the embedding of base row ``i`` wherever ``filled[i]``."""
+
+    __slots__ = ("value", "filled")
+
+    def __init__(self, value: Tensor, filled: np.ndarray):
+        self.value = value
+        self.filled = filled
 
 
 # ----------------------------------------------------------------------
@@ -430,15 +486,8 @@ def _install_image_memo(model) -> None:
         tag = getattr(images, "_cache_tag", None)
         if tag is None:
             return orig(images)
-        token = identity_token(model)
-        fp = cache.model_state_fp(model)
-        device = str(images.device)
-        hit = cache.encoded_get(token, fp, tag, device)
-        if hit is not None:
-            return hit
-        out = orig(images)
-        cache.encoded_put(token, fp, tag, device, out.detach())
-        return out
+        return cache.encoded(identity_token(model), cache.model_state_fp(model),
+                             tag, str(images.device), images, orig)
 
     encode_image.__tdp_encoder_orig__ = orig
     model.encode_image = encode_image

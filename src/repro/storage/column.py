@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Optional, Sequence, Tuple
+import weakref
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +55,71 @@ def identity_token(obj) -> Optional[int]:
     return token
 
 
+# Buffer tokens: a registered numpy array is identified by the buffer it
+# lives in, not by the Tensor wrapped around it, so two registrations of
+# rows of one buffer (``images[:400]``, then ``images[:420]``) share cached
+# model outputs row by row. Keyed on ``id()`` of the owning ndarray plus the
+# view's dtype and row shape (two reinterpretations of one buffer never
+# share a token); each entry holds a weakref to the owner, so an ``id()``
+# reused after the owner is freed is never mistaken for it.
+_BUFFER_TOKENS: Dict[tuple, Tuple["weakref.ref", int]] = {}
+
+
+def _forget_buffer(key: tuple, ref: "weakref.ref") -> None:
+    # Weakref callback: runs while the owner is being freed, before its id()
+    # can be reused, so only this owner's own entry can match ``ref``.
+    entry = _BUFFER_TOKENS.get(key)
+    if entry is not None and entry[0] is ref:
+        _BUFFER_TOKENS.pop(key, None)
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The last ndarray on ``array``'s ``.base`` chain: the buffer's owner."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def buffer_lineage(array: np.ndarray) -> Optional[Tuple[int, Optional[np.ndarray]]]:
+    """``(buffer token, rows)`` for a C-contiguous row range of a buffer.
+
+    ``rows`` is None when ``array`` covers the whole buffer, else the base
+    row indices ``arange(offset // row_bytes, ...)``. Returns None for
+    anything that is not a whole-row range (a column slice ``a[:, 0]``, a
+    view starting mid-row, a 0-d array): those keep a per-Tensor token.
+    """
+    if array.size == 0 or not array.flags.c_contiguous:
+        return None
+    owner = _owner(array)
+    row_bytes = array.nbytes // array.shape[0]
+    offset = (array.__array_interface__["data"][0]
+              - owner.__array_interface__["data"][0])
+    if offset < 0 or offset % row_bytes or offset + array.nbytes > owner.nbytes:
+        return None
+    key = (id(owner), array.dtype, array.shape[1:])
+    with _IDENTITY_LOCK:
+        entry = _BUFFER_TOKENS.get(key)
+        if entry is not None and entry[0]() is owner:
+            token = entry[1]
+        else:
+            token = next(_IDENTITY_COUNTER)
+            ref = weakref.ref(owner, lambda r, key=key: _forget_buffer(key, r))
+            _BUFFER_TOKENS[key] = (ref, token)
+    if offset == 0 and array.nbytes == owner.nbytes:
+        return token, None
+    start = offset // row_bytes
+    return token, np.arange(start, start + array.shape[0])
+
+
+def freeze_buffer(array: np.ndarray) -> None:
+    """Mark ``array`` and every ndarray on its ``.base`` chain read-only:
+    a registered buffer written in place would silently diverge from the
+    model outputs cached for it, so the write raises instead."""
+    while isinstance(array, np.ndarray):
+        array.flags.writeable = False
+        array = array.base
+
+
 def concat_encoded(columns: Sequence["Column"]) -> Optional[EncodedTensor]:
     """Concatenate column pieces row-wise into one :class:`EncodedTensor`.
 
@@ -84,10 +150,14 @@ def concat_encoded(columns: Sequence["Column"]) -> Optional[EncodedTensor]:
 class Column:
     """A named column stored as an :class:`EncodedTensor`.
 
-    ``lineage`` records row provenance for the materialization cache: when a
-    column is a row gather of a stored base column it carries
-    ``(base identity token, row indices)`` — ``rows=None`` meaning "all rows
-    of that base". Columns whose carrier is freshly computed have no lineage.
+    ``lineage`` records row provenance for the materialization cache as
+    ``(base token, row indices)``, ``rows=None`` meaning "all rows of that
+    base". A registered numpy array stored without a copy names its buffer
+    (:func:`buffer_lineage`: the owning ndarray, dtype and row shape) and
+    its row range in it, so ``buf[:40]`` and ``buf[:60]`` share the model
+    outputs of their common rows. A row gather of a column carries the
+    gathered base rows. Columns whose carrier is freshly computed have no
+    lineage; the cache then keys on their carrier tensor's identity token.
     """
 
     __slots__ = ("name", "encoded", "lineage")
@@ -120,6 +190,21 @@ class Column:
         if array.dtype.kind == "M":
             return Column(name, DatetimeEncoding.encode(array, device=device))
         return Column(name, PlainEncoding.encode(array, device=device))
+
+    @staticmethod
+    def from_registered(name: str, values, device=None) -> "Column":
+        """:meth:`from_values` for data a caller registers as a table.
+
+        When the carrier is the caller's own ndarray (no copy was needed),
+        the buffer is frozen (:func:`freeze_buffer`) and a C-contiguous row
+        range gets buffer lineage. An array the engine copied on the way in
+        (a dtype conversion, strings) is left alone.
+        """
+        column = Column.from_values(name, values, device=device)
+        if isinstance(values, np.ndarray) and column.tensor.data is values:
+            freeze_buffer(values)
+            column.lineage = buffer_lineage(values)
+        return column
 
     # ------------------------------------------------------------------
     # Introspection

@@ -42,14 +42,14 @@ class Table:
     @staticmethod
     def from_frame(name: str, frame: DataFrame, device=None) -> "Table":
         columns = [
-            Column.from_values(col_name, frame[col_name], device=device)
+            Column.from_registered(col_name, frame[col_name], device=device)
             for col_name in frame.columns
         ]
         return Table(name, columns)
 
     @staticmethod
     def from_dict(name: str, data: Mapping[str, object], device=None) -> "Table":
-        columns = [Column.from_values(k, v, device=device) for k, v in data.items()]
+        columns = [Column.from_registered(k, v, device=device) for k, v in data.items()]
         return Table(name, columns)
 
     @staticmethod

@@ -7,10 +7,17 @@ share corpus embeddings in both directions, and trainable / non-
 deterministic / mutated-weight paths never serve stale results.
 """
 
+import gc
+import sys
+import threading
+
 import numpy as np
+import pytest
 
 from repro.core.session import Session
-from repro.core.tensor_cache import TensorCache, state_fingerprint
+from repro.core.tensor_cache import CacheTag, TensorCache, state_fingerprint
+from repro.storage.column import buffer_lineage
+from repro.storage.frame import DataFrame
 from repro.tcr import nn, ops
 from repro.tcr.tensor import Tensor
 
@@ -298,6 +305,249 @@ class TestEmbeddingSharing:
         session.sql.query("SELECT f_rand(emb) AS y FROM t").run()
         session.sql.query("SELECT f_rand(emb) AS y FROM t").run()
         assert sum(encoded_rows) == 24           # f_rand always re-encodes
+
+
+class TestRegisteredBuffers:
+    """Registration stores numpy arrays without copying and freezes their
+    buffer, so an in-place write can never be served stale UDF results."""
+
+    def _doubled(self, session):
+        @session.udf("float", name="g")
+        def g(x):
+            return x * 2
+
+    def test_in_place_write_to_registered_array_raises(self, session):
+        buf = np.arange(4, dtype=np.float32)
+        session.sql.register_dict({"x": buf}, "t")
+        self._doubled(session)
+        sql = "SELECT SUM(g(x)) AS s FROM t"
+        assert session.sql.query(sql).run().scalar() == 12
+        with pytest.raises(ValueError):
+            buf += 100
+        with pytest.raises(ValueError):
+            buf[1:][0] = 5                       # views of it are frozen too
+        assert session.sql.query(sql).run().scalar() == \
+            session.sql.query("SELECT SUM(x) * 2 AS s FROM t").run().scalar()
+
+    def test_registering_a_copy_after_a_write_is_fresh(self, session):
+        buf = np.arange(4, dtype=np.float32)
+        session.sql.register_dict({"x": buf}, "t")
+        self._doubled(session)
+        assert session.sql.query("SELECT SUM(g(x)) AS s FROM t").run().scalar() == 12
+        fresh = np.array(buf)
+        fresh += 100
+        session.sql.register_dict({"x": fresh}, "t")
+        assert session.sql.query("SELECT SUM(g(x)) AS s FROM t").run().scalar() == 812
+
+    def test_register_df_freezes_the_frame_columns(self, session):
+        buf = np.arange(4, dtype=np.float32)
+        session.sql.register_df(DataFrame({"x": buf}), "t")
+        assert not buf.flags.writeable
+
+    def test_copied_and_tensor_registrations_stay_writable(self, session):
+        wide = np.arange(4, dtype=np.float64)    # stored as a float32 copy
+        session.sql.register_dict({"x": wide}, "t")
+        wide += 1
+        tensor = Tensor(np.arange(4, dtype=np.float32))
+        session.sql.register_tensor(tensor, "u")
+        tensor.data += 1                         # trainable queries do this
+        array = np.arange(4, dtype=np.float32)
+        session.sql.register_numpy(array, "v")
+        array += 1
+        assert session.sql.query("SELECT SUM(x) AS s FROM t").run().scalar() == 6
+
+
+class TestBufferLineage:
+    def test_row_ranges_share_the_buffer_token(self):
+        buf = np.zeros((10, 4), dtype=np.float32)
+        token, rows = buffer_lineage(buf)
+        assert rows is None
+        assert buffer_lineage(buf[:6])[0] == token
+        np.testing.assert_array_equal(buffer_lineage(buf[3:7])[1], np.arange(3, 7))
+        assert buffer_lineage(buf[:, 0]) is None          # not a row range
+
+    def test_reinterpretations_never_share(self):
+        buf = np.zeros((10, 4), dtype=np.float32)
+        tokens = {buffer_lineage(buf)[0],
+                  buffer_lineage(buf.view(np.int32))[0],
+                  buffer_lineage(buf.reshape(-1, 8))[0],
+                  buffer_lineage(buf.reshape(-1))[0]}
+        assert len(tokens) == 4
+
+    def test_reused_id_gets_a_new_token(self):
+        def fresh_buffer():
+            return np.zeros((4, 2), dtype=np.float32)
+
+        first = fresh_buffer()
+        address, token = id(first), buffer_lineage(first)[0]
+        del first
+        gc.collect()
+        keep = []
+        for _ in range(1000):
+            candidate = fresh_buffer()
+            if id(candidate) == address:
+                assert buffer_lineage(candidate)[0] != token
+                return
+            keep.append(candidate)
+        pytest.skip("the allocator never reused the freed array's id()")
+
+
+class TestDeltaEncoding:
+    """Encoder entries are per base buffer and filled row by row: a
+    registered row range encodes only rows the session never embedded."""
+
+    W = np.random.default_rng(3).normal(size=(8, 4)).astype(np.float32)
+
+    def _session(self, buf, max_bytes=None):
+        session = Session() if max_bytes is None else Session(tensor_cache_bytes=max_bytes)
+        encoded_rows = []
+        weights = self.W
+
+        class TwoTower(nn.Module):
+            def encode_image(self, images: Tensor) -> Tensor:
+                encoded_rows.append(images.shape[0])
+                return Tensor(np.tanh(images.data @ weights))
+
+            def encode_text(self, texts) -> Tensor:
+                return Tensor(np.stack([np.full(4, len(t), dtype=np.float32)
+                                        for t in texts]))
+
+        model = TwoTower()
+
+        @session.udf("float", name="vec_sim", modules=[model],
+                     ann="inner_product")
+        def vec_sim(query: str, emb: Tensor) -> Tensor:
+            img = model.encode_image(emb)
+            txt = model.encode_text([query])
+            return ops.matmul(img, ops.reshape(txt, (-1, 1))).reshape(-1)
+
+        return session, encoded_rows
+
+    @staticmethod
+    def _register(session, view, name="vecs"):
+        session.sql.register_dict({"id": np.arange(len(view)), "emb": view}, name)
+
+    @staticmethod
+    def _scores(session, text, config=None):
+        return session.sql.query(
+            f"SELECT vec_sim('{text}', emb) AS s FROM vecs",
+            extra_config=config).run().column("s")
+
+    def test_appended_rows_are_the_only_rows_encoded(self, rng):
+        buf = rng.normal(size=(80, 8)).astype(np.float32)
+        session, encoded_rows = self._session(buf)
+        self._register(session, buf[:40])
+        self._scores(session, "q")
+        assert encoded_rows == [40]
+        self._register(session, buf[:60])
+        grown = self._scores(session, "q")
+        assert encoded_rows == [40, 20]          # the 20 appended rows
+        assert session.tensor_cache.stats["rows_encoded"] == 60
+        self._register(session, buf[:40])
+        shrunk = self._scores(session, "qq")     # new text: no UDF-output hit
+        assert encoded_rows == [40, 20]          # a pure gather
+        off = {"tensor_cache": False}
+        np.testing.assert_allclose(shrunk, self._scores(session, "qq", off), atol=1e-5)
+        self._register(session, buf[:60])
+        np.testing.assert_allclose(grown, self._scores(session, "q", off), atol=1e-5)
+        np.testing.assert_allclose(grown, _reference(buf[:60], "q", self.W), atol=1e-5)
+
+    def test_index_build_over_the_buffer_serves_later_views(self, rng):
+        buf = rng.normal(size=(64, 8)).astype(np.float32)
+        session, encoded_rows = self._session(buf)
+        self._register(session, buf, name="archive")
+        session.sql.query(
+            "CREATE VECTOR INDEX vidx ON archive(emb) WITH (cells=4, nprobe=4)").run()
+        session.sql.query("SELECT id, vec_sim('q', emb) AS s FROM archive "
+                          "ORDER BY s DESC LIMIT 3").run()
+        assert encoded_rows == [64]              # the build
+        gathers = session.tensor_cache.stats["gather_hits"]
+        self._register(session, buf[10:30])
+        scores = self._scores(session, "q")
+        assert encoded_rows == [64]              # gathered from the build's entry
+        assert session.tensor_cache.stats["gather_hits"] > gathers
+        np.testing.assert_allclose(scores, _reference(buf[10:30], "q", self.W),
+                                   atol=1e-5)
+
+    def test_reinterpreted_buffer_is_encoded_afresh(self, rng):
+        buf = rng.normal(size=(32, 8)).astype(np.float32)
+        session, encoded_rows = self._session(buf)
+        self._register(session, buf)
+        self._scores(session, "q")
+        self._register(session, buf.view(np.int32))  # same bytes, new dtype
+        self._scores(session, "q")
+        assert encoded_rows == [32, 32]
+        self._register(session, buf.reshape(-1, 4).reshape(-1, 8))
+        self._scores(session, "qq")
+        assert encoded_rows == [32, 32]          # same dtype and row shape
+
+    def test_growing_an_entry_past_the_budget_evicts(self):
+        cache = TensorCache(max_bytes=17 * 10)       # 16 B row + 1 B mask
+        images = Tensor(np.ones((12, 4), dtype=np.float32))
+        calls = []
+
+        def encode(x):
+            calls.append(x.shape[0])
+            return x
+
+        def lookup(base, rows):
+            return cache.encoded(1, "fp", CacheTag(base, "r", np.arange(rows)),
+                                 "cpu", Tensor(images.data[:rows]), encode)
+
+        lookup(1, 5)
+        lookup(2, 5)
+        assert cache.current_bytes == 170 and cache.evictions == 0
+        lookup(2, 8)                             # grows: base 1 is evicted
+        assert calls == [5, 5, 3]
+        assert cache.evictions == 1 and len(cache) == 1
+        lookup(2, 12)                            # past the whole budget
+        assert cache.evictions == 2 and len(cache) == 0
+        assert cache.stats["rows_encoded"] == 5 + 5 + 3 + 4
+
+    def test_empty_input_stores_nothing(self):
+        cache = TensorCache()
+        empty = Tensor(np.zeros((0, 4), dtype=np.float32))
+        out = cache.encoded(1, "fp", CacheTag(7, "r", np.arange(0)), "cpu",
+                            empty, lambda x: x * 2)
+        assert out.shape == (0, 4)
+        assert len(cache) == 0 and cache.stats["rows_encoded"] == 0
+
+    def test_concurrent_fills_of_one_entry_lose_no_rows(self):
+        """Workers filling disjoint row ranges of one base concurrently:
+        each fill merges into the entry under the lock, so afterwards every
+        row is served without encoding."""
+        cache = TensorCache()
+        images = np.arange(80 * 4, dtype=np.float32).reshape(80, 4)
+        calls = []
+
+        def encode(x):
+            calls.append(x.shape[0])
+            return x * 2
+
+        def lookup(start, stop):
+            rows = np.arange(start, stop)
+            return cache.encoded(1, "fp", CacheTag(7, "r", rows), "cpu",
+                                 Tensor(images[start:stop]), encode)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=lookup, args=(k * 10, k * 10 + 10))
+                       for k in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sum(calls) == 80
+        np.testing.assert_array_equal(lookup(0, 80).data, images * 2)
+        assert sum(calls) == 80
+
+
+def _reference(rows, text, weights):
+    return np.tanh(rows @ weights) @ np.full(4, len(text), dtype=np.float32)
 
 
 class TestTensorCacheLru:
