@@ -38,9 +38,9 @@ versioned materialization:
   row-wise (outputs for row ``i`` depend only on inputs of row ``i``),
   which is what makes the gather sound.
 
-* **Writes are deltas**: encoder outputs are kept per base buffer, one row
-  per base row, with a filled-row mask (:meth:`TensorCache.encoded`). A
-  lookup gathers the rows it has seen and runs the encoder once, on the
+* **Writes are deltas**: encoder outputs are kept per base buffer, keyed
+  by base row, for the rows embedded so far (:meth:`TensorCache.encoded`).
+  A lookup gathers the rows it has seen and runs the encoder once, on the
   rows it has not. Registering ``images[:420]`` after ``images[:400]``
   encodes 20 rows; a table over the whole buffer, embedded once by a
   ``CREATE VECTOR INDEX`` build or a similarity query, serves every later
@@ -291,19 +291,13 @@ class TensorCache:
         return entry
 
     def put(self, key: tuple, value, nbytes: int) -> None:
-        """Insert or replace ``key``, evicting least-recently-used entries
-        past the byte budget. A value larger than the whole budget is not
-        stored, and an older value under its key is evicted (an encoder
-        entry that grew past the budget)."""
         nbytes = int(nbytes)
+        if self.max_bytes <= 0 or nbytes > self.max_bytes:
+            return
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
                 self.current_bytes -= old.nbytes
-            if self.max_bytes <= 0 or nbytes > self.max_bytes:
-                if old is not None:
-                    self.evictions += 1
-                return
             self._entries[key] = _Entry(value, nbytes)
             self.current_bytes += nbytes
             self.inserts += 1
@@ -380,9 +374,11 @@ class TensorCache:
         of ``images``; ``device`` is the input's device (parameterless
         encoders follow it, so entries are per-device, like UDF-output keys).
 
-        One entry per ``(model, state, device, base)`` holds embedded base
-        rows plus a filled-row mask. Rows already filled are gathered; the
-        rest are encoded in one call and scattered in.
+        One entry per ``(model, state, device, base)`` holds the embeddings
+        of the base rows seen so far. Rows it holds are gathered; the rest
+        are encoded in one call, and the answer is assembled from the entry
+        captured at lookup plus the fresh rows, so an eviction in between
+        cannot change it.
         """
         n = images.shape[0]
         if n == 0:
@@ -396,59 +392,96 @@ class TensorCache:
         # lock, and other workers' lookups do not serialize behind this
         # worker's gather.
         stored = entry.value if entry is not None else None
-        have = np.zeros(n, dtype=bool)
-        if stored is not None:
-            inside = rows < stored.filled.shape[0]
-            have[inside] = stored.filled[rows[inside]]
-        missing = np.flatnonzero(~have)
+        pos = stored.positions(rows) if stored is not None else np.full(n, -1)
+        missing = np.flatnonzero(pos < 0)
         if missing.size == 0:
-            whole = tag.rows is None and stored.filled.shape[0] == n
+            whole = tag.rows is None and stored.rows.size == n
             with self._lock:
                 if whole:
                     self.hits += 1
                 else:
                     self.gather_hits += 1
-            return stored.value if whole else ops.getitem(stored.value, rows)
+            if whole:
+                return stored.value
+            return _tensor(stored.value.data[pos], stored.value)
         with self._lock:
             self.misses += 1
             self.rows_encoded += int(missing.size)
         fresh = encode(images if missing.size == n
                        else ops.getitem(images, missing)).detach()
-        embedded = self._fill_encoded(key, rows[missing], fresh)
-        return fresh if missing.size == n else ops.getitem(embedded, rows)
+        if missing.size == n:
+            out = fresh
+        else:
+            data = np.empty((n,) + fresh.shape[1:], dtype=fresh.dtype)
+            have = np.flatnonzero(pos >= 0)
+            data[have] = stored.value.data[pos[have]]
+            data[missing] = fresh.data
+            out = _tensor(data, fresh)
+        self._fill_encoded(key, _Embedded.of(rows, out))
+        return out
 
-    def _fill_encoded(self, key: tuple, rows: np.ndarray, fresh: Tensor) -> Tensor:
-        """Scatter encoded rows into the entry at base ``rows``, growing it
-        to the highest base row seen. Builds a new value each time, so
-        readers holding the old one are unaffected; returns its rows."""
-        with self._lock:
-            entry = self._entries.get(key)
+    def _fill_encoded(self, key: tuple, exact: "_Embedded") -> None:
+        """Merge one lookup's rows into the entry under ``key``.
+
+        The merged value is built outside the lock from a captured entry and
+        stored only if that entry is still the live one; otherwise another
+        fill (or an eviction) got there first and the merge is redone. When
+        the merged entry would outgrow the whole budget, the older rows are
+        evicted and this lookup's rows alone are kept, so a repeat of it
+        still hits."""
+        while True:
+            with self._lock:
+                entry = self._entries.get(key)
             old = entry.value if entry is not None else None
-            size = int(rows.max()) + 1
-            if old is not None:
-                size = max(size, old.filled.shape[0])
-            data = np.zeros((size,) + fresh.shape[1:], dtype=fresh.dtype)
-            filled = np.zeros(size, dtype=bool)
-            if old is not None:
-                kept = old.filled.shape[0]
-                data[:kept] = old.value.data
-                filled[:kept] = old.filled
-            data[rows] = fresh.data
-            filled[rows] = True
-            value = Tensor(data, device=fresh.device, dtype=data.dtype)
-            self.put(key, _Embedded(value, filled), data.nbytes + filled.nbytes)
-        return value
+            merged = exact if old is None else old.merge(exact)
+            with self._lock:
+                live = self._entries.get(key)
+                if (live.value if live is not None else None) is not old:
+                    continue
+                if merged.nbytes > self.max_bytes and old is not None:
+                    del self._entries[key]
+                    self.current_bytes -= live.nbytes
+                    self.evictions += 1
+                    merged = exact
+                self.put(key, merged, merged.nbytes)
+                return
+
+
+def _tensor(data: np.ndarray, like: Tensor) -> Tensor:
+    return Tensor(data, device=like.device, dtype=data.dtype)
 
 
 class _Embedded:
-    """Encoder outputs for rows of one base: row ``i`` of ``value`` holds
-    the embedding of base row ``i`` wherever ``filled[i]``."""
+    """Encoder outputs for some rows of one base: ``value[i]`` is the
+    embedding of base row ``rows[i]``; ``rows`` is sorted and unique, and
+    only rows that were encoded are stored (and charged)."""
 
-    __slots__ = ("value", "filled")
+    __slots__ = ("rows", "value", "nbytes")
 
-    def __init__(self, value: Tensor, filled: np.ndarray):
+    def __init__(self, rows: np.ndarray, value: Tensor):
+        self.rows = rows
         self.value = value
-        self.filled = filled
+        self.nbytes = int(rows.nbytes) + int(value.data.nbytes)
+
+    @classmethod
+    def of(cls, rows: np.ndarray, value: Tensor) -> "_Embedded":
+        """The entry holding ``value[i]`` for base row ``rows[i]``."""
+        keys, first = np.unique(rows, return_index=True)
+        return cls(keys, _tensor(value.data[first], value))
+
+    def positions(self, rows: np.ndarray) -> np.ndarray:
+        """Index into ``value`` of each base row, -1 where it is absent."""
+        pos = np.searchsorted(self.rows, rows)
+        inside = pos < self.rows.size
+        found = np.zeros(rows.shape, dtype=bool)
+        found[inside] = self.rows[pos[inside]] == rows[inside]
+        return np.where(found, pos, -1)
+
+    def merge(self, other: "_Embedded") -> "_Embedded":
+        keys = np.concatenate([self.rows, other.rows])
+        data = np.concatenate([self.value.data, other.value.data])
+        keys, first = np.unique(keys, return_index=True)
+        return _Embedded(keys, _tensor(data[first], self.value))
 
 
 # ----------------------------------------------------------------------

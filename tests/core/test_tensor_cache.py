@@ -482,7 +482,7 @@ class TestDeltaEncoding:
         assert encoded_rows == [32, 32]          # same dtype and row shape
 
     def test_growing_an_entry_past_the_budget_evicts(self):
-        cache = TensorCache(max_bytes=17 * 10)       # 16 B row + 1 B mask
+        cache = TensorCache(max_bytes=24 * 10)       # 16 B row + 8 B row index
         images = Tensor(np.ones((12, 4), dtype=np.float32))
         calls = []
 
@@ -496,13 +496,62 @@ class TestDeltaEncoding:
 
         lookup(1, 5)
         lookup(2, 5)
-        assert cache.current_bytes == 170 and cache.evictions == 0
+        assert cache.current_bytes == 240 and cache.evictions == 0
         lookup(2, 8)                             # grows: base 1 is evicted
         assert calls == [5, 5, 3]
         assert cache.evictions == 1 and len(cache) == 1
         lookup(2, 12)                            # past the whole budget
         assert cache.evictions == 2 and len(cache) == 0
         assert cache.stats["rows_encoded"] == 5 + 5 + 3 + 4
+
+    def test_subset_of_a_base_larger_than_the_budget_hits_on_repeat(self):
+        """Only encoded rows are stored and charged: a tail subset of a
+        large base fits, and a second subset that would outgrow the budget
+        replaces the first instead of being dropped."""
+        cache = TensorCache(max_bytes=24 * 10)
+        base = np.arange(1000 * 4, dtype=np.float32).reshape(1000, 4)
+        calls = []
+
+        def encode(x):
+            calls.append(x.shape[0])
+            return Tensor(x.data * 2)
+
+        def lookup(rows):
+            return cache.encoded(1, "fp", CacheTag(7, "r", rows), "cpu",
+                                 Tensor(base[rows]), encode)
+
+        tail, head = np.arange(990, 1000), np.arange(0, 10)
+        lookup(tail)
+        np.testing.assert_array_equal(lookup(tail).data, base[tail] * 2)
+        assert calls == [10] and cache.current_bytes == 240
+        lookup(head)                             # union of 20 rows: too big
+        assert calls == [10, 10] and cache.evictions == 1
+        np.testing.assert_array_equal(lookup(head).data, base[head] * 2)
+        assert calls == [10, 10] and cache.stats["gather_hits"] == 2
+
+    def test_eviction_between_lookup_and_fill_keeps_the_answer(self):
+        """The answer is built from the rows captured at lookup plus the
+        fresh rows: evicting the entry while the encoder runs (another
+        worker's insert under budget pressure) cannot zero the rows the
+        lookup found."""
+        cache = TensorCache(max_bytes=24 * 10)
+        images = np.arange(10 * 4, dtype=np.float32).reshape(10, 4)
+        filler = Tensor(np.zeros(60, dtype=np.float32))   # the whole budget
+
+        def lookup(stop, encode):
+            rows = np.arange(stop)
+            return cache.encoded(1, "fp", CacheTag(7, "r", rows), "cpu",
+                                 Tensor(images[:stop]), encode)
+
+        lookup(5, lambda x: Tensor(x.data * 2))
+
+        def encode_under_pressure(x):
+            cache.put(("other",), filler, filler.data.nbytes)
+            return Tensor(x.data * 2)
+
+        out = lookup(10, encode_under_pressure)
+        assert cache.evictions == 2                  # the entry, then filler
+        np.testing.assert_allclose(out.data, images * 2)
 
     def test_empty_input_stores_nothing(self):
         cache = TensorCache()
