@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench.harness import print_table, scaled, time_call
 from repro.core.session import Session
-from repro.core.soft import soft_count
+from repro.tcr.tensor import Tensor
 from repro.storage.encodings import PEEncoding
 
 N_ROWS = scaled(200_000)
@@ -59,6 +59,24 @@ class TestDictionaryPredicates:
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
+def _soft_label_counts(labels: np.ndarray, temperature: float) -> np.ndarray:
+    """Training-mode ``COUNT(*) ... GROUP BY Label`` over a parser stand-in
+    that emits one-hot logits scaled by ``temperature`` as a PE column."""
+    session = Session()
+
+    @session.udf("Label int", name="parse")
+    def parse(x):
+        logits = np.eye(10, dtype=np.float32)[labels] * temperature
+        return PEEncoding.encode(logits, logits=True)
+
+    session.sql.register_tensor(
+        Tensor(np.zeros((len(labels), 1), dtype=np.float32)), "rows")
+    query = session.spark.query(
+        "SELECT Label, COUNT(*) FROM parse(rows) GROUP BY Label",
+        extra_config={"trainable": True})
+    return query.run().data
+
+
 class TestPEApproximation:
     def test_soft_count_error_shrinks_with_confidence(self, benchmark):
         rng = np.random.default_rng(0)
@@ -66,9 +84,7 @@ class TestPEApproximation:
         exact = np.bincount(labels, minlength=10).astype(np.float32)
         rows = []
         for temperature in [1.0, 4.0, 16.0]:
-            logits = np.eye(10, dtype=np.float32)[labels] * temperature
-            pe = PEEncoding.encode(logits, logits=True)
-            soft = soft_count(pe.tensor).data
+            soft = _soft_label_counts(labels, temperature)
             error = float(np.abs(soft - exact).mean())
             rows.append([temperature, error])
         print_table(

@@ -11,7 +11,7 @@ Sub-packages:
   * :mod:`repro.tcr` - tensor runtime (autograd, nn, optim; PyTorch stand-in)
   * :mod:`repro.sql` - SQL parser/binder/optimizer (Spark/Substrait stand-in)
   * :mod:`repro.storage` - columnar tensor storage and encodings
-  * :mod:`repro.core` - the TDP engine: compilation, operators, soft SQL
+  * :mod:`repro.core` - the TDP engine: compilation, operators, trainable queries
   * :mod:`repro.ml` - model zoo (CNN parsers, ResNet, TinyCLIP, OCR)
   * :mod:`repro.datasets` - synthetic datasets for every experiment
   * :mod:`repro.baselines` - MiniDuck engine and pure-DL baselines

@@ -32,7 +32,6 @@ from repro.core.operators import (
     ShardedScanExec,
     ShowIndexesExec,
     SoftAggregateExec,
-    SoftFilterExec,
     SortExec,
     TVFExec,
     TopKExec,
@@ -104,12 +103,6 @@ class Compiler:
                          [name for name, _ in plan.schema], self.lowering)
             return ExecNode(op, [child])
 
-        if isinstance(plan, logical.Filter) and self._soft_filtering:
-            child = self._lower(plan.input)
-            op = SoftFilterExec(plan.predicate, self.config.soft_temperature,
-                                self.lowering)
-            return ExecNode(op, [child])
-
         if isinstance(plan, (logical.Filter, logical.Project)):
             return self._lower_pipeline(plan, join_input and self._sharding)
 
@@ -169,18 +162,12 @@ class Compiler:
     def _sharding(self) -> bool:
         # A shard count of 1 (the default) is serial execution by
         # definition. Trainable compilations keep the exact differentiable
-        # shape, and soft aggregates carry per-row weights the stitch
-        # barrier cannot merge, so both lower serially. So does a statement
-        # that calls user code anywhere: no UDF, TVF or similarity top-k
-        # ever reads a sliced or stitched column. Even then only join
-        # inputs shard (see ``_lower_pipeline``).
+        # shape, so they lower serially. So does a statement that calls user
+        # code anywhere: no UDF, TVF or similarity top-k ever reads a sliced
+        # or stitched column. Even then only join inputs shard (see
+        # ``_lower_pipeline``).
         return (self.config.shards != 1 and not self.config.trainable
-                and self.config.groupby_impl != "soft"
                 and not self._calls_udf)
-
-    @property
-    def _soft_filtering(self) -> bool:
-        return self.config.trainable and self.config.soft_filter
 
     # ------------------------------------------------------------------
     # Row-wise pipelines (Filter/Project chains)
@@ -203,8 +190,7 @@ class Compiler:
         over the split scan (Q1, Q6, top-k) runs slower than serial.
         """
         chain: List[logical.LogicalPlan] = []
-        while isinstance(plan, logical.Project) or (
-                isinstance(plan, logical.Filter) and not self._soft_filtering):
+        while isinstance(plan, (logical.Project, logical.Filter)):
             chain.append(plan)
             plan = plan.input
         node = self._lower(plan)
@@ -239,12 +225,9 @@ class Compiler:
     # Implementation choices (flags + heuristics)
     # ------------------------------------------------------------------
     def _pick_aggregate(self, plan: logical.Aggregate):
-        impl = self.config.groupby_impl
         args = (plan.group_exprs, plan.group_names, plan.aggregates,
                 self.lowering)
-        if impl not in ("auto", "soft"):
-            raise PlanError(f"unknown groupby_impl {impl!r}")
-        if impl == "soft" or (self.config.trainable and plan.group_exprs):
+        if self.config.trainable and plan.group_exprs:
             return SoftAggregateExec(*args)
         return GroupedAggregateExec(*args)
 

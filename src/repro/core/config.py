@@ -9,13 +9,8 @@ class constants:
     """Namespace of extra_config keys, mirroring ``tdp.constants`` in the paper."""
 
     TRAINABLE = "trainable"
-    # Operator implementation choices ("auto" lets heuristics decide).
-    GROUPBY_IMPL = "groupby_impl"          # auto (exact unless trainable) | soft
     # Optimizer control.
     DISABLE_RULES = "disable_rules"        # iterable of {fold, pushdown, prune, vector_index}
-    # Soft-operator hyperparameters.
-    SOFT_FILTER = "soft_filter"            # relax WHERE into row weights
-    SOFT_TEMPERATURE = "soft_temperature"  # sigmoid sharpness for soft filters
     # Execution-speed subsystem.
     PLAN_CACHE = "plan_cache"              # reuse compiled plans across calls
     TENSOR_CACHE = "tensor_cache"          # reuse UDF/embedding materializations
@@ -32,10 +27,7 @@ class constants:
 
 _DEFAULTS = {
     constants.TRAINABLE: False,
-    constants.GROUPBY_IMPL: "auto",
     constants.DISABLE_RULES: (),
-    constants.SOFT_FILTER: False,
-    constants.SOFT_TEMPERATURE: 25.0,
     constants.PLAN_CACHE: True,
     constants.TENSOR_CACHE: True,
     constants.NPROBE: None,
@@ -68,20 +60,8 @@ class QueryConfig:
         return bool(self._values[constants.TRAINABLE])
 
     @property
-    def groupby_impl(self) -> str:
-        return str(self._values[constants.GROUPBY_IMPL])
-
-    @property
     def disable_rules(self):
         return tuple(self._values[constants.DISABLE_RULES])
-
-    @property
-    def soft_filter(self) -> bool:
-        return bool(self._values[constants.SOFT_FILTER])
-
-    @property
-    def soft_temperature(self) -> float:
-        return float(self._values[constants.SOFT_TEMPERATURE])
 
     @property
     def plan_cache(self) -> bool:

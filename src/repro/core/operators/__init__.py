@@ -2,7 +2,6 @@
 
 from repro.core.operators.aggregate import GroupedAggregateExec, key_ids
 from repro.core.operators.base import Operator, Relation
-from repro.core.operators.filter import SoftFilterExec
 from repro.core.operators.index_scan import (
     CreateIndexExec,
     DropIndexExec,
@@ -21,6 +20,6 @@ __all__ = [
     "CreateIndexExec", "DistinctExec", "DropIndexExec", "GroupedAggregateExec",
     "IndexScanExec", "JoinExec", "LimitExec", "Operator", "PipelineExec",
     "Relation", "ScanExec", "ShardedScanExec", "ShowIndexesExec",
-    "SoftAggregateExec", "SoftFilterExec", "SortExec", "TVFExec", "TopKExec",
+    "SoftAggregateExec", "SortExec", "TVFExec", "TopKExec",
     "direct_join_indices", "key_ids",
 ]

@@ -262,11 +262,6 @@ class GroupedAggregateExec(_AggregateBase):
     """Exact GROUP BY (and global) aggregation over :func:`key_ids`."""
 
     def forward(self, relation: Relation) -> Relation:
-        if relation.weights is not None:
-            raise ExecutionError(
-                "exact aggregation cannot consume soft filter weights; compile the "
-                "query with TRAINABLE to use soft operators"
-            )
         keys, agg_inputs = self._evaluate_inputs(relation)
         n, device, table_name = (relation.num_rows, relation.device,
                                  relation.table.name)

@@ -3,32 +3,27 @@
 Paper §2: "TDP compiles [the physical plan] into a sequence of PyTorch
 models, one per operator". Accordingly every physical operator here is an
 ``nn.Module`` whose ``forward`` maps a :class:`Relation` to a
-:class:`Relation`; soft (differentiable) operators additionally carry row
-*weights* — the continuous relaxation of filtering.
+:class:`Relation`. Differentiability lives in the tensors themselves: a
+trainable plan's columns are autograd tensors, so the one soft operator
+(:class:`~repro.core.operators.soft_aggregate.SoftAggregateExec`) needs
+nothing beyond the table.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List
 
 from repro.sql import bound as b
 from repro.storage.table import Table
 from repro.tcr.nn.module import Module
-from repro.tcr.tensor import Tensor
 
 
 @dataclasses.dataclass
 class Relation:
-    """A table flowing between operators, plus optional soft row weights.
-
-    ``weights`` is None in exact execution. Under soft filters it is a
-    float tensor of shape (num_rows,) in [0, 1]; soft aggregates consume it
-    as fractional row multiplicity.
-    """
+    """A table flowing between operators."""
 
     table: Table
-    weights: Optional[Tensor] = None
 
     @property
     def num_rows(self) -> int:

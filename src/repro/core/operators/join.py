@@ -124,8 +124,6 @@ class JoinExec(Operator):
     def forward(self, left_rel: Relation, right_rel: Relation = None) -> Relation:
         if right_rel is None:
             raise ExecutionError("JoinExec.forward needs two input relations")
-        if left_rel.weights is not None or right_rel.weights is not None:
-            raise ExecutionError("joins do not support soft filter weights")
         left, right = left_rel.table, right_rel.table
 
         if self.kind == "CROSS" or not self.left_keys:

@@ -78,18 +78,16 @@ class PipelineExec(Operator):
 
     def forward(self, relation: Relation) -> Relation:
         annotate(path=self.body)
-        table, weights = relation.table, relation.weights
+        table = relation.table
         if self._masks:
             indices = np.flatnonzero(self.mask(table))
-            if weights is not None:
-                weights = weights[indices]
             if self._outputs is None:
-                return Relation(table.take(indices), weights)
+                return Relation(table.take(indices))
             ctx = _GatherEvaluator(table, indices)
         else:
             ctx = ExpressionEvaluator(table)
         columns = [fn(ctx) for fn in self._outputs]
-        return Relation(Table(table.name, columns), weights)
+        return Relation(Table(table.name, columns))
 
     def describe(self) -> str:
         conjuncts = " AND ".join(str(p) for p in self.predicates)

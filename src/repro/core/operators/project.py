@@ -39,12 +39,7 @@ class TVFExec(Operator):
         args = udf_arguments(self.udf, [arg(ctx) for arg in self._args])
         columns = _rehome(self.udf.invoke(args), relation.device)
         renamed = [col.rename(name) for col, name in zip(columns, self.names)]
-        out = Table(relation.table.name, renamed)
-        # TVFs may change cardinality (one grid image becomes nine tile rows,
-        # one document image becomes N extracted table rows); soft row weights
-        # only survive when the function is row-preserving.
-        weights = relation.weights if out.num_rows == relation.num_rows else None
-        return Relation(out, weights)
+        return Relation(Table(relation.table.name, renamed))
 
     def describe(self) -> str:
         return f"TVF({self.udf.name})"

@@ -1,10 +1,13 @@
 """The soft group-by operator (training mode) with exact dense swap (eval).
 
-This is the operator pair drawn in the paper's Fig 1: during training,
-``soft_groupby``/``soft_count`` produce differentiable expected counts over
-the dense domain cross-product; in eval mode the same operator argmax-decodes
-the PE columns and counts exactly over the *same* dense domain, so output
-shape and row order are identical in both modes.
+This is the operator pair drawn in the paper's Fig 1. During training the
+joint membership of row r in group (i, j) is ``P1[r, i] * P2[r, j]``
+(independence across parsers), so grouped COUNT/SUM/AVG are Khatri-Rao
+products reduced over rows: pure einsum/sum, hence differentiable into the
+UDFs that produced the Probability-Encoded keys. In eval mode the same
+operator argmax-decodes the PE columns and aggregates exactly over the
+*same* dense domain cross-product, so output shape and row order (first key
+varying slowest) are identical in both modes.
 
 Group keys may mix PE columns with ordinary discrete columns (int/string/
 bool): discrete keys contribute exact one-hot membership (no gradient), so a
@@ -21,7 +24,6 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.core.operators.aggregate import _AggregateBase
 from repro.core.operators.base import Relation
-from repro.core.soft.soft_groupby import dense_domain_columns
 from repro.storage.column import Column
 from repro.storage.encodings import (
     DictionaryEncoding,
@@ -37,22 +39,21 @@ from repro.tcr.tensor import Tensor, ones
 class _KeyInfo:
     """Per-key membership data: a (rows, k) tensor + the domain values."""
 
-    __slots__ = ("membership", "domain", "codes", "cardinality", "differentiable")
+    __slots__ = ("membership", "domain", "codes", "cardinality")
 
     def __init__(self, membership: Tensor, domain: np.ndarray,
-                 codes: np.ndarray, differentiable: bool):
+                 codes: np.ndarray):
         self.membership = membership
         self.domain = domain
         self.codes = codes
         self.cardinality = len(domain)
-        self.differentiable = differentiable
 
 
 def _key_info(column: Column) -> _KeyInfo:
     encoding = column.encoding
     if isinstance(encoding, ProbabilityEncoding):
         codes = encoding.hard_codes(column.tensor)
-        return _KeyInfo(column.tensor, encoding.domain, codes, True)
+        return _KeyInfo(column.tensor, encoding.domain, codes)
     # Discrete column: exact one-hot membership over the observed domain.
     data = column.tensor.detach().data
     if data.ndim != 1:
@@ -67,7 +68,7 @@ def _key_info(column: Column) -> _KeyInfo:
     onehot = np.zeros((data.shape[0], len(domain)), dtype=np.float32)
     onehot[np.arange(data.shape[0]), codes] = 1.0
     return _KeyInfo(Tensor(onehot, device=column.device), domain,
-                    codes.astype(np.int64), False)
+                    codes.astype(np.int64))
 
 
 class SoftAggregateExec(_AggregateBase):
@@ -80,12 +81,17 @@ class SoftAggregateExec(_AggregateBase):
                 "soft group-by requires at least one Probability-Encoded key; "
                 "encode UDF outputs with PEEncoding.encode (paper Listing 4)."
             )
+        for spec in self.aggregates:
+            if spec.distinct:
+                raise ExecutionError(f"soft {spec.func}(DISTINCT) is not supported")
         infos = [_key_info(k) for k in keys]
 
-        key_values = dense_domain_columns([info.domain for info in infos])
+        # The dense domain cross-product, first key varying slowest: the
+        # flattening order of the joint membership.
+        grids = np.meshgrid(*[info.domain for info in infos], indexing="ij")
         columns = [
-            Column.from_values(name, values, device=relation.device)
-            for name, values in zip(self.group_names, key_values)
+            Column.from_values(name, grid.reshape(-1), device=relation.device)
+            for name, grid in zip(self.group_names, grids)
         ]
 
         if self.training:
@@ -99,13 +105,10 @@ class SoftAggregateExec(_AggregateBase):
     # ------------------------------------------------------------------
     def _soft_aggregates(self, relation: Relation, infos: List[_KeyInfo],
                          agg_inputs: List[Optional[Column]]) -> List[Column]:
-        membership = self._joint_membership(infos, relation.weights,
-                                            relation.device)
+        membership = self._joint_membership(infos, relation.device)
         counts = ops.sum(membership, dim=0)
         out: List[Column] = []
         for spec, arg in zip(self.aggregates, agg_inputs):
-            if spec.distinct:
-                raise ExecutionError(f"soft {spec.func}(DISTINCT) is not supported")
             if spec.func == "COUNT":
                 result = counts
             elif spec.func == "SUM":
@@ -121,8 +124,7 @@ class SoftAggregateExec(_AggregateBase):
         return out
 
     @staticmethod
-    def _joint_membership(infos: List[_KeyInfo], weights: Optional[Tensor],
-                          device) -> Tensor:
+    def _joint_membership(infos: List[_KeyInfo], device) -> Tensor:
         n = infos[0].membership.shape[0]
         acc = ones(n, 1, device=device)
         width = 1
@@ -133,8 +135,6 @@ class SoftAggregateExec(_AggregateBase):
             acc = ops.einsum_pair("rm,rk->rmk", acc, info.membership)
             width *= k
             acc = ops.reshape(acc, (n, width))
-        if weights is not None:
-            acc = acc * ops.reshape(weights, (-1, 1))
         return acc
 
     @staticmethod

@@ -52,9 +52,7 @@ class SortExec(Operator):
         arrays = [_sort_array(key(ctx), ascending)
                   for key, ascending in self._keys]
         order = np.lexsort(tuple(reversed(arrays)))
-        table = relation.table.take(order)
-        weights = relation.weights[order.tolist()] if relation.weights is not None else None
-        return Relation(table, weights)
+        return Relation(relation.table.take(order))
 
     def describe(self) -> str:
         return f"Sort({len(self.keys)} keys)"
@@ -82,8 +80,7 @@ class TopKExec(Operator):
         candidates = np.argpartition(array, want - 1)[:want]
         candidates = candidates[np.argsort(array[candidates], kind="stable")]
         chosen = candidates[self.offset:self.offset + self.k]
-        weights = relation.weights[chosen.tolist()] if relation.weights is not None else None
-        return Relation(relation.table.take(chosen), weights)
+        return Relation(relation.table.take(chosen))
 
     def describe(self) -> str:
         return f"TopK(k={self.k})"
@@ -97,9 +94,7 @@ class LimitExec(Operator):
 
     def forward(self, relation: Relation) -> Relation:
         indices = np.arange(self.offset, min(self.offset + self.count, relation.num_rows))
-        table = relation.table.take(indices)
-        weights = relation.weights[indices.tolist()] if relation.weights is not None else None
-        return Relation(table, weights)
+        return Relation(relation.table.take(indices))
 
     def describe(self) -> str:
         return f"Limit({self.count}, offset={self.offset})"
@@ -121,5 +116,4 @@ class DistinctExec(Operator):
         stacked = np.stack(codes, axis=1)
         _, first = np.unique(stacked, axis=0, return_index=True)
         keep = np.sort(first)      # preserve first-occurrence order
-        weights = relation.weights[keep.tolist()] if relation.weights is not None else None
-        return Relation(relation.table.take(keep), weights)
+        return Relation(relation.table.take(keep))

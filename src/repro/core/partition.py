@@ -101,8 +101,6 @@ def stitch_relations(pieces: Sequence[Relation]) -> Relation:
         raise ExecutionError("stitch_relations needs at least one shard output")
     if len(pieces) == 1:
         return pieces[0]
-    if any(p.weights is not None for p in pieces):
-        raise ExecutionError("sharded execution does not support soft row weights")
     first = pieces[0].table
     columns = []
     for idx in range(first.num_columns):

@@ -143,11 +143,13 @@ class TestPipelinePlanShape:
                                      "topk_impl", "batch_window",
                                      "shed_policy", "parallel_min_rows",
                                      "priority", "deadline",
-                                     "scheduler_workers", "max_queue_depth"])
+                                     "scheduler_workers", "max_queue_depth",
+                                     "soft_filter", "soft_temperature",
+                                     "groupby_impl"])
     def test_removed_knobs_are_unknown_keys(self, key):
         with pytest.raises(ValueError, match="unknown config key"):
             QueryConfig({key: False})
-        assert len(QueryConfig().fingerprint()) == 12
+        assert len(QueryConfig().fingerprint()) == 9
 
 
 def _udf_session(seen):

@@ -19,7 +19,6 @@ import pytest
 
 from repro.baselines.miniduck import MiniDuck
 from repro.core.session import Session
-from repro.errors import PlanError
 
 
 class TestMultiKeyJoinOverflow:
@@ -171,32 +170,50 @@ class TestNanGroupKeys:
             assert g[:2].tolist() == [1.0, 2.0] and np.isnan(g[2:]).all(), extra
             assert out.column("c").tolist() == [1, 1, 1, 1], extra
             assert out.column("s").tolist() == [1, 8, 2, 4], extra
-        for removed in ("hash", "sort"):
-            with pytest.raises(PlanError, match="unknown groupby_impl"):
+        for removed in ("hash", "sort", "soft"):
+            with pytest.raises(ValueError, match="unknown config key"):
                 session.sql.query(sql, extra_config={"groupby_impl": removed})
 
 
-class TestTopKWeights:
-    def test_argpartition_fast_path_preserves_weights(self):
-        # The seed's TopK fast path rebuilt the Relation without weights,
-        # silently dropping soft-filter multiplicities; the sort fallback
-        # (multi-key or k >= n) kept them.
+class TestTopKFastPath:
+    """TopK with one key and more rows than it keeps takes the argpartition
+    fast path instead of sort + limit; the two must pick the same rows."""
+
+    @staticmethod
+    def _ops(k, offset, ascending):
         from repro.core.kernels.compiler import ExprCompiler
-        from repro.core.operators.base import Relation
-        from repro.core.operators.sort import TopKExec
+        from repro.core.operators.sort import LimitExec, SortExec, TopKExec
         from repro.sql import bound as b
         from repro.storage import types as dt
-        from repro.storage.table import Table
-        from repro.tcr.tensor import Tensor
 
-        values = np.array([5.0, 1.0, 4.0, 2.0, 3.0], dtype=np.float32)
-        weights = Tensor(np.array([0.5, 0.1, 0.4, 0.2, 0.3], dtype=np.float32))
-        relation = Relation(Table.from_dict("t", {"v": values}), weights)
-        key = b.BColumn(0, "v", dt.FLOAT)
-        out = TopKExec([(key, False)], 2, 0, ExprCompiler())(relation)   # fast path: n > k
-        assert out.table.column("v").decode().tolist() == [5.0, 4.0]
-        assert out.weights is not None
-        assert out.weights.data.tolist() == pytest.approx([0.5, 0.4])
+        keys = [(b.BColumn(0, "v", dt.FLOAT), ascending)]
+        top = TopKExec(keys, k, offset, ExprCompiler())
+        return top, lambda rel: LimitExec(k, offset)(SortExec(keys, ExprCompiler())(rel))
+
+    @staticmethod
+    def _relation(values):
+        from repro.core.operators.base import Relation
+        from repro.storage.table import Table
+
+        values = np.asarray(values, dtype=np.float32)
+        payload = np.arange(len(values), dtype=np.int64) * 10
+        return Relation(Table.from_dict("t", {"v": values, "id": payload}))
+
+    def test_argpartition_fast_path_keeps_rows_aligned(self):
+        top, _ = self._ops(2, 0, ascending=False)
+        out = top(self._relation([5.0, 1.0, 4.0, 2.0, 3.0])).table   # n > k
+        assert out.column("v").decode().tolist() == [5.0, 4.0]
+        assert out.column("id").decode().tolist() == [0, 20]
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_fast_path_equals_sort_then_limit(self, ascending):
+        values = np.random.default_rng(3).permutation(200).astype(np.float32)
+        for k, offset in ((1, 0), (7, 0), (5, 11), (30, 150)):
+            top, slow = self._ops(k, offset, ascending)
+            got, want = top(self._relation(values)).table, slow(self._relation(values)).table
+            for name in ("v", "id"):
+                assert (got.column(name).decode().tolist()
+                        == want.column(name).decode().tolist()), (k, offset, name)
 
 
 class TestDistinctLargeIntKeys:

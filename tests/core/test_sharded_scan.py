@@ -152,6 +152,25 @@ class TestLowering:
         assert "Sharded" not in session.sql.query(sql).explain()
         assert "Sharded" not in session.sql.query(
             sql, extra_config={"shards": 4, "trainable": True}).explain()
+        soft = _soft_session().sql.query(
+            "SELECT Label, COUNT(*) AS c FROM classify(bag) GROUP BY Label",
+            extra_config={"shards": 4, "trainable": True}).explain()
+        assert "SoftAggregate" in soft and "Sharded" not in soft
+
+    def test_trainable_soft_aggregate_is_the_same_at_any_shard_count(self):
+        session = _soft_session()
+        sql = "SELECT Label, COUNT(*) AS c FROM classify(bag) GROUP BY Label"
+        queries = [session.sql.query(sql, extra_config={"shards": shards,
+                                                        "trainable": True})
+                   for shards in (1, 4)]
+        serial, sharded = (q.run() for q in queries)
+        assert serial.requires_grad and sharded.requires_grad
+        np.testing.assert_array_equal(serial.data, sharded.data)
+        for q in queries:
+            q.eval()
+        serial, sharded = (q.run(toPandas=True) for q in queries)
+        assert serial["c"].tolist() == sharded["c"].tolist()
+        assert sum(serial["c"]) == 64
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_suite_shards_only_join_inputs(self, seed):
@@ -412,8 +431,6 @@ def _join_session(n=600, seed=7, dim_rows=23):
 
 def _soft_session(rows=64):
     from repro.storage.encodings import PEEncoding
-    from repro.tcr import nn
-    from repro.tcr.tensor import Tensor
 
     session = Session()
     model = nn.Linear(2, 2)
@@ -426,27 +443,3 @@ def _soft_session(rows=64):
     features = rng.normal(size=(rows, 2)).astype(np.float32)
     session.sql.register_tensor(Tensor(features), "bag")
     return session
-
-
-class TestSoftDecline:
-    """Soft aggregates carry per-row weights the stitch barrier cannot
-    merge, so ``groupby_impl="soft"`` lowers serially at any shard count."""
-
-    SQL = "SELECT Label, COUNT(*) AS c FROM classify(bag) GROUP BY Label"
-
-    def test_soft_aggregate_runs_serially(self):
-        session = _soft_session()
-        soft_serial = {"shards": 1, "groupby_impl": "soft"}
-        soft_sharded = {"shards": 4, "groupby_impl": "soft"}
-        serial = session.sql.query(self.SQL, extra_config=soft_serial).run()
-        sharded = session.sql.query(self.SQL, extra_config=soft_sharded).run()
-        _assert_bitwise(serial, sharded)
-
-    def test_soft_plan_has_no_partition_drivers(self):
-        session = _soft_session()
-        plan = session.sql.query(
-            "EXPLAIN " + self.SQL,
-            extra_config={"shards": 4, "groupby_impl": "soft"}).run()
-        text = "\n".join(str(v) for v in np.asarray(plan.column("plan")))
-        assert "SoftAggregate" in text
-        assert "Sharded" not in text
