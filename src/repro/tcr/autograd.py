@@ -101,10 +101,12 @@ def topo_order(root) -> list:
 def run_backward(root, grad: np.ndarray) -> None:
     """Propagate ``grad`` from ``root`` through the recorded graph.
 
-    Gradients are accumulated (`+=`) into every tensor that requires grad,
-    matching PyTorch's leaf accumulation semantics. Non-leaf gradients are
-    also retained; at the scale of this reproduction the memory cost is
-    negligible and it simplifies debugging of soft operators.
+    Gradients are accumulated (`+=`) into the ``.grad`` of every leaf that
+    requires grad (a tensor no recorded op produced, ``_backward is None``),
+    PyTorch's rule. An interior node's gradient lives only while the pass
+    runs: its ``.grad`` stays None. A gradient takes the dtype of the tensor
+    it belongs to, also PyTorch's rule: a float64 loss over float32
+    activations (``x ** 2`` promotes) sends float32 gradients below it.
     """
     if not root.requires_grad:
         raise AutogradError("backward() called on a tensor that does not require grad")
@@ -114,11 +116,8 @@ def run_backward(root, grad: np.ndarray) -> None:
         node_grad = grads.pop(id(node), None)
         if node_grad is None:
             continue
-        if node.grad is None:
-            node.grad = node_grad.copy()
-        else:
-            node.grad = node.grad + node_grad
         if node._backward is None:
+            node.grad = node_grad.copy() if node.grad is None else node.grad + node_grad
             continue
         parent_grads = node._backward(node_grad)
         if len(parent_grads) != len(node._parents):
@@ -132,6 +131,8 @@ def run_backward(root, grad: np.ndarray) -> None:
             parent_grad = np.asarray(parent_grad)
             if parent_grad.shape != parent.shape:
                 parent_grad = unbroadcast(parent_grad, parent.shape)
+            if parent_grad.dtype != parent.data.dtype:
+                parent_grad = parent_grad.astype(parent.data.dtype)
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + parent_grad
@@ -143,7 +144,8 @@ def grad_of(outputs, inputs, grad_outputs=None) -> list:
     """Functional gradient API: d(outputs)/d(inputs) without touching .grad.
 
     A small analogue of ``torch.autograd.grad`` used by tests to verify
-    operator adjoints against numerical differentiation.
+    operator adjoints against numerical differentiation. ``inputs`` are
+    leaves: an interior node keeps no gradient and reads None.
     """
     saved = {}
 

@@ -64,6 +64,29 @@ class TestEngine:
         np.testing.assert_array_equal(g, [2.0, 4.0])
         np.testing.assert_array_equal(x.grad, before)
 
+    def test_grad_kept_on_leaves_only(self):
+        x = tcr.tensor([1.0, 2.0], requires_grad=True)
+        y = x * 2                             # interior node
+        (y * y).sum().backward()              # d/dx 4x^2 = 8x
+        assert y.grad is None
+        np.testing.assert_array_equal(x.grad, [8.0, 16.0])
+        (x * 3).sum().backward()              # leaf grads add up
+        np.testing.assert_array_equal(x.grad, [11.0, 19.0])
+        assert y.grad is None
+        (g,) = grad_of((x * x).sum(), [x])
+        np.testing.assert_array_equal(g, [2.0, 4.0])
+        np.testing.assert_array_equal(x.grad, [11.0, 19.0])
+
+    def test_gradient_has_its_tensors_dtype(self):
+        # An int exponent makes the loss float64; the float32 leaf's
+        # gradient, and every gradient below the loss, stay float32.
+        x = tcr.tensor([1.0, 3.0], requires_grad=True)
+        loss = ((x - tcr.tensor([0.0, 1.0])) ** 2).mean()
+        assert loss.data.dtype == np.float64
+        loss.backward()
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0])
+
     def test_backward_through_non_grad_parent(self):
         a = tcr.tensor([1.0], requires_grad=True)
         b = tcr.tensor([2.0])                 # no grad
