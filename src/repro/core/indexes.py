@@ -11,8 +11,10 @@ by the optimizer's ``vector_index`` rewrite rule, and probed at run time by
 Lifecycle: indexes build *lazily*. An entry records which ``Table`` object
 its cells were built from; because every ``register_*``/append produces a new
 ``Table`` object (tables are immutable), an identity check is an exact
-per-table staleness test — finer than ``catalog.version``, which bumps when
-*any* table changes. A stale entry rebuilds transparently on its next probe.
+per-table staleness test. It is the only one: ``catalog.version`` bumps only
+when a schema changes, so a write that keeps the schema keeps every cached
+plan, and the plan's probe finds the entry stale. A stale entry rebuilds
+transparently on its next probe.
 
 Embeddings: an entry either carries an explicit ``embedder`` callable
 (Python-native path), or binds on first accelerated query to the two-tower
@@ -95,9 +97,11 @@ class IndexEntry:
 class IndexManager:
     """Session-scoped registry of vector indexes, keyed case-insensitively.
 
-    ``epoch`` is a monotonic change counter mirroring ``Catalog.version``:
-    the plan cache keys on it, so ``CREATE``/``DROP INDEX`` invalidates every
-    plan compiled before it (an index changes which physical plan is best).
+    ``epoch`` is a monotonic change counter: the plan cache keys on it
+    beside ``Catalog.version``, so ``CREATE``/``DROP INDEX`` invalidates
+    every plan compiled before it (an index changes which physical plan is
+    best). Table writes bump neither counter when the schema is kept; the
+    entry's ``built_table`` check rebuilds on the next probe instead.
     """
 
     def __init__(self, catalog, tensor_cache=None):

@@ -11,7 +11,7 @@ over their session. Statements execute exactly as
 locks), so results are identical to serialized execution.
 
 * **Statement coalescing** — identical statements in flight at the same
-  catalog/UDF/index versions share one execution: a submission whose plan
+  catalog write count and UDF/index versions share one execution: a submission whose plan
   calls no non-deterministic UDF or TVF becomes the *leader* once it has
   compiled, and later duplicates attach their futures and receive the
   leader's result object (the request-collapse technique CDNs use against
@@ -216,7 +216,7 @@ class QueryScheduler:
     # ------------------------------------------------------------------
     def _version_stamp(self) -> tuple:
         session = self.session
-        return (session.catalog.version, session.functions.version,
+        return (session.catalog.writes, session.functions.version,
                 session.indexes.epoch)
 
     def _worker(self) -> None:

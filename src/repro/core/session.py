@@ -42,11 +42,15 @@ from repro.tcr.tensor import ensure_tensor
 class PlanCache:
     """LRU cache of compiled queries.
 
-    Keys include the statement text, target device, the full config
-    fingerprint, and the catalog/UDF-registry versions — so any
-    ``register_*``, ``drop`` or UDF (re)registration naturally invalidates
-    every plan compiled before it (TQP caches lowered PyTorch programs the
-    same way; repeated statements skip parse→bind→optimize→lower entirely).
+    Keys are the statement text, target device, the full config
+    fingerprint, the catalog's schema version, the UDF-registry version and
+    the index epoch. A new table name, a drop, or a re-registration that
+    changes a table's schema (``repro.storage.catalog.schema_key``)
+    invalidates every plan compiled before it, and so does any UDF
+    (re)registration or ``CREATE``/``DROP INDEX``. Re-registering a table
+    with the same schema keeps the cached plans: their scans read the new
+    rows at run time. TQP caches lowered PyTorch programs the same way;
+    repeated statements skip parse→bind→optimize→lower entirely.
     """
 
     def __init__(self, maxsize: int = 128):
@@ -205,6 +209,7 @@ class Session:
         self._register_metric_providers()
 
     def _register_metric_providers(self) -> None:
+        self.metrics.register_provider("catalog", self.catalog.stats)
         self.metrics.register_provider("plan_cache", lambda: self.plan_cache.stats)
         self.metrics.register_provider("tensor_cache", lambda: self.tensor_cache.stats)
         self.metrics.register_provider("shard_pool", lambda: self.shard_pool.stats)
@@ -215,12 +220,15 @@ class Session:
                       extra_config: Optional[Mapping[str, object]] = None) -> CompiledQuery:
         """Parse → bind → optimize → lower (paper Example 2.2), memoised.
 
-        Repeated compilations of the same statement against an unchanged
-        catalog/UDF registry return the cached plan. Trainable queries are
+        Repeated compilations of the same statement return the cached plan
+        while the catalog's schema version, the UDF registry and the index
+        epoch are unchanged (:class:`PlanCache`). A same-schema write keeps
+        the plan: compilation reads only table schemas, and the plan's
+        scans, dictionary codes and index staleness checks all resolve
+        against the tables registered when it runs. Trainable queries are
         never cached: they own parameters and train/eval state that must be
-        private to each compilation. The key includes the index epoch, so
-        ``CREATE``/``DROP INDEX`` invalidates plans that chose (or missed)
-        an ANN access path.
+        private to each compilation. ``CREATE``/``DROP INDEX`` bumps the
+        epoch, so plans that chose (or missed) an ANN access path recompile.
         """
         config = QueryConfig(extra_config)
         cacheable = (config.plan_cache and not config.trainable

@@ -29,7 +29,9 @@ versioned materialization:
   re-registration of other data never *hits* a stale entry; stale entries
   age out of the LRU. In-place weight mutation (a training loop touching a
   UDF's modules between statements) is caught by the parameter-state
-  fingerprint.
+  fingerprint. A module is re-hashed only when its weights differ bitwise
+  from the snapshot kept beside its last fingerprint; snapshots are
+  entries of this cache, charged and evicted like any other.
 
 * **Row-subset reuse**: a UDF evaluated over a filtered subset of a column
   it has already scored in full is answered by *gathering* from the cached
@@ -58,7 +60,7 @@ import contextvars
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,29 +116,66 @@ def rows_digest(rows: np.ndarray) -> str:
                            digest_size=16).hexdigest()
 
 
+def _state_arrays(module) -> List[Tuple[str, np.ndarray]]:
+    """Every parameter and buffer ``module`` owns, by name, as C-contiguous
+    arrays (none for objects without parameters)."""
+    if getattr(module, "named_parameters", None) is None:
+        return []
+    arrays = [(name, np.ascontiguousarray(param.data))
+              for name, param in module.named_parameters()]
+    arrays += [(name, np.ascontiguousarray(buf.data))
+               for name, buf in module.named_buffers() if buf is not None]
+    return arrays
+
+
+def _digest(arrays: Sequence[Tuple[str, np.ndarray]]) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    for name, array in arrays:
+        h.update(name.encode())
+        h.update(array)
+    return h.hexdigest() if arrays else "stateless"
+
+
 def state_fingerprint(modules: Sequence[object]) -> str:
     """Digest of every parameter and buffer a UDF/model owns.
 
     Catches in-place weight mutation (training between statements) that
     object identity cannot see. Modules without parameters hash to a
-    constant: their outputs depend on inputs alone.
+    constant: their outputs depend on inputs alone. Hashing costs about a
+    millisecond per megabyte, so the session cache hashes a module only
+    when its weights differ bitwise from the snapshot kept beside its last
+    fingerprint (:meth:`TensorCache.model_state_fp`).
     """
-    h = hashlib.blake2b(digest_size=16)
-    count = 0
-    for module in modules:
-        named = getattr(module, "named_parameters", None)
-        if named is None:
-            continue
-        for name, param in module.named_parameters():
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(param.data).tobytes())
-            count += 1
-        for name, buf in module.named_buffers():
-            if buf is not None:
-                h.update(name.encode())
-                h.update(np.ascontiguousarray(buf.data).tobytes())
-                count += 1
-    return h.hexdigest() if count else "stateless"
+    return _digest([pair for module in modules for pair in _state_arrays(module)])
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    """``array``'s bytes as unsigned integers of its item width: comparing
+    these is a bitwise comparison, so a NaN weight equals itself."""
+    flat = array.reshape(-1)
+    width = array.dtype.itemsize
+    return flat.view(f"u{width}") if width in (1, 2, 4, 8) else flat.view(np.uint8)
+
+
+class _StateSnapshot:
+    """A bitwise copy of one module's weights beside their fingerprint."""
+
+    __slots__ = ("fp", "arrays", "nbytes")
+
+    def __init__(self, fp: str, arrays: Sequence[Tuple[str, np.ndarray]]):
+        self.fp = fp
+        self.arrays = [(name, array.copy()) for name, array in arrays]
+        self.nbytes = sum(int(array.nbytes) for _, array in arrays)
+
+    def matches(self, arrays: Sequence[Tuple[str, np.ndarray]]) -> bool:
+        if len(arrays) != len(self.arrays):
+            return False
+        for (name, now), (was_name, was) in zip(arrays, self.arrays):
+            if (name != was_name or now.dtype != was.dtype
+                    or now.shape != was.shape
+                    or not np.array_equal(_bits(now), _bits(was))):
+                return False
+        return True
 
 
 def column_tag(column: Column) -> Optional[CacheTag]:
@@ -227,6 +266,8 @@ class TensorCache:
         self.rows_encoded = 0
         self.inserts = 0
         self.evictions = 0
+        self.state_hashes = 0
+        self.state_reuses = 0
 
     # ------------------------------------------------------------------
     # Activation
@@ -234,15 +275,19 @@ class TensorCache:
     @contextlib.contextmanager
     def activate(self):
         """Make this cache visible to the expression evaluator and encoder
-        memos for the duration of one query run (this thread only)."""
+        memos for the duration of one query run (this thread only), and
+        memoise each model's weight fingerprint for that run: the first
+        :meth:`model_state_fp` of a model compares its weights with their
+        snapshot, and later calls in the same statement reuse the answer."""
         token = _ACTIVE.set(self)
-        # Weight fingerprints are memoised per activation (per statement):
-        # cheap enough to recompute between statements, which is exactly the
-        # granularity at which a training loop can mutate weights. Under
-        # concurrent serving, the memo is cleared when the *first* of the
-        # overlapping activations begins — in-place weight mutation while
-        # statements are in flight is outside the cache's contract (models
-        # being trained must be in train() mode, which bypasses it).
+        # Weight fingerprints are memoised per activation (per statement),
+        # which is exactly the granularity at which a training loop can
+        # mutate weights: each module is checked against its snapshot once
+        # per statement, however many UDFs and encoder memos share it.
+        # Under concurrent serving, the memo is cleared when the *first* of
+        # the overlapping activations begins — in-place weight mutation
+        # while statements are in flight is outside the cache's contract
+        # (models being trained must be in train() mode, which bypasses it).
         with self._lock:
             self._activations += 1
             if self._activations == 1:
@@ -255,30 +300,55 @@ class TensorCache:
             _ACTIVE.reset(token)
 
     def model_state_fp(self, model) -> str:
-        if _ACTIVE.get() is not self:
-            return state_fingerprint([model])
+        """The fingerprint of ``model``'s weights (:func:`state_fingerprint`).
+
+        The weights are hashed only when they differ bitwise from the
+        snapshot kept beside the last fingerprint; the snapshot is an entry
+        of this cache (its bytes count against the budget, and it can be
+        evicted, after which the next call hashes again). Inside an
+        activation the answer is memoised for the rest of the statement.
+        """
         token = identity_token(model)
-        with self._lock:
-            fp = self._model_fps.get(token)
-        if fp is None:
-            fp = state_fingerprint([model])
+        if token is None:
+            return state_fingerprint([model])
+        memo = _ACTIVE.get() is self
+        if memo:
+            with self._lock:
+                fp = self._model_fps.get(token)
+            if fp is not None:
+                return fp
+        fp = self._checked_fp(token, model)
+        if memo:
             with self._lock:
                 self._model_fps[token] = fp
         return fp
 
-    def udf_state_fp(self, udf) -> str:
-        """Per-activation memo of a UDF's combined module fingerprint (the
-        warm path must not re-hash model weights on every call site)."""
-        if _ACTIVE.get() is not self:
-            return state_fingerprint(udf.modules)
-        token = ("udf", identity_token(udf))
+    def _checked_fp(self, token: int, model) -> str:
+        arrays = _state_arrays(model)
+        if not arrays:
+            return "stateless"
+        key = ("state", token)
         with self._lock:
-            fp = self._model_fps.get(token)
-        if fp is None:
-            fp = state_fingerprint(udf.modules)
+            entry = self._touch(key)
+        # Snapshots are replaced, never written: comparing against a
+        # captured one outside the lock is safe.
+        if entry is not None and entry.value.matches(arrays):
             with self._lock:
-                self._model_fps[token] = fp
+                self.state_reuses += 1
+            return entry.value.fp
+        fp = _digest(arrays)
+        with self._lock:
+            self.state_hashes += 1
+        if 0 < self.max_bytes and sum(a.nbytes for _, a in arrays) <= self.max_bytes:
+            snapshot = _StateSnapshot(fp, arrays)
+            self.put(key, snapshot, snapshot.nbytes)
         return fp
+
+    def udf_state_fp(self, udf) -> str:
+        """A UDF's weight fingerprint, joined from its modules'
+        :meth:`model_state_fp`: a model shared by a UDF and its encoder
+        memos is checked once per statement."""
+        return ",".join(self.model_state_fp(module) for module in udf.modules)
 
     # ------------------------------------------------------------------
     # Core LRU mechanics
@@ -327,6 +397,8 @@ class TensorCache:
                 "rows_encoded": self.rows_encoded,
                 "evictions": self.evictions, "size": len(self._entries),
                 "bytes": self.current_bytes, "max_bytes": self.max_bytes,
+                "state_hashes": self.state_hashes,
+                "state_reuses": self.state_reuses,
             }
 
     # ------------------------------------------------------------------

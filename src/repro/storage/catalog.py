@@ -9,34 +9,56 @@ from repro.errors import CatalogError
 from repro.storage.table import Table
 
 
+def schema_key(table: Table) -> tuple:
+    """What a compiled plan may depend on in a table: per column, its name,
+    logical type, encoding class, per-row shape and device. Two tables with
+    equal keys bind, optimize and lower every statement to the same plan."""
+    return tuple((col.name, col.data_type, type(col.encoding),
+                  col.tensor.shape[1:], col.device) for col in table.columns)
+
+
 class Catalog:
     """Case-insensitive table registry (re-registration replaces, which the
     paper's training loop relies on when it re-registers ``MNIST_Grid`` each
     iteration).
 
-    Thread-safe: a re-entrant lock guards the name maps and the version
-    counter, so concurrent ``register``/``drop``/``get`` calls from scheduler
-    workers can never tear the registry or skip a version bump. Tables
-    themselves are immutable, so a ``get`` that races a ``register`` returns
-    either the old or the new snapshot — never a mix.
+    Thread-safe: a re-entrant lock guards the name maps and the counters, so
+    concurrent ``register``/``drop``/``get`` calls from scheduler workers can
+    never tear the registry or skip a bump. Tables themselves are immutable,
+    so a ``get`` that races a ``register`` returns either the old or the new
+    snapshot — never a mix.
     """
 
     def __init__(self):
         self._tables: Dict[str, Table] = {}
         self._display: Dict[str, str] = {}
         self._lock = threading.RLock()
-        # Monotonic change counter: plan caches key on it so any
-        # register/drop/clear invalidates every cached plan.
+        # Schema version: plan caches key on it. It bumps on a new name, a
+        # drop, a clear, or a re-registration that changes the table's
+        # schema_key. Re-registering the same schema leaves it (and every
+        # cached plan) alone: scans resolve their table at run time, and
+        # the compiler reads no table data.
         self.version = 0
+        # Every register/drop/clear: the scheduler's coalescing stamp, so a
+        # statement submitted after a write never shares an earlier run.
+        self.writes = 0
+        # Re-registrations of an existing name that changed its schema.
+        self.schema_changes = 0
 
     def register(self, name: str, table: Table, replace: bool = True) -> None:
         key = name.lower()
         with self._lock:
-            if not replace and key in self._tables:
+            old = self._tables.get(key)
+            if old is not None and not replace:
                 raise CatalogError(f"table {name!r} already registered")
+            if old is None:
+                self.version += 1
+            elif schema_key(old) != schema_key(table):
+                self.version += 1
+                self.schema_changes += 1
             self._tables[key] = table
             self._display[key] = name
-            self.version += 1
+            self.writes += 1
 
     def get(self, name: str) -> Table:
         key = name.lower()
@@ -54,6 +76,7 @@ class Catalog:
             del self._tables[key]
             del self._display[key]
             self.version += 1
+            self.writes += 1
 
     def names(self) -> List[str]:
         with self._lock:
@@ -68,3 +91,12 @@ class Catalog:
             self._tables.clear()
             self._display.clear()
             self.version += 1
+            self.writes += 1
+
+    def stats(self) -> dict:
+        """Unified stats dict (docs/OBSERVABILITY.md): ``size`` is the
+        registered tables; the rest are the lifetime counters above."""
+        with self._lock:
+            return {"size": len(self._tables), "version": self.version,
+                    "writes": self.writes,
+                    "schema_changes": self.schema_changes}

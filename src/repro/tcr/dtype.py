@@ -1,8 +1,11 @@
 """Dtype policy for the tensor runtime.
 
 We follow PyTorch's defaults: Python floats and float arrays become
-``float32``, Python ints become ``int64``, and bools stay ``bool``. numpy's
-own promotion rules apply inside kernels.
+``float32``, Python ints become ``int64``, and bools stay ``bool``. A Python
+scalar beside a tensor in a binary op is weak, as in PyTorch: it takes the
+tensor's dtype unless it is of a higher category
+(:func:`repro.tcr.ops.common.weak_scalar`). numpy's own promotion rules
+apply between arrays inside kernels.
 """
 
 from __future__ import annotations

@@ -41,8 +41,9 @@ def mul(a, b) -> Tensor:
 
 
 def div_forward(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x / y`` on raw arrays: integer / integer materialises float32."""
-    if dtypes.is_int(x.dtype) and dtypes.is_int(y.dtype):
+    """``x / y`` on raw arrays: integer or bool operands on both sides
+    materialise float32, as true division does in PyTorch."""
+    if not dtypes.is_float(x.dtype) and not dtypes.is_float(y.dtype):
         return np.true_divide(x, y).astype(np.float32)
     return np.true_divide(x, y)
 

@@ -354,6 +354,50 @@ class TestScheduler:
             release.set()
             scheduler.shutdown()
 
+    def test_same_schema_write_disqualifies_joining(self):
+        """A write that keeps the schema keeps the cached plan, but a
+        statement submitted after it must not receive the result of a run
+        that read the rows before it."""
+        session = _numeric_session()
+        invocations = []
+        release = threading.Event()
+
+        @session.udf("float", name="gated")
+        def gated(v: Tensor) -> Tensor:
+            invocations.append(1)
+            assert release.wait(timeout=30), "never released"
+            return v
+
+        scheduler = QueryScheduler(session, workers=2)
+        try:
+            statement = "SELECT SUM(gated(v)) FROM t"
+            config = {"tensor_cache": False}
+            plan = session.sql.query(statement, extra_config=config)
+            first = scheduler.submit(statement, extra_config=config)
+            for _ in range(500):        # until the first run is inside
+                if invocations:
+                    break
+                time.sleep(0.01)
+            old = session.catalog.get("t")
+            session.sql.register_dict(
+                {"k": np.asarray(old.column("k").decode()),
+                 "v": np.asarray(old.column("v").decode()) + 1.0,
+                 "vec": np.asarray(old.column("vec").decode())}, "t")
+            assert session.sql.query(statement, extra_config=config) is plan
+            second = scheduler.submit(statement, extra_config=config)
+            for _ in range(200):        # the second runs on its own
+                if len(invocations) == 2:
+                    break
+                time.sleep(0.01)
+            release.set()
+            before = first.result(timeout=30).scalar()
+            after = second.result(timeout=30).scalar()
+            assert after == pytest.approx(before + 64.0, rel=1e-5)
+            assert scheduler.stats["coalesced"] == 0
+        finally:
+            release.set()
+            scheduler.shutdown()
+
     def test_ddl_never_coalesces_and_registry_change_disqualifies(self):
         session = _numeric_session()
         scheduler = QueryScheduler(session, workers=2)

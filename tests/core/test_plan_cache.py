@@ -55,14 +55,22 @@ class TestPlanCacheHits:
 
 
 class TestPlanCacheInvalidation:
-    def test_register_invalidates(self, loaded_session):
+    def test_same_schema_register_keeps_plan_and_reads_new_rows(self, loaded_session):
         q1 = loaded_session.sql.query(SQL)
+        assert q1.run(toPandas=True)["SUM(v)"].tolist() != []
+        version = loaded_session.catalog.version
         loaded_session.sql.register_dict(
             {"k": np.zeros(3, dtype=np.int64),
              "v": np.ones(3, dtype=np.float32)}, "t")
         q2 = loaded_session.sql.query(SQL)
-        assert q1 is not q2
+        assert q1 is q2
+        assert loaded_session.catalog.version == version
         assert q2.run(toPandas=True)["SUM(v)"].tolist() == []  # v > 3 empty
+        loaded_session.sql.register_dict(
+            {"k": np.array([1, 1, 2], dtype=np.int64),
+             "v": np.array([4.0, 5.0, 6.0], dtype=np.float32)}, "t")
+        assert loaded_session.sql.query(SQL) is q1
+        assert q1.run(toPandas=True)["SUM(v)"].tolist() == [9.0, 6.0]
 
     def test_drop_invalidates(self, loaded_session):
         loaded_session.sql.register_dict({"x": [1.0]}, "other")
@@ -98,6 +106,75 @@ class TestPlanCacheInvalidation:
         loaded_session.sql.query(SQL)
         loaded_session.reset()
         assert len(loaded_session.plan_cache) == 0
+
+
+class TestSchemaChangeRecompiles:
+    """A re-registration that changes what the binder or the compiler can
+    see of a table (a column's type, the column set, its encoding, its
+    per-row shape or its device) bumps the catalog version, so the next
+    compile misses and the new plan reads the new table correctly."""
+
+    def _recompiles(self, session, name, before, after, sql, device=None):
+        session.sql.register_dict(before, name, device=device)
+        first = session.sql.query(sql)
+        first.run()
+        version = session.catalog.version
+        changes = session.catalog.schema_changes
+        session.sql.register_dict(after, name, device=device)
+        second = session.sql.query(sql)
+        assert second is not first
+        assert session.catalog.version == version + 1
+        assert session.catalog.schema_changes == changes + 1
+        return second.run()
+
+    def test_int_to_float_column(self, session):
+        out = self._recompiles(
+            session, "t", {"x": np.array([1, 2, 3], dtype=np.int64)},
+            {"x": np.array([0.5, 1.5, 2.0], dtype=np.float32)},
+            "SELECT x * 2 AS y FROM t")
+        assert out.column("y").dtype.kind == "f"
+        np.testing.assert_allclose(out.column("y"), [1.0, 3.0, 4.0])
+
+    def test_added_column(self, session):
+        out = self._recompiles(
+            session, "t", {"x": np.arange(3, dtype=np.int64)},
+            {"x": np.arange(3, dtype=np.int64), "w": np.arange(3) * 10},
+            "SELECT * FROM t")
+        assert out.column_names == ["x", "w"]
+        assert np.asarray(out.column("w")).tolist() == [0, 10, 20]
+
+    def test_string_to_int_same_name(self, session):
+        out = self._recompiles(
+            session, "t", {"s": np.array(["a", "b", "c"])},
+            {"s": np.array([7, 8, 9], dtype=np.int64)},
+            "SELECT s FROM t")
+        assert np.asarray(out.column("s")).tolist() == [7, 8, 9]
+
+    def test_images_of_a_new_row_shape(self, session):
+        out = self._recompiles(
+            session, "imgs", {"img": np.zeros((4, 2, 3), dtype=np.float32)},
+            {"img": np.ones((4, 3, 3), dtype=np.float32)},
+            "SELECT img FROM imgs")
+        assert np.asarray(out.column("img")).shape == (4, 3, 3)
+
+    def test_new_device(self, session):
+        data = {"x": np.arange(4, dtype=np.float32)}
+        session.sql.register_dict(dict(data), "t")
+        first = session.sql.query("SELECT SUM(x) FROM t")
+        version = session.catalog.version
+        session.sql.register_dict(dict(data), "t", device="cuda")
+        second = session.sql.query("SELECT SUM(x) FROM t")
+        assert second is not first
+        assert session.catalog.version == version + 1
+        assert second.run().scalar() == pytest.approx(6.0)
+
+    def test_same_schema_on_another_buffer_keeps_version(self, session):
+        session.sql.register_dict({"x": np.arange(3, dtype=np.int64)}, "t")
+        version = session.catalog.version
+        session.sql.register_dict({"x": np.arange(30, dtype=np.int64)}, "T")
+        assert session.catalog.version == version
+        assert session.catalog.schema_changes == 0
+        assert session.catalog.writes == 2
 
 
 class TestPlanCachePolicy:

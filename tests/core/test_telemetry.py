@@ -360,6 +360,30 @@ class TestMetricsRegistry:
             assert key in snap, key
         assert snap["query.latency_seconds"]["count"] == 1
 
+    def test_catalog_and_model_state_counters(self):
+        """``catalog.*`` counts writes and schema changes;
+        ``tensor_cache.state_*`` counts weight hashes and snapshot reuses."""
+        from repro.tcr import nn
+        session = _numeric_session(rows=32)
+        model = nn.Linear(1, 1)
+
+        @session.udf("float", name="lin", modules=[model])
+        def lin(v):
+            return model(v.reshape(-1, 1)).reshape(-1)
+
+        data = {"k": np.arange(4, dtype=np.int64), "v": np.ones(4, dtype=np.float32)}
+        session.sql.register_dict(dict(data), "small")
+        session.sql.register_dict(dict(data), "small")          # same schema
+        session.sql.register_dict({"k": data["k"]}, "small")    # column dropped
+        for _ in range(3):
+            session.sql.query("SELECT lin(v) AS y FROM t").run()
+        snap = session.metrics.snapshot()
+        assert snap["catalog.schema_changes"] == 1
+        assert snap["catalog.writes"] == session.catalog.writes
+        assert snap["catalog.version"] == session.catalog.version
+        assert snap["tensor_cache.state_hashes"] == 1
+        assert snap["tensor_cache.state_reuses"] == 2
+
     def test_scheduler_counters_reconcile_exactly(self):
         """Concurrency stress: after a served workload, executed +
         coalesced == submitted, and the registry's counters/histograms

@@ -595,6 +595,115 @@ class TestDeltaEncoding:
         assert sum(calls) == 80
 
 
+class TestModelState:
+    """Weights are hashed only when they differ bitwise from the snapshot
+    kept beside the last fingerprint; every other statement compares."""
+
+    SQL = "SELECT scored(x) AS y FROM t"
+
+    def _scored(self, session, n=6):
+        _register_numbers(session, n=n)
+        model = nn.Linear(1, 1)
+
+        @session.udf("float", name="scored", modules=[model])
+        def scored(x):
+            return model(x.reshape(-1, 1)).reshape(-1)
+
+        return model
+
+    def _expected(self, model, n=6):
+        x = np.arange(n, dtype=np.float32).reshape(-1, 1)
+        return (x @ model.weight.data.T + model.bias.data).reshape(-1)
+
+    def _run(self, session, sql=None):
+        return np.asarray(session.sql.query(sql or self.SQL).run().column("y"))
+
+    def test_raw_numpy_write_in_place_gives_fresh_results(self, session):
+        model = self._scored(session)
+        before = self._run(session)
+        np.testing.assert_allclose(before, self._expected(model), rtol=1e-6)
+        weight = model.weight.data
+        weight += 1.0                      # same array object, new bytes
+        assert model.weight.data is weight
+        after = self._run(session)
+        np.testing.assert_allclose(after, self._expected(model), rtol=1e-6)
+        assert not np.allclose(before, after)
+        assert session.tensor_cache.stats["state_hashes"] == 2
+
+    def test_nan_weight_matches_its_snapshot(self, session):
+        model = self._scored(session)
+        model.weight.data[...] = np.nan
+        first = self._run(session)
+        stats = session.tensor_cache.stats
+        assert stats["state_hashes"] == 1
+        second = self._run(session)
+        assert np.isnan(first).all() and np.isnan(second).all()
+        after = session.tensor_cache.stats
+        assert after["state_hashes"] == 1
+        assert after["state_reuses"] == stats["state_reuses"] + 1
+
+    def test_fifty_statements_over_an_unchanged_model_hash_once(self, session):
+        model = self._scored(session)
+        for i in range(50):
+            got = self._run(session, f"SELECT scored(x) AS y FROM t WHERE k >= {i % 3}")
+            np.testing.assert_allclose(got, self._expected(model)[i % 3:], rtol=1e-6)
+        stats = session.tensor_cache.stats
+        assert stats["state_hashes"] == 1
+        assert stats["state_reuses"] == 49
+
+    def test_zero_budget_keeps_no_snapshot(self):
+        session = Session(tensor_cache_bytes=0)
+        model = self._scored(session)
+        before = self._run(session)
+        model.weight.data[...] *= 3.0
+        after = self._run(session)
+        np.testing.assert_allclose(after, self._expected(model), rtol=1e-6)
+        assert not np.allclose(before, after)
+        stats = session.tensor_cache.stats
+        assert len(session.tensor_cache) == 0 and stats["bytes"] == 0
+        assert stats["state_hashes"] == 0 and stats["state_reuses"] == 0
+
+    def test_snapshot_is_charged_and_evictable(self):
+        session = Session(tensor_cache_bytes=4096)
+        model = self._scored(session)
+        self._run(session)
+        cache = session.tensor_cache
+        weight_bytes = model.weight.data.nbytes + model.bias.data.nbytes
+        snapshots = [e for k, e in cache._entries.items() if k[0] == "state"]
+        assert [e.nbytes for e in snapshots] == [weight_bytes]
+        assert cache.stats["bytes"] >= weight_bytes
+        # A filler the size of the whole budget evicts everything.
+        filler = Tensor(np.zeros(1024, dtype=np.float32))
+        cache.put(("filler",), filler, filler.data.nbytes)
+        assert not any(k[0] == "state" for k in cache._entries)
+        got = self._run(session)
+        np.testing.assert_allclose(got, self._expected(model), rtol=1e-6)
+        assert cache.stats["state_hashes"] == 2
+
+    def test_one_model_is_checked_once_per_statement(self, session):
+        """A model behind two UDFs in one statement is compared once."""
+        model = self._scored(session)
+
+        @session.udf("float", name="scored2", modules=[model])
+        def scored2(x):
+            return model(x.reshape(-1, 1)).reshape(-1) * 2.0
+
+        session.sql.query("SELECT scored(x) AS a, scored2(x) AS b FROM t").run()
+        stats = session.tensor_cache.stats
+        assert stats["state_hashes"] + stats["state_reuses"] == 1
+
+    def test_model_state_fp_outside_a_statement(self):
+        cache = TensorCache()
+        model = nn.Linear(2, 2)
+        fp = cache.model_state_fp(model)
+        assert fp == state_fingerprint([model])
+        assert cache.model_state_fp(model) == fp
+        assert cache.stats["state_reuses"] == 1
+        model.bias.data[0] += 1.0
+        assert cache.model_state_fp(model) == state_fingerprint([model]) != fp
+        assert cache.stats["state_hashes"] == 2
+
+
 def _reference(rows, text, weights):
     return np.tanh(rows @ weights) @ np.full(4, len(text), dtype=np.float32)
 

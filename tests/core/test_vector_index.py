@@ -216,13 +216,15 @@ class TestIndexedExecution:
 
         # Append a row that is the probe vector itself: after re-registration
         # the index must rebuild and surface the new best match.
+        # The write keeps the schema, so the cached plan survives it; the
+        # index notices the new table at run time.
         extended = np.concatenate([corpus, vocab["probe"][None, :]])
-        version = session.catalog.version
+        plan = session.sql.query(statement)
         session.sql.register_dict(
             {"id": np.arange(65), "emb": extended.astype(np.float32)}, "vecs")
-        assert session.catalog.version > version
+        assert session.sql.query(statement) is plan
         assert session.indexes.status(entry) == "stale"
-        result = session.sql.query(statement).run()
+        result = plan.run()
         assert _ids(result)[0] == 64
         assert entry.build_count == 2
         assert session.indexes.status(entry) == "ready"

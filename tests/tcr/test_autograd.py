@@ -78,10 +78,10 @@ class TestEngine:
         np.testing.assert_array_equal(x.grad, [11.0, 19.0])
 
     def test_gradient_has_its_tensors_dtype(self):
-        # An int exponent makes the loss float64; the float32 leaf's
+        # A float64 operand makes the loss float64; the float32 leaf's
         # gradient, and every gradient below the loss, stay float32.
         x = tcr.tensor([1.0, 3.0], requires_grad=True)
-        loss = ((x - tcr.tensor([0.0, 1.0])) ** 2).mean()
+        loss = ((x - tcr.tensor([0.0, 1.0], dtype=np.float64)) ** 2).mean()
         assert loss.data.dtype == np.float64
         loss.backward()
         assert x.grad.dtype == np.float32

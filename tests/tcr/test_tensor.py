@@ -48,6 +48,65 @@ class TestConstruction:
         assert tcr.zeros_like(t).device == tcr.CUDA
 
 
+# PyTorch's rule for a Python scalar beside a tensor (torch.result_type):
+# the scalar is weak, so the tensor's dtype wins unless the scalar is of a
+# higher category (bool < int < float); then an int scalar gives int64 and
+# a float scalar float32. True division of a non-float result is float32.
+_F32, _I64, _BOOL = np.dtype(np.float32), np.dtype(np.int64), np.dtype(np.bool_)
+SCALAR_PROMOTION = {
+    # (tensor dtype, scalar kind): result dtype of +, * and **
+    (_F32, "bool"): _F32, (_F32, "int"): _F32, (_F32, "float"): _F32,
+    (_I64, "bool"): _I64, (_I64, "int"): _I64, (_I64, "float"): _F32,
+    (_BOOL, "bool"): _BOOL, (_BOOL, "int"): _I64, (_BOOL, "float"): _F32,
+}
+_SCALAR_VALUES = {"bool": True, "int": 2, "float": 0.5}
+
+
+def _promotion_cases():
+    for (dtype, kind), result in SCALAR_PROMOTION.items():
+        ops_ = ["add", "mul", "div"] + (["sub", "pow"] if dtype != _BOOL else [])
+        for op in ops_:
+            want = _F32 if op == "div" and result.kind != "f" else result
+            yield pytest.param(dtype, kind, op, want, id=f"{dtype}-{kind}-{op}")
+
+
+class TestScalarPromotion:
+    @pytest.mark.parametrize("dtype, kind, op, want", list(_promotion_cases()))
+    def test_python_scalars_are_weak(self, dtype, kind, op, want):
+        tensor = tcr.tensor(np.array([1, 2, 1]).astype(dtype), dtype=dtype)
+        scalar = _SCALAR_VALUES[kind]
+        fn = getattr(ops, op)
+        assert fn(tensor, scalar).dtype == want
+        if op != "pow":
+            assert fn(scalar, tensor).dtype == want
+
+    def test_values_follow_the_promoted_dtype(self):
+        x = tcr.tensor([1.5, -2.0])
+        np.testing.assert_array_equal((x * 2).data, np.float32([3.0, -4.0]))
+        np.testing.assert_array_equal((x ** 2).data, np.float32([2.25, 4.0]))
+        n = tcr.tensor([1, 3])
+        np.testing.assert_array_equal((n * 0.5).data, np.float32([0.5, 1.5]))
+        assert (n / 3).dtype == np.float32
+        assert (n + 1).dtype == np.int64
+        # A narrow int tensor keeps its dtype (and wraps, as in PyTorch);
+        # a scalar outside its range falls back to numpy's promotion.
+        small = tcr.tensor(np.array([1, 2], dtype=np.uint8), dtype=np.uint8)
+        assert (small - 3).data.tolist() == [254, 255]
+        assert (small + 300).data.tolist() == [301, 302]
+
+    def test_gradient_keeps_float32_through_scalar_ops(self):
+        x = tcr.tensor([1.0, 2.0, 3.0], requires_grad=True)
+        loss = ((x * 2 + 1) ** 2 / 3).sum()
+        assert loss.dtype == np.float32
+        loss.backward()
+        assert x.grad.dtype == np.float32
+        np.testing.assert_allclose(x.grad, 4 * (2 * x.data + 1) / 3, rtol=1e-6)
+
+    def test_numpy_arrays_keep_numpy_promotion(self):
+        x = tcr.tensor([1.0, 2.0])
+        assert ops.mul(x, np.array([2, 3])).dtype == np.float64
+
+
 class TestIntrospection:
     def test_shape_ndim_numel(self):
         t = tcr.zeros(2, 3, 4)
