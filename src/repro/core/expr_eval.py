@@ -4,7 +4,7 @@ Bound expressions are lowered once, at plan time, by
 :class:`repro.core.kernels.compiler.ExprCompiler` into closures
 ``fn(ctx) -> value``. ``ctx`` is an :class:`ExpressionEvaluator`: the input
 table's columns, the per-pass CSE slot table, the output boundary
-(``materialize``) and the UDF call site with its tensor-cache protocol.
+(``materialize``) and the UDF call site with its tensor-cache memo.
 Nothing here walks an expression tree.
 """
 
@@ -81,55 +81,52 @@ class ExpressionEvaluator:
 
     def _eval_BCall(self, expr: b.BCall, values: List[Value]) -> Column:
         udf = expr.udf
+        cache = tc.entered(udf.modules, getattr(udf, "deterministic", True))
+        memo = _memo_key(udf, values, self, cache) if cache is not None else None
+        if memo is None:
+            return self._invoke(udf, values, tagged=False)
+        key, rows = memo
+        computed = []
+
+        def compute(part) -> EncodedTensor:
+            # The rows the entry lacks: a slice takes zero-copy views that
+            # carry lineage, so encoder memos inside the UDF still gather.
+            computed.append(part)
+            taken = values if part is None else [
+                v if isinstance(v, Scalar) else v.take(part) for v in values]
+            return self._invoke(udf, taken, tagged=True).encoded
+
+        encoded = cache.lookup(key, rows, self.num_rows, compute)
+        # Attribute the lookup to the requesting query's open operator span
+        # (no-op when untraced).
+        tel_count(**{"tensor_cache_misses" if computed else "tensor_cache_hits": 1})
+        return Column(udf.output_schema[0][0], encoded)
+
+    def _invoke(self, udf, values: List[Value], tagged: bool) -> Column:
         args = udf_arguments(udf, values)
-
-        # Materialization cache: deterministic UDFs outside grad recording
-        # consult the session cache. A full hit skips inference entirely; a
-        # subset (post-filter) evaluation gathers from a cached full-column
-        # entry; a miss computes and inserts.
-        cache = tc.active()
-        use_cache = (cache is not None
-                     and getattr(udf, "deterministic", True)
-                     and not _udf_needs_grad(udf)
-                     # Modules left in train() mode may be stochastic
-                     # (dropout): never cache their outputs.
-                     and not any(getattr(m, "training", False)
-                                 for m in udf.modules))
-        key = None
-        tags = ()
-        if use_cache:
-            key, full_key, rows, tags = _bcall_cache_plan(udf, values, args,
-                                                          self, cache)
-            if key is not None:
-                cached = cache.udf_get(key, full_key, rows)
-                if cached is not None:
-                    # Attribute the hit to the requesting query's open
-                    # operator span (no-op when untraced).
-                    tel_count(tensor_cache_hits=1)
-                    return cached[0]
-                tel_count(tensor_cache_misses=1)
-            if tags:
-                # Tag the argument tensors so encoder memos inside the UDF
-                # (model.encode_image) can capture/reuse embeddings. Tags
-                # are removed after the invocation: they must never leak
-                # into a later call that did not opt into caching (e.g. a
-                # deterministic=False UDF sharing the same model).
-                for tensor, tag in tags:
-                    tc.tag_tensor(tensor, tag)
-
+        num_rows = next((v.num_rows for v in values if not isinstance(v, Scalar)),
+                        self.num_rows)
+        # Inside the memo, argument tensors carry their content tag so
+        # encoder memos inside the UDF (model.encode_image) reuse and fill
+        # embeddings. Tags are removed after the invocation: they must never
+        # leak into a later call that did not opt into caching (e.g. a
+        # deterministic=False UDF sharing the same model).
+        tags = [(arg.tensor if isinstance(arg, EncodedTensor) else arg,
+                 tc.column_tag(value))
+                for value, arg in zip(values, args)
+                if tagged and not isinstance(value, Scalar)]
+        for tensor, tag in tags:
+            tc.tag_tensor(tensor, tag)
         try:
-            columns = _rehome(udf.invoke(args), self.device)
+            column = _rehome(udf.invoke(args), self.device)[0]
         finally:
             for tensor, _ in tags:
                 tc.untag_tensor(tensor)
-        column = columns[0]
-        if column.num_rows != self.num_rows:
+        if column.num_rows != num_rows:
             raise ExecutionError(
                 f"UDF {udf.name!r} returned {column.num_rows} rows for "
-                f"{self.num_rows} input rows"
+                f"{num_rows} input rows"
             )
-        if use_cache and key is not None:
-            cache.udf_put(key, columns)
         return column
 
 
@@ -244,56 +241,38 @@ def _structural_key(expr: b.BoundExpr) -> Optional[tuple]:
 
 
 # ----------------------------------------------------------------------
-# Materialization-cache keying for UDF calls
+# Memo keys for UDF calls
 # ----------------------------------------------------------------------
-def _udf_needs_grad(udf) -> bool:
-    from repro.tcr.autograd import is_grad_enabled
-    return is_grad_enabled() and any(p.requires_grad for p in udf.parameters())
-
-
-def _bcall_cache_plan(udf, values, args, evaluator, cache):
-    """Build cache keys for one UDF call.
-
-    Returns ``(key, full_key, rows, tags)``: the exact entry key; the
-    full-column key usable for a row gather (when every column argument is
-    the same row subset of its base column); the subset row indices; and
-    ``(tensor, tag)`` pairs to attach before invoking the UDF. ``key`` is
-    None when an argument has no stable content identity.
-    """
-    head = ("udf", udf.name.lower(), getattr(udf, "version", 0),
-            cache.udf_state_fp(udf), str(evaluator.device))
-    parts, full_parts, tags = [head], [head], []
-    rows = None
-    rows_fps = set()
-    any_column = False
-    for value, arg in zip(values, args):
+def _memo_key(udf, values, evaluator, cache):
+    """``(key, rows)`` of a UDF call's entry in the tensor cache, or None
+    when the call goes uncached: no column argument, one without content
+    identity, column arguments over different row sets, or an unhashable
+    constant. ``rows`` are the base rows behind the call's rows (None:
+    every row of the base, in order)."""
+    key = ["udf", udf.name.lower(), getattr(udf, "version", 0),
+           cache.udf_state_fp(udf), str(evaluator.device)]
+    tags = []
+    for value in values:
         if isinstance(value, Scalar):
-            v = value.value
-            try:
-                hash(v)
-            except TypeError:
-                return None, None, None, ()
-            parts.append(("s", v))
-            full_parts.append(("s", v))
+            key.append(("s", type(value.value).__name__, value.value))
             continue
         tag = tc.column_tag(value)
         if tag is None:
-            return None, None, None, ()
-        any_column = True
-        rows_fps.add(tag.rows_fp)
-        if tag.rows_fp is not None:
-            rows = tag.rows
-        parts.append(("col", tag.base, tag.rows_fp))
-        full_parts.append(("col", tag.base, None))
-        tensor = arg.tensor if isinstance(arg, EncodedTensor) else arg
-        tags.append((tensor, tag))
-    if not any_column:
-        # Pure scalar broadcast: the output length is the only data identity.
-        parts.append(("nrows", evaluator.num_rows))
-    key = tuple(parts)
-    subset = (any_column and rows is not None and len(rows_fps) == 1)
-    full_key = tuple(full_parts) if subset else None
-    return key, full_key, (rows if subset else None), tags
+            return None
+        tags.append(tag)
+        key.append(("col", tag.base))
+    rows = tags[0].rows if tags else None
+    if not tags or any(
+            tag.rows is not rows and (tag.rows is None or rows is None
+                                      or not np.array_equal(tag.rows, rows))
+            for tag in tags[1:]):
+        return None
+    key = tuple(key)
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key, rows
 
 
 def _rehome(columns: List[Column], device) -> List[Column]:

@@ -11,10 +11,12 @@ by the optimizer's ``vector_index`` rewrite rule, and probed at run time by
 Lifecycle: indexes build *lazily*. An entry records which ``Table`` object
 its cells were built from; because every ``register_*``/append produces a new
 ``Table`` object (tables are immutable), an identity check is an exact
-per-table staleness test. It is the only one: ``catalog.version`` bumps only
-when a schema changes, so a write that keeps the schema keeps every cached
-plan, and the plan's probe finds the entry stale. A stale entry rebuilds
-transparently on its next probe.
+per-table staleness test. ``catalog.version`` bumps only when a schema
+changes, so a write that keeps the schema keeps every cached plan, and the
+plan's probe finds the entry stale. The entry also records the weight
+fingerprint of the model it embedded with (``TensorCache.model_state_fp``,
+memoised per statement), so an in-place weight write makes it stale too. A
+stale entry rebuilds transparently on its next probe.
 
 Embeddings: an entry either carries an explicit ``embedder`` callable
 (Python-native path), or binds on first accelerated query to the two-tower
@@ -30,6 +32,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.errors import CatalogError, ExecutionError
+from repro.core import tensor_cache as tc
 from repro.core.index import IVFFlatIndex
 from repro.core.udf import ANN_METRICS
 from repro.tcr.autograd import no_grad
@@ -80,6 +83,7 @@ class IndexEntry:
         # Build state (populated lazily by IndexManager.ensure_built).
         self.index: Optional[IVFFlatIndex] = None
         self.built_table = None          # the Table object the cells came from
+        self.built_fp = None             # its embedding model's weight fingerprint
         self.model = None                # two-tower model bound on first query
         self.metric: Optional[str] = None  # bound ann metric (first-wins)
         self.udf_name: Optional[str] = None
@@ -101,7 +105,8 @@ class IndexManager:
     beside ``Catalog.version``, so ``CREATE``/``DROP INDEX`` invalidates
     every plan compiled before it (an index changes which physical plan is
     best). Table writes bump neither counter when the schema is kept; the
-    entry's ``built_table`` check rebuilds on the next probe instead.
+    entry's ``built_table`` check (and, for weight writes, its
+    ``built_fp`` check) rebuilds on the next probe instead.
     """
 
     def __init__(self, catalog, tensor_cache=None):
@@ -229,7 +234,17 @@ class IndexManager:
             current = self.catalog.get(entry.table)
         except CatalogError:
             return "orphaned"
-        return "ready" if current is entry.built_table else "stale"
+        if current is entry.built_table and self._model_fp(entry.model) == entry.built_fp:
+            return "ready"
+        return "stale"
+
+    def _model_fp(self, model) -> Optional[str]:
+        """The weight fingerprint of an entry's embedding model, if any."""
+        if model is None:
+            return None
+        if self.tensor_cache is None:
+            return tc.state_fingerprint([model])
+        return self.tensor_cache.model_state_fp(model)
 
     def ensure_built(self, entry: IndexEntry, udf=None,
                      use_tensor_cache: bool = True) -> IVFFlatIndex:
@@ -264,7 +279,9 @@ class IndexManager:
                         f"index {entry.name!r} is bound to metric "
                         f"{entry.metric!r}, not {metric!r}"
                     )
-            if entry.index is not None and entry.built_table is current:
+            fp = self._model_fp(model or entry.model)
+            if (entry.index is not None and entry.built_table is current
+                    and entry.built_fp == fp):
                 return entry.index
             if model is not None and entry.model is None:
                 entry.model = model
@@ -281,6 +298,7 @@ class IndexManager:
             # Publish fully-built state only (readers of entry.index outside
             # the lock must never observe cells for a half-updated entry).
             entry.built_table = current
+            entry.built_fp = fp
             entry.build_count += 1
             entry.index = index
             with self._lock:
@@ -315,28 +333,22 @@ class IndexManager:
     def _cached_model_embeddings(self, column, model) -> Optional[np.ndarray]:
         """Read/populate the session materialization cache for a corpus encode.
 
-        Query-time similarity UDFs and index builds meet here, in
-        :meth:`TensorCache.encoded`: a build encodes only the rows no query
-        has embedded yet, and a query after a build reuses the build's
-        entry. Models left in training mode never share (their outputs may
-        be stochastic).
+        Query-time similarity UDFs and index builds meet here, in the
+        model's encoder entry (:meth:`TensorCache.encoded`): a build encodes
+        only the rows no query has embedded yet, and a query after a build
+        reuses the build's entry. The cache's one bypass rule applies
+        (models left in training mode never share).
         """
-        from repro.core import tensor_cache as tc
         cache = self.tensor_cache
-        if cache is None or cache.max_bytes <= 0 or getattr(model, "training", False):
-            return None
         tag = tc.column_tag(column)
-        if tag is None:
-            return None
-        token = tc.identity_token(model)
-        if token is None:
+        if cache is None or tag is None:
             return None
         orig = getattr(model.encode_image, "__tdp_encoder_orig__", None)
         encode = orig if orig is not None else model.encode_image
         with no_grad():
-            embedded = cache.encoded(token, cache.model_state_fp(model), tag,
-                                     str(column.tensor.device), column.tensor,
-                                     encode)
+            if not cache.admits([model]):
+                return None
+            embedded = cache.encoded(model, tag, column.tensor, encode)
         return np.asarray(embedded.data)
 
     def embed_query(self, entry: IndexEntry, text: str) -> np.ndarray:

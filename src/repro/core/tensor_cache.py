@@ -2,21 +2,25 @@
 execution" subsystem).
 
 The paper's core workload runs NN inference *inside* queries — similarity
-UDFs over multimodal columns — yet a naive engine re-encodes the entire
-corpus per statement, per duplicate subexpression, and once more on every
-index (re)build. Following NeurStore's position that in-database model
-outputs are first-class managed state, this module makes inference a cached,
-versioned materialization:
+UDFs over multimodal columns. Following NeurStore's position that
+in-database model outputs are first-class managed state, the session keeps
+them in one row-keyed memo, :class:`TensorCache`: a bytes-budgeted LRU
+(``Session.tensor_cache``).
 
-* :class:`TensorCache` — a bytes-budgeted LRU owned by the session
-  (``Session.tensor_cache``) that stores
-
-  - **UDF output columns**, keyed on ``(udf name, udf registration version,
-    parameter-state fingerprint, per-argument content identity, device)``;
-  - **encoder outputs** (``model.encode_image(...)`` of two-tower models),
-    one entry per ``(model identity, parameter-state fingerprint, device,
-    base)`` filled row by row — shared between query-time evaluation and
-    ``IndexManager._embed_corpus``, in both directions.
+* **One kind of entry.** An entry holds the outputs of one row-wise
+  function for the rows of one base computed so far, keyed by base row
+  (Delta Tensor's row chunks, one layer up). A **UDF** entry is keyed on
+  ``(udf name, registration version, weight fingerprint, constant
+  arguments, device, column bases)``; an **encoder** entry
+  (``model.encode_image``) on ``(model, weight fingerprint, device,
+  base)``, shared by query-time calls and index builds in both directions.
+  :meth:`TensorCache.lookup` serves both: it gathers the rows the entry
+  holds and calls the function once, on the rows it lacks. A repeated
+  statement calls nothing, a UDF over a filtered subset of a scored column
+  gathers, and ``images[:420]`` after ``images[:400]`` computes 20 rows.
+  UDFs are row-wise by contract (outputs for row ``i`` depend only on
+  inputs of row ``i``), which makes this sound. Text embeddings
+  (``encode_text``) are memoised whole, keyed on the text tuple.
 
 * **Content identity** rides on buffer identity plus row lineage. A
   registered numpy array stored without a copy is named by its buffer and
@@ -25,32 +29,14 @@ versioned materialization:
   bytes. Every other stored tensor gets a process-unique token on first use
   (:func:`repro.storage.column.identity_token`); registered tensors must not
   be written in place while registered (docs/SEMANTICS.md).
-  ``Column.take`` records ``(base token, row indices)`` lineage. A
-  re-registration of other data never *hits* a stale entry; stale entries
-  age out of the LRU. In-place weight mutation (a training loop touching a
-  UDF's modules between statements) is caught by the parameter-state
-  fingerprint. A module is re-hashed only when its weights differ bitwise
-  from the snapshot kept beside its last fingerprint; snapshots are
-  entries of this cache, charged and evicted like any other.
+  ``Column.take`` records ``(base token, row indices)`` lineage. Stale
+  entries are never hit; they age out of the LRU. In-place weight mutation
+  is caught by the weight fingerprint, re-hashed only when the weights
+  differ bitwise from the snapshot kept (as an entry) beside it.
 
-* **Row-subset reuse**: a UDF evaluated over a filtered subset of a column
-  it has already scored in full is answered by *gathering* from the cached
-  full-column entry — this is what makes a UDF duplicated between SELECT and
-  WHERE/ORDER BY invoke the model exactly once per statement. UDFs are
-  row-wise (outputs for row ``i`` depend only on inputs of row ``i``),
-  which is what makes the gather sound.
-
-* **Writes are deltas**: encoder outputs are kept per base buffer, keyed
-  by base row, for the rows embedded so far (:meth:`TensorCache.encoded`).
-  A lookup gathers the rows it has seen and runs the encoder once, on the
-  rows it has not. Registering ``images[:420]`` after ``images[:400]``
-  encodes 20 rows; a table over the whole buffer, embedded once by a
-  ``CREATE VECTOR INDEX`` build or a similarity query, serves every later
-  row range of it without encoding. Index builds and query-time encoder
-  memos share these entries in both directions.
-
-Trainable compilations never activate the cache, and grad-enabled UDF
-invocations (plus models left in ``train()`` mode) always bypass it.
+The bypass rule lives in :meth:`TensorCache.admits`: deterministic=False
+UDFs, grad-enabled calls and models in ``train()`` mode never enter, and
+trainable compilations never activate the cache.
 """
 
 from __future__ import annotations
@@ -60,11 +46,12 @@ import contextvars
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.storage.column import Column, identity_token
+from repro.storage.column import Column, concat_encoded, identity_token
+from repro.storage.encodings import EncodedTensor, PlainEncoding
 from repro.tcr import ops
 from repro.tcr.autograd import is_grad_enabled
 from repro.tcr.tensor import Tensor
@@ -81,39 +68,23 @@ _ACTIVE: "contextvars.ContextVar[Optional[TensorCache]]" = contextvars.ContextVa
     "tdp_active_tensor_cache", default=None)
 
 
-def active() -> Optional["TensorCache"]:
-    """The cache activated by the currently running query, if any."""
-    return _ACTIVE.get()
+def entered(modules: Sequence = (), deterministic: bool = True) -> Optional["TensorCache"]:
+    """The cache activated by the currently running query, if a call over
+    ``modules`` may use it (:meth:`TensorCache.admits`)."""
+    cache = _ACTIVE.get()
+    return cache if cache is not None and cache.admits(modules, deterministic) else None
 
 
 # ----------------------------------------------------------------------
-# Content identity: tags, lineage digests, parameter fingerprints
+# Content identity: tags, parameter fingerprints
 # ----------------------------------------------------------------------
-class CacheTag:
-    """Content identity of one tensor argument.
+class CacheTag(NamedTuple):
+    """Content identity of one tensor argument: ``base`` is the identity
+    token of its base buffer or tensor, and ``rows`` the base row behind
+    each of its rows (None: every row of the base, in order)."""
 
-    ``base`` is the identity token of the full base-column tensor;
-    ``rows_fp`` is ``None`` for the full column or a digest string for a
-    row gather; ``rows`` holds the actual base-row indices behind
-    ``rows_fp`` (``None`` for the full column) so cached full entries can
-    be gathered from.
-    """
-
-    __slots__ = ("base", "rows_fp", "rows")
-
-    def __init__(self, base: int, rows_fp, rows: Optional[np.ndarray]):
-        self.base = base
-        self.rows_fp = rows_fp
-        self.rows = rows
-
-    def __repr__(self) -> str:
-        return f"CacheTag(base={self.base}, rows_fp={self.rows_fp!r})"
-
-
-def rows_digest(rows: np.ndarray) -> str:
-    """Collision-safe digest of a row-index array (keys stay small)."""
-    return hashlib.blake2b(np.ascontiguousarray(rows).tobytes(),
-                           digest_size=16).hexdigest()
+    base: int
+    rows: Optional[np.ndarray]
 
 
 def _state_arrays(module) -> List[Tuple[str, np.ndarray]]:
@@ -179,18 +150,12 @@ class _StateSnapshot:
 
 
 def column_tag(column: Column) -> Optional[CacheTag]:
-    """Content identity of a column: lineage when it is a row gather of a
-    base column, identity token of its carrier tensor otherwise."""
-    lineage = getattr(column, "lineage", None)
-    if lineage is not None:
-        base, rows = lineage
-        if rows is None:
-            return CacheTag(base, None, None)
-        return CacheTag(base, rows_digest(rows), rows)
+    """Content identity of a column: its lineage when it has one, the
+    identity token of its carrier tensor otherwise."""
+    if column.lineage is not None:
+        return CacheTag(*column.lineage)
     token = identity_token(column.tensor)
-    if token is None:
-        return None
-    return CacheTag(token, None, None)
+    return None if token is None else CacheTag(token, None)
 
 
 _TAG_LOCK = threading.Lock()
@@ -199,39 +164,26 @@ _TAG_LOCK = threading.Lock()
 def tag_tensor(tensor, tag: CacheTag) -> None:
     """Attach a content tag to a tensor about to flow into user code.
 
-    Tags are refcounted: concurrent queries evaluating UDFs over the same
-    *shared* base-column tensor tag it with identical content identity, and
-    each invocation's cleanup must only release its own reference — a plain
-    set/del would let the first query to finish strip the tag out from
-    under another query mid-flight (silently disabling the encoder memo
-    for it).
+    Tags are refcounted: concurrent queries over one *shared* base-column
+    tensor tag it alike, and one query's cleanup must not strip the tag
+    from under another mid-flight (silently disabling its encoder memo).
     """
     with _TAG_LOCK:
-        try:
-            if getattr(tensor, "_cache_tag", None) is None:
-                tensor._cache_tag = tag
-                tensor._cache_tag_refs = 1
-            else:
-                tensor._cache_tag_refs = getattr(tensor, "_cache_tag_refs", 1) + 1
-        except AttributeError:
-            pass
+        tensor._cache_tag_refs = getattr(tensor, "_cache_tag_refs", 0) + 1
+        if tensor._cache_tag_refs == 1:
+            tensor._cache_tag = tag
 
 
 def untag_tensor(tensor) -> None:
     """Release one reference to a tensor's content tag (tags are scoped to
-    one cache-eligible UDF invocation — stale tags must not engage encoder
-    memos for callers that did not opt in)."""
+    one memoised UDF invocation: stale tags must not engage encoder memos
+    for callers that did not opt in)."""
     with _TAG_LOCK:
-        refs = getattr(tensor, "_cache_tag_refs", 1)
-        try:
-            if refs > 1:
-                tensor._cache_tag_refs = refs - 1
-            else:
-                del tensor._cache_tag
-                if hasattr(tensor, "_cache_tag_refs"):
-                    del tensor._cache_tag_refs
-        except AttributeError:
-            pass
+        refs = getattr(tensor, "_cache_tag_refs", 0) - 1
+        if refs > 0:
+            tensor._cache_tag_refs = refs
+        elif refs == 0:
+            del tensor._cache_tag, tensor._cache_tag_refs
 
 
 # ----------------------------------------------------------------------
@@ -264,10 +216,19 @@ class TensorCache:
         self.misses = 0
         self.gather_hits = 0
         self.rows_encoded = 0
+        self.rows_computed = 0
         self.inserts = 0
         self.evictions = 0
         self.state_hashes = 0
         self.state_reuses = 0
+
+    def admits(self, modules: Sequence = (), deterministic: bool = True) -> bool:
+        """Whether a call over ``modules`` may use this cache: never for a
+        deterministic=False UDF, a call recording gradients, or a module
+        left in ``train()`` mode (dropout may make it stochastic); and a
+        zero budget stores nothing."""
+        return (self.max_bytes > 0 and deterministic and not is_grad_enabled()
+                and not any(getattr(m, "training", False) for m in modules))
 
     # ------------------------------------------------------------------
     # Activation
@@ -360,6 +321,16 @@ class TensorCache:
             self._entries.move_to_end(key)
         return entry
 
+    def get(self, key: tuple):
+        """The value stored under ``key`` (a hit), or None (a miss)."""
+        with self._lock:
+            entry = self._touch(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            return entry.value
+
     def put(self, key: tuple, value, nbytes: int) -> None:
         nbytes = int(nbytes)
         if self.max_bytes <= 0 or nbytes > self.max_bytes:
@@ -395,6 +366,7 @@ class TensorCache:
                 "hits": self.hits, "misses": self.misses,
                 "gather_hits": self.gather_hits, "inserts": self.inserts,
                 "rows_encoded": self.rows_encoded,
+                "rows_computed": self.rows_computed,
                 "evictions": self.evictions, "size": len(self._entries),
                 "bytes": self.current_bytes, "max_bytes": self.max_bytes,
                 "state_hashes": self.state_hashes,
@@ -402,158 +374,153 @@ class TensorCache:
             }
 
     # ------------------------------------------------------------------
-    # UDF output entries
+    # Row-keyed entries: UDF outputs and encoder outputs
     # ------------------------------------------------------------------
-    def udf_get(self, key: tuple, full_key: Optional[tuple],
-                rows: Optional[np.ndarray]) -> Optional[List[Column]]:
-        """Exact hit, or a row gather from a cached full-column entry.
-
-        The gather itself (a potentially large copy) happens after the lock
-        is released: entry values are immutable, so capturing the reference
-        under the lock is enough, and concurrent workers' lookups must not
-        serialize behind another worker's copy.
+    def lookup(self, key: tuple, rows: Optional[np.ndarray], n: int,
+               compute: Callable) -> EncodedTensor:
+        """The outputs of one row-wise function for ``n`` rows, row ``i``
+        being base row ``rows[i]`` (row ``i`` when None) of the base(s)
+        ``key`` names. ``compute(part)`` returns the :class:`EncodedTensor`
+        outputs of the rows ``part`` selects: None for all, a slice for one
+        run (a zero-copy view of the arguments), else an index array. It is
+        called once, on the rows the entry lacks; the answer is built from
+        the entry captured here plus those rows. Counts a hit when a whole
+        base is held in full, a gather hit when the entry answers otherwise
+        (with a copy of the rows asked for), and a miss when anything is
+        computed; computed rows count in ``rows_encoded`` for encoder
+        entries (kind ``"enc"``), else in ``rows_computed``.
         """
-        full_value = None
-        with self._lock:
-            entry = self._touch(key)
-            if entry is not None:
-                self.hits += 1
-                return entry.value
-            if full_key is not None and rows is not None:
-                full = self._touch(full_key)
-                if full is not None and full.value:
-                    n = full.value[0].num_rows
-                    if rows.size == 0 or int(rows.max()) < n:
-                        self.gather_hits += 1
-                        full_value = full.value
-            if full_value is None:
-                self.misses += 1
-        if full_value is not None:
-            return [col.take(rows) for col in full_value]
-        return None
-
-    def udf_put(self, key: tuple, columns: Sequence[Column]) -> None:
-        nbytes = sum(int(col.tensor.data.nbytes) for col in columns)
-        self.put(key, list(columns), nbytes)
-
-    # ------------------------------------------------------------------
-    # Encoder (embedding) entries
-    # ------------------------------------------------------------------
-    def encoded(self, model_token: int, model_fp: str, tag: CacheTag,
-                device: str, images: Tensor, encode) -> Tensor:
-        """``encode(images)``, running the encoder only on rows it has never
-        seen. ``tag`` names the base buffer and the base row behind each row
-        of ``images``; ``device`` is the input's device (parameterless
-        encoders follow it, so entries are per-device, like UDF-output keys).
-
-        One entry per ``(model, state, device, base)`` holds the embeddings
-        of the base rows seen so far. Rows it holds are gathered; the rest
-        are encoded in one call, and the answer is assembled from the entry
-        captured at lookup plus the fresh rows, so an eviction in between
-        cannot change it.
-        """
-        n = images.shape[0]
         if n == 0:
-            return encode(images)
-        rows = tag.rows if tag.rows is not None else np.arange(n)
-        key = ("enc", model_token, model_fp, device, tag.base)
+            return compute(None)
         with self._lock:
             entry = self._touch(key)
-        # Entry values are replaced, never written (copy-on-write in
-        # _fill_encoded), so a captured reference stays valid outside the
-        # lock, and other workers' lookups do not serialize behind this
-        # worker's gather.
+        # Entry values are replaced, never written (copy-on-write in _fill),
+        # so a captured reference stays valid outside the lock, and other
+        # workers' lookups do not serialize behind this worker's gather.
         stored = entry.value if entry is not None else None
-        pos = stored.positions(rows) if stored is not None else np.full(n, -1)
-        missing = np.flatnonzero(pos < 0)
-        if missing.size == 0:
-            whole = tag.rows is None and stored.rows.size == n
+        if stored is not None and rows is None and stored.rows.size == n:
             with self._lock:
-                if whole:
-                    self.hits += 1
-                else:
+                self.hits += 1
+            return stored.value
+        if rows is None:
+            rows = np.arange(n)
+        if stored is None:
+            missing = np.arange(n)
+        else:
+            pos, held = stored.positions(rows)
+            if np.count_nonzero(held) == n:
+                with self._lock:
                     self.gather_hits += 1
-            if whole:
-                return stored.value
-            return _tensor(stored.value.data[pos], stored.value)
+                return _take(stored.value, pos)
+            missing = np.flatnonzero(~held)
+        computed = missing.size
+        fresh = compute(None if computed == n else (_run(missing) or missing))
+        merged = _Rows.of(rows[missing], fresh)
+        if stored is not None:
+            merged = stored.merge(merged)
+        if merged is None:
+            # Outputs whose encodings cannot be concatenated replace the
+            # entry: the whole request is computed again under one encoding.
+            if computed < n:
+                computed += n
+                fresh = compute(None)
+            merged = _Rows.of(rows, fresh)
+        elif computed < n:
+            fresh = _take(merged.value, merged.positions(rows)[0])
         with self._lock:
             self.misses += 1
-            self.rows_encoded += int(missing.size)
-        fresh = encode(images if missing.size == n
-                       else ops.getitem(images, missing)).detach()
-        if missing.size == n:
-            out = fresh
-        else:
-            data = np.empty((n,) + fresh.shape[1:], dtype=fresh.dtype)
-            have = np.flatnonzero(pos >= 0)
-            data[have] = stored.value.data[pos[have]]
-            data[missing] = fresh.data
-            out = _tensor(data, fresh)
-        self._fill_encoded(key, _Embedded.of(rows, out))
-        return out
+            if key[0] == "enc":
+                self.rows_encoded += computed
+            else:
+                self.rows_computed += computed
+        self._fill(key, stored, merged, lambda: _Rows.of(rows, fresh))
+        return fresh
 
-    def _fill_encoded(self, key: tuple, exact: "_Embedded") -> None:
-        """Merge one lookup's rows into the entry under ``key``.
-
-        The merged value is built outside the lock from a captured entry and
-        stored only if that entry is still the live one; otherwise another
-        fill (or an eviction) got there first and the merge is redone. When
-        the merged entry would outgrow the whole budget, the older rows are
-        evicted and this lookup's rows alone are kept, so a repeat of it
-        still hits."""
+    def _fill(self, key: tuple, old: Optional["_Rows"], merged: "_Rows",
+              exact: Callable[[], "_Rows"]) -> None:
+        """Store ``merged`` (``old`` plus one lookup's rows) if ``old`` is
+        still the live entry under ``key``; else merge the lookup's rows,
+        ``exact()``, into the live one, outside the lock, and retry. An entry
+        that would outgrow the whole budget keeps the lookup's rows alone,
+        so a repeat of that lookup still hits."""
         while True:
-            with self._lock:
-                entry = self._entries.get(key)
-            old = entry.value if entry is not None else None
-            merged = exact if old is None else old.merge(exact)
+            alone = (exact() if old is not None and merged.nbytes > self.max_bytes
+                     else None)
             with self._lock:
                 live = self._entries.get(key)
-                if (live.value if live is not None else None) is not old:
-                    continue
-                if merged.nbytes > self.max_bytes and old is not None:
-                    del self._entries[key]
-                    self.current_bytes -= live.nbytes
-                    self.evictions += 1
-                    merged = exact
-                self.put(key, merged, merged.nbytes)
-                return
+                current = live.value if live is not None else None
+                if current is old:
+                    if alone is not None:
+                        del self._entries[key]
+                        self.current_bytes -= live.nbytes
+                        self.evictions += 1
+                        merged = alone
+                    self.put(key, merged, merged.nbytes)
+                    return
+            old = current
+            merged = exact() if old is None else (old.merge(exact()) or exact())
+
+    def encoded(self, model, tag: CacheTag, images: Tensor, encode) -> Tensor:
+        """``encode(images)`` through ``model``'s encoder entry for the base
+        ``tag`` names: the encoder runs only on rows it has never embedded.
+        Entries are per device (parameterless encoders follow their input)."""
+        key = ("enc", identity_token(model), self.model_state_fp(model),
+               str(images.device), tag.base)
+        n = images.shape[0]
+
+        def compute(part) -> EncodedTensor:
+            rows = images if part is None else ops.getitem(images, part)
+            return EncodedTensor(encode(rows).detach(), PlainEncoding())
+
+        return self.lookup(key, tag.rows, n, compute).tensor
 
 
-def _tensor(data: np.ndarray, like: Tensor) -> Tensor:
-    return Tensor(data, device=like.device, dtype=data.dtype)
-
-
-class _Embedded:
-    """Encoder outputs for some rows of one base: ``value[i]`` is the
-    embedding of base row ``rows[i]``; ``rows`` is sorted and unique, and
-    only rows that were encoded are stored (and charged)."""
+class _Rows:
+    """One entry: ``value`` row ``i`` is the output for base row
+    ``rows[i]``. ``rows`` is sorted and unique, and only rows that were
+    computed are stored (and charged)."""
 
     __slots__ = ("rows", "value", "nbytes")
 
-    def __init__(self, rows: np.ndarray, value: Tensor):
+    def __init__(self, rows: np.ndarray, value: EncodedTensor):
         self.rows = rows
         self.value = value
-        self.nbytes = int(rows.nbytes) + int(value.data.nbytes)
+        self.nbytes = int(rows.nbytes) + int(value.tensor.data.nbytes)
 
     @classmethod
-    def of(cls, rows: np.ndarray, value: Tensor) -> "_Embedded":
-        """The entry holding ``value[i]`` for base row ``rows[i]``."""
+    def of(cls, rows: np.ndarray, value: EncodedTensor) -> "_Rows":
+        """The entry holding ``value`` row ``i`` for base row ``rows[i]``."""
         keys, first = np.unique(rows, return_index=True)
-        return cls(keys, _tensor(value.data[first], value))
+        return cls(keys, _take(value, first))
 
-    def positions(self, rows: np.ndarray) -> np.ndarray:
-        """Index into ``value`` of each base row, -1 where it is absent."""
-        pos = np.searchsorted(self.rows, rows)
-        inside = pos < self.rows.size
-        found = np.zeros(rows.shape, dtype=bool)
-        found[inside] = self.rows[pos[inside]] == rows[inside]
-        return np.where(found, pos, -1)
+    def positions(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Index into ``value`` of each base row, and whether it is held
+        (where it is not, the index is meaningless)."""
+        pos = self.rows.searchsorted(rows)
+        return pos, self.rows.take(pos, mode="clip") == rows
 
-    def merge(self, other: "_Embedded") -> "_Embedded":
-        keys = np.concatenate([self.rows, other.rows])
-        data = np.concatenate([self.value.data, other.value.data])
-        keys, first = np.unique(keys, return_index=True)
-        return _Embedded(keys, _tensor(data[first], self.value))
+    def merge(self, other: "_Rows") -> Optional["_Rows"]:
+        """Both entries' rows in one, or None when their encodings cannot
+        be concatenated (:func:`repro.storage.column.concat_encoded`)."""
+        value = concat_encoded([self.value, other.value])
+        if value is None:
+            return None
+        return _Rows.of(np.concatenate([self.rows, other.rows]), value)
+
+
+def _take(value: EncodedTensor, index) -> EncodedTensor:
+    tensor = value.tensor
+    data = tensor.data[index]
+    return EncodedTensor(Tensor(data, device=tensor.device, dtype=data.dtype),
+                         value.encoding)
+
+
+def _run(index: np.ndarray) -> Optional[slice]:
+    """``index`` as a slice when it is one increasing run, else None."""
+    start, stop = int(index[0]), int(index[-1]) + 1
+    if stop - start == index.size and (np.diff(index) == 1).all():
+        return slice(start, stop)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -563,78 +530,51 @@ def install_encoder_memo(model) -> None:
     """Wrap a model's encoder entry points with active-cache-aware memos.
 
     ``encode_image`` memoises on the input tensor's content tag;
-    ``encode_text`` memoises on the literal text tuple (query strings are
-    tiny and recur across statements — SELECT lists repeating one query, the
-    vector index's probe encoding, repeated session calls). Both wrappers
-    are transparent: they defer to the original method whenever no cache is
-    active, gradients are being recorded, or the model is in training mode.
+    ``encode_text`` on the literal text tuple (query strings are tiny and
+    recur across statements and index probes). Both defer to the original
+    method whenever the cache does not admit the call (:func:`entered`).
     Installed once per model (idempotent) when a *deterministic* UDF
     carrying the model is registered.
     """
-    _install_image_memo(model)
-    _install_text_memo(model)
+    for name, memo in (("encode_image", _image_memo), ("encode_text", _text_memo)):
+        orig = getattr(model, name, None)
+        if orig is not None and getattr(orig, "__tdp_encoder_orig__", None) is None:
+            wrapped = memo(model, orig)
+            wrapped.__tdp_encoder_orig__ = orig
+            setattr(model, name, wrapped)
 
 
-def _install_image_memo(model) -> None:
-    current = getattr(model, "encode_image", None)
-    if current is None or getattr(current, "__tdp_encoder_orig__", None) is not None:
-        return
-    orig = current
-
+def _image_memo(model, orig):
     def encode_image(images):
-        cache = _ACTIVE.get()
-        if cache is not None and cache.max_bytes <= 0:
-            cache = None
-        if (cache is None or is_grad_enabled()
-                or getattr(model, "training", False)):
-            return orig(images)
+        cache = entered([model])
         tag = getattr(images, "_cache_tag", None)
-        if tag is None:
+        if cache is None or tag is None:
             return orig(images)
-        return cache.encoded(identity_token(model), cache.model_state_fp(model),
-                             tag, str(images.device), images, orig)
+        return cache.encoded(model, tag, images, orig)
 
-    encode_image.__tdp_encoder_orig__ = orig
-    model.encode_image = encode_image
+    return encode_image
 
 
-def _install_text_memo(model) -> None:
-    current = getattr(model, "encode_text", None)
-    if current is None or getattr(current, "__tdp_encoder_orig__", None) is not None:
-        return
-    orig = current
-
-    def _forward(texts, device):
-        # Preserve the wrapped model's call shape: most test/user encoders
-        # are ``encode_text(texts)`` with no device parameter, so the kwarg
-        # is only forwarded when the caller actually supplied one.
-        if device is None:
-            return orig(texts)
-        return orig(texts, device=device)
+def _text_memo(model, orig):
+    def forward(texts, device):
+        # Most encoders are ``encode_text(texts)`` with no device
+        # parameter: forward the kwarg only when the caller supplied one.
+        return orig(texts) if device is None else orig(texts, device=device)
 
     def encode_text(texts, device=None):
-        cache = _ACTIVE.get()
-        if cache is not None and cache.max_bytes <= 0:
-            cache = None
-        if (cache is None or is_grad_enabled()
-                or getattr(model, "training", False)):
-            return _forward(texts, device)
+        cache = entered([model])
         try:
             text_key = tuple(texts)
         except TypeError:
-            return _forward(texts, device)
-        token = identity_token(model)
-        key = ("text", token, cache.model_state_fp(model), text_key,
-               str(device))
-        with cache._lock:
-            entry = cache._touch(key)
-            if entry is not None:
-                cache.hits += 1
-                return entry.value
-            cache.misses += 1
-        out = _forward(texts, device)
-        cache.put(key, out.detach(), out.detach().data.nbytes)
+            cache = None
+        if cache is None:
+            return forward(texts, device)
+        key = ("text", identity_token(model), cache.model_state_fp(model),
+               text_key, str(device))
+        out = cache.get(key)
+        if out is None:
+            out = forward(texts, device).detach()
+            cache.put(key, out, out.data.nbytes)
         return out
 
-    encode_text.__tdp_encoder_orig__ = orig
-    model.encode_text = encode_text
+    return encode_text

@@ -120,8 +120,9 @@ def freeze_buffer(array: np.ndarray) -> None:
         array = array.base
 
 
-def concat_encoded(columns: Sequence["Column"]) -> Optional[EncodedTensor]:
-    """Concatenate column pieces row-wise into one :class:`EncodedTensor`.
+def concat_encoded(columns: Sequence) -> Optional[EncodedTensor]:
+    """Concatenate column pieces (or encoded tensors) row-wise into one
+    :class:`EncodedTensor`.
 
     Stateless encodings (plain) may differ by object; stateful ones
     (dictionary/probability) must be the *same object* for their codes to
@@ -129,7 +130,8 @@ def concat_encoded(columns: Sequence["Column"]) -> Optional[EncodedTensor]:
     (e.g. per-shard ``UPPER(...)`` outputs or string-literal broadcasts)
     are instead decoded and re-encoded over the union, which preserves the
     logical values exactly. Returns None only when no sound combination
-    exists. The shard stitcher's one concatenation rule.
+    exists. The one concatenation rule of the shard stitcher and of the
+    tensor cache's entry merges.
     """
     encoding = columns[0].encoding
     compatible = all(
@@ -249,18 +251,28 @@ class Column:
         return self.encoded.decode()
 
     def take(self, indices) -> "Column":
-        """Row-gather preserving the encoding (differentiable for float data)."""
-        idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
+        """Row-gather preserving the encoding (differentiable for float
+        data). A slice gives a zero-copy view of a contiguous row range;
+        both record the base rows they hold as lineage."""
+        if isinstance(indices, slice):
+            idx = indices
+        else:
+            idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
         gathered = ops.getitem(self.tensor, idx)
         lineage = None
-        if idx.ndim == 1 and idx.dtype.kind in "iu":
+        if isinstance(idx, slice) or (idx.ndim == 1 and idx.dtype.kind in "iu"):
             base = self.lineage
             if base is None:
                 token = identity_token(self.tensor)
                 base = (token, None) if token is not None else None
             if base is not None:
                 base_token, base_rows = base
-                rows = idx if base_rows is None else base_rows[idx]
+                if base_rows is not None:
+                    rows = base_rows[idx]
+                elif isinstance(idx, slice):
+                    rows = np.arange(*idx.indices(self.num_rows))
+                else:
+                    rows = idx
                 lineage = (base_token, rows)
         return Column(self.name, EncodedTensor(gathered, self.encoding), lineage)
 
@@ -270,8 +282,8 @@ class Column:
         The shard driver slices every scan column this way: a contiguous
         slice of a C-contiguous carrier is a numpy view (``take`` with the
         equivalent ``arange`` would gather a copy per shard). No lineage is
-        recorded: lineage only keys UDF cache entries, and no UDF runs on
-        a shard.
+        recorded: lineage only keys tensor-cache entries, no UDF runs on a
+        shard, and a shard's row numbers would cost an array per column.
         """
         sliced = ops.getitem(self.tensor, slice(start, stop))
         return Column(self.name, EncodedTensor(sliced, self.encoding))

@@ -250,14 +250,17 @@ class TestCacheConcurrency:
         _run_threads(6, worker)
         stats = session.tensor_cache.stats
         lookups = stats["hits"] + stats["misses"] + stats["gather_hits"]
-        assert lookups >= 60      # every run consulted the cache exactly once
+        assert lookups == 60      # every run consulted the cache exactly once
+        assert stats["misses"] >= 1
+        # Each miss computed the whole 64-row column, and nothing else did.
+        assert stats["rows_computed"] == 64 * stats["misses"]
         assert stats["bytes"] <= stats["max_bytes"]
 
     def test_tags_are_refcounted_across_sharers(self):
         """One query's cleanup must not strip another query's in-flight tag
         on a shared base-column tensor."""
         tensor = Tensor(np.zeros(3, dtype=np.float32))
-        tag = tc.CacheTag(5, None, None)
+        tag = tc.CacheTag(5, None)
         tc.tag_tensor(tensor, tag)      # query A
         tc.tag_tensor(tensor, tag)      # query B (same shared tensor)
         tc.untag_tensor(tensor)         # A finishes first

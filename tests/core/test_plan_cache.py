@@ -201,6 +201,41 @@ class TestPlanCachePolicy:
         assert session.plan_cache.stats["hits"] == 0
 
 
+class TestPlanCacheBound:
+    """The cache driven to its ``maxsize``: it never holds more, evicts in
+    LRU order, and evicted statements recompile to the same answers."""
+
+    STATEMENTS = [f"SELECT k, SUM(v) FROM t WHERE v > {i} GROUP BY k ORDER BY k"
+                  for i in range(6)]
+
+    def test_six_statements_through_four_slots(self):
+        session = Session(plan_cache_size=4)
+        session.sql.register_dict({"k": np.arange(50) % 5,
+                                   "v": np.arange(50, dtype=np.float32)}, "t")
+        plans = [session.sql.query(sql) for sql in self.STATEMENTS[:4]]
+        assert session.sql.query(self.STATEMENTS[0]) is plans[0]   # re-touched
+        for sql in self.STATEMENTS[4:]:
+            session.sql.query(sql)
+        stats = session.plan_cache.stats
+        assert (stats["size"], stats["evictions"], stats["maxsize"]) == (4, 2, 4)
+        assert session.sql.query(self.STATEMENTS[0]) is plans[0]   # survived
+        assert session.sql.query(self.STATEMENTS[1]) is not plans[1]
+        assert session.plan_cache.stats["evictions"] == 3
+
+    def test_results_stay_correct_after_eviction(self, loaded_session):
+        session = Session(plan_cache_size=2)
+        session.sql.register_dict({"k": np.arange(50) % 5,
+                                   "v": np.arange(50, dtype=np.float32)}, "t")
+        for sql in self.STATEMENTS * 2:
+            got = session.sql.query(sql).run(toPandas=True)
+            want = loaded_session.sql.query(
+                sql, extra_config={"plan_cache": False}).run(toPandas=True)
+            assert got.equals(want)
+        stats = session.plan_cache.stats
+        assert stats["size"] == 2 and stats["evictions"] == 10
+        assert stats["hits"] == 0
+
+
 class TestScanResolution:
     @pytest.mark.parametrize("device", ["cpu", "cuda"])
     def test_scans_resolve_fresh_every_run(self, loaded_session, device):

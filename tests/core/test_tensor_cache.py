@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core.session import Session
-from repro.core.tensor_cache import CacheTag, TensorCache, state_fingerprint
+from repro.core.tensor_cache import TensorCache, state_fingerprint
 from repro.storage.column import buffer_lineage
+from repro.storage.encodings import EncodedTensor, PlainEncoding
 from repro.storage.frame import DataFrame
 from repro.tcr import nn, ops
 from repro.tcr.tensor import Tensor
@@ -90,6 +91,11 @@ class TestUdfOutputCache:
         assert sum(calls) == n                   # gathered, not recomputed
         assert filtered["s"].tolist() == full["s"].tolist()[:3]
         assert session.tensor_cache.stats["gather_hits"] >= 1
+        scattered = session.sql.query(
+            "SELECT probe(x) AS s FROM t WHERE k = 1 OR k > 5").run(toPandas=True)
+        assert scattered["s"].tolist() == [full["s"][i] for i in (1, 6, 7)]
+        assert sum(calls) == n
+        assert session.tensor_cache.stats["rows_computed"] == n
 
     def test_config_flag_disables_cache(self, session):
         n = _register_numbers(session)
@@ -307,6 +313,66 @@ class TestEmbeddingSharing:
         assert sum(encoded_rows) == 24           # f_rand always re-encodes
 
 
+class TestUdfRowDeltas:
+    """UDF entries are kept per base and filled row by row, like encoder
+    entries: a UDF over a registered row range computes only the rows its
+    entry lacks."""
+
+    SQL = "SELECT probe(x) AS y FROM t"
+    OFF = {"tensor_cache": False}
+
+    @staticmethod
+    def _register(session, view):
+        session.sql.register_dict({"x": view}, "t")
+
+    def _run(self, session, config=None):
+        return np.asarray(session.sql.query(self.SQL, extra_config=config).run().column("y"))
+
+    def test_appended_rows_are_the_only_rows_computed(self, session):
+        buf = np.arange(600, dtype=np.float32)
+        calls = _counting_probe(session)
+        self._register(session, buf[:400])
+        results = [self._run(session)]
+        assert calls == [400]
+        self._register(session, buf[:420])
+        results.append(self._run(session))
+        assert calls == [400, 20]                # the 20 appended rows
+        assert session.tensor_cache.stats["rows_computed"] == 420
+        self._register(session, buf[100:200])
+        results.append(self._run(session))
+        results.append(self._run(session))       # a repeated statement
+        assert calls == [400, 20]                # both gathered
+        assert session.tensor_cache.stats["rows_computed"] == 420
+        for view, got in zip([buf[:400], buf[:420], buf[100:200], buf[100:200]],
+                             results):
+            self._register(session, view)
+            np.testing.assert_array_equal(got, self._run(session, self.OFF))
+
+    def test_column_arguments_over_different_row_sets_go_uncached(self, session):
+        left = np.arange(100, dtype=np.float32)
+        right = np.arange(100, dtype=np.float32) * 10
+        calls = []
+
+        @session.udf("float", name="pair")
+        def pair(x, z):
+            calls.append(x.shape[0])
+            return x + z
+
+        sql = "SELECT pair(x, z) AS y FROM t"
+
+        def run(x, z, config=None):
+            session.sql.register_dict({"x": x, "z": z}, "t")
+            return np.asarray(session.sql.query(sql, extra_config=config).run().column("y"))
+
+        shifted = [run(left[:50], right[10:60]) for _ in range(2)]
+        assert calls == [50, 50]                 # rows 0..49 and 10..59
+        aligned = [run(left[:50], right[:50]) for _ in range(2)]
+        assert calls == [50, 50, 50]             # one row set: memoised
+        np.testing.assert_array_equal(shifted[1], run(left[:50], right[10:60], self.OFF))
+        np.testing.assert_array_equal(aligned[1], run(left[:50], right[:50], self.OFF))
+        np.testing.assert_array_equal(shifted[0], left[:50] + right[10:60])
+
+
 class TestRegisteredBuffers:
     """Registration stores numpy arrays without copying and freezes their
     buffer, so an in-place write can never be served stale UDF results."""
@@ -452,6 +518,21 @@ class TestDeltaEncoding:
         np.testing.assert_allclose(grown, self._scores(session, "q", off), atol=1e-5)
         np.testing.assert_allclose(grown, _reference(buf[:60], "q", self.W), atol=1e-5)
 
+    def test_udf_delta_rows_carry_lineage_to_the_encoder(self, rng):
+        """A UDF computing only its missing rows passes them as a view that
+        keeps their base rows, so the encoder memo inside it gathers."""
+        buf = rng.normal(size=(60, 8)).astype(np.float32)
+        session, encoded_rows = self._session(buf)
+        self._register(session, buf)
+        self._scores(session, "q")               # embeds all 60 rows
+        self._register(session, buf[:40])
+        self._scores(session, "qq")
+        self._register(session, buf)
+        grown = self._scores(session, "qq")      # computes rows 40..59
+        assert encoded_rows == [60]
+        assert session.tensor_cache.stats["rows_computed"] == 60 + 40 + 20
+        np.testing.assert_allclose(grown, _reference(buf, "qq", self.W), atol=1e-5)
+
     def test_index_build_over_the_buffer_serves_later_views(self, rng):
         buf = rng.normal(size=(64, 8)).astype(np.float32)
         session, encoded_rows = self._session(buf)
@@ -491,8 +572,8 @@ class TestDeltaEncoding:
             return x
 
         def lookup(base, rows):
-            return cache.encoded(1, "fp", CacheTag(base, "r", np.arange(rows)),
-                                 "cpu", Tensor(images.data[:rows]), encode)
+            return _encode_rows(cache, base, np.arange(rows),
+                                Tensor(images.data[:rows]), encode)
 
         lookup(1, 5)
         lookup(2, 5)
@@ -517,8 +598,7 @@ class TestDeltaEncoding:
             return Tensor(x.data * 2)
 
         def lookup(rows):
-            return cache.encoded(1, "fp", CacheTag(7, "r", rows), "cpu",
-                                 Tensor(base[rows]), encode)
+            return _encode_rows(cache, 7, rows, Tensor(base[rows]), encode)
 
         tail, head = np.arange(990, 1000), np.arange(0, 10)
         lookup(tail)
@@ -540,8 +620,7 @@ class TestDeltaEncoding:
 
         def lookup(stop, encode):
             rows = np.arange(stop)
-            return cache.encoded(1, "fp", CacheTag(7, "r", rows), "cpu",
-                                 Tensor(images[:stop]), encode)
+            return _encode_rows(cache, 7, rows, Tensor(images[:stop]), encode)
 
         lookup(5, lambda x: Tensor(x.data * 2))
 
@@ -556,8 +635,7 @@ class TestDeltaEncoding:
     def test_empty_input_stores_nothing(self):
         cache = TensorCache()
         empty = Tensor(np.zeros((0, 4), dtype=np.float32))
-        out = cache.encoded(1, "fp", CacheTag(7, "r", np.arange(0)), "cpu",
-                            empty, lambda x: x * 2)
+        out = _encode_rows(cache, 7, np.arange(0), empty, lambda x: x * 2)
         assert out.shape == (0, 4)
         assert len(cache) == 0 and cache.stats["rows_encoded"] == 0
 
@@ -575,8 +653,7 @@ class TestDeltaEncoding:
 
         def lookup(start, stop):
             rows = np.arange(start, stop)
-            return cache.encoded(1, "fp", CacheTag(7, "r", rows), "cpu",
-                                 Tensor(images[start:stop]), encode)
+            return _encode_rows(cache, 7, rows, Tensor(images[start:stop]), encode)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -702,6 +779,17 @@ class TestModelState:
         model.bias.data[0] += 1.0
         assert cache.model_state_fp(model) == state_fingerprint([model]) != fp
         assert cache.stats["state_hashes"] == 2
+
+
+def _encode_rows(cache, base, rows, images, encode):
+    """``encode(images)`` through the cache's one lookup method, as an
+    encoder entry of ``base`` whose row ``i`` is base row ``rows[i]``."""
+    def compute(part):
+        x = images if part is None else ops.getitem(images, part)
+        return EncodedTensor(encode(x), PlainEncoding())
+
+    key = ("enc", 1, "fp", "cpu", base)
+    return cache.lookup(key, rows, images.shape[0], compute).tensor
 
 
 def _reference(rows, text, weights):

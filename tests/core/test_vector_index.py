@@ -229,6 +229,52 @@ class TestIndexedExecution:
         assert entry.build_count == 2
         assert session.indexes.status(entry) == "ready"
 
+    def test_in_place_weight_write_rebuilds(self):
+        """The entry records its model's weight fingerprint: an in-place
+        write to the weights makes it stale, and the next probe rebuilds
+        the cells from the new embeddings instead of probing old ones."""
+
+        class Projected(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.w = nn.Parameter(np.eye(8, dtype=np.float32))
+
+            def encode_image(self, images: Tensor) -> Tensor:
+                return ops.matmul(images, self.w)
+
+            def encode_text(self, texts) -> Tensor:
+                return Tensor(np.eye(8, dtype=np.float32)[[0] * len(texts)])
+
+        session = Session()
+        rng = np.random.default_rng(0)
+        clusters = np.repeat(np.eye(8, dtype=np.float32) * 4, 25, axis=0)
+        corpus = clusters + rng.normal(scale=0.05, size=(200, 8)).astype(np.float32)
+        session.sql.register_dict({"id": np.arange(200), "emb": corpus}, "vecs")
+        model = Projected()
+
+        @session.udf("float", name="vec_sim", modules=[model], ann="inner_product")
+        def vec_sim(query: str, emb: Tensor) -> Tensor:
+            text = model.encode_text([query]).reshape(-1, 1)
+            return ops.matmul(model.encode_image(emb), text).reshape(-1)
+
+        # seed=1: k-means puts each of the eight clusters in a cell of its
+        # own, so a fresh index answers nprobe=1 exactly.
+        session.sql.query("CREATE VECTOR INDEX vidx ON vecs(emb) "
+                          "WITH (cells=8, nprobe=1, seed=1)").run()
+        statement = TOPK_SQL.format(q="q", k=5)
+        before = _ids(session.sql.query(statement).run())
+        assert before == _ids(session.sql.query(statement, extra_config=EXACT).run())
+        entry = session.indexes.lookup("vidx")
+        assert entry.build_count == 1 and session.indexes.status(entry) == "ready"
+
+        model.w.data[...] = np.eye(8, dtype=np.float32)[[1, 0, 2, 3, 4, 5, 6, 7]]
+        assert session.indexes.status(entry) == "stale"
+        exact = _ids(session.sql.query(statement, extra_config=EXACT).run())
+        assert set(exact) <= set(range(25, 50))  # the swap made cluster 1 best
+        assert _ids(session.sql.query(statement).run()) == exact
+        assert entry.build_count == 2
+        assert session.indexes.status(entry) == "ready"
+
     def test_sparse_cells_escalate_to_full_k(self, vec_session):
         """nprobe=1 over many small cells still returns k rows (escalation)."""
         session, _, _ = vec_session

@@ -22,8 +22,8 @@ from typing import Iterator, List, Set, Tuple
 ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
     "src", "repro")
-PACKAGES = ("core", "sql", "storage", "apps", "baselines", "bench",
-            "serve.py", "errors.py")
+PACKAGES = ("core", "sql", "storage", "tcr", "ml", "datasets", "apps",
+            "baselines", "bench", "serve.py", "errors.py")
 
 
 def functions(path: str) -> List[Tuple[int, str]]:
