@@ -11,7 +11,7 @@ Nothing here walks an expression tree.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Union
+from typing import Callable, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -29,6 +29,24 @@ from repro.tcr.tensor import Tensor
 class Scalar:
     """A plan-time constant (broadcasts against columns)."""
     value: object
+
+
+class Gather(NamedTuple):
+    """A stored column under a selection, not yet gathered: how a UDF
+    argument reaches the call site inside a row-filtered stage. The memo
+    keys on the rows behind the selection (``Column.take_lineage``), so a
+    call the tensor cache answers gathers only the rows its entry lacks.
+    Never escapes the call site: every other use gathers it eagerly."""
+
+    column: Column
+    indices: np.ndarray
+    gathered: Callable[[], Column]      # the eager gather (a CSE slot)
+
+    def take(self, part) -> Column:
+        """The selected rows ``part`` picks (None: all of them)."""
+        if part is None:
+            return self.gathered()
+        return self.column.take(self.indices[part])
 
 
 Value = Union[Column, Scalar]
@@ -79,21 +97,26 @@ class ExpressionEvaluator:
     def _eval_BColumn(self, expr: b.BColumn) -> Column:
         return self._stored(expr.index)
 
+    def argument(self, expr: b.BColumn, read: Callable) -> Union[Column, Gather]:
+        """A stored column as a UDF argument; ``read`` is its ordinary
+        (CSE-slotted) read. Only a row-filtered context defers it."""
+        return read(self)
+
     def _eval_BCall(self, expr: b.BCall, values: List[Value]) -> Column:
         udf = expr.udf
         cache = tc.entered(udf.modules, getattr(udf, "deterministic", True))
         memo = _memo_key(udf, values, self, cache) if cache is not None else None
         if memo is None:
-            return self._invoke(udf, values, tagged=False)
+            return self._invoke(udf, [_rows(v, None) for v in values], tagged=False)
         key, rows = memo
         computed = []
 
         def compute(part) -> EncodedTensor:
-            # The rows the entry lacks: a slice takes zero-copy views that
-            # carry lineage, so encoder memos inside the UDF still gather.
+            # The rows the entry lacks: a slice of a stored column takes
+            # zero-copy views, and every part carries lineage, so encoder
+            # memos inside the UDF still gather.
             computed.append(part)
-            taken = values if part is None else [
-                v if isinstance(v, Scalar) else v.take(part) for v in values]
+            taken = [_rows(v, part) for v in values]
             return self._invoke(udf, taken, tagged=True).encoded
 
         encoded = cache.lookup(key, rows, self.num_rows, compute)
@@ -149,6 +172,15 @@ def broadcast_rows(data: np.ndarray, num_rows: int) -> np.ndarray:
     if data.shape[0] == num_rows:
         return data
     return np.full((num_rows,) + data.shape[1:], data[0], dtype=data.dtype)
+
+
+def _rows(value, part):
+    """The rows ``part`` picks of one evaluated UDF argument (None: all)."""
+    if isinstance(value, Gather):
+        return value.take(part)
+    if part is None or isinstance(value, Scalar):
+        return value
+    return value.take(part)
 
 
 def udf_arguments(udf, values: List[Value]) -> List[object]:
@@ -248,7 +280,8 @@ def _memo_key(udf, values, evaluator, cache):
     when the call goes uncached: no column argument, one without content
     identity, column arguments over different row sets, or an unhashable
     constant. ``rows`` are the base rows behind the call's rows (None:
-    every row of the base, in order)."""
+    every row of the base, in order); a :class:`Gather` argument names
+    them without gathering."""
     key = ["udf", udf.name.lower(), getattr(udf, "version", 0),
            cache.udf_state_fp(udf), str(evaluator.device)]
     tags = []
@@ -256,7 +289,11 @@ def _memo_key(udf, values, evaluator, cache):
         if isinstance(value, Scalar):
             key.append(("s", type(value.value).__name__, value.value))
             continue
-        tag = tc.column_tag(value)
+        if isinstance(value, Gather):
+            lineage = value.column.take_lineage(value.indices)
+            tag = None if lineage is None else tc.CacheTag(*lineage)
+        else:
+            tag = tc.column_tag(value)
         if tag is None:
             return None
         tags.append(tag)

@@ -316,8 +316,17 @@ class ExprCompiler:
     def _lower_BCall(self, expr: b.BCall):
         # The context owns invocation, device re-homing and the
         # materialization-cache protocol.
-        args = [self.value(arg) for arg in expr.args]
+        args = [self._argument(arg) for arg in expr.args]
         return lambda ctx: ctx._eval_BCall(expr, [arg(ctx) for arg in args])
+
+    def _argument(self, expr: b.BoundExpr) -> Callable:
+        """A UDF argument. A stored column goes through ``ctx.argument``,
+        which under a selection hands the call site its lineage instead of
+        its gathered rows (:class:`~repro.core.expr_eval.Gather`)."""
+        if type(expr) is not b.BColumn:
+            return self.value(expr)
+        read = self.lower(expr)
+        return lambda ctx: ctx.argument(expr, read)
 
     # -- operators ------------------------------------------------------
     def _lower_BBinary(self, expr: b.BBinary):

@@ -7,13 +7,18 @@
    rebuilding lazily if the base table changed since the last build;
 2. embeds the query text with the model behind the similarity UDF and
    probes ``nprobe`` IVF cells (exact scoring inside probed cells);
-3. gathers the candidate rows, post-filters them with any residual WHERE
-   conjuncts (over-fetching first, escalating to a full probe when too few
-   survive), and
+3. post-filters the candidate ids with any residual WHERE conjuncts
+   (over-fetching first, escalating to a full probe when too few
+   survive), evaluating the residual over the candidates as a selection
+   of the table (``PipelineExec.mask(table, ids)``), and
 4. re-ranks/projects *exactly*: the final projection — including the
    similarity expression itself — is evaluated by the ordinary
-   ``PipelineExec`` over just the chosen rows, so the emitted scores are
-   bit-identical to the unindexed plan's.
+   ``PipelineExec`` over the chosen rows of the table
+   (``PipelineExec.rows``), so the emitted scores are bit-identical to the
+   unindexed plan's. Neither step copies the table's rows: a column is
+   gathered only when an expression reads it, and a similarity UDF's
+   image argument reaches the tensor cache as row lineage, so a warm
+   probe gathers no image at all.
 
 When the index cannot serve the query at run time (entry dropped, model
 mismatch, embedding failure) the operator degrades to the exact
@@ -113,13 +118,13 @@ class IndexScanExec(Operator):
                 ids, _ = index.search(query_vec, n, nprobe=index.num_lists)
                 ids = self._apply_residual(relation, ids)
         chosen = ids[self.offset:want]
-        return self.project(Relation(relation.table.take(chosen)))
+        return self.project.rows(relation.table, chosen)
 
     def _apply_residual(self, relation: Relation, ids: np.ndarray) -> np.ndarray:
         """Keep candidate ids (already score-ordered) passing the residual."""
         if ids.size == 0:
             return ids
-        return ids[self.exact_filter.mask(relation.table.take(ids))]
+        return ids[self.exact_filter.mask(relation.table, ids)]
 
     def _exact(self, relation: Relation) -> Relation:
         """Unindexed fallback: Filter -> exact TopK by sim_expr -> Project."""

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.expr_eval import ExpressionEvaluator
+from repro.core.expr_eval import ExpressionEvaluator, Gather
 from repro.core.kernels.compiler import ExprCompiler
 from repro.core.operators.base import Operator, Relation
 from repro.core.telemetry import annotate
@@ -34,7 +34,12 @@ class _GatherEvaluator(ExpressionEvaluator):
 
     Columns are gathered through the selection indices lazily (each at most
     once: column reads are CSE slots) — the stage never materialises
-    columns its outputs do not read.
+    columns its outputs do not read. A stored column read as a UDF argument
+    stays lineage (:class:`~repro.core.expr_eval.Gather`): when the tensor
+    cache admits the call it keys on the base rows behind the selection
+    and gathers only the rows its entry lacks; otherwise the column is
+    gathered like any other read. Outputs are materialised at the stage
+    boundary, so no deferred column leaves the stage.
     """
 
     def __init__(self, table: Table, indices: np.ndarray):
@@ -44,6 +49,9 @@ class _GatherEvaluator(ExpressionEvaluator):
 
     def _eval_BColumn(self, expr: b.BColumn):
         return self._stored(expr.index).take(self.indices)
+
+    def argument(self, expr: b.BColumn, read) -> Gather:
+        return Gather(self._stored(expr.index), self.indices, lambda: read(self))
 
 
 class PipelineExec(Operator):
@@ -68,26 +76,37 @@ class PipelineExec(Operator):
             lowering.column(expr, name) for expr, name in zip(exprs, names)]
         self._register_expr_udfs(self.predicates + list(exprs or []))
 
-    def mask(self, table: Table) -> np.ndarray:
-        """The AND of the conjunct masks over ``table`` (needs a conjunct)."""
-        ctx = ExpressionEvaluator(table)
+    @staticmethod
+    def _context(table: Table, indices: Optional[np.ndarray]) -> ExpressionEvaluator:
+        if indices is None:
+            return ExpressionEvaluator(table)
+        return _GatherEvaluator(table, indices)
+
+    def mask(self, table: Table, indices: Optional[np.ndarray] = None) -> np.ndarray:
+        """The AND of the conjunct masks over ``table``, or over its rows
+        ``indices`` (needs a conjunct)."""
+        ctx = self._context(table, indices)
         mask = self._masks[0](ctx)
         for fn in self._masks[1:]:
             mask = mask & fn(ctx)
         return mask
 
+    def rows(self, table: Table, indices: Optional[np.ndarray] = None) -> Relation:
+        """The outputs over ``table``'s rows ``indices`` (None: every row),
+        gathering only the columns they read (needs a projection)."""
+        ctx = self._context(table, indices)
+        columns = [fn(ctx) for fn in self._outputs]
+        return Relation(Table(table.name, columns))
+
     def forward(self, relation: Relation) -> Relation:
         annotate(path=self.body)
         table = relation.table
-        if self._masks:
-            indices = np.flatnonzero(self.mask(table))
-            if self._outputs is None:
-                return Relation(table.take(indices))
-            ctx = _GatherEvaluator(table, indices)
-        else:
-            ctx = ExpressionEvaluator(table)
-        columns = [fn(ctx) for fn in self._outputs]
-        return Relation(Table(table.name, columns))
+        if not self._masks:
+            return self.rows(table)
+        indices = np.flatnonzero(self.mask(table))
+        if self._outputs is None:
+            return Relation(table.take(indices))
+        return self.rows(table, indices)
 
     def describe(self) -> str:
         conjuncts = " AND ".join(str(p) for p in self.predicates)

@@ -32,7 +32,10 @@ them in one row-keyed memo, :class:`TensorCache`: a bytes-budgeted LRU
   ``Column.take`` records ``(base token, row indices)`` lineage. Stale
   entries are never hit; they age out of the LRU. In-place weight mutation
   is caught by the weight fingerprint, re-hashed only when the weights
-  differ bitwise from the snapshot kept (as an entry) beside it.
+  differ bitwise from the snapshot kept (as an entry) beside it: one
+  comparison of raw bytes per array, plus its name, dtype and shape. No
+  write counter stands in for it, since ``param.data[...] = x`` would
+  bypass one.
 
 The bypass rule lives in :meth:`TensorCache.admits`: deterministic=False
 UDFs, grad-enabled calls and models in ``train()`` mode never enter, and
@@ -102,7 +105,9 @@ def _state_arrays(module) -> List[Tuple[str, np.ndarray]]:
 def _digest(arrays: Sequence[Tuple[str, np.ndarray]]) -> str:
     h = hashlib.blake2b(digest_size=16)
     for name, array in arrays:
-        h.update(name.encode())
+        # dtype and shape too: a same-bytes view or reshape computes
+        # something else.
+        h.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
         h.update(array)
     return h.hexdigest() if arrays else "stateless"
 
@@ -120,33 +125,26 @@ def state_fingerprint(modules: Sequence[object]) -> str:
     return _digest([pair for module in modules for pair in _state_arrays(module)])
 
 
-def _bits(array: np.ndarray) -> np.ndarray:
-    """``array``'s bytes as unsigned integers of its item width: comparing
-    these is a bitwise comparison, so a NaN weight equals itself."""
-    flat = array.reshape(-1)
-    width = array.dtype.itemsize
-    return flat.view(f"u{width}") if width in (1, 2, 4, 8) else flat.view(np.uint8)
-
-
 class _StateSnapshot:
-    """A bitwise copy of one module's weights beside their fingerprint."""
+    """A bitwise copy of one module's weights beside their fingerprint:
+    each array's name, dtype, shape and raw bytes."""
 
     __slots__ = ("fp", "arrays", "nbytes")
 
     def __init__(self, fp: str, arrays: Sequence[Tuple[str, np.ndarray]]):
         self.fp = fp
-        self.arrays = [(name, array.copy()) for name, array in arrays]
-        self.nbytes = sum(int(array.nbytes) for _, array in arrays)
+        self.arrays = [(name, array.dtype, array.shape, array.tobytes())
+                       for name, array in arrays]
+        self.nbytes = sum(len(raw) for *_, raw in self.arrays)
 
     def matches(self, arrays: Sequence[Tuple[str, np.ndarray]]) -> bool:
-        if len(arrays) != len(self.arrays):
-            return False
-        for (name, now), (was_name, was) in zip(arrays, self.arrays):
-            if (name != was_name or now.dtype != was.dtype
-                    or now.shape != was.shape
-                    or not np.array_equal(_bits(now), _bits(was))):
-                return False
-        return True
+        """Whether ``arrays`` hold the snapshot's bits. Comparing raw
+        bytes is one memcmp per array: a NaN weight equals itself, and
+        ``-0.0`` differs from ``0.0``."""
+        return len(arrays) == len(self.arrays) and all(
+            name == was_name and now.dtype == dtype and now.shape == shape
+            and now.tobytes() == raw
+            for (name, now), (was_name, dtype, shape, raw) in zip(arrays, self.arrays))
 
 
 def column_tag(column: Column) -> Optional[CacheTag]:

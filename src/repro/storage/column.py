@@ -259,22 +259,30 @@ class Column:
         else:
             idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
         gathered = ops.getitem(self.tensor, idx)
-        lineage = None
-        if isinstance(idx, slice) or (idx.ndim == 1 and idx.dtype.kind in "iu"):
-            base = self.lineage
-            if base is None:
-                token = identity_token(self.tensor)
-                base = (token, None) if token is not None else None
-            if base is not None:
-                base_token, base_rows = base
-                if base_rows is not None:
-                    rows = base_rows[idx]
-                elif isinstance(idx, slice):
-                    rows = np.arange(*idx.indices(self.num_rows))
-                else:
-                    rows = idx
-                lineage = (base_token, rows)
-        return Column(self.name, EncodedTensor(gathered, self.encoding), lineage)
+        return Column(self.name, EncodedTensor(gathered, self.encoding),
+                      self.take_lineage(idx))
+
+    def take_lineage(self, idx) -> Optional[Tuple[int, np.ndarray]]:
+        """The lineage ``take(idx)`` records, without gathering: this
+        column's base token and the base rows behind ``idx`` (a slice or
+        a 1-d integer ndarray; None for any other index, or when the
+        column has no content identity)."""
+        if not (isinstance(idx, slice) or (idx.ndim == 1 and idx.dtype.kind in "iu")):
+            return None
+        base = self.lineage
+        if base is None:
+            token = identity_token(self.tensor)
+            if token is None:
+                return None
+            base = (token, None)
+        base_token, base_rows = base
+        if base_rows is not None:
+            rows = base_rows[idx]
+        elif isinstance(idx, slice):
+            rows = np.arange(*idx.indices(self.num_rows))
+        else:
+            rows = idx
+        return base_token, rows
 
     def slice_rows(self, start: int, stop: int) -> "Column":
         """Contiguous row range ``[start, stop)`` as a zero-copy view.

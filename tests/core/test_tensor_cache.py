@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.session import Session
 from repro.core.tensor_cache import TensorCache, state_fingerprint
-from repro.storage.column import buffer_lineage
+from repro.storage.column import Column, buffer_lineage
 from repro.storage.encodings import EncodedTensor, PlainEncoding
 from repro.storage.frame import DataFrame
 from repro.tcr import nn, ops
@@ -373,6 +373,106 @@ class TestUdfRowDeltas:
         np.testing.assert_array_equal(shifted[0], left[:50] + right[10:60])
 
 
+class TestSelectedUdfArguments:
+    """A stored column under a selection reaches the UDF call site as row
+    lineage: the memo gathers only the rows its entry lacks, and a call
+    the cache does not admit gathers the column eagerly, as any read."""
+
+    SQL = "SELECT id, probe(img) AS s FROM t WHERE id < {n}"
+
+    @staticmethod
+    def _images(session, monkeypatch, n=64):
+        """Register ``t(id, img)`` with ``(n, 2, 2)`` images; the returned
+        list records the row count of every gather from the stored images."""
+        images = np.arange(n * 4, dtype=np.float32).reshape(n, 2, 2)
+        session.sql.register_dict({"id": np.arange(n), "img": images}, "t")
+        stored = session.catalog.get("t").column("img").tensor
+        gathered = []
+        take = Column.take
+
+        def spy(column, indices):
+            if column.tensor is stored:
+                rows = (range(column.num_rows)[indices]
+                        if isinstance(indices, slice) else np.asarray(indices))
+                gathered.append(len(rows))
+            return take(column, indices)
+
+        monkeypatch.setattr(Column, "take", spy)
+        return images, gathered
+
+    def test_a_wider_selection_gathers_only_the_rows_it_adds(self, session, monkeypatch):
+        images, gathered = self._images(session, monkeypatch)
+        calls = []
+
+        @session.udf("float", name="probe")
+        def probe(img):
+            calls.append(img.shape[0])
+            return ops.sum(img.reshape(img.shape[0], -1), dim=1)
+
+        session.sql.query(self.SQL.format(n=20)).run()
+        assert calls == [20] and gathered == [20]
+        got = session.sql.query(self.SQL.format(n=50)).run()
+        assert calls == [20, 30] and gathered == [20, 30]
+        again = session.sql.query(self.SQL.format(n=50)).run()
+        assert calls == [20, 30] and gathered == [20, 30]    # nothing at all
+        off = session.sql.query(self.SQL.format(n=50),
+                                extra_config={"tensor_cache": False}).run()
+        expected = images[:50].reshape(50, -1).sum(axis=1)
+        for result in (got, again, off):
+            assert result.column("id").tolist() == list(range(50))
+            np.testing.assert_array_equal(result.column("s"), expected)
+
+    def test_lineage_composes_across_a_stage_break(self, session, monkeypatch):
+        """The UDF conjunct starts a second stage over the first stage's
+        gathered rows: its argument's tag composes both selections."""
+        images, _ = self._images(session, monkeypatch)
+        calls = []
+
+        @session.udf("float", name="probe")
+        def probe(img):
+            calls.append(img.shape[0])
+            return ops.sum(img.reshape(img.shape[0], -1), dim=1)
+
+        session.sql.query("SELECT probe(img) AS s FROM t").run()
+        sql = "SELECT id, probe(img) AS s FROM t WHERE id >= 10 AND probe(img) > 500"
+        assert "Pipeline[kernel]([(id >= 10)] -> *)" in session.sql.query(sql).explain()
+        got = session.sql.query(sql).run()
+        assert calls == [64]                     # both stages gathered
+        off = session.sql.query(sql, extra_config={"tensor_cache": False}).run()
+        sums = images.reshape(64, -1).sum(axis=1)
+        keep = (np.arange(64) >= 10) & (sums > 500)
+        for result in (got, off):
+            assert result.column("id").tolist() == np.flatnonzero(keep).tolist()
+            np.testing.assert_array_equal(result.column("s"), sums[keep])
+
+    @pytest.mark.parametrize("case", ["nondeterministic", "train_mode", "trainable"])
+    def test_calls_the_cache_does_not_admit_gather_eagerly(self, session, monkeypatch,
+                                                           case):
+        images, gathered = self._images(session, monkeypatch)
+        model = nn.Linear(4, 1)
+        calls = []
+
+        @session.udf("float", name="scored", modules=[model],
+                     deterministic=case != "nondeterministic")
+        def scored(img):
+            calls.append(img.shape[0])
+            return model(img.reshape(img.shape[0], -1)).reshape(-1)
+
+        query = session.sql.query(
+            "SELECT scored(img) AS s FROM t WHERE id >= 40",
+            extra_config={"trainable": True} if case == "trainable" else None)
+        if case == "train_mode":
+            model.train()          # after compiling, which sets eval mode
+        results = [query.run() for _ in range(2)]
+        assert calls == [24, 24] and gathered == [24, 24]
+        expected = (images[40:].reshape(24, -1) @ model.weight.data.T
+                    + model.bias.data).reshape(-1)
+        for result in results:
+            values = result.data if case == "trainable" else result.column("s")
+            np.testing.assert_allclose(values, expected, rtol=1e-6)
+        assert len(session.tensor_cache) == 0
+
+
 class TestRegisteredBuffers:
     """Registration stores numpy arrays without copying and freezes their
     buffer, so an in-place write can never be served stale UDF results."""
@@ -718,6 +818,73 @@ class TestModelState:
         after = session.tensor_cache.stats
         assert after["state_hashes"] == 1
         assert after["state_reuses"] == stats["state_reuses"] + 1
+
+    def test_negative_zero_weight_rehashes(self, session):
+        model = self._scored(session)
+        model.bias.data[...] = 0.0
+        self._run(session)
+        self._run(session)
+        stats = session.tensor_cache.stats
+        assert (stats["state_hashes"], stats["state_reuses"]) == (1, 1)
+        model.bias.data[...] = -0.0              # equal as floats, not as bits
+        self._run(session)
+        assert session.tensor_cache.stats["state_hashes"] == 2
+
+    def test_views_reshapes_and_copies(self):
+        """A dtype view of the same bytes and a reshape are other weights;
+        a copy of the same bits is the same weights."""
+        cache = TensorCache()
+        model = nn.Linear(2, 2)
+        fps = [cache.model_state_fp(model)]
+        model.weight.data = model.weight.data.view(np.int32)
+        fps.append(cache.model_state_fp(model))
+        model.weight.data = model.weight.data.reshape(1, 4)
+        fps.append(cache.model_state_fp(model))
+        assert len(set(fps)) == 3
+        assert cache.stats["state_hashes"] == 3
+        model.weight.data = model.weight.data.copy()
+        assert cache.model_state_fp(model) == fps[-1]
+        assert cache.stats["state_hashes"] == 3
+        assert cache.stats["state_reuses"] == 1
+
+    def test_in_place_row_write_rehashes_and_stales_the_index(self, session, rng):
+        class Tower(nn.Module):
+            def __init__(self):
+                super().__init__()
+                self.w = nn.Parameter(np.eye(4, dtype=np.float32))
+
+            def encode_image(self, images):
+                return ops.matmul(images, self.w)
+
+            def encode_text(self, texts):
+                return Tensor(np.eye(4, dtype=np.float32)[[0] * len(texts)])
+
+        model = Tower()
+        session.sql.register_dict(
+            {"id": np.arange(32), "emb": rng.normal(size=(32, 4)).astype(np.float32)},
+            "vecs")
+
+        @session.udf("float", name="sim", modules=[model], ann="inner_product")
+        def sim(query, emb):
+            text = model.encode_text([query]).reshape(-1, 1)
+            return ops.matmul(model.encode_image(emb), text).reshape(-1)
+
+        session.sql.query(
+            "CREATE VECTOR INDEX vidx ON vecs(emb) WITH (cells=2, nprobe=2)").run()
+        sql = "SELECT id, sim('q', emb) AS score FROM vecs ORDER BY score DESC LIMIT 3"
+        session.sql.query(sql).run()
+        entry = session.indexes.lookup("vidx")
+        assert session.indexes.status(entry) == "ready"
+        hashes = session.tensor_cache.stats["state_hashes"]
+        model.w.data[0] += 1
+        assert session.indexes.status(entry) == "stale"
+        assert session.tensor_cache.stats["state_hashes"] == hashes + 1
+        exact = {"disable_rules": ("vector_index",)}
+        got = session.sql.query(sql).run()
+        want = session.sql.query(sql, extra_config=exact).run()
+        assert got.column("id").tolist() == want.column("id").tolist()
+        np.testing.assert_array_equal(got.column("score"), want.column("score"))
+        assert entry.build_count == 2
 
     def test_fifty_statements_over_an_unchanged_model_hash_once(self, session):
         model = self._scored(session)

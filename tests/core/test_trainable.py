@@ -437,7 +437,9 @@ class TestTrainablePipelineGradient:
             np.testing.assert_allclose(param.grad, expected, rtol=1e-2, atol=1e-3)
 
     def test_gradcheck_through_filter_project_stage(self):
-        """mask → index vector → gather → evaluate, in one stage."""
+        """mask → index vector → gather → evaluate, in one stage. The UDF's
+        argument is under the selection; a trainable compile never enters
+        the tensor cache, so it is gathered eagerly and differentiably."""
         session, model = self._scored_session()
         query = session.spark.query(
             "SELECT score(x) * x AS v FROM t WHERE x > 0",

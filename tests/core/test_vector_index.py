@@ -6,6 +6,7 @@ import pytest
 from repro.errors import BindError, CatalogError
 from repro.core.index import IVFFlatIndex
 from repro.core.session import Session
+from repro.storage.column import Column
 from repro.tcr import nn, ops
 from repro.tcr.tensor import Tensor
 
@@ -349,6 +350,88 @@ class TestIndexedExecution:
         queries = _unit(np.random.default_rng(5).normal(size=(8, 8))).astype(np.float32)
         assert index.recall_at_k(queries, corpus, k=10, nprobe=8) == 1.0
         assert index.recall_at_k(queries, corpus, k=10, nprobe=4) >= 0.5
+
+
+class ImageTower(ToyTwoTower):
+    """ToyTwoTower over ``(n, 2, 2, 2)`` image rows: an image embeds as
+    its flattened pixels."""
+
+    def encode_image(self, images: Tensor) -> Tensor:
+        return images.reshape(images.shape[0], -1)
+
+    def similarity(self, query: str, images: Tensor) -> Tensor:
+        return super().similarity(query, self.encode_image(images))
+
+
+IMAGE_TOPK = ("SELECT id, img_sim('{q}', img) AS score FROM imgs{where} "
+              "ORDER BY score DESC LIMIT {k}")
+
+
+class TestWarmImageTopK:
+    """A warm indexed top-k over an image column answers from the tensor
+    cache through row lineage: no image row is gathered."""
+
+    @pytest.fixture
+    def images(self, rng, monkeypatch):
+        session = Session()
+        corpus = _unit(rng.normal(size=(64, 8))).astype(np.float32)
+        model = ImageTower({"q0": corpus[0], "probe": _unit(rng.normal(size=8))})
+        session.sql.register_dict(
+            {"id": np.arange(64), "img": corpus.reshape(64, 2, 2, 2)}, "imgs")
+
+        @session.udf("float", name="img_sim", modules=[model], ann="inner_product")
+        def img_sim(query: str, img: Tensor) -> Tensor:
+            return model.similarity(query, img)
+
+        session.sql.query(
+            "CREATE VECTOR INDEX iidx ON imgs(img) WITH (cells=4, nprobe=4)").run()
+        stored = session.catalog.get("imgs").column("img").tensor
+        gathered = []
+        take, getitem = Column.take, ops.getitem
+
+        def spy_take(column, indices):
+            if column.tensor is stored:
+                rows = (range(column.num_rows)[indices]
+                        if isinstance(indices, slice) else np.asarray(indices))
+                gathered.append(len(rows))
+            return take(column, indices)
+
+        def spy_getitem(tensor, index):
+            if tensor is stored:
+                gathered.append(("getitem", index))
+            return getitem(tensor, index)
+
+        monkeypatch.setattr(Column, "take", spy_take)
+        monkeypatch.setattr(ops, "getitem", spy_getitem)
+        return session, gathered
+
+    @staticmethod
+    def _run(session, config=None, **parts):
+        sql = IMAGE_TOPK.format(**{"where": "", **parts})
+        result = session.sql.query(sql, extra_config=config).run()
+        return _ids(result), np.asarray(result.column("score"))
+
+    def test_warm_top_k_gathers_no_image_row(self, images):
+        session, gathered = images
+        cold = self._run(session, q="q0", k=5)
+        assert "IndexScan" in session.sql.query(
+            IMAGE_TOPK.format(q="q0", k=5, where="")).explain()
+        del gathered[:]
+        warm = self._run(session, q="q0", k=5)
+        assert gathered == []
+        off = self._run(session, {"tensor_cache": False}, q="q0", k=5)
+        assert warm[0] == cold[0] == off[0]
+        np.testing.assert_array_equal(warm[1], off[1])
+        np.testing.assert_array_equal(cold[1], off[1])
+
+    def test_residual_top_k_equals_the_exact_plan(self, images):
+        session, gathered = images
+        for where in (" WHERE id < 20", " WHERE img_sim('probe', img) > 0"):
+            for _ in range(2):          # cold, then warm
+                got = self._run(session, q="q0", k=5, where=where)
+                want = self._run(session, EXACT, q="q0", k=5, where=where)
+                assert got[0] == want[0] and len(got[0]) == 5
+                np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestKMeansReseeding:

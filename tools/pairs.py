@@ -12,24 +12,31 @@ result file in the output directory (``A-W-i.json`` for the parent,
 ``B-W-i.json`` for the change).
 
 Printed per workload and end-to-end metric: each side's median with its
-quartiles, B/A of the medians, in how many pairs the change was better, and
-whether the medians differ by more than the parent's interquartile range.
-Then ``compare.py`` of the change checkout judges all files against the
-bounds of ``BENCHMARK.json``; a workload left out of ``--workloads`` prints
-there as missing. Exit status 1 when a run failed, else 0.
+quartiles, B/A of the medians, in how many pairs the change was better,
+whether the medians differ by more than the parent's interquartile range,
+and the verdict of ``judge`` from the change checkout's
+``benchmarks/e2e/compare.py`` under the bounds of its ``BENCHMARK.json``
+(``ok``, ``unresolved`` or ``regression``). A row also reads ``gain`` when
+the change was better in at least nine pairs of ten and its median beyond
+the parent's interquartile range: what a claimed gain must show. Then one
+``fail_ratio`` row per workload: any increase is a regression. Only the
+workloads named in ``--workloads`` are judged. Exit status 1 when a run
+failed or a row is a regression, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
 import subprocess
 import sys
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 SIDES = ("A", "B")
+GAIN_WINS = 0.9          # share of pairs the change must win for a gain
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -71,7 +78,24 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarise(workload: str, metric: dict, runs: Dict[str, List[dict]]) -> str:
+def load_compare(checkout: str):
+    """``benchmarks/e2e/compare.py`` of ``checkout`` as a module (it imports
+    ``harness`` from its own directory)."""
+    directory = os.path.join(checkout, "benchmarks", "e2e")
+    spec = importlib.util.spec_from_file_location(
+        "bench_compare", os.path.join(directory, "compare.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, directory)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(directory)
+    return module
+
+
+def summarise(workload: str, metric: dict, runs: Dict[str, List[dict]],
+              judge: Callable) -> Tuple[str, str]:
+    """One metric's summary line and its bound verdict."""
     values = {side: [data["workloads"][workload]["end_to_end"][metric["name"]]["value"]
                      for data in runs[side]] for side in SIDES}
     (a1, a, a3), (b1, b, b3) = quartiles(values["A"]), quartiles(values["B"])
@@ -79,11 +103,26 @@ def summarise(workload: str, metric: dict, runs: Dict[str, List[dict]]) -> str:
     wins = sum((vb < va) if lower else (vb > va)
                for va, vb in zip(values["A"], values["B"]))
     clear = abs(b - a) > a3 - a1
+    verdict = judge(metric, values["A"], values["B"])["verdict"]
+    gain = clear and wins >= GAIN_WINS * len(values["A"]) and ((b < a) == lower)
     return (f"{workload:14s} {metric['name']:12s} "
             f"A {a:10.4f} [{a1:.4f}, {a3:.4f}]  B {b:10.4f} [{b1:.4f}, {b3:.4f}]  "
             f"B/A {b / a:6.3f}  wins {wins}/{len(values['A'])}  "
             f"{'beyond' if clear else 'within'} A's IQR  ({metric['unit']}, "
-            f"{metric['better']} is better)")
+            f"{metric['better']} is better)  bound {metric['bound']:.2f}: "
+            f"{verdict}{' gain' if gain else ''}"), verdict
+
+
+def fail_ratio(workload: str, runs: Dict[str, List[dict]],
+               values_of: Callable) -> Tuple[str, str]:
+    """The median share of failed operations on each side, and its verdict."""
+    ratios = [values_of(runs[side], workload, "fail_ratio") for side in SIDES]
+    if not all(ratios):
+        return f"{workload:14s} {'fail_ratio':12s} not recorded", "ok"
+    a, b = (statistics.median(values) for values in ratios)
+    verdict = "regression" if b > a else "ok"
+    return (f"{workload:14s} {'fail_ratio':12s} A {a:10.6f}  B {b:10.6f}  "
+            f"any increase: {verdict}"), verdict
 
 
 def main(argv=None) -> int:
@@ -107,6 +146,7 @@ def main(argv=None) -> int:
 
     with open(os.path.join(checkouts["B"], "BENCHMARK.json")) as handle:
         contract = json.load(handle)
+    compare = load_compare(checkouts["B"])
     for workload in workloads:
         if any(len(files[workload][side]) != options.pairs for side in SIDES):
             print(f"{workload:14s} incomplete: a run failed, no summary")
@@ -117,15 +157,13 @@ def main(argv=None) -> int:
             for path in files[workload][side]:
                 with open(path) as handle:
                     runs[side].append(json.load(handle))
-        for metric in contract["end_to_end"]:
-            print(summarise(workload, metric, runs))
-
-    sets = [",".join(path for w in workloads for path in files[w][side]) for side in SIDES]
-    if all(sets):
-        compare = os.path.join(checkouts["B"], "benchmarks", "e2e", "compare.py")
-        sys.stdout.flush()
-        done = subprocess.run([sys.executable, compare, *sets])
-        print(f"# compare.py exit {done.returncode}")
+        rows = [summarise(workload, metric, runs, compare.judge)
+                for metric in contract["end_to_end"]]
+        rows.append(fail_ratio(workload, runs, compare.values_of))
+        for line, verdict in rows:
+            print(line)
+            if verdict == "regression":
+                status = 1
     return status
 
 
