@@ -156,15 +156,17 @@ class CompiledQuery(Module):
 
     def _execute(self, toPandas: bool):
         if self.training and self.config.trainable:
-            relation = self.forward()
+            table = self.forward().table
         else:
+            # A root under a selection gathers here, inside the scope, so
+            # nothing lazy outlives the run.
             with no_grad(), self._materialization_scope():
-                relation = self.forward()
+                table = self.forward().table
         if toPandas:
-            return relation.table.to_frame()
+            return table.to_frame()
         if self.config.trainable and self.training:
-            return self._trainable_output(relation)
-        return QueryResult(relation.table)
+            return self._trainable_output(table)
+        return QueryResult(table)
 
     def _observe_run(self, seconds: float, trace) -> None:
         session = self.session
@@ -207,6 +209,7 @@ class CompiledQuery(Module):
                 inner = self
             with no_grad(), inner._materialization_scope():
                 relation = inner.forward()
+                relation.table          # the result gather is part of the run
         seconds = time.perf_counter() - start
         self._last_trace = trace
         if self.session is not None:
@@ -239,8 +242,8 @@ class CompiledQuery(Module):
             return contextlib.nullcontext()
         return cache.activate()
 
-    def _trainable_output(self, relation: Relation) -> Tensor:
-        columns = relation.table.columns
+    def _trainable_output(self, table: Table) -> Tensor:
+        columns = table.columns
         if self.aggregate_outputs:
             tensors = [columns[i].tensor for i in self.aggregate_outputs]
         else:

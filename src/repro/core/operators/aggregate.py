@@ -4,8 +4,19 @@ Group identity comes from :func:`key_ids`, which reads the integer codes the
 key columns already carry (sorted-dictionary codes, bools, small integer
 ranges) and pays one 1-d ``np.unique`` only for a column that carries none —
 TQP's data representation, where operators run on small integers. COUNT,
-SUM and AVG are then ``np.bincount`` over the ids; MIN/MAX, and integer SUMs
-float64 could round, reduce segments of one stable sort of the id vector.
+SUM and AVG are then ``np.bincount`` over the ids (one per distinct input:
+``SUM(x)`` and ``AVG(x)`` share it); MIN/MAX, and integer SUMs float64
+could round, reduce segments of one stable sort of the id vector.
+
+A GROUP BY whose input arrives under a selection (a filter stage below it,
+``Relation.selection``) folds the selection into its ids instead of
+gathering the kept rows: keys and inputs are evaluated over the whole
+table, every dropped row takes one trash id past the key domain, and that
+group is cut from every result. It applies when the selection keeps at
+least ``FOLD_MIN_KEPT`` of the rows and every key and input is element-wise
+arithmetic over stored columns (:func:`_foldable`); otherwise the rows are
+gathered as ``relation.table``. Kept rows give the same bits either way:
+evaluation is element-wise and ``np.bincount`` accumulates in row order.
 """
 
 from __future__ import annotations
@@ -15,10 +26,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.core.expr_eval import ExpressionEvaluator
-from repro.core.kernels.compiler import ExprCompiler
+from repro.core.expr_eval import ExpressionEvaluator, _structural_key
+from repro.core.kernels.compiler import NUMPY, ExprCompiler
 from repro.core.operators.base import Operator, Relation
 from repro.core.telemetry import annotate
+from repro.sql import bound as b
 from repro.sql.bound import AggSpec, BoundExpr
 from repro.storage.column import Column
 from repro.storage.encodings import (
@@ -35,6 +47,15 @@ from repro.tcr import ops
 DENSE_FACTOR = 4
 _INT64_LIMIT = 2 ** 63
 _FLOAT64_EXACT = 2 ** 53
+# A GROUP BY folds a selection that keeps at least this share of its input's
+# rows. Folding evaluates keys and inputs over every row and bins the
+# dropped ones into the trash id; gathering copies each column it reads for
+# the kept rows, then evaluates those. Measured on TPC-H Q1 (400k rows, six
+# columns read, float32, one thread), gather/fold time, paired in one
+# process: 0.18 at 5% of rows kept, 0.36 at 25%, 0.59 at 50%, 0.80-0.82 at
+# 70%, 0.87-0.93 at 75%, 1.10-1.16 at 78%, 1.14-1.23 at 80%, 1.36 at 90%
+# and 1.47-1.51 at 98.7%. Folding wins only from about 78% on.
+FOLD_MIN_KEPT = 0.8
 
 
 # ----------------------------------------------------------------------
@@ -111,39 +132,58 @@ def key_ids(keys: Sequence) -> Tuple[np.ndarray, int]:
 
 
 class _Groups:
-    """The groups of one batch, in id (= key) order."""
+    """The groups of one batch, in id (= key) order.
 
-    def __init__(self, keys: Sequence):
+    With ``selection`` (row indices), every other row takes the trash id
+    ``domain``: it is binned like any id, and no result reports it.
+    """
+
+    def __init__(self, keys: Sequence, selection: Optional[np.ndarray] = None):
         self.ids, self.domain = key_ids(keys)
+        if selection is not None:
+            dropped = np.ones(len(self.ids), dtype=bool)
+            dropped[selection] = False
+            # A new array: ``key_ids`` may return a stored column's codes.
+            self.ids = np.where(dropped, self.domain, self.ids)
         counts = np.bincount(self.ids, minlength=self.domain)
-        self.slots = np.flatnonzero(counts)         # the ids that occur
+        self.slots = np.flatnonzero(counts[:self.domain])   # the ids that occur
         self.lengths = counts[self.slots]
         self._order = None
+        self._totals = {}
 
     def __len__(self) -> int:
         return len(self.slots)
 
-    def total(self, values: np.ndarray) -> np.ndarray:
-        """Per-group float64 sums, accumulated in row order."""
-        sums = np.bincount(self.ids, weights=values, minlength=self.domain)
-        return sums[self.slots]
+    def total(self, values: np.ndarray, key=None) -> np.ndarray:
+        """Per-group float64 sums, accumulated in row order. Calls with one
+        ``key`` (the input's structural key; None: not shared) share one
+        bincount."""
+        sums = self._totals.get(key) if key is not None else None
+        if sums is None:
+            sums = np.bincount(self.ids, weights=values, minlength=self.domain)
+            sums = sums[self.slots]
+            if key is not None:
+                self._totals[key] = sums
+        return sums
 
     def reduce(self, ufunc, values: np.ndarray) -> np.ndarray:
-        """``ufunc`` over each group's rows, in row order (one stable sort)."""
+        """``ufunc`` over each group's rows, in row order (one stable sort;
+        the trash rows sort last and are cut)."""
         if self._order is None:
-            self._order = np.argsort(self.ids, kind="stable")
+            order = np.argsort(self.ids, kind="stable")
+            self._order = order[:int(self.lengths.sum())]
         starts = np.cumsum(self.lengths) - self.lengths
         return ufunc.reduceat(values[self._order], starts, axis=0)
 
     def first_rows(self) -> np.ndarray:
         """Each group's first row: its representative."""
-        first = np.full(self.domain, len(self.ids), dtype=np.int64)
+        first = np.full(self.domain + 1, len(self.ids), dtype=np.int64)
         np.minimum.at(first, self.ids, np.arange(len(self.ids)))
         return first[self.slots]
 
     def index(self) -> np.ndarray:
-        """Each row's group position."""
-        position = np.zeros(self.domain, dtype=np.int64)
+        """Each row's group position (trash rows: ``len(self)``)."""
+        position = np.full(self.domain + 1, len(self.slots), dtype=np.int64)
         position[self.slots] = np.arange(len(self.slots))
         return position[self.ids]
 
@@ -157,11 +197,11 @@ def _sum_dtype(data: np.ndarray) -> np.dtype:
     return np.add.reduce(data[:0], axis=0).dtype
 
 
-def _sum(groups: _Groups, data: np.ndarray) -> np.ndarray:
+def _sum(groups: _Groups, data: np.ndarray, key) -> np.ndarray:
     """Per-group SUM in :func:`_sum_dtype`; integer sums stay exact."""
     dtype = _sum_dtype(data)
     if data.ndim == 1 and (dtype.kind == "f" or _float64_exact(data)):
-        return groups.total(data).astype(dtype)
+        return groups.total(data, key).astype(dtype)
     return groups.reduce(np.add, data.astype(dtype, copy=False))
 
 
@@ -180,7 +220,7 @@ def _distinct_counts(groups: _Groups, values: np.ndarray) -> np.ndarray:
     _, codes = np.unique(values, return_inverse=True)
     width = int(codes.max()) + 1
     pairs = np.unique(groups.index() * width + codes.reshape(-1))
-    return np.bincount(pairs // width, minlength=len(groups))
+    return np.bincount(pairs // width, minlength=len(groups) + 1)[:len(groups)]
 
 
 def _distinct_codes(column: Column) -> np.ndarray:
@@ -197,17 +237,18 @@ def _arg_data(spec: AggSpec, arg: Optional[Column]) -> np.ndarray:
 
 
 def _grouped_values(spec: AggSpec, arg: Optional[Column],
-                    groups: _Groups) -> np.ndarray:
-    """One aggregate's result per group, in group order."""
+                    groups: _Groups, key) -> np.ndarray:
+    """One aggregate's result per group, in group order (``key``: the
+    input's structural key, which shares sums between SUM and AVG)."""
     if spec.func == "COUNT":
         if spec.distinct:
             return _distinct_counts(groups, _distinct_codes(arg))
         return groups.lengths
     data = _arg_data(spec, arg)
     if spec.func == "SUM":
-        return _sum(groups, data)
+        return _sum(groups, data, key)
     if spec.func == "AVG":
-        return (groups.total(data) / groups.lengths).astype(np.float32)
+        return (groups.total(data, key) / groups.lengths).astype(np.float32)
     return _extreme(spec.func, groups, data)
 
 
@@ -236,6 +277,19 @@ def _group_output_column(column: Column, row_indices: np.ndarray, name: str) -> 
 # ----------------------------------------------------------------------
 # Operators
 # ----------------------------------------------------------------------
+def _foldable(expr: BoundExpr) -> bool:
+    """Can ``expr`` be evaluated over rows a WHERE dropped? Stored columns,
+    literals and ``+ - *`` or negation over them: element-wise, and they
+    neither raise nor call user code (no UDF, CAST, division or function)."""
+    kind = type(expr)
+    if kind is b.BBinary:
+        return expr.op in ("+", "-", "*") and _foldable(expr.left) \
+            and _foldable(expr.right)
+    if kind is b.BUnary:
+        return expr.op == "-" and _foldable(expr.operand)
+    return kind in (b.BColumn, b.BLiteral)
+
+
 class _AggregateBase(Operator):
     def __init__(self, group_exprs: List[BoundExpr], group_names: List[str],
                  aggregates: List[AggSpec], lowering: ExprCompiler):
@@ -250,9 +304,9 @@ class _AggregateBase(Operator):
                       for spec in aggregates]
         self._register_expr_udfs(group_exprs + [s.arg for s in aggregates if s.arg is not None])
 
-    def _evaluate_inputs(self, relation: Relation
+    def _evaluate_inputs(self, table: Table
                          ) -> Tuple[List[Column], List[Optional[Column]]]:
-        ctx = ExpressionEvaluator(relation.table)
+        ctx = ExpressionEvaluator(table)
         keys = [key(ctx) for key in self._keys]
         agg_inputs = [None if arg is None else arg(ctx) for arg in self._args]
         return keys, agg_inputs
@@ -261,28 +315,61 @@ class _AggregateBase(Operator):
 class GroupedAggregateExec(_AggregateBase):
     """Exact GROUP BY (and global) aggregation over :func:`key_ids`."""
 
+    def __init__(self, group_exprs: List[BoundExpr], group_names: List[str],
+                 aggregates: List[AggSpec], lowering: ExprCompiler):
+        super().__init__(group_exprs, group_names, aggregates, lowering)
+        self._totals = [None if spec.arg is None else _structural_key(spec.arg)
+                        for spec in aggregates]
+        inputs = group_exprs + [s.arg for s in aggregates if s.arg is not None]
+        # Why a selection below this GROUP BY cannot be folded (None: it can
+        # be, when it keeps enough rows).
+        self._no_fold = ("namespace" if lowering.xp is not NUMPY
+                         else None if all(map(_foldable, inputs))
+                         else "expression")
+
+    def _fold(self, relation: Relation) -> bool:
+        """Fold ``relation``'s selection into the group ids? Annotates the
+        choice (``access=fold|gather``) and why it gathers."""
+        if relation.selection is None:
+            return False            # nothing selected: the input is whole
+        why = self._no_fold
+        if why is None and relation.num_rows < FOLD_MIN_KEPT * relation.base.num_rows:
+            why = "selectivity"
+        if why is None:
+            annotate(access="fold")
+        else:
+            annotate(access="gather", why=why)
+        return why is None
+
     def forward(self, relation: Relation) -> Relation:
-        keys, agg_inputs = self._evaluate_inputs(relation)
-        n, device, table_name = (relation.num_rows, relation.device,
-                                 relation.table.name)
+        n, device = relation.num_rows, relation.device
+        if self._keys and self._fold(relation):
+            # Dropped rows are evaluated too: they must neither raise nor warn.
+            selection, table = relation.selection, relation.base
+            with np.errstate(all="ignore"):
+                keys, agg_inputs = self._evaluate_inputs(table)
+        else:
+            selection, table = None, relation.table
+            keys, agg_inputs = self._evaluate_inputs(table)
         if not keys:
             columns = [_global_agg_column(spec, arg, n, device)
                        for spec, arg in zip(self.aggregates, agg_inputs)]
-            return Relation(Table(table_name, columns))
-        pairs = zip(self.aggregates, agg_inputs)
+            return Relation(Table(table.name, columns))
+        pairs = zip(self.aggregates, agg_inputs, self._totals)
         if n == 0:
             rows, domain = np.zeros(0, dtype=np.int64), 0
-            values = [_empty_values(spec, arg) for spec, arg in pairs]
+            values = [_empty_values(spec, arg) for spec, arg, _ in pairs]
         else:
-            groups = _Groups(keys)
+            groups = _Groups(keys, selection)
             rows, domain = groups.first_rows(), groups.domain
-            values = [_grouped_values(spec, arg, groups) for spec, arg in pairs]
+            values = [_grouped_values(spec, arg, groups, key)
+                      for spec, arg, key in pairs]
         annotate(groups=len(rows), domain=domain)
         columns = [_group_output_column(key, rows, name)
                    for key, name in zip(keys, self.group_names)]
         columns += [Column.from_values(spec.name, value, device=device)
                     for spec, value in zip(self.aggregates, values)]
-        return Relation(Table(table_name, columns))
+        return Relation(Table(table.name, columns))
 
     def describe(self) -> str:
         return f"GroupedAggregate(groups={self.group_names})"

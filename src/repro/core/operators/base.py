@@ -11,27 +11,55 @@ nothing beyond the table.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List
+from typing import List, Optional
+
+import numpy as np
 
 from repro.sql import bound as b
 from repro.storage.table import Table
 from repro.tcr.nn.module import Module
 
 
-@dataclasses.dataclass
 class Relation:
-    """A table flowing between operators."""
+    """A table flowing between operators, optionally under a selection.
 
-    table: Table
+    ``selection`` (None: every row) holds row indices into the table: a
+    filter stage whose outputs are stored columns hands them on instead of
+    gathering its survivors. ``table`` is the one place that gathers them,
+    through ``Column.take`` (which records lineage), the first time any
+    consumer reads it; operators that can work on the ungathered rows read
+    ``base`` and ``selection`` instead (a GROUP BY folds the selection into
+    its group ids). ``num_rows`` counts the selected rows either way.
+    """
+
+    __slots__ = ("_table", "selection")
+
+    def __init__(self, table: Table, selection: Optional[np.ndarray] = None):
+        self._table = table
+        self.selection = selection
+
+    @property
+    def base(self) -> Table:
+        """The table ``selection`` indexes (``table`` without one)."""
+        return self._table
+
+    @property
+    def table(self) -> Table:
+        """The selected rows as a table, gathered once."""
+        if self.selection is not None:
+            self._table = self._table.take(self.selection)
+            self.selection = None
+        return self._table
 
     @property
     def num_rows(self) -> int:
-        return self.table.num_rows
+        if self.selection is None:
+            return self._table.num_rows
+        return len(self.selection)
 
     @property
     def device(self):
-        return self.table.device
+        return self._table.device
 
 
 class Operator(Module):

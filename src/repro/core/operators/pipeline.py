@@ -3,10 +3,17 @@
 Following TQP's compile-into-one-tensor-program design, every maximal
 Filter/Project chain the compiler finds lowers to :class:`PipelineExec`
 stages (see ``Compiler._lower_pipeline`` for where a chain splits). A stage
-ANDs its conjunct masks over its input relation, turns the mask into an
-index vector and evaluates its outputs over the selected rows, gathering
-each referenced column at most once — no intermediate table is
-materialised between the selection and the projection.
+ANDs its conjunct masks over its input relation and turns the mask into an
+index vector. A stage whose outputs are all stored columns read as they
+are (renames included, or no projection at all) stops there: it hands
+the next operator its columns with that vector as the relation's
+selection and copies nothing, and the consumer gathers the rows when it
+reads ``relation.table`` (a GROUP BY folds them into its group ids
+instead). Any other stage evaluates its outputs over the selected rows,
+gathering each referenced column at most once — no intermediate table is
+materialised between the selection and the projection. The gather goes
+through ``Column.take`` in either namespace, so under a trainable plan
+gradients flow through it as through any other stage's gather.
 
 Bit-identity: element-wise expression evaluation commutes with row
 selection (gather-then-compute equals compute-then-gather per element), so
@@ -55,9 +62,10 @@ class _GatherEvaluator(ExpressionEvaluator):
 
 
 class PipelineExec(Operator):
-    """Conjunct masks → index vector → gather-evaluated outputs.
+    """Conjunct masks → index vector → a selection, or gather-evaluated
+    outputs.
 
-    ``exprs is None`` means no projection: the selected rows are taken
+    ``exprs is None`` means no projection: the selected rows are passed on
     whole. ``lowering`` decides the body: numpy kernels on detached data
     for exact plans, the same closures over tcr ops where gradients must
     flow (EXPLAIN prints which).
@@ -74,6 +82,9 @@ class PipelineExec(Operator):
         self._masks = [lowering.mask(p) for p in self.predicates]
         self._outputs = None if exprs is None else [
             lowering.column(expr, name) for expr, name in zip(exprs, names)]
+        # Outputs that are stored columns as they are: the stage passes them
+        # on under a selection.
+        self._stored = exprs is None or all(type(e) is b.BColumn for e in exprs)
         self._register_expr_udfs(self.predicates + list(exprs or []))
 
     @staticmethod
@@ -104,9 +115,11 @@ class PipelineExec(Operator):
         if not self._masks:
             return self.rows(table)
         indices = np.flatnonzero(self.mask(table))
-        if self._outputs is None:
-            return Relation(table.take(indices))
-        return self.rows(table, indices)
+        if not self._stored:
+            return self.rows(table, indices)
+        if self._outputs is not None:
+            table = self.rows(table).table      # renamed stored columns: no copy
+        return Relation(table, indices)
 
     def describe(self) -> str:
         conjuncts = " AND ".join(str(p) for p in self.predicates)

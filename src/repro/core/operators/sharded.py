@@ -67,7 +67,8 @@ class ShardedScanExec(Operator):
             # Shard tasks run under a copy of the submitter's context, so
             # this span nests inside the barrier span even on a helper thread.
             with span("shard", index=index, rows=table.num_rows):
-                return self._run_pipeline(Relation(table))
+                # Gather the shard's rows here, in parallel, not at the stitch.
+                return Relation(self._run_pipeline(Relation(table)).table)
         return task
 
     def _run_pipeline(self, relation: Relation) -> Relation:

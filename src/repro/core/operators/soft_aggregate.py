@@ -73,7 +73,7 @@ def _key_info(column: Column) -> _KeyInfo:
 
 class SoftAggregateExec(_AggregateBase):
     def forward(self, relation: Relation) -> Relation:
-        keys, agg_inputs = self._evaluate_inputs(relation)
+        keys, agg_inputs = self._evaluate_inputs(relation.table)
         if not keys:
             raise ExecutionError("soft aggregation requires at least one GROUP BY column")
         if not any(isinstance(k.encoding, ProbabilityEncoding) for k in keys):

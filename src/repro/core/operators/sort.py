@@ -16,24 +16,40 @@ from repro.storage.encodings import ProbabilityEncoding
 
 
 def _sort_array(column: Column, ascending: bool) -> np.ndarray:
-    """Numeric array whose ascending order realises the requested ordering.
+    """Array in the key's own dtype whose ascending order realises the
+    requested ordering.
 
-    Dictionary codes already sort like their strings (order-preserving
-    encoding), so no decode is needed — the paper's motivation for keeping
-    the dictionary sorted.
+    DESC negates a float key (NaN stays NaN, and numpy sorts NaN last, so
+    NaNs are last under both orders) and takes ``~x`` of an integer or bool
+    key, which reverses its order without overflow. Integer keys compare
+    exactly: no float64 copy merges neighbours above 2^53. Dictionary codes
+    already sort like their strings (order-preserving encoding), so no
+    decode is needed — the paper's motivation for keeping the dictionary
+    sorted.
     """
     if isinstance(column.encoding, ProbabilityEncoding):
-        data = column.encoding.hard_codes(column.tensor).astype(np.float64)
+        data = column.encoding.hard_codes(column.tensor)
     else:
         data = column.tensor.detach().data
         if data.ndim != 1:
             raise ExecutionError("cannot ORDER BY a multi-dimensional column")
-        data = data.astype(np.float64)
-    if not ascending:
-        data = -data
-        # Keep NaNs last under both orders.
-        data[np.isnan(data)] = np.inf
-    return data
+    if ascending:
+        return data
+    return -data if data.dtype.kind == "f" else ~data
+
+
+def _smallest(array: np.ndarray, want: int) -> np.ndarray:
+    """The rows of the ``want`` smallest keys in sort order, equal keys
+    (NaNs among them) in row order: the prefix a stable sort gives."""
+    order = np.argpartition(array, want - 1)
+    candidates, kth = order[:want], array[order[want - 1]]
+    ties = np.isnan(array) if kth != kth else array == kth
+    # Keys below the kth are all candidates; which of its ties are is
+    # arbitrary, so take the first ones in row order.
+    below = candidates[~ties[candidates]]
+    chosen = np.sort(np.concatenate(
+        [below, np.flatnonzero(ties)[:want - len(below)]]))
+    return chosen[np.argsort(array[chosen], kind="stable")]
 
 
 class SortExec(Operator):
@@ -77,9 +93,7 @@ class TopKExec(Operator):
             return self.limit(self.sort(relation))
         key, ascending = self.sort._keys[0]
         array = _sort_array(key(ExpressionEvaluator(relation.table)), ascending)
-        candidates = np.argpartition(array, want - 1)[:want]
-        candidates = candidates[np.argsort(array[candidates], kind="stable")]
-        chosen = candidates[self.offset:self.offset + self.k]
+        chosen = _smallest(array, want)[self.offset:]
         return Relation(relation.table.take(chosen))
 
     def describe(self) -> str:

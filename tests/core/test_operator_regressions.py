@@ -11,7 +11,11 @@ Each test failed on the seed implementations:
 * empty-input aggregation emitted int64 columns regardless of the
   aggregate's real output dtype;
 * ``groupby_impl="hash"`` merged NaN group keys into one group while the
-  default kept each NaN key its own group.
+  default kept each NaN key its own group;
+* ``ORDER BY x DESC`` put NaN before ``-inf`` (DESC mapped NaN to +inf,
+  where ``-inf`` lands too), and its top-k was not a prefix of the sort;
+* ORDER BY compared int64 keys through float64, merging neighbours above
+  2^53.
 """
 
 import numpy as np
@@ -265,3 +269,77 @@ class TestEmptyBuildSideOuterJoin:
         out = session.spark.query(
             "SELECT l.a, r.w FROM l JOIN r ON l.a = r.a").run(toPandas=True)
         assert len(out) == 0
+
+
+class TestOrdering:
+    """ORDER BY sorts keys in their own dtype: NaN last under both orders,
+    integers exact, and the top-k (argpartition) a prefix of the sort."""
+
+    @staticmethod
+    def _check(values, direction, want, duck=True):
+        """Row order of ``ORDER BY x <direction>``; its values must equal
+        ``want`` (and miniduck's, with ``duck``) and each LIMIT must be a
+        prefix of it."""
+        session = Session()
+        session.sql.register_dict(
+            {"x": values, "r": np.arange(len(values), dtype=np.int64)}, "t")
+        order = f"FROM t ORDER BY x {direction}"
+        # x is selected, so a LIMIT plans as TopK (argpartition), not Sort.
+        rows = session.sql.query(f"SELECT r, x {order}").run().column("r")
+        if want is not None:
+            got = session.sql.query(f"SELECT x {order}").run().column("x")
+            np.testing.assert_array_equal(got, want)
+        if want is not None and duck:
+            reference = MiniDuck()
+            reference.register("t", {"x": values})
+            np.testing.assert_array_equal(
+                reference.execute(f"SELECT x {order}")["x"], want)
+        limits = range(1, len(values)) if len(values) <= 10 else (1, 7, 50, 123, 280)
+        for limit in limits:
+            top = session.sql.query(f"SELECT r, x {order} LIMIT {limit}").run().column("r")
+            assert top.tolist() == rows[:limit].tolist(), (direction, limit)
+        return rows
+
+    def test_desc_keeps_nan_last(self):
+        # The seed gave [2, 1, nan, -inf], and [2, 1, -inf] under LIMIT 3.
+        values = np.array([np.nan, -np.inf, 1, 2], dtype=np.float32)
+        self._check(values, "DESC", [2, 1, -np.inf, np.nan])
+        self._check(values, "ASC", [-np.inf, 1, 2, np.nan])
+
+    def test_int64_keys_above_2_53_compare_exactly(self):
+        # The seed's float64 copy merged 2^53 and 2^53+1 (and +2, +3).
+        # miniduck sorts through float64 too, so it is no reference here.
+        big = 2 ** 53
+        values = np.array([big + 1, big, big + 3, big + 2], dtype=np.int64)
+        self._check(values, "ASC", [big, big + 1, big + 2, big + 3], duck=False)
+        self._check(values, "DESC", [big + 3, big + 2, big + 1, big], duck=False)
+
+    def test_desc_and_top_k_agree_on_ties(self):
+        rng = np.random.default_rng(5)
+        values = rng.integers(-3, 3, size=300).astype(np.float32)
+        values[rng.integers(0, 300, size=20)] = np.nan
+        for direction in ("ASC", "DESC"):
+            order = self._check(values, direction, None)
+            keys = values[order]
+            finite = keys[~np.isnan(keys)]
+            assert np.isnan(keys[len(finite):]).all()
+            assert (np.diff(finite) >= 0).all() if direction == "ASC" \
+                else (np.diff(finite) <= 0).all()
+
+    def test_bool_keys(self):
+        values = np.array([False, True, False, True, True, False])
+        asc = self._check(values, "ASC", None)
+        desc = self._check(values, "DESC", None)
+        assert asc.tolist() == [0, 2, 5, 1, 3, 4]
+        assert desc.tolist() == [1, 3, 4, 0, 2, 5]
+
+    def test_dictionary_keys(self):
+        values = np.array(["b", "a", "c", "a", "b"], dtype=object)
+        self._check(values, "ASC", ["a", "a", "b", "b", "c"])
+        desc = self._check(values, "DESC", ["c", "b", "b", "a", "a"])
+        assert desc.tolist() == [2, 0, 4, 1, 3]
+
+    def test_extreme_int64_keys_do_not_overflow(self):
+        info = np.iinfo(np.int64)
+        values = np.array([0, info.min, info.max, -1, 1], dtype=np.int64)
+        self._check(values, "DESC", [info.max, 1, 0, -1, info.min], duck=False)

@@ -1,6 +1,8 @@
 """Physical operators: key ids, grouped aggregation, joins, whole-column UDF
 execution on each device."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro import tcr
 from repro.baselines.miniduck import MiniDuck
-from repro.core.operators import direct_join_indices, key_ids
+from repro.core.operators import aggregate, direct_join_indices, key_ids
 from repro.core.operators.aggregate import DENSE_FACTOR
 from repro.core.operators.join import join_ids
 from repro.core.session import Session
@@ -408,3 +410,138 @@ class TestDeviceBatchedUdf:
         query.run()
         # Gradient taping requires the whole batch in one call.
         assert calls == [32]
+
+
+FOLD_SQL = ("SELECT k, g, COUNT(*) AS c, SUM(v) AS sv, AVG(v) AS av, "
+            "SUM(i) AS si, AVG(i) AS ai, MIN(v) AS mn, MAX(i) AS mx, "
+            "COUNT(DISTINCT d) AS cd, SUM(v * (1 - w)) AS e, SUM(-i + 2) AS ni "
+            "FROM t WHERE r < {cut} GROUP BY k, g")
+
+
+class TestGroupByFold:
+    """A GROUP BY over a filter stage folds the selection into its group ids
+    (``access=fold``): its results must equal the gathered path's bits."""
+
+    N = 1000
+    CUT = int(aggregate.FOLD_MIN_KEPT * N)      # the fewest kept rows that fold
+
+    def _session(self):
+        rng = np.random.default_rng(4)
+        n = self.N
+        session = Session()
+        session.sql.register_dict({
+            "k": np.array(["x", "y", "z"], dtype=object)[rng.integers(0, 3, n)],
+            "g": rng.integers(0, 4, n),
+            "v": rng.normal(size=n).astype(np.float32),
+            "w": rng.random(n).astype(np.float32),
+            "i": rng.integers(-50, 50, n),
+            "d": rng.integers(0, 7, n),
+            "r": rng.permutation(n),
+        }, "t")
+        return session
+
+    @staticmethod
+    def _access(session, sql, config=None):
+        """The GroupedAggregate line of the statement's EXPLAIN ANALYZE."""
+        plan = session.sql.query("EXPLAIN ANALYZE " + sql, extra_config=config)
+        (line,) = [p for p in plan.run(toPandas=True)["plan"]
+                   if p.lstrip().startswith("GroupedAggregate")]
+        return line
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert got.column_names == want.column_names
+        for name in got.column_names:
+            a, b = got.column(name), want.column(name)
+            assert a.dtype == b.dtype, name
+            if a.dtype == object:
+                assert a.tolist() == b.tolist(), name
+            else:
+                assert a.tobytes() == b.tobytes(), name
+
+    def _both(self, session, sql, monkeypatch):
+        folded = session.sql.query(sql).run()
+        with monkeypatch.context() as patch:
+            patch.setattr(aggregate, "FOLD_MIN_KEPT", float("inf"))
+            assert "access=gather why=selectivity" in self._access(session, sql)
+            gathered = session.sql.query(sql).run()
+        return folded, gathered
+
+    @pytest.mark.parametrize("cut", [1, 200, 500, CUT - 1, CUT, 987, N])
+    def test_folded_equals_gathered(self, cut, monkeypatch):
+        session = self._session()
+        sql = FOLD_SQL.format(cut=cut)
+        monkeypatch.setattr(aggregate, "FOLD_MIN_KEPT", 0.0)
+        assert "access=fold" in self._access(session, sql)
+        folded, gathered = self._both(session, sql, monkeypatch)
+        assert len(folded) > 0
+        self._assert_same_bits(folded, gathered)
+
+    def test_empty_selection(self, monkeypatch):
+        session = self._session()
+        sql = FOLD_SQL.format(cut=0)
+        monkeypatch.setattr(aggregate, "FOLD_MIN_KEPT", 0.0)
+        assert "access=fold" in self._access(session, sql)
+        folded, gathered = self._both(session, sql, monkeypatch)
+        assert len(folded) == 0
+        self._assert_same_bits(folded, gathered)
+
+    def test_threshold_is_fold_min_kept(self):
+        session = self._session()
+        assert "access=fold" in self._access(session, FOLD_SQL.format(cut=self.CUT))
+        below = self._access(session, FOLD_SQL.format(cut=self.CUT - 1))
+        assert "access=gather why=selectivity" in below
+
+    def test_dropped_rows_neither_raise_nor_warn(self, monkeypatch):
+        # float32 overflow (3e38 * 3e38), inf - inf and NaN live only in rows
+        # the WHERE drops; the fold evaluates them anyway.
+        v = np.array([1.0, 2.0, np.nan, np.inf, -np.inf, 3e38, 4.0, -3e38],
+                     dtype=np.float32)
+        session = Session()
+        session.sql.register_dict({"k": np.array([0, 1, 0, 1, 0, 1, 0, 1]),
+                                   "v": v, "keep": np.isfinite(v) & (abs(v) < 1e30)}, "t")
+        sql = ("SELECT k, SUM(v * v) AS s, AVG(v - v) AS z, MIN(-v) AS m "
+               "FROM t WHERE keep GROUP BY k")
+        monkeypatch.setattr(aggregate, "FOLD_MIN_KEPT", 0.0)
+        assert "access=fold" in self._access(session, sql)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            folded, gathered = self._both(session, sql, monkeypatch)
+        self._assert_same_bits(folded, gathered)
+        assert folded.column("s").tolist() == [17.0, 4.0]
+
+    def test_udf_input_gathers_and_sees_only_kept_rows(self):
+        session = self._session()
+        seen = []
+
+        @session.udf("float", name="counted")
+        def counted(x):
+            seen.append(x.shape[0])
+            return x * 2
+
+        sql = "SELECT k, SUM(counted(v)) AS s FROM t WHERE r < 900 GROUP BY k"
+        assert "access=gather why=expression" in self._access(session, sql)
+        seen.clear()
+        session.sql.query(sql, extra_config={"tensor_cache": False}).run()
+        assert seen == [900]
+
+    def test_division_and_cast_are_not_folded(self):
+        session = self._session()
+        for expr in ("SUM(v / w)", "SUM(CAST(v AS INT))", "SUM(ABS(v))"):
+            sql = f"SELECT k, {expr} AS s FROM t WHERE r < 900 GROUP BY k"
+            assert "access=gather why=expression" in self._access(session, sql), expr
+
+    def test_tcr_namespace_gathers(self):
+        session = self._session()
+        sql = FOLD_SQL.format(cut=900)
+        interp_config = {"compile_exprs": False}
+        assert "access=gather why=namespace" in self._access(session, sql, interp_config)
+        interp = session.sql.query(sql, extra_config=interp_config).run()
+        self._assert_same_bits(interp, session.sql.query(sql).run())
+
+    def test_global_aggregate_and_unfiltered_input_do_not_annotate(self):
+        session = self._session()
+        for config in (None, {"compile_exprs": False}):
+            for sql in ("SELECT SUM(v) AS s FROM t WHERE r < 900",
+                        "SELECT k, SUM(v) AS s FROM t GROUP BY k"):
+                assert "access=" not in self._access(session, sql, config), sql

@@ -373,15 +373,35 @@ class TestExecutionParity:
         "WHERE x.b < 20 GROUP BY x.k",
         "SELECT d.label, SUM(x.f) AS sf, AVG(x.g) AS ag "
         "FROM t x JOIN dim d ON x.b = d.b GROUP BY d.label",
+        "SELECT x.id, x.f, x.s, d.w FROM t x JOIN dim d ON x.b = d.b "
+        "WHERE x.k < 4",
+        "SELECT x.s, SUM(x.f * 2.0) AS sf, AVG(x.g) AS ag, MIN(x.id) AS m "
+        "FROM t x JOIN dim d ON x.b = d.b WHERE x.k < 4 GROUP BY x.s",
     ], ids=["join", "left-join", "multi-key-join", "residual-where",
             "float-sum", "nan-avg", "count-distinct", "nan-keys",
-            "filtered-expr-sum", "above-join"])
+            "filtered-expr-sum", "above-join", "selected-stored-columns",
+            "group-over-selected-join-input"])
     def test_joins_and_groups(self, sql, tiny_shards):
         """Joins and the grouped aggregates above them run serially over
         the stitched outputs of their sharded scans: bitwise serial."""
         session = _join_session()
         sharded = session.sql.query(sql, extra_config=SHARDED)
         assert "ShardedScan(" in sharded.explain(), sql
+        serial = session.sql.query(sql, extra_config=SERIAL).run()
+        _assert_bitwise(serial, sharded.run(), sql)
+
+    def test_folded_group_by_beside_a_sharded_join(self, tiny_shards):
+        """A GROUP BY that folds its WHERE into its ids, joined with a
+        sharded scan: bitwise serial."""
+        session = _join_session()
+        sql = ("SELECT g.b, g.sf, g.c, d.w FROM (SELECT b, SUM(f) AS sf, "
+               "COUNT(*) AS c FROM t WHERE id >= 60 GROUP BY b) g "
+               "JOIN dim d ON g.b = d.b")
+        sharded = session.sql.query(sql, extra_config=SHARDED)
+        assert "ShardedScan(" in sharded.explain()
+        plan = session.sql.query("EXPLAIN ANALYZE " + sql, extra_config=SHARDED)
+        assert any("access=fold" in line
+                   for line in plan.run(toPandas=True)["plan"])
         serial = session.sql.query(sql, extra_config=SERIAL).run()
         _assert_bitwise(serial, sharded.run(), sql)
 

@@ -192,7 +192,8 @@ class TestExplainAnalyze:
         labelled = {"GroupedAggregate(groups=[": r"groups=\d+ domain=\d+",
                     "Join(INNER)": r"domain=\d+"}
         seen = {op: 0 for op in labelled}
-        for sql in statements.values():
+        access = {}
+        for name, sql in statements.items():
             plan = _plan_text(session.sql.query(f"EXPLAIN {sql}").run())
             text = _plan_text(session.sql.query(f"EXPLAIN ANALYZE {sql}").run())
             assert "GroupedAggregate(groups=[" in plan or "GROUP BY" not in sql
@@ -202,8 +203,13 @@ class TestExplainAnalyze:
                     if op.startswith(prefix) and op != "GroupedAggregate(groups=[])":
                         assert re.search(label, stats), line
                         seen[prefix] += 1
+                if "access=" in stats:
+                    access[name] = re.search(r"access=(\w+)", stats).group(1)
         # q1, q3 and q12 group; q3 and q12 join.
         assert seen == {"GroupedAggregate(groups=[": 3, "Join(INNER)": 2}
+        # Only q1 groups the output of a filter stage, and it folds; q3's
+        # and q12's GROUP BYs read a join's output, which has no selection.
+        assert access == {"q1": "fold"}
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,13 @@ def gen_tables(seed: int) -> Dict[str, Dict[str, np.ndarray]]:
         "t_one": build(1),
         "t_tiny": build(int(rng.integers(2, 5))),
     }
+    # h: f, except ±inf wherever b = 9; the fold shape's WHERE drops those
+    # rows. A separate stream leaves every other column as it was.
+    extra = np.random.default_rng([seed, 7])
+    for name in ("t0", "t1", "t_empty", "t_one", "t_tiny"):
+        table = tables[name]
+        signs = extra.choice([-np.inf, np.inf], size=len(table["b"]))
+        table["h"] = np.where(table["b"] == 9, signs, table["f"])
     # All-NULL float column variant (the satellite's all-NULL case).
     tables["t1"]["g"] = np.full_like(tables["t1"]["g"], np.nan) \
         if rng.random() < 0.3 else tables["t1"]["g"]
@@ -336,6 +343,32 @@ def _pipeline_group_stmt(r: random.Random) -> DiffStatement:
     return DiffStatement(sql, table, list(keys), ordered, oracle=True)
 
 
+def _fold_group_stmt(r: random.Random) -> DiffStatement:
+    """GROUP BY under a WHERE that keeps most rows, so the engine folds the
+    selection into its group ids: the rows it drops hold ±inf in h, and are
+    evaluated anyway. Every result stays finite unless a dropped row leaks."""
+    table = _pick_table(r)
+    keys = r.choice([["s"], ["a"], ["b"], ["s", "b"]])
+    makers = [
+        lambda: "COUNT(*)",
+        lambda: "SUM(h)",
+        lambda: f"SUM(h * {_float_literal(r)} + f)",
+        lambda: "AVG(h)",
+        lambda: "SUM(h - f)",
+        lambda: f"{r.choice(['MIN', 'MAX'])}(-h)",
+        lambda: f"SUM({r.choice(INT_COLS)} * 2 - a)",
+        lambda: "COUNT(DISTINCT a)",
+    ]
+    items = list(keys) + [f"{maker()} AS agg{i}"
+                          for i, maker in enumerate(r.sample(makers, r.randint(1, 4)))]
+    where = "b < 9" if r.random() < 0.6 else f"b < 9 AND a > {r.randint(-5, -4)}"
+    sql = f"SELECT {', '.join(items)} FROM {table} WHERE {where} GROUP BY {', '.join(keys)}"
+    ordered = r.random() < 0.4
+    if ordered:
+        sql += f" ORDER BY {', '.join(keys)}"
+    return DiffStatement(sql, table, list(keys), ordered, oracle=True)
+
+
 def _builtin_stmt(r: random.Random) -> DiffStatement:
     """Engine-only: scalar builtins/CAST the oracle has no functions for
     (PR 8's TRIM/SUBSTR/COALESCE and CAST-to-string kernel lowerings).
@@ -417,6 +450,7 @@ _SHAPES = [
     (_global_agg_stmt, 0.14),
     (_group_agg_stmt, 0.16),
     (_pipeline_group_stmt, 0.10),
+    (_fold_group_stmt, 0.06),
     (_builtin_stmt, 0.07),
     (_join_stmt, 0.06),
     (_multikey_join_stmt, 0.07),
