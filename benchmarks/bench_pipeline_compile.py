@@ -13,8 +13,9 @@ intermediate tables before the selective tail runs.
 
 Checked (any machine, any scale):
 
-* **Bit-identity**: the interpreter and kernel bodies (``compile_exprs``
-  off/on) return byte-identical group keys, counts and sums.
+* **Bit-identity**: the interpreter body (the plan lowered over tcr ops,
+  through ``tests/tcr_lowering.py``) and the kernel body (numpy, what
+  exact plans run) return byte-identical group keys, counts and sums.
 * **Plan shape**: EXPLAIN shows exactly one ``Pipeline[...]`` stage under
   the aggregate.
 
@@ -22,6 +23,9 @@ Reported, not gated: the kernel leg's milliseconds (and the interpreter
 leg's beside it). The ratio this bench used to gate had the deleted
 per-operator path as its denominator.
 """
+
+import os
+import sys
 
 import numpy as np
 
@@ -33,6 +37,10 @@ from repro.bench.harness import (
     time_call,
 )
 from repro.core.session import Session
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+from tcr_lowering import query_over_tcr  # noqa: E402
 
 N_ROWS = scaled(400_000)
 
@@ -48,8 +56,7 @@ QUERY = ("SELECT s, COUNT(*) AS c, SUM(v) AS sm FROM "
          " WHERE y < 2.5) q4 "
          "WHERE w > 35 GROUP BY s")
 
-INTERP = {"compile_exprs": False, "tensor_cache": False}
-KERNELS = {"compile_exprs": True, "tensor_cache": False}
+KERNELS = {"tensor_cache": False}
 
 
 def _session() -> Session:
@@ -82,7 +89,7 @@ def _assert_bitwise(a, b, context):
 class TestPipelineCompile:
     def test_kernel_leg_time_and_bit_identity(self, benchmark):
         session = _session()
-        interp_q = session.sql.query(QUERY, extra_config=INTERP)
+        interp_q = query_over_tcr(session, QUERY, extra_config=KERNELS)
         kernel_q = session.sql.query(QUERY, extra_config=KERNELS)
 
         # Bit-identity of the two bodies first (also warms both code paths

@@ -86,11 +86,8 @@ class _Executor:
                 if np.isscalar(value):
                     value = np.full(_row_count(columns), value)
                 env[item.alias] = np.asarray(value)
-        keys = []
-        for item in stmt.order_by:
-            values = np.asarray(self._eval(item.expr, env))
-            array = _to_sortable(values)
-            keys.append(array if item.ascending else -array)
+        keys = [_sort_key(np.asarray(self._eval(item.expr, env)), item.ascending)
+                for item in stmt.order_by]
         order = np.lexsort(tuple(reversed(keys)))
         return {name: values[order] for name, values in columns.items()}
 
@@ -127,11 +124,7 @@ class _Executor:
         group_arrays = [np.asarray(self._eval(e, columns)) for e in stmt.group_by]
         n = _row_count(columns)
         if group_arrays:
-            stacked = np.stack([_to_sortable(a) for a in group_arrays], axis=1)
-            uniques, index, inverse = np.unique(stacked, axis=0, return_index=True,
-                                                return_inverse=True)
-            inverse = inverse.reshape(-1)
-            num_groups = uniques.shape[0]
+            index, inverse, num_groups = _groups(group_arrays)
         else:
             index = np.zeros(1, dtype=int)
             inverse = np.zeros(n, dtype=int)
@@ -318,17 +311,44 @@ def _row_count(columns: Dict[str, np.ndarray]) -> int:
 
 
 def _to_sortable(array: np.ndarray) -> np.ndarray:
+    """A key that compares as the values do: numbers in their own dtype
+    (an int64 above 2^53 stays exact), strings as their rank codes."""
     if array.dtype == object or array.dtype.kind in ("U", "S"):
         _, inverse = np.unique(array.astype(str), return_inverse=True)
-        return inverse.astype(np.float64)
-    return array.astype(np.float64)
+        return inverse.reshape(-1)
+    return array
+
+
+def _sort_key(array: np.ndarray, ascending: bool) -> np.ndarray:
+    """An ascending ``np.lexsort`` key for one ORDER BY item. DESC negates
+    floats (NaN stays last) and bit-flips integers and bools, which reverses
+    their order without overflowing at the int64 minimum."""
+    key = _to_sortable(array)
+    if ascending:
+        return key
+    return -key if key.dtype.kind == "f" else ~key
+
+
+def _groups(arrays):
+    """``(first row of each group, group id of each row, group count)``
+    over key arrays compared in their own dtypes, groups in ascending key
+    order. NaN != NaN, so every NaN key is a group of its own."""
+    keys = [_to_sortable(array) for array in arrays]
+    order = np.lexsort(tuple(reversed(keys)))
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse, int(starts.sum())
 
 
 def _distinct(frame: DataFrame) -> DataFrame:
     if len(frame) == 0:
         return frame
-    stacked = np.stack([_to_sortable(frame[c]) for c in frame.columns], axis=1)
-    _, first = np.unique(stacked, axis=0, return_index=True)
+    first, _, _ = _groups([frame[c] for c in frame.columns])
     keep = np.sort(first)
     return DataFrame({c: frame[c][keep] for c in frame.columns})
 
@@ -341,7 +361,6 @@ def _order(frame: DataFrame, stmt: nodes.SelectStmt, executor: _Executor) -> Dat
             values = executor._eval(item.expr, columns)
         except (BindError, SqlError):
             raise SqlError(f"miniduck: ORDER BY must reference output columns")
-        array = _to_sortable(np.asarray(values))
-        keys.append(array if item.ascending else -array)
+        keys.append(_sort_key(np.asarray(values), item.ascending))
     order = np.lexsort(tuple(reversed(keys)))
     return DataFrame({c: frame[c][order] for c in frame.columns})

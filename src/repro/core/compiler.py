@@ -55,9 +55,8 @@ class Compiler:
         self.session = session          # back-reference for telemetry (or None)
         # The one expression-engine decision: numpy kernels on detached data
         # for exact plans, the same lowering over tcr ops where autograd must
-        # flow (trainable) or was asked for (compile_exprs=False).
-        self.lowering = ExprCompiler(
-            NUMPY if config.compile_exprs and not config.trainable else TCR)
+        # flow (trainable).
+        self.lowering = ExprCompiler(TCR if config.trainable else NUMPY)
         self._calls_udf = False         # set per statement by compile()
 
     def compile(self, plan: logical.LogicalPlan, sql_text: str) -> CompiledQuery:

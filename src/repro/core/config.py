@@ -18,8 +18,6 @@ class constants:
     NPROBE = "nprobe"                      # per-query IVF probe-width hint
     # Intra-query parallelism (sharded join inputs).
     SHARDS = "shards"                      # shard count (1 = serial, 0 = auto)
-    # Expression codegen (TQP-style kernel compilation).
-    COMPILE_EXPRS = "compile_exprs"        # exact plans' expression namespace: numpy (True) or tcr ops
     # Observability.
     TELEMETRY = "telemetry"                # trace every run (EXPLAIN ANALYZE forces it)
     SLOW_QUERY_SECONDS = "slow_query_seconds"  # slow-log threshold (None = session default)
@@ -32,7 +30,6 @@ _DEFAULTS = {
     constants.TENSOR_CACHE: True,
     constants.NPROBE: None,
     constants.SHARDS: 1,
-    constants.COMPILE_EXPRS: True,
     constants.TELEMETRY: False,
     constants.SLOW_QUERY_SECONDS: None,
 }
@@ -92,10 +89,6 @@ class QueryConfig:
         if value < 0 or value > 256:
             raise ValueError(f"shards must be in [0, 256], got {value}")
         return value
-
-    @property
-    def compile_exprs(self) -> bool:
-        return bool(self._values[constants.COMPILE_EXPRS])
 
     @property
     def telemetry(self) -> bool:

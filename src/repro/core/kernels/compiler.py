@@ -10,9 +10,9 @@ lowering; a batch runs the chain of vectorized ops.
 
 The closures are written against an array namespace ``xp`` carrying tcr's
 op names. ``NUMPY`` computes on detached ndarrays (exact plans); ``TCR`` is
-``repro.tcr.ops`` itself, so gradients flow (trainable plans, or
-``compile_exprs=False``). Both produce the same bits: the numpy namespace
-is the forward function of each tcr op.
+``repro.tcr.ops`` itself, so gradients flow (trainable plans). Both
+produce the same bits: the numpy namespace is the forward function of each
+tcr op.
 
 * Numeric builtins live in one table, ``_BUILTINS`` (name -> function of
   ``xp`` and the evaluated arguments).

@@ -29,6 +29,7 @@ class SlowQueryLog:
         self._lock = threading.Lock()
         self._observed = 0
         self._logged = 0
+        self._evicted = 0       # entries the full ring dropped (not clear())
 
     def observe(self, statement: str, seconds: float, trace=None,
                 threshold: Optional[float] = None) -> bool:
@@ -49,6 +50,8 @@ class SlowQueryLog:
             }
             if trace is not None:
                 entry["trace_summary"] = self._summarize(trace)
+            if len(self._entries) == self.capacity:
+                self._evicted += 1
             self._entries.append(entry)
             self._logged += 1
             return True
@@ -86,6 +89,7 @@ class SlowQueryLog:
                 "observed": self._observed,
                 "logged": self._logged,
                 "retained": len(self._entries),
+                "evicted": self._evicted,
                 "threshold_seconds": self.threshold_seconds,
                 "capacity": self.capacity,
             }

@@ -11,27 +11,10 @@ benchmarks run, not a general torch surface.
 
 from repro.tcr import nn, optim, ops
 from repro.tcr.device import CPU, CUDA, as_device
-from repro.tcr.random import (
-    bernoulli,
-    fork_generator,
-    manual_seed,
-    randint,
-    randn,
-    randperm,
-)
-from repro.tcr.tensor import (
-    arange,
-    eye,
-    full,
-    linspace,
-    ones,
-    tensor,
-    zeros,
-    zeros_like,
-)
+from repro.tcr.random import fork_generator, manual_seed, randn
+from repro.tcr.tensor import ones, tensor, zeros
 
 __all__ = [
-    "CPU", "CUDA", "arange", "as_device", "bernoulli", "eye",
-    "fork_generator", "full", "linspace", "manual_seed", "nn", "ones", "ops",
-    "optim", "randint", "randn", "randperm", "tensor", "zeros", "zeros_like",
+    "CPU", "CUDA", "as_device", "fork_generator", "manual_seed", "nn", "ones",
+    "ops", "optim", "randn", "tensor", "zeros",
 ]

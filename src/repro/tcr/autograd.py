@@ -48,17 +48,6 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
-@contextlib.contextmanager
-def enable_grad():
-    """Context manager that re-enables graph recording inside no_grad."""
-    previous = _grad_mode.enabled
-    _grad_mode.enabled = True
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = previous
-
-
 def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` after numpy broadcasting.
 
@@ -138,31 +127,3 @@ def run_backward(root, grad: np.ndarray) -> None:
                 grads[key] = grads[key] + parent_grad
             else:
                 grads[key] = parent_grad
-
-
-def grad_of(outputs, inputs, grad_outputs=None) -> list:
-    """Functional gradient API: d(outputs)/d(inputs) without touching .grad.
-
-    A small analogue of ``torch.autograd.grad`` used by tests to verify
-    operator adjoints against numerical differentiation. ``inputs`` are
-    leaves: an interior node keeps no gradient and reads None.
-    """
-    saved = {}
-
-    def _collect(node):
-        for t in topo_order(node):
-            if id(t) not in saved:
-                saved[id(t)] = t.grad
-                t.grad = None
-
-    _collect(outputs)
-    try:
-        if grad_outputs is None:
-            outputs.backward()
-        else:
-            outputs.backward(grad_outputs)
-        result = [t.grad.copy() if t.grad is not None else None for t in inputs]
-    finally:
-        for t in topo_order(outputs):
-            t.grad = saved.get(id(t))
-    return result

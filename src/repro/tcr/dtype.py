@@ -38,7 +38,3 @@ def canonicalize(array: np.ndarray) -> np.ndarray:
 
 def is_float(dtype) -> bool:
     return np.dtype(dtype).kind in _FLOAT_KINDS
-
-
-def is_int(dtype) -> bool:
-    return np.dtype(dtype).kind in _INT_KINDS

@@ -1,8 +1,6 @@
-"""Module containers: Sequential and ModuleList."""
+"""Module container: Sequential."""
 
 from __future__ import annotations
-
-from typing import Iterable, Iterator
 
 from repro.tcr.nn.module import Module
 from repro.tcr.tensor import Tensor
@@ -20,38 +18,3 @@ class Sequential(Module):
         for module in self._modules.values():
             x = module(x)
         return x
-
-    def __len__(self) -> int:
-        return len(self._modules)
-
-    def __getitem__(self, index: int) -> Module:
-        return list(self._modules.values())[index]
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules.values())
-
-    def append(self, module: Module) -> "Sequential":
-        self.register_module(str(len(self._modules)), module)
-        return self
-
-
-class ModuleList(Module):
-    """A list of registered submodules (no implicit forward)."""
-
-    def __init__(self, modules: Iterable[Module] = ()):
-        super().__init__()
-        for i, module in enumerate(modules):
-            self.register_module(str(i), module)
-
-    def __len__(self) -> int:
-        return len(self._modules)
-
-    def __getitem__(self, index: int) -> Module:
-        return list(self._modules.values())[index]
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules.values())
-
-    def append(self, module: Module) -> "ModuleList":
-        self.register_module(str(len(self._modules)), module)
-        return self

@@ -9,8 +9,4 @@ def normalize(x: Tensor, dim: int = -1, eps: float = 1e-8) -> Tensor:
     return x / (norm + eps)
 
 
-def cosine_similarity(a: Tensor, b: Tensor, dim: int = -1) -> Tensor:
-    return (normalize(a, dim) * normalize(b, dim)).sum(dim=dim)
-
-
-__all__ = ["cosine_similarity", "normalize"]
+__all__ = ["normalize"]

@@ -23,11 +23,6 @@ def uniform_(tensor: Tensor, low: float = 0.0, high: float = 1.0) -> Tensor:
     return tensor
 
 
-def normal_(tensor: Tensor, mean: float = 0.0, std: float = 1.0) -> Tensor:
-    tensor.data = get_generator().normal(mean, std, tensor.shape).astype(tensor.dtype)
-    return tensor
-
-
 def kaiming_uniform_(tensor: Tensor, a: float = math.sqrt(5)) -> Tensor:
     gain = math.sqrt(2.0 / (1 + a * a))
     bound = gain * math.sqrt(3.0 / _fan_in(tensor))

@@ -1,4 +1,4 @@
-"""Core layers: Linear, Conv2d, pooling, ReLU, dropout, embedding, flatten."""
+"""Core layers: Linear, Conv2d, pooling, ReLU, flatten, identity."""
 
 from __future__ import annotations
 
@@ -6,11 +6,9 @@ import math
 
 import numpy as np
 
-from repro.errors import ShapeError
 from repro.tcr import ops
 from repro.tcr.nn import init
 from repro.tcr.nn.module import Module, Parameter
-from repro.tcr.random import get_generator
 from repro.tcr.tensor import Tensor
 
 
@@ -101,34 +99,3 @@ class Flatten(Module):
 class Identity(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x
-
-
-class Dropout(Module):
-    """Inverted dropout; a no-op in eval mode."""
-
-    def __init__(self, p: float = 0.5):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ShapeError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (get_generator().random(x.shape) < keep).astype(np.float32) / keep
-        return x * Tensor(mask, device=x.device)
-
-
-class Embedding(Module):
-    """Lookup table mapping int64 indices to dense vectors."""
-
-    def __init__(self, num_embeddings: int, embedding_dim: int):
-        super().__init__()
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(np.empty((num_embeddings, embedding_dim), dtype=np.float32))
-        init.normal_(self.weight, 0.0, 1.0)
-
-    def forward(self, index: Tensor) -> Tensor:
-        return ops.getitem(self.weight, index)

@@ -34,15 +34,6 @@ class MSELoss(Module):
         return _reduce(diff * diff, self.reduction)
 
 
-class L1Loss(Module):
-    def __init__(self, reduction: str = "mean"):
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, input: Tensor, target: Tensor) -> Tensor:
-        return _reduce(ops.abs(input - target), self.reduction)
-
-
 class NLLLoss(Module):
     """Negative log-likelihood over log-probabilities and int64 targets."""
 
@@ -69,31 +60,3 @@ class CrossEntropyLoss(Module):
 
     def forward(self, logits: Tensor, target: Tensor) -> Tensor:
         return self._nll(ops.log_softmax(logits, dim=-1), target)
-
-
-class BCEWithLogitsLoss(Module):
-    """Numerically stable binary cross-entropy on logits."""
-
-    def __init__(self, reduction: str = "mean"):
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, logits: Tensor, target: Tensor) -> Tensor:
-        # max(x,0) - x*t + log(1 + exp(-|x|))
-        zeros = ops.clamp(logits, min=0.0)
-        loss = zeros - logits * target + ops.log1p(ops.exp(-ops.abs(logits)))
-        return _reduce(loss, self.reduction)
-
-
-class KLDivLoss(Module):
-    """KL divergence between target probabilities and input log-probabilities."""
-
-    def __init__(self, reduction: str = "mean"):
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, log_probs: Tensor, target_probs: Tensor) -> Tensor:
-        eps = 1e-12
-        target_log = ops.log(ops.clamp(target_probs, min=eps))
-        value = target_probs * (target_log - log_probs)
-        return _reduce(value, self.reduction)

@@ -88,13 +88,8 @@ class Module:
         for mod_name, module in self._modules.items():
             yield from module.named_buffers(prefix=f"{prefix}{mod_name}.")
 
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for child in self._modules.values():
-            yield from child.modules()
-
     # ------------------------------------------------------------------
-    # Mode and gradient management
+    # Train/eval mode
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
         object.__setattr__(self, "training", mode)
@@ -104,23 +99,6 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.grad = None
-
-    def to(self, device) -> "Module":
-        for name, param in list(self._parameters.items()):
-            moved = param.to(device=device)
-            new_param = Parameter(moved.data, requires_grad=param.requires_grad, device=device)
-            self._parameters[name] = new_param
-            object.__setattr__(self, name, new_param)
-        for name, buf in list(self._buffers.items()):
-            if buf is not None:
-                self.register_buffer(name, buf.to(device=device))
-        for child in self._modules.values():
-            child.to(device)
-        return self
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -1,4 +1,4 @@
-"""Normalisation layers (BatchNorm2d for ResNet, LayerNorm for text towers)."""
+"""Normalisation layer: BatchNorm2d (ResNet)."""
 
 from __future__ import annotations
 
@@ -52,23 +52,3 @@ class BatchNorm2d(Module):
         w = ops.reshape(self.weight, (1, -1, 1, 1))
         b = ops.reshape(self.bias, (1, -1, 1, 1))
         return normed * w + b
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the trailing dimension(s)."""
-
-    def __init__(self, normalized_shape, eps: float = 1e-5):
-        super().__init__()
-        if isinstance(normalized_shape, int):
-            normalized_shape = (normalized_shape,)
-        self.normalized_shape = tuple(normalized_shape)
-        self.eps = eps
-        self.weight = Parameter(np.ones(self.normalized_shape, dtype=np.float32))
-        self.bias = Parameter(np.zeros(self.normalized_shape, dtype=np.float32))
-
-    def forward(self, x: Tensor) -> Tensor:
-        dims = tuple(range(x.ndim - len(self.normalized_shape), x.ndim))
-        mean = ops.mean(x, dim=dims, keepdim=True)
-        var = ops.var(x, dim=dims, keepdim=True, unbiased=False)
-        normed = (x - mean) / ops.sqrt(var + self.eps)
-        return normed * self.weight + self.bias

@@ -148,30 +148,9 @@ def max_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
     return Tensor._make(out, (x,), backward, "max_pool2d", x.device)
 
 
-def avg_pool2d(x: Tensor, kernel_size, stride=None) -> Tensor:
-    kh, kw, sh, sw, ho, wo = _pool_window("avg_pool2d", x, kernel_size, stride)
-    total = sum(_slab(x.data, i, j, sh, sw, ho, wo) for i in range(kh) for j in range(kw))
-    scale = 1.0 / (kh * kw)
-    shape = x.shape
-
-    def backward(grad):
-        gx = np.zeros(shape, dtype=grad.dtype)
-        g = grad * scale
-        for i in range(kh):
-            for j in range(kw):
-                view = _slab(gx, i, j, sh, sw, ho, wo)
-                view += g
-        return (gx,)
-
-    return Tensor._make(total / (kh * kw), (x,), backward, "avg_pool2d", x.device)
-
-
 def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
-    """Global (or integer-divisor) average pooling used by ResNet heads."""
+    """Global average pooling (output size 1), the ResNet head's."""
     if output_size != 1:
-        h, w = x.shape[2], x.shape[3]
-        if h % output_size or w % output_size:
-            raise ShapeError("adaptive_avg_pool2d supports only divisor output sizes")
-        return avg_pool2d(x, (h // output_size, w // output_size))
+        raise ShapeError("adaptive_avg_pool2d supports only output size 1")
     from repro.tcr.ops.reduction import mean
     return mean(x, dim=(2, 3), keepdim=True)

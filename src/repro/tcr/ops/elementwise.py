@@ -106,10 +106,6 @@ def log(a: Tensor) -> Tensor:
     return _unary(a, "log", np.log, lambda g, x, o: g / x)
 
 
-def log1p(a: Tensor) -> Tensor:
-    return _unary(a, "log1p", np.log1p, lambda g, x, o: g / (1.0 + x))
-
-
 def sqrt(a: Tensor) -> Tensor:
     return _unary(a, "sqrt", np.sqrt, lambda g, x, o: g / (2.0 * o))
 
@@ -128,24 +124,6 @@ def ceil(a: Tensor) -> Tensor:
 
 def round(a: Tensor) -> Tensor:
     return Tensor._make(np.round(a.data), (a,), None, "round", a.device)
-
-
-def clamp(a: Tensor, min=None, max=None) -> Tensor:
-    if min is None and max is None:
-        raise ValueError("clamp requires at least one of min/max")
-
-    def forward(x):
-        return np.clip(x, min, max)
-
-    def grad_fn(g, x, o):
-        mask = np.ones_like(g)
-        if min is not None:
-            mask = mask * (x >= min)
-        if max is not None:
-            mask = mask * (x <= max)
-        return g * mask
-
-    return _unary(a, "clamp", forward, grad_fn)
 
 
 def where(cond, a, b) -> Tensor:
@@ -240,10 +218,3 @@ def to_device(a: Tensor, device) -> Tensor:
         return (grad,)
 
     return Tensor._make(a.data, (a,), backward, "to_device", device)
-
-
-def clone(a: Tensor) -> Tensor:
-    def backward(grad):
-        return (grad,)
-
-    return Tensor._make(a.data.copy(), (a,), backward, "clone", a.device)

@@ -1,19 +1,9 @@
-"""Indexing, gather/scatter and segment operators.
-
-``segment_sum`` is the workhorse of the exact sort-based group-by (TQP-style):
-after sorting rows by group key, per-group aggregates reduce to
-``np.add.reduceat`` over segment starts — expressed here with a proper adjoint
-so that even exact aggregation remains differentiable where the values (not
-the grouping) carry gradients.
-"""
+"""Indexing: ``getitem``, the op behind ``Tensor.__getitem__``."""
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from repro.errors import ShapeError
-from repro.tcr.ops.common import normalize_dim
 from repro.tcr.tensor import Tensor
 
 
@@ -43,124 +33,3 @@ def getitem(a: Tensor, index) -> Tensor:
         return (out,)
 
     return Tensor._make(data, (a,), backward, "getitem", a.device)
-
-
-def index_select(a: Tensor, dim: int, index) -> Tensor:
-    axis = normalize_dim(dim, a.ndim)
-    idx = _unwrap_index(index)
-    idx = np.asarray(idx)
-    data = np.take(a.data, idx, axis=axis)
-    shape = a.shape
-
-    def backward(grad):
-        out = np.zeros(shape, dtype=grad.dtype)
-        # np.add.at with an axis: build index tuple
-        full_index = [slice(None)] * len(shape)
-        full_index[axis] = idx
-        np.add.at(out, tuple(full_index), grad)
-        return (out,)
-
-    return Tensor._make(data, (a,), backward, "index_select", a.device)
-
-
-def masked_select(a: Tensor, mask) -> Tensor:
-    mask_data = _unwrap_index(mask)
-    return getitem(a, np.asarray(mask_data, dtype=bool))
-
-
-def gather(a: Tensor, dim: int, index) -> Tensor:
-    axis = normalize_dim(dim, a.ndim)
-    idx = np.asarray(_unwrap_index(index))
-    data = np.take_along_axis(a.data, idx, axis=axis)
-    shape = a.shape
-
-    def backward(grad):
-        out = np.zeros(shape, dtype=grad.dtype)
-        # Scatter-add along the axis (indices may repeat).
-        mesh = np.meshgrid(*[np.arange(n) for n in idx.shape], indexing="ij")
-        full_index = list(mesh)
-        full_index[axis] = idx
-        np.add.at(out, tuple(full_index), grad)
-        return (out,)
-
-    return Tensor._make(data, (a,), backward, "gather", a.device)
-
-
-def scatter_add(a: Tensor, dim: int, index, src: Tensor) -> Tensor:
-    axis = normalize_dim(dim, a.ndim)
-    idx = np.asarray(_unwrap_index(index))
-    if idx.shape != src.shape:
-        raise ShapeError(f"scatter_add index shape {idx.shape} != src shape {src.shape}")
-    data = a.data.copy()
-    mesh = np.meshgrid(*[np.arange(n) for n in idx.shape], indexing="ij")
-    full_index = list(mesh)
-    full_index[axis] = idx
-    np.add.at(data, tuple(full_index), src.data)
-
-    def backward(grad):
-        ga = grad if a.requires_grad else None
-        gs = grad[tuple(full_index)] if src.requires_grad else None
-        return (ga, gs)
-
-    return Tensor._make(data, (a, src), backward, "scatter_add", a.device)
-
-
-def one_hot(index: Tensor, num_classes: int) -> Tensor:
-    idx = index.data.astype(np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= num_classes):
-        raise ShapeError(f"one_hot indices out of range [0, {num_classes})")
-    data = np.zeros(idx.shape + (num_classes,), dtype=np.float32)
-    np.put_along_axis(
-        data, idx[..., None], 1.0, axis=-1
-    )
-    return Tensor._make(data, (index,), None, "one_hot", index.device)
-
-
-def segment_sum(values: Tensor, starts) -> Tensor:
-    """Sum contiguous row segments of ``values`` (axis 0).
-
-    Args:
-        values: tensor of shape (n, ...).
-        starts: 1-d int array of segment start offsets; must begin with 0.
-    """
-    start_idx = np.asarray(_unwrap_index(starts), dtype=np.int64)
-    if start_idx.size == 0:
-        return Tensor._make(
-            np.zeros((0,) + values.shape[1:], dtype=values.dtype),
-            (values,), None, "segment_sum", values.device,
-        )
-    if start_idx[0] != 0:
-        raise ShapeError("segment starts must begin with 0")
-    n = values.shape[0]
-    data = np.add.reduceat(values.data, start_idx, axis=0)
-    lengths = np.diff(np.append(start_idx, n))
-
-    def backward(grad):
-        return (np.repeat(grad, lengths, axis=0),)
-
-    return Tensor._make(data, (values,), backward, "segment_sum", values.device)
-
-
-def repeat_interleave(a: Tensor, repeats, dim: int = 0) -> Tensor:
-    axis = normalize_dim(dim, a.ndim)
-    reps = _unwrap_index(repeats)
-    data = np.repeat(a.data, reps, axis=axis)
-    shape = a.shape
-
-    if isinstance(reps, int):
-        lengths = np.full(shape[axis], reps, dtype=np.int64)
-    else:
-        lengths = np.asarray(reps, dtype=np.int64)
-
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-
-    def backward(grad):
-        moved = np.moveaxis(grad, axis, 0)
-        if moved.shape[0] == 0:
-            summed = np.zeros((len(lengths),) + moved.shape[1:], dtype=grad.dtype)
-        else:
-            summed = np.add.reduceat(moved, starts, axis=0)
-            summed[lengths == 0] = 0
-        return (np.moveaxis(summed, 0, axis),)
-
-    return Tensor._make(data, (a,), backward, "repeat_interleave", a.device)

@@ -1,4 +1,4 @@
-"""Reduction operators: sum/mean/var/max/min/argmax/cumsum/logsumexp."""
+"""Reduction operators: sum/mean/var/max/min."""
 
 from __future__ import annotations
 
@@ -59,11 +59,6 @@ def var(a: Tensor, dim=None, keepdim: bool = False, unbiased: bool = True) -> Te
     return Tensor._make(np.asarray(data), (a,), backward, "var", a.device)
 
 
-def std(a: Tensor, dim=None, keepdim: bool = False, unbiased: bool = True) -> Tensor:
-    from repro.tcr.ops.elementwise import sqrt
-    return sqrt(var(a, dim, keepdim, unbiased))
-
-
 def _extremum(a: Tensor, dim, keepdim: bool, np_fn, np_arg_fn, op_name):
     if dim is None:
         data = np_fn(a.data)
@@ -100,79 +95,3 @@ def max(a: Tensor, dim=None, keepdim: bool = False):
 
 def min(a: Tensor, dim=None, keepdim: bool = False):
     return _extremum(a, dim, keepdim, np.min, np.argmin, "min")
-
-
-def argmax(a: Tensor, dim=None, keepdim: bool = False) -> Tensor:
-    if dim is None:
-        data = np.asarray(np.argmax(a.data))
-    else:
-        axis = normalize_dim(dim, a.ndim)
-        data = np.argmax(a.data, axis=axis)
-        if keepdim:
-            data = np.expand_dims(data, axis)
-    return Tensor._make(data.astype(np.int64), (a,), None, "argmax", a.device)
-
-
-def argmin(a: Tensor, dim=None, keepdim: bool = False) -> Tensor:
-    if dim is None:
-        data = np.asarray(np.argmin(a.data))
-    else:
-        axis = normalize_dim(dim, a.ndim)
-        data = np.argmin(a.data, axis=axis)
-        if keepdim:
-            data = np.expand_dims(data, axis)
-    return Tensor._make(data.astype(np.int64), (a,), None, "argmin", a.device)
-
-
-def cumsum(a: Tensor, dim: int = 0) -> Tensor:
-    axis = normalize_dim(dim, a.ndim)
-    data = np.cumsum(a.data, axis=axis)
-
-    def backward(grad):
-        flipped = np.flip(grad, axis=axis)
-        return (np.flip(np.cumsum(flipped, axis=axis), axis=axis),)
-
-    return Tensor._make(data, (a,), backward, "cumsum", a.device)
-
-
-def logsumexp(a: Tensor, dim: int = -1, keepdim: bool = False) -> Tensor:
-    axis = normalize_dim(dim, a.ndim)
-    peak = a.data.max(axis=axis, keepdims=True)
-    shifted = np.exp(a.data - peak)
-    total = shifted.sum(axis=axis, keepdims=True)
-    data = (np.log(total) + peak)
-    softmax_vals = shifted / total
-    if not keepdim:
-        data = np.squeeze(data, axis=axis)
-
-    def backward(grad):
-        g = grad if keepdim else np.expand_dims(grad, axis)
-        return (g * softmax_vals,)
-
-    return Tensor._make(data, (a,), backward, "logsumexp", a.device)
-
-
-def all(a: Tensor, dim=None) -> Tensor:
-    axes = reduction_axes(dim, a.ndim)
-    return Tensor._make(np.asarray(a.data.all(axis=axes)), (a,), None, "all", a.device)
-
-
-def any(a: Tensor, dim=None) -> Tensor:
-    axes = reduction_axes(dim, a.ndim)
-    return Tensor._make(np.asarray(a.data.any(axis=axes)), (a,), None, "any", a.device)
-
-
-def prod(a: Tensor, dim=None, keepdim: bool = False) -> Tensor:
-    axes = reduction_axes(dim, a.ndim)
-    data = a.data.prod(axis=axes, keepdims=keepdim)
-    shape = a.shape
-    a_data = a.data
-
-    def backward(grad):
-        g = expand_reduced(grad, shape, axes, keepdim)
-        full = np.asarray(a_data.prod(axis=axes, keepdims=True))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(a_data != 0, full / np.where(a_data != 0, a_data, 1.0), 0.0)
-        return (g * ratio,)
-
-    return Tensor._make(np.asarray(data), (a,), backward, "prod", a.device)

@@ -1,4 +1,4 @@
-"""Shape-manipulation operators: reshape/transpose/cat/stack/pad/etc."""
+"""Shape-manipulation operators: reshape/permute/flatten/cat/stack."""
 
 from __future__ import annotations
 
@@ -22,17 +22,6 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return Tensor._make(data, (a,), backward, "reshape", a.device)
 
 
-def transpose(a: Tensor, dim0: int, dim1: int) -> Tensor:
-    d0 = normalize_dim(dim0, a.ndim)
-    d1 = normalize_dim(dim1, a.ndim)
-    data = np.swapaxes(a.data, d0, d1)
-
-    def backward(grad):
-        return (np.swapaxes(grad, d0, d1),)
-
-    return Tensor._make(data, (a,), backward, "transpose", a.device)
-
-
 def permute(a: Tensor, dims: tuple) -> Tensor:
     dims = tuple(normalize_dim(d, a.ndim) for d in dims)
     if sorted(dims) != list(range(a.ndim)):
@@ -46,35 +35,6 @@ def permute(a: Tensor, dims: tuple) -> Tensor:
     return Tensor._make(data, (a,), backward, "permute", a.device)
 
 
-def squeeze(a: Tensor, dim=None) -> Tensor:
-    old_shape = a.shape
-    if dim is None:
-        data = np.squeeze(a.data)
-    else:
-        axis = normalize_dim(dim, a.ndim)
-        if a.shape[axis] != 1:
-            return a
-        data = np.squeeze(a.data, axis=axis)
-
-    def backward(grad):
-        return (grad.reshape(old_shape),)
-
-    return Tensor._make(data, (a,), backward, "squeeze", a.device)
-
-
-def unsqueeze(a: Tensor, dim: int) -> Tensor:
-    if not -(a.ndim + 1) <= dim <= a.ndim:
-        raise IndexError(f"unsqueeze dim {dim} out of range")
-    axis = dim % (a.ndim + 1)
-    old_shape = a.shape
-    data = np.expand_dims(a.data, axis)
-
-    def backward(grad):
-        return (grad.reshape(old_shape),)
-
-    return Tensor._make(data, (a,), backward, "unsqueeze", a.device)
-
-
 def flatten(a: Tensor, start_dim: int = 0, end_dim: int = -1) -> Tensor:
     start = normalize_dim(start_dim, a.ndim)
     end = normalize_dim(end_dim, a.ndim)
@@ -85,19 +45,6 @@ def flatten(a: Tensor, start_dim: int = 0, end_dim: int = -1) -> Tensor:
         merged *= n
     new_shape = a.shape[:start] + (merged,) + a.shape[end + 1:]
     return reshape(a, new_shape)
-
-
-def broadcast_to(a: Tensor, shape: tuple) -> Tensor:
-    shape = tuple(a.shape[i - (len(shape) - a.ndim)] if n == -1 else n
-                  for i, n in enumerate(shape))
-    data = np.broadcast_to(a.data, shape).copy()
-    old_shape = a.shape
-
-    def backward(grad):
-        from repro.tcr.autograd import unbroadcast
-        return (unbroadcast(grad, old_shape),)
-
-    return Tensor._make(data, (a,), backward, "broadcast_to", a.device)
 
 
 def cat(tensors: Sequence[Tensor], dim: int = 0) -> Tensor:
@@ -130,88 +77,3 @@ def stack(tensors: Sequence[Tensor], dim: int = 0) -> Tensor:
         return tuple(np.take(grad, i, axis=axis) for i in range(len(tensors)))
 
     return Tensor._make(data, tuple(tensors), backward, "stack", device)
-
-
-def split(a: Tensor, split_size_or_sections, dim: int = 0) -> list:
-    axis = normalize_dim(dim, a.ndim)
-    total = a.shape[axis]
-    if isinstance(split_size_or_sections, int):
-        size = split_size_or_sections
-        sections = [size] * (total // size)
-        if total % size:
-            sections.append(total % size)
-    else:
-        sections = list(split_size_or_sections)
-        if builtins_sum(sections) != total:
-            raise ShapeError(f"split sections {sections} do not sum to {total}")
-    pieces = []
-    offset = 0
-    for size in sections:
-        index = [slice(None)] * a.ndim
-        index[axis] = slice(offset, offset + size)
-        from repro.tcr.ops.indexing import getitem
-        pieces.append(getitem(a, tuple(index)))
-        offset += size
-    return pieces
-
-
-def chunk(a: Tensor, chunks: int, dim: int = 0) -> list:
-    axis = normalize_dim(dim, a.ndim)
-    size = -(-a.shape[axis] // chunks)
-    return split(a, size, dim)
-
-
-def pad2d(a: Tensor, padding) -> Tensor:
-    """Zero-pad the last two dimensions. ``padding`` = int or (left,right,top,bottom)."""
-    if isinstance(padding, int):
-        left = right = top = bottom = padding
-    else:
-        left, right, top, bottom = padding
-    if a.ndim < 2:
-        raise ShapeError("pad2d requires at least a 2-d tensor")
-    widths = [(0, 0)] * (a.ndim - 2) + [(top, bottom), (left, right)]
-    data = np.pad(a.data, widths)
-    slices = tuple(
-        slice(w[0], dim_size + w[0]) for w, dim_size in zip(widths, a.shape)
-    )
-
-    def backward(grad):
-        return (grad[slices],)
-
-    return Tensor._make(data, (a,), backward, "pad2d", a.device)
-
-
-def tile(a: Tensor, reps: tuple) -> Tensor:
-    data = np.tile(a.data, reps)
-    old_shape = a.shape
-    full_reps = (1,) * (data.ndim - len(reps)) + tuple(reps)
-    padded_shape = (1,) * (data.ndim - a.ndim) + old_shape
-
-    def backward(grad):
-        # Fold each tiled axis back with a sum.
-        work = grad.reshape(
-            tuple(n for pair in zip(full_reps, padded_shape) for n in pair)
-        )
-        work = work.sum(axis=tuple(range(0, work.ndim, 2)))
-        return (work.reshape(old_shape),)
-
-    return Tensor._make(data, (a,), backward, "tile", a.device)
-
-
-def flip(a: Tensor, dims) -> Tensor:
-    if isinstance(dims, int):
-        dims = (dims,)
-    axes = tuple(normalize_dim(d, a.ndim) for d in dims)
-    data = np.flip(a.data, axis=axes).copy()
-
-    def backward(grad):
-        return (np.flip(grad, axis=axes),)
-
-    return Tensor._make(data, (a,), backward, "flip", a.device)
-
-
-def builtins_sum(values):
-    total = 0
-    for v in values:
-        total += v
-    return total

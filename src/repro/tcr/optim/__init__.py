@@ -1,6 +1,5 @@
 """Gradient-descent optimisers (paper Listing 5 uses Adam)."""
 
-from repro.tcr.optim.sgd import SGD
-from repro.tcr.optim.adam import Adam, AdamW
+from repro.tcr.optim.adam import Adam
 
-__all__ = ["Adam", "AdamW", "SGD"]
+__all__ = ["Adam"]

@@ -1,4 +1,4 @@
-"""Adam / AdamW optimisers."""
+"""The Adam optimiser."""
 
 from __future__ import annotations
 
@@ -39,17 +39,3 @@ class Adam(Optimizer):
                 grad = grad + self.weight_decay * p.data
             update = self._update(p, state, grad)
             p.data = p.data - self.lr * update.astype(p.data.dtype, copy=False)
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay."""
-
-    def step(self) -> None:
-        for p, state in zip(self.params, self.state):
-            if p.grad is None:
-                continue
-            grad = p.grad.astype(np.float32, copy=False)
-            update = self._update(p, state, grad)
-            p.data = p.data - self.lr * (
-                update.astype(p.data.dtype, copy=False) + self.weight_decay * p.data
-            )

@@ -33,17 +33,3 @@ def randn(*shape, device=None, requires_grad: bool = False) -> Tensor:
         shape = tuple(shape[0])
     data = _generator.standard_normal(shape).astype(np.float32)
     return Tensor(data, requires_grad=requires_grad, device=device)
-
-
-def randint(low: int, high: int, shape, device=None) -> Tensor:
-    data = _generator.integers(low, high, size=tuple(shape), dtype=np.int64)
-    return Tensor(data, device=device)
-
-
-def randperm(n: int, device=None) -> Tensor:
-    return Tensor(_generator.permutation(n).astype(np.int64), device=device)
-
-
-def bernoulli(p, shape, device=None) -> Tensor:
-    data = (_generator.random(tuple(shape)) < p)
-    return Tensor(data, device=device)

@@ -3,7 +3,7 @@
 This mirrors the subset of ``torch.Tensor`` that the engine and the paper's
 listings use: Python operators with broadcasting, indexing, ``backward()``,
 ``detach()``, ``item()``, device placement, dtype casts and the few method
-forms (``sum``, ``mean``, ``sqrt``, ``reshape``/``view``) called as methods. Every
+forms (``sum``, ``mean``, ``sqrt``, ``reshape``) called as methods. Every
 other op is a function in :mod:`repro.tcr.ops`.
 """
 
@@ -117,18 +117,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError("truth value of a multi-element tensor is ambiguous")
         return bool(self.data.reshape(()))
-
-    # ------------------------------------------------------------------
-    # Conversion
-    # ------------------------------------------------------------------
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (detached view)."""
-        if self.requires_grad:
-            raise AutogradError("call .detach().numpy() on a tensor that requires grad")
-        return self.data
-
-    def tolist(self):
-        return self.data.tolist()
 
     def item(self):
         if self.data.size != 1:
@@ -312,9 +300,6 @@ class Tensor:
             shape = tuple(shape[0])
         return ops.reshape(self, shape)
 
-    def view(self, *shape):
-        return self.reshape(*shape)
-
 
 def ensure_tensor(value, device: Optional[Device] = None, dtype=None) -> Tensor:
     """Coerce scalars/arrays/lists into a Tensor on ``device``."""
@@ -340,32 +325,3 @@ def ones(*shape, dtype=np.float32, device=None, requires_grad: bool = False) -> 
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad, device=device)
-
-
-def full(shape, fill_value, dtype=None, device=None) -> Tensor:
-    if dtype is None:
-        dtype = np.float32 if isinstance(fill_value, float) else np.int64
-    return Tensor(np.full(shape, fill_value, dtype=dtype), device=device)
-
-
-def zeros_like(t: Tensor, dtype=None) -> Tensor:
-    return Tensor(np.zeros_like(t.data, dtype=dtype), device=t.device)
-
-
-def arange(*args, dtype=None, device=None) -> Tensor:
-    array = np.arange(*args)
-    if dtype is not None:
-        array = array.astype(dtype)
-    elif array.dtype.kind == "i":
-        array = array.astype(np.int64)
-    else:
-        array = array.astype(np.float32)
-    return Tensor(array, device=device)
-
-
-def linspace(start, stop, steps, device=None) -> Tensor:
-    return Tensor(np.linspace(start, stop, steps, dtype=np.float32), device=device)
-
-
-def eye(n: int, m: Optional[int] = None, device=None) -> Tensor:
-    return Tensor(np.eye(n, m, dtype=np.float32), device=device)

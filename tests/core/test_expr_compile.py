@@ -6,15 +6,14 @@ Covers the contracts the differential harness cannot pin down one by one:
   including the newline behaviour the old regex lowering (no ``DOTALL``)
   got wrong, wildcards, regex metacharacters in patterns, and characters
   at or past U+FFFF right after a LIKE prefix;
-* the one lowering under both array namespaces (``compile_exprs`` on:
-  numpy, off: tcr ops): the stage label in the plan, every builtin,
-  arithmetic and comparison giving the same values on both, SUBSTR's
-  constant-bounds contract, and strings a UDF returns as values;
+* the one lowering under both array namespaces (numpy for exact plans;
+  tcr ops through ``tcr_lowering.query_over_tcr``): the stage label in the
+  plan, every builtin, arithmetic and comparison giving the same values on
+  both, SUBSTR's constant-bounds contract, and strings a UDF returns as
+  values;
 * string functions in aggregate, sort and join keys run on dictionary
   codes (no per-row decode);
 * ``CAST(<non-finite> AS INT)`` is 0, warning-free, on both namespaces;
-* ``compile_exprs`` enters the plan-cache fingerprint, so flipping it can
-  never serve a plan compiled under the other mode;
 * the session memo for ``encode_text`` (satellite of the kernel work).
 """
 
@@ -23,7 +22,6 @@ import re
 import numpy as np
 import pytest
 
-from repro.core.config import QueryConfig
 from repro.errors import EncodingError, ExecutionError
 from repro.core.kernels import strings as string_kernels
 from repro.core.session import Session
@@ -31,6 +29,7 @@ from repro.storage.column import Column
 from repro.storage.encodings import DictionaryEncoding
 from repro.tcr import nn
 from repro.tcr.tensor import Tensor
+from tcr_lowering import QUERIES, query_over_tcr
 
 
 def _snapshot(result):
@@ -110,17 +109,14 @@ class TestLikeKernel:
         expected = [i for i, v in enumerate(LIKE_CORPUS)
                     if _like_oracle(v, pattern)]
         stmt = f"SELECT id FROM t WHERE s LIKE '{pattern}'"
-        for extra in ({"compile_exprs": False}, {"compile_exprs": True}):
-            got = session.sql.query(stmt, extra_config=extra).run()
-            assert got.column("id").tolist() == expected, (pattern, extra)
+        for query in QUERIES:
+            got = query(session, stmt).run()
+            assert got.column("id").tolist() == expected, (pattern, query)
 
 
 # ----------------------------------------------------------------------
 # One lowering, two namespaces
 # ----------------------------------------------------------------------
-NAMESPACES = ({"compile_exprs": True}, {"compile_exprs": False})
-
-
 def _numbers_session(n=32):
     session = Session()
     session.sql.register_dict({
@@ -171,37 +167,27 @@ class TestOneLowering:
 
     def test_stage_body_appears_in_plan(self):
         session = _numbers_session()
-        query = session.sql.query(
-            "SELECT id, x + 1 AS v FROM t WHERE x > 0",
-            extra_config={"compile_exprs": True})
-        assert "Pipeline[kernel]" in query.explain()
-        off = session.sql.query(
-            "SELECT id, x + 1 AS v FROM t WHERE x > 0",
-            extra_config={"compile_exprs": False})
-        assert "Pipeline[kernel]" not in off.explain()
-        assert "Pipeline[interp]" in off.explain()
+        stmt = "SELECT id, x + 1 AS v FROM t WHERE x > 0"
+        assert "Pipeline[kernel]" in session.sql.query(stmt).explain()
+        over_tcr = query_over_tcr(session, stmt).explain()
+        assert "Pipeline[kernel]" not in over_tcr
+        assert "Pipeline[interp]" in over_tcr
 
-    @pytest.mark.parametrize("extra", NAMESPACES)
-    def test_substr_bounds_must_be_constant(self, extra):
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_substr_bounds_must_be_constant(self, query):
         """SUBSTR folds its bounds at plan time (one dictionary transform
         per statement): non-constant bounds are the statement's error, at
         run time, on either namespace."""
         session = _numbers_session()
-        query = session.sql.query(
-            "SELECT id, SUBSTR(s, 1 + x % 2, 2) AS sx FROM t WHERE x > 0",
-            extra_config=extra)
+        compiled = query(
+            session, "SELECT id, SUBSTR(s, 1 + x % 2, 2) AS sx FROM t WHERE x > 0")
         with pytest.raises(ExecutionError, match="constant"):
-            query.run()
+            compiled.run()
 
     def test_cast_to_string_agrees_across_namespaces(self):
         session = _numbers_session()
         stmt = "SELECT id, CAST(x AS STRING) AS sx FROM t WHERE x > 0"
-        compiled = session.sql.query(stmt,
-                                     extra_config={"compile_exprs": True})
-        assert "Pipeline[kernel]" in compiled.explain()
-        base = session.sql.query(stmt, extra_config={"compile_exprs": False})
-        _assert_equal_results(_snapshot(base.run()),
-                              _snapshot(compiled.run()), stmt)
+        self._assert_namespaces_agree(session, stmt)
 
     @pytest.mark.parametrize("projection", BUILTIN_AND_ARITH_EXPRS)
     def test_builtins_and_arithmetic_agree_across_namespaces(self, projection):
@@ -218,16 +204,16 @@ class TestOneLowering:
 
     @staticmethod
     def _assert_namespaces_agree(session, stmt):
-        kernel = session.sql.query(stmt, extra_config={"compile_exprs": True})
-        interp = session.sql.query(stmt, extra_config={"compile_exprs": False})
+        kernel = session.sql.query(stmt)
+        interp = query_over_tcr(session, stmt)
         assert "Pipeline[kernel]" in kernel.explain()
         assert "Pipeline[interp]" in interp.explain()
         got, want = _snapshot(interp.run()), _snapshot(kernel.run())
         assert len(want["id"]) > 0, stmt
         _assert_equal_results(got, want, stmt)
 
-    @pytest.mark.parametrize("extra", NAMESPACES)
-    def test_strings_returned_by_a_udf(self, extra):
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_strings_returned_by_a_udf(self, query):
         """A UDF may hand back strings as values (an object array); they
         become a dictionary column. Every string function takes them and
         answers what python's str methods answer."""
@@ -238,11 +224,11 @@ class TestOneLowering:
         def tag(ids):
             return np.asarray([texts[int(i)] for i in ids.data], dtype=object)
 
-        got = session.sql.query(
+        got = query(
+            session,
             "SELECT id, UPPER(tag(id)) AS u, LENGTH(tag(id)) AS n, "
             "TRIM(tag(id)) AS t, SUBSTR(tag(id), 2, 3) AS sub FROM t "
-            "WHERE tag(id) LIKE '%ow1%' OR tag(id) LIKE ' Row2_ '",
-            extra_config=extra).run()
+            "WHERE tag(id) LIKE '%ow1%' OR tag(id) LIKE ' Row2_ '").run()
         keep = [i for i, text in enumerate(texts)
                 if "ow1" in text or text.startswith(" Row2")]
         assert keep and got.column("id").tolist() == keep
@@ -269,8 +255,8 @@ class TestOneLowering:
         with pytest.raises(EncodingError):
             session.sql.query("SELECT nul(id) AS w FROM t").run()
 
-    @pytest.mark.parametrize("extra", NAMESPACES)
-    def test_cast_non_finite_to_int_is_zero(self, extra):
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_cast_non_finite_to_int_is_zero(self, query):
         """docs/KERNEL_COMPILATION.md: NaN and +-inf cast to integer 0 (a
         bare numpy astype is platform-dependent and warns)."""
         import warnings
@@ -281,13 +267,9 @@ class TestOneLowering:
         session.sql.register_dict({"v": np.zeros(0, dtype=np.float32)}, "e")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = session.sql.query("SELECT CAST(v AS INT) AS i FROM t",
-                                    extra_config=extra).run().column("i")
-            empty = session.sql.query("SELECT CAST(v AS INT) AS i FROM e",
-                                      extra_config=extra).run().column("i")
-            total = session.sql.query(
-                "SELECT SUM(CAST(v AS INT)) AS s FROM t",
-                extra_config=extra).run().scalar()
+            got = query(session, "SELECT CAST(v AS INT) AS i FROM t").run().column("i")
+            empty = query(session, "SELECT CAST(v AS INT) AS i FROM e").run().column("i")
+            total = query(session, "SELECT SUM(CAST(v AS INT)) AS s FROM t").run().scalar()
         assert got.dtype == np.int64 and got.tolist() == [1, 0, 0, 0, -2]
         assert empty.dtype == np.int64 and len(empty) == 0
         assert total == -1
@@ -363,32 +345,6 @@ class TestStringKeysRunOnCodes:
                       for k, other in enumerate(self.r)
                       if fold(text) == fold(other))
         assert want and list(zip(got.column("v"), got.column("k"))) == want
-
-
-# ----------------------------------------------------------------------
-# Plan-cache interaction
-# ----------------------------------------------------------------------
-class TestPlanCacheFingerprint:
-    def test_compile_exprs_flips_cache_key(self):
-        session = _numbers_session()
-        stmt = "SELECT id FROM t WHERE x > 0"
-        q_on = session.compile_query(stmt,
-                                     extra_config={"compile_exprs": True})
-        q_off = session.compile_query(stmt,
-                                      extra_config={"compile_exprs": False})
-        assert q_on is not q_off
-        assert "Pipeline[kernel]" in q_on.explain()
-        assert "Pipeline[kernel]" not in q_off.explain()
-        # Both plans are cached under distinct keys and re-served.
-        assert session.compile_query(
-            stmt, extra_config={"compile_exprs": True}) is q_on
-        assert session.compile_query(
-            stmt, extra_config={"compile_exprs": False}) is q_off
-
-    def test_fingerprint_differs(self):
-        on = QueryConfig({"compile_exprs": True})
-        off = QueryConfig({"compile_exprs": False})
-        assert on.fingerprint() != off.fingerprint()
 
 
 # ----------------------------------------------------------------------

@@ -16,12 +16,11 @@ from repro.errors import SqlError
 from repro.sql import bound as b
 from repro.sql import logical
 from repro.storage import types as dt
+from tcr_lowering import LOWERINGS, QUERIES, query_over_tcr
 
 # The benchmark's statement generator (rel_analytic / rel_sharded).
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "..", "benchmarks", "e2e"))
-
-INTERPRETED = {"compile_exprs": False}
 
 
 def _table_data():
@@ -53,7 +52,7 @@ def _reference(session, data, sql):
     try:
         return duck.execute(sql)
     except SqlError:
-        return session.sql.query(sql, extra_config=INTERPRETED).run(toPandas=True)
+        return query_over_tcr(session, sql).run(toPandas=True)
 
 
 # Queries exercising single- and multi-stage pipelines, including the shapes
@@ -101,13 +100,14 @@ class TestPipelinePlanShape:
         assert physical.count("Pipeline[") == 1
 
     def test_knobs_select_only_the_body(self, session):
-        """`compile_exprs` and `trainable` change the stage body, never the
-        plan shape."""
+        """The lowering namespace and `trainable` change the stage body,
+        never the plan shape."""
         sql = "SELECT SUM(a) FROM t WHERE a > 0 AND b < 1"
         shapes = []
-        for extra, body in ((None, "kernel"), (INTERPRETED, "interp"),
-                            ({"trainable": True}, "interp")):
-            physical = _physical(session.sql.query(sql, extra_config=extra))
+        queries = (session.sql.query(sql), query_over_tcr(session, sql),
+                   session.sql.query(sql, extra_config={"trainable": True}))
+        for query, body in zip(queries, ("kernel", "interp", "interp")):
+            physical = _physical(query)
             assert physical.count("Pipeline[") == 1
             assert f"Pipeline[{body}]" in physical
             shapes.append(physical.replace(f"[{body}]", "[]"))
@@ -145,11 +145,11 @@ class TestPipelinePlanShape:
                                      "priority", "deadline",
                                      "scheduler_workers", "max_queue_depth",
                                      "soft_filter", "soft_temperature",
-                                     "groupby_impl"])
+                                     "groupby_impl", "compile_exprs"])
     def test_removed_knobs_are_unknown_keys(self, key):
         with pytest.raises(ValueError, match="unknown config key"):
             QueryConfig({key: False})
-        assert len(QueryConfig().fingerprint()) == 9
+        assert len(QueryConfig().fingerprint()) == 8
 
 
 def _udf_session(seen):
@@ -183,10 +183,9 @@ class TestStageBreakers:
         seen = []
         session = _udf_session(seen)
         sql = f"SELECT x FROM t WHERE x > 4 AND {conjunct}"
-        for extra in ({"tensor_cache": False},
-                      {"tensor_cache": False, "compile_exprs": False}):
+        for compile_ in QUERIES:
             seen.clear()
-            query = session.sql.query(sql, extra_config=extra)
+            query = compile_(session, sql, extra_config={"tensor_cache": False})
             physical = _physical(query)
             assert physical.count("Pipeline[") == 2
             assert physical.index("f(y)") < physical.index("(x > 4)")
@@ -206,8 +205,7 @@ class TestStageBreakers:
         # The cheap k<5 conjunct must prune rows before the UDF runs: the
         # probe invocations together see < 500 rows.
         assert 0 < sum(seen_rows) < 500
-        interpreted = session.sql.query(
-            sql, extra_config=INTERPRETED).run(toPandas=True)
+        interpreted = query_over_tcr(session, sql).run(toPandas=True)
         assert out.equals(interpreted, atol=1e-6)
 
     def test_udf_projection_is_not_inlined(self):
@@ -230,8 +228,8 @@ class TestStageBreakers:
             query.run(toPandas=True)["z"], [4, 16, 36, 64, 100, 144])
         assert sum(seen) == 6
 
-    @pytest.mark.parametrize("extra", [None, INTERPRETED])
-    def test_positional_round_is_not_moved_across_a_selection(self, extra):
+    @pytest.mark.parametrize("lowering", LOWERINGS)
+    def test_positional_round_is_not_moved_across_a_selection(self, lowering):
         """Two-argument ROUND reads element 0 of its digits operand, so with
         a digits *column* its value depends on which rows it is given."""
         session = Session()
@@ -242,9 +240,10 @@ class TestStageBreakers:
         }, "t")
         # As a later conjunct it must read only the a > 0 survivors
         # (digits = 2: 5.68 and 9.1), not all rows (digits = 0: 6 and 9).
-        query = session.sql.query(
-            "SELECT x FROM t WHERE a > 0 AND ROUND(x, d) < 5.9",
-            extra_config=extra)
+        with lowering():
+            query = session.sql.query(
+                "SELECT x FROM t WHERE a > 0 AND ROUND(x, d) < 5.9",
+                extra_config={"plan_cache": False})
         assert _physical(query).count("Pipeline[") == 2
         np.testing.assert_allclose(query.run(toPandas=True)["x"], [5.678])
 
@@ -258,8 +257,9 @@ class TestStageBreakers:
         guarded = logical.Filter(
             rounded, b.BBinary(">", b.BColumn(1, "a", dt.INT),
                                b.BLiteral(0, dt.INT), dt.BOOL))
-        config = QueryConfig(extra)
-        query = Compiler(session.catalog, config, "cpu").compile(guarded, "<manual>")
+        with lowering():
+            query = Compiler(session.catalog, QueryConfig(), "cpu").compile(
+                guarded, "<manual>")
         assert query.root.pretty().count("Pipeline[") == 2
         np.testing.assert_allclose(query.run(toPandas=True)["r"], [6.0, 9.0])
 
@@ -291,10 +291,11 @@ class TestFilterChainOrder:
                       b.BLiteral(0.0, dt.FLOAT), dt.BOOL))
         chained = logical.Filter(
             guard, b.BCall(info, [b.BColumn(0, "x", dt.FLOAT)], dt.BOOL))
-        for config in (QueryConfig(), QueryConfig(INTERPRETED)):
+        for lowering in LOWERINGS:
             seen.clear()
-            query = Compiler(session.catalog, config, "cpu").compile(
-                chained, "<manual>")
+            with lowering():
+                query = Compiler(session.catalog, QueryConfig(), "cpu").compile(
+                    chained, "<manual>")
             out = query.run(toPandas=True)
             assert out["x"].tolist() == [2.0, 4.0]
             assert sum(seen) == 3                # only the guarded rows

@@ -10,7 +10,8 @@ Three algebraic contracts the execution engine relies on:
   join shards, so these laws run join statements and check that their
   plans hold a ``ShardedScan``.
 * **numpy ≡ tcr** — the one expression lowering gives the same bits in
-  numpy on detached data (`compile_exprs` on) as over tcr ops (off),
+  numpy on detached data (exact plans) as over tcr ops (the
+  `tcr_lowering.query_over_tcr` leg),
   over randomized expression trees (arithmetic, comparisons, CASE, CAST,
   builtins, LIKE/IN/BETWEEN/IS NULL, NULL/NaN data, empty and single-row
   tables, dictionary-encoded string columns, characters past U+FFFF) at
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.session import Session
+from tcr_lowering import query_over_tcr
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -110,8 +112,7 @@ def test_statements_equal_interpreter_leg(data):
     session = _register(data)
     for stmt in STATEMENTS:
         default = _snapshot(session.sql.query(stmt).run())
-        interpreted = _snapshot(session.sql.query(
-            stmt, extra_config={"compile_exprs": False}).run())
+        interpreted = _snapshot(query_over_tcr(session, stmt).run())
         _assert_bitwise(default, interpreted, stmt)
 
 
@@ -198,14 +199,8 @@ def test_count_distinct_collapses_nans_consistently():
 # ----------------------------------------------------------------------
 # Compiled kernels ≡ interpreter
 # ----------------------------------------------------------------------
-INTERP_CONFIG = {"compile_exprs": False}
-KERNEL_CONFIGS = (
-    # Serial and sharded (odd and even shard counts — unequal and equal
-    # splits of the join input).
-    {"compile_exprs": True},
-    {"compile_exprs": True, "shards": 3},
-    {"compile_exprs": True, "shards": 4},
-)
+# Odd and even shard counts: unequal and equal splits of the join input.
+SHARD_COUNTS = (3, 4)
 # Every law statement filters ``t`` below this identity join, so the
 # sharded configs evaluate the filter per shard and stitch the survivors.
 # The always-true ``id >= 0`` keeps a filter on ``t``'s side even when the
@@ -316,13 +311,14 @@ def num_exprs(draw, depth=2):
 
 
 def _assert_compiled_law(session, stmt):
-    base = _snapshot(session.sql.query(stmt, extra_config=INTERP_CONFIG).run())
-    for extra in KERNEL_CONFIGS:
-        if "shards" in extra:
-            compiled = _run_sharded(session, stmt, extra)
-        else:
-            compiled = _snapshot(session.sql.query(stmt, extra_config=extra).run())
-        _assert_bitwise(base, compiled, (stmt, tuple(sorted(extra.items()))))
+    """Serial numpy is the base; tcr ops (serial) and numpy at each shard
+    count must give its bits."""
+    base = _snapshot(session.sql.query(stmt).run())
+    _assert_bitwise(base, _snapshot(query_over_tcr(session, stmt).run()),
+                    (stmt, "tcr ops"))
+    for shards in SHARD_COUNTS:
+        _assert_bitwise(base, _run_sharded(session, stmt, {"shards": shards}),
+                        (stmt, shards))
 
 
 @pytest.mark.usefixtures("tiny_shards")

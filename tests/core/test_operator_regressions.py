@@ -23,6 +23,7 @@ import pytest
 
 from repro.baselines.miniduck import MiniDuck
 from repro.core.session import Session
+from tcr_lowering import QUERIES
 
 
 class TestMultiKeyJoinOverflow:
@@ -168,12 +169,12 @@ class TestNanGroupKeys:
             {"g": np.array([1.0, np.nan, np.nan, 2.0], dtype=np.float32),
              "v": np.array([1, 2, 4, 8], dtype=np.int64)}, "t")
         sql = "SELECT g, COUNT(*) AS c, SUM(v) AS s FROM t GROUP BY g"
-        for extra in (None, {"compile_exprs": False}):
-            out = session.sql.query(sql, extra_config=extra).run()
+        for query in QUERIES:
+            out = query(session, sql).run()
             g = np.asarray(out.column("g"))
-            assert g[:2].tolist() == [1.0, 2.0] and np.isnan(g[2:]).all(), extra
-            assert out.column("c").tolist() == [1, 1, 1, 1], extra
-            assert out.column("s").tolist() == [1, 8, 2, 4], extra
+            assert g[:2].tolist() == [1.0, 2.0] and np.isnan(g[2:]).all(), query
+            assert out.column("c").tolist() == [1, 1, 1, 1], query
+            assert out.column("s").tolist() == [1, 8, 2, 4], query
         for removed in ("hash", "sort", "soft"):
             with pytest.raises(ValueError, match="unknown config key"):
                 session.sql.query(sql, extra_config={"groupby_impl": removed})
@@ -276,10 +277,9 @@ class TestOrdering:
     integers exact, and the top-k (argpartition) a prefix of the sort."""
 
     @staticmethod
-    def _check(values, direction, want, duck=True):
+    def _check(values, direction, want):
         """Row order of ``ORDER BY x <direction>``; its values must equal
-        ``want`` (and miniduck's, with ``duck``) and each LIMIT must be a
-        prefix of it."""
+        ``want`` (and miniduck's) and each LIMIT must be a prefix of it."""
         session = Session()
         session.sql.register_dict(
             {"x": values, "r": np.arange(len(values), dtype=np.int64)}, "t")
@@ -289,7 +289,7 @@ class TestOrdering:
         if want is not None:
             got = session.sql.query(f"SELECT x {order}").run().column("x")
             np.testing.assert_array_equal(got, want)
-        if want is not None and duck:
+        if want is not None:
             reference = MiniDuck()
             reference.register("t", {"x": values})
             np.testing.assert_array_equal(
@@ -307,12 +307,31 @@ class TestOrdering:
         self._check(values, "ASC", [-np.inf, 1, 2, np.nan])
 
     def test_int64_keys_above_2_53_compare_exactly(self):
-        # The seed's float64 copy merged 2^53 and 2^53+1 (and +2, +3).
-        # miniduck sorts through float64 too, so it is no reference here.
+        # The seed's float64 copy merged 2^53 and 2^53+1 (and +2, +3), and
+        # so did miniduck's.
         big = 2 ** 53
         values = np.array([big + 1, big, big + 3, big + 2], dtype=np.int64)
-        self._check(values, "ASC", [big, big + 1, big + 2, big + 3], duck=False)
-        self._check(values, "DESC", [big + 3, big + 2, big + 1, big], duck=False)
+        self._check(values, "ASC", [big, big + 1, big + 2, big + 3])
+        self._check(values, "DESC", [big + 3, big + 2, big + 1, big])
+
+    @pytest.mark.parametrize("sql, want", [
+        ("SELECT x, COUNT(*) AS n FROM t GROUP BY x ORDER BY x",
+         {"x": [2 ** 53, 2 ** 53 + 1, 2 ** 53 + 2], "n": [2, 1, 1]}),
+        ("SELECT DISTINCT x FROM t ORDER BY x",
+         {"x": [2 ** 53, 2 ** 53 + 1, 2 ** 53 + 2]}),
+    ])
+    def test_int64_keys_above_2_53_group_exactly(self, sql, want):
+        big = 2 ** 53
+        values = np.array([big + 1, big, big + 2, big], dtype=np.int64)
+        session = Session()
+        session.sql.register_dict({"x": values}, "t")
+        reference = MiniDuck()
+        reference.register("t", {"x": values})
+        got = session.sql.query(sql).run()
+        duck = reference.execute(sql)
+        for name, column in want.items():
+            np.testing.assert_array_equal(got.column(name), column)
+            np.testing.assert_array_equal(duck[name], column)
 
     def test_desc_and_top_k_agree_on_ties(self):
         rng = np.random.default_rng(5)
@@ -342,4 +361,4 @@ class TestOrdering:
     def test_extreme_int64_keys_do_not_overflow(self):
         info = np.iinfo(np.int64)
         values = np.array([0, info.min, info.max, -1, 1], dtype=np.int64)
-        self._check(values, "DESC", [info.max, 1, 0, -1, info.min], duck=False)
+        self._check(values, "DESC", [info.max, 1, 0, -1, info.min])

@@ -15,6 +15,7 @@ from repro.core.operators.aggregate import DENSE_FACTOR
 from repro.core.operators.join import join_ids
 from repro.core.session import Session
 from repro.storage.column import Column
+from tcr_lowering import LOWERINGS, query_over_tcr, tcr_lowering
 
 GROUP_SQL = ("SELECT k, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM data "
              "GROUP BY k ORDER BY k")
@@ -534,14 +535,17 @@ class TestGroupByFold:
     def test_tcr_namespace_gathers(self):
         session = self._session()
         sql = FOLD_SQL.format(cut=900)
-        interp_config = {"compile_exprs": False}
-        assert "access=gather why=namespace" in self._access(session, sql, interp_config)
-        interp = session.sql.query(sql, extra_config=interp_config).run()
+        with tcr_lowering():
+            assert "access=gather why=namespace" in self._access(
+                session, sql, {"plan_cache": False})
+        interp = query_over_tcr(session, sql).run()
         self._assert_same_bits(interp, session.sql.query(sql).run())
 
     def test_global_aggregate_and_unfiltered_input_do_not_annotate(self):
         session = self._session()
-        for config in (None, {"compile_exprs": False}):
+        for lowering in LOWERINGS:
             for sql in ("SELECT SUM(v) AS s FROM t WHERE r < 900",
                         "SELECT k, SUM(v) AS s FROM t GROUP BY k"):
-                assert "access=" not in self._access(session, sql, config), sql
+                with lowering():
+                    assert "access=" not in self._access(
+                        session, sql, {"plan_cache": False}), sql

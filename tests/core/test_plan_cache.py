@@ -39,7 +39,7 @@ class TestPlanCacheHits:
 
     def test_different_config_misses(self, loaded_session):
         q1 = loaded_session.sql.query(SQL)
-        q2 = loaded_session.sql.query(SQL, extra_config={"compile_exprs": False})
+        q2 = loaded_session.sql.query(SQL, extra_config={"tensor_cache": False})
         assert q1 is not q2
 
     def test_different_device_misses(self, loaded_session):

@@ -3,8 +3,15 @@ admission control, per-client fairness, and the asyncio HTTP/JSON server."""
 
 import asyncio
 import json
+import os
+import queue
+import re
+import signal
+import subprocess
+import sys
 import threading
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -506,3 +513,53 @@ class TestServeCli:
         with pytest.raises(SystemExit):
             make_parser().parse_args([flag, "1"])
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_command_serves_the_demo_and_exits_0_on_sigint(self):
+        """``python -m repro.serve --port 0 --demo`` as a child process: it
+        prints where it listens, answers ``/health`` and ``/query``, and a
+        SIGINT shuts it down with exit status 0."""
+        import repro
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--port", "0", "--demo",
+             "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+        lines = queue.Queue()
+
+        def read():
+            for line in child.stdout:
+                lines.put(line)
+            lines.put(None)         # the child closed its output
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        try:
+            # The demo trains TinyCLIP first when no cached weights exist.
+            deadline, port = time.monotonic() + 180, None
+            while port is None:
+                line = lines.get(timeout=max(deadline - time.monotonic(), 0.01))
+                assert line is not None, "repro.serve exited before listening"
+                match = re.search(r"listening on http://[^:]+:(\d+)", line)
+                port = int(match.group(1)) if match else None
+            base = f"http://127.0.0.1:{port}"
+            with urllib.request.urlopen(f"{base}/health", timeout=30) as reply:
+                assert reply.status == 200
+                assert json.loads(reply.read())["status"] == "ok"
+            request = urllib.request.Request(
+                f"{base}/query", method="POST",
+                data=json.dumps({"statement":
+                                 "SELECT COUNT(*) AS n FROM Attachments"}).encode())
+            with urllib.request.urlopen(request, timeout=30) as reply:
+                assert reply.status == 200
+                assert json.loads(reply.read())["columns"]["n"] == [200]
+            child.send_signal(signal.SIGINT)
+            assert child.wait(timeout=10) == 0
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            reader.join(timeout=5)
+            child.stdout.close()

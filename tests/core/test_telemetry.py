@@ -454,3 +454,16 @@ class TestSlowQueryLog:
         assert [e["statement"] for e in log.entries()] == \
             ["q6", "q7", "q8", "q9"]
         assert log.stats()["logged"] == 10 and log.stats()["retained"] == 4
+        assert log.stats()["evicted"] == 6
+
+    def test_evictions_are_counted_and_clear_is_not_one(self):
+        session = _numeric_session(rows=8)
+        capacity = session.slow_log.capacity
+        for _ in range(capacity + 3):
+            session.sql.query("SELECT COUNT(*) FROM t",
+                              extra_config={"slow_query_seconds": 0}).run()
+        assert session.metrics.snapshot()["slow_log.evicted"] == 3
+        session.slow_log.clear()
+        session.sql.query("SELECT COUNT(*) FROM t",
+                          extra_config={"slow_query_seconds": 0}).run()
+        assert session.slow_log.stats()["evicted"] == 3

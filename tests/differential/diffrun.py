@@ -1,22 +1,22 @@
-"""Multi-way differential runner: both expression namespaces × serial/sharded,
+"""Multi-way differential runner: serial, sharded and tcr-ops engine legs,
 plus the miniduck oracle.
 
 ``run_differential(seed, count)`` executes every generated statement:
 
-1. engine ``shards=1`` with ``compile_exprs=False`` (the one expression
-   lowering over tcr ops, serial — the base every other engine leg is
-   compared **bitwise** against),
-2. engine ``shards=4`` (tcr ops): only the scans that feed a join shard,
-   and the caller lowers ``partition.PARALLEL_MIN_ROWS`` so even small
-   tables actually split. Sharded execution must be indistinguishable from
+1. engine ``shards=1`` (exact plans lower over numpy on detached data):
+   the base every other engine leg is compared **bitwise** against;
+2. engine ``shards=4``: only the scans that feed a join shard, and the
+   caller lowers ``partition.PARALLEL_MIN_ROWS`` so even small tables
+   actually split. Sharded execution must be indistinguishable from
    serial; ``sharded_checked`` counts the statements whose shard legs
    really split a scan;
-3. engine ``shards=3`` (tcr ops): an odd shard count, so shard boundaries
-   fall at uneven row offsets;
-4. & 5. the configurations of 1. and 2. with ``compile_exprs=True`` (the
-   same lowering over numpy on detached data, the default): the two
-   namespaces must be bitwise-indistinguishable at every shard count;
-6. the ``baselines.miniduck`` oracle — compared after order normalisation
+3. engine ``shards=3``: an odd shard count, so shard boundaries fall at
+   uneven row offsets;
+4. the tcr-ops leg: 1. with the same lowering over tcr ops
+   (``tcr_lowering.query_over_tcr``, the namespace trainable plans use).
+   The two namespaces must be bitwise-indistinguishable. Trainable plans
+   never shard, so tcr ops need no shard leg;
+5. the ``baselines.miniduck`` oracle — compared after order normalisation
    on the statement's exact-typed key columns, NaN-aware, with the float
    tolerance documented in ``ALLOWLIST``.
 
@@ -50,24 +50,25 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [_HERE, os.path.dirname(_HERE)]
 from diffgen import DiffStatement, gen_statements, gen_tables  # noqa: E402
+from tcr_lowering import query_over_tcr  # noqa: E402
 
 from repro.baselines.miniduck import MiniDuck  # noqa: E402
 from repro.core import partition  # noqa: E402
 from repro.core.session import Session  # noqa: E402
 from repro.errors import TdpError  # noqa: E402
 
-SERIAL_CONFIG = {"compile_exprs": False}
-SHARD_CONFIG = {"shards": 4, "compile_exprs": False}
-ODD_SHARD_CONFIG = {"shards": 3, "compile_exprs": False}
-KERNEL_CONFIG = {"compile_exprs": True}
-KERNEL_SHARD_CONFIG = {"shards": 4, "compile_exprs": True}
+
+def _on_engine(extra):
+    return lambda session, sql: session.sql.query(sql, extra_config=extra)
+
+
 ENGINE_LEGS = [
-    ("shards=4", SHARD_CONFIG),
-    ("odd shards=3", ODD_SHARD_CONFIG),
-    ("kernels shards=1", KERNEL_CONFIG),
-    ("kernels shards=4", KERNEL_SHARD_CONFIG),
+    ("shards=4", _on_engine({"shards": 4})),
+    ("odd shards=3", _on_engine({"shards": 3})),
+    ("tcr ops", query_over_tcr),
 ]
 FLOAT_RTOL = 1e-4
 FLOAT_ATOL = 1e-6
@@ -89,8 +90,8 @@ class Divergence(Exception):
 
 
 def _engine_result(session: Session, sql: str,
-                   extra: Optional[dict]) -> Dict[str, np.ndarray]:
-    result = session.sql.query(sql, extra_config=extra).run()
+                   compile_=_on_engine(None)) -> Dict[str, np.ndarray]:
+    result = compile_(session, sql).run()
     return {name: np.asarray(result.column(name))
             for name in result.column_names}
 
@@ -114,8 +115,8 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 def compare_engine_runs(serial: Dict[str, np.ndarray],
                         other: Dict[str, np.ndarray],
                         label: str = "shards=4") -> Optional[str]:
-    """Bitwise comparison (the shard/kernel-invariance contract). Returns a
-    description of the first difference, or None."""
+    """Bitwise comparison (the shard/namespace-invariance contract). Returns
+    a description of the first difference, or None."""
     if list(serial) != list(other):
         return f"column sets differ: {list(serial)} vs {list(other)}"
     for name in serial:
@@ -191,7 +192,7 @@ def run_differential(seed: int, count: int = 120,
         duck.register(name, dict(data))
     statements = gen_statements(seed, count)
     stats = {"statements": 0, "oracle_checked": 0, "oracle_skipped": 0,
-             "engine_only": 0, "kernel_checked": 0, "odd_shards_checked": 0,
+             "engine_only": 0, "tcr_checked": 0, "odd_shards_checked": 0,
              "sharded_checked": 0}
     for case, stmt in enumerate(statements):
         if only_case is not None and case != only_case:
@@ -200,15 +201,15 @@ def run_differential(seed: int, count: int = 120,
         if verbose:
             print(f"[{seed}:{case}] {stmt.sql}")
         try:
-            serial = _engine_result(session, stmt.sql, SERIAL_CONFIG)
+            serial = _engine_result(session, stmt.sql)
             batches = session.shard_pool.stats["batches"]
-            for label, extra in ENGINE_LEGS:
-                other = _engine_result(session, stmt.sql, extra)
+            for label, compile_ in ENGINE_LEGS:
+                other = _engine_result(session, stmt.sql, compile_)
                 detail = compare_engine_runs(serial, other, label)
                 if detail is not None:
                     raise Divergence(seed, case, stmt, detail)
-                if "kernels" in label:
-                    stats["kernel_checked"] += 1
+                if label == "tcr ops":
+                    stats["tcr_checked"] += 1
                 elif "odd" in label:
                     stats["odd_shards_checked"] += 1
             if session.shard_pool.stats["batches"] > batches:

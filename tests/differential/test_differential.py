@@ -1,9 +1,9 @@
 """Differential-testing entry point (see README.md in this directory).
 
 Each seed drives a full stream of generated statements through
-``diffrun.run_differential``: both expression namespaces × serial/sharded
-(all bitwise against the serial tcr-ops leg; the sharded legs split join
-inputs only) plus the miniduck oracle. The
+``diffrun.run_differential``: serial, sharded (join inputs only) and the
+tcr-ops leg, all bitwise against the serial numpy leg, plus the miniduck
+oracle. The
 default budget keeps tier-1 fast; CI's ``differential`` job widens it via
 the environment:
 
@@ -39,10 +39,9 @@ def test_differential_seed(seed, tiny_shards):
     oracle_eligible = stats["oracle_checked"] + stats["oracle_skipped"]
     assert stats["oracle_checked"] >= 0.8 * max(oracle_eligible, 1), stats
     assert stats["oracle_checked"] > 0
-    # The odd shard-count leg and the numpy-namespace legs (serial +
-    # sharded) run for every statement.
+    # The odd shard-count leg and the tcr-ops leg run for every statement.
     assert stats["odd_shards_checked"] == _count(), stats
-    assert stats["kernel_checked"] == 2 * _count(), stats
+    assert stats["tcr_checked"] == _count(), stats
     # Only join inputs shard: the shard legs must still split some scans,
     # or they would silently compare serial plans with serial plans.
     assert stats["sharded_checked"] > 0, stats

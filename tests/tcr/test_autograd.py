@@ -6,7 +6,7 @@ import pytest
 from repro import tcr
 from repro.errors import AutogradError
 from repro.tcr import ops
-from repro.tcr.autograd import enable_grad, grad_of, no_grad, unbroadcast
+from repro.tcr.autograd import no_grad, unbroadcast
 from repro.tcr.tensor import Tensor
 
 from tests.tcr.gradcheck import assert_grad_matches
@@ -49,21 +49,6 @@ class TestEngine:
         assert not y.requires_grad
         assert y._backward is None
 
-    def test_enable_grad_inside_no_grad(self):
-        x = tcr.tensor([1.0], requires_grad=True)
-        with no_grad():
-            with enable_grad():
-                y = x * 2
-        assert y.requires_grad
-
-    def test_grad_of_leaves_grads_untouched(self):
-        x = tcr.tensor([1.0, 2.0], requires_grad=True)
-        (x * 5).sum().backward()
-        before = x.grad.copy()
-        (g,) = grad_of((x * x).sum(), [x])
-        np.testing.assert_array_equal(g, [2.0, 4.0])
-        np.testing.assert_array_equal(x.grad, before)
-
     def test_grad_kept_on_leaves_only(self):
         x = tcr.tensor([1.0, 2.0], requires_grad=True)
         y = x * 2                             # interior node
@@ -73,9 +58,6 @@ class TestEngine:
         (x * 3).sum().backward()              # leaf grads add up
         np.testing.assert_array_equal(x.grad, [11.0, 19.0])
         assert y.grad is None
-        (g,) = grad_of((x * x).sum(), [x])
-        np.testing.assert_array_equal(g, [2.0, 4.0])
-        np.testing.assert_array_equal(x.grad, [11.0, 19.0])
 
     def test_gradient_has_its_tensors_dtype(self):
         # A float64 operand makes the loss float64; the float32 leaf's
@@ -135,9 +117,6 @@ class TestNumericalGradients:
     def test_abs(self):
         assert_grad_matches(lambda a: ops.abs(a).sum(), [(7,)], positive=True)
 
-    def test_clamp(self):
-        assert_grad_matches(lambda a: ops.clamp(a, -0.5, 0.5).sum(), [(9,)])
-
     def test_maximum_minimum(self):
         assert_grad_matches(
             lambda a, b: (ops.maximum(a, b) + ops.minimum(a, b)).sum(),
@@ -149,15 +128,9 @@ class TestNumericalGradients:
         assert_grad_matches(lambda a, b: ops.where(cond, a, b).sum(),
                             [(4,), (4,)])
 
-    def test_sigmoid_tanh_relu(self):
+    def test_sigmoid_relu(self):
         assert_grad_matches(
-            lambda a: (ops.sigmoid(a) + ops.tanh(a) + ops.relu(a + 2.0)).sum(),
-            [(8,)],
-        )
-
-    def test_leaky_relu_gelu(self):
-        assert_grad_matches(
-            lambda a: (ops.leaky_relu(a, 0.1) + ops.gelu(a)).sum(), [(8,)]
+            lambda a: (ops.sigmoid(a) + ops.relu(a + 2.0)).sum(), [(8,)],
         )
 
     def test_softmax_log_softmax(self):
@@ -187,6 +160,3 @@ class TestNumericalGradients:
 
     def test_remainder(self):
         assert_grad_matches(lambda a: (a % 2.5).sum(), [(5,)], positive=True)
-
-    def test_log1p(self):
-        assert_grad_matches(lambda a: ops.log1p(a).sum(), [(4,)], positive=True)

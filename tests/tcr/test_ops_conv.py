@@ -71,12 +71,12 @@ def _relu_input(rng, shape):
 
 
 class TestArgumentChecks:
-    @pytest.mark.parametrize("pool", [ops.max_pool2d, ops.avg_pool2d])
+    @pytest.mark.parametrize("pool", [ops.max_pool2d])
     def test_pool_kernel_larger_than_input_raises(self, pool):
         with pytest.raises(ShapeError):
             pool(tcr.zeros(1, 1, 3, 3), 4)
 
-    @pytest.mark.parametrize("pool", [ops.max_pool2d, ops.avg_pool2d])
+    @pytest.mark.parametrize("pool", [ops.max_pool2d])
     def test_pool_zero_stride_raises(self, pool):
         with pytest.raises(ShapeError):
             pool(tcr.zeros(1, 1, 4, 4), 2, stride=0)
@@ -120,11 +120,6 @@ class TestPoolForward:
         x = Tensor(np.arange(25, dtype=np.float32).reshape(1, 1, 5, 5))
         got = ops.max_pool2d(x, 3, stride=2)
         assert got.shape == (1, 1, 2, 2)
-
-    def test_avg_pool_values(self):
-        x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
-        got = ops.avg_pool2d(x, 2).data
-        assert got.reshape(-1).tolist() == [2.5, 4.5, 10.5, 12.5]
 
     def test_adaptive_avg_pool_global(self):
         x = Tensor(np.ones((2, 3, 5, 7), dtype=np.float32))
@@ -175,10 +170,6 @@ class TestGradients:
     def test_max_pool_overlapping_grad(self):
         assert_grad_matches(lambda x: ops.max_pool2d(x, 3, stride=2).sum(),
                             [(1, 2, 7, 7)])
-
-    def test_avg_pool_grad(self):
-        assert_grad_matches(lambda x: ops.avg_pool2d(x, 2).sum() * 2.0,
-                            [(1, 2, 4, 4)])
 
     def test_adaptive_pool_grad(self):
         assert_grad_matches(lambda x: ops.adaptive_avg_pool2d(x, 1).sum(),

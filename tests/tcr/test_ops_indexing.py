@@ -1,12 +1,8 @@
-"""Indexing, gather/scatter and segment ops."""
+"""Indexing: ``Tensor.__getitem__`` values and adjoints."""
 
 import numpy as np
-import pytest
 
 from repro import tcr
-from repro.errors import ShapeError
-from repro.tcr import ops
-from repro.tcr.tensor import Tensor
 
 from tests.tcr.gradcheck import assert_grad_matches
 
@@ -25,50 +21,6 @@ class TestValues:
         mask = tcr.tensor([True, False, True, False])
         assert t[mask].data.tolist() == [10.0, 30.0]
 
-    def test_gather(self):
-        t = tcr.tensor([[1.0, 2.0], [3.0, 4.0]])
-        idx = tcr.tensor([[0, 0], [1, 0]])
-        got = ops.gather(t, 1, idx)
-        assert got.data.tolist() == [[1.0, 1.0], [4.0, 3.0]]
-
-    def test_index_select(self):
-        t = tcr.tensor(np.arange(12).reshape(3, 4).astype(np.float32))
-        got = ops.index_select(t, 0, tcr.tensor([2, 0]))
-        assert got.data[0].tolist() == [8, 9, 10, 11]
-
-    def test_masked_select(self):
-        t = tcr.tensor([1.0, 2.0, 3.0])
-        got = ops.masked_select(t, tcr.tensor([False, True, True]))
-        assert got.data.tolist() == [2.0, 3.0]
-
-    def test_scatter_add(self):
-        base = tcr.zeros(5)
-        idx = tcr.tensor([0, 0, 3])
-        src = tcr.tensor([1.0, 2.0, 5.0])
-        got = ops.scatter_add(base, 0, idx, src)
-        assert got.data.tolist() == [3.0, 0.0, 0.0, 5.0, 0.0]
-
-    def test_one_hot(self):
-        got = ops.one_hot(tcr.tensor([0, 2]), 3)
-        assert got.data.tolist() == [[1, 0, 0], [0, 0, 1]]
-        with pytest.raises(ShapeError):
-            ops.one_hot(tcr.tensor([5]), 3)
-
-    def test_segment_sum(self):
-        values = tcr.tensor([[1.0], [2.0], [3.0], [4.0]])
-        got = ops.segment_sum(values, np.array([0, 2, 3]))
-        assert got.data.tolist() == [[3.0], [3.0], [4.0]]
-
-    def test_segment_sum_rejects_bad_starts(self):
-        with pytest.raises(ShapeError):
-            ops.segment_sum(tcr.ones(4), np.array([1, 2]))
-
-    def test_repeat_interleave(self):
-        t = tcr.tensor([1.0, 2.0])
-        assert ops.repeat_interleave(t, 2).data.tolist() == [1.0, 1.0, 2.0, 2.0]
-        got = ops.repeat_interleave(t, np.array([1, 3]))
-        assert got.data.tolist() == [1.0, 2.0, 2.0, 2.0]
-
 
 class TestGradients:
     def test_getitem_slice_grad(self):
@@ -78,32 +30,3 @@ class TestGradients:
         t = tcr.tensor([1.0, 2.0], requires_grad=True)
         t[np.array([0, 0, 1])].sum().backward()
         assert t.grad.tolist() == [2.0, 1.0]
-
-    def test_gather_grad_with_duplicates(self):
-        idx = np.array([[0, 0], [1, 1]])
-        assert_grad_matches(lambda a: ops.gather(a, 1, idx).sum(), [(2, 2)])
-
-    def test_index_select_grad(self):
-        idx = np.array([0, 0, 2])
-        assert_grad_matches(lambda a: ops.index_select(a, 0, idx).sum(), [(3, 2)])
-
-    def test_scatter_add_grads_both_sides(self):
-        idx = np.array([1, 1, 0])
-        assert_grad_matches(
-            lambda a, s: (ops.scatter_add(a, 0, idx, s) ** 2).sum(),
-            [(3,), (3,)],
-        )
-
-    def test_segment_sum_grad(self):
-        starts = np.array([0, 2])
-        weights = Tensor(np.array([[1.0], [5.0]]))
-        assert_grad_matches(
-            lambda a: (ops.segment_sum(a, starts) * weights).sum(), [(4, 1)]
-        )
-
-    def test_repeat_interleave_grad(self):
-        reps = np.array([2, 0, 3])
-        weights = Tensor(np.arange(5, dtype=np.float64))
-        assert_grad_matches(
-            lambda a: (ops.repeat_interleave(a, reps) * weights).sum(), [(3,)]
-        )

@@ -24,40 +24,11 @@ def _fit(optimizer_factory, steps=300):
     return loss.item(), model
 
 
-class TestSGD:
-    def test_converges(self):
-        loss, model = _fit(lambda p: optim.SGD(p, lr=0.1))
-        assert loss < 1e-3
-        assert model.weight.item() == pytest.approx(3.0, abs=0.05)
-
-    def test_momentum_accelerates(self):
-        plain, _ = _fit(lambda p: optim.SGD(p, lr=0.01), steps=100)
-        momentum, _ = _fit(lambda p: optim.SGD(p, lr=0.01, momentum=0.9),
-                           steps=100)
-        assert momentum < plain
-
-    def test_weight_decay_shrinks_weights(self):
-        _, strong = _fit(lambda p: optim.SGD(p, lr=0.1, weight_decay=0.5))
-        _, free = _fit(lambda p: optim.SGD(p, lr=0.1))
-        assert abs(strong.weight.item()) < abs(free.weight.item())
-
-    def test_skips_parameters_without_grad(self):
-        p = nn.Parameter(np.zeros(2, dtype=np.float32))
-        opt = optim.SGD([p], lr=0.1)
-        opt.step()   # no grad — must not raise or move
-        assert p.data.tolist() == [0.0, 0.0]
-
-
 class TestAdam:
     def test_converges(self):
         loss, model = _fit(lambda p: optim.Adam(p, lr=0.05))
         assert loss < 1e-4
         assert model.bias.item() == pytest.approx(1.0, abs=0.02)
-
-    def test_adamw_decay_is_decoupled(self):
-        _, adamw = _fit(lambda p: optim.AdamW(p, lr=0.05, weight_decay=0.2))
-        _, adam = _fit(lambda p: optim.Adam(p, lr=0.05))
-        assert abs(adamw.weight.item()) < abs(adam.weight.item())
 
     def test_bias_correction_first_step(self):
         p = nn.Parameter(np.zeros(1, dtype=np.float32))
@@ -71,7 +42,7 @@ class TestAdam:
 class TestValidation:
     def test_empty_params_rejected(self):
         with pytest.raises(TdpError):
-            optim.SGD([], lr=0.1)
+            optim.Adam([], lr=0.1)
 
     def test_non_positive_lr_rejected(self):
         with pytest.raises(TdpError):
@@ -79,7 +50,7 @@ class TestValidation:
 
     def test_zero_grad_clears(self):
         p = nn.Parameter(np.zeros(1, dtype=np.float32))
-        opt = optim.SGD([p], lr=0.1)
+        opt = optim.Adam([p], lr=0.1)
         p.grad = np.asarray([1.0], dtype=np.float32)
         opt.zero_grad()
         assert p.grad is None

@@ -56,15 +56,3 @@ class TestRandom:
         tcr.manual_seed(7)
         b = tcr.randn(3).data
         np.testing.assert_array_equal(a, b)
-
-    def test_randint_range(self):
-        values = tcr.randint(2, 5, (1000,)).data
-        assert values.min() >= 2 and values.max() < 5
-
-    def test_randperm_is_permutation(self):
-        perm = tcr.randperm(10).data
-        assert sorted(perm.tolist()) == list(range(10))
-
-    def test_bernoulli_rate(self):
-        draws = tcr.bernoulli(0.25, (10000,)).data
-        assert abs(draws.mean() - 0.25) < 0.03

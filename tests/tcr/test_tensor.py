@@ -33,20 +33,9 @@ class TestConstruction:
         with pytest.raises(AutogradError):
             tcr.tensor([1, 2], requires_grad=True)
 
-    def test_zeros_ones_full(self):
+    def test_zeros_ones(self):
         assert tcr.zeros(2, 3).shape == (2, 3)
         assert tcr.ones((4,)).data.sum() == 4
-        assert tcr.full((2,), 7).data.tolist() == [7, 7]
-
-    def test_arange_linspace_eye(self):
-        assert tcr.arange(5).data.tolist() == [0, 1, 2, 3, 4]
-        assert tcr.linspace(0, 1, 5).shape == (5,)
-        assert tcr.eye(3).data.trace() == 3.0
-
-    def test_zeros_like_preserves_device(self):
-        t = tcr.tensor([1.0], device="cuda")
-        assert tcr.zeros_like(t).device == tcr.CUDA
-
 
 # PyTorch's rule for a Python scalar beside a tensor (torch.result_type):
 # the scalar is weak, so the tensor's dtype wins unless the scalar is of a
@@ -137,21 +126,9 @@ class TestIntrospection:
 
 
 class TestConversion:
-    def test_numpy_rejects_grad_tensors(self):
-        t = tcr.tensor([1.0], requires_grad=True)
-        with pytest.raises(AutogradError):
-            t.numpy()
-        assert t.detach().numpy().tolist() == [1.0]
-
     def test_detach_shares_buffer(self):
         t = tcr.tensor([1.0, 2.0])
         assert t.detach().data is t.data
-
-    def test_clone_copies_buffer(self):
-        t = tcr.tensor([1.0, 2.0])
-        c = ops.clone(t)
-        assert c.data is not t.data
-        np.testing.assert_array_equal(c.data, t.data)
 
     def test_dtype_casts(self):
         t = tcr.tensor([1.7, 2.2])
@@ -159,9 +136,6 @@ class TestConversion:
         assert t.long().data.tolist() == [1, 2]
         assert t.astype(np.bool_).dtype == np.bool_
         assert t.astype(np.float64).dtype == np.float64
-
-    def test_tolist(self):
-        assert tcr.tensor([[1, 2]]).tolist() == [[1, 2]]
 
 
 class TestDevice:
