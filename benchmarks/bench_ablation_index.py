@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import print_table, time_call
-from repro.core.index import IVFFlatIndex
+from repro.core.indexes import IVFFlatIndex
 from repro.ml.models.clip import text_features
 from repro.tcr.autograd import no_grad
 from repro.tcr.tensor import Tensor

@@ -40,13 +40,8 @@ def default_session() -> Session:
     return _default_session
 
 
-def reset_session() -> None:
-    """Clear the default session's catalog and function registry."""
-    _default_session.reset()
-
-
 __all__ = [
     "DataFrame", "PEEncoding", "Session", "catalog", "constants",
-    "default_session", "functions", "reset_session", "spark", "sql", "tcr",
+    "default_session", "functions", "spark", "sql", "tcr",
     "tdp_udf", "tqp_udf",
 ]

@@ -49,9 +49,6 @@ class QueryConfig:
                 merged[key] = value
         self._values = merged
 
-    def __getitem__(self, key: str):
-        return self._values[key]
-
     @property
     def trainable(self) -> bool:
         return bool(self._values[constants.TRAINABLE])

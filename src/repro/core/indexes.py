@@ -1,12 +1,14 @@
 """Catalog-managed vector indexes (the §5.1 approximate-indexing subsystem).
 
-The seed carried :class:`~repro.core.index.IVFFlatIndex` as a standalone
-data structure that only an ablation benchmark touched. This module makes it
-a first-class subsystem: the session owns an :class:`IndexManager` whose
-entries are named indexes keyed by ``(table, column)``, created through
-``CREATE VECTOR INDEX`` DDL or :meth:`Session.create_vector_index`, consulted
-by the optimizer's ``vector_index`` rewrite rule, and probed at run time by
-``IndexScanExec``.
+The paper notes (§5.1): "We are currently integrating approximate indexing
+[36] into TDP for speeding up top-k queries." :class:`IVFFlatIndex` is that
+index: a k-means coarse quantiser plus an exact scan inside each probed
+cell, the Milvus/FAISS baseline layout. The session owns an
+:class:`IndexManager` whose entries are named indexes keyed by ``(table,
+column)``, created through ``CREATE VECTOR INDEX`` DDL or
+:meth:`Session.create_vector_index`, consulted by the optimizer's
+``vector_index`` rewrite rule, and probed at run time by ``IndexScanExec``.
+A SQL top-k over a similarity UDF is the one access path.
 
 Lifecycle: indexes build *lazily*. An entry records which ``Table`` object
 its cells were built from; because every ``register_*``/append produces a new
@@ -18,29 +20,145 @@ fingerprint of the model it embedded with (``TensorCache.model_state_fp``,
 memoised per statement), so an in-place weight write makes it stale too. A
 stale entry rebuilds transparently on its next probe.
 
-Embeddings: an entry either carries an explicit ``embedder`` callable
-(Python-native path), or binds on first accelerated query to the two-tower
+Embeddings: an entry binds on its first accelerated query to the two-tower
 model behind the similarity UDF (anything exposing ``encode_image`` /
-``encode_text``, e.g. TinyCLIP). Raw 2-D float columns index as-is.
+``encode_text``, e.g. TinyCLIP), which embeds both the corpus and the query
+text.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import CatalogError, ExecutionError
 from repro.core import tensor_cache as tc
-from repro.core.index import IVFFlatIndex
 from repro.core.udf import ANN_METRICS
 from repro.tcr.autograd import no_grad
+from repro.tcr.random import fork_generator
 
 
-def _l2_normalize(vectors: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
-    return vectors / np.maximum(norms, 1e-12)
+def _kmeans(vectors: np.ndarray, num_cells: int, iterations: int,
+            rng: np.random.Generator) -> np.ndarray:
+    """Lloyd's algorithm (few iterations suffice for a coarse quantiser).
+
+    Empty cells are reseeded from the points farthest from their assigned
+    centroid (the standard FAISS repair): a cell that keeps its stale initial
+    centroid forever attracts nothing, the surviving cells grow fat, and
+    probe recall degrades on clustered corpora.
+    """
+    n = vectors.shape[0]
+    centroids = vectors[rng.choice(n, size=num_cells, replace=False)].copy()
+    for _ in range(iterations):
+        # Squared distances via the expansion trick.
+        dots = vectors @ centroids.T
+        norms = (centroids ** 2).sum(axis=1)
+        distances = norms[None, :] - 2.0 * dots
+        assignment = distances.argmin(axis=1)
+        empty = []
+        for cell in range(num_cells):
+            members = vectors[assignment == cell]
+            if len(members):
+                centroids[cell] = members.mean(axis=0)
+            else:
+                empty.append(cell)
+        if empty:
+            # Split the worst-served points: move each empty centroid onto a
+            # distinct point that sits farthest from its current centroid.
+            losses = distances[np.arange(n), assignment]
+            farthest = np.argsort(-losses)[:len(empty)]
+            for cell, point in zip(empty, farthest):
+                centroids[cell] = vectors[point]
+    return centroids
+
+
+class IVFFlatIndex:
+    """Inverted-file index with exact (flat) scoring inside probed cells.
+
+    Works on inner-product similarity over (approximately) normalised
+    embeddings — the regime TinyCLIP similarity queries run in.
+    """
+
+    def __init__(self, num_cells: int = 16, train_iterations: int = 8, seed: int = 0):
+        if num_cells < 1:
+            raise ExecutionError("IVFFlatIndex needs at least one cell")
+        self.num_cells = num_cells
+        self.train_iterations = train_iterations
+        self.seed = seed
+        self._centroids: Optional[np.ndarray] = None
+        self._cell_ids: list = []
+        self._cell_vectors: list = []
+        self._size = 0
+
+    @property
+    def is_trained(self) -> bool:
+        return self._centroids is not None
+
+    @property
+    def num_lists(self) -> int:
+        """Number of cells actually built (<= num_cells for small corpora)."""
+        return len(self._cell_ids)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def build(self, vectors: np.ndarray) -> "IVFFlatIndex":
+        """Cluster the corpus and bucket every vector into its nearest cell."""
+        vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+        if vectors.ndim != 2:
+            raise ExecutionError("index vectors must be (n, dim)")
+        n = vectors.shape[0]
+        cells = min(self.num_cells, n)
+        rng = fork_generator(self.seed)
+        self._centroids = _kmeans(vectors, cells, self.train_iterations, rng)
+        dots = vectors @ self._centroids.T
+        norms = (self._centroids ** 2).sum(axis=1)
+        assignment = (norms[None, :] - 2.0 * dots).argmin(axis=1)
+        self._cell_ids = []
+        self._cell_vectors = []
+        for cell in range(cells):
+            ids = np.flatnonzero(assignment == cell)
+            self._cell_ids.append(ids.astype(np.int64))
+            self._cell_vectors.append(vectors[ids])
+        self._size = n
+        return self
+
+    def search(self, query: np.ndarray, k: int,
+               nprobe: int = 4) -> Tuple[np.ndarray, np.ndarray]:
+        """Return (ids, scores) of the approximate top-k by inner product.
+
+        Scoring runs per probed cell — a gemv is an independent dot product
+        per row, so chunking the candidate matrix by cell and concatenating
+        in probe order is bitwise identical to one gemv over the
+        concatenated candidates.
+        """
+        if not self.is_trained:
+            raise ExecutionError("index must be built before searching")
+        query = np.asarray(query, dtype=np.float32).reshape(-1)
+        nprobe = min(max(nprobe, 1), len(self._cell_ids))
+        cell_scores = self._centroids @ query
+        probe = np.argsort(-cell_scores)[:nprobe]
+        candidate_ids = np.concatenate([self._cell_ids[c] for c in probe]) \
+            if len(probe) else np.zeros(0, dtype=np.int64)
+        if candidate_ids.size == 0:
+            return candidate_ids, np.zeros(0, dtype=np.float32)
+        scores = np.concatenate([self._cell_vectors[c] @ query for c in probe])
+        k = min(k, len(candidate_ids))
+        top = np.argpartition(-scores, k - 1)[:k]
+        top = top[np.argsort(-scores[top])]
+        return candidate_ids[top], scores[top]
+
+    def recall_at_k(self, queries: np.ndarray, corpus: np.ndarray, k: int,
+                    nprobe: int = 4) -> float:
+        """Average overlap between approximate and exact top-k sets."""
+        total = 0.0
+        for query in queries:
+            exact = np.argsort(-(corpus @ query))[:k]
+            approx, _ = self.search(query, k, nprobe)
+            total += len(set(exact.tolist()) & set(approx.tolist())) / k
+        return total / len(queries)
 
 
 def _two_tower_model(udf) -> Optional[object]:
@@ -55,10 +173,9 @@ class IndexEntry:
     """One named vector index over ``table.column``."""
 
     def __init__(self, name: str, table: str, column: str, cells: int = 16,
-                 nprobe: Optional[int] = None, seed: int = 0,
-                 embedder: Optional[Callable] = None):
-        # The SQL binder validates DDL options; mirror it here so the
-        # Python-native path fails at creation, not at first probe.
+                 nprobe: Optional[int] = None, seed: int = 0):
+        # The SQL binder validates DDL options; mirror it here so
+        # Session.create_vector_index fails at creation, not at first probe.
         for key, value in (("cells", cells), ("nprobe", nprobe), ("seed", seed)):
             if value is not None and (not isinstance(value, (int, np.integer))
                                       or isinstance(value, bool)):
@@ -75,7 +192,6 @@ class IndexEntry:
         if self.nprobe < 1:
             raise CatalogError(f"index {name!r}: nprobe must be >= 1")
         self.seed = int(seed)
-        self.embedder = embedder
         # Serialises lazy (re)builds: concurrent probes of an unbuilt/stale
         # entry build exactly once; the losers of the race reuse the winner's
         # cells (IndexManager.ensure_built double-checks under this lock).
@@ -85,8 +201,6 @@ class IndexEntry:
         self.built_table = None          # the Table object the cells came from
         self.built_fp = None             # its embedding model's weight fingerprint
         self.model = None                # two-tower model bound on first query
-        self.metric: Optional[str] = None  # bound ann metric (first-wins)
-        self.udf_name: Optional[str] = None
         self.build_count = 0
 
     @property
@@ -109,9 +223,9 @@ class IndexManager:
     ``built_fp`` check) rebuilds on the next probe instead.
     """
 
-    def __init__(self, catalog, tensor_cache=None):
+    def __init__(self, catalog, tensor_cache):
         self.catalog = catalog
-        self.tensor_cache = tensor_cache  # the session's TensorCache (or None)
+        self.tensor_cache = tensor_cache  # the session's TensorCache
         self._entries: Dict[str, IndexEntry] = {}
         # Guards the registry maps and the epoch counter. Lock ordering:
         # manager/entry-build locks may acquire the catalog lock (table
@@ -128,7 +242,6 @@ class IndexManager:
     # ------------------------------------------------------------------
     def create(self, name: str, table: str, column: str, cells: int = 16,
                nprobe: Optional[int] = None, seed: int = 0,
-               embedder: Optional[Callable] = None,
                replace: bool = False) -> IndexEntry:
         key = name.lower()
         target = self.catalog.get(table)       # raises on unknown table
@@ -138,7 +251,7 @@ class IndexManager:
                 f"columns: {target.column_names}"
             )
         entry = IndexEntry(name, table, column, cells=cells, nprobe=nprobe,
-                           seed=seed, embedder=embedder)
+                           seed=seed)
         with self._lock:
             if not replace and key in self._entries:
                 raise CatalogError(f"index {name!r} already exists")
@@ -174,12 +287,6 @@ class IndexManager:
         with self._lock:
             return list(self._entries.values())
 
-    def clear(self) -> None:
-        with self._lock:
-            if self._entries:
-                self._entries.clear()
-                self.epoch += 1
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -205,22 +312,16 @@ class IndexManager:
     def supports(self, entry: IndexEntry, udf) -> bool:
         """Can this entry accelerate queries scored by ``udf``?
 
-        Three gates: the UDF must *declare* an ANN contract (scores monotone
-        in inner product / cosine — undeclared functions may invert or
-        threshold their model's scores, so acceleration would reorder
-        results); a two-tower model must be attached; and the entry must be
-        unbound or bound to that same model (an index built in one embedding
-        space cannot answer queries embedded in another — such queries fall
-        back to the exact plan rather than thrash-rebuilding). Entries with
-        an explicit ``embedder`` serve the Python-native ``search()`` path
-        only: their corpus space is unknown to SQL text queries.
+        Three gates: the UDF must *declare* an ANN contract (``ann=
+        "inner_product"``: scores monotone in the inner product of its
+        model's embeddings — undeclared functions may invert or threshold
+        their model's scores, so acceleration would reorder results); a
+        two-tower model must be attached; and the entry must be unbound or
+        bound to that same model (an index built in one embedding space
+        cannot answer queries embedded in another — such queries fall back
+        to the exact plan rather than thrash-rebuilding).
         """
-        if entry.embedder is not None:
-            return False
-        metric = getattr(udf, "ann_metric", None)
-        if metric not in ANN_METRICS:
-            return False
-        if entry.metric is not None and entry.metric != metric:
+        if getattr(udf, "ann_metric", None) not in ANN_METRICS:
             return False
         model = _two_tower_model(udf)
         if model is None:
@@ -234,19 +335,12 @@ class IndexManager:
             current = self.catalog.get(entry.table)
         except CatalogError:
             return "orphaned"
-        if current is entry.built_table and self._model_fp(entry.model) == entry.built_fp:
+        if (current is entry.built_table
+                and self.tensor_cache.model_state_fp(entry.model) == entry.built_fp):
             return "ready"
         return "stale"
 
-    def _model_fp(self, model) -> Optional[str]:
-        """The weight fingerprint of an entry's embedding model, if any."""
-        if model is None:
-            return None
-        if self.tensor_cache is None:
-            return tc.state_fingerprint([model])
-        return self.tensor_cache.model_state_fp(model)
-
-    def ensure_built(self, entry: IndexEntry, udf=None,
+    def ensure_built(self, entry: IndexEntry, udf,
                      use_tensor_cache: bool = True) -> IVFFlatIndex:
         """Return a fresh index for the entry, (re)building if needed.
 
@@ -262,38 +356,24 @@ class IndexManager:
         """
         with entry._build_lock:
             current = self.catalog.get(entry.table)
-            model = None
-            metric = None
-            if udf is not None and entry.embedder is None:
-                model = _two_tower_model(udf)
-                metric = getattr(udf, "ann_metric", None)
-                if model is not None and entry.model is not None \
-                        and model is not entry.model:
-                    raise ExecutionError(
-                        f"index {entry.name!r} is bound to a different embedding "
-                        f"model than UDF {getattr(udf, 'name', '?')!r}"
-                    )
-                if metric is not None and entry.metric is not None \
-                        and metric != entry.metric:
-                    raise ExecutionError(
-                        f"index {entry.name!r} is bound to metric "
-                        f"{entry.metric!r}, not {metric!r}"
-                    )
-            fp = self._model_fp(model or entry.model)
+            model = _two_tower_model(udf)
+            if model is None or (entry.model is not None
+                                 and model is not entry.model):
+                raise ExecutionError(
+                    f"index {entry.name!r} cannot embed with the model of "
+                    f"UDF {getattr(udf, 'name', '?')!r}"
+                )
+            fp = self.tensor_cache.model_state_fp(model)
             if (entry.index is not None and entry.built_table is current
                     and entry.built_fp == fp):
                 return entry.index
-            if model is not None and entry.model is None:
-                entry.model = model
-                entry.metric = metric
-                entry.udf_name = getattr(udf, "name", None)
+            entry.model = model
             column = current.column(entry.column)
-            vectors = self._embed_corpus(entry, column, model,
-                                         use_tensor_cache=use_tensor_cache)
-            if entry.metric == "cosine":
-                # IVF cells score by raw inner product; normalising corpus and
-                # query vectors makes that ranking equal cosine ranking.
-                vectors = _l2_normalize(vectors)
+            vectors = (self._cached_model_embeddings(column, model)
+                       if use_tensor_cache else None)
+            if vectors is None:
+                with no_grad():
+                    vectors = model.encode_image(column.tensor).detach().data
             index = IVFFlatIndex(num_cells=entry.cells, seed=entry.seed).build(vectors)
             # Publish fully-built state only (readers of entry.index outside
             # the lock must never observe cells for a half-updated entry).
@@ -307,29 +387,6 @@ class IndexManager:
                 self.builds += 1
             return index
 
-    def _embed_corpus(self, entry: IndexEntry, column, model,
-                      use_tensor_cache: bool = True) -> np.ndarray:
-        if entry.embedder is not None:
-            vectors = entry.embedder(column.tensor)
-            vectors = vectors.detach().data if hasattr(vectors, "detach") else vectors
-            return np.asarray(vectors, dtype=np.float32)
-        model = model or entry.model
-        if model is not None:
-            cached = (self._cached_model_embeddings(column, model)
-                      if use_tensor_cache else None)
-            if cached is not None:
-                return cached
-            with no_grad():
-                return model.encode_image(column.tensor).detach().data
-        data = column.tensor.detach().data
-        if data.ndim == 2 and data.dtype.kind == "f":
-            return data                     # raw embedding column
-        raise ExecutionError(
-            f"index {entry.name!r} has no embedder for column "
-            f"{entry.table}.{entry.column}: pass embedder= at creation or "
-            f"query it through a two-tower similarity UDF first"
-        )
-
     def _cached_model_embeddings(self, column, model) -> Optional[np.ndarray]:
         """Read/populate the session materialization cache for a corpus encode.
 
@@ -341,7 +398,7 @@ class IndexManager:
         """
         cache = self.tensor_cache
         tag = tc.column_tag(column)
-        if cache is None or tag is None:
+        if tag is None:
             return None
         orig = getattr(model.encode_image, "__tdp_encoder_orig__", None)
         encode = orig if orig is not None else model.encode_image
@@ -358,18 +415,4 @@ class IndexManager:
                 f"index {entry.name!r} is not bound to a text encoder"
             )
         with no_grad():
-            query = entry.model.encode_text([text]).detach().data.reshape(-1)
-        if entry.metric == "cosine":
-            query = _l2_normalize(query)
-        return query
-
-    def search(self, name: str, query, k: int = 10,
-               nprobe: Optional[int] = None):
-        """Python-native probe: ``query`` is a vector or (if bound) a string."""
-        entry = self.lookup(name)
-        if entry is None:
-            raise CatalogError(f"unknown index {name!r}")
-        index = self.ensure_built(entry)
-        if isinstance(query, str):
-            query = self.embed_query(entry, query)
-        return index.search(query, k, nprobe=nprobe or entry.nprobe)
+            return entry.model.encode_text([text]).detach().data.reshape(-1)

@@ -18,9 +18,9 @@ tcr op.
   ``xp`` and the evaluated arguments).
 * Literals are shape-``(1,)`` arrays (see ``literal_array``); results
   broadcast to the batch length only at ``ctx.materialize``.
-* Predicates on values that carry no gradient (dictionary and date
-  compares, IN, LIKE, IS NULL, the masks of CASE and COALESCE, non-float
-  casts) are computed with numpy on detached data under either namespace.
+* Predicates on values that carry no gradient (dictionary compares, IN,
+  LIKE, IS NULL, the masks of CASE and COALESCE, non-float casts) are
+  computed with numpy on detached data under either namespace.
 * String work runs on dictionary codes through ``kernels.strings``: a
   sorted dictionary is the one stored form of strings, and a string
   function over a non-string value dictionary-encodes its stringified
@@ -45,17 +45,12 @@ from repro.core.expr_eval import (
     broadcast_rows,
     literal_array,
 )
-from repro.core.kernels import dates as date_kernels
 from repro.core.kernels import strings as string_kernels
 from repro.errors import ExecutionError
 from repro.sql import bound as b
 from repro.storage import types as dt
 from repro.storage.column import Column
-from repro.storage.encodings import (
-    DatetimeEncoding,
-    DictionaryEncoding,
-    EncodedTensor,
-)
+from repro.storage.encodings import DictionaryEncoding, EncodedTensor
 from repro.tcr import ops as tcr_ops
 from repro.tcr.ops.activation import sigmoid_forward
 from repro.tcr.ops.elementwise import div_forward
@@ -179,12 +174,9 @@ def _strings(value, ctx) -> Column:
 
 
 def _literal_mask(column: Column, op: str, literal: str) -> Optional[np.ndarray]:
-    """``column <op> 'literal'`` on the integer carrier of a dictionary or
-    datetime column (None for any other column): equality is one code,
-    ranges are a boundary in the sorted dictionary."""
-    codes = column.tensor.data
-    if isinstance(column.encoding, DatetimeEncoding):
-        return date_kernels.compare_datetime_literal(codes, op, literal)
+    """``column <op> 'literal'`` on the codes of a dictionary column (None
+    for any other column): equality is one code, ranges are a boundary in
+    the sorted dictionary."""
     column = _dictionary(column)
     if column is None:
         return None
@@ -345,10 +337,10 @@ class ExprCompiler:
         return lambda ctx: fn(lf(ctx), rf(ctx))
 
     def _lower_compare(self, op: str, left, right):
-        """Strings and dates compare on their integer carriers (against a
-        string literal, or column against column); which columns those
-        are is only known from the run-time encodings, and everything else
-        is a numeric compare."""
+        """Strings compare on their dictionary codes (against a string
+        literal, or column against column); which columns those are is
+        only known from the run-time encodings, and everything else is a
+        numeric compare."""
         xp, name = self.xp, _COMPARE[op]
         fn = getattr(xp, name)
         if isinstance(left, Scalar) or isinstance(right, Scalar):
@@ -489,8 +481,10 @@ class ExprCompiler:
         operand = self.lower(expr.operand)
         pattern, negated, lift = expr.pattern, expr.negated, self.xp.lift
         if isinstance(operand, Scalar):
-            matched = string_kernels.like_value(str(operand.value), pattern)
-            return Scalar(matched != negated)
+            constant = Column.from_values("", [str(operand.value)])
+            matched = string_kernels.like_mask(
+                constant.encoding, constant.tensor.data, pattern)[0]
+            return Scalar(bool(matched) != negated)
 
         def fn(ctx):
             column = _strings(operand(ctx), ctx)

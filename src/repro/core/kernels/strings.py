@@ -63,11 +63,6 @@ def like_matrix_mask(matrix: np.ndarray, pattern: str) -> np.ndarray:
     return state[np.arange(rows), lengths]
 
 
-def like_value(text: str, pattern: str) -> bool:
-    """``text LIKE pattern`` for one constant: the same NFA, one row."""
-    return bool(like_matrix_mask(_strings_to_codepoints([text]), pattern)[0])
-
-
 def like_mask(encoding: DictionaryEncoding, codes: np.ndarray,
               pattern: str) -> np.ndarray:
     """Row mask for ``column LIKE pattern`` over dictionary codes.

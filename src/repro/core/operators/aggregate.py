@@ -71,7 +71,7 @@ def _key_codes(key, n: int) -> Tuple[np.ndarray, int]:
             return data.astype(np.int64, copy=False), key.encoding.cardinality
         key = data
     if key.ndim != 1:
-        raise ExecutionError("cannot group by a multi-dimensional column")
+        raise ExecutionError("cannot GROUP BY or DISTINCT a multi-dimensional column")
     if key.dtype.kind == "b":
         return key.astype(np.int64), 2
     if key.dtype.kind in "iu":

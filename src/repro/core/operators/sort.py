@@ -9,6 +9,7 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.core.expr_eval import ExpressionEvaluator
 from repro.core.kernels.compiler import ExprCompiler
+from repro.core.operators.aggregate import key_ids
 from repro.core.operators.base import Operator, Relation
 from repro.sql.bound import BoundExpr
 from repro.storage.column import Column
@@ -115,19 +116,14 @@ class LimitExec(Operator):
 
 
 class DistinctExec(Operator):
+    """The first row of each distinct key, in row order. Rows are keyed the
+    way GROUP BY keys them (``key_ids`` over every column): integers
+    exactly, and every NaN its own key."""
+
     def forward(self, relation: Relation) -> Relation:
         if relation.num_rows == 0:
             return relation
-        # Factorize each key column separately: casting int64 through float64
-        # collapses distinct keys above 2^53 (the HashAggregate bug class).
-        codes = []
-        for column in relation.table.columns:
-            data = column.tensor.detach().data
-            if data.ndim != 1:
-                raise ExecutionError("DISTINCT over tensor columns is not supported")
-            _, inverse = np.unique(data, return_inverse=True)
-            codes.append(inverse.astype(np.int64))
-        stacked = np.stack(codes, axis=1)
-        _, first = np.unique(stacked, axis=0, return_index=True)
-        keep = np.sort(first)      # preserve first-occurrence order
-        return Relation(relation.table.take(keep))
+        table = relation.table
+        ids, _ = key_ids(table.columns)
+        _, first = np.unique(ids, return_index=True)
+        return Relation(table.take(np.sort(first)))

@@ -17,9 +17,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import OrderedDict
-from typing import Callable, Mapping, Optional
-
-import numpy as np
+from typing import Mapping, Optional
 
 from repro.core.compiled_query import CompiledQuery
 from repro.core.compiler import Compiler
@@ -83,10 +81,6 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -141,20 +135,11 @@ class SqlNamespace:
         self._session.catalog.register(name, table)
         return table
 
-    def register_numpy(self, array: np.ndarray, name: str, column: str = "value",
-                       device: Optional[str] = None) -> Table:
-        """Register a (possibly multi-dimensional) numpy array as one column."""
-        return self.register_tensor(ensure_tensor(array), name, column=column, device=device)
-
     def register_tensor(self, tensor, name: str, column: str = "value",
                         device: Optional[str] = None) -> Table:
         """Register a bare tensor as a single-column table (paper Listing 5)."""
         table = Table.from_tensor(name, ensure_tensor(tensor), column=column, device=device)
         self._session.catalog.register(name, table)
-        return table
-
-    def register_table(self, table: Table, name: Optional[str] = None) -> Table:
-        self._session.catalog.register(name or table.name, table)
         return table
 
     def drop(self, name: str) -> None:
@@ -274,33 +259,18 @@ class Session:
             return compiler.compile(plan, statement)
 
     # ------------------------------------------------------------------
-    # Vector indexes (Python-native DDL path)
+    # Vector indexes (the Python spelling of the DDL)
     # ------------------------------------------------------------------
     def create_vector_index(self, name: str, table: str, column: str,
                             cells: int = 16, nprobe: Optional[int] = None,
-                            seed: int = 0, embedder: Optional[Callable] = None,
-                            replace: bool = False) -> IndexEntry:
+                            seed: int = 0, replace: bool = False) -> IndexEntry:
         """Register a vector index (same effect as ``CREATE VECTOR INDEX``).
 
-        ``embedder`` optionally maps the column tensor to (n, d) vectors;
-        without it the index binds to the two-tower model of the first
-        similarity UDF that queries it (raw 2-D float columns index as-is).
+        The index binds to the two-tower model of the first similarity UDF
+        whose SQL top-k probes it.
         """
         return self.indexes.create(name, table, column, cells=cells,
-                                   nprobe=nprobe, seed=seed, embedder=embedder,
-                                   replace=replace)
+                                   nprobe=nprobe, seed=seed, replace=replace)
 
     def drop_index(self, name: str, if_exists: bool = False) -> bool:
         return self.indexes.drop(name, if_exists=if_exists)
-
-    def reset(self) -> None:
-        """Drop all registered tables, functions and indexes (test isolation)."""
-        self.catalog.clear()
-        self.functions.clear()
-        self.indexes.clear()
-        self.plan_cache.clear()
-        self.tensor_cache.clear()
-        self.slow_log.clear()
-        # Fresh instruments (lifetime counters restart), same providers.
-        self.metrics = MetricsRegistry()
-        self._register_metric_providers()

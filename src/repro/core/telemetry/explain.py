@@ -11,7 +11,7 @@ execution state.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.telemetry.spans import QueryTrace, Span
 
@@ -128,20 +128,3 @@ def _compile_line(trace: QueryTrace) -> str:
     if verdict:
         parts.append(f"plan_cache={verdict}")
     return "  ".join(parts)
-
-
-def summarize(trace: QueryTrace, top: int = 5) -> Optional[dict]:
-    """Compact dict summary (used by the slow-query log and tests)."""
-    if trace is None:
-        return None
-    operators = [s for s in trace.root.walk() if s.name == "operator"]
-    operators.sort(key=lambda s: s.seconds, reverse=True)
-    return {
-        "seconds": trace.seconds,
-        "operators": [
-            {"op": s.attrs.get("op", ""), "seconds": s.seconds,
-             "rows_out": s.attrs.get("rows_out")}
-            for s in operators[:top]
-        ],
-        "counts": trace.total_counts(),
-    }

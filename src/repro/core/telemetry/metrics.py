@@ -99,25 +99,6 @@ class Histogram:
             if value > self._max:
                 self._max = value
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this histogram (exact)."""
-        if self.bounds != other.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds "
-                f"({self.name!r} vs {other.name!r})"
-            )
-        with other._lock:
-            counts = list(other._counts)
-            count, total = other._count, other._sum
-            mn, mx = other._min, other._max
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += c
-            self._count += count
-            self._sum += total
-            self._min = min(self._min, mn)
-            self._max = max(self._max, mx)
-
     # ------------------------------------------------------------------
     # Quantiles
     # ------------------------------------------------------------------

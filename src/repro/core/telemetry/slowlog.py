@@ -79,10 +79,6 @@ class SlowQueryLog:
         with self._lock:
             return [dict(entry) for entry in self._entries]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def stats(self) -> dict:
         with self._lock:
             return {

@@ -174,16 +174,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "seconds": self.seconds}
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        if self.counts:
-            out["counts"] = dict(self.counts)
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
-
     def __repr__(self) -> str:
         return f"Span({self.name!r}, {self.seconds * 1e3:.3f}ms, attrs={self.attrs})"
 
@@ -243,10 +233,6 @@ class QueryTrace:
             for key, value in span_.counts.items():
                 totals[key] = totals.get(key, 0) + value
         return totals
-
-    def to_dict(self) -> dict:
-        return {"statement": self.statement, "device": self.device,
-                "seconds": self.seconds, "root": self.root.to_dict()}
 
     # ------------------------------------------------------------------
     # Chrome trace_event export

@@ -345,12 +345,6 @@ class TensorCache:
                 self.current_bytes -= evicted.nbytes
                 self.evictions += 1
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._model_fps.clear()
-            self.current_bytes = 0
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

@@ -72,7 +72,7 @@ def collect_modules(func: Callable) -> List[Module]:
     return modules
 
 
-ANN_METRICS = ("inner_product", "cosine")
+ANN_METRICS = ("inner_product",)
 
 
 @dataclasses.dataclass
@@ -84,8 +84,8 @@ class UdfInfo:
     output_schema: List[Tuple[str, dt.DataType]]
     modules: List[Module]
     encoded_io: bool = False     # pass/accept EncodedTensor instead of Tensor
-    # Declared ANN contract: set to "inner_product"/"cosine" when the UDF's
-    # scores are monotone in that metric over its model's embedding space.
+    # Declared ANN contract: set to "inner_product" when the UDF's scores
+    # are monotone in the inner product over its model's embedding space.
     # Only declared UDFs are eligible for vector-index acceleration — the
     # optimizer cannot infer monotonicity from an arbitrary function body.
     ann_metric: Optional[str] = None
@@ -123,10 +123,6 @@ class UdfInfo:
             else:
                 columns.append(Column.from_values(col_name, value))
         return columns
-
-    def parameters(self):
-        for module in self.modules:
-            yield from module.parameters()
 
     def __repr__(self) -> str:
         cols = ", ".join(f"{n} {t}" for n, t in self.output_schema)
@@ -169,15 +165,6 @@ class FunctionRegistry:
     def lookup(self, name: str) -> Optional[UdfInfo]:
         with self._lock:
             return self._functions.get(name.lower())
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._functions)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._functions.clear()
-            self.version += 1
 
 
 def make_udf_decorator(registry: FunctionRegistry):

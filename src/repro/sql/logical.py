@@ -336,6 +336,3 @@ class ExplainPlan(LogicalPlan):
     def describe(self):
         mode = "ANALYZE" if self.analyze else ""
         return f"Explain({mode})"
-
-    def describe(self):
-        return "ShowIndexes"

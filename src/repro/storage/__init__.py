@@ -11,12 +11,11 @@ from repro.storage.encodings import (
     ProbabilityEncoding,
 )
 from repro.storage.frame import DataFrame
-from repro.storage.io import load_table, read_csv, save_table, write_csv
 from repro.storage.table import Table
 from repro.storage import types
 
 __all__ = [
     "Catalog", "Column", "DataFrame", "DictionaryEncoding", "EncodedTensor",
     "Encoding", "PEEncoding", "PlainEncoding", "ProbabilityEncoding",
-    "Table", "load_table", "read_csv", "save_table", "types", "write_csv",
+    "Table", "types",
 ]

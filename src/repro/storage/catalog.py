@@ -86,13 +86,6 @@ class Catalog:
         with self._lock:
             return name.lower() in self._tables
 
-    def clear(self) -> None:
-        with self._lock:
-            self._tables.clear()
-            self._display.clear()
-            self.version += 1
-            self.writes += 1
-
     def stats(self) -> dict:
         """Unified stats dict (docs/OBSERVABILITY.md): ``size`` is the
         registered tables; the rest are the lifetime counters above."""

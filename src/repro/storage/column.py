@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.storage import types as dt
 from repro.storage.encodings import (
-    DatetimeEncoding,
     DictionaryEncoding,
     EncodedTensor,
     Encoding,
@@ -189,8 +188,6 @@ class Column:
         array = np.asarray(values)
         if array.dtype.kind in ("U", "S", "O"):
             return Column(name, DictionaryEncoding.encode(list(array), device=device))
-        if array.dtype.kind == "M":
-            return Column(name, DatetimeEncoding.encode(array, device=device))
         return Column(name, PlainEncoding.encode(array, device=device))
 
     @staticmethod
@@ -231,10 +228,6 @@ class Column:
     def data_type(self) -> dt.DataType:
         enc = self.encoding
         if isinstance(enc, DictionaryEncoding):
-            return dt.STRING
-        if isinstance(enc, DatetimeEncoding):
-            # Datetimes bind as strings (comparisons against ISO literals);
-            # execution dispatches on the encoding, not the logical kind.
             return dt.STRING
         if isinstance(enc, ProbabilityEncoding):
             return dt.prob_type(enc.num_classes)
@@ -307,10 +300,6 @@ class Column:
             token = identity_token(self.tensor)
             lineage = (token, None) if token is not None else None
         return Column(self.name, self.encoded.to(device), lineage)
-
-    def with_tensor(self, tensor: Tensor) -> "Column":
-        """Replace the carrier tensor, keeping name and encoding."""
-        return Column(self.name, EncodedTensor(tensor, self.encoding))
 
     def __repr__(self) -> str:
         return f"Column({self.name!r}, type={self.data_type}, rows={self.num_rows})"

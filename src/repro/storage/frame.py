@@ -8,7 +8,7 @@ to 1-d numpy array (object arrays for strings, nested ndarray for tensors).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,26 +33,11 @@ class DataFrame:
                 self[name] = values
 
     # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def from_records(records: Iterable[Mapping[str, object]]) -> "DataFrame":
-        records = list(records)
-        if not records:
-            return DataFrame()
-        names = list(records[0].keys())
-        return DataFrame({name: [rec[name] for rec in records] for name in names})
-
-    # ------------------------------------------------------------------
     # Mapping interface
     # ------------------------------------------------------------------
     @property
     def columns(self) -> List[str]:
         return list(self._columns.keys())
-
-    @property
-    def shape(self) -> tuple:
-        return (self._length, len(self._columns))
 
     def __len__(self) -> int:
         return self._length
@@ -75,38 +60,11 @@ class DataFrame:
             self._length = array.shape[0]
         self._columns[name] = array
 
-    def row(self, index: int) -> Dict[str, object]:
-        return {name: col[index] for name, col in self._columns.items()}
-
-    def itertuples(self):
-        for i in range(self._length):
-            yield tuple(col[i] for col in self._columns.values())
-
-    def to_dict(self) -> Dict[str, list]:
-        return {name: col.tolist() for name, col in self._columns.items()}
-
     # ------------------------------------------------------------------
     # Convenience operations
     # ------------------------------------------------------------------
     def head(self, n: int = 5) -> "DataFrame":
         return DataFrame({name: col[:n] for name, col in self._columns.items()})
-
-    def select(self, names: Sequence[str]) -> "DataFrame":
-        return DataFrame({name: self[name] for name in names})
-
-    def rename(self, mapping: Mapping[str, str]) -> "DataFrame":
-        return DataFrame({mapping.get(name, name): col for name, col in self._columns.items()})
-
-    def sort_values(self, by: str, ascending: bool = True) -> "DataFrame":
-        column = self[by]
-        if ascending:
-            order = np.argsort(column, kind="stable")
-        else:
-            # Reversing a stable ascending argsort would emit ties in
-            # reverse input order; stable-argsort the reversed array and map
-            # the positions back instead, keeping ties in input order.
-            order = (len(column) - 1 - np.argsort(column[::-1], kind="stable"))[::-1]
-        return DataFrame({name: col[order] for name, col in self._columns.items()})
 
     def equals(self, other: "DataFrame", rtol: float = 1e-5, atol: float = 1e-6) -> bool:
         if self.columns != other.columns or len(self) != len(other):

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence
 
-import numpy as np
-
 from repro.errors import CatalogError, ShapeError
 from repro.storage.column import Column
 from repro.storage.frame import DataFrame
@@ -101,9 +99,6 @@ class Table:
             raise CatalogError(f"column name {name!r} is ambiguous in table {self.name!r}")
         return self._columns[positions[0]]
 
-    def column_at(self, index: int) -> Column:
-        return self._columns[index]
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
@@ -119,10 +114,6 @@ class Table:
 
     def to(self, device) -> "Table":
         return Table(self.name, [col.to(device) for col in self._columns])
-
-    def head(self, n: int = 5) -> "Table":
-        idx = np.arange(min(n, self._num_rows))
-        return self.take(idx)
 
     def to_frame(self) -> DataFrame:
         frame = DataFrame()

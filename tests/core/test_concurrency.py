@@ -13,7 +13,7 @@ from repro.core import tensor_cache as tc
 from repro.core.scheduler import QueryScheduler
 from repro.core.session import Session
 from repro.storage.column import Column
-from repro.tcr import nn
+from repro.tcr import nn, ops
 from repro.tcr.tensor import Tensor
 
 
@@ -157,39 +157,68 @@ class TestParallelQueries:
         assert set(seen) <= expected
 
 
+class _RowTower(nn.Module):
+    """A two-tower model over ``t.vec``: an image row embeds as itself and
+    every text as the ones vector. It records the rows each corpus
+    forward encodes."""
+
+    def __init__(self, delay: float = 0.0):
+        super().__init__()
+        self.rows = []
+        self.delay = delay
+
+    def encode_image(self, images: Tensor) -> Tensor:
+        self.rows.append(images.shape[0])
+        time.sleep(self.delay)     # widen the race window
+        return images
+
+    def encode_text(self, texts) -> Tensor:
+        return Tensor(np.ones((len(texts), 8), dtype=np.float32))
+
+
+def _add_tower(session: Session, delay: float = 0.0) -> _RowTower:
+    """Register ``vsim``, a similarity UDF over the tower that an index on
+    ``t(vec)`` can serve."""
+    tower = _RowTower(delay)
+
+    @session.udf("float", name="vsim", modules=[tower], ann="inner_product")
+    def vsim(query: str, vec: Tensor) -> Tensor:
+        return ops.matmul(vec, tower.encode_text([query]).reshape(-1, 1)).reshape(-1)
+
+    return tower
+
+
+INDEXED_TOPK = "SELECT k FROM t ORDER BY vsim('probe', vec) DESC LIMIT 3"
+# Every build encodes its corpus: no cached embedding serves a rebuild.
+NO_CACHE = {"tensor_cache": False}
+
+
 class TestIndexBuildOnce:
     def test_concurrent_lazy_build_embeds_once(self):
         """N concurrent probes of an unbuilt index embed the corpus once."""
         session = _numeric_session()
-        calls = []
-
-        def embedder(tensor):
-            calls.append(1)
-            time.sleep(0.01)     # widen the race window
-            return np.asarray(tensor.data, dtype=np.float32)
-
-        session.create_vector_index("ivf", "t", "vec", cells=4, nprobe=4,
-                                    embedder=embedder)
+        tower = _add_tower(session, delay=0.01)
+        session.sql.query(
+            "CREATE VECTOR INDEX ivf ON t(vec) WITH (cells=4, nprobe=4)").run()
         entry = session.indexes.lookup("ivf")
-        query = np.zeros(8, dtype=np.float32)
+        assert "IndexScan(ivf" in session.sql.query(
+            INDEXED_TOPK, extra_config=NO_CACHE).explain()
 
         def worker(_):
-            ids, _scores = session.indexes.search("ivf", query, k=3)
-            assert len(ids) == 3
+            result = session.sql.query(INDEXED_TOPK, extra_config=NO_CACHE).run()
+            assert len(result) == 3
 
         _run_threads(8, worker)
-        assert sum(calls) == 1
+        assert tower.rows == [64]
         assert entry.build_count == 1
+        assert session.indexes.stats()["probes"] == 8     # none fell back
 
     def test_stale_rebuild_still_builds_once(self):
         session = _numeric_session()
-        calls = []
-        session.create_vector_index(
-            "ivf", "t", "vec", cells=4,
-            embedder=lambda t: (calls.append(1)
-                                or np.asarray(t.data, dtype=np.float32)))
-        session.indexes.search("ivf", np.zeros(8, dtype=np.float32), k=2)
-        assert sum(calls) == 1
+        tower = _add_tower(session)
+        session.sql.query("CREATE VECTOR INDEX ivf ON t(vec) WITH (cells=4)").run()
+        session.sql.query(INDEXED_TOPK, extra_config=NO_CACHE).run()
+        assert tower.rows == [64]
         # Re-register the table: the entry is stale; concurrent probes must
         # agree on a single rebuild.
         rng = np.random.default_rng(3)
@@ -197,10 +226,11 @@ class TestIndexBuildOnce:
             {"k": np.arange(32, dtype=np.int64) % 8,
              "v": rng.normal(size=32).astype(np.float32),
              "vec": rng.normal(size=(32, 8)).astype(np.float32)}, "t")
-        _run_threads(6, lambda _: session.indexes.search(
-            "ivf", np.zeros(8, dtype=np.float32), k=2))
-        assert sum(calls) == 2
+        _run_threads(6, lambda _: session.sql.query(
+            INDEXED_TOPK, extra_config=NO_CACHE).run())
+        assert tower.rows == [64, 32]
         assert session.indexes.lookup("ivf").build_count == 2
+        assert session.indexes.stats()["probes"] == 7
 
 
 class TestCacheConcurrency:
@@ -523,7 +553,6 @@ class TestStress:
 
     def test_randomized_interleavings_survive(self, tiny_shards):
         session = _numeric_session()
-        rng0 = np.random.default_rng(0)
         table_data = {
             "k": np.arange(64, dtype=np.int64) % 8,
             "v": np.random.default_rng(7).normal(size=64).astype(np.float32),
@@ -536,7 +565,7 @@ class TestStress:
         expected = [_snapshot(session.sql.query(q).run()) for q in QUERIES]
         join_expected = _join_expected(session, shards=2)
         iterations = _scaled(25, minimum=5)
-        probe = rng0.normal(size=8).astype(np.float32)
+        _add_tower(session)
         scheduler = QueryScheduler(session, workers=4)
 
         def reregister_udf():
@@ -568,11 +597,8 @@ class TestStress:
                     name = f"sidx_{i}"
                     try:
                         session.create_vector_index(
-                            name, "t", "vec", cells=4, nprobe=4,
-                            embedder=lambda t: np.asarray(
-                                t.data, dtype=np.float32))
-                        ids, _ = session.indexes.search(name, probe, k=3)
-                        assert len(ids) == 3
+                            name, "t", "vec", cells=4, nprobe=4)
+                        assert len(session.sql.query(INDEXED_TOPK).run()) == 3
                     finally:
                         session.drop_index(name, if_exists=True)
                 elif op == 8:
@@ -592,7 +618,6 @@ class TestStress:
             assert _snapshot(session.sql.query(q).run()) == want
         stats = session.plan_cache.stats
         assert stats["hits"] + stats["misses"] >= iterations
-        session.reset()
 
     def test_stress_with_concurrent_serving(self, tiny_shards):
         """Scheduled batches under concurrent direct queries from other

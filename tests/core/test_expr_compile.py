@@ -113,6 +113,21 @@ class TestLikeKernel:
             got = query(session, stmt).run()
             assert got.column("id").tolist() == expected, (pattern, query)
 
+    @pytest.mark.parametrize("pattern", [
+        p for p in LIKE_PATTERNS if "\\" not in p and "\n" not in p])
+    def test_constant_operand_folds_at_plan_time(self, pattern):
+        """``'text' LIKE pattern`` folds to a constant while lowering; it
+        keeps every row or none, as the oracle says."""
+        session = Session()
+        session.sql.register_dict({"id": np.arange(3, dtype=np.int64)}, "t")
+        for value in ("", "ant", "a_t", "ant bee"):
+            for negated in (False, True):
+                stmt = (f"SELECT id FROM t WHERE '{value}' "
+                        f"{'NOT ' if negated else ''}LIKE '{pattern}'")
+                keep = _like_oracle(value, pattern) != negated
+                got = session.sql.query(stmt).run().column("id").tolist()
+                assert got == ([0, 1, 2] if keep else []), stmt
+
 
 # ----------------------------------------------------------------------
 # One lowering, two namespaces

@@ -23,6 +23,7 @@ import pytest
 
 from repro.baselines.miniduck import MiniDuck
 from repro.core.session import Session
+from repro.errors import ExecutionError
 from tcr_lowering import QUERIES
 
 
@@ -241,6 +242,56 @@ class TestDistinctLargeIntKeys:
             "SELECT DISTINCT a, s FROM t ORDER BY a, s").run(toPandas=True)
         want = sorted(set(zip(a.tolist(), s.tolist())))
         assert list(zip(out["a"].tolist(), out["s"].tolist())) == want
+
+
+_BIG = 2 ** 53
+
+
+class TestDistinctKeys:
+    """``SELECT DISTINCT`` keys rows as GROUP BY does (``aggregate.key_ids``
+    over every column): the first row of each key in row order, integers
+    exact, every NaN its own key. miniduck gives the same rows."""
+
+    @pytest.mark.parametrize("data, want", [
+        ({"x": np.array([1, np.nan, 2, np.nan, 1], dtype=np.float32)},
+         {"x": [1, np.nan, 2, np.nan]}),
+        ({"x": np.array([_BIG + 1, _BIG, _BIG + 1, _BIG + 2, _BIG])},
+         {"x": [_BIG + 1, _BIG, _BIG + 2]}),
+        ({"s": np.array(["b", "a", "b", "c", "a"], dtype=object)},
+         {"s": ["b", "a", "c"]}),
+        ({"a": np.array([2, 1, 2, 1, 2]),
+          "s": np.array(["x", "x", "x", "y", "y"], dtype=object)},
+         {"a": [2, 1, 1, 2], "s": ["x", "x", "y", "y"]}),
+    ], ids=["float_nan", "int64_above_2_53", "dictionary", "two_keys"])
+    def test_rows_match_miniduck(self, data, want):
+        sql = f"SELECT DISTINCT {', '.join(data)} FROM t"
+        session = Session()
+        session.sql.register_dict(dict(data), "t")
+        reference = MiniDuck()
+        reference.register("t", dict(data))
+        got, duck = session.sql.query(sql).run(), reference.execute(sql)
+        for name, column in want.items():
+            np.testing.assert_array_equal(got.column(name), np.asarray(column))
+            np.testing.assert_array_equal(duck[name], np.asarray(column))
+
+    def test_nan_keys_group_and_deduplicate_alike(self):
+        session = Session()
+        session.sql.register_dict(
+            {"x": np.array([1, np.nan, 2, np.nan, 1], dtype=np.float32)}, "t")
+        groups = session.sql.query(
+            "SELECT x, COUNT(*) AS n FROM t GROUP BY x").run()
+        rows = session.sql.query("SELECT DISTINCT x FROM t").run()
+        assert len(groups) == len(rows) == 4
+        # COUNT(DISTINCT) counts the NaNs of one argument as one value.
+        assert session.sql.query(
+            "SELECT COUNT(DISTINCT x) FROM t").run().scalar() == 3
+
+    def test_tensor_column_raises(self):
+        session = Session()
+        session.sql.register_dict(
+            {"v": np.zeros((4, 2), dtype=np.float32)}, "t")
+        with pytest.raises(ExecutionError, match="DISTINCT"):
+            session.sql.query("SELECT DISTINCT v FROM t").run()
 
 
 class TestEmptyBuildSideOuterJoin:

@@ -102,11 +102,6 @@ class TestPlanCacheInvalidation:
         second = loaded_session.sql.query(sql).run(toPandas=True)
         assert second["y"].tolist() == [v + 99.0 for v in first["y"].tolist()]
 
-    def test_reset_clears_cache(self, loaded_session):
-        loaded_session.sql.query(SQL)
-        loaded_session.reset()
-        assert len(loaded_session.plan_cache) == 0
-
 
 class TestSchemaChangeRecompiles:
     """A re-registration that changes what the binder or the compiler can

@@ -518,7 +518,7 @@ class TestRegisteredBuffers:
         session.sql.register_tensor(tensor, "u")
         tensor.data += 1                         # trainable queries do this
         array = np.arange(4, dtype=np.float32)
-        session.sql.register_numpy(array, "v")
+        session.sql.register_tensor(array, "v")
         array += 1
         assert session.sql.query("SELECT SUM(x) AS s FROM t").run().scalar() == 6
 

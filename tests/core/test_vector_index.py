@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import BindError, CatalogError
-from repro.core.index import IVFFlatIndex
+from repro.errors import BindError, CatalogError, UdfError
+from repro.core.indexes import IVFFlatIndex
 from repro.core.session import Session
 from repro.storage.column import Column
 from repro.tcr import nn, ops
@@ -296,35 +296,15 @@ class TestIndexedExecution:
         # exact Filter/TopK/Project pipeline.
         assert _ids(query.run()) == want
 
-    def test_cosine_metric_normalizes_unnormalized_embeddings(self, rng):
-        """ann='cosine' over a model emitting unnormalized vectors: the
-        index must L2-normalize, or large-norm rows would outrank truly
-        closer ones even at a full probe."""
-        session = Session()
-        directions = _unit(rng.normal(size=(32, 6)))
-        norms = rng.uniform(0.1, 10.0, size=(32, 1))
-        corpus = (directions * norms).astype(np.float32)   # wildly varied norms
-        session.sql.register_dict({"id": np.arange(32), "emb": corpus}, "vecs")
-        vocab = {"probe": _unit(rng.normal(size=6)).astype(np.float32)}
+    def test_cosine_metric_is_rejected(self, vec_session):
+        """``inner_product`` is the one ANN contract a UDF can declare."""
+        session, _, vocab = vec_session
         model = ToyTwoTower(vocab)
-
-        @session.udf("float", name="cos_sim", modules=[model], ann="cosine")
-        def cos_sim(query: str, emb: Tensor) -> Tensor:
-            q = vocab[query]
-            data = emb.detach().data
-            cos = (data @ q) / np.maximum(np.linalg.norm(data, axis=1), 1e-12)
-            return Tensor(cos.astype(np.float32))
-
-        session.sql.query(
-            "CREATE VECTOR INDEX cidx ON vecs(emb) WITH (cells=4, nprobe=4)").run()
-        sql = ("SELECT id, cos_sim('probe', emb) AS score FROM vecs "
-               "ORDER BY score DESC LIMIT 8")
-        query = session.sql.query(sql)
-        assert "IndexScan" in query.explain()
-        got = query.run()
-        want = session.sql.query(sql, extra_config=EXACT).run()
-        assert _ids(got) == _ids(want)
-        assert session.indexes.lookup("cidx").metric == "cosine"
+        with pytest.raises(UdfError, match="cosine"):
+            @session.udf("float", name="cos_sim", modules=[model], ann="cosine")
+            def cos_sim(query: str, emb: Tensor) -> Tensor:
+                return model.similarity(query, emb)
+        assert session.functions.lookup("cos_sim") is None
 
     def test_python_create_validates_option_types(self, vec_session):
         session, _, _ = vec_session
@@ -333,20 +313,9 @@ class TestIndexedExecution:
         with pytest.raises(CatalogError):
             session.create_vector_index("bad", "vecs", "emb", cells="many")
 
-    def test_raw_vector_column_search(self, vec_session):
-        """Python-native search over a raw 2-D float column (no embedder)."""
-        session, corpus, vocab = vec_session
-        session.create_vector_index("raw", "vecs", "emb", cells=4, nprobe=4)
-        query = vocab["probe"]
-        ids, scores = session.indexes.search("raw", query, k=5)
-        exact = np.argsort(-(corpus @ query))[:5]
-        assert ids.tolist() == exact.tolist()
-        assert np.all(np.diff(scores) <= 0)
-
     def test_recall_reasonable_with_partial_probe(self, vec_session):
-        session, corpus, _ = vec_session
-        session.create_vector_index("raw", "vecs", "emb", cells=8, nprobe=8)
-        index = session.indexes.ensure_built(session.indexes.lookup("raw"))
+        _, corpus, _ = vec_session
+        index = IVFFlatIndex(num_cells=8, seed=0).build(corpus)
         queries = _unit(np.random.default_rng(5).normal(size=(8, 8))).astype(np.float32)
         assert index.recall_at_k(queries, corpus, k=10, nprobe=8) == 1.0
         assert index.recall_at_k(queries, corpus, k=10, nprobe=4) >= 0.5

@@ -189,3 +189,15 @@ class TestJoins:
     def test_join_without_on_rejected(self, bound_session):
         with pytest.raises(Exception):
             bind(bound_session, "SELECT t.s FROM t JOIN u")
+
+
+class TestStatementPlans:
+    @pytest.mark.parametrize("sql, want", [
+        ("EXPLAIN SELECT a FROM t", "Explain()"),
+        ("EXPLAIN ANALYZE SELECT a FROM t", "Explain(ANALYZE)"),
+        ("SHOW INDEXES", "ShowIndexes"),
+    ])
+    def test_describe_names_the_statement(self, bound_session, sql, want):
+        plan = bind(bound_session, sql)
+        assert plan.describe() == want
+        assert plan.pretty().splitlines()[0] == want
