@@ -23,13 +23,14 @@ from repro.tcr.nn.module import Module
 class Relation:
     """A table flowing between operators, optionally under a selection.
 
-    ``selection`` (None: every row) holds row indices into the table: a
-    filter stage whose outputs are stored columns hands them on instead of
-    gathering its survivors. ``table`` is the one place that gathers them,
-    through ``Column.take`` (which records lineage), the first time any
-    consumer reads it; operators that can work on the ungathered rows read
-    ``base`` and ``selection`` instead (a GROUP BY folds the selection into
-    its group ids). ``num_rows`` counts the selected rows either way.
+    ``selection`` (None: every row) holds ascending row indices into the
+    table: a filter stage whose outputs are stored columns hands them on
+    instead of gathering its survivors. ``table`` is the one place that
+    gathers them, through ``Column.take`` (which records lineage), the
+    first time any consumer reads it; operators that can work on the
+    ungathered rows read ``base`` and ``selection`` instead (a GROUP BY
+    folds the selection into its group ids, a join gathers only its keys
+    over it). ``num_rows`` counts the selected rows either way.
     """
 
     __slots__ = ("_table", "selection")

@@ -13,6 +13,7 @@ from repro.core.kernels.compiler import ExprCompiler
 from repro.core.kernels.strings import comparable_codes
 from repro.core.operators.aggregate import key_ids
 from repro.core.operators.base import Operator, Relation
+from repro.core.operators.pipeline import PipelineExec
 from repro.core.telemetry import annotate
 from repro.sql.bound import BoundExpr
 from repro.storage.column import Column
@@ -60,14 +61,22 @@ def direct_join_indices(probe_ids: np.ndarray, build_ids: np.ndarray,
     stable id order; a probe row reads its match range with two gathers.
 
     Pairs come in probe-row order, each row's matches in build-row order;
-    an unmatched probe row pairs with -1 when ``keep_unmatched``.
+    an unmatched probe row pairs with -1 when ``keep_unmatched``, and is
+    dropped before the expanding passes otherwise. Annotates ``probed=``
+    (probe rows) and ``matched=`` (those with a build row).
     """
     table = np.bincount(build_ids, minlength=domain)
     order = np.argsort(build_ids, kind="stable")
-    lo = (np.cumsum(table) - table)[probe_ids]
     counts = table[probe_ids]
-    out = np.maximum(counts, 1) if keep_unmatched else counts
-    probe = np.repeat(np.arange(len(out)), out)
+    matched = np.flatnonzero(counts)
+    annotate(probed=len(probe_ids), matched=len(matched))
+    if keep_unmatched:
+        rows, out = np.arange(len(probe_ids)), np.maximum(counts, 1)
+    else:
+        rows, probe_ids, counts = matched, probe_ids[matched], counts[matched]
+        out = counts
+    lo = (np.cumsum(table) - table)[probe_ids]
+    probe = np.repeat(rows, out)
     position = np.arange(len(probe)) + np.repeat(lo - (np.cumsum(out) - out), out)
     if not keep_unmatched:
         return probe, order[position]
@@ -75,6 +84,13 @@ def direct_join_indices(probe_ids: np.ndarray, build_ids: np.ndarray,
     hit = np.repeat(counts > 0, out)
     build[hit] = order[position[hit]]
     return probe, build
+
+
+def _base_rows(selection: Optional[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Rows of a selection as rows of its base; -1 (no match) stays -1."""
+    if selection is None or len(selection) == 0:
+        return rows         # an empty selection matches nothing: all -1
+    return np.where(rows >= 0, selection[rows], -1)
 
 
 def _null_fill_column(column: Column, indices: np.ndarray, name: str) -> Column:
@@ -124,26 +140,33 @@ class JoinExec(Operator):
     def forward(self, left_rel: Relation, right_rel: Relation = None) -> Relation:
         if right_rel is None:
             raise ExecutionError("JoinExec.forward needs two input relations")
-        left, right = left_rel.table, right_rel.table
+        # Each side is read as its base table and selection: only the key
+        # columns are gathered over a selection, everything else over the
+        # matched pairs.
+        left, right = left_rel.base, right_rel.base
+        lsel, rsel = left_rel.selection, right_rel.selection
+        if lsel is not None or rsel is not None:
+            annotate(access="selection")
 
         if self.kind == "CROSS" or not self.left_keys:
-            li = np.repeat(np.arange(left.num_rows), right.num_rows)
-            ri = np.tile(np.arange(right.num_rows), left.num_rows)
+            li = np.repeat(np.arange(left_rel.num_rows), right_rel.num_rows)
+            ri = np.tile(np.arange(right_rel.num_rows), left_rel.num_rows)
         else:
             # One id per row over both sides' joint key range, so equal keys
             # share an id across sides.
-            left_ctx = ExpressionEvaluator(left)
-            right_ctx = ExpressionEvaluator(right)
+            left_ctx = PipelineExec._context(left, lsel)
+            right_ctx = PipelineExec._context(right, rsel)
             left_ids, right_ids, domain = join_ids(
                 [_key_values(lk(left_ctx), rk(right_ctx))
                  for lk, rk in zip(self._left_keys, self._right_keys)])
-            annotate(domain=domain)
             # A RIGHT join probes with the right side and keeps its rows.
             flip = self.kind == "RIGHT"
             probe, build = (right_ids, left_ids) if flip else (left_ids, right_ids)
             keep = self.kind in ("LEFT", "RIGHT")
+            annotate(domain=domain)
             pairs = direct_join_indices(probe, build, domain, keep)
             li, ri = pairs[::-1] if flip else pairs
+        li, ri = _base_rows(lsel, li), _base_rows(rsel, ri)
 
         if self.residual is not None:
             li, ri = self._apply_residual(left, right, li, ri)

@@ -14,6 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import EncodingError
 from repro.storage import types as dt
 from repro.storage.encodings import (
     DictionaryEncoding,
@@ -188,6 +189,10 @@ class Column:
         array = np.asarray(values)
         if array.dtype.kind in ("U", "S", "O"):
             return Column(name, DictionaryEncoding.encode(list(array), device=device))
+        if array.dtype.kind not in "fiub":
+            raise EncodingError(
+                f"column {name!r}: cannot store values of dtype {array.dtype} "
+                "(columns hold numbers, booleans and strings)")
         return Column(name, PlainEncoding.encode(array, device=device))
 
     @staticmethod

@@ -290,6 +290,63 @@ class TestOneLowering:
         assert total == -1
 
 
+# ----------------------------------------------------------------------
+# IN / NOT IN against the oracle, under both namespaces
+# ----------------------------------------------------------------------
+IN_PREDICATES = [
+    "s IN ('bee', 'yak')",                 # 'yak' is not in the dictionary
+    "s IN ('yak', 'emu')",                 # no value is
+    "s IN ('ant', 'dog', 'ant')",          # a duplicate
+    "i IN (-1000, 3, 7, 10000000000)",     # two values outside the column's range
+    "i IN (" + ", ".join(str(v) for v in range(0, 40, 2)) + ")",  # a long list
+    "x IN (0.5, 1.5)",                     # NaN in the column
+    "x IN (0.5, NULL)",                    # and in the list
+]
+
+
+class TestInMembership:
+    """A dictionary column's IN is a lookup in a bool table over its codes,
+    any other column's goes to ``np.isin``; both must agree with miniduck
+    (which keeps its own ``np.isin``) on every shape, in both namespaces."""
+
+    @staticmethod
+    def _data(n):
+        rng = np.random.default_rng(9)
+        x = rng.choice(np.array([0.5, 1.5, 2.5, np.nan], dtype=np.float32), n)
+        return {"id": np.arange(n),
+                "s": np.array(["ant", "bee", "cat", "dog"], dtype=object)[
+                    rng.integers(0, 4, n)],
+                "i": rng.integers(-5, 20, n),
+                "x": x}
+
+    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("negated", ["", "NOT "])
+    @pytest.mark.parametrize("predicate", IN_PREDICATES)
+    @pytest.mark.parametrize("rows", [50, 0])
+    def test_matches_miniduck(self, query, negated, predicate, rows):
+        from repro.baselines.miniduck import MiniDuck
+        data = self._data(rows)
+        session = Session()
+        session.sql.register_dict(data, "t")
+        duck = MiniDuck()
+        duck.register("t", data)
+        sql = "SELECT id FROM t WHERE " + predicate.replace(" IN ", f" {negated}IN ", 1)
+        got = query(session, sql).run().column("id").tolist()
+        assert got == list(duck.execute(sql)["id"]), sql
+        if rows:
+            assert 0 < len(got) < rows or "yak', 'emu" in predicate, sql
+
+    def test_dictionary_column_never_reaches_isin(self, monkeypatch):
+        session = Session()
+        session.sql.register_dict(self._data(50), "t")
+        sql = "SELECT id FROM t WHERE s IN ('bee', 'dog')"
+        want = session.sql.query(sql).run().column("id").tolist()
+        called = []
+        monkeypatch.setattr(np, "isin", lambda *a, **k: called.append(a))
+        assert session.sql.query(sql).run().column("id").tolist() == want
+        assert called == []
+
+
 class TestStringKeysRunOnCodes:
     """String functions in group, sort and join keys transform the
     dictionary once and gather codes; no operator decodes the row-length

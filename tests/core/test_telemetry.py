@@ -178,8 +178,9 @@ class TestExplainAnalyze:
 
     def test_grouping_and_join_domain_labels(self):
         """Each exact GROUP BY reports its group count and key-id domain,
-        and each equi-join its direct-address table's domain, on the
-        benchmark's five TPC-H-shaped statements (small scale)."""
+        and each equi-join its direct-address table's domain and its probed
+        and matched rows, on the benchmark's five TPC-H-shaped statements
+        (small scale)."""
         path = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "datagen.py"
         spec = importlib.util.spec_from_file_location("e2e_datagen", path)
         datagen = importlib.util.module_from_spec(spec)
@@ -190,7 +191,7 @@ class TestExplainAnalyze:
         session.sql.register_dict(orders, "orders")
         statements = datagen.suite_statements(datagen.suite_params(1))
         labelled = {"GroupedAggregate(groups=[": r"groups=\d+ domain=\d+",
-                    "Join(INNER)": r"domain=\d+"}
+                    "Join(INNER)": r"domain=\d+ probed=\d+ matched=\d+"}
         seen = {op: 0 for op in labelled}
         access = {}
         for name, sql in statements.items():
@@ -204,12 +205,16 @@ class TestExplainAnalyze:
                         assert re.search(label, stats), line
                         seen[prefix] += 1
                 if "access=" in stats:
-                    access[name] = re.search(r"access=(\w+)", stats).group(1)
+                    access[name, op.split("(")[0]] = re.search(
+                        r"access=(\w+)", stats).group(1)
         # q1, q3 and q12 group; q3 and q12 join.
         assert seen == {"GroupedAggregate(groups=[": 3, "Join(INNER)": 2}
         # Only q1 groups the output of a filter stage, and it folds; q3's
         # and q12's GROUP BYs read a join's output, which has no selection.
-        assert access == {"q1": "fold"}
+        # Both joins read a filter stage's selection (q12's on one side).
+        assert access == {("q1", "GroupedAggregate"): "fold",
+                          ("q3", "Join"): "selection",
+                          ("q12", "Join"): "selection"}
 
 
 # ---------------------------------------------------------------------------

@@ -406,10 +406,16 @@ def _builtin_stmt(r: random.Random) -> DiffStatement:
 
 
 def _join_stmt(r: random.Random) -> DiffStatement:
-    """Engine-only: the oracle has no join support."""
+    """Engine-only: the oracle has no join support. Half the statements
+    filter ``dim`` in a derived table, so its side reaches the join under a
+    selection whatever the join kind (an INNER join's WHERE is pushed to
+    the fact side too)."""
     table = r.choice(["t0", "t1", "t_tiny"])
-    kind = r.choice(["JOIN", "LEFT JOIN"])
-    sql = (f"SELECT x.id, x.a, d.w, d.label FROM {table} x {kind} dim d "
+    kind = r.choice(["JOIN", "LEFT JOIN", "RIGHT JOIN"])
+    dim = "dim"
+    if r.random() < 0.5:
+        dim = f"(SELECT b, w, label FROM dim WHERE w > {r.randint(0, 40)})"
+    sql = (f"SELECT x.id, x.a, d.w, d.label FROM {table} x {kind} {dim} d "
            f"ON x.b = d.b")
     if r.random() < 0.5:
         sql += f" WHERE x.a > {r.randint(-5, 10)}"

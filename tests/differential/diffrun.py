@@ -16,7 +16,12 @@ plus the miniduck oracle.
    (``tcr_lowering.query_over_tcr``, the namespace trainable plans use).
    The two namespaces must be bitwise-indistinguishable. Trainable plans
    never shard, so tcr ops need no shard leg;
-5. the ``baselines.miniduck`` oracle — compared after order normalisation
+5. for a join statement, the ``no-pushdown`` leg: 1. with the pushdown
+   rule off, so a WHERE stays above the join instead of reaching it as its
+   inputs' selections. The oracle has no joins, so this is the leg whose
+   join inputs differ; compared bitwise after order normalisation on every
+   output column;
+6. the ``baselines.miniduck`` oracle — compared after order normalisation
    on the statement's exact-typed key columns, NaN-aware, with the float
    tolerance documented in ``ALLOWLIST``.
 
@@ -70,6 +75,7 @@ ENGINE_LEGS = [
     ("odd shards=3", _on_engine({"shards": 3})),
     ("tcr ops", query_over_tcr),
 ]
+NO_PUSHDOWN = _on_engine({"disable_rules": ["pushdown"]})
 FLOAT_RTOL = 1e-4
 FLOAT_ATOL = 1e-6
 
@@ -124,6 +130,13 @@ def compare_engine_runs(serial: Dict[str, np.ndarray],
             return (f"column {name!r} differs between base and {label}: "
                     f"{serial[name][:8]!r} vs {other[name][:8]!r}")
     return None
+
+
+def _normalised(result: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """``result``'s rows sorted on every column (rows equal on all of them
+    are interchangeable)."""
+    order = _sort_order(result, list(result))
+    return {name: values[order] for name, values in result.items()}
 
 
 def _sort_order(result: Dict[str, np.ndarray], keys: List[str]) -> np.ndarray:
@@ -193,7 +206,7 @@ def run_differential(seed: int, count: int = 120,
     statements = gen_statements(seed, count)
     stats = {"statements": 0, "oracle_checked": 0, "oracle_skipped": 0,
              "engine_only": 0, "tcr_checked": 0, "odd_shards_checked": 0,
-             "sharded_checked": 0}
+             "sharded_checked": 0, "no_pushdown_checked": 0}
     for case, stmt in enumerate(statements):
         if only_case is not None and case != only_case:
             continue
@@ -214,6 +227,13 @@ def run_differential(seed: int, count: int = 120,
                     stats["odd_shards_checked"] += 1
             if session.shard_pool.stats["batches"] > batches:
                 stats["sharded_checked"] += 1
+            if " JOIN " in stmt.sql:
+                other = _engine_result(session, stmt.sql, NO_PUSHDOWN)
+                detail = compare_engine_runs(_normalised(serial),
+                                             _normalised(other), "no-pushdown")
+                if detail is not None:
+                    raise Divergence(seed, case, stmt, detail)
+                stats["no_pushdown_checked"] += 1
         except TdpError as exc:
             raise Divergence(seed, case, stmt,
                              f"engine rejected generated statement: {exc}")

@@ -1,9 +1,9 @@
 """Differential-testing entry point (see README.md in this directory).
 
 Each seed drives a full stream of generated statements through
-``diffrun.run_differential``: serial, sharded (join inputs only) and the
-tcr-ops leg, all bitwise against the serial numpy leg, plus the miniduck
-oracle. The
+``diffrun.run_differential``: serial, sharded (join inputs only), the
+tcr-ops leg and, for joins, the no-pushdown leg, all bitwise against the
+serial numpy leg, plus the miniduck oracle. The
 default budget keeps tier-1 fast; CI's ``differential`` job widens it via
 the environment:
 
@@ -45,3 +45,6 @@ def test_differential_seed(seed, tiny_shards):
     # Only join inputs shard: the shard legs must still split some scans,
     # or they would silently compare serial plans with serial plans.
     assert stats["sharded_checked"] > 0, stats
+    # Join statements also run with pushdown off, the one leg whose join
+    # inputs arrive without a selection.
+    assert stats["no_pushdown_checked"] > 0, stats

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import tcr
-from repro.errors import CatalogError, ShapeError
+from repro.errors import CatalogError, EncodingError, ShapeError
 from repro.storage import types as dt
 from repro.storage.column import Column
 from repro.storage.encodings import DictionaryEncoding, PEEncoding
@@ -46,12 +46,16 @@ class TestColumn:
         assert sliced.decode().tolist() == ["y", "z", "x"]
 
     def test_registering_datetimes_raises_naming_the_dtype(self):
-        """There is no date column type: a datetime64 array is refused at
-        registration, with its dtype in the message."""
-        stamps = np.array(["2024-01-02", "1999-12-31T23:59"],
-                          dtype="datetime64[m]")
-        with pytest.raises(TypeError, match=r"datetime64\[m\]"):
-            Table.from_dict("d", {"d": stamps})
+        """There is no date, duration or complex column type: such an array
+        is refused at registration with the engine's ``EncodingError`` (a
+        ``TdpError``), its dtype in the message."""
+        for values, dtype in [
+                (np.array(["2024-01-02", "1999-12-31T23:59"],
+                          dtype="datetime64[m]"), r"datetime64\[m\]"),
+                (np.array([1, 90], dtype="timedelta64[s]"), r"timedelta64\[s\]"),
+                (np.array([1 + 2j, 3j]), "complex128")]:
+            with pytest.raises(EncodingError, match=dtype):
+                Table.from_dict("d", {"d": values})
 
     def test_take_is_differentiable_for_float(self):
         t = tcr.tensor([1.0, 2.0, 3.0], requires_grad=True)
