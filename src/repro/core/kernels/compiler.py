@@ -99,13 +99,6 @@ _CAST_SCALAR = {"int": int, "float": float, "bool": bool}    # else: str
 _CAST_DTYPE = {"int": np.int64, "float": np.float32, "bool": np.bool_}
 _STRING_FNS = {"UPPER": str.upper, "LOWER": str.lower, "TRIM": str.strip,
                "LENGTH": len}
-# An IN list of at most this many values over a non-dictionary column is
-# tested one equality pass per value (np.isin's kind="sort" for a short
-# list); a longer one goes to numpy's default kind, a range table over
-# integers. Over 400k int64 rows the default costs about 4 ms at any list
-# length, the passes about 0.16 ms per value. A dictionary column never
-# reaches np.isin: its IN is a lookup in a bool table over the codes.
-IN_EQUALITY_MAX = 16
 
 
 # ----------------------------------------------------------------------
@@ -471,13 +464,12 @@ class ExprCompiler:
             return Scalar((operand.value in expr.values) != negated)
         values = list(expr.values)
         plain_values = np.asarray(values)
-        kind = "sort" if len(values) <= IN_EQUALITY_MAX else None
 
         def fn(ctx):
             value = operand(ctx)
             column = _dictionary(value)
             if column is None:
-                mask = np.isin(_data(value), plain_values, kind=kind)
+                mask = np.isin(_data(value), plain_values)
             else:
                 encoding = column.encoding
                 member = np.zeros(encoding.cardinality, dtype=bool)

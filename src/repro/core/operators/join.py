@@ -68,13 +68,12 @@ def direct_join_indices(probe_ids: np.ndarray, build_ids: np.ndarray,
     table = np.bincount(build_ids, minlength=domain)
     order = np.argsort(build_ids, kind="stable")
     counts = table[probe_ids]
-    matched = np.flatnonzero(counts)
-    annotate(probed=len(probe_ids), matched=len(matched))
+    annotate(probed=len(probe_ids), matched=int(np.count_nonzero(counts)))
     if keep_unmatched:
         rows, out = np.arange(len(probe_ids)), np.maximum(counts, 1)
     else:
-        rows, probe_ids, counts = matched, probe_ids[matched], counts[matched]
-        out = counts
+        rows = np.flatnonzero(counts)
+        probe_ids, out = probe_ids[rows], counts[rows]
     lo = (np.cumsum(table) - table)[probe_ids]
     probe = np.repeat(rows, out)
     position = np.arange(len(probe)) + np.repeat(lo - (np.cumsum(out) - out), out)

@@ -9,9 +9,10 @@ are (renames included, or no projection at all) stops there: it hands
 the next operator its columns with that vector as the relation's
 selection and copies nothing, and the consumer gathers the rows when it
 reads ``relation.table`` (a GROUP BY folds them into its group ids
-instead, and a join gathers only its key columns over them). Any other stage evaluates its outputs over the selected rows,
-gathering each referenced column at most once — no intermediate table is
-materialised between the selection and the projection. The gather goes
+instead, and a join gathers only its key columns over them). Any other
+stage evaluates its outputs over the selected rows, gathering each
+referenced column at most once — no intermediate table is materialised
+between the selection and the projection. The gather goes
 through ``Column.take`` in either namespace, so under a trainable plan
 gradients flow through it as through any other stage's gather.
 
